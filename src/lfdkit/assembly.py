@@ -26,12 +26,13 @@ from .dmp import PoseDmp, RolloutDiverged, rollout
 from .ktc import PlantState, plant_step
 from .metrics import JerkReport, jerk_metrics, jerk_report_to_dict
 from .se3 import Pose, UnitQuaternion, quat_mul, rotation_between
-from .trajectory import ParseError, Trajectory
+from .trajectory import ParseError, Trajectory, fmt_float
 from .vision import (
     BarScene,
     CameraModel,
     HoleEstimate,
     NotDetectable,
+    check_visible,
     fit_circle3d,
     synthesize_mask,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "StepEvent",
     "AssemblyScenario",
     "InsertionPlan",
+    "PlanningFailed",
     "TrialResult",
     "BatchResult",
     "advance",
@@ -201,6 +203,10 @@ def insertion_goal(hole: HoleEstimate, depth: float, reference: UnitQuaternion) 
     return Pose(position, quat_mul(align, reference))
 
 
+class PlanningFailed(RuntimeError):
+    """The insertion move cannot be planned for the fitted hole."""
+
+
 @dataclass(frozen=True)
 class InsertionPlan:
     """Primitive replay out to the standoff pose, then a constant-speed
@@ -238,7 +244,7 @@ def plan_insertion(
     approach = rollout(dmp, start=current, goal=standoff_pose, dt=dt)
     miss = float(np.linalg.norm(approach.positions[-1] - standoff_pose.position))
     if miss > _CONVERGENCE_TOL:
-        raise RolloutDiverged(f"approach endpoint missed the standoff pose by {miss:.3g} m")
+        raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
 
     n = max(2, int(math.ceil((standoff + depth) / (descent_speed * dt))))
     times = approach.times[-1] + np.arange(1, n + 1) * dt
@@ -320,7 +326,7 @@ class TrialResult:
 
 def _detectable(scene: BarScene, cam: CameraModel, hole_id: int) -> bool:
     try:
-        synthesize_mask(scene, cam, hole_id, 0.0, 0.0, seed=0)
+        check_visible(scene, cam, hole_id)
     except NotDetectable:
         return False
     return True
@@ -427,8 +433,9 @@ def execute_trial(
     """Run one trial: resolve the seeded choices, walk the state machine over
     the event stream, and localize / plan / execute at the matching steps.
 
-    Vision failures become a FAILED state with its reason, not an exception;
-    the trial's errors stay nan unless the insertion motion actually ran.
+    Vision and planning failures become a FAILED state with its reason, not
+    an exception; the trial's errors stay nan unless the insertion motion
+    actually ran.
     """
     evs = nominal_events() if events is None else tuple(events)
     _check_monotone(evs, "events")
@@ -479,11 +486,15 @@ def execute_trial(
                 radius=est.radius,
                 rms=est.rms,
             )
-            plan = plan_insertion(
-                scenario.initial_pose, est_world, scenario.dmp,
-                standoff=scenario.standoff,
-                depth=scenario.required_depth + scenario.plan_overtravel,
-            )
+            try:
+                plan = plan_insertion(
+                    scenario.initial_pose, est_world, scenario.dmp,
+                    standoff=scenario.standoff,
+                    depth=scenario.required_depth + scenario.plan_overtravel,
+                )
+            except (PlanningFailed, RolloutDiverged) as exc:
+                state = TaskState(Phase.FAILED, str(exc))
+                continue
         elif state.phase is Phase.INSERTING:
             if plan is None:
                 state = TaskState(Phase.FAILED, "insertion started without a plan")
@@ -564,10 +575,6 @@ def batch_to_dict(b: BatchResult) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def batch_csv_text(b: BatchResult) -> str:
     """One row per trial: ``trial,seed,hole_id,success,lat_err_m,tilt_rad,depth_m``."""
     lines = ["trial,seed,hole_id,success,lat_err_m,tilt_rad,depth_m"]
@@ -575,6 +582,6 @@ def batch_csv_text(b: BatchResult) -> str:
         hole = "" if r.hole_id is None else str(r.hole_id)
         lines.append(
             f"{i},{r.seed},{hole},{int(r.success)},"
-            f"{_fmt(r.lateral_err_m)},{_fmt(r.tilt_rad)},{_fmt(r.depth_m)}"
+            f"{fmt_float(r.lateral_err_m)},{fmt_float(r.tilt_rad)},{fmt_float(r.depth_m)}"
         )
     return "\n".join(lines) + "\n"

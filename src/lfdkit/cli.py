@@ -12,11 +12,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable, Sequence
 
 from .assembly import batch_csv_text, batch_to_dict, execute_trial, parse_events, run_batch, trial_to_dict
-from .assembly import AssemblyScenario
 from .config import RunConfig, load_config, save_config
 from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
 from .ktc import simulate_demonstration
@@ -28,7 +27,7 @@ from .metrics import (
     render_comparison_table,
     rotation_jerk_metrics,
 )
-from .presets import default_bar_scene, default_camera, default_teach_setup, demo_pose_waypoints, make_smooth_demo
+from .presets import default_teach_setup, scenario_from_config, scene_from_config
 from .se3 import Pose, UnitQuaternion
 from .trajectory import ParseError, fmt_float, load_trajectory_csv
 from .vision import NotDetectable, detection_range_sweep, fit_circle3d, scene_from_dict, synthesize_mask
@@ -117,47 +116,6 @@ def _fold_common(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _scene_objects(cfg: RunConfig):
-    if cfg.scene is None:
-        return default_bar_scene(), default_camera()
-    return scene_from_dict(cfg.scene)
-
-
-def _scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
-    scene, cam = _scene_objects(cfg)
-    wp, quats = demo_pose_waypoints(seed=0)
-    demo = make_smooth_demo(wp, duration=cfg.trial.demo_duration, orientations=quats)
-    dmp = fit_pose_dmp(
-        demo,
-        n_basis=cfg.dmp.n_basis,
-        alpha_z=cfg.dmp.alpha_z,
-        beta_z=cfg.dmp.beta_z,
-        alpha_s=cfg.dmp.alpha_s,
-        gate_mode=cfg.dmp.gate_mode,
-        dt=cfg.dmp.dt,
-    )
-    t = cfg.trial
-    limit = math.radians(t.yaw_limit_deg)
-    return AssemblyScenario(
-        scene=scene,
-        cam=cam,
-        dmp=dmp,
-        initial_pose=Pose([-0.06, -0.10, 0.25]),
-        hole_id=t.hole_id,
-        yaw=None if t.yaw_deg is None else math.radians(t.yaw_deg),
-        yaw_range=(-limit, limit),
-        clearance=t.clearance,
-        tilt_tol=math.radians(t.tilt_tol_deg),
-        required_depth=t.required_depth,
-        standoff=t.standoff,
-        plan_overtravel=t.plan_overtravel,
-        noise_sigma=t.noise_sigma,
-        dropout=t.dropout,
-        mask_points=t.mask_points,
-        seed=cfg.seed,
-    )
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
@@ -174,15 +132,7 @@ def _cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.fit.demo is None:
         raise ValueError("no demonstration given: pass --demo or set fit.demo in the config")
     demo = load_trajectory_csv(cfg.fit.demo)
-    dmp = fit_pose_dmp(
-        demo,
-        n_basis=cfg.dmp.n_basis,
-        alpha_z=cfg.dmp.alpha_z,
-        beta_z=cfg.dmp.beta_z,
-        alpha_s=cfg.dmp.alpha_s,
-        gate_mode=cfg.dmp.gate_mode,
-        dt=cfg.dmp.dt,
-    )
+    dmp = fit_pose_dmp(demo, **asdict(cfg.dmp))
     save_dmp(dmp, args.out)
     _finish(cfg, args.out)
     print(f"fit {dmp.n_basis} basis functions, tau={dmp.tau:.6g}s -> {args.out}")
@@ -243,7 +193,7 @@ def _cmd_teach_sim(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.hole is not None:
         cfg = replace(cfg, localize=replace(cfg.localize, hole_id=args.hole))
-    scene, cam = _scene_objects(cfg)
+    scene, cam = scene_from_config(cfg)
     lo = cfg.localize
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
     lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m"]
@@ -279,7 +229,7 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.step_deg is not None:
         sw = replace(sw, step_deg=args.step_deg)
     cfg = replace(cfg, sweep=sw)
-    scene, cam = _scene_objects(cfg)
+    scene, cam = scene_from_config(cfg)
     rows, intervals = detection_range_sweep(
         scene,
         cam,
@@ -323,7 +273,7 @@ def _fold_trial(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_trial(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg = _fold_trial(cfg, args)
-    scenario = _scenario_from_config(cfg)
+    scenario = scenario_from_config(cfg)
     events = None
     if cfg.trial.events is not None:
         with open(cfg.trial.events, "r", encoding="ascii") as fh:
@@ -339,7 +289,7 @@ def _cmd_trial(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_batch(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg = _fold_trial(cfg, args)
-    template = _scenario_from_config(cfg)
+    template = scenario_from_config(cfg)
     batch = run_batch(template, n=cfg.trial.n, seed=cfg.seed)
     _write_json(args.out, batch_to_dict(batch))
     csv_path = f"{args.out.removesuffix('.json')}.csv" if args.out.endswith(".json") else f"{args.out}.csv"

@@ -43,7 +43,8 @@ class FitSection:
 
 @dataclass(frozen=True)
 class DmpSection:
-    """Fit parameters shared by ``fit`` and the trial pipeline."""
+    """Fit parameters shared by ``fit`` and the trial pipeline; the field
+    names are :func:`lfdkit.dmp.fit_pose_dmp`'s keyword arguments."""
 
     n_basis: int = 50
     alpha_z: float = 25.0

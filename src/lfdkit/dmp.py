@@ -33,18 +33,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .se3 import Pose, UnitQuaternion
+from .se3 import Pose, UnitQuaternion, quat_conj_rows, quat_mul_rows, relative_rotation_vector_rows
 from .trajectory import Trajectory, finite_difference, resample_trajectory
 
 __all__ = [
     "GATE_MODES",
-    "CanonicalSystem",
     "ForcingTerm",
     "TransformParams",
     "DemonstrationData",
@@ -52,7 +51,6 @@ __all__ = [
     "DegenerateDemo",
     "RolloutDiverged",
     "ForcingUnderflow",
-    "step_canonical",
     "basis_layout",
     "eval_forcing",
     "prepare_demonstration",
@@ -66,7 +64,6 @@ __all__ = [
 
 GATE_MODES = ("phase-gated", "literal")
 
-_GATE_FLOOR = 1e-8       # phase clamp when dividing targets by the gate
 _SUPPORT_FLOOR = 1e-12   # per-basis regression denominator guard
 _DENOM_FLOOR = 1e-300    # mixture normalization underflow guard
 
@@ -91,32 +88,6 @@ class ForcingUnderflow(RuntimeWarning):
 def _check_gate_mode(gate_mode: str) -> None:
     if gate_mode not in GATE_MODES:
         raise ValueError(f"gate_mode must be one of {GATE_MODES}, got {gate_mode!r}")
-
-
-@dataclass(frozen=True)
-class CanonicalSystem:
-    """Exponential phase variable, stepped in closed form (unconditionally
-    stable for any dt)."""
-
-    alpha_s: float
-    tau: float
-    s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.alpha_s <= 0 or self.tau <= 0:
-            raise ValueError("alpha_s and tau must be positive")
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError("phase must lie in (0, 1]")
-
-    def phase_at(self, t: float) -> float:
-        return math.exp(-self.alpha_s * t / self.tau)
-
-
-def step_canonical(cs: CanonicalSystem, dt: float) -> CanonicalSystem:
-    """Advance the phase: s' = s * exp(-alpha_s * dt / tau)."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    return replace(cs, s=cs.s * math.exp(-cs.alpha_s * dt / cs.tau))
 
 
 def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,31 +127,31 @@ class ForcingTerm:
         object.__setattr__(self, "widths", h)
 
 
+def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Basis activations exp(-h_i (s_k - c_i)^2), shape (len(s), N); built
+    in place, as the matrix of a long rollout is large."""
+    psi = np.subtract.outer(s, centers)
+    psi *= psi
+    psi *= -widths
+    np.exp(psi, out=psi)
+    return psi
+
+
 def eval_forcing(ft: ForcingTerm, s: float, gate_mode: str = "phase-gated") -> float:
     """Evaluate the mixture at phase s (times the gate in phase-gated mode)."""
     _check_gate_mode(gate_mode)
-    psi = np.exp(-ft.widths * (s - ft.centers) ** 2)
-    denom = float(psi.sum())
-    if denom < _DENOM_FLOOR:
-        warnings.warn(f"all bases underflowed at s = {s:.3g}", ForcingUnderflow, stacklevel=2)
-        return 0.0
-    value = float(psi @ ft.weights) / denom
-    if gate_mode == "phase-gated":
-        value *= s
-    return value
+    profile = _forcing_profile(ft.weights[None, :], ft.centers, ft.widths, np.array([float(s)]), gate_mode)
+    return float(profile[0, 0])
 
 
 def _forcing_profile(
     weights: np.ndarray, centers: np.ndarray, widths: np.ndarray, s: np.ndarray, gate_mode: str
 ) -> np.ndarray:
-    """Vectorized eval_forcing for several axes sharing one basis layout.
+    """The normalized mixture of several axes sharing one basis layout.
 
     weights: (n_axes, N); returns (len(s), n_axes).
     """
-    psi = np.subtract.outer(s, centers)
-    psi *= psi
-    psi *= -widths
-    np.exp(psi, out=psi)
+    psi = _activations(s, centers, widths)
     denom = psi.sum(axis=1)
     # einsum's own loop, not matmul: a product this thin gains nothing from a
     # threaded BLAS, whose idle workers then spin against the caller's loop
@@ -213,39 +184,6 @@ class TransformParams:
             object.__setattr__(self, "beta_z", self.alpha_z / 4.0)
         if self.alpha_z <= 0 or self.beta_z <= 0:
             raise ValueError("alpha_z and beta_z must be positive")
-
-
-# ---------------------------------------------------------------------------
-# vectorized quaternion-row helpers (fitting, and rollout's final q = conj(d) * g;
-# its per-step loop inlines scalar math)
-
-def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ],
-        axis=1,
-    )
-
-
-def _conj_rows(q: np.ndarray) -> np.ndarray:
-    out = q.copy()
-    out[:, 1:] *= -1.0
-    return out
-
-
-def _log_rows_double(q: np.ndarray) -> np.ndarray:
-    """2 * log per row (full-angle rotation vectors), canonicalizing first."""
-    q = np.where(q[:, :1] < 0, -q, q)
-    vn = np.linalg.norm(q[:, 1:], axis=1)
-    half = np.arctan2(vn, q[:, 0])
-    k = np.where(vn > 1e-12, 2.0 * half / np.maximum(vn, 1e-300), 2.0 / np.maximum(q[:, 0], 1e-300))
-    return k[:, None] * q[:, 1:]
 
 
 def _moving_average(v: np.ndarray, window: int = 5) -> np.ndarray:
@@ -305,14 +243,10 @@ def prepare_demonstration(traj: Trajectory, dt: float = 1e-3, smooth_window: int
     vel = finite_difference(t, pos, 1)
     acc = finite_difference(t, pos, 2)
 
-    n = len(t)
-    omega = np.empty((n, 3))
-    if n == 2:
-        omega[:] = _log_rows_double(_mul_rows(quats[1:], _conj_rows(quats[:-1]))) / grid_dt
-    else:
-        omega[1:-1] = _log_rows_double(_mul_rows(quats[2:], _conj_rows(quats[:-2]))) / (2.0 * grid_dt)
-        omega[0] = _log_rows_double(_mul_rows(quats[1:2], _conj_rows(quats[0:1])))[0] / grid_dt
-        omega[-1] = _log_rows_double(_mul_rows(quats[-1:], _conj_rows(quats[-2:-1])))[0] / grid_dt
+    omega = np.empty((len(t), 3))
+    one_step = relative_rotation_vector_rows(quats[1:], quats[:-1]) / grid_dt
+    omega[0], omega[-1] = one_step[0], one_step[-1]
+    omega[1:-1] = relative_rotation_vector_rows(quats[2:], quats[:-2]) / (2.0 * grid_dt)
     domega = finite_difference(t, omega, 1)
 
     return DemonstrationData(
@@ -332,19 +266,15 @@ def compute_forcing_targets(
     demo: DemonstrationData,
     params: TransformParams,
     alpha_s: float,
-    gate_mode: str = "phase-gated",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the transformation system along the demonstration.
 
     Returns (s_k, targets) with targets of shape (n, 6): three translation
-    axes then three orientation axes. The stored targets are what the
-    normalized mixture must output, so in phase-gated mode the raw inversion
-    is divided by the gate (phase clamped below at 1e-8).
+    axes then three orientation axes. The targets are the raw inversion,
+    gate included; :func:`fit_lwr` fits them against the gate of its mode.
     """
-    _check_gate_mode(gate_mode)
     span = float(np.max(np.linalg.norm(demo.positions - demo.positions[0], axis=1)))
-    q0 = np.broadcast_to(demo.quats[0], demo.quats.shape)
-    rot_span = float(np.max(np.linalg.norm(_log_rows_double(_mul_rows(demo.quats, _conj_rows(q0))), axis=1)))
+    rot_span = float(np.max(np.linalg.norm(relative_rotation_vector_rows(demo.quats, demo.quats[:1]), axis=1)))
     speed = float(np.max(np.abs(demo.velocities))) + float(np.max(np.abs(demo.omegas)))
     if span < 1e-9 and rot_span < 1e-9 and speed < 1e-9:
         raise DegenerateDemo("no information to fit: start equals goal and the demo never moves")
@@ -356,14 +286,9 @@ def compute_forcing_targets(
     g = demo.positions[-1]
     f_pos = tau**2 * demo.accelerations - az * (bz * (g - demo.positions) - tau * demo.velocities)
 
-    goal_rows = np.broadcast_to(demo.quats[-1], demo.quats.shape)
-    err = _log_rows_double(_mul_rows(goal_rows, _conj_rows(demo.quats)))
+    err = relative_rotation_vector_rows(demo.quats[-1:], demo.quats)
     f_rot = tau**2 * demo.domegas - az * (bz * err - tau * demo.omegas)
-
-    targets = np.hstack([f_pos, f_rot])
-    if gate_mode == "phase-gated":
-        targets = targets / np.maximum(s, _GATE_FLOOR)[:, None]
-    return s, targets
+    return s, np.hstack([f_pos, f_rot])
 
 
 def fit_lwr(
@@ -373,27 +298,29 @@ def fit_lwr(
     widths: np.ndarray,
     gate_mode: str = "phase-gated",
 ) -> tuple[np.ndarray, list[int]]:
-    """Per-basis weighted least squares for one axis.
+    """Per-basis weighted least squares, for one axis or several at once.
 
     w_i = sum_k psi_i(s_k) x(s_k) f_k / sum_k psi_i(s_k) x(s_k)^2 with
-    x(s) = s in phase-gated mode and x(s) = 1 in literal mode. Bases whose
-    denominator underflows the 1e-12 guard get weight 0 and are reported in
-    the second return value.
+    x(s) = s in phase-gated mode and x(s) = 1 in literal mode. ``targets``
+    of shape (n,) give weights of shape (N,); of shape (n, k), weights of
+    shape (k, N) from one activation matrix. Bases whose denominator
+    underflows the 1e-12 guard get weight 0 and are reported in the second
+    return value.
     """
     _check_gate_mode(gate_mode)
     s = np.asarray(s, dtype=float).reshape(-1)
-    f = np.asarray(targets, dtype=float).reshape(-1)
+    f = np.asarray(targets, dtype=float)
     if len(s) != len(f):
         raise ValueError("phase and target sample counts differ")
     if len(s) == 0:
         raise ValueError("cannot fit with zero samples")
-    psi = np.exp(-widths[None, :] * (s[:, None] - centers[None, :]) ** 2)
+    psi = _activations(s, centers, widths)
     x = s if gate_mode == "phase-gated" else np.ones_like(s)
-    num = psi.T @ (x * f)
-    den = psi.T @ (x * x)
+    # einsum, not matmul: see _forcing_profile
+    num = np.einsum("kn,k,k...->...n", psi, x, f)
+    den = np.einsum("kn,k->n", psi, x * x)
     supported = den > _SUPPORT_FLOOR
-    weights = np.zeros(len(centers))
-    weights[supported] = num[supported] / den[supported]
+    weights = np.where(supported, num / np.where(supported, den, 1.0), 0.0)
     return weights, [int(i) for i in np.flatnonzero(~supported)]
 
 
@@ -425,11 +352,6 @@ class PoseDmp:
     def n_basis(self) -> int:
         return len(self.centers)
 
-    def forcing_term(self, axis: int) -> ForcingTerm:
-        """Axis 0..2 : translation x/y/z; axis 3..5 : orientation."""
-        w = self.weights_pos[axis] if axis < 3 else self.weights_rot[axis - 3]
-        return ForcingTerm(w, self.centers, self.widths)
-
 
 def fit_pose_dmp(
     traj: Trajectory,
@@ -451,18 +373,8 @@ def fit_pose_dmp(
     demo = prepare_demonstration(traj, dt=dt)
     centers, widths = basis_layout(n_basis, alpha_s)
     try:
-        s, stored = compute_forcing_targets(demo, params, alpha_s, gate_mode)
-        # the estimator consumes raw inversion values (it fits f ~ w * x);
-        # stored targets have the gate divided out, so put it back
-        if gate_mode == "phase-gated":
-            targets = stored * np.maximum(s, _GATE_FLOOR)[:, None]
-        else:
-            targets = stored
-        weights = np.empty((6, n_basis))
-        dead: set[int] = set()
-        for axis in range(6):
-            weights[axis], unsupported = fit_lwr(s, targets[:, axis], centers, widths, gate_mode)
-            dead.update(unsupported)
+        s, targets = compute_forcing_targets(demo, params, alpha_s)
+        weights, dead = fit_lwr(s, targets, centers, widths, gate_mode)
         if dead:
             warnings.warn(f"{len(dead)} basis functions had no sample support", RuntimeWarning, stacklevel=2)
     except DegenerateDemo:
@@ -594,7 +506,7 @@ def rollout(
             raise RolloutDiverged(step, step * dt)
 
     d = np.fromiter(chain.from_iterable(out_d), float, 4 * len(out_d)).reshape(-1, 4)
-    quats = _mul_rows(_conj_rows(d), np.broadcast_to(gq.as_array(), d.shape))
+    quats = quat_mul_rows(quat_conj_rows(d), gq.as_array())
     return Trajectory(times, positions, quats)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import quat_conj, quat_log, quat_mul
+from .se3 import relative_rotation_vector_rows
 from .trajectory import Trajectory, finite_difference, resample_trajectory
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "compare_demonstrations",
     "render_comparison_table",
     "jerk_report_to_dict",
-    "timing_report_to_dict",
     "comparison_to_dict",
 ]
 
@@ -99,8 +98,7 @@ def rotation_jerk_metrics(traj: Trajectory) -> JerkReport:
     relative to the first sample. Assumes the motion stays within a half-turn
     of its starting orientation (true of hand-guided demonstrations)."""
     traj = _uniform(traj)
-    q0_conj = quat_conj(traj.pose(0).orientation)
-    rvs = np.array([2.0 * quat_log(quat_mul(traj.pose(i).orientation, q0_conj)) for i in range(len(traj))])
+    rvs = relative_rotation_vector_rows(traj.orientations, traj.orientations[:1])
     jerk = finite_difference(traj.times, rvs, 3)
     return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "rad/s^3")
 
@@ -192,10 +190,6 @@ def render_comparison_table(report: ComparisonReport, reference_rows=None) -> st
 
 def jerk_report_to_dict(r: JerkReport) -> dict:
     return {"mean": r.mean, "std": r.std, "max": r.max, "n_interior": r.n_interior, "unit": r.unit}
-
-
-def timing_report_to_dict(r: TimingReport) -> dict:
-    return {"durations": list(r.durations), "mean": r.mean, "std": r.std}
 
 
 def comparison_to_dict(r: ComparisonReport) -> dict:

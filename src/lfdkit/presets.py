@@ -1,17 +1,22 @@
 """Factories for synthetic worlds and demonstrations used by tests, scripts,
-and the default CLI configuration."""
+and the CLI, which builds its scene and trial scenario from a config here."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import asdict
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .assembly import AssemblyScenario
+from .config import RunConfig, TrialSection
 from .dmp import fit_pose_dmp
 from .ktc import AdmittanceGains, NativeDrive, VirtualHuman, native_drive, proposed_gains
-from .se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul, rotation_vector
+from .se3 import Pose, UnitQuaternion, from_rotation_vector, from_rotation_vector_rows, quat_mul_rows
+from .se3 import relative_rotation_vector_rows
 from .trajectory import Trajectory
-from .vision import BarScene, CameraModel, HoleSpec
+from .vision import BarScene, CameraModel, HoleSpec, scene_from_dict
 
 __all__ = [
     "make_smooth_demo",
@@ -19,6 +24,8 @@ __all__ = [
     "default_bar_scene",
     "default_camera",
     "default_scenario",
+    "scene_from_config",
+    "scenario_from_config",
     "default_teach_setup",
 ]
 
@@ -55,13 +62,9 @@ def make_smooth_demo(
     else:
         if len(orientations) != k:
             raise ValueError("orientation waypoints must match position waypoints")
-        q0 = orientations[0]
-        rvs = np.array([rotation_vector(quat_mul(q, q0.conjugate())) for q in orientations])
-        rspline = CubicSpline(knots, rvs, bc_type="clamped")
-        rv_t = rspline(warped)
-        quats = np.array(
-            [quat_mul(from_rotation_vector(rv), q0).as_array() for rv in rv_t]
-        )
+        wq = np.array([q.as_array() for q in orientations])
+        rspline = CubicSpline(knots, relative_rotation_vector_rows(wq, wq[:1]), bc_type="clamped")
+        quats = quat_mul_rows(from_rotation_vector_rows(rspline(warped)), wq[0])
     return Trajectory(times, pos, quats)
 
 
@@ -129,21 +132,48 @@ def default_teach_setup(
     raise ValueError(f"controller must be 'proposed' or 'native', got {controller!r}")
 
 
-def default_scenario(noise_sigma: float = 5e-4, seed: int = 0) -> AssemblyScenario:
-    """Runnable trial setup over the default scene: the primitive is fit from
-    the smooth preset demonstration and the arm starts beside the bar.
+def scene_from_config(cfg: RunConfig) -> tuple[BarScene, CameraModel]:
+    """The config's inline scene and camera, or the default desk scene."""
+    if cfg.scene is None:
+        return default_bar_scene(), default_camera()
+    return scene_from_dict(cfg.scene)
 
-    The yaw range stays inside +-60 deg, where every hole of the default
-    scene is fully visible with margin (the outer ones leave the frustum
-    near +-70 deg).
+
+def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
+    """Runnable trial setup: the primitive is fit from the smooth preset
+    demonstration with the config's dmp section, and the arm starts beside
+    the bar.
+
+    The default yaw range stays inside +-60 deg, where every hole of the
+    default scene is fully visible with margin (the outer ones leave the
+    frustum near +-70 deg).
     """
+    scene, cam = scene_from_config(cfg)
     wp, quats = demo_pose_waypoints(seed=0)
-    demo = make_smooth_demo(wp, duration=4.0, orientations=quats)
+    t = cfg.trial
+    demo = make_smooth_demo(wp, duration=t.demo_duration, orientations=quats)
+    limit = math.radians(t.yaw_limit_deg)
     return AssemblyScenario(
-        scene=default_bar_scene(),
-        cam=default_camera(),
-        dmp=fit_pose_dmp(demo),
+        scene=scene,
+        cam=cam,
+        dmp=fit_pose_dmp(demo, **asdict(cfg.dmp)),
         initial_pose=Pose([-0.06, -0.10, 0.25]),
-        noise_sigma=noise_sigma,
-        seed=seed,
+        hole_id=t.hole_id,
+        yaw=None if t.yaw_deg is None else math.radians(t.yaw_deg),
+        yaw_range=(-limit, limit),
+        clearance=t.clearance,
+        tilt_tol=math.radians(t.tilt_tol_deg),
+        required_depth=t.required_depth,
+        standoff=t.standoff,
+        plan_overtravel=t.plan_overtravel,
+        noise_sigma=t.noise_sigma,
+        dropout=t.dropout,
+        mask_points=t.mask_points,
+        seed=cfg.seed,
     )
+
+
+def default_scenario(noise_sigma: float = 5e-4, seed: int = 0) -> AssemblyScenario:
+    """:func:`scenario_from_config` on the default config at this vision
+    noise and seed."""
+    return scenario_from_config(RunConfig(seed=seed, trial=TrialSection(noise_sigma=noise_sigma)))

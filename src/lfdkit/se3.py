@@ -10,6 +10,8 @@ Conventions, fixed once and used everywhere:
 * ``quat_log``/``quat_exp`` use the half-angle convention
   ``log(q) = (theta/2) * u`` for ``q = (cos(theta/2), u*sin(theta/2))``,
   so a full-angle rotation vector is ``2 * quat_log(q)``
+* whole trajectories go through the ``*_rows`` kernels, which apply the same
+  maps to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row
 * units are meters, seconds, newtons, and radians throughout
 """
 
@@ -32,6 +34,12 @@ __all__ = [
     "from_rotation_vector",
     "slerp",
     "rotation_between",
+    "quat_mul_rows",
+    "quat_conj_rows",
+    "quat_canonicalize_rows",
+    "rotation_vector_rows",
+    "from_rotation_vector_rows",
+    "relative_rotation_vector_rows",
 ]
 
 _ZERO_NORM_TOL = 1e-12
@@ -208,6 +216,79 @@ def rotation_between(u, v) -> UnitQuaternion:
     axis = np.cross(u, v) / c
     angle = math.atan2(c, d)
     return quat_exp(0.5 * angle * axis)
+
+
+# ---------------------------------------------------------------------------
+# row kernels: the maps above over arrays with one quaternion (w, x, y, z) or
+# one vector per row; products broadcast, so a single row may stand for all
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a*b per row, neither renormalized nor canonicalized
+    (follow with :func:`quat_canonicalize_rows` for what :func:`quat_mul`
+    returns)."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
+        ],
+        axis=-1,
+    )
+
+
+def quat_conj_rows(q: np.ndarray) -> np.ndarray:
+    return q * _CONJ
+
+
+def quat_canonicalize_rows(quats: np.ndarray) -> np.ndarray:
+    """Renormalize each row and flip it onto the w >= 0 hemisphere, with the
+    tie-break of the scalar constructor. Rows already unit within 1e-12 keep
+    their values bit for bit."""
+    norms = np.linalg.norm(quats, axis=1)
+    if not np.all(np.isfinite(norms)) or np.any(norms < _ZERO_NORM_TOL):
+        raise ValueError("orientation rows must be finite and nonzero")
+    q = quats.copy()
+    off = np.abs(norms - 1.0) > 1e-12
+    q[off] /= norms[off, None]
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
+    q[flip] *= -1.0
+    return q
+
+
+def rotation_vector_rows(q: np.ndarray) -> np.ndarray:
+    """:func:`rotation_vector` per row; like it, no hemisphere flip, so rows
+    with w < 0 map to angles above pi."""
+    v = q[:, 1:]
+    vn = np.linalg.norm(v, axis=1)
+    w = q[:, 0]
+    near = vn < 1e-12
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.where(near, np.where(w < 0.0, 0.0, 1.0 / w), np.arctan2(vn, w) / vn)
+    return (2.0 * k)[:, None] * v
+
+
+def from_rotation_vector_rows(r: np.ndarray) -> np.ndarray:
+    """:func:`from_rotation_vector` per row, on the same domain (full angle
+    below 2*pi) and equally left off the canonical hemisphere."""
+    h = 0.5 * np.asarray(r, dtype=float)
+    n = np.linalg.norm(h, axis=1)
+    if not np.all(n < math.pi):
+        raise ValueError(f"rotation-vector norm {np.max(n):.6g} is outside the domain [0, pi)")
+    q = np.column_stack([np.cos(n), np.sinc(n / math.pi)[:, None] * h])  # sinc(n/pi) = sin(n)/n
+    return q / np.linalg.norm(q, axis=1)[:, None]
+
+
+def relative_rotation_vector_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``rotation_vector(quat_mul(a, quat_conj(b)))`` per row: the
+    shortest-arc rotation vector taking b onto a."""
+    return rotation_vector_rows(quat_canonicalize_rows(quat_mul_rows(a, quat_conj_rows(b))))
 
 
 @dataclass(frozen=True)

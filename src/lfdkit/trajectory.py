@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .se3 import Pose, UnitQuaternion, Wrench, quat_exp, quat_log, quat_mul
+from .se3 import Pose, UnitQuaternion, Wrench, quat_canonicalize_rows, quat_mul_rows
+from .se3 import from_rotation_vector_rows, relative_rotation_vector_rows
 
 __all__ = [
     "Trajectory",
@@ -48,20 +49,6 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}: field '{field}': {message}")
 
 
-def _canonicalize_rows(quats: np.ndarray) -> np.ndarray:
-    """Renormalize each (w, x, y, z) row and flip onto the w >= 0 hemisphere."""
-    norms = np.linalg.norm(quats, axis=1)
-    if not np.all(np.isfinite(norms)) or np.any(norms < 1e-12):
-        raise ValueError("orientation rows must be finite and nonzero")
-    q = quats.copy()
-    off = np.abs(norms - 1.0) > 1e-12  # leave already-unit rows bit-identical
-    q[off] /= norms[off, None]
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
-    q[flip] *= -1.0
-    return q
-
-
 class Trajectory:
     """Pose (optionally wrench) series on strictly increasing timestamps.
 
@@ -84,7 +71,7 @@ class Trajectory:
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(p)):
             raise ValueError("positions must be finite")
-        q = _canonicalize_rows(q)
+        q = quat_canonicalize_rows(q)
         w = None
         if wrenches is not None:
             w = np.array(wrenches, dtype=float).reshape(len(t), 6)
@@ -288,23 +275,9 @@ def resample_trajectory(traj: Trajectory, dt: float) -> Trajectory:
     if traj.wrenches is not None:
         wr = traj.wrenches[idx] + u[:, None] * (traj.wrenches[idx + 1] - traj.wrenches[idx])
 
-    quats = np.empty((len(grid), 4))
-    cache_key = -1
-    qa = qb = None
-    for k in range(len(grid)):
-        i = int(idx[k])
-        if i != cache_key:
-            qa = UnitQuaternion.from_array(traj.orientations[i])
-            qb = UnitQuaternion.from_array(traj.orientations[i + 1])
-            cache_key = i
-        uk = float(u[k])
-        if uk <= 0.0:
-            quats[k] = qa.as_array()
-        elif uk >= 1.0:
-            quats[k] = qb.as_array()
-        else:
-            rel = quat_mul(qb, qa.conjugate())
-            quats[k] = quat_mul(quat_exp(uk * quat_log(rel)), qa).as_array()
+    qa = traj.orientations[idx]
+    rel = relative_rotation_vector_rows(traj.orientations[idx + 1], qa)  # the short way round
+    quats = quat_mul_rows(from_rotation_vector_rows(u[:, None] * rel), qa)
 
     # endpoints are the original samples, bit for bit
     pos[0] = traj.positions[0]

@@ -30,6 +30,7 @@ __all__ = [
     "HoleEstimate",
     "SweepRow",
     "NotDetectable",
+    "check_visible",
     "synthesize_mask",
     "fit_plane",
     "fit_circle3d",
@@ -212,6 +213,17 @@ class HoleEstimate:
         object.__setattr__(self, "axis", a)
 
 
+def check_visible(scene: BarScene, cam: CameraModel, hole_id: int) -> None:
+    """Raise NotDetectable unless the hole's center lies in the camera
+    frustum and its rim faces the camera."""
+    center_w = scene.hole_center_world(hole_id)
+    center_cam = cam.world_to_camera(center_w)[0]
+    if not bool(cam.visible(center_cam[None, :])[0]):
+        raise NotDetectable(f"hole {hole_id} not detectable: center outside frustum")
+    if float(np.dot(scene.hole_axis_world(hole_id), cam.pose.position - center_w)) <= 0:
+        raise NotDetectable(f"hole {hole_id} not detectable: back-facing")
+
+
 def synthesize_mask(
     scene: BarScene,
     cam: CameraModel,
@@ -236,14 +248,9 @@ def synthesize_mask(
     if n_points < 3:
         raise ValueError("need at least 3 rim points")
 
+    check_visible(scene, cam, hole_id)
     center_w = scene.hole_center_world(hole_id)
     axis_w = scene.hole_axis_world(hole_id)
-    center_cam = cam.world_to_camera(center_w)[0]
-    if not bool(cam.visible(center_cam[None, :])[0]):
-        raise NotDetectable(f"hole {hole_id} not detectable: center outside frustum")
-    if float(np.dot(axis_w, cam.pose.position - center_w)) <= 0:
-        raise NotDetectable(f"hole {hole_id} not detectable: back-facing")
-
     u, v = _orthobasis(axis_w)
     ang = 2.0 * math.pi * np.arange(n_points) / n_points
     radius = scene.holes[hole_id].radius

@@ -24,12 +24,14 @@ from lfdkit.assembly import (
     insertion_goal,
     meets_tolerances,
     nominal_events,
+    PlanningFailed,
     parse_events,
     plan_insertion,
     run_batch,
     trial_to_dict,
 )
-from lfdkit.presets import default_scenario
+from lfdkit.config import config_from_dict
+from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector
 from lfdkit.trajectory import ParseError
 from lfdkit.vision import HoleEstimate
@@ -278,6 +280,12 @@ class TestPlanInsertion:
         assert np.array_equal(end_shift, goal_shift)
         np.testing.assert_allclose(end_shift, [0.005, 0.0, 0.0], atol=1e-12)
 
+    def test_missed_standoff_raises_planning_failed(self):
+        # literal gating leaves a standing forcing offset at the goal
+        sc = scenario_from_config(config_from_dict({"seed": 3, "dmp": {"gate_mode": "literal"}}))
+        with pytest.raises(PlanningFailed, match="missed the standoff pose"):
+            plan_insertion(sc.initial_pose, self.true_estimate(sc), sc.dmp)
+
     def test_standoff_must_be_positive(self, scenario):
         with pytest.raises(ValueError, match="standoff"):
             plan_insertion(
@@ -387,6 +395,15 @@ class TestRunBatch:
         reason, count = b.failure_reasons[0]
         assert reason.startswith("hole not detectable")
         assert count == 3
+
+    def test_planning_failures_keep_every_record(self):
+        template = scenario_from_config(config_from_dict({"dmp": {"gate_mode": "literal"}}))
+        b = run_batch(template, n=3, seed=0)
+        assert len(b.records) == 3
+        for r in b.records:
+            assert r.state.phase is Phase.FAILED
+            assert r.state.reason.startswith("approach endpoint missed the standoff pose")
+            assert math.isnan(r.lateral_err_m) and r.jerk is None
 
     def test_csv_shape(self, scenario):
         b = run_batch(scenario, n=2, seed=1)

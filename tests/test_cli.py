@@ -215,6 +215,20 @@ class TestTrialBatch:
         twin_csv = tmp_path / "twin_results.csv"
         assert twin_csv.read_bytes() == (tmp_path / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "dmp", [{"gate_mode": "literal"}, {"alpha_z": 4.0}, {"alpha_z": 2.0}], ids=["literal", "az4", "az2"]
+    )
+    def test_missed_standoff_ends_trial_failed(self, capsys, tmp_path, dmp):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dmp": dmp}))
+        out = tmp_path / "trial.json"
+        code, text, err = run(capsys, "trial", "--seed", 3, "--config", cfg, "--out", out)
+        assert code == 0 and err == ""
+        assert "success=False" in text and "reason=approach endpoint missed" in text
+        doc = json.loads(out.read_text())
+        assert doc["phase"] == "failed"
+        assert doc["reason"].startswith("approach endpoint missed the standoff pose by")
+
     def test_batch_rejects_n_zero(self, capsys, tmp_path):
         code, _, err = run(capsys, "batch", "--n", 0, "--out", tmp_path / "x.json")
         assert code == 1

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from lfdkit.dmp import (
-    CanonicalSystem,
     DegenerateDemo,
     ForcingTerm,
     ForcingUnderflow,
@@ -37,7 +36,6 @@ from lfdkit.dmp import (
     prepare_demonstration,
     rollout,
     save_dmp,
-    step_canonical,
 )
 from lfdkit.presets import demo_pose_waypoints, make_smooth_demo
 from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul
@@ -66,34 +64,6 @@ def zero_weight_dmp(n_basis=50, gate_mode="phase-gated", tau=1.0, goal=None):
         demo_start=Pose.identity(),
         demo_goal=goal if goal is not None else Pose.identity(),
     )
-
-
-class TestCanonical:
-    def test_closed_form_after_many_steps(self):
-        cs = CanonicalSystem(alpha_s=ALPHA_S, tau=2.0)
-        for _ in range(2000):
-            cs = step_canonical(cs, 1e-3)
-        assert cs.s == pytest.approx(math.exp(-ALPHA_S), rel=1e-12)
-
-    def test_semigroup(self):
-        cs = CanonicalSystem(alpha_s=4.0, tau=1.5)
-        one = step_canonical(cs, 0.7)
-        two = step_canonical(step_canonical(cs, 0.3), 0.4)
-        assert one.s == pytest.approx(two.s, rel=1e-14)
-
-    def test_phase_at_matches_stepping(self):
-        cs = CanonicalSystem(alpha_s=ALPHA_S, tau=3.0)
-        assert cs.phase_at(1.2) == pytest.approx(step_canonical(cs, 1.2).s, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CanonicalSystem(alpha_s=0.0, tau=1.0)
-        with pytest.raises(ValueError):
-            CanonicalSystem(alpha_s=1.0, tau=-1.0)
-        with pytest.raises(ValueError):
-            CanonicalSystem(alpha_s=1.0, tau=1.0, s=0.0)
-        with pytest.raises(ValueError):
-            step_canonical(CanonicalSystem(alpha_s=1.0, tau=1.0), -0.1)
 
 
 class TestBasisLayout:
@@ -202,6 +172,18 @@ class TestFitLwr:
         rms = np.sqrt(np.mean((got - want) ** 2))
         assert rms < 0.01 * np.sqrt(np.mean(want**2))
 
+    @pytest.mark.parametrize("gate_mode", ["literal", "phase-gated"])
+    def test_several_axes_match_one_axis_fits(self, gate_mode):
+        centers, widths = basis_layout(30, ALPHA_S)
+        s = np.linspace(0.6, 1.0, 400)  # late bases unsupported, as in the test below
+        targets = np.random.default_rng(5).normal(size=(400, 6)) * 30.0
+        weights, unsupported = fit_lwr(s, targets, centers, widths, gate_mode)
+        assert weights.shape == (6, 30)
+        for axis in range(6):
+            one, dead = fit_lwr(s, targets[:, axis], centers, widths, gate_mode)
+            assert dead == unsupported
+            np.testing.assert_allclose(weights[axis], one, rtol=1e-13, atol=0.0)
+
     def test_unsupported_bases_reported_and_zeroed(self):
         centers, widths = basis_layout(30, ALPHA_S)
         s = np.linspace(0.6, 1.0, 200)  # late bases (small centers) see no samples
@@ -268,7 +250,7 @@ class TestForcingTargets:
         pos = g[None, :] + (y0 - g)[None, :] * shape[:, None]
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(t), 1))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
-        s, targets = compute_forcing_targets(demo, TransformParams(az), ALPHA_S, "literal")
+        s, targets = compute_forcing_targets(demo, TransformParams(az), ALPHA_S)
         scale = az * (az / 4.0) * float(np.max(np.abs(g - y0)))
         inner = slice(5, -5)
         assert np.max(np.abs(targets[inner])) < 1e-3 * scale
@@ -302,9 +284,9 @@ class TestForcingTargets:
         pos[:, 0] = ys
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(ys), 1))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
-        s_k, targets = compute_forcing_targets(demo, TransformParams(az, bz), ALPHA_S, "phase-gated")
+        s_k, targets = compute_forcing_targets(demo, TransformParams(az, bz), ALPHA_S)
         inner = slice(5, -5)
-        raw = targets[inner, 0] * np.maximum(s_k[inner], 1e-8)  # undo the gate division
+        raw = targets[inner, 0]
         expect = np.array([injected(v) for v in s_k[inner]])
         rms = np.sqrt(np.mean((raw - expect) ** 2))
         assert rms < 0.02 * np.sqrt(np.mean(expect**2))
@@ -318,13 +300,6 @@ class TestForcingTargets:
         demo = prepare_demonstration(Trajectory(t, pos, quats))
         with pytest.raises(DegenerateDemo):
             compute_forcing_targets(demo, TransformParams(), ALPHA_S)
-
-    def test_gate_division_between_modes(self):
-        traj = smooth_demo(duration=2.0)
-        demo = prepare_demonstration(traj)
-        s, gated = compute_forcing_targets(demo, TransformParams(), ALPHA_S, "phase-gated")
-        _, literal = compute_forcing_targets(demo, TransformParams(), ALPHA_S, "literal")
-        np.testing.assert_allclose(gated * np.maximum(s, 1e-8)[:, None], literal, rtol=1e-12, atol=1e-12)
 
 
 class TestRollout:

@@ -1,0 +1,64 @@
+"""Scenario builder tests: the preset scenario, the config-built scenario
+the CLI runs, and the build the preset used to spell out must agree."""
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from lfdkit.assembly import AssemblyScenario
+from lfdkit.config import config_from_dict
+from lfdkit.dmp import fit_pose_dmp
+from lfdkit.presets import (
+    default_bar_scene,
+    default_camera,
+    default_scenario,
+    demo_pose_waypoints,
+    make_smooth_demo,
+    scenario_from_config,
+)
+from lfdkit.se3 import Pose
+from lfdkit.vision import scene_to_dict
+
+
+def assert_same_scenario(a: AssemblyScenario, b: AssemblyScenario) -> None:
+    for f in fields(AssemblyScenario):
+        if f.name in ("scene", "cam"):
+            continue  # compared through their file form below
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "dmp":
+            assert np.array_equal(x.weights_pos, y.weights_pos)
+            assert np.array_equal(x.weights_rot, y.weights_rot)
+            for g in ("alpha_s", "alpha_z", "beta_z", "tau", "gate_mode", "centers", "widths"):
+                assert np.array_equal(getattr(x, g), getattr(y, g)), g
+            for g in ("demo_start", "demo_goal"):
+                assert np.array_equal(getattr(x, g).position, getattr(y, g).position)
+                assert np.array_equal(getattr(x, g).orientation.as_array(), getattr(y, g).orientation.as_array())
+        elif f.name == "initial_pose":
+            assert np.array_equal(x.position, y.position)
+            assert np.array_equal(x.orientation.as_array(), y.orientation.as_array())
+        else:
+            assert x == y, f.name
+    assert scene_to_dict(a.scene, a.cam) == scene_to_dict(b.scene, b.cam)
+
+
+@pytest.mark.parametrize("noise_sigma, seed", [(0.0, 0), (5e-4, 11)])
+def test_default_scenario_is_the_config_build(noise_sigma, seed):
+    cfg = config_from_dict({"seed": seed, "trial": {"noise_sigma": noise_sigma}})
+    assert_same_scenario(default_scenario(noise_sigma, seed), scenario_from_config(cfg))
+
+
+def test_default_scenario_matches_spelled_out_build():
+    wp, quats = demo_pose_waypoints(seed=0)
+    want = AssemblyScenario(
+        scene=default_bar_scene(),
+        cam=default_camera(),
+        dmp=fit_pose_dmp(make_smooth_demo(wp, duration=4.0, orientations=quats)),
+        initial_pose=Pose([-0.06, -0.10, 0.25]),
+        noise_sigma=5e-4,
+        seed=4,
+    )
+    got = default_scenario(5e-4, 4)
+    assert got.yaw_range == (-math.pi / 3.0, math.pi / 3.0)
+    assert_same_scenario(got, want)

@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lfdkit.se3 import (
     Pose,
     UnitQuaternion,
     Wrench,
     from_rotation_vector,
+    from_rotation_vector_rows,
+    quat_canonicalize_rows,
     quat_conj,
+    quat_conj_rows,
     quat_exp,
     quat_log,
     quat_mul,
+    quat_mul_rows,
+    relative_rotation_vector_rows,
     rotation_between,
     rotation_vector,
+    rotation_vector_rows,
     slerp,
 )
 
@@ -205,3 +211,86 @@ class TestWrench:
     def test_as_array_layout(self):
         w = Wrench([1, 2, 3], [4, 5, 6])
         assert np.allclose(w.as_array(), [1, 2, 3, 4, 5, 6])
+
+
+# rows with w < 0 are kept as given (raw=True), so the kernels see both
+# hemispheres; near-identity rows and rotations near pi are mixed in
+_EDGE_ROWS = [
+    (1.0, 1e-9, -2e-10, 3e-13),
+    (1.0, 0.0, 0.0, 0.0),
+    (-1.0, 4e-13, 0.0, 1e-10),
+    (1e-9, 0.6, 0.8, 0.0),
+    (-3e-8, 0.0, -0.28, 0.96),
+    (math.cos(1.5), math.sin(1.5), 0.0, 0.0),
+]
+raw_quat_st = st.one_of(
+    st.sampled_from(_EDGE_ROWS),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+        lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3
+    ),
+).map(lambda q: UnitQuaternion(*q, raw=True))
+raw_quat_lists = st.lists(raw_quat_st, min_size=1, max_size=8)
+
+
+def rows(quats):
+    return np.array([q.as_array() for q in quats])
+
+
+class TestRowKernels:
+    """Each row kernel against the scalar function, row by row."""
+
+    @settings(deadline=None)
+    @given(raw_quat_lists, raw_quat_lists)
+    def test_mul(self, qa, qb):
+        n = min(len(qa), len(qb))
+        got = quat_canonicalize_rows(quat_mul_rows(rows(qa[:n]), rows(qb[:n])))
+        want = rows([quat_mul(a, b) for a, b in zip(qa, qb)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(raw_quat_lists)
+    def test_conj(self, qs):
+        got = quat_canonicalize_rows(quat_conj_rows(rows(qs)))
+        np.testing.assert_allclose(got, rows([quat_conj(q) for q in qs]), rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(raw_quat_lists, st.floats(0.5, 2.0))
+    def test_canonicalize(self, qs, scale):
+        raw = scale * rows(qs)
+        got = quat_canonicalize_rows(raw)
+        np.testing.assert_allclose(got, rows([UnitQuaternion(*r) for r in raw]), rtol=0, atol=1e-12)
+        assert np.all(got[:, 0] >= 0.0)
+
+    def test_canonicalize_keeps_unit_rows_and_rejects_bad_rows(self):
+        unit = rows(random_unit_quats(20, seed=4))
+        assert np.array_equal(quat_canonicalize_rows(unit), unit)
+        for bad in ([0.0, 0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                quat_canonicalize_rows(np.array([[1.0, 0.0, 0.0, 0.0], bad]))
+
+    @settings(deadline=None)
+    @given(raw_quat_lists)
+    def test_log(self, qs):
+        got = rotation_vector_rows(rows(qs))
+        np.testing.assert_allclose(got, [rotation_vector(q) for q in qs], rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(raw_quat_lists)
+    def test_exp(self, qs):
+        # full angles up to just below 2*pi, from both hemispheres
+        r = np.array([rotation_vector(q) for q in qs])
+        got = from_rotation_vector_rows(r)
+        np.testing.assert_allclose(got, rows([from_rotation_vector(v) for v in r]), rtol=0, atol=1e-12)
+
+    def test_exp_domain_error(self):
+        for bad in ([2.0 * math.pi, 0.0, 0.0], [5.0, 5.0, 0.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="outside the domain"):
+                from_rotation_vector_rows(np.array([[0.1, 0.0, 0.0], bad]))
+
+    @settings(deadline=None)
+    @given(raw_quat_lists, raw_quat_lists)
+    def test_relative(self, qa, qb):
+        n = min(len(qa), len(qb))
+        got = relative_rotation_vector_rows(rows(qa[:n]), rows(qb[:n]))
+        want = [rotation_vector(quat_mul(a, quat_conj(b))) for a, b in zip(qa, qb)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

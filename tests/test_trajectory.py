@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfdkit.se3 import Pose, UnitQuaternion, quat_exp
+from lfdkit.se3 import Pose, UnitQuaternion, quat_exp, quat_log, quat_mul
 from lfdkit.trajectory import (
     ParseError,
     Trajectory,
@@ -161,6 +161,26 @@ class TestResample:
         for k, t in enumerate(out.times):
             expected = quat_exp(axis * total * t / 2).as_array()
             assert np.allclose(out.orientations[k], expected, atol=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
+    def test_orientations_match_per_sample_slerp(self, seed, divisions):
+        # reference: slerp written out per sample with the scalar maps
+        tr = random_traj(np.random.default_rng(seed), n=8)
+        out = resample_trajectory(tr, tr.duration / divisions)
+        idx = np.clip(np.searchsorted(tr.times, out.times, side="right") - 1, 0, len(tr) - 2)
+        for k, (i, t) in enumerate(zip(idx, out.times)):
+            qa, qb = tr.pose(i).orientation, tr.pose(i + 1).orientation
+            u = min(max((t - tr.times[i]) / (tr.times[i + 1] - tr.times[i]), 0.0), 1.0)
+            if u <= 0.0:
+                want = qa
+            elif u >= 1.0:
+                want = qb
+            else:
+                want = quat_mul(quat_exp(u * quat_log(quat_mul(qb, qa.conjugate()))), qa)
+            np.testing.assert_allclose(out.orientations[k], want.as_array(), rtol=0, atol=1e-12)
+        assert np.array_equal(out.orientations[0], tr.orientations[0])
+        assert np.array_equal(out.orientations[-1], tr.orientations[-1])
 
     def test_endpoints_exact_on_ragged_span(self):
         tr = make_traj([0.0, 0.7, 1.0], [[0, 0, 0], [1, 0, 0], [2, 0, 0]])

@@ -19,6 +19,7 @@ from lfdkit.vision import (
     HoleSpec,
     MaskSample,
     NotDetectable,
+    check_visible,
     detection_range_sweep,
     fit_circle3d,
     fit_plane,
@@ -109,8 +110,10 @@ class TestSynthesizeMask:
 
     def test_yawed_out_of_frustum(self):
         scene, cam = default_bar_scene(), default_camera()
-        with pytest.raises(NotDetectable, match="not detectable"):
-            synthesize_mask(scene.yawed(math.radians(85)), cam, 0)
+        for check in (synthesize_mask, check_visible):
+            with pytest.raises(NotDetectable, match="center outside frustum"):
+                check(scene.yawed(math.radians(85)), cam, 0)
+        check_visible(scene.yawed(math.radians(60)), cam, 0)
 
     def test_back_facing_hole(self):
         scene, cam = default_bar_scene(), default_camera()
@@ -119,8 +122,9 @@ class TestSynthesizeMask:
             scene.dims,
             scene.holes,
         )
-        with pytest.raises(NotDetectable, match="back-facing"):
-            synthesize_mask(flipped, cam, 1)
+        for check in (synthesize_mask, check_visible):
+            with pytest.raises(NotDetectable, match="back-facing"):
+                check(flipped, cam, 1)
 
     def test_parameter_validation(self):
         scene, cam = default_bar_scene(), default_camera()
