@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dmp import PoseDmp, RolloutDiverged, rollout
-from .ktc import PlantState, plant_step
+from .ktc import plant_step
 from .metrics import JerkReport, jerk_metrics, jerk_report_to_dict
 from .se3 import Pose, UnitQuaternion, quat_mul, rotation_between
 from .trajectory import ParseError, Trajectory, fmt_float
@@ -62,6 +62,10 @@ __all__ = [
 
 _TOOL_AXIS = np.array([0.0, 0.0, -1.0])
 _CONVERGENCE_TOL = 1e-3
+_DESCENT_SPEED = 0.02  # m/s along the hole axis, standoff to goal
+_PLAN_DT = 1e-3  # s between plan samples
+_SNAP_BAND = 1e-3  # m of chamfer beyond the clearance that funnels the peg in
+_SETTLE_TIME = 0.5  # s the last command is held after the plan ends
 
 
 class Phase(Enum):
@@ -223,8 +227,6 @@ def plan_insertion(
     dmp: PoseDmp,
     standoff: float = 0.030,
     depth: float = 0.012,
-    descent_speed: float = 0.02,
-    dt: float = 1e-3,
 ) -> InsertionPlan:
     """Plan the approach-and-insert move for one fitted hole.
 
@@ -235,19 +237,17 @@ def plan_insertion(
     """
     if standoff <= 0:
         raise ValueError("standoff must be positive")
-    if descent_speed <= 0:
-        raise ValueError("descent_speed must be positive")
     goal = insertion_goal(hole, depth, dmp.demo_goal.orientation)
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
 
-    approach = rollout(dmp, start=current, goal=standoff_pose, dt=dt)
+    approach = rollout(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
     miss = float(np.linalg.norm(approach.positions[-1] - standoff_pose.position))
     if miss > _CONVERGENCE_TOL:
         raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
 
-    n = max(2, int(math.ceil((standoff + depth) / (descent_speed * dt))))
-    times = approach.times[-1] + np.arange(1, n + 1) * dt
+    n = max(2, int(math.ceil((standoff + depth) / (_DESCENT_SPEED * _PLAN_DT))))
+    times = approach.times[-1] + np.arange(1, n + 1) * _PLAN_DT
     u = (np.arange(1, n + 1) / n)[:, None]
     positions = standoff_pose.position + u * (goal.position - standoff_pose.position)
     positions[-1] = goal.position
@@ -281,8 +281,6 @@ class AssemblyScenario:
     noise_sigma: float = 0.0
     dropout: float = 0.0
     mask_points: int = 600
-    plant_time_constant: float = 0.05
-    snap_band: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -290,8 +288,8 @@ class AssemblyScenario:
             raise ValueError("mask_points must be at least 3")
         if self.clearance <= 0 or self.tilt_tol <= 0 or self.required_depth <= 0:
             raise ValueError("clearance, tilt_tol, and required_depth must be positive")
-        if self.standoff <= 0 or self.plan_overtravel < 0 or self.snap_band < 0:
-            raise ValueError("standoff must be positive; overtravel and snap_band nonnegative")
+        if self.standoff <= 0 or self.plan_overtravel < 0:
+            raise ValueError("standoff must be positive and plan_overtravel nonnegative")
         if self.hole_id is not None and not 0 <= self.hole_id < len(self.scene.holes):
             raise ValueError(f"hole_id {self.hole_id} outside 0..{len(self.scene.holes) - 1}")
         lo, hi = self.yaw_range
@@ -339,7 +337,6 @@ def _contact_project(
     bar_inv: Pose,
     half_dims: np.ndarray,
     clearance: float,
-    snap_band: float,
 ) -> np.ndarray:
     """Chamfer-style contact with the true bar.
 
@@ -359,57 +356,41 @@ def _contact_project(
     r = float(np.linalg.norm(lat))
     if r <= clearance:
         return p
-    if r <= clearance + snap_band:
+    if r <= clearance + _SNAP_BAND:
         # land a hair inside the wall so the boundary comparison stays robust
         return center + h * axis + lat * (clearance * (1.0 - 1e-9) / r)
     return p - h * axis
 
 
-def _run_plan(
-    plan: InsertionPlan,
-    scenario: AssemblyScenario,
-    scene: BarScene,
-    hole_id: int,
-    settle_time: float = 0.5,
-) -> Trajectory:
+def _run_plan(plan: InsertionPlan, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> Trajectory:
     """Track the plan on the lagged plant, contact-projected against the
     true hole each step, then hold the last command until the lag dies."""
     center = scene.hole_center_world(hole_id)
     axis = scene.hole_axis_world(hole_id)
     bar_inv = scene.bar.inverse()
     half_dims = np.asarray(scene.dims, dtype=float) / 2.0
-    cmd_t = plan.trajectory.times
-    cmd_p = plan.trajectory.positions
-    cmd_q = plan.trajectory.orientations
+    cmd = plan.trajectory
+    n_cmd = len(cmd)
+    dts = np.diff(cmd.times)
+    n_hold = int(round(_SETTLE_TIME / dts[-1]))
+    times = np.concatenate([cmd.times, cmd.times[-1] + np.arange(1, n_hold + 1) * dts[-1]])
+    dts = np.concatenate([dts, np.full(n_hold, dts[-1])])
 
-    start = Pose(cmd_p[0], UnitQuaternion(*cmd_q[0]))
-    state = PlantState(start, start, scenario.plant_time_constant)
-    times = [float(cmd_t[0])]
-    out_p = [np.array(cmd_p[0])]
-    out_q = [np.array(cmd_q[0])]
+    positions = np.empty((times.size, 3))
+    orientations = np.empty((times.size, 4))
+    positions[0], orientations[0] = cmd.positions[0], cmd.orientations[0]
+    x_r = x_c = cmd.pose(0)
+    for i, dt in enumerate(dts.tolist(), start=1):
+        if i < n_cmd:
+            x_c = cmd.pose(i)
+        x_r = plant_step(x_r, x_c, dt)
+        proj = _contact_project(x_r.position, center, axis, bar_inv, half_dims, scenario.clearance)
+        if proj is not x_r.position:
+            x_r = Pose(proj, x_r.orientation)
+        positions[i] = x_r.position
+        orientations[i] = x_r.orientation.as_array()
 
-    def step(cmd: Pose, dt: float, t: float) -> None:
-        nonlocal state
-        state = plant_step(replace(state, x_c=cmd), dt)
-        proj = _contact_project(
-            state.x_r.position, center, axis, bar_inv, half_dims,
-            scenario.clearance, scenario.snap_band,
-        )
-        if proj is not state.x_r.position:
-            state = replace(state, x_r=Pose(proj, state.x_r.orientation))
-        times.append(t)
-        out_p.append(np.array(state.x_r.position))
-        out_q.append(state.x_r.orientation.as_array())
-
-    for i in range(1, cmd_t.size):
-        cmd = Pose(cmd_p[i], UnitQuaternion(*cmd_q[i]))
-        step(cmd, float(cmd_t[i] - cmd_t[i - 1]), float(cmd_t[i]))
-    dt = float(cmd_t[-1] - cmd_t[-2])
-    last = Pose(cmd_p[-1], UnitQuaternion(*cmd_q[-1]))
-    for j in range(int(round(settle_time / dt))):
-        step(last, dt, float(cmd_t[-1]) + (j + 1) * dt)
-
-    return Trajectory(np.array(times), np.vstack(out_p), np.vstack(out_q))
+    return Trajectory(times, positions, orientations)
 
 
 def _final_errors(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[float, float, float]:

@@ -34,6 +34,21 @@ __all__ = [
 ]
 
 
+def _positive(section: Any, *names: str) -> None:
+    """Reject a set field that is not > 0 (NaN included); None means unset."""
+    for name in names:
+        value = getattr(section, name)
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _at_least(section: Any, bound: int, *names: str) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if not value >= bound:
+            raise ValueError(f"{name} must be at least {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FitSection:
     """Inputs for fitting a primitive from a demonstration CSV."""
@@ -53,6 +68,10 @@ class DmpSection:
     gate_mode: str = "phase-gated"
     dt: float = 1e-3
 
+    def __post_init__(self) -> None:
+        _at_least(self, 2, "n_basis")
+        _positive(self, "dt")
+
 
 @dataclass(frozen=True)
 class RolloutSection:
@@ -66,6 +85,10 @@ class RolloutSection:
     dt: float = 1e-3
     horizon: float = 1.5
 
+    def __post_init__(self) -> None:
+        _positive(self, "tau", "dt")
+        _at_least(self, 0, "horizon")
+
 
 @dataclass(frozen=True)
 class TeachSection:
@@ -77,6 +100,10 @@ class TeachSection:
     torque_noise_std: float = 0.0
     waypoint_scale: float = 0.12
 
+    def __post_init__(self) -> None:
+        _positive(self, "rate", "max_duration", "plant_time_constant")
+        _at_least(self, 0, "force_noise_std", "torque_noise_std")
+
 
 @dataclass(frozen=True)
 class LocalizeSection:
@@ -84,6 +111,9 @@ class LocalizeSection:
     noise_sigma: float = 0.0
     dropout: float = 0.0
     n_points: int = 200
+
+    def __post_init__(self) -> None:
+        _at_least(self, 3, "n_points")
 
 
 @dataclass(frozen=True)
@@ -94,6 +124,9 @@ class SweepSection:
     noise_sigma: float = 0.0
     dropout: float = 0.0
     tolerance: float = 1e-3
+
+    def __post_init__(self) -> None:
+        _positive(self, "step_deg")
 
 
 @dataclass(frozen=True)
@@ -112,6 +145,11 @@ class TrialSection:
     mask_points: int = 600
     demo_duration: float = 4.0
     events: str | None = None
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "n")
+        _at_least(self, 3, "mask_points")
+        _positive(self, "demo_duration")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ Dynamics (time constant tau, phase s in (0, 1]):
 The forcing term is a normalized Gaussian mixture; in ``phase-gated`` mode it
 is multiplied by s (vanishes at convergence, giving exact goal attraction),
 in ``literal`` mode it is used as-is (then a non-vanishing f(0) shifts the
-equilibrium by f(0) / (alpha_z * beta_z)).
+equilibrium by f(0) / (alpha_z * beta_z)). On the default insertion that
+shift leaves the approach 1.38 mm off its standoff pose, beyond the 1 mm
+that planning accepts, so trials planned from a literal primitive end
+FAILED.
 
 Weights are fitted by per-basis locally weighted regression on targets
 obtained by inverting the transformation system along a demonstration:

@@ -20,7 +20,7 @@ metrics pick up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .trajectory import Trajectory
 __all__ = [
     "AdmittanceGains",
     "NativeDrive",
-    "PlantState",
     "VirtualHuman",
     "TeachTimeout",
     "ktc_step",
@@ -170,35 +169,24 @@ def ktc_step(x_r: Pose, f: Wrench, gains: AdmittanceGains) -> Pose:
     return Pose(position, orientation)
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Position-controlled robot modeled as a first-order lag toward the
-    commanded pose."""
-
-    x_r: Pose
-    x_c: Pose
-    time_constant: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.time_constant <= 0:
-            raise ValueError("time_constant must be positive")
-
-
-def plant_step(state: PlantState, dt: float) -> PlantState:
-    """x_r closes the gap to x_c by the exact first-order factor
-    1 - exp(-dt/T); orientation moves along the geodesic by the same
-    fraction."""
+def plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float = 0.05) -> Pose:
+    """One tick of the position-controlled robot, a first-order lag from the
+    reached pose x_r toward the commanded pose x_c: the position closes the
+    gap by the exact factor 1 - exp(-dt/T), and the orientation moves along
+    the geodesic by the same fraction."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a = 1.0 - math.exp(-dt / state.time_constant)
-    pos = state.x_r.position + a * (state.x_c.position - state.x_r.position)
-    qr, qc = state.x_r.orientation, state.x_c.orientation
+    if time_constant <= 0:
+        raise ValueError("time_constant must be positive")
+    a = 1.0 - math.exp(-dt / time_constant)
+    pos = x_r.position + a * (x_c.position - x_r.position)
+    qr, qc = x_r.orientation, x_c.orientation
     if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
         # equal command, no motion; skips slerp's renormalization wobble
         orient = qr
     else:
         orient = slerp(qr, qc, a)
-    return replace(state, x_r=Pose(pos, orient))
+    return Pose(pos, orient)
 
 
 @dataclass(frozen=True)
@@ -292,19 +280,16 @@ def simulate_demonstration(
     log keeps the true applied wrench, so the saturation bound holds on the
     log unconditionally.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if rate <= 0 or plant_time_constant <= 0:
+        raise ValueError("rate and plant_time_constant must be positive")
     h = 1.0 / rate
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
     admittance = isinstance(gains, AdmittanceGains)
 
-    start = human.waypoints[0]
-    state = PlantState(x_r=start, x_c=start, time_constant=plant_time_constant)
-    prev_pos = start.position
-    prev_q = start.orientation
-    hand_pos = start.position
-    hand_q = start.orientation
+    x_r = human.waypoints[0]
+    prev_pos = hand_pos = x_r.position
+    prev_q = hand_q = x_r.orientation
     hand_vel = np.zeros(3)
     sliding = False
     spinning = False
@@ -318,7 +303,6 @@ def simulate_demonstration(
 
     while True:
         t = k * h
-        x_r = state.x_r
         while target < len(human.waypoints) and (
             np.linalg.norm(x_r.position - human.waypoints[target].position) <= human.capture_radius
         ):
@@ -380,7 +364,7 @@ def simulate_demonstration(
             x_c, sliding, spinning = native_drive_step(x_r, sensed, gains, sliding, spinning)
         prev_pos = x_r.position
         prev_q = x_r.orientation
-        state = plant_step(replace(state, x_c=x_c), h)
+        x_r = plant_step(x_r, x_c, h, plant_time_constant)
         k += 1
 
     return Trajectory.from_poses(times, poses, wrenches)

@@ -85,6 +85,17 @@ class UnitQuaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
+    def as_matrix(self) -> np.ndarray:
+        """3x3 rotation matrix: ``as_matrix() @ v`` rotates v like :meth:`rotate`."""
+        w, x, y, z = self.w, self.x, self.y, self.z
+        return np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ]
+        )
+
     @property
     def angle(self) -> float:
         """Rotation angle in [0, 2*pi); [0, pi] for canonical quaternions."""

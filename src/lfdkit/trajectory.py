@@ -101,11 +101,6 @@ class Trajectory:
     def pose(self, i: int) -> Pose:
         return Pose(self.positions[i], UnitQuaternion.from_array(self.orientations[i]))
 
-    def wrench(self, i: int) -> Wrench | None:
-        if self.wrenches is None:
-            return None
-        return Wrench(self.wrenches[i, :3], self.wrenches[i, 3:])
-
     def is_uniform(self, rtol: float = 1e-6) -> bool:
         if len(self.times) < 2:
             return True

@@ -133,13 +133,11 @@ class CameraModel:
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         inv = self.pose.inverse()
-        r = _rotation_matrix(inv.orientation)
-        return pts @ r.T + inv.position
+        return pts @ inv.orientation.as_matrix().T + inv.position
 
     def camera_to_world(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        r = _rotation_matrix(self.pose.orientation)
-        return pts @ r.T + self.pose.position
+        return pts @ self.pose.orientation.as_matrix().T + self.pose.position
 
     def visible(self, points_cam: np.ndarray) -> np.ndarray:
         """Boolean mask: in front of the camera and inside the image."""
@@ -151,17 +149,6 @@ class CameraModel:
             v = self.fy * pts[:, 1] / z + self.cy
         ok &= (u >= 0) & (u < self.width) & (v >= 0) & (v < self.height)
         return ok
-
-
-def _rotation_matrix(q: UnitQuaternion) -> np.ndarray:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def _orthobasis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 end-to-end trials against the true scene, and batch determinism."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdkit.assembly import (
+    _contact_project,
+    _final_errors,
+    _run_plan,
     AssemblyScenario,
     BatchResult,
     EventKind,
@@ -32,9 +35,9 @@ from lfdkit.assembly import (
 )
 from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
-from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector
-from lfdkit.trajectory import ParseError
-from lfdkit.vision import HoleEstimate
+from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, slerp
+from lfdkit.trajectory import ParseError, Trajectory
+from lfdkit.vision import HoleEstimate, fit_circle3d, synthesize_mask
 
 TOOL_AXIS = np.array([0.0, 0.0, -1.0])
 
@@ -434,3 +437,117 @@ class TestScenarioValidation:
 
     def test_nan_errors_never_pass(self, scenario):
         assert not meets_tolerances(math.nan, math.nan, math.nan, scenario)
+
+
+@dataclass(frozen=True)
+class _LagState:
+    x_r: Pose
+    x_c: Pose
+    time_constant: float = 0.05
+
+
+def _lag_step(state: _LagState, dt: float) -> _LagState:
+    a = 1.0 - math.exp(-dt / state.time_constant)
+    pos = state.x_r.position + a * (state.x_c.position - state.x_r.position)
+    qr, qc = state.x_r.orientation, state.x_c.orientation
+    if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
+        orient = qr
+    else:
+        orient = slerp(qr, qc, a)
+    return replace(state, x_r=Pose(pos, orient))
+
+
+def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
+    """The execution loop as it was written before the plant became a plain
+    function: a state object rebuilt with ``replace`` every tick, a nested
+    step closure, and a separate settle loop."""
+    center = scene.hole_center_world(hole_id)
+    axis = scene.hole_axis_world(hole_id)
+    bar_inv = scene.bar.inverse()
+    half_dims = np.asarray(scene.dims, dtype=float) / 2.0
+    cmd_t = plan.trajectory.times
+    cmd_p = plan.trajectory.positions
+    cmd_q = plan.trajectory.orientations
+
+    start = Pose(cmd_p[0], UnitQuaternion(*cmd_q[0]))
+    state = _LagState(start, start)
+    times = [float(cmd_t[0])]
+    out_p = [np.array(cmd_p[0])]
+    out_q = [np.array(cmd_q[0])]
+
+    def step(cmd, dt, t):
+        nonlocal state
+        state = _lag_step(replace(state, x_c=cmd), dt)
+        proj = _contact_project(state.x_r.position, center, axis, bar_inv, half_dims, scenario.clearance)
+        if proj is not state.x_r.position:
+            state = replace(state, x_r=Pose(proj, state.x_r.orientation))
+        times.append(t)
+        out_p.append(np.array(state.x_r.position))
+        out_q.append(state.x_r.orientation.as_array())
+
+    for i in range(1, cmd_t.size):
+        cmd = Pose(cmd_p[i], UnitQuaternion(*cmd_q[i]))
+        step(cmd, float(cmd_t[i] - cmd_t[i - 1]), float(cmd_t[i]))
+    dt = float(cmd_t[-1] - cmd_t[-2])
+    last = Pose(cmd_p[-1], UnitQuaternion(*cmd_q[-1]))
+    for j in range(int(round(settle_time / dt))):
+        step(last, dt, float(cmd_t[-1]) + (j + 1) * dt)
+
+    return Trajectory(np.array(times), np.vstack(out_p), np.vstack(out_q))
+
+
+class TestRunPlan:
+    HOLE = 1
+    YAW = 0.2
+
+    def plan(self, scenario, offset=0.0):
+        """Plan for hole 1 of the yawed bar: the true hole when noiseless,
+        the seeded vision fit otherwise, moved ``offset`` m off the axis."""
+        scene = scenario.scene.yawed(self.YAW)
+        if scenario.noise_sigma == 0.0:
+            center = scene.hole_center_world(self.HOLE)
+            axis = scene.hole_axis_world(self.HOLE)
+        else:
+            mask = synthesize_mask(
+                scene, scenario.cam, self.HOLE, scenario.noise_sigma, 0.0,
+                seed=scenario.seed, n_points=scenario.mask_points,
+            )
+            est = fit_circle3d(mask)
+            center = scenario.cam.pose.transform_point(est.center)
+            axis = scenario.cam.pose.transform_direction(est.axis)
+        side = unit(np.cross(axis, [1.0, 0.0, 0.0]))
+        radius = scene.holes[self.HOLE].radius
+        est = HoleEstimate(center=center + offset * side, axis=axis, radius=radius, rms=0.0)
+        plan = plan_insertion(
+            scenario.initial_pose, est, scenario.dmp,
+            standoff=scenario.standoff,
+            depth=scenario.required_depth + scenario.plan_overtravel,
+        )
+        return plan, scene
+
+    def assert_same_as_reference(self, scenario, offset=0.0):
+        plan, scene = self.plan(scenario, offset)
+        got = _run_plan(plan, scenario, scene, self.HOLE)
+        want = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.orientations, want.orientations)
+        return _final_errors(got, scene, self.HOLE)
+
+    def test_noiseless_plan_matches_reference(self, scenario):
+        lateral, _, depth = self.assert_same_as_reference(scenario)
+        assert lateral < 1e-6 and depth >= scenario.required_depth
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_noisy_plans_match_reference(self, noisy_scenario, seed):
+        self.assert_same_as_reference(replace(noisy_scenario, seed=seed))
+
+    def test_chamfer_snap_matches_reference(self, scenario):
+        # 0.8 mm off: inside the chamfer band, so the peg funnels into the hole
+        lateral, _, depth = self.assert_same_as_reference(scenario, offset=8e-4)
+        assert lateral <= scenario.clearance and depth >= scenario.required_depth
+
+    def test_face_block_matches_reference(self, scenario):
+        # 2 mm off: beyond the chamfer, so the top face stops the descent
+        lateral, _, depth = self.assert_same_as_reference(scenario, offset=2e-3)
+        assert lateral > 1.5e-3 and abs(depth) < 1e-9

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lfdkit.cli import main
 from lfdkit.config import (
     RunConfig,
     config_from_dict,
@@ -92,6 +93,65 @@ class TestRejection:
     def test_document_must_be_an_object(self):
         with pytest.raises(ParseError):
             config_from_dict([1, 2])
+
+
+# (section, key, out-of-range value, the rule the error states)
+OUT_OF_RANGE = [
+    ("teach", "plant_time_constant", 0, "must be positive"),
+    ("teach", "rate", 0, "must be positive"),
+    ("teach", "max_duration", -1.0, "must be positive"),
+    ("teach", "force_noise_std", -0.1, "must be at least 0"),
+    ("teach", "torque_noise_std", -0.1, "must be at least 0"),
+    ("trial", "n", 0, "must be at least 1"),
+    ("trial", "mask_points", 2, "must be at least 3"),
+    ("trial", "demo_duration", 0, "must be positive"),
+    ("rollout", "dt", 0, "must be positive"),
+    ("rollout", "tau", 0, "must be positive"),
+    ("rollout", "horizon", -1, "must be at least 0"),
+    ("localize", "n_points", 2, "must be at least 3"),
+    ("dmp", "n_basis", 1, "must be at least 2"),
+    ("dmp", "dt", 0, "must be positive"),
+    ("sweep", "step_deg", 0, "must be positive"),
+]
+out_of_range = pytest.mark.parametrize(
+    "section, key, value, rule", OUT_OF_RANGE, ids=[f"{s}.{k}" for s, k, _, _ in OUT_OF_RANGE]
+)
+
+
+class TestRanges:
+    @out_of_range
+    def test_out_of_range_value_rejected_on_load(self, section, key, value, rule):
+        with pytest.raises(ParseError) as err:
+            config_from_dict({section: {key: value}})
+        assert err.value.field == section
+        assert f"{key} {rule}" in str(err.value)
+
+    def test_nan_is_out_of_range(self):
+        with pytest.raises(ParseError, match="rate must be positive"):
+            config_from_dict({"teach": {"rate": float("nan")}})
+
+    def test_boundary_values_accepted(self):
+        cfg = config_from_dict(
+            {
+                "trial": {"n": 1, "mask_points": 3},
+                "rollout": {"horizon": 0, "tau": None},
+                "localize": {"n_points": 3},
+                "dmp": {"n_basis": 2},
+                "teach": {"force_noise_std": 0, "torque_noise_std": 0},
+            }
+        )
+        assert cfg.trial.n == 1 and cfg.rollout.horizon == 0.0
+
+    @pytest.mark.parametrize("command", ["trial", "teach-sim"])
+    @out_of_range
+    def test_cli_exits_2_before_writing(self, capsys, tmp_path, command, section, key, value, rule):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = main([command, "--seed", "3", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and f"{key} {rule}" in err and "Traceback" not in err
+        assert not (tmp_path / "out.config.json").exists()
 
 
 class TestFiles:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from lfdkit.ktc import (
     AdmittanceGains,
     NativeDrive,
-    PlantState,
     TeachTimeout,
     VirtualHuman,
     ktc_step,
@@ -151,42 +150,46 @@ class TestPlantStep:
     def test_five_time_constants(self):
         T = 0.05
         dt = 1e-3
-        state = PlantState(Pose.identity(), Pose(np.array([1.0, 0.0, 0.0])), T)
+        x_r, x_c = Pose.identity(), Pose(np.array([1.0, 0.0, 0.0]))
         for _ in range(int(round(5 * T / dt))):
-            state = plant_step(state, dt)
-        gap = 1.0 - state.x_r.position[0]
+            x_r = plant_step(x_r, x_c, dt, T)
+        gap = 1.0 - x_r.position[0]
         assert gap == pytest.approx(math.exp(-5.0), rel=1e-9)
 
     def test_ramp_lag_is_time_constant_times_rate(self):
         T = 0.05
         dt = 1e-3
         rate = 0.2
-        state = PlantState(Pose.identity(), Pose.identity(), T)
+        x_r = Pose.identity()
         lag = None
         for k in range(3000):
             cmd = Pose(np.array([rate * k * dt, 0.0, 0.0]))
-            state = plant_step(PlantState(state.x_r, cmd, T), dt)
-            lag = cmd.position[0] - state.x_r.position[0]
+            x_r = plant_step(x_r, cmd, dt, T)
+            lag = cmd.position[0] - x_r.position[0]
         assert lag == pytest.approx(T * rate, rel=0.02)
 
     def test_orientation_moves_along_geodesic(self):
         T = 0.1
         q_goal = from_rotation_vector([0.0, 0.0, 1.2])
-        state = PlantState(Pose.identity(), Pose(np.zeros(3), q_goal), T)
-        stepped = plant_step(state, 0.05)
+        x_r, x_c = Pose.identity(), Pose(np.zeros(3), q_goal)
+        stepped = plant_step(x_r, x_c, 0.05, T)
         a = 1.0 - math.exp(-0.05 / T)
-        assert stepped.x_r.orientation.angle == pytest.approx(a * 1.2, rel=1e-9)
-        rv = rotation_vector(stepped.x_r.orientation)
+        assert stepped.orientation.angle == pytest.approx(a * 1.2, rel=1e-9)
+        rv = rotation_vector(stepped.orientation)
         assert np.allclose(rv / np.linalg.norm(rv), [0, 0, 1], atol=1e-12)
         for _ in range(200):
-            state = plant_step(state, 0.05)
-        assert state.x_r.orientation.angle_to(q_goal) < 1e-6
+            x_r = plant_step(x_r, x_c, 0.05, T)
+        assert x_r.orientation.angle_to(q_goal) < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError, match="time_constant"):
-            PlantState(Pose.identity(), Pose.identity(), 0.0)
+            plant_step(Pose.identity(), Pose.identity(), 1e-3, 0.0)
         with pytest.raises(ValueError, match="dt"):
-            plant_step(PlantState(Pose.identity(), Pose.identity()), 0.0)
+            plant_step(Pose.identity(), Pose.identity(), 0.0)
+        with pytest.raises(ValueError, match="time_constant"):
+            simulate_demonstration(
+                VirtualHuman(waypoints=line_waypoints()), proposed_gains(), plant_time_constant=0.0
+            )
 
 
 def line_waypoints(length: float = 0.05) -> list[Pose]:

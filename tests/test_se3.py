@@ -67,6 +67,19 @@ class TestCanonicalization:
         assert q.w >= 0.0
 
 
+class TestAsMatrix:
+    @given(quat_st, st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)))
+    def test_matrix_rotates_like_rotate(self, q, v):
+        r = q.as_matrix()
+        np.testing.assert_allclose(r @ np.array(v), q.rotate(v), atol=1e-12)
+        np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+    def test_composition_is_matrix_product(self):
+        a, b = random_unit_quats(2, seed=21)
+        np.testing.assert_allclose(quat_mul(a, b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-12)
+
+
 class TestMulConj:
     def test_identity(self):
         q = UnitQuaternion(0.5, 0.5, 0.5, 0.5)
