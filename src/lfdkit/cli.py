@@ -195,6 +195,8 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg = replace(cfg, localize=replace(cfg.localize, hole_id=args.hole))
     scene, cam = scene_from_config(cfg)
     lo = cfg.localize
+    if lo.hole_id is not None and not 0 <= lo.hole_id < len(scene.holes):
+        raise ValueError(f"hole id {lo.hole_id} outside the scene's holes 0..{len(scene.holes) - 1}")
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
     lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m"]
     n_found = 0
@@ -204,7 +206,7 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
                 scene, cam, i, lo.noise_sigma, lo.dropout,
                 seed=cfg.seed * 1000003 + i, n_points=lo.n_points,
             )
-            est = fit_circle3d(mask)
+            est = fit_circle3d(mask)  # a rejected fit raises ValueError: not fitted
         except (NotDetectable, ValueError):
             lines.append(f"{i},0," + ",".join(["nan"] * 8))
             continue
@@ -221,13 +223,9 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sw = cfg.sweep
-    if args.start_deg is not None:
-        sw = replace(sw, start_deg=args.start_deg)
-    if args.stop_deg is not None:
-        sw = replace(sw, stop_deg=args.stop_deg)
-    if args.step_deg is not None:
-        sw = replace(sw, step_deg=args.step_deg)
+    # one replace, so the range checks see the final grid, not a half-folded one
+    flags = {"start_deg": args.start_deg, "stop_deg": args.stop_deg, "step_deg": args.step_deg}
+    sw = replace(cfg.sweep, **{k: v for k, v in flags.items() if v is not None})
     cfg = replace(cfg, sweep=sw)
     scene, cam = scene_from_config(cfg)
     rows, intervals = detection_range_sweep(

@@ -33,6 +33,12 @@ __all__ = [
     "save_config",
 ]
 
+# upper bounds on what a config may ask to allocate: rim points per mask, and
+# yaws in a sweep grid, each of which runs every hole (10k yaws is a 0.016 deg
+# step over the default 160 deg)
+MAX_MASK_POINTS = 100_000
+MAX_SWEEP_YAWS = 10_000
+
 
 def _positive(section: Any, *names: str) -> None:
     """Reject a set field that is not > 0 (NaN included); None means unset."""
@@ -47,6 +53,20 @@ def _at_least(section: Any, bound: int, *names: str) -> None:
         value = getattr(section, name)
         if not value >= bound:
             raise ValueError(f"{name} must be at least {bound}, got {value!r}")
+
+
+def _at_most(section: Any, bound: int, *names: str) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if not value <= bound:
+            raise ValueError(f"{name} must be at most {bound}, got {value!r}")
+
+
+def _vision_noise(section: Any) -> None:
+    """``synthesize_mask``'s rules: noise_sigma >= 0, 0 <= dropout < 1."""
+    _at_least(section, 0, "noise_sigma", "dropout")
+    if not section.dropout < 1:
+        raise ValueError(f"dropout must be below 1, got {section.dropout!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,8 @@ class LocalizeSection:
 
     def __post_init__(self) -> None:
         _at_least(self, 3, "n_points")
+        _at_most(self, MAX_MASK_POINTS, "n_points")
+        _vision_noise(self)
 
 
 @dataclass(frozen=True)
@@ -127,6 +149,15 @@ class SweepSection:
 
     def __post_init__(self) -> None:
         _positive(self, "step_deg")
+        if not self.stop_deg >= self.start_deg:
+            raise ValueError(f"stop_deg must be at least start_deg {self.start_deg!r}, got {self.stop_deg!r}")
+        # detection_range_sweep builds floor(span) + 1 yaws; count them first
+        span = (self.stop_deg - self.start_deg) / self.step_deg + 1e-9
+        if not span < MAX_SWEEP_YAWS:
+            raise ValueError(
+                f"sweep grid of {span + 1:.6g} yaws exceeds {MAX_SWEEP_YAWS}; raise step_deg"
+            )
+        _vision_noise(self)
 
 
 @dataclass(frozen=True)
@@ -149,7 +180,9 @@ class TrialSection:
     def __post_init__(self) -> None:
         _at_least(self, 1, "n")
         _at_least(self, 3, "mask_points")
+        _at_most(self, MAX_MASK_POINTS, "mask_points")
         _positive(self, "demo_duration")
+        _vision_noise(self)
 
 
 @dataclass(frozen=True)
@@ -263,14 +296,25 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         from .vision import scene_from_dict
 
         try:
-            scene_from_dict(data["scene"])
+            scene, _ = scene_from_dict(data["scene"])
         except ValueError as exc:
             raise ParseError(path, 0, "scene", str(exc)) from None
         kwargs["scene"] = data["scene"]
+    else:
+        from .presets import default_bar_scene
+
+        scene = default_bar_scene()
     for name, cls in _SECTIONS.items():
         if name in data:
             kwargs[name] = _build_section(cls, data[name], name, path)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    for name in ("localize", "trial"):
+        hole_id = getattr(cfg, name).hole_id
+        if hole_id is not None and not 0 <= hole_id < len(scene.holes):
+            raise ParseError(
+                path, 0, f"{name}.hole_id", f"{hole_id} outside the scene's holes 0..{len(scene.holes) - 1}"
+            )
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

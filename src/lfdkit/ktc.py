@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, Wrench, from_rotation_vector, quat_conj, quat_mul, rotation_vector, slerp
+from .se3 import (
+    Pose,
+    UnitQuaternion,
+    Wrench,
+    from_rotation_vector,
+    quat_conj,
+    quat_mul,
+    rotation_vector,
+    slerp_wxyz,
+)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -169,24 +178,34 @@ def ktc_step(x_r: Pose, f: Wrench, gains: AdmittanceGains) -> Pose:
     return Pose(position, orientation)
 
 
-def plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float = 0.05) -> Pose:
+def plant_step(
+    x_r: tuple[float, ...], x_c: tuple[float, ...], dt: float, time_constant: float = 0.05
+) -> tuple[float, ...]:
     """One tick of the position-controlled robot, a first-order lag from the
-    reached pose x_r toward the commanded pose x_c: the position closes the
+    reached state x_r toward the commanded state x_c: the position closes the
     gap by the exact factor 1 - exp(-dt/T), and the orientation moves along
-    the geodesic by the same fraction."""
+    the geodesic by the same fraction.
+
+    States are float tuples ``(px, py, pz, qw, qx, qy, qz)`` holding a unit
+    quaternion as ``UnitQuaternion`` stores it; the result is one too."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if time_constant <= 0:
         raise ValueError("time_constant must be positive")
     a = 1.0 - math.exp(-dt / time_constant)
-    pos = x_r.position + a * (x_c.position - x_r.position)
-    qr, qc = x_r.orientation, x_c.orientation
-    if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
+    rx, ry, rz, rw, rqx, rqy, rqz = x_r
+    cx, cy, cz, cw, cqx, cqy, cqz = x_c
+    if cw == rw and cqx == rqx and cqy == rqy and cqz == rqz:
         # equal command, no motion; skips slerp's renormalization wobble
-        orient = qr
+        q = (rw, rqx, rqy, rqz)
     else:
-        orient = slerp(qr, qc, a)
-    return Pose(pos, orient)
+        q = slerp_wxyz((rw, rqx, rqy, rqz), (cw, cqx, cqy, cqz), a)
+    return (rx + a * (cx - rx), ry + a * (cy - ry), rz + a * (cz - rz), *q)
+
+
+def _state(pose: Pose) -> tuple[float, ...]:
+    q = pose.orientation
+    return (*pose.position.tolist(), q.w, q.x, q.y, q.z)
 
 
 @dataclass(frozen=True)
@@ -364,7 +383,8 @@ def simulate_demonstration(
             x_c, sliding, spinning = native_drive_step(x_r, sensed, gains, sliding, spinning)
         prev_pos = x_r.position
         prev_q = x_r.orientation
-        x_r = plant_step(x_r, x_c, h, plant_time_constant)
+        nxt = plant_step(_state(x_r), _state(x_c), h, plant_time_constant)
+        x_r = Pose(nxt[:3], UnitQuaternion.from_unit(*nxt[3:]))
         k += 1
 
     return Trajectory.from_poses(times, poses, wrenches)

@@ -11,7 +11,9 @@ Conventions, fixed once and used everywhere:
   ``log(q) = (theta/2) * u`` for ``q = (cos(theta/2), u*sin(theta/2))``,
   so a full-angle rotation vector is ``2 * quat_log(q)``
 * whole trajectories go through the ``*_rows`` kernels, which apply the same
-  maps to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row
+  maps to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row;
+  per-tick loops go through the float-tuple kernels (:func:`quat_normalize`,
+  :func:`slerp_wxyz`), which repeat the scalar maps' arithmetic bit for bit
 * units are meters, seconds, newtons, and radians throughout
 """
 
@@ -34,6 +36,8 @@ __all__ = [
     "from_rotation_vector",
     "slerp",
     "rotation_between",
+    "quat_normalize",
+    "slerp_wxyz",
     "quat_mul_rows",
     "quat_conj_rows",
     "quat_canonicalize_rows",
@@ -62,12 +66,9 @@ class UnitQuaternion:
     raw: InitVar[bool] = False
 
     def __post_init__(self, raw: bool) -> None:
-        n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
-        if n < _ZERO_NORM_TOL:
-            raise ValueError("quaternion norm is zero")
-        w, x, y, z = self.w / n, self.x / n, self.y / n, self.z / n
-        if not raw and _needs_flip(w, x, y, z):
-            w, x, y, z = -w, -x, -y, -z
+        self._set(*quat_normalize(self.w, self.x, self.y, self.z, raw))
+
+    def _set(self, w: float, x: float, y: float, z: float) -> None:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -76,6 +77,16 @@ class UnitQuaternion:
     @classmethod
     def identity(cls) -> "UnitQuaternion":
         return cls(1.0, 0.0, 0.0, 0.0)
+
+    @classmethod
+    def from_unit(cls, w: float, x: float, y: float, z: float) -> "UnitQuaternion":
+        """Wrap components that a float-tuple kernel of this module already
+        renormalized, as they are. Going through the constructor again would
+        renormalize a second time, which moves about a third of unit
+        quaternions by an ulp."""
+        q = object.__new__(cls)
+        q._set(w, x, y, z)
+        return q
 
     @classmethod
     def from_array(cls, wxyz, raw: bool = False) -> "UnitQuaternion":
@@ -133,6 +144,20 @@ def _needs_flip(w: float, x: float, y: float, z: float) -> bool:
         if c != 0.0:
             return c < 0.0
     return False
+
+
+def quat_normalize(
+    w: float, x: float, y: float, z: float, raw: bool = False
+) -> tuple[float, float, float, float]:
+    """The constructor's arithmetic on plain floats: divide by the norm and,
+    unless ``raw``, flip onto the canonical hemisphere."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < _ZERO_NORM_TOL:
+        raise ValueError("quaternion norm is zero")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if not raw and (w < 0.0 or (w == 0.0 and _needs_flip(w, x, y, z))):
+        return -w, -x, -y, -z
+    return w, x, y, z
 
 
 def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -198,9 +223,7 @@ def from_rotation_vector(r) -> UnitQuaternion:
 
 def slerp(a: UnitQuaternion, b: UnitQuaternion, u: float) -> UnitQuaternion:
     """Spherical-linear interpolation along the shorter arc, u in [0, 1]."""
-    rel = quat_mul(b, a.conjugate())  # canonical, so always the short way round
-    step = quat_exp(u * quat_log(rel))
-    return quat_mul(step, a)
+    return UnitQuaternion.from_unit(*slerp_wxyz((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z), u))
 
 
 def rotation_between(u, v) -> UnitQuaternion:
@@ -227,6 +250,49 @@ def rotation_between(u, v) -> UnitQuaternion:
     axis = np.cross(u, v) / c
     angle = math.atan2(c, d)
     return quat_exp(0.5 * angle * axis)
+
+
+# ---------------------------------------------------------------------------
+# float-tuple kernels: the scalar maps above on (w, x, y, z) tuples of floats,
+# with the same operations in the same order, so results are equal bit for bit
+
+
+def slerp_wxyz(
+    a: tuple[float, float, float, float], b: tuple[float, float, float, float], u: float
+) -> tuple[float, float, float, float]:
+    """:func:`slerp` on unit ``(w, x, y, z)`` tuples: quat_mul(b, conj(a)),
+    quat_log, quat_exp of u times that, then quat_mul onto a, each
+    renormalized where its scalar map does."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    cw, cx, cy, cz = quat_normalize(aw, -ax, -ay, -az)
+    # rel = b * conj(a), canonical, so always the short way round
+    rw, rx, ry, rz = quat_normalize(
+        bw * cw - bx * cx - by * cy - bz * cz,
+        bw * cx + bx * cw + by * cz - bz * cy,
+        bw * cy + by * cw + bz * cx - bx * cz,
+        bw * cz + bz * cw + bx * cy - by * cx,
+    )
+    # quat_log(rel); its w < 0 branch needs a non-canonical input
+    vn = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if vn < 1e-12:
+        vx, vy, vz = u * (rx / rw), u * (ry / rw), u * (rz / rw)
+    else:
+        k = math.atan2(vn, rw) / vn
+        vx, vy, vz = u * (k * rx), u * (k * ry), u * (k * rz)
+    # quat_exp(u * log), left off the canonical hemisphere
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if n >= math.pi:
+        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, pi)")
+    s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
+    sw, sx, sy, sz = quat_normalize(math.cos(n), s * vx, s * vy, s * vz, raw=True)
+    # step * a
+    return quat_normalize(
+        sw * aw - sx * ax - sy * ay - sz * az,
+        sw * ax + sx * aw + sy * az - sz * ay,
+        sw * ay + sy * aw + sz * ax - sx * az,
+        sw * az + sz * aw + sx * ay - sy * ax,
+    )
 
 
 # ---------------------------------------------------------------------------

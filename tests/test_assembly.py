@@ -315,6 +315,29 @@ class TestExecuteTrial:
                 r.lateral_err_m, r.tilt_rad, r.depth_m, noisy_scenario
             )
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        noise=st.floats(0.0, 1e-3),
+        dropout=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+        yaw_deg=st.one_of(st.none(), st.floats(-90.0, 90.0)),
+        hole_id=st.one_of(st.none(), st.integers(0, 2)),
+    )
+    def test_valid_scenarios_end_in_a_record_never_an_exception(
+        self, scenario, seed, noise, dropout, yaw_deg, hole_id
+    ):
+        yaw = None if yaw_deg is None else math.radians(yaw_deg)
+        s = replace(scenario, seed=seed, noise_sigma=noise, dropout=dropout, yaw=yaw, hole_id=hole_id)
+        r = execute_trial(s)
+        if r.state.phase is Phase.FAILED:
+            assert r.state.reason and not r.success
+            assert math.isnan(r.lateral_err_m) and math.isnan(r.depth_m)
+        else:
+            # ran to the end: success is exactly the tolerance check on finite errors
+            assert r.state.phase is Phase.DONE
+            assert all(math.isfinite(v) for v in (r.lateral_err_m, r.tilt_rad, r.depth_m))
+            assert r.success == meets_tolerances(r.lateral_err_m, r.tilt_rad, r.depth_m, s)
+
     def test_bar_outside_frustum_fails_with_reason(self, scenario):
         r = execute_trial(replace(scenario, hole_id=2, yaw=math.radians(80.0)))
         assert r.state.phase is Phase.FAILED

@@ -156,6 +156,41 @@ class TestLocalizeSweep:
         assert len(lines) == 2
         assert lines[1].startswith("2,1,")
 
+    @pytest.mark.parametrize(
+        "localize",
+        [{"hole_id": 7}, {"noise_sigma": -1}, {"dropout": 1.5}],
+        ids=["hole_id", "noise_sigma", "dropout"],
+    )
+    def test_localize_bad_config_exits_2_before_writing(self, capsys, tmp_path, localize):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"localize": localize}))
+        out = tmp_path / "holes.csv"
+        code, _, err = run(capsys, "localize", "--config", cfg, "--out", out)
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "holes.csv.config.json").exists()
+
+    def test_localize_hole_flag_outside_scene_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "holes.csv"
+        code, _, err = run(capsys, "localize", "--hole", 7, "--out", out)
+        assert code == 1
+        assert err.count("\n") == 1 and "hole id 7 outside" in err
+        assert not out.exists()
+
+    def test_sweep_flags_are_checked_as_one_grid(self, capsys, tmp_path):
+        # folded one at a time, --start-deg and --stop-deg would meet the
+        # config's 0.01 deg step as a 16,001-yaw grid before --step-deg applies
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"start_deg": -1.0, "stop_deg": 1.0, "step_deg": 0.01}}))
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "sweep", "--config", cfg, "--start-deg", -80, "--stop-deg", 80, "--step-deg", 40, "--out", out
+        )
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) == 1 + 5 * 3
+        code, _, err = run(capsys, "sweep", "--step-deg", 1e-9, "--out", tmp_path / "fine.csv")
+        assert code == 1 and "exceeds" in err
+
     def test_sweep_csv_and_intervals(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, text, err = run(

@@ -7,6 +7,8 @@ import pytest
 
 from lfdkit.cli import main
 from lfdkit.config import (
+    MAX_MASK_POINTS,
+    MAX_SWEEP_YAWS,
     RunConfig,
     config_from_dict,
     config_to_dict,
@@ -112,6 +114,12 @@ OUT_OF_RANGE = [
     ("dmp", "n_basis", 1, "must be at least 2"),
     ("dmp", "dt", 0, "must be positive"),
     ("sweep", "step_deg", 0, "must be positive"),
+    ("trial", "noise_sigma", -1e-3, "must be at least 0"),
+    ("trial", "dropout", 1.5, "must be below 1"),
+    ("localize", "noise_sigma", -1, "must be at least 0"),
+    ("localize", "dropout", 1.0, "must be below 1"),
+    ("sweep", "noise_sigma", -1e-3, "must be at least 0"),
+    ("sweep", "dropout", -0.1, "must be at least 0"),
 ]
 out_of_range = pytest.mark.parametrize(
     "section, key, value, rule", OUT_OF_RANGE, ids=[f"{s}.{k}" for s, k, _, _ in OUT_OF_RANGE]
@@ -152,6 +160,68 @@ class TestRanges:
         assert code == 2
         assert err.count("\n") == 1 and f"{key} {rule}" in err and "Traceback" not in err
         assert not (tmp_path / "out.config.json").exists()
+
+
+# allocation caps; every value here is rejected before anything is allocated
+OVER_CAP = [
+    ("trial", "mask_points", MAX_MASK_POINTS + 1, f"must be at most {MAX_MASK_POINTS}"),
+    ("localize", "n_points", 10**12, f"must be at most {MAX_MASK_POINTS}"),
+]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("section, key, value, rule", OVER_CAP, ids=[f"{s}.{k}" for s, k, _, _ in OVER_CAP])
+    def test_point_counts_are_capped(self, section, key, value, rule):
+        with pytest.raises(ParseError, match=f"{key} {rule}"):
+            config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"step_deg": 1e-9},  # would be 1.6e11 yaws
+            {"start_deg": -80.0, "stop_deg": 80.0, "step_deg": 160.0 / MAX_SWEEP_YAWS},
+            {"stop_deg": float("inf")},
+            {"start_deg": float("nan")},
+        ],
+        ids=["tiny-step", "one-over", "infinite-stop", "nan-start"],
+    )
+    def test_sweep_grid_is_capped(self, sweep):
+        with pytest.raises(ParseError) as err:
+            config_from_dict({"sweep": sweep})
+        assert err.value.field == "sweep"
+
+    def test_sweep_stop_below_start_rejected(self):
+        with pytest.raises(ParseError, match="stop_deg must be at least start_deg"):
+            config_from_dict({"sweep": {"start_deg": 10.0, "stop_deg": -10.0}})
+
+    def test_values_at_the_caps_accepted(self):
+        cfg = config_from_dict(
+            {
+                "trial": {"mask_points": MAX_MASK_POINTS, "dropout": 0.999, "noise_sigma": 0},
+                "localize": {"n_points": MAX_MASK_POINTS, "dropout": 0},
+                "sweep": {"start_deg": 0.0, "stop_deg": float(MAX_SWEEP_YAWS - 1), "step_deg": 1.0},
+            }
+        )
+        assert cfg.trial.mask_points == MAX_MASK_POINTS and cfg.sweep.stop_deg == MAX_SWEEP_YAWS - 1
+
+
+class TestHoleIds:
+    @pytest.mark.parametrize("section", ["localize", "trial"])
+    @pytest.mark.parametrize("hole_id", [3, 7, -1])
+    def test_outside_the_default_scene_rejected(self, section, hole_id):
+        with pytest.raises(ParseError) as err:
+            config_from_dict({section: {"hole_id": hole_id}})
+        assert err.value.field == f"{section}.hole_id"
+        assert "0..2" in str(err.value)
+
+    def test_checked_against_the_inline_scene(self):
+        doc = config_to_dict(RunConfig())
+        doc["scene"]["bar"]["holes"] = doc["scene"]["bar"]["holes"][:1]
+        doc["localize"]["hole_id"] = 1
+        with pytest.raises(ParseError, match="0..0"):
+            config_from_dict(doc)
+        doc["localize"]["hole_id"] = 0
+        assert config_from_dict(doc).localize.hole_id == 0
 
 
 class TestFiles:

@@ -27,7 +27,17 @@ from lfdkit.ktc import (
 )
 from lfdkit.metrics import jerk_metrics
 from lfdkit.presets import demo_pose_waypoints
-from lfdkit.se3 import Pose, UnitQuaternion, Wrench, from_rotation_vector, quat_conj, quat_mul, rotation_vector
+from lfdkit.se3 import (
+    Pose,
+    UnitQuaternion,
+    Wrench,
+    from_rotation_vector,
+    quat_conj,
+    quat_exp,
+    quat_log,
+    quat_mul,
+    rotation_vector,
+)
 
 
 def uniform_gains(per_axis: float, deadband: float = 0.0, mask=(True,) * 6) -> AdmittanceGains:
@@ -146,50 +156,109 @@ class TestNativeDrive:
             NativeDrive(breakaway_force=10.0, kinetic_force=10.0)
 
 
+REST = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def state(position, q: UnitQuaternion = UnitQuaternion.identity()) -> tuple:
+    return (*(float(c) for c in position), q.w, q.x, q.y, q.z)
+
+
+def reference_plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float) -> Pose:
+    """The plant as a function of two poses, with slerp spelled out through
+    the scalar quaternion maps."""
+    a = 1.0 - math.exp(-dt / time_constant)
+    pos = x_r.position + a * (x_c.position - x_r.position)
+    qr, qc = x_r.orientation, x_c.orientation
+    if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
+        orient = qr
+    else:
+        rel = quat_mul(qc, qr.conjugate())
+        orient = quat_mul(quat_exp(a * quat_log(rel)), qr)
+    return Pose(pos, orient)
+
+
+coords = st.floats(-1.0, 1.0)
+raw_quats = st.tuples(coords, coords, coords, coords).filter(lambda q: math.hypot(*q) > 1e-3)
+# command relative to the reached attitude: equal, near identity, generic, near pi
+rel_rotations = st.one_of(
+    st.just(None),
+    st.builds(
+        lambda u, n: [c * n for c in u],
+        st.tuples(coords, coords, coords).filter(lambda u: math.hypot(*u) > 1e-3).map(
+            lambda u: [c / math.hypot(*u) for c in u]
+        ),
+        st.one_of(
+            st.floats(1e-15, 1e-6),
+            st.floats(1e-6, math.pi),
+            st.integers(3, 15).map(lambda k: math.pi - 10.0**-k),
+        ),
+    ),
+)
+
+
 class TestPlantStep:
     def test_five_time_constants(self):
         T = 0.05
         dt = 1e-3
-        x_r, x_c = Pose.identity(), Pose(np.array([1.0, 0.0, 0.0]))
+        x_r, x_c = REST, state([1.0, 0.0, 0.0])
         for _ in range(int(round(5 * T / dt))):
             x_r = plant_step(x_r, x_c, dt, T)
-        gap = 1.0 - x_r.position[0]
+        gap = 1.0 - x_r[0]
         assert gap == pytest.approx(math.exp(-5.0), rel=1e-9)
 
     def test_ramp_lag_is_time_constant_times_rate(self):
         T = 0.05
         dt = 1e-3
         rate = 0.2
-        x_r = Pose.identity()
+        x_r = REST
         lag = None
         for k in range(3000):
-            cmd = Pose(np.array([rate * k * dt, 0.0, 0.0]))
+            cmd = state([rate * k * dt, 0.0, 0.0])
             x_r = plant_step(x_r, cmd, dt, T)
-            lag = cmd.position[0] - x_r.position[0]
+            lag = cmd[0] - x_r[0]
         assert lag == pytest.approx(T * rate, rel=0.02)
 
     def test_orientation_moves_along_geodesic(self):
         T = 0.1
         q_goal = from_rotation_vector([0.0, 0.0, 1.2])
-        x_r, x_c = Pose.identity(), Pose(np.zeros(3), q_goal)
-        stepped = plant_step(x_r, x_c, 0.05, T)
+        x_r, x_c = REST, state(np.zeros(3), q_goal)
+        stepped = UnitQuaternion.from_unit(*plant_step(x_r, x_c, 0.05, T)[3:])
         a = 1.0 - math.exp(-0.05 / T)
-        assert stepped.orientation.angle == pytest.approx(a * 1.2, rel=1e-9)
-        rv = rotation_vector(stepped.orientation)
+        assert stepped.angle == pytest.approx(a * 1.2, rel=1e-9)
+        rv = rotation_vector(stepped)
         assert np.allclose(rv / np.linalg.norm(rv), [0, 0, 1], atol=1e-12)
         for _ in range(200):
             x_r = plant_step(x_r, x_c, 0.05, T)
-        assert x_r.orientation.angle_to(q_goal) < 1e-6
+        assert UnitQuaternion.from_unit(*x_r[3:]).angle_to(q_goal) < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError, match="time_constant"):
-            plant_step(Pose.identity(), Pose.identity(), 1e-3, 0.0)
+            plant_step(REST, REST, 1e-3, 0.0)
         with pytest.raises(ValueError, match="dt"):
-            plant_step(Pose.identity(), Pose.identity(), 0.0)
+            plant_step(REST, REST, 0.0)
         with pytest.raises(ValueError, match="time_constant"):
             simulate_demonstration(
                 VirtualHuman(waypoints=line_waypoints()), proposed_gains(), plant_time_constant=0.0
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_r=st.tuples(coords, coords, coords),
+        p_c=st.tuples(coords, coords, coords),
+        q=raw_quats,
+        keep_sign=st.booleans(),
+        rel=rel_rotations,
+        dt=st.floats(1e-4, 0.05),
+        time_constant=st.floats(1e-3, 1.0),
+    )
+    def test_equals_the_pose_path_bit_for_bit(self, p_r, p_c, q, keep_sign, rel, dt, time_constant):
+        # keep_sign leaves w < 0 in place, as quat_exp's raw outputs do
+        q_r = UnitQuaternion(*q, raw=keep_sign)
+        q_c = q_r if rel is None else quat_mul(from_rotation_vector(rel), q_r)
+        x_r, x_c = Pose(p_r, q_r), Pose(p_c, q_c)
+        want = reference_plant_step(x_r, x_c, dt, time_constant)
+        got = plant_step(state(p_r, q_r), state(p_c, q_c), dt, time_constant)
+        assert got == state(want.position, want.orientation)
 
 
 def line_waypoints(length: float = 0.05) -> list[Pose]:

@@ -17,6 +17,7 @@ from lfdkit.se3 import (
     quat_log,
     quat_mul,
     quat_mul_rows,
+    quat_normalize,
     relative_rotation_vector_rows,
     rotation_between,
     rotation_vector,
@@ -171,6 +172,25 @@ class TestSlerp:
         total = a.angle_to(b)
         for u in (0.25, 0.5, 0.75):
             assert math.isclose(a.angle_to(slerp(a, b, u)), u * total, rel_tol=1e-9)
+
+    @settings(deadline=None)
+    @given(quat_st, quat_st, st.floats(0.0, 1.0))
+    def test_equals_the_scalar_maps_bit_for_bit(self, a, b, u):
+        want = quat_mul(quat_exp(u * quat_log(quat_mul(b, a.conjugate()))), a)
+        got = slerp(a, b, u)
+        assert (got.w, got.x, got.y, got.z) == (want.w, want.x, want.y, want.z)
+
+    def test_from_unit_keeps_components(self):
+        q = slerp(*random_unit_quats(2, seed=41), 0.3)
+        again = UnitQuaternion.from_unit(q.w, q.x, q.y, q.z)
+        assert again == q and (again.w, again.x, again.y, again.z) == (q.w, q.x, q.y, q.z)
+
+
+class TestQuatNormalize:
+    def test_flips_onto_the_canonical_hemisphere(self):
+        assert quat_normalize(-2.0, 0.0, 0.0, 0.0) == (1.0, -0.0, -0.0, -0.0)
+        assert quat_normalize(0.0, 0.0, -3.0, 0.0)[2] == 1.0
+        assert quat_normalize(-2.0, 0.0, 0.0, 0.0, raw=True) == (-1.0, 0.0, 0.0, 0.0)
 
 
 class TestRotationBetween:
