@@ -4,7 +4,7 @@ assembly trials with jerk/timing metrics."""
 
 __version__ = "0.1.0"
 
-from .se3 import Pose, UnitQuaternion, Wrench
+from .se3 import Pose, UnitQuaternion
 from .trajectory import Trajectory
 
-__all__ = ["Pose", "UnitQuaternion", "Wrench", "Trajectory", "__version__"]
+__all__ = ["Pose", "UnitQuaternion", "Trajectory", "__version__"]

@@ -10,6 +10,7 @@ can be reproduced from that file alone.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -33,11 +34,13 @@ __all__ = [
     "save_config",
 ]
 
-# upper bounds on what a config may ask to allocate: rim points per mask, and
+# upper bounds on what a config may ask to allocate: rim points per mask,
 # yaws in a sweep grid, each of which runs every hole (10k yaws is a 0.016 deg
-# step over the default 160 deg)
+# step over the default 160 deg), and teach ticks, one logged row each (an
+# hour at the default 100 Hz)
 MAX_MASK_POINTS = 100_000
 MAX_SWEEP_YAWS = 10_000
+MAX_TEACH_STEPS = 360_000
 
 
 def _positive(section: Any, *names: str) -> None:
@@ -46,6 +49,16 @@ def _positive(section: Any, *names: str) -> None:
         value = getattr(section, name)
         if value is not None and not value > 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _finite(section: Any) -> None:
+    """Reject a non-finite float field or tuple entry. Sections call it after
+    their range rules, so a NaN that breaks one reports that rule."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _at_least(section: Any, bound: int, *names: str) -> None:
@@ -91,6 +104,7 @@ class DmpSection:
     def __post_init__(self) -> None:
         _at_least(self, 2, "n_basis")
         _positive(self, "dt")
+        _finite(self)
 
 
 @dataclass(frozen=True)
@@ -108,6 +122,7 @@ class RolloutSection:
     def __post_init__(self) -> None:
         _positive(self, "tau", "dt")
         _at_least(self, 0, "horizon")
+        _finite(self)
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,11 @@ class TeachSection:
     def __post_init__(self) -> None:
         _positive(self, "rate", "max_duration", "plant_time_constant")
         _at_least(self, 0, "force_noise_std", "torque_noise_std")
+        _finite(self)
+        # simulate_demonstration logs one row per tick, up to max_duration * rate
+        steps = self.max_duration * self.rate
+        if not steps <= MAX_TEACH_STEPS:
+            raise ValueError(f"max_duration * rate = {steps:.6g} teach steps exceeds {MAX_TEACH_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,7 @@ class LocalizeSection:
         _at_least(self, 3, "n_points")
         _at_most(self, MAX_MASK_POINTS, "n_points")
         _vision_noise(self)
+        _finite(self)
 
 
 @dataclass(frozen=True)
@@ -149,6 +170,8 @@ class SweepSection:
 
     def __post_init__(self) -> None:
         _positive(self, "step_deg")
+        _vision_noise(self)
+        _finite(self)
         if not self.stop_deg >= self.start_deg:
             raise ValueError(f"stop_deg must be at least start_deg {self.start_deg!r}, got {self.stop_deg!r}")
         # detection_range_sweep builds floor(span) + 1 yaws; count them first
@@ -157,7 +180,6 @@ class SweepSection:
             raise ValueError(
                 f"sweep grid of {span + 1:.6g} yaws exceeds {MAX_SWEEP_YAWS}; raise step_deg"
             )
-        _vision_noise(self)
 
 
 @dataclass(frozen=True)
@@ -183,6 +205,7 @@ class TrialSection:
         _at_most(self, MAX_MASK_POINTS, "mask_points")
         _positive(self, "demo_duration")
         _vision_noise(self)
+        _finite(self)
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,13 @@ metrics pick up.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .se3 import (
-    Pose,
-    UnitQuaternion,
-    Wrench,
-    from_rotation_vector,
-    quat_conj,
-    quat_mul,
-    rotation_vector,
-    slerp_wxyz,
-)
+from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_vector_wxyz, slerp_wxyz
 from .trajectory import Trajectory
 
 __all__ = [
@@ -88,6 +81,11 @@ class AdmittanceGains:
     def total_gain(self) -> np.ndarray:
         return self.k_s_inv + self.k_a
 
+    @cached_property
+    def _law(self) -> tuple[tuple[bool, float, float], ...]:
+        """Per axis (enabled, total gain, deadband) as plain floats."""
+        return tuple(zip(self.axis_mask, self.total_gain.tolist(), self.deadband.tolist()))
+
 
 def proposed_gains() -> AdmittanceGains:
     """Compliant teaching configuration: light touch, small deadband."""
@@ -125,57 +123,49 @@ def native_drive() -> NativeDrive:
 
 
 def native_drive_step(
-    x_r: Pose,
-    f: Wrench,
+    x_r: tuple[float, ...],
+    f: tuple[float, ...],
     drive: NativeDrive,
     sliding: bool = False,
     spinning: bool = False,
-) -> tuple[Pose, bool, bool]:
-    """One tick of back-driving the native transmission.
+) -> tuple[tuple[float, ...], bool, bool]:
+    """One tick of back-driving the native transmission: the commanded pose
+    tuple (as :func:`plant_step` takes) for the reached pose tuple ``x_r`` and
+    the measured wrench ``f = (fx, fy, fz, tx, ty, tz)``.
 
     The friction state (sliding, spinning) is carried by the caller; motion
     starts only above the static threshold but persists down to the kinetic
     one, so velocity jumps at both transitions.
     """
-    fn = float(np.linalg.norm(f.force))
-    if fn > (drive.kinetic_force if sliding else drive.breakaway_force):
-        position = x_r.position + drive.gain * (fn - drive.kinetic_force) * (f.force / fn)
-        sliding = True
-    else:
-        position = x_r.position
-        sliding = False
-    tn = float(np.linalg.norm(f.torque))
-    if tn > (drive.kinetic_torque if spinning else drive.breakaway_torque):
-        delta = drive.rot_gain * (tn - drive.kinetic_torque) * (f.torque / tn)
-        orientation = quat_mul(from_rotation_vector(delta), x_r.orientation)
-        spinning = True
-    else:
-        orientation = x_r.orientation
-        spinning = False
-    return Pose(position, orientation), sliding, spinning
+    px, py, pz, *q = x_r
+    fx, fy, fz, tx, ty, tz = f
+    fn = math.sqrt(fx * fx + fy * fy + fz * fz)
+    sliding = fn > (drive.kinetic_force if sliding else drive.breakaway_force)
+    if sliding:
+        c = drive.gain * (fn - drive.kinetic_force)
+        px, py, pz = px + c * (fx / fn), py + c * (fy / fn), pz + c * (fz / fn)
+    tn = math.sqrt(tx * tx + ty * ty + tz * tz)
+    spinning = tn > (drive.kinetic_torque if spinning else drive.breakaway_torque)
+    if spinning:
+        c = drive.rot_gain * (tn - drive.kinetic_torque)
+        half = (0.5 * (c * (tx / tn)), 0.5 * (c * (ty / tn)), 0.5 * (c * (tz / tn)))
+        q = quat_mul_wxyz(quat_exp_wxyz(half), q)
+    return (px, py, pz, *q), sliding, spinning
 
 
-def _displacements(wrench6: np.ndarray, gains: AdmittanceGains) -> np.ndarray:
-    mask = np.array(gains.axis_mask)
-    over = np.abs(wrench6) > gains.deadband
-    active = mask & over
-    out = np.zeros(6)
-    if np.any(active):
-        shifted = wrench6 - np.sign(wrench6) * gains.deadband
-        out[active] = gains.total_gain[active] * shifted[active]
-    return out
-
-
-def ktc_step(x_r: Pose, f: Wrench, gains: AdmittanceGains) -> Pose:
-    """One tick of the admittance law: the commanded pose for the measured
-    wrench. Zero (or sub-deadband, or masked) wrench commands x_r exactly."""
-    d = _displacements(np.concatenate([f.force, f.torque]), gains)
-    position = x_r.position + d[:3]
-    if d[3] == 0.0 and d[4] == 0.0 and d[5] == 0.0:
-        orientation = x_r.orientation
-    else:
-        orientation = quat_mul(from_rotation_vector(d[3:]), x_r.orientation)
-    return Pose(position, orientation)
+def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...], gains: AdmittanceGains) -> tuple[float, ...]:
+    """One tick of the admittance law: the commanded pose tuple (as
+    :func:`plant_step` takes) for the reached pose tuple ``x_r`` and the
+    measured wrench ``f = (fx, fy, fz, tx, ty, tz)``. Zero (or sub-deadband,
+    or masked) wrench commands x_r exactly."""
+    d = [
+        g * (w - db if w > 0.0 else w + db) if on and abs(w) > db else 0.0
+        for w, (on, g, db) in zip(f, gains._law)
+    ]
+    q = x_r[3:]
+    if d[3] != 0.0 or d[4] != 0.0 or d[5] != 0.0:
+        q = quat_mul_wxyz(quat_exp_wxyz((0.5 * d[3], 0.5 * d[4], 0.5 * d[5])), q)
+    return (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], *q)
 
 
 def plant_step(
@@ -201,11 +191,6 @@ def plant_step(
     else:
         q = slerp_wxyz((rw, rqx, rqy, rqz), (cw, cqx, cqy, cqz), a)
     return (rx + a * (cx - rx), ry + a * (cy - ry), rz + a * (cz - rz), *q)
-
-
-def _state(pose: Pose) -> tuple[float, ...]:
-    q = pose.orientation
-    return (*pose.position.tolist(), q.w, q.x, q.y, q.z)
 
 
 @dataclass(frozen=True)
@@ -273,11 +258,10 @@ class TeachTimeout(RuntimeError):
         super().__init__(f"timeout after reaching {reached} of {total} waypoints")
 
 
-def _clip_norm(v: np.ndarray, limit: float) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n > limit:
-        return v * (limit / n)
-    return v
+def _log(rows: array) -> Trajectory:
+    """The demonstration from its ``t, p, q, wrench`` rows."""
+    table = np.frombuffer(rows, dtype=float).reshape(-1, 14)
+    return Trajectory(table[:, 0], table[:, 1:4], table[:, 4:8], table[:, 8:])
 
 
 def simulate_demonstration(
@@ -298,93 +282,111 @@ def simulate_demonstration(
     Sensor noise, when enabled, perturbs only what the controller sees; the
     log keeps the true applied wrench, so the saturation bound holds on the
     log unconditionally.
+
+    Poses are float tuples ``(px, py, pz, qw, qx, qy, qz)`` as
+    :func:`plant_step` takes; orientations use the ``se3`` ``*_wxyz`` kernels.
     """
-    if rate <= 0 or plant_time_constant <= 0:
+    if not (rate > 0 and plant_time_constant > 0):
         raise ValueError("rate and plant_time_constant must be positive")
+    if not math.isfinite(max_duration * rate):
+        raise ValueError("max_duration and rate must be finite")
     h = 1.0 / rate
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
     admittance = isinstance(gains, AdmittanceGains)
+    waypoints = [(*p.position.tolist(), *p.orientation.wxyz) for p in human.waypoints]
+    capture = human.capture_radius
+    stretch_limit, rot_stretch_limit = human.stretch_limit, human.rot_stretch_limit
+    speed, accel_2, accel_h = human.hand_speed, 2.0 * human.hand_accel, human.hand_accel * h
+    rot_step = human.hand_rot_speed * h
+    k_grip, d_grip, f_sat = human.grip_stiffness, human.grip_damping, human.force_saturation
+    k_rot, d_rot, t_sat = human.rot_stiffness, human.rot_damping, human.torque_saturation
 
-    x_r = human.waypoints[0]
-    prev_pos = hand_pos = x_r.position
-    prev_q = hand_q = x_r.orientation
-    hand_vel = np.zeros(3)
+    x_r = prev = waypoints[0]
+    hx, hy, hz, *hand_q = x_r
+    conj_prev = quat_conj_wxyz(hand_q)
+    hvx = hvy = hvz = 0.0
     sliding = False
     spinning = False
 
-    times: list[float] = []
-    poses: list[Pose] = []
-    wrenches: list[Wrench] = []
+    rows = array("d")
     target = 0
     k = 0
     n_steps = int(math.ceil(max_duration * rate))
 
     while True:
         t = k * h
-        while target < len(human.waypoints) and (
-            np.linalg.norm(x_r.position - human.waypoints[target].position) <= human.capture_radius
-        ):
+        px, py, pz, *q_r = x_r
+        while target < len(waypoints):
+            wx, wy, wz = px - waypoints[target][0], py - waypoints[target][1], pz - waypoints[target][2]
+            if not math.sqrt(wx * wx + wy * wy + wz * wz) <= capture:
+                break
             target += 1
-        if target == len(human.waypoints):
-            times.append(t)
-            poses.append(x_r)
-            wrenches.append(Wrench.zero())
+        if target == len(waypoints):
+            rows.extend((t, *x_r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             break
         if k >= n_steps:
-            partial = Trajectory.from_poses(times, poses, wrenches)
-            raise TeachTimeout(target, len(human.waypoints), partial)
+            raise TeachTimeout(target, len(waypoints), _log(rows))
 
-        goal = human.waypoints[target]
+        wx, wy, wz, *goal_q = waypoints[target]
         # hand kinematics: acceleration-bounded velocity toward the goal,
         # trapezoidal approach, full stop while the tool lags too far
-        to_goal = goal.position - hand_pos
-        dist = float(np.linalg.norm(to_goal))
-        if dist > 0.0 and np.linalg.norm(hand_pos - x_r.position) < human.stretch_limit:
-            speed = min(human.hand_speed, math.sqrt(2.0 * human.hand_accel * dist))
-            desired = to_goal * (speed / dist)
-        else:
-            desired = np.zeros(3)
-        dv = desired - hand_vel
-        dvn = float(np.linalg.norm(dv))
+        gx, gy, gz = wx - hx, wy - hy, wz - hz
+        dist = math.sqrt(gx * gx + gy * gy + gz * gz)
+        lx, ly, lz = hx - px, hy - py, hz - pz
+        if dist > 0.0 and math.sqrt(lx * lx + ly * ly + lz * lz) < stretch_limit:
+            c = min(speed, math.sqrt(accel_2 * dist)) / dist
+            dx, dy, dz = gx * c - hvx, gy * c - hvy, gz * c - hvz
+        else:  # 0.0 - v, not -v: a zero component stays +0.0
+            dx, dy, dz = 0.0 - hvx, 0.0 - hvy, 0.0 - hvz
+        dvn = math.sqrt(dx * dx + dy * dy + dz * dz)
         if dvn > 0.0:
-            hand_vel = hand_vel + dv * min(1.0, human.hand_accel * h / dvn)
-        hand_pos = hand_pos + hand_vel * h
-        rot_gap = rotation_vector(quat_mul(goal.orientation, quat_conj(hand_q)))
-        gap = float(np.linalg.norm(rot_gap))
-        rot_lag = rotation_vector(quat_mul(hand_q, quat_conj(x_r.orientation)))
-        if gap > 0.0 and np.linalg.norm(rot_lag) < human.rot_stretch_limit:
-            step = min(human.hand_rot_speed * h, gap)
-            hand_q = quat_mul(from_rotation_vector(rot_gap * (step / gap)), hand_q)
+            c = min(1.0, accel_h / dvn)
+            hvx, hvy, hvz = hvx + dx * c, hvy + dy * c, hvz + dz * c
+        hx, hy, hz = hx + hvx * h, hy + hvy * h, hz + hvz * h
+        # rotation vectors as rotation_vector(quat_mul(a, quat_conj(b))), with
+        # each conjugate computed once
+        conj_r = quat_conj_wxyz(q_r)
+        ax, ay, az = rotation_vector_wxyz(quat_mul_wxyz(goal_q, quat_conj_wxyz(hand_q)))
+        gap = math.sqrt(ax * ax + ay * ay + az * az)
+        ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
+        if gap > 0.0 and math.sqrt(ex * ex + ey * ey + ez * ez) < rot_stretch_limit:
+            c = min(rot_step, gap) / gap
+            hand_q = quat_mul_wxyz(quat_exp_wxyz((0.5 * (ax * c), 0.5 * (ay * c), 0.5 * (az * c))), hand_q)
+            ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
 
-        v = (x_r.position - prev_pos) / h
-        omega = rotation_vector(quat_mul(x_r.orientation, quat_conj(prev_q))) / h
-        force = human.grip_stiffness * (hand_pos - x_r.position) - human.grip_damping * v
-        rot_err = rotation_vector(quat_mul(hand_q, quat_conj(x_r.orientation)))
-        torque = human.rot_stiffness * rot_err - human.rot_damping * omega
-        applied = Wrench(
-            _clip_norm(force, human.force_saturation),
-            _clip_norm(torque, human.torque_saturation),
-        )
-        times.append(t)
-        poses.append(x_r)
-        wrenches.append(applied)
+        # grip: spring-damper from the tool to the hand, saturated in norm
+        fx = k_grip * (hx - px) - d_grip * ((px - prev[0]) / h)
+        fy = k_grip * (hy - py) - d_grip * ((py - prev[1]) / h)
+        fz = k_grip * (hz - pz) - d_grip * ((pz - prev[2]) / h)
+        n = math.sqrt(fx * fx + fy * fy + fz * fz)
+        if n > f_sat:
+            c = f_sat / n
+            fx, fy, fz = fx * c, fy * c, fz * c
+        ox, oy, oz = rotation_vector_wxyz(quat_mul_wxyz(q_r, conj_prev))
+        tx = k_rot * ex - d_rot * (ox / h)
+        ty = k_rot * ey - d_rot * (oy / h)
+        tz = k_rot * ez - d_rot * (oz / h)
+        n = math.sqrt(tx * tx + ty * ty + tz * tz)
+        if n > t_sat:
+            c = t_sat / n
+            tx, ty, tz = tx * c, ty * c, tz * c
+        applied = (fx, fy, fz, tx, ty, tz)
+        rows.extend((t, *x_r, *applied))
 
+        sensed = applied
         if noisy:
-            sensed = Wrench(
-                applied.force + rng.normal(scale=force_noise_std, size=3),
-                applied.torque + rng.normal(scale=torque_noise_std, size=3),
+            noise = (
+                *rng.normal(scale=force_noise_std, size=3).tolist(),
+                *rng.normal(scale=torque_noise_std, size=3).tolist(),
             )
-        else:
-            sensed = applied
+            sensed = tuple(a + b for a, b in zip(applied, noise))
         if admittance:
             x_c = ktc_step(x_r, sensed, gains)
         else:
             x_c, sliding, spinning = native_drive_step(x_r, sensed, gains, sliding, spinning)
-        prev_pos = x_r.position
-        prev_q = x_r.orientation
-        nxt = plant_step(_state(x_r), _state(x_c), h, plant_time_constant)
-        x_r = Pose(nxt[:3], UnitQuaternion.from_unit(*nxt[3:]))
+        prev, conj_prev = x_r, conj_r
+        x_r = plant_step(x_r, x_c, h, plant_time_constant)
         k += 1
 
-    return Trajectory.from_poses(times, poses, wrenches)
+    return _log(rows)

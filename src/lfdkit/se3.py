@@ -12,8 +12,8 @@ Conventions, fixed once and used everywhere:
   so a full-angle rotation vector is ``2 * quat_log(q)``
 * whole trajectories go through the ``*_rows`` kernels, which apply the same
   maps to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row;
-  per-tick loops go through the float-tuple kernels (:func:`quat_normalize`,
-  :func:`slerp_wxyz`), which repeat the scalar maps' arithmetic bit for bit
+  per-tick loops go through the ``*_wxyz`` float-tuple kernels, which the
+  object maps wrap, so both give the same floats bit for bit
 * units are meters, seconds, newtons, and radians throughout
 """
 
@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "UnitQuaternion",
     "Pose",
-    "Wrench",
     "quat_mul",
     "quat_conj",
     "quat_log",
@@ -37,6 +36,11 @@ __all__ = [
     "slerp",
     "rotation_between",
     "quat_normalize",
+    "quat_mul_wxyz",
+    "quat_conj_wxyz",
+    "quat_log_wxyz",
+    "quat_exp_wxyz",
+    "rotation_vector_wxyz",
     "slerp_wxyz",
     "quat_mul_rows",
     "quat_conj_rows",
@@ -93,8 +97,13 @@ class UnitQuaternion:
         w, x, y, z = (float(v) for v in wxyz)
         return cls(w, x, y, z, raw=raw)
 
+    @property
+    def wxyz(self) -> tuple[float, float, float, float]:
+        """The components as the float tuple the ``*_wxyz`` kernels take."""
+        return self.w, self.x, self.y, self.z
+
     def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
+        return np.array(self.wxyz)
 
     def as_matrix(self) -> np.ndarray:
         """3x3 rotation matrix: ``as_matrix() @ v`` rotates v like :meth:`rotate`."""
@@ -114,7 +123,7 @@ class UnitQuaternion:
         return 2.0 * math.atan2(vn, self.w)
 
     def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
+        return UnitQuaternion.from_unit(*quat_conj_wxyz(self.wxyz))
 
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector: q * (0, v) * conj(q)."""
@@ -162,12 +171,7 @@ def quat_normalize(
 
 def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a*b, renormalized and canonicalized."""
-    return UnitQuaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
-        a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
-    )
+    return UnitQuaternion.from_unit(*quat_mul_wxyz(a.wxyz, b.wxyz))
 
 
 def quat_conj(q: UnitQuaternion) -> UnitQuaternion:
@@ -180,16 +184,7 @@ def quat_log(q: UnitQuaternion) -> np.ndarray:
     Accepts any unit quaternion (w < 0 included, for raw quat_exp outputs);
     the identity maps to the zero vector.
     """
-    vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
-    if vn < 1e-12:
-        if q.w < 0.0:
-            # -identity: same rotation as identity but log would sit at theta/2 = pi
-            # with an undefined axis; canonical inputs never reach this.
-            return np.zeros(3)
-        return np.array([q.x / q.w, q.y / q.w, q.z / q.w])
-    half = math.atan2(vn, q.w)
-    k = half / vn
-    return np.array([k * q.x, k * q.y, k * q.z])
+    return np.array(quat_log_wxyz(q.wxyz))
 
 
 def quat_exp(v) -> UnitQuaternion:
@@ -200,20 +195,12 @@ def quat_exp(v) -> UnitQuaternion:
     round trip quat_log(quat_exp(v)) = v. Everything built from the result
     through quat_mul/Pose/etc. lands back on the canonical hemisphere.
     """
-    vx, vy, vz = (float(c) for c in v)
-    n = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if n >= math.pi:
-        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, pi)")
-    if n < 1e-8:
-        s = 1.0 - n * n / 6.0
-    else:
-        s = math.sin(n) / n
-    return UnitQuaternion(math.cos(n), s * vx, s * vy, s * vz, raw=True)
+    return UnitQuaternion.from_unit(*quat_exp_wxyz(tuple(float(c) for c in v)))
 
 
 def rotation_vector(q: UnitQuaternion) -> np.ndarray:
     """Full-angle rotation vector theta*u (just 2*quat_log)."""
-    return 2.0 * quat_log(q)
+    return np.array(rotation_vector_wxyz(q.wxyz))
 
 
 def from_rotation_vector(r) -> UnitQuaternion:
@@ -223,7 +210,7 @@ def from_rotation_vector(r) -> UnitQuaternion:
 
 def slerp(a: UnitQuaternion, b: UnitQuaternion, u: float) -> UnitQuaternion:
     """Spherical-linear interpolation along the shorter arc, u in [0, 1]."""
-    return UnitQuaternion.from_unit(*slerp_wxyz((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z), u))
+    return UnitQuaternion.from_unit(*slerp_wxyz(a.wxyz, b.wxyz, u))
 
 
 def rotation_between(u, v) -> UnitQuaternion:
@@ -254,45 +241,66 @@ def rotation_between(u, v) -> UnitQuaternion:
 
 # ---------------------------------------------------------------------------
 # float-tuple kernels: the scalar maps above on (w, x, y, z) tuples of floats,
-# with the same operations in the same order, so results are equal bit for bit
+# which the maps above wrap
+
+
+def quat_mul_wxyz(
+    a: tuple[float, float, float, float], b: tuple[float, float, float, float]
+) -> tuple[float, float, float, float]:
+    """:func:`quat_mul` on ``(w, x, y, z)`` tuples."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return quat_normalize(
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by + ay * bw + az * bx - ax * bz,
+        aw * bz + az * bw + ax * by - ay * bx,
+    )
+
+
+def quat_conj_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """:func:`quat_conj` on a ``(w, x, y, z)`` tuple."""
+    w, x, y, z = q
+    return quat_normalize(w, -x, -y, -z)
+
+
+def quat_log_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """:func:`quat_log` on a ``(w, x, y, z)`` tuple."""
+    w, x, y, z = q
+    vn = math.sqrt(x * x + y * y + z * z)
+    if vn < 1e-12:
+        if w < 0.0:
+            # -identity: same rotation as identity but log would sit at theta/2 = pi
+            # with an undefined axis; canonical inputs never reach this.
+            return 0.0, 0.0, 0.0
+        return x / w, y / w, z / w
+    k = math.atan2(vn, w) / vn
+    return k * x, k * y, k * z
+
+
+def quat_exp_wxyz(v: tuple[float, float, float]) -> tuple[float, float, float, float]:
+    """:func:`quat_exp` of a 3-tuple, equally left off the canonical hemisphere."""
+    vx, vy, vz = v
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if n >= math.pi:
+        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, pi)")
+    s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
+    return quat_normalize(math.cos(n), s * vx, s * vy, s * vz, raw=True)
+
+
+def rotation_vector_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """:func:`rotation_vector` of a ``(w, x, y, z)`` tuple."""
+    lx, ly, lz = quat_log_wxyz(q)
+    return 2.0 * lx, 2.0 * ly, 2.0 * lz
 
 
 def slerp_wxyz(
     a: tuple[float, float, float, float], b: tuple[float, float, float, float], u: float
 ) -> tuple[float, float, float, float]:
-    """:func:`slerp` on unit ``(w, x, y, z)`` tuples: quat_mul(b, conj(a)),
-    quat_log, quat_exp of u times that, then quat_mul onto a, each
-    renormalized where its scalar map does."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    cw, cx, cy, cz = quat_normalize(aw, -ax, -ay, -az)
-    # rel = b * conj(a), canonical, so always the short way round
-    rw, rx, ry, rz = quat_normalize(
-        bw * cw - bx * cx - by * cy - bz * cz,
-        bw * cx + bx * cw + by * cz - bz * cy,
-        bw * cy + by * cw + bz * cx - bx * cz,
-        bw * cz + bz * cw + bx * cy - by * cx,
-    )
-    # quat_log(rel); its w < 0 branch needs a non-canonical input
-    vn = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if vn < 1e-12:
-        vx, vy, vz = u * (rx / rw), u * (ry / rw), u * (rz / rw)
-    else:
-        k = math.atan2(vn, rw) / vn
-        vx, vy, vz = u * (k * rx), u * (k * ry), u * (k * rz)
-    # quat_exp(u * log), left off the canonical hemisphere
-    n = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if n >= math.pi:
-        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, pi)")
-    s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
-    sw, sx, sy, sz = quat_normalize(math.cos(n), s * vx, s * vy, s * vz, raw=True)
-    # step * a
-    return quat_normalize(
-        sw * aw - sx * ax - sy * ay - sz * az,
-        sw * ax + sx * aw + sy * az - sz * ay,
-        sw * ay + sy * aw + sz * ax - sx * az,
-        sw * az + sz * aw + sx * ay - sy * ax,
-    )
+    """:func:`slerp` on unit ``(w, x, y, z)`` tuples."""
+    # b * conj(a) is canonical, so always the short way round
+    lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
+    return quat_mul_wxyz(quat_exp_wxyz((u * lx, u * ly, u * lz)), a)
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +413,3 @@ class Pose:
             float(np.max(np.abs(self.position - other.position))) <= pos_tol
             and self.orientation.angle_to(other.orientation) <= ang_tol
         )
-
-
-@dataclass(frozen=True)
-class Wrench:
-    """Force/torque pair, newtons and newton-meters."""
-
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __post_init__(self) -> None:
-        f = np.array(self.force, dtype=float).reshape(3)
-        t = np.array(self.torque, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
-            raise ValueError("wrench components must be finite")
-        f.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "force", f)
-        object.__setattr__(self, "torque", t)
-
-    @classmethod
-    def zero(cls) -> "Wrench":
-        return cls(np.zeros(3), np.zeros(3))
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])

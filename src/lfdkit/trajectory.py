@@ -13,11 +13,10 @@ below the tolerances of anything consuming them.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .se3 import Pose, UnitQuaternion, Wrench, quat_canonicalize_rows, quat_mul_rows
+from .se3 import Pose, UnitQuaternion, quat_canonicalize_rows, quat_mul_rows
 from .se3 import from_rotation_vector_rows, relative_rotation_vector_rows
 
 __all__ = [
@@ -33,9 +32,12 @@ _BASE_COLUMNS = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
 _WRENCH_COLUMNS = ["fx", "fy", "fz", "tx", "ty", "tz"]
 
 
+_FLOAT_FORMAT = "%.9g"
+
+
 def fmt_float(x: float) -> str:
     """Fixed 9-significant-digit rendering used by every CSV emitter."""
-    return format(float(x), ".9g")
+    return _FLOAT_FORMAT % float(x)
 
 
 class ParseError(ValueError):
@@ -113,29 +115,13 @@ class Trajectory:
             raise ValueError("need at least 2 samples for a time step")
         return float(np.median(np.diff(self.times)))
 
-    @classmethod
-    def from_poses(
-        cls,
-        times: Sequence[float],
-        poses: Iterable[Pose],
-        wrenches: Iterable[Wrench] | None = None,
-    ) -> "Trajectory":
-        ps = list(poses)
-        pos = np.array([p.position for p in ps])
-        ori = np.array([p.orientation.as_array() for p in ps])
-        wr = None
-        if wrenches is not None:
-            wr = np.array([w.as_array() for w in wrenches])
-        return cls(np.asarray(times, dtype=float), pos, ori, wr)
-
     def save_csv(self, path) -> None:
         cols = _BASE_COLUMNS + (_WRENCH_COLUMNS if self.has_wrenches else [])
-        lines = [",".join(cols)]
-        for i in range(len(self)):
-            row = [self.times[i], *self.positions[i], *self.orientations[i]]
-            if self.wrenches is not None:
-                row.extend(self.wrenches[i])
-            lines.append(",".join(fmt_float(v) for v in row))
+        blocks = [self.times[:, None], self.positions, self.orientations]
+        if self.wrenches is not None:
+            blocks.append(self.wrenches)
+        row = ",".join([_FLOAT_FORMAT] * len(cols))
+        lines = [",".join(cols)] + [row % tuple(r) for r in np.hstack(blocks).tolist()]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -9,6 +9,7 @@ from lfdkit.cli import main
 from lfdkit.config import (
     MAX_MASK_POINTS,
     MAX_SWEEP_YAWS,
+    MAX_TEACH_STEPS,
     RunConfig,
     config_from_dict,
     config_to_dict,
@@ -203,6 +204,55 @@ class TestBounds:
             }
         )
         assert cfg.trial.mask_points == MAX_MASK_POINTS and cfg.sweep.stop_deg == MAX_SWEEP_YAWS - 1
+
+
+    def test_teach_steps_are_capped(self):
+        at_cap = MAX_TEACH_STEPS / 100.0
+        assert config_from_dict({"teach": {"max_duration": at_cap}}).teach.max_duration == at_cap
+        with pytest.raises(ParseError, match=f"teach steps exceeds {MAX_TEACH_STEPS}") as err:
+            config_from_dict({"teach": {"max_duration": at_cap, "rate": 100.5}})
+        assert err.value.field == "teach"
+
+
+# every value here passes the field's range rule, if it has one, and is
+# rejected only for not being finite
+NON_FINITE = [
+    ({"teach": {"max_duration": float("inf")}}, "max_duration"),
+    ({"rollout": {"horizon": float("inf")}}, "horizon"),
+    ({"rollout": {"goal": [0.0, 0.0, float("nan"), 1.0, 0.0, 0.0, 0.0]}}, "goal"),
+    ({"trial": {"yaw_deg": float("-inf")}}, "yaw_deg"),
+    ({"sweep": {"tolerance": float("nan")}}, "tolerance"),
+    ({"dmp": {"alpha_z": float("inf")}}, "alpha_z"),
+    ({"localize": {"noise_sigma": float("inf")}}, "noise_sigma"),
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("doc, key", NON_FINITE, ids=[k for _, k in NON_FINITE])
+    def test_rejected_on_load(self, doc, key):
+        with pytest.raises(ParseError, match=f"{key} must be finite") as err:
+            config_from_dict(doc)
+        assert err.value.field == next(iter(doc))
+
+    @pytest.mark.parametrize("command", ["trial", "teach-sim"])
+    @pytest.mark.parametrize(
+        "doc, rule",
+        [
+            ({"teach": {"max_duration": float("inf")}}, "max_duration must be finite"),
+            ({"rollout": {"horizon": float("inf")}}, "horizon must be finite"),
+            ({"trial": {"yaw_deg": float("nan")}}, "yaw_deg must be finite"),
+            ({"teach": {"max_duration": 1e9}}, f"teach steps exceeds {MAX_TEACH_STEPS}"),
+        ],
+        ids=["infinite-teach", "infinite-horizon", "nan-yaw", "teach-over-cap"],
+    )
+    def test_cli_exits_2_before_writing(self, capsys, tmp_path, command, doc, rule):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # writes Infinity / NaN, which json.load accepts
+        code = main([command, "--seed", "3", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and rule in err and "Traceback" not in err
+        assert not (tmp_path / "out.config.json").exists()
 
 
 class TestHoleIds:

@@ -26,18 +26,19 @@ from lfdkit.ktc import (
     simulate_demonstration,
 )
 from lfdkit.metrics import jerk_metrics
-from lfdkit.presets import demo_pose_waypoints
+from lfdkit.presets import default_teach_setup, demo_pose_waypoints
 from lfdkit.se3 import (
     Pose,
     UnitQuaternion,
-    Wrench,
     from_rotation_vector,
     quat_conj,
     quat_exp,
     quat_log,
     quat_mul,
     rotation_vector,
+    rotation_vector_wxyz,
 )
+from lfdkit.trajectory import Trajectory
 
 
 def uniform_gains(per_axis: float, deadband: float = 0.0, mask=(True,) * 6) -> AdmittanceGains:
@@ -49,9 +50,12 @@ def uniform_gains(per_axis: float, deadband: float = 0.0, mask=(True,) * 6) -> A
     )
 
 
-def wrench6(values) -> Wrench:
-    v = np.asarray(values, dtype=float)
-    return Wrench(v[:3], v[3:])
+REST = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+ZERO_WRENCH = (0.0,) * 6
+
+
+def state(position, q: UnitQuaternion = UnitQuaternion.identity()) -> tuple:
+    return (*(float(c) for c in position), q.w, q.x, q.y, q.z)
 
 
 class TestAdmittanceGains:
@@ -74,36 +78,33 @@ class TestAdmittanceGains:
 
 class TestKtcStep:
     def test_zero_wrench_is_exactly_identity(self):
-        x_r = Pose(np.array([0.3, -0.2, 0.7]), from_rotation_vector([0.1, 0.2, -0.3]))
-        out = ktc_step(x_r, Wrench.zero(), proposed_gains())
-        assert np.array_equal(out.position, x_r.position)
-        assert out.orientation is x_r.orientation
+        x_r = state([0.3, -0.2, 0.7], from_rotation_vector([0.1, 0.2, -0.3]))
+        assert ktc_step(x_r, ZERO_WRENCH, proposed_gains()) == x_r
 
     def test_unit_force_worked_example(self):
         # 1 N on x with k_s_inv 0.001 and k_a 0.0005, no deadband: 1.5 mm
         g = AdmittanceGains(k_s_inv=[1e-3] * 6, k_a=[5e-4] * 6, deadband=[0.0] * 6)
-        out = ktc_step(Pose.identity(), wrench6([1, 0, 0, 0, 0, 0]), g)
-        assert out.position[0] == pytest.approx(1.5e-3, abs=0.0)
-        assert out.position[1] == 0.0 and out.position[2] == 0.0
+        out = ktc_step(REST, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), g)
+        assert out[0] == pytest.approx(1.5e-3, abs=0.0)
+        assert out[1] == 0.0 and out[2] == 0.0
 
     def test_deadband_blocks_and_shifts(self):
         g = uniform_gains(1e-3, deadband=0.5)
-        below = ktc_step(Pose.identity(), wrench6([0.5, -0.4, 0, 0, 0, 0]), g)
-        assert np.array_equal(below.position, np.zeros(3))
-        above = ktc_step(Pose.identity(), wrench6([2.0, -2.0, 0, 0, 0, 0]), g)
-        assert above.position[0] == pytest.approx(1e-3 * 1.5, rel=1e-12)
-        assert above.position[1] == pytest.approx(-1e-3 * 1.5, rel=1e-12)
+        below = ktc_step(REST, (0.5, -0.4, 0.0, 0.0, 0.0, 0.0), g)
+        assert below[:3] == (0.0, 0.0, 0.0)
+        above = ktc_step(REST, (2.0, -2.0, 0.0, 0.0, 0.0, 0.0), g)
+        assert above[0] == pytest.approx(1e-3 * 1.5, rel=1e-12)
+        assert above[1] == pytest.approx(-1e-3 * 1.5, rel=1e-12)
 
     def test_masked_axis_ignores_force(self):
         g = uniform_gains(1e-3, mask=(True, True, False, True, True, True))
-        out = ktc_step(Pose.identity(), wrench6([0, 0, 500.0, 0, 0, 0]), g)
-        assert np.array_equal(out.position, np.zeros(3))
+        out = ktc_step(REST, (0.0, 0.0, 500.0, 0.0, 0.0, 0.0), g)
+        assert out[:3] == (0.0, 0.0, 0.0)
 
     def test_torque_rotates_by_gain_angle(self):
         g = uniform_gains(2e-3)
-        out = ktc_step(Pose.identity(), wrench6([0, 0, 0, 0, 0, 3.0]), g)
-        rv = rotation_vector(out.orientation)
-        assert np.allclose(rv, [0, 0, 6e-3], atol=1e-15)
+        out = ktc_step(REST, (0.0, 0.0, 0.0, 0.0, 0.0, 3.0), g)
+        assert np.allclose(rotation_vector_wxyz(out[3:]), [0, 0, 6e-3], atol=1e-15)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -117,50 +118,43 @@ class TestKtcStep:
         g_big = AdmittanceGains(
             k_s_inv=base, k_a=extra, deadband=[db] * 6
         )
-        w = wrench6(f)
-        small = ktc_step(Pose.identity(), w, g_small)
-        big = ktc_step(Pose.identity(), w, g_big)
-        assert np.all(np.abs(big.position) + 1e-18 >= np.abs(small.position))
-        assert big.orientation.angle + 1e-12 >= small.orientation.angle
+        small = ktc_step(REST, tuple(f), g_small)
+        big = ktc_step(REST, tuple(f), g_big)
+        assert np.all(np.abs(big[:3]) + 1e-18 >= np.abs(small[:3]))
+        big_angle = UnitQuaternion.from_unit(*big[3:]).angle
+        assert big_angle + 1e-12 >= UnitQuaternion.from_unit(*small[3:]).angle
 
 
 class TestNativeDrive:
     def test_below_breakaway_is_exactly_stuck(self):
-        x_r = Pose(np.array([0.1, 0.2, 0.3]))
-        out, sliding, spinning = native_drive_step(x_r, wrench6([39.9, 0, 0, 0, 0, 0]), native_drive())
-        assert np.array_equal(out.position, x_r.position)
+        x_r = state([0.1, 0.2, 0.3])
+        out, sliding, spinning = native_drive_step(x_r, (39.9, 0.0, 0.0, 0.0, 0.0, 0.0), native_drive())
+        assert out == x_r
         assert not sliding and not spinning
 
     def test_above_breakaway_moves_along_force(self):
         d = native_drive()
         f = np.array([30.0, 0.0, 40.0])
-        out, sliding, _ = native_drive_step(Pose.identity(), Wrench(f, np.zeros(3)), d)
+        out, sliding, _ = native_drive_step(REST, (*f.tolist(), 0.0, 0.0, 0.0), d)
         n = np.linalg.norm(f)
         expect = d.gain * (n - d.kinetic_force) * f / n
-        assert np.allclose(out.position, expect, rtol=1e-12)
+        assert np.allclose(out[:3], expect, rtol=1e-12)
         assert sliding
 
     def test_kinetic_hysteresis(self):
         d = native_drive()
-        mid = wrench6([30.0, 0, 0, 0, 0, 0])  # between kinetic (20) and breakaway (40)
-        stuck, sliding, _ = native_drive_step(Pose.identity(), mid, d, sliding=False)
-        assert np.array_equal(stuck.position, np.zeros(3)) and not sliding
-        moving, sliding, _ = native_drive_step(Pose.identity(), mid, d, sliding=True)
-        assert moving.position[0] == pytest.approx(d.gain * 10.0, rel=1e-12)
+        mid = (30.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # between kinetic (20) and breakaway (40)
+        stuck, sliding, _ = native_drive_step(REST, mid, d, sliding=False)
+        assert stuck[:3] == (0.0, 0.0, 0.0) and not sliding
+        moving, sliding, _ = native_drive_step(REST, mid, d, sliding=True)
+        assert moving[0] == pytest.approx(d.gain * 10.0, rel=1e-12)
         assert sliding
-        _, sliding, _ = native_drive_step(Pose.identity(), wrench6([19.0, 0, 0, 0, 0, 0]), d, sliding=True)
+        _, sliding, _ = native_drive_step(REST, (19.0, 0.0, 0.0, 0.0, 0.0, 0.0), d, sliding=True)
         assert not sliding
 
     def test_requires_static_above_kinetic(self):
         with pytest.raises(ValueError, match="breakaway_force > kinetic_force"):
             NativeDrive(breakaway_force=10.0, kinetic_force=10.0)
-
-
-REST = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-
-
-def state(position, q: UnitQuaternion = UnitQuaternion.identity()) -> tuple:
-    return (*(float(c) for c in position), q.w, q.x, q.y, q.z)
 
 
 def reference_plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float) -> Pose:
@@ -240,6 +234,9 @@ class TestPlantStep:
             simulate_demonstration(
                 VirtualHuman(waypoints=line_waypoints()), proposed_gains(), plant_time_constant=0.0
             )
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_duration and rate must be finite"):
+                simulate_demonstration(VirtualHuman(waypoints=line_waypoints()), proposed_gains(), max_duration=bad)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -271,6 +268,101 @@ def preset_humans(seed: int) -> tuple[VirtualHuman, VirtualHuman]:
     proposed = VirtualHuman(waypoints=poses, force_saturation=12.0, torque_saturation=1.0)
     native = VirtualHuman(waypoints=poses, force_saturation=60.0, torque_saturation=6.0)
     return proposed, native
+
+
+def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=0.0, seed=0, rate=100.0):
+    """The teach loop as it read with per-tick Pose objects and numpy
+    wrenches, over the object maps and np.linalg.norm (no timeout)."""
+    h = 1.0 / rate
+    rng = np.random.default_rng(seed)
+    noisy = force_noise_std > 0 or torque_noise_std > 0
+
+    def clip_norm(v, limit):
+        n = float(np.linalg.norm(v))
+        return v * (limit / n) if n > limit else v
+
+    def admittance_step(x_r, f):
+        active = np.array(gains.axis_mask) & (np.abs(f) > gains.deadband)
+        d = np.zeros(6)
+        d[active] = gains.total_gain[active] * (f - np.sign(f) * gains.deadband)[active]
+        if not d[3:].any():
+            return Pose(x_r.position + d[:3], x_r.orientation)
+        return Pose(x_r.position + d[:3], quat_mul(from_rotation_vector(d[3:]), x_r.orientation))
+
+    def native_step(x_r, f, sliding, spinning):
+        position, orientation = x_r.position, x_r.orientation
+        fn = float(np.linalg.norm(f[:3]))
+        sliding = fn > (gains.kinetic_force if sliding else gains.breakaway_force)
+        if sliding:
+            position = position + gains.gain * (fn - gains.kinetic_force) * (f[:3] / fn)
+        tn = float(np.linalg.norm(f[3:]))
+        spinning = tn > (gains.kinetic_torque if spinning else gains.breakaway_torque)
+        if spinning:
+            delta = gains.rot_gain * (tn - gains.kinetic_torque) * (f[3:] / tn)
+            orientation = quat_mul(from_rotation_vector(delta), orientation)
+        return Pose(position, orientation), sliding, spinning
+
+    x_r = human.waypoints[0]
+    prev_pos = hand_pos = x_r.position
+    prev_q = hand_q = x_r.orientation
+    hand_vel = np.zeros(3)
+    sliding = spinning = False
+    times, poses, wrenches = [], [], []
+    target = 0
+    k = 0
+    while True:
+        while target < len(human.waypoints) and (
+            np.linalg.norm(x_r.position - human.waypoints[target].position) <= human.capture_radius
+        ):
+            target += 1
+        times.append(k * h)
+        poses.append(x_r)
+        if target == len(human.waypoints):
+            wrenches.append(np.zeros(6))
+            break
+        goal = human.waypoints[target]
+        to_goal = goal.position - hand_pos
+        dist = float(np.linalg.norm(to_goal))
+        desired = np.zeros(3)
+        if dist > 0.0 and np.linalg.norm(hand_pos - x_r.position) < human.stretch_limit:
+            desired = to_goal * (min(human.hand_speed, math.sqrt(2.0 * human.hand_accel * dist)) / dist)
+        dv = desired - hand_vel
+        dvn = float(np.linalg.norm(dv))
+        if dvn > 0.0:
+            hand_vel = hand_vel + dv * min(1.0, human.hand_accel * h / dvn)
+        hand_pos = hand_pos + hand_vel * h
+        rot_gap = rotation_vector(quat_mul(goal.orientation, quat_conj(hand_q)))
+        gap = float(np.linalg.norm(rot_gap))
+        rot_lag = rotation_vector(quat_mul(hand_q, quat_conj(x_r.orientation)))
+        if gap > 0.0 and np.linalg.norm(rot_lag) < human.rot_stretch_limit:
+            step = min(human.hand_rot_speed * h, gap)
+            hand_q = quat_mul(from_rotation_vector(rot_gap * (step / gap)), hand_q)
+
+        v = (x_r.position - prev_pos) / h
+        omega = rotation_vector(quat_mul(x_r.orientation, quat_conj(prev_q))) / h
+        force = human.grip_stiffness * (hand_pos - x_r.position) - human.grip_damping * v
+        rot_err = rotation_vector(quat_mul(hand_q, quat_conj(x_r.orientation)))
+        torque = human.rot_stiffness * rot_err - human.rot_damping * omega
+        applied = np.concatenate(
+            [clip_norm(force, human.force_saturation), clip_norm(torque, human.torque_saturation)]
+        )
+        wrenches.append(applied)
+        sensed = applied
+        if noisy:
+            sensed = applied + np.concatenate(
+                [rng.normal(scale=force_noise_std, size=3), rng.normal(scale=torque_noise_std, size=3)]
+            )
+        if isinstance(gains, AdmittanceGains):
+            x_c = admittance_step(x_r, sensed)
+        else:
+            x_c, sliding, spinning = native_step(x_r, sensed, sliding, spinning)
+        prev_pos, prev_q = x_r.position, x_r.orientation
+        nxt = plant_step(state(x_r.position, x_r.orientation), state(x_c.position, x_c.orientation), h)
+        x_r = Pose(nxt[:3], UnitQuaternion.from_unit(*nxt[3:]))
+        k += 1
+    return Trajectory(
+        times, [p.position for p in poses], [p.orientation.as_array() for p in poses], wrenches
+    )
 
 
 class TestVirtualHuman:
@@ -368,6 +460,26 @@ class TestSimulateDemonstration:
         partial = exc.value.partial
         assert np.all(partial.positions == 0.0)
         assert np.linalg.norm(partial.wrenches[:, :3], axis=1).max() <= 12.0 + 1e-12
+
+    @pytest.mark.parametrize("noise", [{}, {"force_noise_std": 0.3, "torque_noise_std": 0.03}])
+    @pytest.mark.parametrize("controller", ["proposed", "native"])
+    def test_matches_the_object_loop(self, tmp_path, controller, noise):
+        for seed in range(4):
+            setup = default_teach_setup(controller, seed=seed)
+            got = simulate_demonstration(*setup, seed=seed, **noise)
+            want = reference_demonstration(*setup, seed=seed, **noise)
+            assert len(got) == len(want)
+            got.save_csv(tmp_path / "got.csv")
+            want.save_csv(tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text()
+            # np.linalg.norm of a 3-vector is a BLAS dot, which may run as a
+            # chain of fused multiply-adds; the loop's math.sqrt of a plain sum
+            # of squares can differ from it in the last bit, and that rounding
+            # is all the floats may move by
+            assert np.array_equal(got.times, want.times)
+            assert np.max(np.abs(got.positions - want.positions)) <= 1e-12
+            assert np.max(np.abs(got.orientations - want.orientations)) <= 1e-12
+            assert np.max(np.abs(got.wrenches - want.wrenches)) <= 1e-9
 
     def test_proposed_beats_native_on_preset_path(self):
         proposed, native_h = preset_humans(seed=3)

@@ -7,21 +7,25 @@ from hypothesis import given, settings, strategies as st
 from lfdkit.se3 import (
     Pose,
     UnitQuaternion,
-    Wrench,
     from_rotation_vector,
     from_rotation_vector_rows,
     quat_canonicalize_rows,
     quat_conj,
     quat_conj_rows,
+    quat_conj_wxyz,
     quat_exp,
+    quat_exp_wxyz,
     quat_log,
+    quat_log_wxyz,
     quat_mul,
     quat_mul_rows,
+    quat_mul_wxyz,
     quat_normalize,
     relative_rotation_vector_rows,
     rotation_between,
     rotation_vector,
     rotation_vector_rows,
+    rotation_vector_wxyz,
     slerp,
 )
 
@@ -236,16 +240,6 @@ class TestPose:
             p.position[0] = 1.0
 
 
-class TestWrench:
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Wrench(np.array([np.inf, 0, 0]), np.zeros(3))
-
-    def test_as_array_layout(self):
-        w = Wrench([1, 2, 3], [4, 5, 6])
-        assert np.allclose(w.as_array(), [1, 2, 3, 4, 5, 6])
-
-
 # rows with w < 0 are kept as given (raw=True), so the kernels see both
 # hemispheres; near-identity rows and rotations near pi are mixed in
 _EDGE_ROWS = [
@@ -263,6 +257,86 @@ raw_quat_st = st.one_of(
     ),
 ).map(lambda q: UnitQuaternion(*q, raw=True))
 raw_quat_lists = st.lists(raw_quat_st, min_size=1, max_size=8)
+
+
+# the scalar maps spelled out on UnitQuaternion objects, as they read before
+# they wrapped the *_wxyz kernels: each kernel must equal its reference bit for bit
+def reference_mul(a, b):
+    return UnitQuaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
+        a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
+    )
+
+
+def reference_log(q):
+    vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    if vn < 1e-12:
+        return np.zeros(3) if q.w < 0.0 else np.array([q.x / q.w, q.y / q.w, q.z / q.w])
+    k = math.atan2(vn, q.w) / vn
+    return np.array([k * q.x, k * q.y, k * q.z])
+
+
+def reference_exp(v):
+    vx, vy, vz = (float(c) for c in v)
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if n >= math.pi:
+        raise ValueError("outside the domain")
+    s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
+    return UnitQuaternion(math.cos(n), s * vx, s * vy, s * vz, raw=True)
+
+
+# half-angle vectors: below the series cutoff, generic, and just short of pi
+half_vec_st = st.builds(
+    lambda u, n: tuple(c * n / math.sqrt(sum(x * x for x in u)) for c in u),
+    unit_vec,
+    st.one_of(
+        st.floats(0.0, 1e-8),
+        st.floats(1e-8, math.pi, exclude_max=True),
+        st.integers(3, 15).map(lambda k: math.pi - 10.0**-k),
+    ),
+)
+
+
+class TestTupleKernels:
+    """Each *_wxyz kernel against its reference map, on both hemispheres,
+    near the identity and near a half turn; the object map must agree too."""
+
+    @settings(deadline=None)
+    @given(raw_quat_st, raw_quat_st)
+    def test_mul(self, a, b):
+        want = reference_mul(a, b).wxyz
+        assert quat_mul_wxyz(a.wxyz, b.wxyz) == want
+        assert quat_mul(a, b).wxyz == want
+
+    @settings(deadline=None)
+    @given(raw_quat_st)
+    def test_conj(self, q):
+        want = UnitQuaternion(q.w, -q.x, -q.y, -q.z).wxyz
+        assert quat_conj_wxyz(q.wxyz) == want
+        assert quat_conj(q).wxyz == want
+
+    @settings(deadline=None)
+    @given(raw_quat_st)
+    def test_log_and_rotation_vector(self, q):
+        want = tuple(reference_log(q).tolist())
+        assert quat_log_wxyz(q.wxyz) == want
+        assert tuple(quat_log(q).tolist()) == want
+        twice = tuple((2.0 * reference_log(q)).tolist())
+        assert rotation_vector_wxyz(q.wxyz) == twice
+        assert tuple(rotation_vector(q).tolist()) == twice
+
+    @settings(deadline=None)
+    @given(half_vec_st)
+    def test_exp(self, v):
+        want = reference_exp(v).wxyz
+        assert quat_exp_wxyz(v) == want
+        assert quat_exp(np.array(v)).wxyz == want
+
+    def test_exp_domain_error(self):
+        with pytest.raises(ValueError, match="outside the domain"):
+            quat_exp_wxyz((0.0, math.pi, 0.0))
 
 
 def rows(quats):

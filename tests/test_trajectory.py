@@ -215,7 +215,43 @@ class TestResample:
         assert np.array_equal(out.orientations[-1], tr.orientations[-1])
 
 
+def per_field_csv(traj):
+    """save_csv's text as one format(v, ".9g") call per numpy scalar."""
+    cols = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
+    if traj.wrenches is not None:
+        cols += ["fx", "fy", "fz", "tx", "ty", "tz"]
+    lines = [",".join(cols)]
+    for i in range(len(traj)):
+        row = [traj.times[i], *traj.positions[i], *traj.orientations[i]]
+        if traj.wrenches is not None:
+            row.extend(traj.wrenches[i])
+        lines.append(",".join(format(float(v), ".9g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# any finite double: signed zeros, subnormals and the largest double included
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit_ish = st.tuples(*[st.floats(-1, 1)] * 4).filter(lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3)
+
+
+@st.composite
+def csv_trajectories(draw):
+    times = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
+    n = len(times)
+    positions = draw(st.lists(st.tuples(finite, finite, finite), min_size=n, max_size=n))
+    quats = draw(st.lists(unit_ish, min_size=n, max_size=n))
+    wrenches = draw(st.none() | st.lists(st.tuples(*[finite] * 6), min_size=n, max_size=n))
+    return Trajectory(times, positions, quats, wrenches)
+
+
 class TestCsv:
+    @settings(deadline=None)
+    @given(csv_trajectories())
+    def test_text_equals_the_per_field_join(self, tmp_path_factory, traj):
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        traj.save_csv(path)
+        assert path.read_text() == per_field_csv(traj)
+
     def test_round_trip_plain(self, tmp_path):
         rng = np.random.default_rng(1)
         tr = random_traj(rng, n=9)
