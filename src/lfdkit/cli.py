@@ -9,7 +9,6 @@ reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, replace
@@ -29,7 +28,8 @@ from .metrics import (
 )
 from .presets import default_teach_setup, scenario_from_config, scene_from_config
 from .se3 import Pose, UnitQuaternion
-from .trajectory import ParseError, fmt_float, load_trajectory_csv
+from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json
+from .trajectory import write_text
 from .vision import NotDetectable, detection_range_sweep, fit_circle3d, scene_from_dict, synthesize_mask
 
 __all__ = ["main"]
@@ -85,41 +85,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seven(text: str, what: str) -> tuple[float, ...]:
+    """Flag text as numbers; the rollout section checks that they form a pose."""
     try:
-        vals = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"{what} must be 7 comma-separated numbers") from None
-    if len(vals) != 7:
-        raise ValueError(f"{what} must have 7 values (px,py,pz,qw,qx,qy,qz), got {len(vals)}")
-    return vals
 
 
 def _pose_from_seven(vals: Sequence[float]) -> Pose:
     return Pose(list(vals[:3]), UnitQuaternion(*vals[3:]))
 
 
-def _load_scene_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, "json", exc.msg) from None
-    scene_from_dict(data)
-    return data
-
-
 def _fold_common(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "scene", None) is not None:
-        cfg = replace(cfg, scene=_load_scene_file(args.scene))
+        scene = read_json(args.scene)
+        scene_from_dict(scene, args.scene)
+        cfg = replace(cfg, scene=scene)
     return cfg
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _finish(cfg: RunConfig, out: str) -> None:
@@ -215,8 +199,7 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
         axis = cam.pose.transform_direction(est.axis)
         vals = [*center, *axis, est.radius, est.rms]
         lines.append(f"{i},1," + ",".join(fmt_float(v) for v in vals))
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     _finish(cfg, args.out)
     print(f"localize: {n_found} of {len(list(ids))} holes fitted -> {args.out}")
     return 0
@@ -245,8 +228,7 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{fmt_float(r.yaw)},{r.hole_id},{int(r.detected)},"
             f"{fmt_float(r.center_err_m)},{fmt_float(r.radius_err_m)}"
         )
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     _finish(cfg, args.out)
     for hole_id in sorted(intervals):
         spans = ", ".join(
@@ -271,13 +253,9 @@ def _fold_trial(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_trial(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg = _fold_trial(cfg, args)
-    scenario = scenario_from_config(cfg)
-    events = None
-    if cfg.trial.events is not None:
-        with open(cfg.trial.events, "r", encoding="ascii") as fh:
-            events = parse_events(fh.read(), path=cfg.trial.events)
-    result = execute_trial(scenario, events)
-    _write_json(args.out, trial_to_dict(result))
+    events = None if cfg.trial.events is None else parse_events(read_text(cfg.trial.events), cfg.trial.events)
+    result = execute_trial(scenario_from_config(cfg), events)
+    write_json(args.out, trial_to_dict(result))
     _finish(cfg, args.out)
     print(f"success={result.success!r}")
     if result.state.reason is not None:
@@ -289,10 +267,9 @@ def _cmd_batch(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg = _fold_trial(cfg, args)
     template = scenario_from_config(cfg)
     batch = run_batch(template, n=cfg.trial.n, seed=cfg.seed)
-    _write_json(args.out, batch_to_dict(batch))
+    write_json(args.out, batch_to_dict(batch))
     csv_path = f"{args.out.removesuffix('.json')}.csv" if args.out.endswith(".json") else f"{args.out}.csv"
-    with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(batch_csv_text(batch))
+    write_text(csv_path, batch_csv_text(batch))
     _finish(cfg, args.out)
     print(f"success_rate={batch.success_rate!r}")
     return 0
@@ -325,7 +302,7 @@ def _cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
         }
         report["comparison"] = comparison_to_dict(comp)
         print(render_comparison_table(comp))
-    _write_json(args.out, report)
+    write_json(args.out, report)
     _finish(cfg, args.out)
     print(f"metrics -> {args.out}")
     return 0

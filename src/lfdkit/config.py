@@ -9,14 +9,13 @@ can be reproduced from that file alone.
 
 from __future__ import annotations
 
-import json
 import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .trajectory import ParseError
+from .trajectory import ParseError, read_json, write_json
 
 __all__ = [
     "DmpSection",
@@ -98,12 +97,11 @@ class DmpSection:
     alpha_z: float = 25.0
     beta_z: float | None = None
     alpha_s: float = 25.0 / 3.0
-    gate_mode: str = "phase-gated"
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
         _at_least(self, 2, "n_basis")
-        _positive(self, "dt")
+        _positive(self, "alpha_z", "beta_z", "alpha_s", "dt")
         _finite(self)
 
 
@@ -123,6 +121,15 @@ class RolloutSection:
         _positive(self, "tau", "dt")
         _at_least(self, 0, "horizon")
         _finite(self)
+        for name in ("start", "goal"):
+            pose = getattr(self, name)
+            if pose is None:
+                continue
+            norm = math.sqrt(sum(v * v for v in pose[3:]))
+            if not (len(pose) == 7 and 1e-12 <= norm < math.inf):  # se3.quat_normalize's rule
+                raise ValueError(
+                    f"{name} must have 7 values (px,py,pz,qw,qx,qy,qz) with a nonzero quaternion, got {list(pose)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,8 @@ class TeachSection:
     waypoint_scale: float = 0.12
 
     def __post_init__(self) -> None:
+        if self.controller not in ("proposed", "native"):
+            raise ValueError(f"controller must be 'proposed' or 'native', got {self.controller!r}")
         _positive(self, "rate", "max_duration", "plant_time_constant")
         _at_least(self, 0, "force_noise_std", "torque_noise_std")
         _finite(self)
@@ -169,7 +178,7 @@ class SweepSection:
     tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        _positive(self, "step_deg")
+        _positive(self, "step_deg", "tolerance")
         _vision_noise(self)
         _finite(self)
         if not self.stop_deg >= self.start_deg:
@@ -203,7 +212,8 @@ class TrialSection:
         _at_least(self, 1, "n")
         _at_least(self, 3, "mask_points")
         _at_most(self, MAX_MASK_POINTS, "mask_points")
-        _positive(self, "demo_duration")
+        _positive(self, "demo_duration", "clearance", "tilt_tol_deg", "required_depth", "standoff")
+        _at_least(self, 0, "plan_overtravel", "yaw_limit_deg")
         _vision_noise(self)
         _finite(self)
 
@@ -270,7 +280,10 @@ def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(path, 0, where, f"expected a number, got {type(value).__name__}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise ParseError(path, 0, where, "integer out of the float range") from None
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParseError(path, 0, where, f"expected an integer, got {type(value).__name__}")
@@ -290,11 +303,7 @@ def _build_section(cls: type, data: Any, where: str, path: str) -> Any:
     for key in data:
         if key not in allowed:
             raise ParseError(path, 0, f"{where}.{key}", "unknown key")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        kwargs[f.name] = _check_value(data[f.name], hints[f.name], f"{where}.{f.name}", path)
+    kwargs = {key: _check_value(value, hints[key], f"{where}.{key}", path) for key, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -312,25 +321,16 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
             raise ParseError(path, 0, key, "unknown key")
     kwargs: dict[str, Any] = {}
     if "seed" in data:
-        if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-            raise ParseError(path, 0, "seed", "must be an integer")
-        kwargs["seed"] = data["seed"]
-    if "scene" in data and data["scene"] is not None:
-        from .vision import scene_from_dict
-
-        try:
-            scene, _ = scene_from_dict(data["scene"])
-        except ValueError as exc:
-            raise ParseError(path, 0, "scene", str(exc)) from None
+        kwargs["seed"] = _check_value(data["seed"], int, "seed", path)
+    if data.get("scene") is not None:
         kwargs["scene"] = data["scene"]
-    else:
-        from .presets import default_bar_scene
-
-        scene = default_bar_scene()
     for name, cls in _SECTIONS.items():
         if name in data:
             kwargs[name] = _build_section(cls, data[name], name, path)
     cfg = RunConfig(**kwargs)
+    from .presets import scene_from_config  # presets builds on this module
+
+    scene, _ = scene_from_config(cfg, path)
     for name in ("localize", "trial"):
         hole_id = getattr(cfg, name).hole_id
         if hole_id is not None and not 0 <= hole_id < len(scene.holes):
@@ -360,15 +360,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, "json", exc.msg) from None
-    return config_from_dict(data, path=str(path))
+    return config_from_dict(read_json(path), path=str(path))
 
 
 def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    write_json(path, config_to_dict(cfg))

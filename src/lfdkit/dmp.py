@@ -11,13 +11,9 @@ Dynamics (time constant tau, phase s in (0, 1]):
                  error 2 * quat_log(g_q * conj(q)), integrated with
                  q <- quat_exp(omega * dt / 2) * q
 
-The forcing term is a normalized Gaussian mixture; in ``phase-gated`` mode it
-is multiplied by s (vanishes at convergence, giving exact goal attraction),
-in ``literal`` mode it is used as-is (then a non-vanishing f(0) shifts the
-equilibrium by f(0) / (alpha_z * beta_z)). On the default insertion that
-shift leaves the approach 1.38 mm off its standoff pose, beyond the 1 mm
-that planning accepts, so trials planned from a literal primitive end
-FAILED.
+The forcing term is a normalized Gaussian mixture multiplied by the phase s,
+so it vanishes at convergence and the attractor reaches exactly the goal it
+is given (Ijspeert et al. 2013).
 
 Weights are fitted by per-basis locally weighted regression on targets
 obtained by inverting the transformation system along a demonstration:
@@ -33,7 +29,6 @@ through a scalar Python loop.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,10 +38,10 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .se3 import Pose, UnitQuaternion, quat_conj_rows, quat_mul_rows, relative_rotation_vector_rows
-from .trajectory import Trajectory, finite_difference, resample_trajectory
+from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
+from .trajectory import read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
-    "GATE_MODES",
     "ForcingTerm",
     "TransformParams",
     "DemonstrationData",
@@ -65,10 +60,9 @@ __all__ = [
     "load_dmp",
 ]
 
-GATE_MODES = ("phase-gated", "literal")
-
 _SUPPORT_FLOOR = 1e-12   # per-basis regression denominator guard
 _DENOM_FLOOR = 1e-300    # mixture normalization underflow guard
+_SMOOTH_WINDOW = 5       # samples in the moving average over demo derivatives
 
 
 class DegenerateDemo(ValueError):
@@ -86,11 +80,6 @@ class RolloutDiverged(RuntimeError):
 
 class ForcingUnderflow(RuntimeWarning):
     """Every basis underflowed at the queried phase; forcing evaluated as 0."""
-
-
-def _check_gate_mode(gate_mode: str) -> None:
-    if gate_mode not in GATE_MODES:
-        raise ValueError(f"gate_mode must be one of {GATE_MODES}, got {gate_mode!r}")
 
 
 def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -140,17 +129,16 @@ def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.n
     return psi
 
 
-def eval_forcing(ft: ForcingTerm, s: float, gate_mode: str = "phase-gated") -> float:
-    """Evaluate the mixture at phase s (times the gate in phase-gated mode)."""
-    _check_gate_mode(gate_mode)
-    profile = _forcing_profile(ft.weights[None, :], ft.centers, ft.widths, np.array([float(s)]), gate_mode)
+def eval_forcing(ft: ForcingTerm, s: float) -> float:
+    """Evaluate the mixture at phase s, times s."""
+    profile = _forcing_profile(ft.weights[None, :], ft.centers, ft.widths, np.array([float(s)]))
     return float(profile[0, 0])
 
 
 def _forcing_profile(
-    weights: np.ndarray, centers: np.ndarray, widths: np.ndarray, s: np.ndarray, gate_mode: str
+    weights: np.ndarray, centers: np.ndarray, widths: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
-    """The normalized mixture of several axes sharing one basis layout.
+    """The normalized mixture of several axes sharing one basis layout, times s.
 
     weights: (n_axes, N); returns (len(s), n_axes).
     """
@@ -169,8 +157,7 @@ def _forcing_profile(
         denom = np.where(bad, 1.0, denom)
         mix[bad] = 0.0
     out = mix / denom[:, None]
-    if gate_mode == "phase-gated":
-        out *= s[:, None]
+    out *= s[:, None]
     return out
 
 
@@ -189,11 +176,11 @@ class TransformParams:
             raise ValueError("alpha_z and beta_z must be positive")
 
 
-def _moving_average(v: np.ndarray, window: int = 5) -> np.ndarray:
+def _moving_average(v: np.ndarray) -> np.ndarray:
     """Centered moving average with a shrinking window at the edges."""
-    if len(v) < 2 or window <= 1:
+    if len(v) < 2:
         return v.copy()
-    kernel = np.ones(window)
+    kernel = np.ones(_SMOOTH_WINDOW)
     counts = np.convolve(np.ones(len(v)), kernel, mode="same")
     out = np.empty_like(v)
     for col in range(v.shape[1]):
@@ -224,7 +211,7 @@ class DemonstrationData:
         return Pose(self.positions[-1], UnitQuaternion.from_array(self.quats[-1]))
 
 
-def prepare_demonstration(traj: Trajectory, dt: float = 1e-3, smooth_window: int = 5) -> DemonstrationData:
+def prepare_demonstration(traj: Trajectory, dt: float = 1e-3) -> DemonstrationData:
     """Regrid to uniform dt (snapped so the span is an integer number of
     steps, endpoints exact) and differentiate.
 
@@ -258,10 +245,10 @@ def prepare_demonstration(traj: Trajectory, dt: float = 1e-3, smooth_window: int
         tau=float(t[-1]),
         positions=pos,
         quats=quats,
-        velocities=_moving_average(vel, smooth_window),
-        accelerations=_moving_average(acc, smooth_window),
-        omegas=_moving_average(omega, smooth_window),
-        domegas=_moving_average(domega, smooth_window),
+        velocities=_moving_average(vel),
+        accelerations=_moving_average(acc),
+        omegas=_moving_average(omega),
+        domegas=_moving_average(domega),
     )
 
 
@@ -274,7 +261,7 @@ def compute_forcing_targets(
 
     Returns (s_k, targets) with targets of shape (n, 6): three translation
     axes then three orientation axes. The targets are the raw inversion,
-    gate included; :func:`fit_lwr` fits them against the gate of its mode.
+    gate included; :func:`fit_lwr` fits them against the gate s.
     """
     span = float(np.max(np.linalg.norm(demo.positions - demo.positions[0], axis=1)))
     rot_span = float(np.max(np.linalg.norm(relative_rotation_vector_rows(demo.quats, demo.quats[:1]), axis=1)))
@@ -299,18 +286,15 @@ def fit_lwr(
     targets: np.ndarray,
     centers: np.ndarray,
     widths: np.ndarray,
-    gate_mode: str = "phase-gated",
 ) -> tuple[np.ndarray, list[int]]:
     """Per-basis weighted least squares, for one axis or several at once.
 
-    w_i = sum_k psi_i(s_k) x(s_k) f_k / sum_k psi_i(s_k) x(s_k)^2 with
-    x(s) = s in phase-gated mode and x(s) = 1 in literal mode. ``targets``
-    of shape (n,) give weights of shape (N,); of shape (n, k), weights of
-    shape (k, N) from one activation matrix. Bases whose denominator
+    w_i = sum_k psi_i(s_k) s_k f_k / sum_k psi_i(s_k) s_k^2. ``targets`` of
+    shape (n,) give weights of shape (N,); of shape (n, k), weights of shape
+    (k, N) from one activation matrix. Bases whose denominator
     underflows the 1e-12 guard get weight 0 and are reported in the second
     return value.
     """
-    _check_gate_mode(gate_mode)
     s = np.asarray(s, dtype=float).reshape(-1)
     f = np.asarray(targets, dtype=float)
     if len(s) != len(f):
@@ -318,10 +302,9 @@ def fit_lwr(
     if len(s) == 0:
         raise ValueError("cannot fit with zero samples")
     psi = _activations(s, centers, widths)
-    x = s if gate_mode == "phase-gated" else np.ones_like(s)
     # einsum, not matmul: see _forcing_profile
-    num = np.einsum("kn,k,k...->...n", psi, x, f)
-    den = np.einsum("kn,k->n", psi, x * x)
+    num = np.einsum("kn,k,k...->...n", psi, s, f)
+    den = np.einsum("kn,k->n", psi, s * s)
     supported = den > _SUPPORT_FLOOR
     weights = np.where(supported, num / np.where(supported, den, 1.0), 0.0)
     return weights, [int(i) for i in np.flatnonzero(~supported)]
@@ -335,7 +318,6 @@ class PoseDmp:
     alpha_z: float
     beta_z: float
     tau: float
-    gate_mode: str
     centers: np.ndarray
     widths: np.ndarray
     weights_pos: np.ndarray  # (3, N)
@@ -344,7 +326,6 @@ class PoseDmp:
     demo_goal: Pose
 
     def __post_init__(self) -> None:
-        _check_gate_mode(self.gate_mode)
         for name in ("centers", "widths"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1))
         n = len(self.centers)
@@ -362,7 +343,6 @@ def fit_pose_dmp(
     alpha_z: float = 25.0,
     beta_z: float | None = None,
     alpha_s: float = 25.0 / 3.0,
-    gate_mode: str = "phase-gated",
     dt: float = 1e-3,
 ) -> PoseDmp:
     """Fit all six axes of a demonstration.
@@ -371,13 +351,12 @@ def fit_pose_dmp(
     replays as staying at the pose; the underlying target computation still
     raises at its own interface.
     """
-    _check_gate_mode(gate_mode)
     params = TransformParams(alpha_z, beta_z)
     demo = prepare_demonstration(traj, dt=dt)
     centers, widths = basis_layout(n_basis, alpha_s)
     try:
         s, targets = compute_forcing_targets(demo, params, alpha_s)
-        weights, dead = fit_lwr(s, targets, centers, widths, gate_mode)
+        weights, dead = fit_lwr(s, targets, centers, widths)
         if dead:
             warnings.warn(f"{len(dead)} basis functions had no sample support", RuntimeWarning, stacklevel=2)
     except DegenerateDemo:
@@ -387,7 +366,6 @@ def fit_pose_dmp(
         alpha_z=params.alpha_z,
         beta_z=params.beta_z,
         tau=demo.tau,
-        gate_mode=gate_mode,
         centers=centers,
         widths=widths,
         weights_pos=weights[:3],
@@ -442,7 +420,7 @@ def rollout(
     az, bz = dmp.alpha_z, dmp.beta_z
     adt = dt / tau
     weights = np.vstack([dmp.weights_pos, dmp.weights_rot])
-    forcing = adt * _forcing_profile(weights, dmp.centers, dmp.widths, s_profile, dmp.gate_mode)
+    forcing = adt * _forcing_profile(weights, dmp.centers, dmp.widths, s_profile)
 
     # rows 0 and 1 pin e[0] and e[1] = e[0]; row k >= 2 is the recurrence,
     # so forward substitution through the band runs the filter
@@ -517,24 +495,14 @@ def rollout(
 # serialization: floats go through json's repr round trip, so save -> load is
 # bit-exact
 
-_DMP_KEYS = {
-    "alpha_s", "alpha_z", "beta_z", "tau", "N", "gate_mode",
+_DMP_KEYS = (
+    "alpha_s", "alpha_z", "beta_z", "tau", "N",
     "centers", "widths", "weights_pos", "weights_rot", "demo_start", "demo_goal",
-}
-
-
-def _pose_to_dict(p: Pose) -> dict:
-    return {
-        "position": [float(v) for v in p.position],
-        "orientation": [p.orientation.w, p.orientation.x, p.orientation.y, p.orientation.z],
-    }
+)
 
 
 def _pose_from_dict(d: dict, where: str) -> Pose:
-    extra = set(d) - {"position", "orientation"}
-    if extra:
-        raise ValueError(f"unknown key(s) {sorted(extra)} in {where}")
-    return Pose(np.asarray(d["position"], dtype=float), UnitQuaternion.from_array(d["orientation"]))
+    return json_pose(require_keys(d, ("position", "orientation"), where), where)
 
 
 def dmp_to_dict(dmp: PoseDmp) -> dict:
@@ -544,47 +512,40 @@ def dmp_to_dict(dmp: PoseDmp) -> dict:
         "beta_z": dmp.beta_z,
         "tau": dmp.tau,
         "N": dmp.n_basis,
-        "gate_mode": dmp.gate_mode,
         "centers": dmp.centers.tolist(),
         "widths": dmp.widths.tolist(),
         "weights_pos": dmp.weights_pos.tolist(),
         "weights_rot": dmp.weights_rot.tolist(),
-        "demo_start": _pose_to_dict(dmp.demo_start),
-        "demo_goal": _pose_to_dict(dmp.demo_goal),
+        "demo_start": pose_json(dmp.demo_start),
+        "demo_goal": pose_json(dmp.demo_goal),
     }
 
 
-def dmp_from_dict(d: dict) -> PoseDmp:
-    extra = set(d) - _DMP_KEYS
-    if extra:
-        raise ValueError(f"unknown key(s) {sorted(extra)} in primitive file")
-    missing = _DMP_KEYS - set(d)
-    if missing:
-        raise ValueError(f"missing key(s) {sorted(missing)} in primitive file")
-    dmp = PoseDmp(
-        alpha_s=float(d["alpha_s"]),
-        alpha_z=float(d["alpha_z"]),
-        beta_z=float(d["beta_z"]),
-        tau=float(d["tau"]),
-        gate_mode=str(d["gate_mode"]),
-        centers=np.asarray(d["centers"], dtype=float),
-        widths=np.asarray(d["widths"], dtype=float),
-        weights_pos=np.asarray(d["weights_pos"], dtype=float),
-        weights_rot=np.asarray(d["weights_rot"], dtype=float),
-        demo_start=_pose_from_dict(d["demo_start"], "demo_start"),
-        demo_goal=_pose_from_dict(d["demo_goal"], "demo_goal"),
-    )
-    if dmp.n_basis != int(d["N"]):
-        raise ValueError(f"N = {d['N']} does not match {dmp.n_basis} centers")
-    return dmp
+def dmp_from_dict(d: dict, path: str = "<primitive>") -> PoseDmp:
+    """The primitive a parsed JSON document describes; a malformed one is a
+    ParseError naming the offending key."""
+    try:
+        require_keys(d, _DMP_KEYS, "primitive")
+        centers = json_floats(d, "centers", (None,), "primitive")
+        n = len(centers)
+        if isinstance(d["N"], bool) or d["N"] != n:
+            raise ValueError(f"N = {d['N']!r} does not match {n} centers")
+        return PoseDmp(
+            **{key: json_floats(d, key, (), "primitive") for key in ("alpha_s", "alpha_z", "beta_z", "tau")},
+            centers=centers,
+            widths=json_floats(d, "widths", (n,), "primitive"),
+            weights_pos=json_floats(d, "weights_pos", (3, n), "primitive"),
+            weights_rot=json_floats(d, "weights_rot", (3, n), "primitive"),
+            demo_start=_pose_from_dict(d["demo_start"], "primitive.demo_start"),
+            demo_goal=_pose_from_dict(d["demo_goal"], "primitive.demo_goal"),
+        )
+    except ValueError as exc:
+        raise ParseError(path, 0, "primitive", str(exc)) from None
 
 
 def save_dmp(dmp: PoseDmp, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(dmp_to_dict(dmp), fh, indent=2)
-        fh.write("\n")
+    write_json(path, dmp_to_dict(dmp))
 
 
 def load_dmp(path) -> PoseDmp:
-    with open(path, "r", encoding="ascii") as fh:
-        return dmp_from_dict(json.load(fh))
+    return dmp_from_dict(read_json(path), str(path))

@@ -202,7 +202,8 @@ def comparison_to_dict(r: ComparisonReport) -> dict:
                 "a": row.value_a,
                 "b": row.value_b,
                 "winner": row.winner,
-                "ratio_a_over_b": row.ratio_a_over_b,
+                # null, not Infinity, when b is 0: strict JSON has no infinity
+                "ratio_a_over_b": row.ratio_a_over_b if math.isfinite(row.ratio_a_over_b) else None,
             }
             for row in r.rows
         ],

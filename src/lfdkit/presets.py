@@ -132,11 +132,12 @@ def default_teach_setup(
     raise ValueError(f"controller must be 'proposed' or 'native', got {controller!r}")
 
 
-def scene_from_config(cfg: RunConfig) -> tuple[BarScene, CameraModel]:
-    """The config's inline scene and camera, or the default desk scene."""
+def scene_from_config(cfg: RunConfig, path: str = "<config>") -> tuple[BarScene, CameraModel]:
+    """The config's inline scene and camera, or the default desk scene;
+    ``path`` names the config file in a ParseError."""
     if cfg.scene is None:
         return default_bar_scene(), default_camera()
-    return scene_from_dict(cfg.scene)
+    return scene_from_dict(cfg.scene, path)
 
 
 def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:

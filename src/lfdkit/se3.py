@@ -161,8 +161,8 @@ def quat_normalize(
     """The constructor's arithmetic on plain floats: divide by the norm and,
     unless ``raw``, flip onto the canonical hemisphere."""
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n < _ZERO_NORM_TOL:
-        raise ValueError("quaternion norm is zero")
+    if not _ZERO_NORM_TOL <= n < math.inf:  # as quat_canonicalize_rows: squares past 1e308 overflow
+        raise ValueError(f"quaternion norm {n:.6g} is zero or not finite")
     w, x, y, z = w / n, x / n, y / n, z / n
     if not raw and (w < 0.0 or (w == 0.0 and _needs_flip(w, x, y, z))):
         return -w, -x, -y, -z

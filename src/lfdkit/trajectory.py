@@ -8,11 +8,16 @@ The CSV layout is the package's on-disk interchange format::
 with the wrench block present iff the trajectory carries wrenches. Floats are
 written with 9 significant digits, which keeps files deterministic and is far
 below the tolerances of anything consuming them.
+
+Every file the package reads or writes goes through the ASCII-only
+:func:`read_text`/:func:`write_text`, or :func:`read_json`/:func:`write_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from typing import Any
 
 import numpy as np
 
@@ -26,6 +31,10 @@ __all__ = [
     "resample_trajectory",
     "load_trajectory_csv",
     "fmt_float",
+    "read_text",
+    "write_text",
+    "read_json",
+    "write_json",
 ]
 
 _BASE_COLUMNS = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
@@ -49,6 +58,84 @@ class ParseError(ValueError):
         self.field = field
         self.message = message
         super().__init__(f"{self.path}:{line}: field '{field}': {message}")
+
+
+def read_text(path) -> str:
+    """A whole input file as text; a byte outside ASCII is a ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, "text", f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
+def read_json(path) -> Any:
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an int past the digit limit, deep nesting
+        raise ParseError(path, getattr(exc, "lineno", 0), "json", getattr(exc, "msg", str(exc))) from None
+
+
+def write_json(path, doc: Any) -> None:
+    """Indented ASCII JSON; a NaN or infinity, which strict parsers reject,
+    raises ValueError instead of being written."""
+    write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def require_keys(obj: Any, keys: tuple[str, ...], where: str) -> dict:
+    """``obj`` as a JSON object with exactly ``keys``. This and the other
+    readers of parsed documents raise ValueError naming the offending field;
+    each document loader reports it as one ParseError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key '{key}' in {where}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"missing key '{key}' in {where}")
+    return obj
+
+
+def _numbers(value: Any) -> bool:
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_floats(obj: dict, key: str, shape: tuple[int | None, ...], where: str) -> Any:
+    """``obj[key]`` as a finite number (``shape`` ``()``; returned as a float)
+    or nested number lists as a float array of ``shape``, where None is any
+    length above 0."""
+    value, where = obj[key], f"{where}.{key}"
+    try:
+        arr = np.array(value, dtype=float) if _numbers(value) else None
+    except (ValueError, OverflowError):  # ragged lists; ints past the float range
+        arr = None
+    fits = arr is not None and arr.ndim == len(shape)
+    if not (fits and all(m > 0 if n is None else m == n for n, m in zip(shape, arr.shape))):
+        raise ValueError(f"{where} must be {f'numbers of shape {shape}' if shape else 'a number'}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{where} must be finite")
+    return arr if shape else float(arr)
+
+
+def json_pose(obj: dict, where: str) -> Pose:
+    """The ``position`` and ``orientation`` (w, x, y, z) entries of a JSON object."""
+    q = UnitQuaternion.from_array(json_floats(obj, "orientation", (4,), where))
+    return Pose(json_floats(obj, "position", (3,), where), q)
+
+
+def pose_json(p: Pose) -> dict:
+    return {"position": p.position.tolist(), "orientation": list(p.orientation.wxyz)}
 
 
 class Trajectory:
@@ -122,13 +209,11 @@ class Trajectory:
             blocks.append(self.wrenches)
         row = ",".join([_FLOAT_FORMAT] * len(cols))
         lines = [",".join(cols)] + [row % tuple(r) for r in np.hstack(blocks).tolist()]
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    raw = read_text(path).splitlines()
     if not raw:
         raise ParseError(path, 1, "header", "empty file")
     header = [c.strip() for c in raw[0].split(",")]

@@ -14,13 +14,13 @@ the camera.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul
+from .se3 import Pose, from_rotation_vector, quat_mul
+from .trajectory import ParseError, json_floats, json_pose, pose_json, read_json, require_keys, write_json
 
 __all__ = [
     "HoleSpec",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _TOP_FACE_TOL = 1e-9
+_LENS = ("fx", "fy", "cx", "cy")  # CameraModel's float intrinsics
 
 
 class NotDetectable(RuntimeError):
@@ -401,76 +402,55 @@ def detection_range_sweep(
     return tuple(rows), intervals
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown key '{sorted(unknown)[0]}' in {where}")
-    missing = allowed - set(obj)
-    if missing:
-        raise ValueError(f"missing key '{sorted(missing)[0]}' in {where}")
-
-
 def scene_to_dict(scene: BarScene, cam: CameraModel) -> dict:
     return {
         "bar": {
-            "position": [float(x) for x in scene.bar.position],
-            "orientation": [float(x) for x in scene.bar.orientation.as_array()],
-            "dims": [float(x) for x in scene.dims],
+            **pose_json(scene.bar),
+            "dims": scene.dims.tolist(),
             "holes": [
-                {
-                    "offset": [float(x) for x in h.offset],
-                    "radius": float(h.radius),
-                    "axis": [float(x) for x in h.axis],
-                }
+                {"offset": h.offset.tolist(), "radius": float(h.radius), "axis": h.axis.tolist()}
                 for h in scene.holes
             ],
         },
         "camera": {
-            "position": [float(x) for x in cam.pose.position],
-            "orientation": [float(x) for x in cam.pose.orientation.as_array()],
-            "fx": float(cam.fx),
-            "fy": float(cam.fy),
-            "cx": float(cam.cx),
-            "cy": float(cam.cy),
+            **pose_json(cam.pose),
+            **{key: float(getattr(cam, key)) for key in _LENS},
             "width": int(cam.width),
             "height": int(cam.height),
         },
     }
 
 
-def scene_from_dict(data: dict) -> tuple[BarScene, CameraModel]:
-    _require_keys(data, {"bar", "camera"}, "scene")
-    bar = data["bar"]
-    _require_keys(bar, {"position", "orientation", "dims", "holes"}, "scene.bar")
-    holes = []
-    for k, h in enumerate(bar["holes"]):
-        _require_keys(h, {"offset", "radius", "axis"}, f"scene.bar.holes[{k}]")
-        holes.append(HoleSpec(h["offset"], h["radius"], h["axis"]))
-    scene = BarScene(
-        Pose(bar["position"], UnitQuaternion.from_array(bar["orientation"])),
-        bar["dims"],
-        tuple(holes),
-    )
-    c = data["camera"]
-    _require_keys(c, {"position", "orientation", "fx", "fy", "cx", "cy", "width", "height"}, "scene.camera")
-    cam = CameraModel(
-        Pose(c["position"], UnitQuaternion.from_array(c["orientation"])),
-        fx=float(c["fx"]),
-        fy=float(c["fy"]),
-        cx=float(c["cx"]),
-        cy=float(c["cy"]),
-        width=int(c["width"]),
-        height=int(c["height"]),
-    )
+def scene_from_dict(data: dict, path: str = "<scene>") -> tuple[BarScene, CameraModel]:
+    """The scene and camera a parsed JSON document describes; a malformed
+    one is a ParseError naming the offending key."""
+    try:
+        require_keys(data, ("bar", "camera"), "scene")
+        bar = require_keys(data["bar"], ("position", "orientation", "dims", "holes"), "scene.bar")
+        if not isinstance(bar["holes"], list):
+            raise ValueError("scene.bar.holes must be a list")
+        holes = []
+        for k, h in enumerate(bar["holes"]):
+            where = f"scene.bar.holes[{k}]"
+            require_keys(h, ("offset", "radius", "axis"), where)
+            offset, axis = json_floats(h, "offset", (3,), where), json_floats(h, "axis", (3,), where)
+            holes.append(HoleSpec(offset, json_floats(h, "radius", (), where), axis))
+        scene = BarScene(json_pose(bar, "scene.bar"), json_floats(bar, "dims", (3,), "scene.bar"), tuple(holes))
+        camera_keys = ("position", "orientation", *_LENS, "width", "height")
+        c = require_keys(data["camera"], camera_keys, "scene.camera")
+        for key in ("width", "height"):
+            if isinstance(c[key], bool) or not isinstance(c[key], int):
+                raise ValueError(f"scene.camera.{key} must be an integer")
+        lens = {key: json_floats(c, key, (), "scene.camera") for key in _LENS}
+        cam = CameraModel(json_pose(c, "scene.camera"), **lens, width=c["width"], height=c["height"])
+    except ValueError as exc:
+        raise ParseError(path, 0, "scene", str(exc)) from None
     return scene, cam
 
 
 def save_scene(path, scene: BarScene, cam: CameraModel) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(scene_to_dict(scene, cam), fh, indent=2)
-        fh.write("\n")
+    write_json(path, scene_to_dict(scene, cam))
 
 
 def load_scene(path) -> tuple[BarScene, CameraModel]:
-    with open(path, "r", encoding="ascii") as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(read_json(path), str(path))

@@ -71,7 +71,6 @@ def test_a2_goal_generalization():
     # every endpoint within 1 mm of the new goal, under 10 s
     demo = _ten_second_demo()
     dmp = fit_pose_dmp(demo)
-    assert dmp.gate_mode == "phase-gated"
     amplitude = float(np.linalg.norm(np.ptp(demo.positions, axis=0)))
     rng = np.random.default_rng(0)
 
@@ -196,8 +195,7 @@ def test_a7_numeric_oracles():
     for s in np.linspace(1e-3, 1.0, 50):
         psi = np.exp(-ft.widths * (s - ft.centers) ** 2)
         direct = float(psi @ ft.weights) / float(psi.sum())
-        assert abs(eval_forcing(ft, s, "literal") - direct) < 1e-12
-        assert abs(eval_forcing(ft, s, "phase-gated") - s * direct) < 1e-12
+        assert abs(eval_forcing(ft, s) - s * direct) < 1e-12
 
     # exp/log round trip on 10^4 rotation vectors
     vecs = rng.normal(size=(10_000, 3))

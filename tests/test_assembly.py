@@ -284,8 +284,8 @@ class TestPlanInsertion:
         np.testing.assert_allclose(end_shift, [0.005, 0.0, 0.0], atol=1e-12)
 
     def test_missed_standoff_raises_planning_failed(self):
-        # literal gating leaves a standing forcing offset at the goal
-        sc = scenario_from_config(config_from_dict({"seed": 3, "dmp": {"gate_mode": "literal"}}))
+        # gains this soft leave the attractor short of the goal when the run ends
+        sc = scenario_from_config(config_from_dict({"seed": 3, "dmp": {"alpha_z": 4.0}}))
         with pytest.raises(PlanningFailed, match="missed the standoff pose"):
             plan_insertion(sc.initial_pose, self.true_estimate(sc), sc.dmp)
 
@@ -423,7 +423,7 @@ class TestRunBatch:
         assert count == 3
 
     def test_planning_failures_keep_every_record(self):
-        template = scenario_from_config(config_from_dict({"dmp": {"gate_mode": "literal"}}))
+        template = scenario_from_config(config_from_dict({"dmp": {"alpha_z": 4.0}}))
         b = run_batch(template, n=3, seed=0)
         assert len(b.records) == 3
         for r in b.records:

@@ -251,7 +251,7 @@ class TestTrialBatch:
         assert twin_csv.read_bytes() == (tmp_path / "results.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "dmp", [{"gate_mode": "literal"}, {"alpha_z": 4.0}, {"alpha_z": 2.0}], ids=["literal", "az4", "az2"]
+        "dmp", [{"alpha_z": 4.0}, {"alpha_z": 2.0}], ids=["az4", "az2"]
     )
     def test_missed_standoff_ends_trial_failed(self, capsys, tmp_path, dmp):
         cfg = tmp_path / "cfg.json"
@@ -283,6 +283,19 @@ class TestMetricsCommand:
         assert "ratio" in text
         assert rerun_is_byte_identical(capsys, out, "metrics")
 
+    def test_zero_jerk_baseline_writes_strict_json(self, demo_csv, capsys, tmp_path):
+        still = tmp_path / "still.csv"
+        still.write_text("t,px,py,pz,qw,qx,qy,qz\n" + "".join(f"{0.01 * k},0,0,0,1,0,0,0\n" for k in range(50)))
+        out = tmp_path / "reports.json"
+        code, _, err = run(capsys, "metrics", "--traj", demo_csv, "--baseline", still, "--out", out)
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)["comparison"]["rows"]
+        assert any(r["ratio_a_over_b"] is None for r in rows)
+
     def test_metrics_missing_input(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--out", tmp_path / "x.json")
         assert code == 1
@@ -309,3 +322,100 @@ class TestErrorDiscipline:
         code, _, err = run(capsys, "metrics", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "x.json")
         assert code == 1
         assert "nope.csv" in err
+
+
+def _scene_doc():
+    from lfdkit.presets import default_bar_scene, default_camera
+    from lfdkit.vision import scene_to_dict
+
+    return scene_to_dict(default_bar_scene(), default_camera())
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+SCENE_FAULTS = {
+    "bar-not-an-object": (("bar",), 5),
+    "radius-a-string": (("bar", "holes", 0, "radius"), "x"),
+    "width-a-string": (("camera", "width"), "x"),
+    "fx-nan": (("camera", "fx"), float("nan")),
+    "holes-a-number": (("bar", "holes"), 3),
+}
+
+
+class TestInputFiles:
+    """Scene and primitive files follow the config contract: a malformed one
+    exits 2 with one line naming the file and never a traceback."""
+
+    @staticmethod
+    def one_line_error(capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err, err
+        return err
+
+    @pytest.mark.parametrize("fault", SCENE_FAULTS, ids=list(SCENE_FAULTS))
+    @pytest.mark.parametrize("via", ["scene-file", "inline"])
+    def test_malformed_scene(self, capsys, tmp_path, fault, via):
+        doc = _set(_scene_doc(), *SCENE_FAULTS[fault])
+        path = tmp_path / "scene.json"
+        if via == "inline":
+            path.write_text(json.dumps({"scene": doc}))
+            err = self.one_line_error(capsys, "localize", "--config", path, "--out", tmp_path / "h.csv")
+        else:
+            path.write_text(json.dumps(doc))
+            err = self.one_line_error(capsys, "localize", "--scene", path, "--out", tmp_path / "h.csv")
+        assert str(path) in err and "field 'scene'" in err
+        assert not (tmp_path / "h.csv.config.json").exists()
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("demo_start",), [], "primitive.demo_start"),
+            (("demo_start",), 5, "primitive.demo_start"),
+            (("demo_goal", "orientation"), [1, 0, 0], "primitive.demo_goal.orientation"),
+            (("demo_goal", "orientation"), [1e200, 0, 0, 0], "not finite"),
+            (("N",), "50", "does not match"),
+            (("tau",), None, "primitive.tau"),
+            (("weights_rot", 1), {}, "primitive.weights_rot"),
+            (("gate_mode",), "phase-gated", "unknown key 'gate_mode'"),
+        ],
+    )
+    def test_malformed_primitive(self, smooth_prim, capsys, tmp_path, path, value, named):
+        _, prim = smooth_prim
+        bad = tmp_path / "prim.json"
+        bad.write_text(json.dumps(_set(json.loads(prim.read_text()), path, value)))
+        err = self.one_line_error(capsys, "rollout", "--dmp", bad, "--out", tmp_path / "r.csv")
+        assert str(bad) in err and named in err
+
+    def test_primitive_syntax_error_names_the_file(self, smooth_prim, capsys, tmp_path):
+        _, prim = smooth_prim
+        bad = tmp_path / "prim.json"
+        bad.write_text(prim.read_text()[:200])
+        err = self.one_line_error(capsys, "rollout", "--dmp", bad, "--out", tmp_path / "r.csv")
+        assert str(bad) in err and "field 'json'" in err
+
+    def test_pre_change_config_names_gate_mode(self, capsys, tmp_path):
+        cfg = tmp_path / "old.config.json"
+        cfg.write_text(json.dumps({"dmp": {"n_basis": 50, "gate_mode": "phase-gated"}}))
+        err = self.one_line_error(capsys, "trial", "--config", cfg, "--out", tmp_path / "t.json")
+        assert "dmp.gate_mode" in err and "unknown key" in err
+
+    @pytest.mark.parametrize("kind", ["config", "demo", "events"])
+    def test_non_ascii_byte(self, demo_csv, capsys, tmp_path, kind):
+        bad = tmp_path / f"{kind}.txt"
+        if kind == "config":
+            bad.write_bytes(b'{"seed": 3, "trial": {"n": 2}}\n\xe9\n')
+            argv = ("trial", "--config", bad)
+        elif kind == "demo":
+            bad.write_bytes(demo_csv.read_bytes().replace(b"\n0.", b"\n\xb00.", 1))
+            argv = ("fit", "--demo", bad)
+        else:
+            bad.write_bytes(b"0 pedal_press\n1 motion\xc2\xa0done\n")
+            argv = ("trial", "--events", bad)
+        err = self.one_line_error(capsys, *argv, "--out", tmp_path / "out")
+        assert str(bad) in err and "non-ASCII byte" in err

@@ -97,6 +97,17 @@ class TestRejection:
         with pytest.raises(ParseError):
             config_from_dict([1, 2])
 
+    def test_gate_mode_is_an_unknown_key(self):
+        # configs written while a second forcing law existed carry it
+        with pytest.raises(ParseError, match="unknown key") as err:
+            config_from_dict({"dmp": {"gate_mode": "phase-gated"}})
+        assert err.value.field == "dmp.gate_mode"
+
+    def test_integer_past_the_float_range(self):
+        with pytest.raises(ParseError, match="out of the float range") as err:
+            config_from_dict({"dmp": {"alpha_z": 10**400}})
+        assert err.value.field == "dmp.alpha_z"
+
 
 # (section, key, out-of-range value, the rule the error states)
 OUT_OF_RANGE = [
@@ -121,6 +132,19 @@ OUT_OF_RANGE = [
     ("localize", "dropout", 1.0, "must be below 1"),
     ("sweep", "noise_sigma", -1e-3, "must be at least 0"),
     ("sweep", "dropout", -0.1, "must be at least 0"),
+    ("rollout", "start", [1, 2], "must have 7 values"),
+    ("rollout", "goal", [0, 0, 0, 0, 0, 0, 0], "must have 7 values (px,py,pz,qw,qx,qy,qz) with a nonzero quaternion"),
+    ("teach", "controller", "foo", "must be 'proposed' or 'native'"),
+    ("dmp", "alpha_z", -1, "must be positive"),
+    ("dmp", "beta_z", -1, "must be positive"),
+    ("dmp", "alpha_s", 0, "must be positive"),
+    ("trial", "clearance", -1, "must be positive"),
+    ("trial", "tilt_tol_deg", 0, "must be positive"),
+    ("trial", "required_depth", 0, "must be positive"),
+    ("trial", "standoff", 0, "must be positive"),
+    ("trial", "plan_overtravel", -1e-3, "must be at least 0"),
+    ("trial", "yaw_limit_deg", -1, "must be at least 0"),
+    ("sweep", "tolerance", -1, "must be positive"),
 ]
 out_of_range = pytest.mark.parametrize(
     "section, key, value, rule", OUT_OF_RANGE, ids=[f"{s}.{k}" for s, k, _, _ in OUT_OF_RANGE]
@@ -135,6 +159,11 @@ class TestRanges:
         assert err.value.field == section
         assert f"{key} {rule}" in str(err.value)
 
+    def test_overflowing_quaternion_is_out_of_range(self):
+        # its squares overflow, so se3 cannot normalize it
+        with pytest.raises(ParseError, match="start must have 7 values"):
+            config_from_dict({"rollout": {"start": [0, 0, 0, 1e200, 0, 0, 0]}})
+
     def test_nan_is_out_of_range(self):
         with pytest.raises(ParseError, match="rate must be positive"):
             config_from_dict({"teach": {"rate": float("nan")}})
@@ -142,11 +171,11 @@ class TestRanges:
     def test_boundary_values_accepted(self):
         cfg = config_from_dict(
             {
-                "trial": {"n": 1, "mask_points": 3},
+                "trial": {"n": 1, "mask_points": 3, "plan_overtravel": 0, "yaw_limit_deg": 0},
                 "rollout": {"horizon": 0, "tau": None},
                 "localize": {"n_points": 3},
                 "dmp": {"n_basis": 2},
-                "teach": {"force_noise_std": 0, "torque_noise_std": 0},
+                "teach": {"force_noise_std": 0, "torque_noise_std": 0, "controller": "native"},
             }
         )
         assert cfg.trial.n == 1 and cfg.rollout.horizon == 0.0
@@ -221,7 +250,7 @@ NON_FINITE = [
     ({"rollout": {"horizon": float("inf")}}, "horizon"),
     ({"rollout": {"goal": [0.0, 0.0, float("nan"), 1.0, 0.0, 0.0, 0.0]}}, "goal"),
     ({"trial": {"yaw_deg": float("-inf")}}, "yaw_deg"),
-    ({"sweep": {"tolerance": float("nan")}}, "tolerance"),
+    ({"sweep": {"tolerance": float("inf")}}, "tolerance"),
     ({"dmp": {"alpha_z": float("inf")}}, "alpha_z"),
     ({"localize": {"noise_sigma": float("inf")}}, "noise_sigma"),
 ]

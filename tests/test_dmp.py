@@ -2,7 +2,7 @@
 
 The load-bearing checks are driven by independent oracles:
 
-* eval_forcing against a literal double-loop mixture sum
+* eval_forcing against a plain double-loop mixture sum
 * forcing-target inversion against a hand-rolled Euler forward simulation
   driven by a known closed-form forcing function
 * zero-forcing rollouts against the critically damped closed-form solution
@@ -39,7 +39,7 @@ from lfdkit.dmp import (
 )
 from lfdkit.presets import demo_pose_waypoints, make_smooth_demo
 from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul
-from lfdkit.trajectory import Trajectory
+from lfdkit.trajectory import ParseError, Trajectory
 
 ALPHA_S = 25.0 / 3.0
 
@@ -49,14 +49,13 @@ def smooth_demo(duration=3.0, seed=0, dt=1e-3):
     return make_smooth_demo(positions, duration, dt=dt, orientations=quats)
 
 
-def zero_weight_dmp(n_basis=50, gate_mode="phase-gated", tau=1.0, goal=None):
+def zero_weight_dmp(n_basis=50, tau=1.0, goal=None):
     centers, widths = basis_layout(n_basis, ALPHA_S)
     return PoseDmp(
         alpha_s=ALPHA_S,
         alpha_z=25.0,
         beta_z=6.25,
         tau=tau,
-        gate_mode=gate_mode,
         centers=centers,
         widths=widths,
         weights_pos=np.zeros((3, n_basis)),
@@ -100,19 +99,18 @@ class TestEvalForcing:
                 psi = math.exp(-widths[i] * (s - centers[i]) ** 2)
                 num += psi * weights[i]
                 den += psi
-            assert eval_forcing(ft, s, "literal") == pytest.approx(num / den, rel=1e-12)
-            assert eval_forcing(ft, s, "phase-gated") == pytest.approx(s * num / den, rel=1e-12)
+            assert eval_forcing(ft, s) == pytest.approx(s * num / den, rel=1e-12)
 
     def test_constant_weights_give_constant_mixture(self):
         centers, widths = basis_layout(30, ALPHA_S)
         ft = ForcingTerm(np.full(30, 7.25), centers, widths)
         for s in (1.0, 0.3, 0.01, 2.4e-4):
-            assert eval_forcing(ft, s, "literal") == pytest.approx(7.25, rel=1e-12)
+            assert eval_forcing(ft, s) == pytest.approx(7.25 * s, rel=1e-12)
 
     def test_underflow_warns_and_returns_zero(self):
         ft = ForcingTerm([5.0, 5.0], [1.0, 0.9], [1e7, 1e7])
         with pytest.warns(ForcingUnderflow):
-            assert eval_forcing(ft, 0.01, "literal") == 0.0
+            assert eval_forcing(ft, 0.01) == 0.0
 
     def test_validation(self):
         centers, widths = basis_layout(5, ALPHA_S)
@@ -120,17 +118,15 @@ class TestEvalForcing:
             ForcingTerm([1.0, 2.0], centers, widths)
         with pytest.raises(ValueError):
             ForcingTerm(np.zeros(5), centers, -widths)
-        ft = ForcingTerm(np.zeros(5), centers, widths)
-        with pytest.raises(ValueError):
-            eval_forcing(ft, 0.5, "nonsense")
 
 
 class TestFitLwr:
-    def test_recovers_constant_in_literal_mode(self):
+    def test_recovers_constant(self):
+        # gated targets s * c come from the constant mixture c
         centers, widths = basis_layout(20, ALPHA_S)
         s = np.exp(-ALPHA_S * np.linspace(0.0, 1.0, 500))
-        targets = np.full(500, -3.75)
-        weights, unsupported = fit_lwr(s, targets, centers, widths, "literal")
+        targets = -3.75 * s
+        weights, unsupported = fit_lwr(s, targets, centers, widths)
         assert unsupported == []
         assert np.allclose(weights, -3.75, rtol=1e-9)
 
@@ -138,21 +134,7 @@ class TestFitLwr:
     # rough weight vector, it reproduces the emitted FUNCTION for targets
     # that vary smoothly over time (centers are uniform in time)
 
-    def test_approximates_smooth_target_literal(self):
-        centers, widths = basis_layout(50, ALPHA_S)
-        t = np.linspace(0.0, 1.0, 3000)
-        s = np.exp(-ALPHA_S * t)
-        targets = 20.0 * np.sin(2.0 * np.pi * t) + 5.0 * np.cos(5.0 * t)
-        weights, unsupported = fit_lwr(s, targets, centers, widths, "literal")
-        assert unsupported == []
-        fitted = ForcingTerm(weights, centers, widths)
-        re_emitted = np.array([eval_forcing(fitted, v, "literal") for v in s])
-        inner = slice(150, -150)
-        rms = np.sqrt(np.mean((re_emitted[inner] - targets[inner]) ** 2))
-        assert rms < 0.02 * np.sqrt(np.mean(targets[inner] ** 2))
-
-    @pytest.mark.parametrize("gate_mode", ["literal", "phase-gated"])
-    def test_function_match_round_trip(self, gate_mode):
+    def test_function_match_round_trip(self):
         # targets sampled from a known mixture; the refit must reproduce the
         # emitted function to 1% RMS on s in [0.01, 1] even though individual
         # weights may differ. Double kernel smoothing biases rough profiles
@@ -163,31 +145,30 @@ class TestFitLwr:
         truth = ForcingTerm(15.0 + 0.2 * np.arange(n), centers, widths)
         t = np.linspace(0.0, math.log(200.0) / ALPHA_S, 500)
         s = np.exp(-ALPHA_S * t)
-        targets = np.array([eval_forcing(truth, v, gate_mode) for v in s])
-        weights, _ = fit_lwr(s, targets, centers, widths, gate_mode)
+        targets = np.array([eval_forcing(truth, v) for v in s])
+        weights, _ = fit_lwr(s, targets, centers, widths)
         fitted = ForcingTerm(weights, centers, widths)
         keep = s >= 0.01
         want = targets[keep]
-        got = np.array([eval_forcing(fitted, v, gate_mode) for v in s[keep]])
+        got = np.array([eval_forcing(fitted, v) for v in s[keep]])
         rms = np.sqrt(np.mean((got - want) ** 2))
         assert rms < 0.01 * np.sqrt(np.mean(want**2))
 
-    @pytest.mark.parametrize("gate_mode", ["literal", "phase-gated"])
-    def test_several_axes_match_one_axis_fits(self, gate_mode):
+    def test_several_axes_match_one_axis_fits(self):
         centers, widths = basis_layout(30, ALPHA_S)
         s = np.linspace(0.6, 1.0, 400)  # late bases unsupported, as in the test below
         targets = np.random.default_rng(5).normal(size=(400, 6)) * 30.0
-        weights, unsupported = fit_lwr(s, targets, centers, widths, gate_mode)
+        weights, unsupported = fit_lwr(s, targets, centers, widths)
         assert weights.shape == (6, 30)
         for axis in range(6):
-            one, dead = fit_lwr(s, targets[:, axis], centers, widths, gate_mode)
+            one, dead = fit_lwr(s, targets[:, axis], centers, widths)
             assert dead == unsupported
             np.testing.assert_allclose(weights[axis], one, rtol=1e-13, atol=0.0)
 
     def test_unsupported_bases_reported_and_zeroed(self):
         centers, widths = basis_layout(30, ALPHA_S)
         s = np.linspace(0.6, 1.0, 200)  # late bases (small centers) see no samples
-        weights, unsupported = fit_lwr(s, np.ones(200), centers, widths, "phase-gated")
+        weights, unsupported = fit_lwr(s, np.ones(200), centers, widths)
         assert len(unsupported) > 0
         assert np.all(weights[unsupported] == 0.0)
         assert 29 in unsupported
@@ -341,30 +322,12 @@ class TestRollout:
         final = traj.pose(len(traj) - 1)
         assert final.orientation.angle_to(gq) < 1e-4
 
-    def test_literal_constant_forcing_shifts_equilibrium(self):
-        # constant weights make the normalized mixture exactly constant, so
-        # the literal-mode fixed point sits at g + f / (alpha_z * beta_z)
-        n = 50
-        centers, widths = basis_layout(n, ALPHA_S)
-        c = 31.25  # shifts equilibrium by 31.25 / (25 * 6.25) = 0.2
-        dmp = PoseDmp(
-            alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0, gate_mode="literal",
-            centers=centers, widths=widths,
-            weights_pos=np.vstack([np.full(n, c), np.zeros(n), np.zeros(n)]),
-            weights_rot=np.zeros((3, n)),
-            demo_start=Pose.identity(), demo_goal=Pose.identity(),
-        )
-        traj = rollout(dmp, horizon=3.0)
-        offset = c / (25.0 * 6.25)
-        assert traj.positions[-1, 0] == pytest.approx(offset, rel=0.05)
-        assert abs(traj.positions[-1, 1]) < 1e-6
-
     def test_gated_same_weights_still_reach_goal(self):
         n = 50
         centers, widths = basis_layout(n, ALPHA_S)
         goal = Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity())
         dmp = PoseDmp(
-            alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0, gate_mode="phase-gated",
+            alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0,
             centers=centers, widths=widths,
             weights_pos=np.vstack([np.full(n, 31.25), np.zeros(n), np.zeros(n)]),
             weights_rot=np.zeros((3, n)),
@@ -389,11 +352,11 @@ class TestRollout:
         assert worst < math.radians(0.1)
 
     @staticmethod
-    def blowup_dmp(w_pos, w_rot, gate_mode="literal"):
+    def blowup_dmp(w_pos, w_rot):
         n = 50
         centers, widths = basis_layout(n, ALPHA_S)
         return PoseDmp(
-            alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0, gate_mode=gate_mode,
+            alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0,
             centers=centers, widths=widths,
             weights_pos=np.full((3, n), w_pos), weights_rot=np.full((3, n), w_rot),
             demo_start=Pose.identity(), demo_goal=Pose.identity(),
@@ -406,27 +369,30 @@ class TestRollout:
         assert "step" in str(exc.value)
 
     # the first bad step is the first one whose nine |state| components
-    # (z, y, tau * omega) sum to 1e15 or more; the steps below were recorded
-    # with the per-step explicit-Euler loop that checked all nine each step
+    # (z, y, tau * omega) sum to 1e15 or more; the per-step explicit-Euler
+    # loop of reference_rollout checks all nine each step and must agree
     @pytest.mark.parametrize(
-        "w_pos, w_rot, gate_mode, step",
+        "w_pos, w_rot, step",
         [
-            (0.0, 1e20, "literal", 1),
-            (0.0, 1e16, "literal", 71),
-            (1e16, 1e16, "literal", 22),
-            (1e16, 1e16, "phase-gated", 25),
-            (0.0, 1e300, "literal", 1),
-            (1e300, 0.0, "phase-gated", 1),
+            (0.0, 1e20, 1),  # rotation only, at once
+            (0.0, 5e16, 8),  # rotation only, later (1e16 decays with s before it diverges)
+            (1e16, 1e16, 25),  # both
+            (0.0, 1e300, 1),
+            (1e300, 0.0, 1),
         ],
     )
-    def test_divergence_first_bad_step(self, w_pos, w_rot, gate_mode, step):
+    def test_divergence_first_bad_step(self, w_pos, w_rot, step):
+        dmp = self.blowup_dmp(w_pos, w_rot)
         with pytest.raises(RolloutDiverged) as exc:
-            rollout(self.blowup_dmp(w_pos, w_rot, gate_mode))
+            rollout(dmp)
         assert exc.value.step == step
         assert exc.value.t == pytest.approx(step * 1e-3)
+        with pytest.raises(RolloutDiverged) as ref:
+            reference_rollout(dmp, dmp.demo_start, dmp.demo_goal)
+        assert ref.value.step == step
 
     def test_large_bounded_forcing_does_not_diverge(self):
-        # translation settles at 1e16 / (alpha_z * beta_z) per axis, under the bound
+        # the gated forcing decays with s before the state reaches the bound
         traj = rollout(self.blowup_dmp(1e16, 0.0))
         assert np.all(np.isfinite(traj.positions))
 
@@ -444,7 +410,11 @@ class TestRollout:
 
 
 def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
-    """Plain per-step explicit Euler over all six axes, one state at a time."""
+    """Plain per-step explicit Euler over all six axes, one state at a time.
+
+    Raises RolloutDiverged at the first step whose nine |state| components
+    (z, y, tau * omega) sum to 1e15 or more, or to NaN.
+    """
     tau = dmp.tau
     n_steps = int(round(horizon * tau / dt))
     times = np.arange(n_steps + 1) * dt
@@ -452,10 +422,7 @@ def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
 
     def forcing(weights):
         psi = np.exp(-dmp.widths[None, :] * (s_profile[:, None] - dmp.centers[None, :]) ** 2)
-        out = (psi @ weights.T) / psi.sum(axis=1)[:, None]
-        if dmp.gate_mode == "phase-gated":
-            out *= s_profile[:, None]
-        return out
+        return (psi @ weights.T) / psi.sum(axis=1)[:, None] * s_profile[:, None]
 
     f_pos, f_rot = forcing(dmp.weights_pos), forcing(dmp.weights_rot)
     fpx, fpy, fpz = (f_pos[:, i].tolist() for i in range(3))
@@ -525,14 +492,17 @@ def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
         inv = 1.0 / sqrt(nqw * nqw + nqx * nqx + nqy * nqy + nqz * nqz)
         qw, qx, qy, qz = nqw * inv, nqx * inv, nqy * inv, nqz * inv
 
+        size = abs(zx) + abs(zy) + abs(zz) + abs(yx) + abs(yy) + abs(yz) + abs(ex) + abs(ey) + abs(ez)
+        if not size < 1e15:
+            raise RolloutDiverged(k + 1, (k + 1) * dt)
+
     return Trajectory(times, np.array(out_p), np.array(out_q))
 
 
 class TestRolloutEquivalence:
-    @pytest.mark.parametrize("gate_mode", ["phase-gated", "literal"])
     @pytest.mark.parametrize("case", ["shifted", "far-hemisphere"])
-    def test_matches_per_step_euler(self, gate_mode, case):
-        dmp = fit_pose_dmp(smooth_demo(duration=1.0, seed=5), gate_mode=gate_mode)
+    def test_matches_per_step_euler(self, case):
+        dmp = fit_pose_dmp(smooth_demo(duration=1.0, seed=5))
         turn = from_rotation_vector(np.array([0.2, -0.4, 0.5]))
         if case == "shifted":
             start = dmp.demo_start
@@ -552,8 +522,7 @@ class TestRolloutEquivalence:
         # both pass through Trajectory's w >= 0 canonicalization; compared
         # component-wise, so a sign flip between them would fail
         assert np.max(np.abs(got.orientations - want.orientations)) <= 1e-12
-        if gate_mode == "phase-gated":  # literal mode settles off the goal by design
-            assert np.linalg.norm(got.positions[-1] - goal.position) < 1e-3
+        assert np.linalg.norm(got.positions[-1] - goal.position) < 1e-3
 
 
 class TestFitRollout:
@@ -636,7 +605,6 @@ class TestSerialization:
         assert np.array_equal(back.widths, dmp.widths)
         assert back.tau == dmp.tau
         assert back.alpha_s == dmp.alpha_s
-        assert back.gate_mode == dmp.gate_mode
         assert np.array_equal(back.demo_start.position, dmp.demo_start.position)
         assert back.demo_goal.orientation.as_array().tolist() == dmp.demo_goal.orientation.as_array().tolist()
         save_dmp(back, tmp_path / "again.json")
@@ -645,7 +613,7 @@ class TestSerialization:
     def test_expected_keys(self):
         d = dmp_to_dict(zero_weight_dmp())
         assert set(d) == {
-            "alpha_s", "alpha_z", "beta_z", "tau", "N", "gate_mode",
+            "alpha_s", "alpha_z", "beta_z", "tau", "N",
             "centers", "widths", "weights_pos", "weights_rot", "demo_start", "demo_goal",
         }
         assert d["N"] == 50
@@ -666,8 +634,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match="does not match"):
             dmp_from_dict(d)
 
-    def test_rejects_bad_gate_mode(self):
+    def test_rejects_gate_mode_key(self):
+        # files written while a second forcing law existed carry this key
         d = dmp_to_dict(zero_weight_dmp())
-        d["gate_mode"] = "sometimes"
-        with pytest.raises(ValueError):
+        d["gate_mode"] = "phase-gated"
+        with pytest.raises(ParseError, match="unknown key 'gate_mode' in primitive"):
             dmp_from_dict(d)

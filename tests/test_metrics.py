@@ -3,6 +3,7 @@ analytic oracle: its jerk is (60 d / T^3) * (1 - 6u + 6u^2) with u = t/T,
 whose |.| integrates to 4*F(u1), F(u) = u - 3u^2 + 2u^3, u1 = (3 - sqrt(3))/6.
 """
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdkit.metrics import (
+    ComparisonReport,
     ComparisonRow,
     JerkReport,
     compare_demonstrations,
@@ -21,7 +23,7 @@ from lfdkit.metrics import (
     timing_stats,
 )
 from lfdkit.se3 import UnitQuaternion, from_rotation_vector
-from lfdkit.trajectory import Trajectory
+from lfdkit.trajectory import Trajectory, write_json
 
 
 def identity_quats(n):
@@ -200,6 +202,19 @@ class TestComparison:
         row = ComparisonRow("m", 1.0, 0.0)
         assert row.ratio_a_over_b == math.inf
         assert row.winner == "b"
+
+    def test_infinite_ratio_emitted_as_null(self, tmp_path):
+        # strict JSON has no Infinity; the file must load with a strict parser
+        report = ComparisonReport("a", "b", (ComparisonRow("m", 1.0, 0.0), ComparisonRow("n", 1.0, 2.0)))
+        d = comparison_to_dict(report)
+        assert [r["ratio_a_over_b"] for r in d["rows"]] == [None, 0.5]
+        path = tmp_path / "report.json"
+        write_json(path, d)
+
+        def reject(token):
+            raise ValueError(token)
+
+        assert json.loads(path.read_text(), parse_constant=reject) == d
 
     def test_render_includes_reference_rows_verbatim(self):
         traj = quintic_profile(T=1.0, dt=2e-3)

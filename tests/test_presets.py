@@ -30,7 +30,7 @@ def assert_same_scenario(a: AssemblyScenario, b: AssemblyScenario) -> None:
         if f.name == "dmp":
             assert np.array_equal(x.weights_pos, y.weights_pos)
             assert np.array_equal(x.weights_rot, y.weights_rot)
-            for g in ("alpha_s", "alpha_z", "beta_z", "tau", "gate_mode", "centers", "widths"):
+            for g in ("alpha_s", "alpha_z", "beta_z", "tau", "centers", "widths"):
                 assert np.array_equal(getattr(x, g), getattr(y, g)), g
             for g in ("demo_start", "demo_goal"):
                 assert np.array_equal(getattr(x, g).position, getattr(y, g).position)

@@ -11,7 +11,9 @@ from lfdkit.trajectory import (
     finite_difference,
     fmt_float,
     load_trajectory_csv,
+    read_text,
     resample_trajectory,
+    write_json,
 )
 
 
@@ -306,3 +308,25 @@ class TestCsv:
     def test_fmt_is_nine_significant_digits(self):
         assert fmt_float(0.123456789123) == "0.123456789"
         assert fmt_float(15.0) == "15"
+
+
+class TestFiles:
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "demo.csv"
+        path.write_bytes(b"t,px,py,pz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n0.1,0,\xc3\xa9,0,1,0,0,0\n")
+        for read in (read_text, load_trajectory_csv):
+            with pytest.raises(ParseError, match="non-ASCII byte 0xc3") as exc:
+                read(path)
+            assert exc.value.line == 3 and str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"ratio": [1.0, value]})
+        assert not path.exists()
+
+    def test_write_json_layout(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": [1.5, None], "b": "x"})
+        assert path.read_bytes() == b'{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": "x"\n}\n'
