@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 from typing import Callable, Sequence
 
@@ -320,19 +321,26 @@ _HANDLERS: dict[str, Callable[[RunConfig, argparse.Namespace], int]] = {
 }
 
 
+def _warn_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one stderr line, without Python's source location."""
+    print("lfdkit: warning: " + " ".join(str(message).splitlines()), file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _fold_common(cfg, args)
-        return _HANDLERS[args.command](cfg, args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn_line
+        try:
+            cfg = load_config(args.config) if args.config else RunConfig()
+            cfg = _fold_common(cfg, args)
+            return _HANDLERS[args.command](cfg, args)
+        except ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ obtained by inverting the transformation system along a demonstration:
 
 Rollout integrates with explicit Euler. The phase and hence the forcing of
 all six axes are known in advance; translation under explicit Euler is a
-fixed second-order linear filter over that forcing and runs as one banded
-triangular solve. Only the nonlinear orientation attractor steps
-through a scalar Python loop.
+fixed second-order linear filter over that forcing, which factors into two
+first-order linear scans, each a scaled prefix sum (Blelloch 1990). Only
+the nonlinear orientation attractor steps through a scalar Python loop.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .se3 import Pose, UnitQuaternion, quat_conj_rows, quat_mul_rows, relative_rotation_vector_rows
 from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
@@ -63,6 +62,7 @@ __all__ = [
 _SUPPORT_FLOOR = 1e-12   # per-basis regression denominator guard
 _DENOM_FLOOR = 1e-300    # mixture normalization underflow guard
 _SMOOTH_WINDOW = 5       # samples in the moving average over demo derivatives
+_SCAN_RANGE = 200.0      # |log| of the largest power of a root one scan block forms
 
 
 class DegenerateDemo(ValueError):
@@ -326,8 +326,15 @@ class PoseDmp:
     demo_goal: Pose
 
     def __post_init__(self) -> None:
+        for name in ("alpha_s", "alpha_z", "beta_z", "tau"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("centers", "widths"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1))
+        if not np.all(self.widths > 0):
+            raise ValueError("widths must be positive")
+        if not np.all((self.centers > 0) & (self.centers <= 1)):
+            raise ValueError("centers must lie in (0, 1]")
         n = len(self.centers)
         for name in ("weights_pos", "weights_rot"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3, n))
@@ -375,6 +382,78 @@ def fit_pose_dmp(
     )
 
 
+def _linear_scan(y: np.ndarray, lam: float | complex, carry: np.ndarray) -> None:
+    """In place along the last axis: y[..., k] += r * y[..., k-1], r = exp(lam),
+    where y[..., -1] is ``carry``.
+
+    The recurrence is a scaled prefix sum: within a block, y[k] is r^k times
+    the running sum of r^-j x[j]. The block is anchored at its first sample
+    when |r| > 1 and at its last when |r| <= 1, so every power that scales a
+    term has modulus at most 1 and every power that unscales a sum at least
+    1. No partial sum then exceeds the output it becomes, nothing overflows
+    before the output does, and the scan stays causal. Blocks are short
+    enough that the powers within one stay inside exp(+-_SCAN_RANGE).
+    """
+    if lam.real == -math.inf:  # r = 0 carries nothing
+        return
+    n = y.shape[-1]
+    rate = abs(lam.real)
+    block = max(1, n if rate * n <= _SCAN_RANGE else int(_SCAN_RANGE / rate))
+    for k0 in range(0, n, block):
+        part = y[..., k0:k0 + block]
+        m = part.shape[-1]
+        anchor = 0 if lam.real > 0 else m - 1
+        unscale = np.exp(np.arange(-anchor, m - anchor) * lam)
+        part /= unscale
+        np.cumsum(part, axis=-1, out=part)
+        part += (np.exp((anchor + 1) * lam) * carry)[..., None]
+        part *= unscale
+        carry = part[..., -1]
+
+
+def _log_one_minus(mu: float) -> float | complex:
+    """log(1 - mu) for real mu: complex for a negative root, -inf for a zero one."""
+    if mu < 1.0:
+        return math.log1p(-mu)
+    if mu == 1.0:
+        return -math.inf
+    return complex(math.log(mu - 1.0), math.pi)
+
+
+def _euler_translation(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> np.ndarray:
+    """Rows e[0..n+1] of e[k+2] = c1 e[k+1] - c0 e[k] + u[k], e[1] = e[0],
+    for u of shape (n, len(e0)) and c1 < 2.
+
+    With r1, r2 the roots of z^2 - c1 z + c0, w[k] = e[k] - r2 e[k-1] obeys
+    w[k+1] = r1 w[k] + u[k-1] from w[1] = (1 - r2) e[0], and then
+    e[k+1] = r2 e[k] + w[k+1] from e[1] = e[0]: two first-order scans. The
+    roots are solved for as mu = 1 - r, from mu^2 - a mu + b with a = 2 - c1
+    and b = 1 - c1 + c0, both exact in floating point: a slow attractor's
+    response hinges on (1 - r1)(1 - r2) = b, which so keeps full relative
+    precision. Underdamped gains give a complex pair, scanned in complex
+    arithmetic.
+    """
+    a = 2.0 - c1
+    b = (1.0 - c1) + c0
+    h = 0.5 * a
+    disc = h * h - b
+    if disc < 0.0:
+        # mu = h -+ i t; |1 - mu|^2 = 1 - a + b
+        t = math.sqrt(-disc)
+        lam1 = complex(0.5 * math.log1p(b - a), -math.atan2(t, 1.0 - h))
+        lam2, mu2 = lam1.conjugate(), complex(h, -t)
+    else:
+        mu1 = h + math.sqrt(disc)
+        mu2 = b / mu1
+        lam1, lam2 = _log_one_minus(mu1), _log_one_minus(mu2)
+    buf = np.empty((len(e0), len(u) + 2), dtype=np.result_type(lam1, lam2))
+    buf[:, :2] = e0[:, None]
+    buf[:, 2:] = u.T
+    _linear_scan(buf[:, 2:], lam1, mu2 * e0)
+    _linear_scan(buf[:, 2:], lam2, e0)
+    return buf.real.T.copy()
+
+
 def rollout(
     dmp: PoseDmp,
     start: Pose | None = None,
@@ -394,12 +473,10 @@ def rollout(
         e[k+2] = (2 - a) e[k+1] - (1 - a + b) e[k] + (dt/tau)^2 f[k],
         a = alpha_z dt/tau, b = alpha_z beta_z (dt/tau)^2, e[1] = e[0],
 
-    a second-order linear filter, evaluated as one banded lower-triangular
-    solve (LAPACK ``dtbtrs``; forward substitution is the recurrence). This
-    is what ``scipy.signal.lfilter`` would compute, without importing
-    ``scipy.signal``, which loads ``scipy.stats`` and slows every ``lfdkit``
-    start. Only the orientation attractor runs in a scalar loop, on the
-    error quaternion d = g * conj(q) as its state
+    a second-order linear filter, run as two first-order scans, one per root
+    of its characteristic polynomial (see ``_euler_translation``). Only the
+    orientation attractor runs in a scalar loop, on the error quaternion
+    d = g * conj(q) as its state
     (q <- exp(omega dt/2) q is d <- d * conj(exp(omega dt/2))); q = conj(d) g
     is recovered row-wise at the end. The loop also checks divergence, on the
     sum of all nine |state| components per step, translational ones included.
@@ -422,18 +499,12 @@ def rollout(
     weights = np.vstack([dmp.weights_pos, dmp.weights_rot])
     forcing = adt * _forcing_profile(weights, dmp.centers, dmp.widths, s_profile)
 
-    # rows 0 and 1 pin e[0] and e[1] = e[0]; row k >= 2 is the recurrence,
-    # so forward substitution through the band runs the filter
-    band = np.empty((3, n_steps + 2))
-    band[0] = 1.0
-    band[1] = az * adt - 2.0
-    band[2] = 1.0 - az * adt + az * bz * adt * adt
-    band[1, 0] = -1.0
-    rhs = np.empty((n_steps + 2, 3))
-    rhs[0] = np.asarray(start.position, dtype=float) - goal.position
-    rhs[1] = 0.0
-    rhs[2:] = adt * forcing[:n_steps, :3]
-    err = dtbtrs(band, rhs, uplo="L", diag="U")[0]
+    err = _euler_translation(
+        np.asarray(start.position, dtype=float) - goal.position,
+        adt * forcing[:n_steps, :3],
+        2.0 - az * adt,
+        1.0 - az * adt + az * bz * adt * adt,
+    )
     positions = err[:-1] + goal.position
     with np.errstate(over="ignore", invalid="ignore"):
         # per-step translational part of the divergence test: |z| + |y|

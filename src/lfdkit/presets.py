@@ -7,7 +7,6 @@ import math
 from dataclasses import asdict
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .assembly import AssemblyScenario
 from .config import RunConfig, TrialSection
@@ -30,6 +29,32 @@ __all__ = [
 ]
 
 
+def _clamped_spline(knots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The cubic spline through ``values`` (k, d) at ``knots`` (k,) with zero
+    end slopes, evaluated at ``at``.
+
+    The knot slopes m solve the k x k system of second-derivative continuity
+    (de Boor, *A Practical Guide to Splines*, ch. IV); each piece is then the
+    cubic Hermite interpolant of its end values and slopes, summed as a power
+    series about its left knot.
+    """
+    k = len(knots)
+    dx = np.diff(knots)
+    slope = np.diff(values, axis=0) / dx[:, None]
+    system = np.eye(k)
+    rhs = np.zeros_like(values)
+    for i in range(1, k - 1):
+        system[i, i - 1: i + 2] = dx[i], 2.0 * (dx[i - 1] + dx[i]), dx[i - 1]
+        rhs[i] = 3.0 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i])
+    m = np.linalg.solve(system, rhs)
+    cubic = (m[:-1] + m[1:] - 2.0 * slope) / dx[:, None]
+    c3 = cubic / dx[:, None]
+    c2 = (slope - m[:-1]) / dx[:, None] - cubic
+    i = np.clip(np.searchsorted(knots, at, side="right") - 1, 0, k - 2)
+    d = (at - knots[i])[:, None]
+    return values[i] + m[i] * d + c2[i] * (d * d) + c3[i] * (d * d * d)
+
+
 def make_smooth_demo(
     waypoints: np.ndarray,
     duration: float,
@@ -50,12 +75,11 @@ def make_smooth_demo(
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
     knots = np.linspace(0.0, duration, k)
-    spline = CubicSpline(knots, wp, bc_type="clamped")
     steps = max(int(round(duration / dt)), 1)
     times = np.arange(steps + 1) * (duration / steps)
     u = times / duration
     warped = duration * (10.0 - (15.0 - 6.0 * u) * u) * u**3
-    pos = spline(warped)
+    pos = _clamped_spline(knots, wp, warped)
 
     if orientations is None:
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(times), 1))
@@ -63,8 +87,8 @@ def make_smooth_demo(
         if len(orientations) != k:
             raise ValueError("orientation waypoints must match position waypoints")
         wq = np.array([q.as_array() for q in orientations])
-        rspline = CubicSpline(knots, relative_rotation_vector_rows(wq, wq[:1]), bc_type="clamped")
-        quats = quat_mul_rows(from_rotation_vector_rows(rspline(warped)), wq[0])
+        rotvecs = _clamped_spline(knots, relative_rotation_vector_rows(wq, wq[:1]), warped)
+        quats = quat_mul_rows(from_rotation_vector_rows(rotvecs), wq[0])
     return Trajectory(times, pos, quats)
 
 

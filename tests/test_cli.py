@@ -2,10 +2,15 @@
 guarantee, and single-line machine-parsable errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lfdkit
 from lfdkit.cli import main
 from lfdkit.dmp import load_dmp
 from lfdkit.trajectory import load_trajectory_csv
@@ -383,6 +388,15 @@ class TestInputFiles:
             (("tau",), None, "primitive.tau"),
             (("weights_rot", 1), {}, "primitive.weights_rot"),
             (("gate_mode",), "phase-gated", "unknown key 'gate_mode'"),
+            # well-formed but out of range
+            (("widths", 0), -1.0, "widths must be positive"),
+            (("widths", 7), 0.0, "widths must be positive"),
+            (("alpha_s",), -5.0, "alpha_s must be positive"),
+            (("alpha_z",), 0.0, "alpha_z must be positive"),
+            (("beta_z",), -1.0, "beta_z must be positive"),
+            (("tau",), -2.0, "tau must be positive"),
+            (("centers", 0), 1.5, "centers must lie in (0, 1]"),
+            (("centers", 49), 0.0, "centers must lie in (0, 1]"),
         ],
     )
     def test_malformed_primitive(self, smooth_prim, capsys, tmp_path, path, value, named):
@@ -419,3 +433,25 @@ class TestInputFiles:
             argv = ("trial", "--events", bad)
         err = self.one_line_error(capsys, *argv, "--out", tmp_path / "out")
         assert str(bad) in err and "non-ASCII byte" in err
+
+
+def test_warning_is_one_line_and_keeps_exit_code(smooth_prim, capsys, tmp_path):
+    # widths this large underflow every basis away from its center
+    _, prim = smooth_prim
+    doc = json.loads(prim.read_text())
+    doc["widths"] = [1e9] * doc["N"]
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "rollout", "--dmp", narrow, "--out", tmp_path / "r.csv")
+    assert code == 0
+    assert err.count("\n") == 1 and err.startswith("lfdkit: warning: all bases underflowed at "), err
+    assert (tmp_path / "r.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(lfdkit.__file__).resolve().parent.parent)
+    probe = "import sys, lfdkit, lfdkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -9,6 +9,9 @@ The load-bearing checks are driven by independent oracles:
   y(t) = g + (y0 - g) * (1 - lam*t) * exp(lam*t), lam = -alpha_z / (2*tau)
 * first-order convergence of the integrator under dt refinement
 * rollout against a plain per-step explicit-Euler reference loop
+* the translation scan against LAPACK's banded triangular solve (scipy,
+  a test-only dependency), which runs the same recurrence by forward
+  substitution
 """
 
 import math
@@ -25,6 +28,7 @@ from lfdkit.dmp import (
     PoseDmp,
     RolloutDiverged,
     TransformParams,
+    _euler_translation,
     basis_layout,
     compute_forcing_targets,
     dmp_from_dict,
@@ -497,6 +501,92 @@ def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
             raise RolloutDiverged(k + 1, (k + 1) * dt)
 
     return Trajectory(times, np.array(out_p), np.array(out_q))
+
+
+def banded_reference(e0, u, c1, c0):
+    """e[0] = e[1] = e0, e[k+2] = c1 e[k+1] - c0 e[k] + u[k] by forward
+    substitution through a lower-triangular band (LAPACK dtbtrs)."""
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    band = np.empty((3, len(u) + 2))
+    band[0] = 1.0
+    band[1] = -c1
+    band[2] = c0
+    band[1, 0] = -1.0
+    rhs = np.vstack([e0, np.zeros(3), u])
+    return lapack.dtbtrs(band, rhs, uplo="L", diag="U")[0]
+
+
+def euler_coefficients(alpha_z, beta_z, adt):
+    """(c1, c0) of the Euler translation filter, formed as rollout forms them."""
+    return 2.0 - alpha_z * adt, 1.0 - alpha_z * adt + alpha_z * beta_z * adt * adt
+
+
+class TestEulerTranslationScan:
+    E0 = np.array([0.1, -0.3, 0.02])
+
+    @staticmethod
+    def forcing(n, adt, scale=100.0):
+        k = np.arange(n)
+        s = np.exp(-ALPHA_S * k / max(n, 1))
+        return adt * adt * np.outer(s * np.sin(7.0 * k / max(n, 1)), [scale, -scale / 2, scale / 3])
+
+    @pytest.mark.parametrize(
+        "alpha_z, beta_z, adt, n",
+        [
+            (25.0, 6.25, 1e-3, 1500),  # critically damped, a double root
+            (25.0, 6.25, 1e-4, 15000),  # the same, slow: tau = 10 s at dt = 1 ms
+            (25.0, 2.0, 1e-3, 1500),  # over-damped: two real roots
+            (25.0, 20.0, 1e-3, 1500),  # under-damped: a complex pair
+            (250.0, 62.5, 1e-2, 150),  # a negative double root, -0.25
+            (180.0, 10.0, 1e-2, 150),  # one negative and one positive root
+            (400.0, 100.0, 1e-3, 15000),  # a stiff attractor: the scans run in blocks
+        ],
+    )
+    def test_matches_banded_solve(self, alpha_z, beta_z, adt, n):
+        c1, c0 = euler_coefficients(alpha_z, beta_z, adt)
+        u = self.forcing(n, adt)
+        want = banded_reference(self.E0, u, c1, c0)
+        got = _euler_translation(self.E0, u, c1, c0)
+        assert got.shape == want.shape
+        assert np.array_equal(got[:2], want[:2])  # e[1] = e[0] exactly
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_same_first_non_finite_row(self):
+        # alpha_z dt/tau = 5: a double root at -1.5, so |e| overflows
+        c1, c0 = euler_coefficients(500.0, 125.0, 1e-2)
+        u = self.forcing(3000, 1e-2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = banded_reference(self.E0, u, c1, c0)
+            got = _euler_translation(self.E0, u, c1, c0)
+        first = int(np.argmin(np.all(np.isfinite(want), axis=1)))
+        assert 0 < first < len(want) - 1
+        assert np.all(np.isfinite(got[:first]))
+        assert not np.all(np.isfinite(got[first]))
+        finite = np.max(np.abs(want[:first]))
+        assert np.max(np.abs(got[:first] - want[:first])) <= 1e-11 * finite
+
+    def test_huge_forcing_overflows_no_sooner_than_the_recurrence(self):
+        # decaying roots (0.8, double) over blocks of hundreds of steps: no
+        # partial sum of a block may exceed the output it becomes
+        c1, c0 = euler_coefficients(400.0, 100.0, 1e-3)
+        u = self.forcing(15000, 1e-3, scale=1e256)
+        want = banded_reference(self.E0, u, c1, c0)
+        assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 1e240
+        got = _euler_translation(self.E0, u, c1, c0)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_zero_root_passes_forcing_through(self):
+        # alpha_z dt/tau = 2 at critical damping: both roots 0, e[k+2] = u[k]
+        c1, c0 = euler_coefficients(200.0, 50.0, 1e-2)
+        u = self.forcing(150, 1e-2)
+        got = _euler_translation(self.E0, u, c1, c0)
+        np.testing.assert_array_equal(got[2:], u)
+        np.testing.assert_array_equal(got[:2], [self.E0, self.E0])
+
+    def test_zero_steps(self):
+        c1, c0 = euler_coefficients(25.0, 6.25, 1e-3)
+        got = _euler_translation(self.E0, np.empty((0, 3)), c1, c0)
+        np.testing.assert_array_equal(got, [self.E0, self.E0])
 
 
 class TestRolloutEquivalence:

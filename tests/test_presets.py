@@ -1,5 +1,7 @@
 """Scenario builder tests: the preset scenario, the config-built scenario
-the CLI runs, and the build the preset used to spell out must agree."""
+the CLI runs, and the build the preset used to spell out must agree. The
+demonstration spline is checked against scipy's clamped ``CubicSpline``
+(scipy is a test-only dependency)."""
 
 import math
 from dataclasses import fields
@@ -11,6 +13,7 @@ from lfdkit.assembly import AssemblyScenario
 from lfdkit.config import config_from_dict
 from lfdkit.dmp import fit_pose_dmp
 from lfdkit.presets import (
+    _clamped_spline,
     default_bar_scene,
     default_camera,
     default_scenario,
@@ -18,7 +21,7 @@ from lfdkit.presets import (
     make_smooth_demo,
     scenario_from_config,
 )
-from lfdkit.se3 import Pose
+from lfdkit.se3 import Pose, from_rotation_vector, relative_rotation_vector_rows
 from lfdkit.vision import scene_to_dict
 
 
@@ -62,3 +65,20 @@ def test_default_scenario_matches_spelled_out_build():
     got = default_scenario(5e-4, 4)
     assert got.yaw_range == (-math.pi / 3.0, math.pi / 3.0)
     assert_same_scenario(got, want)
+
+
+@pytest.mark.parametrize("k", [2, 5, 10])
+@pytest.mark.parametrize("spacing", ["uniform", "uneven"])
+def test_clamped_spline_matches_scipy(k, spacing):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(k)
+    knots = np.linspace(0.0, 4.0, k)
+    if spacing == "uneven":
+        knots[1:-1] = np.sort(rng.uniform(0.0, 4.0, k - 2))
+    at = np.linspace(0.0, 4.0, 4001)
+    positions = rng.normal(scale=0.1, size=(k, 3))
+    quats = np.array([from_rotation_vector(v).as_array() for v in rng.normal(scale=0.3, size=(k, 3))])
+    rotvecs = relative_rotation_vector_rows(quats, quats[:1])
+    for values in (positions, rotvecs):
+        want = interpolate.CubicSpline(knots, values, bc_type="clamped")(at)
+        assert np.max(np.abs(_clamped_spline(knots, values, at) - want)) <= 1e-12
