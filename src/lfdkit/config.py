@@ -15,6 +15,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
+from .dmp import check_basis_layout
 from .trajectory import ParseError, read_json, write_json
 
 __all__ = [
@@ -103,6 +104,7 @@ class DmpSection:
         _at_least(self, 2, "n_basis")
         _positive(self, "alpha_z", "beta_z", "alpha_s", "dt")
         _finite(self)
+        check_basis_layout(self.n_basis, self.alpha_s)
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,7 @@ def _build_section(cls: type, data: Any, where: str, path: str) -> Any:
     kwargs = {key: _check_value(value, hints[key], f"{where}.{key}", path) for key, value in data.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ParseError(path, 0, where, str(exc)) from None
 
 

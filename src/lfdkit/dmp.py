@@ -8,8 +8,8 @@ Dynamics (time constant tau, phase s in (0, 1]):
 * translation    tau * dz/dt = alpha_z * (beta_z * (g - y) - z) + f(s)
                  tau * dy/dt = z
 * orientation    the same structure on eta = tau * omega with the attractor
-                 error 2 * quat_log(g_q * conj(q)), integrated with
-                 q <- quat_exp(omega * dt / 2) * q
+                 error 2 * log(g_q * conj(q)), integrated with
+                 q <- exp(omega * dt / 2) * q
 
 The forcing term is a normalized Gaussian mixture multiplied by the phase s,
 so it vanishes at convergence and the attractor reaches exactly the goal it
@@ -41,15 +41,13 @@ from .trajectory import ParseError, Trajectory, finite_difference, json_floats, 
 from .trajectory import read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
-    "ForcingTerm",
-    "TransformParams",
     "DemonstrationData",
     "PoseDmp",
     "DegenerateDemo",
     "RolloutDiverged",
     "ForcingUnderflow",
+    "check_basis_layout",
     "basis_layout",
-    "eval_forcing",
     "prepare_demonstration",
     "compute_forcing_targets",
     "fit_lwr",
@@ -82,41 +80,36 @@ class ForcingUnderflow(RuntimeWarning):
     """Every basis underflowed at the queried phase; forcing evaluated as 0."""
 
 
-def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centers equally spaced in time (hence exponentially in phase) and the
-    matching widths: c_i = exp(-alpha_s * i/(n-1)), h_i = 1/(2*(c_{i+1}-c_i)^2)
-    with the last width repeated."""
+def check_basis_layout(n_basis: int, alpha_s: float) -> None:
+    """Reject a layout whose smallest center is not > 0 or whose narrowest
+    gap, the last one, squares to an infinite width; scalar arithmetic on the
+    last two centers, so nothing of size n_basis is allocated."""
     if n_basis < 2:
         raise ValueError("need at least 2 basis functions")
     if alpha_s <= 0:
         raise ValueError("alpha_s must be positive")
+    # the last two centers and the last width's denominator, op for op as
+    # basis_layout computes them
+    last = math.exp(-alpha_s * (n_basis - 1) / (n_basis - 1))
+    gap = last - math.exp(-alpha_s * (n_basis - 2) / (n_basis - 1))
+    twice_sq = 2.0 * (gap * gap)
+    if not (last > 0.0 and twice_sq > 0.0 and 1.0 / twice_sq < math.inf):
+        raise ValueError(
+            f"alpha_s must keep every basis center above 0 and width finite, got {alpha_s!r} at n_basis {n_basis}"
+        )
+
+
+def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centers equally spaced in time (hence exponentially in phase) and the
+    matching widths: c_i = exp(-alpha_s * i/(n-1)), h_i = 1/(2*(c_{i+1}-c_i)^2)
+    with the last width repeated; :func:`check_basis_layout` first."""
+    check_basis_layout(n_basis, alpha_s)
     centers = np.exp(-alpha_s * np.arange(n_basis) / (n_basis - 1))
     gaps = np.diff(centers)
     widths = np.empty(n_basis)
     widths[:-1] = 1.0 / (2.0 * gaps**2)
     widths[-1] = widths[-2]
     return centers, widths
-
-
-@dataclass(frozen=True)
-class ForcingTerm:
-    """Normalized radial-basis mixture over the phase variable."""
-
-    weights: np.ndarray
-    centers: np.ndarray
-    widths: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        c = np.asarray(self.centers, dtype=float).reshape(-1)
-        h = np.asarray(self.widths, dtype=float).reshape(-1)
-        if not (len(w) == len(c) == len(h)):
-            raise ValueError("weights, centers, widths must have equal length")
-        if np.any(h <= 0):
-            raise ValueError("widths must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "widths", h)
 
 
 def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -127,12 +120,6 @@ def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.n
     psi *= -widths
     np.exp(psi, out=psi)
     return psi
-
-
-def eval_forcing(ft: ForcingTerm, s: float) -> float:
-    """Evaluate the mixture at phase s, times s."""
-    profile = _forcing_profile(ft.weights[None, :], ft.centers, ft.widths, np.array([float(s)]))
-    return float(profile[0, 0])
 
 
 def _forcing_profile(
@@ -159,21 +146,6 @@ def _forcing_profile(
     out = mix / denom[:, None]
     out *= s[:, None]
     return out
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Gains of the goal attractor; beta_z defaults to alpha_z/4 (critical
-    damping)."""
-
-    alpha_z: float = 25.0
-    beta_z: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.beta_z is None:
-            object.__setattr__(self, "beta_z", self.alpha_z / 4.0)
-        if self.alpha_z <= 0 or self.beta_z <= 0:
-            raise ValueError("alpha_z and beta_z must be positive")
 
 
 def _moving_average(v: np.ndarray) -> np.ndarray:
@@ -254,7 +226,8 @@ def prepare_demonstration(traj: Trajectory, dt: float = 1e-3) -> DemonstrationDa
 
 def compute_forcing_targets(
     demo: DemonstrationData,
-    params: TransformParams,
+    alpha_z: float,
+    beta_z: float,
     alpha_s: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the transformation system along the demonstration.
@@ -269,15 +242,14 @@ def compute_forcing_targets(
     if span < 1e-9 and rot_span < 1e-9 and speed < 1e-9:
         raise DegenerateDemo("no information to fit: start equals goal and the demo never moves")
 
-    az, bz = params.alpha_z, params.beta_z
     tau = demo.tau
     s = np.exp(-alpha_s * demo.times / tau)
 
     g = demo.positions[-1]
-    f_pos = tau**2 * demo.accelerations - az * (bz * (g - demo.positions) - tau * demo.velocities)
+    f_pos = tau**2 * demo.accelerations - alpha_z * (beta_z * (g - demo.positions) - tau * demo.velocities)
 
     err = relative_rotation_vector_rows(demo.quats[-1:], demo.quats)
-    f_rot = tau**2 * demo.domegas - az * (bz * err - tau * demo.omegas)
+    f_rot = tau**2 * demo.domegas - alpha_z * (beta_z * err - tau * demo.omegas)
     return s, np.hstack([f_pos, f_rot])
 
 
@@ -352,17 +324,18 @@ def fit_pose_dmp(
     alpha_s: float = 25.0 / 3.0,
     dt: float = 1e-3,
 ) -> PoseDmp:
-    """Fit all six axes of a demonstration.
+    """Fit all six axes of a demonstration; beta_z defaults to alpha_z/4
+    (critical damping).
 
     A degenerate (stay-at-pose) demonstration fits to all-zero weights, which
     replays as staying at the pose; the underlying target computation still
     raises at its own interface.
     """
-    params = TransformParams(alpha_z, beta_z)
+    beta_z = alpha_z / 4.0 if beta_z is None else beta_z
     demo = prepare_demonstration(traj, dt=dt)
     centers, widths = basis_layout(n_basis, alpha_s)
     try:
-        s, targets = compute_forcing_targets(demo, params, alpha_s)
+        s, targets = compute_forcing_targets(demo, alpha_z, beta_z, alpha_s)
         weights, dead = fit_lwr(s, targets, centers, widths)
         if dead:
             warnings.warn(f"{len(dead)} basis functions had no sample support", RuntimeWarning, stacklevel=2)
@@ -370,8 +343,8 @@ def fit_pose_dmp(
         weights = np.zeros((6, n_basis))
     return PoseDmp(
         alpha_s=alpha_s,
-        alpha_z=params.alpha_z,
-        beta_z=params.beta_z,
+        alpha_z=alpha_z,
+        beta_z=beta_z,
         tau=demo.tau,
         centers=centers,
         widths=widths,

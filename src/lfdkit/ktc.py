@@ -77,14 +77,10 @@ class AdmittanceGains:
             raise ValueError("at least one axis must be enabled")
         object.__setattr__(self, "axis_mask", mask)
 
-    @property
-    def total_gain(self) -> np.ndarray:
-        return self.k_s_inv + self.k_a
-
     @cached_property
     def _law(self) -> tuple[tuple[bool, float, float], ...]:
         """Per axis (enabled, total gain, deadband) as plain floats."""
-        return tuple(zip(self.axis_mask, self.total_gain.tolist(), self.deadband.tolist()))
+        return tuple(zip(self.axis_mask, (self.k_s_inv + self.k_a).tolist(), self.deadband.tolist()))
 
 
 def proposed_gains() -> AdmittanceGains:
@@ -344,8 +340,7 @@ def simulate_demonstration(
             c = min(1.0, accel_h / dvn)
             hvx, hvy, hvz = hvx + dx * c, hvy + dy * c, hvz + dz * c
         hx, hy, hz = hx + hvx * h, hy + hvy * h, hz + hvz * h
-        # rotation vectors as rotation_vector(quat_mul(a, quat_conj(b))), with
-        # each conjugate computed once
+        # rotation vectors of a * conj(b), with each conjugate computed once
         conj_r = quat_conj_wxyz(q_r)
         ax, ay, az = rotation_vector_wxyz(quat_mul_wxyz(goal_q, quat_conj_wxyz(hand_q)))
         gap = math.sqrt(ax * ax + ay * ay + az * az)

@@ -61,13 +61,19 @@ class TimingReport:
             raise ValueError("mean must lie within [min, max] of the durations")
 
 
+def _clipped_mean(values: np.ndarray) -> float:
+    """The mean, clipped into [min, max] of the values, where the true mean
+    lies: the rounded sum of n equal values can put it an ulp above them."""
+    return float(np.clip(np.mean(values), np.min(values), np.max(values)))
+
+
 def _interior_stats(norms: np.ndarray, trim: int, unit: str) -> JerkReport:
     n = len(norms)
     trim = min(trim, max((n - 2) // 2, 0))
     interior = norms[trim:n - trim]
     std = float(np.std(interior, ddof=1)) if len(interior) > 1 else 0.0
     return JerkReport(
-        mean=float(np.mean(interior)),
+        mean=_clipped_mean(interior),
         std=std,
         max=float(np.max(interior)),
         n_interior=len(interior),
@@ -113,7 +119,7 @@ def timing_stats(durations) -> TimingReport:
         raise ValueError("durations must be finite and non-negative")
     arr = np.asarray(vals)
     std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-    return TimingReport(durations=tuple(vals), mean=float(np.mean(arr)), std=std)
+    return TimingReport(durations=tuple(vals), mean=_clipped_mean(arr), std=std)
 
 
 @dataclass(frozen=True)
@@ -145,12 +151,6 @@ class ComparisonReport:
     label_a: str
     label_b: str
     rows: tuple[ComparisonRow, ...]
-
-    def row(self, metric: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.metric == metric:
-                return r
-        raise KeyError(metric)
 
 
 def compare_demonstrations(a: Trajectory, b: Trajectory, label_a: str = "a", label_b: str = "b") -> ComparisonReport:

@@ -5,22 +5,21 @@ Conventions, fixed once and used everywhere:
 * quaternions are stored scalar-first ``(w, x, y, z)`` and composed with the
   Hamilton product
 * constructors canonicalize to the ``w >= 0`` hemisphere so each rotation has
-  exactly one representation; :func:`quat_exp` is the single documented
-  exception (see its docstring)
-* ``quat_log``/``quat_exp`` use the half-angle convention
+  exactly one representation; :func:`from_rotation_vector` past a half turn
+  is the one constructor path that leaves it (see :func:`quat_exp_wxyz`)
+* ``quat_log_wxyz``/``quat_exp_wxyz`` use the half-angle convention
   ``log(q) = (theta/2) * u`` for ``q = (cos(theta/2), u*sin(theta/2))``,
-  so a full-angle rotation vector is ``2 * quat_log(q)``
-* whole trajectories go through the ``*_rows`` kernels, which apply the same
-  maps to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row;
-  per-tick loops go through the ``*_wxyz`` float-tuple kernels, which the
-  object maps wrap, so both give the same floats bit for bit
+  so a full-angle rotation vector is ``2 * log(q)``
+* per-tick loops go through the ``*_wxyz`` float-tuple kernels; whole
+  trajectories go through the ``*_rows`` kernels, which apply the same maps
+  to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row
 * units are meters, seconds, newtons, and radians throughout
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +27,7 @@ __all__ = [
     "UnitQuaternion",
     "Pose",
     "quat_mul",
-    "quat_conj",
-    "quat_log",
-    "quat_exp",
-    "rotation_vector",
     "from_rotation_vector",
-    "slerp",
     "rotation_between",
     "quat_normalize",
     "quat_mul_wxyz",
@@ -59,18 +53,15 @@ class UnitQuaternion:
 
     Inputs are renormalized on construction, so the unit-norm invariant holds
     within float rounding for every operation that returns one of these.
-    ``raw=True`` skips only the hemisphere flip (needed by quat_exp so that
-    log/exp round-trip beyond rotation angle pi); the norm is still fixed up.
     """
 
     w: float
     x: float
     y: float
     z: float
-    raw: InitVar[bool] = False
 
-    def __post_init__(self, raw: bool) -> None:
-        self._set(*quat_normalize(self.w, self.x, self.y, self.z, raw))
+    def __post_init__(self) -> None:
+        self._set(*quat_normalize(self.w, self.x, self.y, self.z))
 
     def _set(self, w: float, x: float, y: float, z: float) -> None:
         object.__setattr__(self, "w", w)
@@ -93,9 +84,9 @@ class UnitQuaternion:
         return q
 
     @classmethod
-    def from_array(cls, wxyz, raw: bool = False) -> "UnitQuaternion":
+    def from_array(cls, wxyz) -> "UnitQuaternion":
         w, x, y, z = (float(v) for v in wxyz)
-        return cls(w, x, y, z, raw=raw)
+        return cls(w, x, y, z)
 
     @property
     def wxyz(self) -> tuple[float, float, float, float]:
@@ -116,15 +107,6 @@ class UnitQuaternion:
             ]
         )
 
-    @property
-    def angle(self) -> float:
-        """Rotation angle in [0, 2*pi); [0, pi] for canonical quaternions."""
-        vn = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        return 2.0 * math.atan2(vn, self.w)
-
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion.from_unit(*quat_conj_wxyz(self.wxyz))
-
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector: q * (0, v) * conj(q)."""
         vx, vy, vz = (float(c) for c in v)
@@ -140,10 +122,6 @@ class UnitQuaternion:
                 vz + w * tz + (x * ty - y * tx),
             ]
         )
-
-    def angle_to(self, other: "UnitQuaternion") -> float:
-        """Geodesic rotation angle between two orientations, in [0, pi]."""
-        return quat_mul(other, self.conjugate()).angle
 
 
 def _needs_flip(w: float, x: float, y: float, z: float) -> bool:
@@ -174,43 +152,10 @@ def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion.from_unit(*quat_mul_wxyz(a.wxyz, b.wxyz))
 
 
-def quat_conj(q: UnitQuaternion) -> UnitQuaternion:
-    return q.conjugate()
-
-
-def quat_log(q: UnitQuaternion) -> np.ndarray:
-    """Half-angle log map: returns (theta/2) * u as a 3-vector.
-
-    Accepts any unit quaternion (w < 0 included, for raw quat_exp outputs);
-    the identity maps to the zero vector.
-    """
-    return np.array(quat_log_wxyz(q.wxyz))
-
-
-def quat_exp(v) -> UnitQuaternion:
-    """Half-angle exp map, the exact inverse of quat_log for ||v|| < pi.
-
-    The result is deliberately NOT canonicalized: for ||v|| in (pi/2, pi) the
-    scalar part is negative, and flipping it would break the documented
-    round trip quat_log(quat_exp(v)) = v. Everything built from the result
-    through quat_mul/Pose/etc. lands back on the canonical hemisphere.
-    """
-    return UnitQuaternion.from_unit(*quat_exp_wxyz(tuple(float(c) for c in v)))
-
-
-def rotation_vector(q: UnitQuaternion) -> np.ndarray:
-    """Full-angle rotation vector theta*u (just 2*quat_log)."""
-    return np.array(rotation_vector_wxyz(q.wxyz))
-
-
 def from_rotation_vector(r) -> UnitQuaternion:
-    """Inverse of rotation_vector; full angle must be below 2*pi."""
-    return quat_exp(0.5 * np.asarray(r, dtype=float))
-
-
-def slerp(a: UnitQuaternion, b: UnitQuaternion, u: float) -> UnitQuaternion:
-    """Spherical-linear interpolation along the shorter arc, u in [0, 1]."""
-    return UnitQuaternion.from_unit(*slerp_wxyz(a.wxyz, b.wxyz, u))
+    """The rotation of full-angle vector r (angle below 2*pi), through
+    :func:`quat_exp_wxyz`: past a half turn it keeps w < 0."""
+    return UnitQuaternion.from_unit(*quat_exp_wxyz(tuple((0.5 * np.asarray(r, dtype=float)).tolist())))
 
 
 def rotation_between(u, v) -> UnitQuaternion:
@@ -236,18 +181,18 @@ def rotation_between(u, v) -> UnitQuaternion:
         return UnitQuaternion(0.0, *axis)
     axis = np.cross(u, v) / c
     angle = math.atan2(c, d)
-    return quat_exp(0.5 * angle * axis)
+    return from_rotation_vector(angle * axis)
 
 
 # ---------------------------------------------------------------------------
-# float-tuple kernels: the scalar maps above on (w, x, y, z) tuples of floats,
-# which the maps above wrap
+# float-tuple kernels: the scalar quaternion maps on (w, x, y, z) tuples of
+# floats
 
 
 def quat_mul_wxyz(
     a: tuple[float, float, float, float], b: tuple[float, float, float, float]
 ) -> tuple[float, float, float, float]:
-    """:func:`quat_mul` on ``(w, x, y, z)`` tuples."""
+    """Hamilton product a*b, renormalized and canonicalized."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return quat_normalize(
@@ -259,13 +204,17 @@ def quat_mul_wxyz(
 
 
 def quat_conj_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    """:func:`quat_conj` on a ``(w, x, y, z)`` tuple."""
+    """The inverse rotation, canonicalized."""
     w, x, y, z = q
     return quat_normalize(w, -x, -y, -z)
 
 
 def quat_log_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
-    """:func:`quat_log` on a ``(w, x, y, z)`` tuple."""
+    """Half-angle log map: (theta/2) * u as a 3-tuple.
+
+    Accepts any unit quaternion (w < 0 included, as :func:`quat_exp_wxyz`
+    returns past a half turn); the identity maps to the zero vector.
+    """
     w, x, y, z = q
     vn = math.sqrt(x * x + y * y + z * z)
     if vn < 1e-12:
@@ -279,7 +228,14 @@ def quat_log_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, f
 
 
 def quat_exp_wxyz(v: tuple[float, float, float]) -> tuple[float, float, float, float]:
-    """:func:`quat_exp` of a 3-tuple, equally left off the canonical hemisphere."""
+    """Half-angle exp map, the exact inverse of :func:`quat_log_wxyz` for
+    ||v|| < pi.
+
+    The result is deliberately NOT canonicalized: for ||v|| in (pi/2, pi) the
+    scalar part is negative, and flipping it would break the round trip
+    log(exp(v)) = v. Anything composed from it through :func:`quat_mul_wxyz`
+    lands back on the canonical hemisphere.
+    """
     vx, vy, vz = v
     n = math.sqrt(vx * vx + vy * vy + vz * vz)
     if n >= math.pi:
@@ -289,7 +245,7 @@ def quat_exp_wxyz(v: tuple[float, float, float]) -> tuple[float, float, float, f
 
 
 def rotation_vector_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
-    """:func:`rotation_vector` of a ``(w, x, y, z)`` tuple."""
+    """Full-angle rotation vector theta*u (twice the log)."""
     lx, ly, lz = quat_log_wxyz(q)
     return 2.0 * lx, 2.0 * ly, 2.0 * lz
 
@@ -297,7 +253,7 @@ def rotation_vector_wxyz(q: tuple[float, float, float, float]) -> tuple[float, f
 def slerp_wxyz(
     a: tuple[float, float, float, float], b: tuple[float, float, float, float], u: float
 ) -> tuple[float, float, float, float]:
-    """:func:`slerp` on unit ``(w, x, y, z)`` tuples."""
+    """Spherical-linear interpolation along the shorter arc, u in [0, 1]."""
     # b * conj(a) is canonical, so always the short way round
     lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
     return quat_mul_wxyz(quat_exp_wxyz((u * lx, u * ly, u * lz)), a)
@@ -312,7 +268,7 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a*b per row, neither renormalized nor canonicalized
-    (follow with :func:`quat_canonicalize_rows` for what :func:`quat_mul`
+    (follow with :func:`quat_canonicalize_rows` for what :func:`quat_mul_wxyz`
     returns)."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
@@ -348,8 +304,8 @@ def quat_canonicalize_rows(quats: np.ndarray) -> np.ndarray:
 
 
 def rotation_vector_rows(q: np.ndarray) -> np.ndarray:
-    """:func:`rotation_vector` per row; like it, no hemisphere flip, so rows
-    with w < 0 map to angles above pi."""
+    """:func:`rotation_vector_wxyz` per row; like it, no hemisphere flip, so
+    rows with w < 0 map to angles above pi."""
     v = q[:, 1:]
     vn = np.linalg.norm(v, axis=1)
     w = q[:, 0]
@@ -371,8 +327,8 @@ def from_rotation_vector_rows(r: np.ndarray) -> np.ndarray:
 
 
 def relative_rotation_vector_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``rotation_vector(quat_mul(a, quat_conj(b)))`` per row: the
-    shortest-arc rotation vector taking b onto a."""
+    """``rotation_vector_wxyz(quat_mul_wxyz(a, quat_conj_wxyz(b)))`` per row:
+    the shortest-arc rotation vector taking b onto a."""
     return rotation_vector_rows(quat_canonicalize_rows(quat_mul_rows(a, quat_conj_rows(b))))
 
 
@@ -390,26 +346,12 @@ class Pose:
         p.flags.writeable = False
         object.__setattr__(self, "position", p)
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.zeros(3), UnitQuaternion.identity())
-
     def transform_point(self, p) -> np.ndarray:
         return self.position + self.orientation.rotate(p)
 
     def transform_direction(self, d) -> np.ndarray:
         return self.orientation.rotate(d)
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self * other, both read as frame-to-parent transforms."""
-        return Pose(self.transform_point(other.position), quat_mul(self.orientation, other.orientation))
-
     def inverse(self) -> "Pose":
-        qi = self.orientation.conjugate()
+        qi = UnitQuaternion.from_unit(*quat_conj_wxyz(self.orientation.wxyz))
         return Pose(qi.rotate(-self.position), qi)
-
-    def almost_equal(self, other: "Pose", pos_tol: float = 1e-9, ang_tol: float = 1e-9) -> bool:
-        return (
-            float(np.max(np.abs(self.position - other.position))) <= pos_tol
-            and self.orientation.angle_to(other.orientation) <= ang_tol
-        )

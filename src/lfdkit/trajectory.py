@@ -183,13 +183,6 @@ class Trajectory:
             return 0.0
         return float(self.times[-1] - self.times[0])
 
-    @property
-    def has_wrenches(self) -> bool:
-        return self.wrenches is not None
-
-    def pose(self, i: int) -> Pose:
-        return Pose(self.positions[i], UnitQuaternion.from_array(self.orientations[i]))
-
     def is_uniform(self, rtol: float = 1e-6) -> bool:
         if len(self.times) < 2:
             return True
@@ -203,7 +196,7 @@ class Trajectory:
         return float(np.median(np.diff(self.times)))
 
     def save_csv(self, path) -> None:
-        cols = _BASE_COLUMNS + (_WRENCH_COLUMNS if self.has_wrenches else [])
+        cols = _BASE_COLUMNS + (_WRENCH_COLUMNS if self.wrenches is not None else [])
         blocks = [self.times[:, None], self.positions, self.orientations]
         if self.wrenches is not None:
             blocks.append(self.wrenches)

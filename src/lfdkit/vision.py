@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, from_rotation_vector, quat_mul
-from .trajectory import ParseError, json_floats, json_pose, pose_json, read_json, require_keys, write_json
+from .trajectory import ParseError, json_floats, json_pose, pose_json, require_keys
 
 __all__ = [
     "HoleSpec",
@@ -35,8 +35,6 @@ __all__ = [
     "fit_plane",
     "fit_circle3d",
     "detection_range_sweep",
-    "save_scene",
-    "load_scene",
 ]
 
 _TOP_FACE_TOL = 1e-9
@@ -446,11 +444,3 @@ def scene_from_dict(data: dict, path: str = "<scene>") -> tuple[BarScene, Camera
     except ValueError as exc:
         raise ParseError(path, 0, "scene", str(exc)) from None
     return scene, cam
-
-
-def save_scene(path, scene: BarScene, cam: CameraModel) -> None:
-    write_json(path, scene_to_dict(scene, cam))
-
-
-def load_scene(path) -> tuple[BarScene, CameraModel]:
-    return scene_from_dict(read_json(path), str(path))

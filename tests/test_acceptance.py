@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from lfdkit.cli import main
-from lfdkit.dmp import ForcingTerm, eval_forcing, fit_pose_dmp, rollout
+from lfdkit.dmp import _forcing_profile, fit_pose_dmp, rollout
 from lfdkit.ktc import native_drive, simulate_demonstration
 from lfdkit.metrics import jerk_metrics
 from lfdkit.presets import (
@@ -22,7 +22,7 @@ from lfdkit.presets import (
     demo_pose_waypoints,
     make_smooth_demo,
 )
-from lfdkit.se3 import Pose, quat_exp, quat_log, quat_mul, rotation_vector
+from lfdkit.se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_log_wxyz, quat_mul_wxyz, rotation_vector_wxyz
 from lfdkit.trajectory import Trajectory, finite_difference
 from lfdkit.vision import detection_range_sweep, fit_circle3d, synthesize_mask
 
@@ -35,8 +35,8 @@ def _ten_second_demo():
 def _angle_between(qa, qb) -> float:
     from lfdkit.se3 import UnitQuaternion
 
-    rel = quat_mul(UnitQuaternion(*qb), UnitQuaternion(*qa).conjugate())
-    return float(np.linalg.norm(rotation_vector(rel)))
+    rel = quat_mul_wxyz(UnitQuaternion(*qb).wxyz, quat_conj_wxyz(UnitQuaternion(*qa).wxyz))
+    return float(np.linalg.norm(rotation_vector_wxyz(rel)))
 
 
 def test_a1_imitation_accuracy():
@@ -191,18 +191,18 @@ def test_a7_numeric_oracles():
     # forcing mixture vs direct summation
     n = 30
     centers = np.exp(-(25.0 / 3.0) * np.arange(n) / (n - 1))
-    ft = ForcingTerm(rng.normal(size=n), centers, 1.0 / np.diff(centers, append=1e-3) ** 2)
+    weights, widths = rng.normal(size=n), 1.0 / np.diff(centers, append=1e-3) ** 2
     for s in np.linspace(1e-3, 1.0, 50):
-        psi = np.exp(-ft.widths * (s - ft.centers) ** 2)
-        direct = float(psi @ ft.weights) / float(psi.sum())
-        assert abs(eval_forcing(ft, s) - s * direct) < 1e-12
+        psi = np.exp(-widths * (s - centers) ** 2)
+        direct = float(psi @ weights) / float(psi.sum())
+        assert abs(_forcing_profile(weights[None, :], centers, widths, np.array([s]))[0, 0] - s * direct) < 1e-12
 
     # exp/log round trip on 10^4 rotation vectors
     vecs = rng.normal(size=(10_000, 3))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     vecs *= rng.uniform(0.0, math.pi - 1e-6, size=(10_000, 1))
     for v in vecs:
-        assert np.linalg.norm(quat_log(quat_exp(v)) - v) < 1e-9
+        assert np.linalg.norm(quat_log_wxyz(quat_exp_wxyz(tuple(v))) - v) < 1e-9
 
     # exact rim points recover center, axis, and radius
     scene, cam = default_bar_scene(), default_camera()

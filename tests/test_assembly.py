@@ -35,7 +35,7 @@ from lfdkit.assembly import (
 )
 from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
-from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, slerp
+from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, slerp_wxyz
 from lfdkit.trajectory import ParseError, Trajectory
 from lfdkit.vision import HoleEstimate, fit_circle3d, synthesize_mask
 
@@ -476,7 +476,7 @@ def _lag_step(state: _LagState, dt: float) -> _LagState:
     if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
         orient = qr
     else:
-        orient = slerp(qr, qc, a)
+        orient = UnitQuaternion.from_unit(*slerp_wxyz(qr.wxyz, qc.wxyz, a))
     return replace(state, x_r=Pose(pos, orient))
 
 

@@ -145,10 +145,23 @@ OUT_OF_RANGE = [
     ("trial", "plan_overtravel", -1e-3, "must be at least 0"),
     ("trial", "yaw_limit_deg", -1, "must be at least 0"),
     ("sweep", "tolerance", -1, "must be positive"),
+    # at the default n_basis 50: the last basis gap squared underflows (400),
+    # or the last center itself does (1000)
+    ("dmp", "alpha_s", 400, "must keep every basis center above 0 and width finite"),
+    ("dmp", "alpha_s", 1000, "must keep every basis center above 0 and width finite"),
 ]
-out_of_range = pytest.mark.parametrize(
-    "section, key, value, rule", OUT_OF_RANGE, ids=[f"{s}.{k}" for s, k, _, _ in OUT_OF_RANGE]
-)
+
+
+def _row_ids(rows):
+    """section.key, with the value appended for a key already listed."""
+    seen, ids = set(), []
+    for section, key, value, _ in rows:
+        ids.append(f"{section}.{key}" if (section, key) not in seen else f"{section}.{key}={value}")
+        seen.add((section, key))
+    return ids
+
+
+out_of_range = pytest.mark.parametrize("section, key, value, rule", OUT_OF_RANGE, ids=_row_ids(OUT_OF_RANGE))
 
 
 class TestRanges:
@@ -179,6 +192,16 @@ class TestRanges:
             }
         )
         assert cfg.trial.n == 1 and cfg.rollout.horizon == 0.0
+
+    def test_n_basis_past_float_range_is_a_parse_error(self):
+        # the basis-layout rule does float arithmetic on n_basis
+        with pytest.raises(ParseError, match="too large to convert to float"):
+            config_from_dict({"dmp": {"n_basis": 10**400}})
+
+    @pytest.mark.parametrize("n_basis, alpha_s", [(50, 350.0), (10, 399.6), (2, 745.0)])
+    def test_finite_basis_layout_accepted(self, n_basis, alpha_s):
+        cfg = config_from_dict({"dmp": {"n_basis": n_basis, "alpha_s": alpha_s}})
+        assert cfg.dmp.alpha_s == alpha_s
 
     @pytest.mark.parametrize("command", ["trial", "teach-sim"])
     @out_of_range

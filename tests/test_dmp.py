@@ -2,7 +2,7 @@
 
 The load-bearing checks are driven by independent oracles:
 
-* eval_forcing against a plain double-loop mixture sum
+* the forcing profile against a plain double-loop mixture sum
 * forcing-target inversion against a hand-rolled Euler forward simulation
   driven by a known closed-form forcing function
 * zero-forcing rollouts against the critically damped closed-form solution
@@ -23,17 +23,16 @@ import pytest
 
 from lfdkit.dmp import (
     DegenerateDemo,
-    ForcingTerm,
     ForcingUnderflow,
     PoseDmp,
     RolloutDiverged,
-    TransformParams,
     _euler_translation,
+    _forcing_profile,
     basis_layout,
+    check_basis_layout,
     compute_forcing_targets,
     dmp_from_dict,
     dmp_to_dict,
-    eval_forcing,
     fit_lwr,
     fit_pose_dmp,
     load_dmp,
@@ -42,10 +41,32 @@ from lfdkit.dmp import (
     save_dmp,
 )
 from lfdkit.presets import demo_pose_waypoints, make_smooth_demo
-from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul
+from lfdkit.se3 import (
+    Pose,
+    UnitQuaternion,
+    from_rotation_vector,
+    quat_conj_wxyz,
+    quat_mul,
+    quat_mul_wxyz,
+    rotation_vector_wxyz,
+)
 from lfdkit.trajectory import ParseError, Trajectory
 
 ALPHA_S = 25.0 / 3.0
+ORIGIN = Pose(np.zeros(3))  # identity orientation
+
+
+def angle_between(a, b):
+    """Geodesic angle between two (w, x, y, z) orientations, in [0, pi]."""
+    rel = quat_mul_wxyz(tuple(map(float, b)), quat_conj_wxyz(tuple(map(float, a))))
+    return math.hypot(*rotation_vector_wxyz(rel))
+
+
+def forcing_at(weights, centers, widths, s):
+    """One axis of the forcing profile at phase s: the mixture times s."""
+    w = np.asarray(weights, dtype=float)[None, :]
+    profile = _forcing_profile(w, np.asarray(centers, dtype=float), np.asarray(widths, dtype=float), np.array([s]))
+    return float(profile[0, 0])
 
 
 def smooth_demo(duration=3.0, seed=0, dt=1e-3):
@@ -64,8 +85,8 @@ def zero_weight_dmp(n_basis=50, tau=1.0, goal=None):
         widths=widths,
         weights_pos=np.zeros((3, n_basis)),
         weights_rot=np.zeros((3, n_basis)),
-        demo_start=Pose.identity(),
-        demo_goal=goal if goal is not None else Pose.identity(),
+        demo_start=ORIGIN,
+        demo_goal=goal if goal is not None else ORIGIN,
     )
 
 
@@ -89,13 +110,27 @@ class TestBasisLayout:
         with pytest.raises(ValueError):
             basis_layout(10, 0.0)
 
+    # (n_basis, last alpha_s whose layout is finite): past it the last gap
+    # squared underflows, or at n_basis 2 the last center itself reaches 0
+    @pytest.mark.parametrize("n_basis, edge", [(2, 745.13), (10, 399.64), (50, 362.63)])
+    def test_underflowing_layout_rejected(self, n_basis, edge):
+        centers, widths = basis_layout(n_basis, edge)
+        assert centers[-1] > 0 and np.all(np.isfinite(widths))
+        for alpha_s in (edge + 0.01, 1000.0, math.inf):
+            with pytest.raises(ValueError, match="alpha_s must keep every basis center above 0 and width finite"):
+                basis_layout(n_basis, alpha_s)
+
+    def test_check_allocates_nothing_of_size_n_basis(self):
+        check_basis_layout(10**15, ALPHA_S)
+        with pytest.raises(ValueError, match="width finite"):
+            check_basis_layout(10**15, 400.0)
+
 
 class TestEvalForcing:
     def test_matches_double_loop(self):
         rng = np.random.default_rng(3)
         centers, widths = basis_layout(12, ALPHA_S)
         weights = rng.normal(size=12) * 40.0
-        ft = ForcingTerm(weights, centers, widths)
         for s in rng.uniform(1e-4, 1.0, size=30):
             num = 0.0
             den = 0.0
@@ -103,25 +138,24 @@ class TestEvalForcing:
                 psi = math.exp(-widths[i] * (s - centers[i]) ** 2)
                 num += psi * weights[i]
                 den += psi
-            assert eval_forcing(ft, s) == pytest.approx(s * num / den, rel=1e-12)
+            assert forcing_at(weights, centers, widths, s) == pytest.approx(s * num / den, rel=1e-12)
 
     def test_constant_weights_give_constant_mixture(self):
         centers, widths = basis_layout(30, ALPHA_S)
-        ft = ForcingTerm(np.full(30, 7.25), centers, widths)
         for s in (1.0, 0.3, 0.01, 2.4e-4):
-            assert eval_forcing(ft, s) == pytest.approx(7.25 * s, rel=1e-12)
+            assert forcing_at(np.full(30, 7.25), centers, widths, s) == pytest.approx(7.25 * s, rel=1e-12)
 
     def test_underflow_warns_and_returns_zero(self):
-        ft = ForcingTerm([5.0, 5.0], [1.0, 0.9], [1e7, 1e7])
         with pytest.warns(ForcingUnderflow):
-            assert eval_forcing(ft, 0.01) == 0.0
+            assert forcing_at([5.0, 5.0], [1.0, 0.9], [1e7, 1e7], 0.01) == 0.0
 
     def test_validation(self):
-        centers, widths = basis_layout(5, ALPHA_S)
+        # a primitive checks its basis: weights per basis, positive widths
+        dmp = zero_weight_dmp(n_basis=5)
         with pytest.raises(ValueError):
-            ForcingTerm([1.0, 2.0], centers, widths)
-        with pytest.raises(ValueError):
-            ForcingTerm(np.zeros(5), centers, -widths)
+            PoseDmp(**{**vars(dmp), "weights_pos": np.zeros((3, 2))})
+        with pytest.raises(ValueError, match="widths must be positive"):
+            PoseDmp(**{**vars(dmp), "widths": -dmp.widths})
 
 
 class TestFitLwr:
@@ -146,15 +180,14 @@ class TestFitLwr:
         # 1% contract is pinned with a gently varying profile.
         n = 20
         centers, widths = basis_layout(n, ALPHA_S)
-        truth = ForcingTerm(15.0 + 0.2 * np.arange(n), centers, widths)
+        truth = 15.0 + 0.2 * np.arange(n)
         t = np.linspace(0.0, math.log(200.0) / ALPHA_S, 500)
         s = np.exp(-ALPHA_S * t)
-        targets = np.array([eval_forcing(truth, v) for v in s])
+        targets = np.array([forcing_at(truth, centers, widths, v) for v in s])
         weights, _ = fit_lwr(s, targets, centers, widths)
-        fitted = ForcingTerm(weights, centers, widths)
         keep = s >= 0.01
         want = targets[keep]
-        got = np.array([eval_forcing(fitted, v) for v in s[keep]])
+        got = np.array([forcing_at(weights, centers, widths, v) for v in s[keep]])
         rms = np.sqrt(np.mean((got - want) ** 2))
         assert rms < 0.01 * np.sqrt(np.mean(want**2))
 
@@ -235,7 +268,7 @@ class TestForcingTargets:
         pos = g[None, :] + (y0 - g)[None, :] * shape[:, None]
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(t), 1))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
-        s, targets = compute_forcing_targets(demo, TransformParams(az), ALPHA_S)
+        s, targets = compute_forcing_targets(demo, az, az / 4.0, ALPHA_S)
         scale = az * (az / 4.0) * float(np.max(np.abs(g - y0)))
         inner = slice(5, -5)
         assert np.max(np.abs(targets[inner])) < 1e-3 * scale
@@ -269,7 +302,7 @@ class TestForcingTargets:
         pos[:, 0] = ys
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(ys), 1))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
-        s_k, targets = compute_forcing_targets(demo, TransformParams(az, bz), ALPHA_S)
+        s_k, targets = compute_forcing_targets(demo, az, bz, ALPHA_S)
         inner = slice(5, -5)
         raw = targets[inner, 0]
         expect = np.array([injected(v) for v in s_k[inner]])
@@ -284,14 +317,14 @@ class TestForcingTargets:
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (50, 1))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
         with pytest.raises(DegenerateDemo):
-            compute_forcing_targets(demo, TransformParams(), ALPHA_S)
+            compute_forcing_targets(demo, 25.0, 6.25, ALPHA_S)
 
 
 class TestRollout:
     def test_zero_forcing_matches_closed_form(self):
         goal = Pose(np.array([1.0, -0.5, 0.25]), UnitQuaternion.identity())
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
-        traj = rollout(dmp, start=Pose.identity(), goal=goal, dt=1e-4)
+        traj = rollout(dmp, start=ORIGIN, goal=goal, dt=1e-4)
         lam = -25.0 / 2.0
         shape = (1.0 - lam * traj.times) * np.exp(lam * traj.times)
         expect = goal.position[None, :] * (1.0 - shape[:, None])
@@ -303,7 +336,7 @@ class TestRollout:
         lam = -25.0 / 2.0
 
         def max_err(dt):
-            traj = rollout(dmp, start=Pose.identity(), goal=goal, dt=dt)
+            traj = rollout(dmp, start=ORIGIN, goal=goal, dt=dt)
             shape = (1.0 - lam * traj.times) * np.exp(lam * traj.times)
             return np.max(np.abs(traj.positions[:, 0] - (1.0 - shape)))
 
@@ -313,7 +346,7 @@ class TestRollout:
     def test_zero_forcing_monotone_approach(self):
         goal = Pose(np.array([0.3, -0.3, 0.1]), UnitQuaternion.identity())
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
-        traj = rollout(dmp, start=Pose.identity(), goal=goal)
+        traj = rollout(dmp, start=ORIGIN, goal=goal)
         for axis in range(3):
             d = np.diff(traj.positions[:, axis]) * np.sign(goal.position[axis])
             assert np.all(d > -1e-12)
@@ -322,9 +355,8 @@ class TestRollout:
         gq = from_rotation_vector(np.array([0.4, -0.3, 0.2]))
         goal = Pose(np.zeros(3), gq)
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
-        traj = rollout(dmp, start=Pose.identity(), goal=goal)
-        final = traj.pose(len(traj) - 1)
-        assert final.orientation.angle_to(gq) < 1e-4
+        traj = rollout(dmp, start=ORIGIN, goal=goal)
+        assert angle_between(traj.orientations[-1], gq.wxyz) < 1e-4
 
     def test_gated_same_weights_still_reach_goal(self):
         n = 50
@@ -335,7 +367,7 @@ class TestRollout:
             centers=centers, widths=widths,
             weights_pos=np.vstack([np.full(n, 31.25), np.zeros(n), np.zeros(n)]),
             weights_rot=np.zeros((3, n)),
-            demo_start=Pose.identity(), demo_goal=goal,
+            demo_start=ORIGIN, demo_goal=goal,
         )
         traj = rollout(dmp)
         assert np.linalg.norm(traj.positions[-1] - goal.position) < 1e-3
@@ -350,9 +382,7 @@ class TestRollout:
         assert pos_diff < 1e-3
         worst = 0.0
         for k in range(0, len(a), 97):
-            qa = a.pose(k).orientation
-            qb = b.pose(2 * k).orientation
-            worst = max(worst, qa.angle_to(qb))
+            worst = max(worst, angle_between(a.orientations[k], b.orientations[2 * k]))
         assert worst < math.radians(0.1)
 
     @staticmethod
@@ -363,7 +393,7 @@ class TestRollout:
             alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0,
             centers=centers, widths=widths,
             weights_pos=np.full((3, n), w_pos), weights_rot=np.full((3, n), w_rot),
-            demo_start=Pose.identity(), demo_goal=Pose.identity(),
+            demo_start=ORIGIN, demo_goal=ORIGIN,
         )
 
     def test_divergence_raises_with_step(self):
@@ -626,17 +656,15 @@ class TestFitRollout:
         assert rmse < 2e-3
         angles = []
         for k in range(0, n, 31):
-            angles.append(replay.pose(k).orientation.angle_to(traj_demo.pose(k).orientation))
+            angles.append(angle_between(replay.orientations[k], traj_demo.orientations[k]))
         assert np.sqrt(np.mean(np.square(angles))) < math.radians(1.0)
 
     def test_settles_on_demo_goal(self):
         traj_demo = smooth_demo(duration=3.0, seed=4)
         dmp = fit_pose_dmp(traj_demo)
         replay = rollout(dmp)
-        final = replay.pose(len(replay) - 1)
-        goal = traj_demo.pose(len(traj_demo) - 1)
-        assert np.linalg.norm(final.position - goal.position) < 5e-4
-        assert final.orientation.angle_to(goal.orientation) < math.radians(0.2)
+        assert np.linalg.norm(replay.positions[-1] - traj_demo.positions[-1]) < 5e-4
+        assert angle_between(replay.orientations[-1], traj_demo.orientations[-1]) < math.radians(0.2)
 
     def test_goal_shift_reaches_new_goal(self):
         traj_demo = smooth_demo(duration=3.0)
@@ -646,9 +674,8 @@ class TestFitRollout:
             quat_mul(from_rotation_vector(np.array([0.0, 0.0, 0.3])), dmp.demo_goal.orientation),
         )
         replay = rollout(dmp, goal=shifted)
-        final = replay.pose(len(replay) - 1)
-        assert np.linalg.norm(final.position - shifted.position) < 1e-3
-        assert final.orientation.angle_to(shifted.orientation) < math.radians(0.5)
+        assert np.linalg.norm(replay.positions[-1] - shifted.position) < 1e-3
+        assert angle_between(replay.orientations[-1], shifted.orientation.wxyz) < math.radians(0.5)
 
     def test_fit_is_deterministic(self):
         traj_demo = smooth_demo(duration=2.0, seed=7)
@@ -670,7 +697,7 @@ class TestFitRollout:
         assert np.all(dmp.weights_rot == 0.0)
         replay = rollout(dmp)
         assert np.max(np.linalg.norm(replay.positions - pos[0], axis=1)) < 1e-9
-        assert replay.pose(len(replay) - 1).orientation.angle_to(dmp.demo_goal.orientation) < 1e-9
+        assert angle_between(replay.orientations[-1], dmp.demo_goal.orientation.wxyz) < 1e-9
 
     def test_rollout_speed(self):
         traj_demo = smooth_demo(duration=3.0)

@@ -15,6 +15,8 @@ from lfdkit.metrics import (
     ComparisonReport,
     ComparisonRow,
     JerkReport,
+    _EDGE_TRIM,
+    _interior_stats,
     compare_demonstrations,
     comparison_to_dict,
     jerk_metrics,
@@ -177,6 +179,36 @@ class TestTimingStats:
             timing_stats([-1.0])
 
 
+# equal or nearly equal samples: the mean of n equal doubles can round an ulp
+# above them, and must be clipped back into [min, max]
+near_constant = st.builds(
+    lambda base, steps: [base + k * math.ulp(base) for k in steps],
+    st.one_of(st.floats(1e-300, 1e6), st.integers(1, 10_000).map(lambda k: k * 0.01)),
+    st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 2]), min_size=1, max_size=40),
+)
+
+
+class TestMeanInRange:
+    def test_equal_durations(self):
+        r = timing_stats([0.05] * 3)
+        assert r.mean == 0.05
+
+    @settings(max_examples=300)
+    @given(near_constant)
+    def test_timing_stats(self, values):
+        r = timing_stats(values)
+        assert min(values) <= r.mean <= max(values)
+
+    @settings(max_examples=300)
+    @given(near_constant)
+    def test_interior_stats(self, values):
+        norms = np.array(values)
+        r = _interior_stats(norms, _EDGE_TRIM, "m/s^3")
+        n = len(norms)
+        trim = min(_EDGE_TRIM, max((n - 2) // 2, 0))
+        assert norms[trim:n - trim].min() <= r.mean <= r.max
+
+
 class TestComparison:
     def test_identical_inputs_all_tie(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
@@ -194,9 +226,10 @@ class TestComparison:
             identity_quats(len(clean)),
         )
         rep = compare_demonstrations(clean, noisy, "clean", "noisy")
-        assert rep.row("mean_jerk_m_s3").winner == "a"
-        assert rep.row("max_jerk_m_s3").winner == "a"
-        assert rep.row("mean_jerk_m_s3").ratio_a_over_b < 1.0
+        rows = {r.metric: r for r in rep.rows}
+        assert rows["mean_jerk_m_s3"].winner == "a"
+        assert rows["max_jerk_m_s3"].winner == "a"
+        assert rows["mean_jerk_m_s3"].ratio_a_over_b < 1.0
 
     def test_zero_denominator_ratio(self):
         row = ComparisonRow("m", 1.0, 0.0)

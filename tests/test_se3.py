@@ -10,12 +10,9 @@ from lfdkit.se3 import (
     from_rotation_vector,
     from_rotation_vector_rows,
     quat_canonicalize_rows,
-    quat_conj,
     quat_conj_rows,
     quat_conj_wxyz,
-    quat_exp,
     quat_exp_wxyz,
-    quat_log,
     quat_log_wxyz,
     quat_mul,
     quat_mul_rows,
@@ -23,10 +20,9 @@ from lfdkit.se3 import (
     quat_normalize,
     relative_rotation_vector_rows,
     rotation_between,
-    rotation_vector,
     rotation_vector_rows,
     rotation_vector_wxyz,
-    slerp,
+    slerp_wxyz,
 )
 
 
@@ -35,6 +31,11 @@ def random_unit_quats(n, seed):
     raw = rng.normal(size=(n, 4))
     raw /= np.linalg.norm(raw, axis=1)[:, None]
     return [UnitQuaternion.from_array(row) for row in raw]
+
+
+def angle_between(a, b):
+    """Geodesic angle from orientation tuple a to b, in [0, pi]."""
+    return math.hypot(*rotation_vector_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a))))
 
 
 unit_vec = st.tuples(
@@ -98,15 +99,14 @@ class TestMulConj:
 
     def test_conjugate_inverts(self):
         for q in random_unit_quats(50, seed=10):
-            r = quat_mul(q, quat_conj(q))
-            assert np.allclose(r.as_array(), [1, 0, 0, 0], atol=1e-12)
+            r = quat_mul_wxyz(q.wxyz, quat_conj_wxyz(q.wxyz))
+            assert np.allclose(r, [1, 0, 0, 0], atol=1e-12)
 
     def test_composition_of_axis_rotations(self):
         # 90 deg about x then 90 deg about yields 120 deg about (1,1,1)/sqrt(3)
-        qx = quat_exp(np.array([math.pi / 4, 0, 0]))
-        qz = quat_exp(np.array([0, 0, math.pi / 4]))
-        composed = quat_mul(qz, qx)
-        v = rotation_vector(composed)
+        qx = quat_exp_wxyz((math.pi / 4, 0.0, 0.0))
+        qz = quat_exp_wxyz((0.0, 0.0, math.pi / 4))
+        v = rotation_vector_wxyz(quat_mul_wxyz(qz, qx))
         assert math.isclose(np.linalg.norm(v), 2 * math.pi / 3, rel_tol=1e-12)
 
     @given(quat_st, quat_st, quat_st)
@@ -126,72 +126,87 @@ class TestMulConj:
 class TestLogExp:
     def test_log_half_angle_convention(self):
         # rotation of pi about x: q = (cos(pi/2), sin(pi/2), 0, 0)
-        q = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
-        assert np.allclose(quat_log(q), [math.pi / 2, 0, 0], atol=1e-12)
+        assert np.allclose(quat_log_wxyz((0.0, 1.0, 0.0, 0.0)), [math.pi / 2, 0, 0], atol=1e-12)
 
     def test_exp_half_angle_convention(self):
         # (0, 0, pi/4) is a rotation of pi/2 about z
-        q = quat_exp(np.array([0.0, 0.0, math.pi / 4]))
+        q = quat_exp_wxyz((0.0, 0.0, math.pi / 4))
         expected = [math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)]
-        assert np.allclose(q.as_array(), expected, atol=1e-12)
+        assert np.allclose(q, expected, atol=1e-12)
 
     def test_identity_maps_to_zero(self):
-        assert np.allclose(quat_log(UnitQuaternion.identity()), 0.0)
-        assert np.allclose(quat_exp(np.zeros(3)).as_array(), [1, 0, 0, 0])
+        assert quat_log_wxyz(UnitQuaternion.identity().wxyz) == (0.0, 0.0, 0.0)
+        assert quat_exp_wxyz((0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0, 0.0)
 
     def test_exp_log_round_trip_canonical(self):
         # oracle: round trip must be the identity map on the w >= 0 hemisphere
         for q in random_unit_quats(1000, seed=7):
-            back = quat_exp(quat_log(q))
-            assert np.allclose(back.as_array(), q.as_array(), atol=1e-9)
+            back = quat_exp_wxyz(quat_log_wxyz(q.wxyz))
+            assert np.allclose(back, q.wxyz, atol=1e-9)
 
     def test_log_exp_round_trip_large_angles(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             v = rng.normal(size=3)
             v *= rng.uniform(0, 3.0) / np.linalg.norm(v)
-            assert np.allclose(quat_log(quat_exp(v)), v, atol=1e-9)
+            assert np.allclose(quat_log_wxyz(quat_exp_wxyz(tuple(v.tolist()))), v, atol=1e-9)
 
     def test_exp_domain_error(self):
         with pytest.raises(ValueError):
-            quat_exp(np.array([math.pi, 0.0, 0.0]))
+            quat_exp_wxyz((math.pi, 0.0, 0.0))
         with pytest.raises(ValueError):
-            quat_exp(np.array([3.0, 3.0, 0.0]))
+            quat_exp_wxyz((3.0, 3.0, 0.0))
 
     def test_rotation_vector_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 2 * math.pi - 1e-6) / np.linalg.norm(r) / 2
-            assert np.allclose(rotation_vector(from_rotation_vector(r)), r, atol=1e-9)
+            assert np.allclose(rotation_vector_wxyz(from_rotation_vector(r).wxyz), r, atol=1e-9)
+
+    def test_from_rotation_vector_past_a_half_turn_keeps_w_negative(self):
+        # the one constructor path off the canonical hemisphere, so the round
+        # trip holds up to a full angle of 2*pi
+        r = np.array([0.0, 0.0, 1.5 * math.pi])
+        q = from_rotation_vector(r)
+        assert q.w < 0.0
+        assert np.allclose(rotation_vector_wxyz(q.wxyz), r, atol=1e-12)
+
+    def test_from_rotation_vector_wraps_the_exp_kernel(self):
+        for q in random_unit_quats(100, seed=8):
+            r = 2.0 * np.array(quat_log_wxyz(q.wxyz))
+            assert from_rotation_vector(r).wxyz == quat_exp_wxyz(tuple((0.5 * r).tolist()))
 
 
 class TestSlerp:
     def test_endpoints(self):
-        a, b = random_unit_quats(2, seed=21)
-        assert np.allclose(slerp(a, b, 0.0).as_array(), a.as_array(), atol=1e-12)
-        assert np.allclose(slerp(a, b, 1.0).as_array(), b.as_array(), atol=1e-12)
+        a, b = (q.wxyz for q in random_unit_quats(2, seed=21))
+        assert np.allclose(slerp_wxyz(a, b, 0.0), a, atol=1e-12)
+        assert np.allclose(slerp_wxyz(a, b, 1.0), b, atol=1e-12)
 
     def test_midpoint_halves_angle(self):
-        for a, b in zip(random_unit_quats(50, seed=30), random_unit_quats(50, seed=31)):
-            mid = slerp(a, b, 0.5)
-            assert math.isclose(a.angle_to(mid), mid.angle_to(b), rel_tol=1e-9, abs_tol=1e-12)
+        for qa, qb in zip(random_unit_quats(50, seed=30), random_unit_quats(50, seed=31)):
+            a, b = qa.wxyz, qb.wxyz
+            mid = slerp_wxyz(a, b, 0.5)
+            assert math.isclose(angle_between(a, mid), angle_between(mid, b), rel_tol=1e-9, abs_tol=1e-12)
 
     def test_constant_speed(self):
-        a, b = random_unit_quats(2, seed=40)
-        total = a.angle_to(b)
+        a, b = (q.wxyz for q in random_unit_quats(2, seed=40))
+        total = angle_between(a, b)
         for u in (0.25, 0.5, 0.75):
-            assert math.isclose(a.angle_to(slerp(a, b, u)), u * total, rel_tol=1e-9)
+            assert math.isclose(angle_between(a, slerp_wxyz(a, b, u)), u * total, rel_tol=1e-9)
 
     @settings(deadline=None)
     @given(quat_st, quat_st, st.floats(0.0, 1.0))
-    def test_equals_the_scalar_maps_bit_for_bit(self, a, b, u):
-        want = quat_mul(quat_exp(u * quat_log(quat_mul(b, a.conjugate()))), a)
-        got = slerp(a, b, u)
-        assert (got.w, got.x, got.y, got.z) == (want.w, want.x, want.y, want.z)
+    def test_equals_the_scalar_maps_bit_for_bit(self, qa, qb, u):
+        a, b = qa.wxyz, qb.wxyz
+        lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
+        want = quat_mul_wxyz(quat_exp_wxyz((u * lx, u * ly, u * lz)), a)
+        assert slerp_wxyz(a, b, u) == want
 
     def test_from_unit_keeps_components(self):
-        q = slerp(*random_unit_quats(2, seed=41), 0.3)
+        a, b = random_unit_quats(2, seed=41)
+        q = UnitQuaternion.from_unit(*slerp_wxyz(a.wxyz, b.wxyz, 0.3))
         again = UnitQuaternion.from_unit(q.w, q.x, q.y, q.z)
         assert again == q and (again.w, again.x, again.y, again.z) == (q.w, q.x, q.y, q.z)
 
@@ -225,14 +240,21 @@ class TestRotationBetween:
 
 
 class TestPose:
-    def test_compose_inverse_round_trip(self):
+    def test_inverse_round_trip(self):
         rng = np.random.default_rng(2)
         for q in random_unit_quats(50, seed=2):
             p = Pose(rng.normal(size=3), q)
-            assert p.compose(p.inverse()).almost_equal(Pose.identity())
+            inv = p.inverse()
+            v = rng.normal(size=3)
+            np.testing.assert_allclose(inv.transform_point(p.transform_point(v)), v, atol=1e-12)
+            np.testing.assert_allclose(p.transform_point(inv.transform_point(v)), v, atol=1e-12)
+            assert inv.orientation.wxyz == quat_conj_wxyz(q.wxyz)
+
+    def test_default_orientation_is_identity(self):
+        assert Pose(np.zeros(3)).orientation == UnitQuaternion.identity()
 
     def test_transform_point_matches_manual(self):
-        p = Pose(np.array([1.0, 2.0, 3.0]), quat_exp(np.array([0, 0, math.pi / 4])))
+        p = Pose(np.array([1.0, 2.0, 3.0]), from_rotation_vector([0, 0, math.pi / 2]))
         # 90 deg about z sends +x to +y
         assert np.allclose(p.transform_point([1, 0, 0]), [1, 3, 3], atol=1e-12)
 
@@ -246,8 +268,9 @@ class TestPose:
             p.position[0] = 1.0
 
 
-# rows with w < 0 are kept as given (raw=True), so the kernels see both
-# hemispheres; near-identity rows and rotations near pi are mixed in
+# unit tuples with w < 0 are kept as given (normalized with raw=True), so the
+# kernels see both hemispheres; near-identity rows and rotations near pi are
+# mixed in
 _EDGE_ROWS = [
     (1.0, 1e-9, -2e-10, 3e-13),
     (1.0, 0.0, 0.0, 0.0),
@@ -261,27 +284,30 @@ raw_quat_st = st.one_of(
     st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
         lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3
     ),
-).map(lambda q: UnitQuaternion(*q, raw=True))
+).map(lambda q: quat_normalize(*q, raw=True))
 raw_quat_lists = st.lists(raw_quat_st, min_size=1, max_size=8)
 
 
-# the scalar maps spelled out on UnitQuaternion objects, as they read before
-# they wrapped the *_wxyz kernels: each kernel must equal its reference bit for bit
+# the scalar maps spelled out on the UnitQuaternion constructor and numpy:
+# each kernel must equal its reference bit for bit
 def reference_mul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
     return UnitQuaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y + a.y * b.w + a.z * b.x - a.x * b.z,
-        a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
-    )
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by + ay * bw + az * bx - ax * bz,
+        aw * bz + az * bw + ax * by - ay * bx,
+    ).wxyz
 
 
 def reference_log(q):
-    vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    w, x, y, z = q
+    vn = math.sqrt(x * x + y * y + z * z)
     if vn < 1e-12:
-        return np.zeros(3) if q.w < 0.0 else np.array([q.x / q.w, q.y / q.w, q.z / q.w])
-    k = math.atan2(vn, q.w) / vn
-    return np.array([k * q.x, k * q.y, k * q.z])
+        return np.zeros(3) if w < 0.0 else np.array([x / w, y / w, z / w])
+    k = math.atan2(vn, w) / vn
+    return np.array([k * x, k * y, k * z])
 
 
 def reference_exp(v):
@@ -290,7 +316,7 @@ def reference_exp(v):
     if n >= math.pi:
         raise ValueError("outside the domain")
     s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
-    return UnitQuaternion(math.cos(n), s * vx, s * vy, s * vz, raw=True)
+    return quat_normalize(math.cos(n), s * vx, s * vy, s * vz, raw=True)
 
 
 # half-angle vectors: below the series cutoff, generic, and just short of pi
@@ -307,38 +333,32 @@ half_vec_st = st.builds(
 
 class TestTupleKernels:
     """Each *_wxyz kernel against its reference map, on both hemispheres,
-    near the identity and near a half turn; the object map must agree too."""
+    near the identity and near a half turn; quat_mul, which wraps its
+    kernel, must agree too."""
 
     @settings(deadline=None)
     @given(raw_quat_st, raw_quat_st)
     def test_mul(self, a, b):
-        want = reference_mul(a, b).wxyz
-        assert quat_mul_wxyz(a.wxyz, b.wxyz) == want
-        assert quat_mul(a, b).wxyz == want
+        want = reference_mul(a, b)
+        assert quat_mul_wxyz(a, b) == want
+        assert quat_mul(UnitQuaternion.from_unit(*a), UnitQuaternion.from_unit(*b)).wxyz == want
 
     @settings(deadline=None)
     @given(raw_quat_st)
     def test_conj(self, q):
-        want = UnitQuaternion(q.w, -q.x, -q.y, -q.z).wxyz
-        assert quat_conj_wxyz(q.wxyz) == want
-        assert quat_conj(q).wxyz == want
+        w, x, y, z = q
+        assert quat_conj_wxyz(q) == UnitQuaternion(w, -x, -y, -z).wxyz
 
     @settings(deadline=None)
     @given(raw_quat_st)
     def test_log_and_rotation_vector(self, q):
-        want = tuple(reference_log(q).tolist())
-        assert quat_log_wxyz(q.wxyz) == want
-        assert tuple(quat_log(q).tolist()) == want
-        twice = tuple((2.0 * reference_log(q)).tolist())
-        assert rotation_vector_wxyz(q.wxyz) == twice
-        assert tuple(rotation_vector(q).tolist()) == twice
+        assert quat_log_wxyz(q) == tuple(reference_log(q).tolist())
+        assert rotation_vector_wxyz(q) == tuple((2.0 * reference_log(q)).tolist())
 
     @settings(deadline=None)
     @given(half_vec_st)
     def test_exp(self, v):
-        want = reference_exp(v).wxyz
-        assert quat_exp_wxyz(v) == want
-        assert quat_exp(np.array(v)).wxyz == want
+        assert quat_exp_wxyz(v) == reference_exp(v)
 
     def test_exp_domain_error(self):
         with pytest.raises(ValueError, match="outside the domain"):
@@ -346,25 +366,25 @@ class TestTupleKernels:
 
 
 def rows(quats):
-    return np.array([q.as_array() for q in quats])
+    return np.array([q.as_array() if isinstance(q, UnitQuaternion) else q for q in quats])
 
 
 class TestRowKernels:
-    """Each row kernel against the scalar function, row by row."""
+    """Each row kernel against its float-tuple kernel, row by row."""
 
     @settings(deadline=None)
     @given(raw_quat_lists, raw_quat_lists)
     def test_mul(self, qa, qb):
         n = min(len(qa), len(qb))
         got = quat_canonicalize_rows(quat_mul_rows(rows(qa[:n]), rows(qb[:n])))
-        want = rows([quat_mul(a, b) for a, b in zip(qa, qb)])
+        want = rows([quat_mul_wxyz(a, b) for a, b in zip(qa, qb)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @settings(deadline=None)
     @given(raw_quat_lists)
     def test_conj(self, qs):
         got = quat_canonicalize_rows(quat_conj_rows(rows(qs)))
-        np.testing.assert_allclose(got, rows([quat_conj(q) for q in qs]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, rows([quat_conj_wxyz(q) for q in qs]), rtol=0, atol=1e-12)
 
     @settings(deadline=None)
     @given(raw_quat_lists, st.floats(0.5, 2.0))
@@ -385,13 +405,13 @@ class TestRowKernels:
     @given(raw_quat_lists)
     def test_log(self, qs):
         got = rotation_vector_rows(rows(qs))
-        np.testing.assert_allclose(got, [rotation_vector(q) for q in qs], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, [rotation_vector_wxyz(q) for q in qs], rtol=0, atol=1e-12)
 
     @settings(deadline=None)
     @given(raw_quat_lists)
     def test_exp(self, qs):
         # full angles up to just below 2*pi, from both hemispheres
-        r = np.array([rotation_vector(q) for q in qs])
+        r = np.array([rotation_vector_wxyz(q) for q in qs])
         got = from_rotation_vector_rows(r)
         np.testing.assert_allclose(got, rows([from_rotation_vector(v) for v in r]), rtol=0, atol=1e-12)
 
@@ -405,5 +425,5 @@ class TestRowKernels:
     def test_relative(self, qa, qb):
         n = min(len(qa), len(qb))
         got = relative_rotation_vector_rows(rows(qa[:n]), rows(qb[:n]))
-        want = [rotation_vector(quat_mul(a, quat_conj(b))) for a, b in zip(qa, qb)]
+        want = [rotation_vector_wxyz(quat_mul_wxyz(a, quat_conj_wxyz(b))) for a, b in zip(qa, qb)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

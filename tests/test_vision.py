@@ -12,6 +12,7 @@ import pytest
 
 from lfdkit.presets import default_bar_scene, default_camera
 from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul
+from lfdkit.trajectory import read_json, write_json
 from lfdkit.vision import (
     BarScene,
     CameraModel,
@@ -23,8 +24,6 @@ from lfdkit.vision import (
     detection_range_sweep,
     fit_circle3d,
     fit_plane,
-    load_scene,
-    save_scene,
     scene_from_dict,
     scene_to_dict,
     synthesize_mask,
@@ -33,6 +32,11 @@ from lfdkit.vision import (
 RIM_CENTER = np.array([0.02, -0.01, 0.24])
 RIM_U = np.array([1.0, 0.0, 0.0])
 RIM_V = np.array([0.0, 1.0, 0.0])
+
+
+def compose(a: Pose, b: Pose) -> Pose:
+    """a * b, both read as frame-to-parent transforms."""
+    return Pose(a.transform_point(b.position), quat_mul(a.orientation, b.orientation))
 
 
 def arc_points(span: float, n: int, sigma: float = 0.0, seed: int = 0, radius: float = 0.004) -> np.ndarray:
@@ -73,7 +77,7 @@ class TestSceneTypes:
 
     def test_camera_validation(self):
         with pytest.raises(ValueError, match="focal"):
-            CameraModel(pose=Pose.identity(), fx=0.0)
+            CameraModel(pose=Pose(np.zeros(3)), fx=0.0)
 
     def test_default_scene_geometry(self):
         scene = default_bar_scene()
@@ -232,9 +236,9 @@ class TestFitCircle3d:
     def test_rigid_transform_equivariance(self):
         scene, cam = default_bar_scene(), default_camera()
         g = Pose(np.array([0.4, -0.2, 0.1]), from_rotation_vector([0.3, -0.2, 0.5]))
-        moved_scene = BarScene(g.compose(scene.bar), scene.dims, scene.holes)
+        moved_scene = BarScene(compose(g, scene.bar), scene.dims, scene.holes)
         moved_cam = CameraModel(
-            g.compose(cam.pose), cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height
+            compose(g, cam.pose), cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height
         )
         for hole_id in (0, 1, 2):
             a = fit_circle3d(synthesize_mask(scene, cam, hole_id))
@@ -302,9 +306,9 @@ class TestSceneSerialization:
         scene, cam = default_bar_scene(), default_camera()
         p1 = tmp_path / "scene.json"
         p2 = tmp_path / "scene2.json"
-        save_scene(p1, scene, cam)
-        scene2, cam2 = load_scene(p1)
-        save_scene(p2, scene2, cam2)
+        write_json(p1, scene_to_dict(scene, cam))
+        scene2, cam2 = scene_from_dict(read_json(p1), str(p1))
+        write_json(p2, scene_to_dict(scene2, cam2))
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(scene2.dims, scene.dims)
         assert np.array_equal(scene2.holes[2].offset, scene.holes[2].offset)
