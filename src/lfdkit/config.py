@@ -15,7 +15,8 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .dmp import check_basis_layout
+from .assembly import _PLAN_DT
+from .dmp import check_basis_layout, demo_steps, rollout_steps
 from .trajectory import ParseError, read_json, write_json
 
 __all__ = [
@@ -132,6 +133,8 @@ class RolloutSection:
                 raise ValueError(
                     f"{name} must have 7 values (px,py,pz,qw,qx,qy,qz) with a nonzero quaternion, got {list(pose)}"
                 )
+        if self.tau is not None:
+            rollout_steps(self.tau, self.dt, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,10 @@ class TrialSection:
         _at_least(self, 0, "plan_overtravel", "yaw_limit_deg")
         _vision_noise(self)
         _finite(self)
+        try:  # the plan replays the primitive, whose tau is the demo's duration
+            rollout_steps(self.demo_duration, _PLAN_DT)
+        except ValueError as exc:
+            raise ValueError(f"demo_duration is the plan rollout's tau: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,8 @@ def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
             try:
                 return _check_value(value, arm, where, path)
             except ParseError:
-                continue
+                if _shaped(value, arm):  # the arm's own error says more than the union's
+                    raise
         raise ParseError(path, 0, where, f"expected {hint}, got {type(value).__name__}")
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -295,6 +303,14 @@ def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
             raise ParseError(path, 0, where, f"expected a string, got {type(value).__name__}")
         return value
     return value
+
+
+def _shaped(value: Any, hint: Any) -> bool:
+    """Whether a JSON value is of the kind ``hint`` reads: a list for a
+    tuple, a number for a float."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple))
+    return hint is float and isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _build_section(cls: type, data: Any, where: str, path: str) -> Any:
@@ -330,6 +346,10 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         if name in data:
             kwargs[name] = _build_section(cls, data[name], name, path)
     cfg = RunConfig(**kwargs)
+    try:  # the trial fits its demo at dmp.dt
+        demo_steps(cfg.trial.demo_duration, cfg.dmp.dt)
+    except ValueError as exc:
+        raise ParseError(path, 0, "dmp.dt", str(exc)) from None
     from .presets import scene_from_config  # presets builds on this module
 
     scene, _ = scene_from_config(cfg, path)

@@ -1,15 +1,18 @@
-"""Discrete 6-DoF movement primitives: a phase-driven second-order attractor
-per translation axis plus a quaternion-manifold attractor for orientation,
-each modulated by a learned radial-basis forcing term.
+"""Discrete 6-DoF movement primitives: one phase-driven second-order
+attractor per coordinate, modulated by a learned radial-basis forcing term.
 
-Dynamics (time constant tau, phase s in (0, 1]):
+The six coordinates x are the position p and the orientation q charted at
+the goal orientation g: the full-angle rotation vector e = log(q * conj(g)),
+which is 0 at the goal. In that chart the orientation error obeys the same
+linear system as a position (Koutras & Doulgeri, CoRL 2019, "A correct
+formulation for the orientation dynamic movement primitives for robot
+control in the Cartesian space"), so one law serves all six axes.
 
-* phase          tau * ds/dt = -alpha_s * s, stepped in closed form
-* translation    tau * dz/dt = alpha_z * (beta_z * (g - y) - z) + f(s)
-                 tau * dy/dt = z
-* orientation    the same structure on eta = tau * omega with the attractor
-                 error 2 * log(g_q * conj(q)), integrated with
-                 q <- exp(omega * dt / 2) * q
+Dynamics (time constant tau, phase s in (0, 1], goal x_g: g_p for p, 0 for e):
+
+* phase           tau * ds/dt = -alpha_s * s, stepped in closed form
+* transformation  tau * dz/dt = alpha_z * (beta_z * (x_g - x) - z) + f(s)
+                  tau * dx/dt = z
 
 The forcing term is a normalized Gaussian mixture multiplied by the phase s,
 so it vanishes at convergence and the attractor reaches exactly the goal it
@@ -18,13 +21,13 @@ is given (Ijspeert et al. 2013).
 Weights are fitted by per-basis locally weighted regression on targets
 obtained by inverting the transformation system along a demonstration:
 
-    f_target = tau^2 * acc - alpha_z * (beta_z * (goal - y) - tau * vel)
+    f_target = tau^2 * acc - alpha_z * (beta_z * (x_g - x) - tau * vel)
 
 Rollout integrates with explicit Euler. The phase and hence the forcing of
-all six axes are known in advance; translation under explicit Euler is a
-fixed second-order linear filter over that forcing, which factors into two
-first-order linear scans, each a scaled prefix sum (Blelloch 1990). Only
-the nonlinear orientation attractor steps through a scalar Python loop.
+all six axes are known in advance, and under explicit Euler each axis is a
+fixed second-order linear filter over that forcing. It factors into two
+first-order linear scans, each a scaled prefix sum (Blelloch 1990), run
+for all six axes at once; q = exp(e) * g maps the orientation back.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .se3 import Pose, UnitQuaternion, quat_conj_rows, quat_mul_rows, relative_rotation_vector_rows
+from .se3 import Pose, UnitQuaternion, from_rotation_vector_rows, quat_mul_rows, relative_rotation_vector_rows
 from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
 from .trajectory import read_json, require_keys, resample_trajectory, write_json
 
@@ -46,8 +48,11 @@ __all__ = [
     "DegenerateDemo",
     "RolloutDiverged",
     "ForcingUnderflow",
+    "MAX_ROWS",
     "check_basis_layout",
     "basis_layout",
+    "demo_steps",
+    "rollout_steps",
     "prepare_demonstration",
     "compute_forcing_targets",
     "fit_lwr",
@@ -61,6 +66,7 @@ _SUPPORT_FLOOR = 1e-12   # per-basis regression denominator guard
 _DENOM_FLOOR = 1e-300    # mixture normalization underflow guard
 _SMOOTH_WINDOW = 5       # samples in the moving average over demo derivatives
 _SCAN_RANGE = 200.0      # |log| of the largest power of a root one scan block forms
+MAX_ROWS = 1_000_000     # samples one demonstration grid or rollout may hold: 1000 s at 1 ms
 
 
 class DegenerateDemo(ValueError):
@@ -112,6 +118,38 @@ def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
     return centers, widths
 
 
+def _grid_steps(span: float, dt: float, what: str) -> int:
+    """round(span / dt), rejected in float arithmetic, before anything is
+    allocated, when the grid would hold more than MAX_ROWS samples."""
+    steps = span / dt
+    if not steps + 1 <= MAX_ROWS:
+        raise ValueError(f"{what} needs {steps + 1:.10g} samples, more than the cap of {MAX_ROWS}")
+    return int(round(steps))
+
+
+def demo_steps(duration: float, dt: float) -> int:
+    """Steps of the grid :func:`prepare_demonstration` fits on, enough for
+    one window of the moving average over its derivatives."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    what = f"a {duration:.6g} s demonstration at dt = {dt:.6g}"
+    steps = _grid_steps(duration, dt, what)
+    if steps + 1 < _SMOOTH_WINDOW:
+        raise ValueError(f"{what} gives {steps + 1} of the {_SMOOTH_WINDOW} samples fitting needs")
+    return steps
+
+
+def rollout_steps(tau: float, dt: float, horizon: float = 1.5) -> int:
+    """Euler steps of :func:`rollout` over ``horizon * tau`` at dt <= tau/100."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if dt <= 0 or dt > tau / 100.0:
+        raise ValueError(f"dt must lie in (0, tau/100]; got dt = {dt:.6g} for tau = {tau:.6g}")
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be non-negative; got {horizon!r}")
+    return _grid_steps(horizon * tau, dt, f"a rollout of horizon {horizon:.6g} * tau {tau:.6g} s at dt = {dt:.6g}")
+
+
 def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Basis activations exp(-h_i (s_k - c_i)^2), shape (len(s), N); built
     in place, as the matrix of a long rollout is large."""
@@ -149,9 +187,8 @@ def _forcing_profile(
 
 
 def _moving_average(v: np.ndarray) -> np.ndarray:
-    """Centered moving average with a shrinking window at the edges."""
-    if len(v) < 2:
-        return v.copy()
+    """Centered moving average with a shrinking window at the edges, over at
+    least one window of samples."""
     kernel = np.ones(_SMOOTH_WINDOW)
     counts = np.convolve(np.ones(len(v)), kernel, mode="same")
     out = np.empty_like(v)
@@ -162,65 +199,54 @@ def _moving_average(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DemonstrationData:
-    """A demonstration regridded to uniform dt with smoothed derivatives."""
+    """A demonstration regridded to uniform dt: its six coordinates
+    [p, log(q * conj(g))] with smoothed derivatives, and its end poses."""
 
     times: np.ndarray
     dt: float
     tau: float
-    positions: np.ndarray
-    quats: np.ndarray
+    coords: np.ndarray  # (n, 6)
     velocities: np.ndarray
     accelerations: np.ndarray
-    omegas: np.ndarray
-    domegas: np.ndarray
-
-    @property
-    def start(self) -> Pose:
-        return Pose(self.positions[0], UnitQuaternion.from_array(self.quats[0]))
-
-    @property
-    def goal(self) -> Pose:
-        return Pose(self.positions[-1], UnitQuaternion.from_array(self.quats[-1]))
+    start: Pose
+    goal: Pose
 
 
 def prepare_demonstration(traj: Trajectory, dt: float = 1e-3) -> DemonstrationData:
     """Regrid to uniform dt (snapped so the span is an integer number of
-    steps, endpoints exact) and differentiate.
+    steps, endpoints exact), chart the orientation at the goal and
+    differentiate.
 
-    Angular velocity comes from relative-quaternion logs (central over 2*dt in
-    the interior); all derivative series get a centered moving average, since
-    recorded demonstrations are noisy by nature.
+    The chart takes the shortest arc, so it jumps where the rotation from the
+    goal passes a half turn; such a demonstration is rejected. All derivative
+    series get a centered moving average, since recorded demonstrations are
+    noisy by nature.
     """
     if len(traj) < 2 or traj.duration <= 0:
         raise ValueError("demonstration needs at least 2 samples spanning a positive duration")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = max(int(round(traj.duration / dt)), 1)
+    steps = demo_steps(traj.duration, dt)
     grid_dt = traj.duration / steps
     res = resample_trajectory(traj, grid_dt)
     t = res.times - res.times[0]
-    pos = res.positions
     quats = res.orientations
-
-    vel = finite_difference(t, pos, 1)
-    acc = finite_difference(t, pos, 2)
-
-    omega = np.empty((len(t), 3))
-    one_step = relative_rotation_vector_rows(quats[1:], quats[:-1]) / grid_dt
-    omega[0], omega[-1] = one_step[0], one_step[-1]
-    omega[1:-1] = relative_rotation_vector_rows(quats[2:], quats[:-2]) / (2.0 * grid_dt)
-    domega = finite_difference(t, omega, 1)
-
+    e = relative_rotation_vector_rows(quats, quats[-1:])
+    # neighbouring samples lie a grid step apart; only the chart's jump moves e by more than pi
+    jump = np.flatnonzero(np.linalg.norm(np.diff(e, axis=0), axis=1) > math.pi)
+    if len(jump):
+        raise ValueError(
+            f"demonstration passes a half turn from its goal orientation at t = {t[jump[0]]:.6g} s;"
+            " a primitive cannot chart it"
+        )
+    coords = np.hstack([res.positions, e])
     return DemonstrationData(
         times=t,
         dt=grid_dt,
         tau=float(t[-1]),
-        positions=pos,
-        quats=quats,
-        velocities=_moving_average(vel),
-        accelerations=_moving_average(acc),
-        omegas=_moving_average(omega),
-        domegas=_moving_average(domega),
+        coords=coords,
+        velocities=_moving_average(finite_difference(t, coords, 1)),
+        accelerations=_moving_average(finite_difference(t, coords, 2)),
+        start=Pose(res.positions[0], UnitQuaternion.from_array(quats[0])),
+        goal=Pose(res.positions[-1], UnitQuaternion.from_array(quats[-1])),
     )
 
 
@@ -230,27 +256,19 @@ def compute_forcing_targets(
     beta_z: float,
     alpha_s: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the transformation system along the demonstration.
+    """Invert the transformation system along the demonstration, one formula
+    for all six coordinates, whose goal is their last sample.
 
     Returns (s_k, targets) with targets of shape (n, 6): three translation
     axes then three orientation axes. The targets are the raw inversion,
     gate included; :func:`fit_lwr` fits them against the gate s.
     """
-    span = float(np.max(np.linalg.norm(demo.positions - demo.positions[0], axis=1)))
-    rot_span = float(np.max(np.linalg.norm(relative_rotation_vector_rows(demo.quats, demo.quats[:1]), axis=1)))
-    speed = float(np.max(np.abs(demo.velocities))) + float(np.max(np.abs(demo.omegas)))
-    if span < 1e-9 and rot_span < 1e-9 and speed < 1e-9:
+    x = demo.coords
+    if np.max(np.abs(x - x[0])) < 1e-9 and np.max(np.abs(demo.velocities)) < 1e-9:
         raise DegenerateDemo("no information to fit: start equals goal and the demo never moves")
-
     tau = demo.tau
     s = np.exp(-alpha_s * demo.times / tau)
-
-    g = demo.positions[-1]
-    f_pos = tau**2 * demo.accelerations - alpha_z * (beta_z * (g - demo.positions) - tau * demo.velocities)
-
-    err = relative_rotation_vector_rows(demo.quats[-1:], demo.quats)
-    f_rot = tau**2 * demo.domegas - alpha_z * (beta_z * err - tau * demo.omegas)
-    return s, np.hstack([f_pos, f_rot])
+    return s, tau**2 * demo.accelerations - alpha_z * (beta_z * (x[-1] - x) - tau * demo.velocities)
 
 
 def fit_lwr(
@@ -292,8 +310,7 @@ class PoseDmp:
     tau: float
     centers: np.ndarray
     widths: np.ndarray
-    weights_pos: np.ndarray  # (3, N)
-    weights_rot: np.ndarray  # (3, N)
+    weights: np.ndarray  # (6, N): three translation axes, then three of e
     demo_start: Pose
     demo_goal: Pose
 
@@ -307,9 +324,7 @@ class PoseDmp:
             raise ValueError("widths must be positive")
         if not np.all((self.centers > 0) & (self.centers <= 1)):
             raise ValueError("centers must lie in (0, 1]")
-        n = len(self.centers)
-        for name in ("weights_pos", "weights_rot"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3, n))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float).reshape(6, len(self.centers)))
 
     @property
     def n_basis(self) -> int:
@@ -348,8 +363,7 @@ def fit_pose_dmp(
         tau=demo.tau,
         centers=centers,
         widths=widths,
-        weights_pos=weights[:3],
-        weights_rot=weights[3:],
+        weights=weights,
         demo_start=demo.start,
         demo_goal=demo.goal,
     )
@@ -439,100 +453,53 @@ def rollout(
 
     Explicit Euler at fixed dt out to ``horizon * tau`` (the extra half tau
     lets the attractor settle). The phase follows its closed form, so the
-    forcing of all six axes is precomputed from one activation matrix.
-    Translation is linear and time-invariant: eliminating z from the Euler
-    step leaves, per axis, the error e = y - g obeying
+    forcing of all six axes is precomputed from one activation matrix. Every
+    axis is linear and time-invariant in the goal's log chart (Koutras &
+    Doulgeri 2019): eliminating z from the Euler step leaves the error
+    e = x - x_g (p - g for a position; log(q * conj(g)) for the orientation)
+    obeying
 
         e[k+2] = (2 - a) e[k+1] - (1 - a + b) e[k] + (dt/tau)^2 f[k],
         a = alpha_z dt/tau, b = alpha_z beta_z (dt/tau)^2, e[1] = e[0],
 
-    a second-order linear filter, run as two first-order scans, one per root
-    of its characteristic polynomial (see ``_euler_translation``). Only the
-    orientation attractor runs in a scalar loop, on the error quaternion
-    d = g * conj(q) as its state
-    (q <- exp(omega dt/2) q is d <- d * conj(exp(omega dt/2))); q = conj(d) g
-    is recovered row-wise at the end. The loop also checks divergence, on the
-    sum of all nine |state| components per step, translational ones included.
+    a second-order linear filter, run for the six axes in one scan (see
+    ``_euler_translation``). Divergence is found row-wise: the first step
+    whose |z| over six axes plus |p| and |e| sum to 1e15 or more, or to NaN,
+    raises RolloutDiverged. The orientation comes back as q = exp(e) * g row
+    by row, an |e| of 2 pi or more first wrapped along its axis, which is the
+    same rotation.
     """
     start = dmp.demo_start if start is None else start
     goal = dmp.demo_goal if goal is None else goal
     tau = dmp.tau if tau is None else float(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if dt <= 0 or dt > tau / 100.0:
-        raise ValueError(f"dt must lie in (0, tau/100]; got dt = {dt:.6g} for tau = {tau:.6g}")
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be non-negative; got {horizon!r}")
-
-    n_steps = int(round(horizon * tau / dt))
+    n_steps = rollout_steps(tau, dt, horizon)
     times = np.arange(n_steps + 1) * dt
     s_profile = np.exp(-dmp.alpha_s * times / tau)
     az, bz = dmp.alpha_z, dmp.beta_z
     adt = dt / tau
-    weights = np.vstack([dmp.weights_pos, dmp.weights_rot])
-    forcing = adt * _forcing_profile(weights, dmp.centers, dmp.widths, s_profile)
+    forcing = adt * _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
 
+    gq = goal.orientation.as_array()[None]
+    e0 = relative_rotation_vector_rows(start.orientation.as_array()[None], gq)[0]
     err = _euler_translation(
-        np.asarray(start.position, dtype=float) - goal.position,
-        adt * forcing[:n_steps, :3],
+        np.concatenate([start.position - goal.position, e0]),
+        adt * forcing[:n_steps],
         2.0 - az * adt,
         1.0 - az * adt + az * bz * adt * adt,
     )
-    positions = err[:-1] + goal.position
+    positions = err[:-1, :3] + goal.position
+    rot = err[:-1, 3:]
     with np.errstate(over="ignore", invalid="ignore"):
-        # per-step translational part of the divergence test: |z| + |y|
-        trans_size = (np.abs(np.diff(err, axis=0)) / adt).sum(axis=1) + np.abs(positions).sum(axis=1)
+        size = (np.abs(np.diff(err, axis=0)) / adt).sum(axis=1) + np.abs(positions).sum(axis=1)
+        size += np.abs(rot).sum(axis=1)
+    bad = np.flatnonzero(~(size[1:] < 1e15))
+    if len(bad):
+        raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
 
-    gq, q0 = goal.orientation, start.orientation
-    gw, gvx, gvy, gvz = gq.w, gq.x, gq.y, gq.z
-    dw = gw * q0.w + gvx * q0.x + gvy * q0.y + gvz * q0.z
-    dx = q0.w * gvx - gw * q0.x - (gvy * q0.z - gvz * q0.y)
-    dy = q0.w * gvy - gw * q0.y - (gvz * q0.x - gvx * q0.z)
-    dz = q0.w * gvz - gw * q0.z - (gvx * q0.y - gvy * q0.x)
-    ex = ey = ez = 0.0   # scaled angular velocity tau * omega
-    decay, pull2, turn = 1.0 - az * adt, 2.0 * az * bz * adt, 0.5 * adt   # turn: (dt/2) / tau
-
-    sqrt, atan2, sin, cos = math.sqrt, math.atan2, math.sin, math.cos
-    out_d: list[tuple[float, float, float, float]] = [(dw, dx, dy, dz)]
-    append = out_d.append
-    f_rot = forcing[:n_steps, 3:]
-    for fx, fy, fz, size in zip(
-        f_rot[:, 0].tolist(), f_rot[:, 1].tolist(), f_rot[:, 2].tolist(), trans_size[1:].tolist()
-    ):
-        # attractor pull alpha_z*beta_z*dt/tau times the error 2*log(d), shortest arc
-        vn2 = dx * dx + dy * dy + dz * dz
-        if vn2 > 1e-24:
-            vn = sqrt(vn2)
-            kk = pull2 * atan2(vn, dw) / vn if dw >= 0.0 else -pull2 * atan2(vn, -dw) / vn
-        else:
-            kk = pull2 / dw
-
-        ax, ay, avz = ex * turn, ey * turn, ez * turn
-        ex = decay * ex + kk * dx + fx
-        ey = decay * ey + kk * dy + fy
-        ez = decay * ez + kk * dz + fz
-
-        # d <- d * conj(exp(omega * dt / 2))
-        an2 = ax * ax + ay * ay + avz * avz
-        an = sqrt(an2)
-        sc = 1.0 - an2 / 6.0 if an < 1e-8 else sin(an) / an
-        cw = cos(an)
-        sx, sy, sz = sc * ax, sc * ay, sc * avz
-        nw = cw * dw + sx * dx + sy * dy + sz * dz
-        nx = cw * dx - sx * dw - (dy * sz - dz * sy)
-        ny = cw * dy - sy * dw - (dz * sx - dx * sz)
-        nz = cw * dz - sz * dw - (dx * sy - dy * sx)
-        inv = 1.0 / sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
-        dw, dx, dy, dz = nw * inv, nx * inv, ny * inv, nz * inv
-        append((dw, dx, dy, dz))
-
-        if not (abs(ex) + abs(ey) + abs(ez) + size < 1e15):
-            step = len(out_d) - 1
-            raise RolloutDiverged(step, step * dt)
-
-    d = np.fromiter(chain.from_iterable(out_d), float, 4 * len(out_d)).reshape(-1, 4)
-    quats = quat_mul_rows(quat_conj_rows(d), gq.as_array())
-    return Trajectory(times, positions, quats)
+    angle = np.linalg.norm(rot, axis=1)
+    far = angle >= 2.0 * math.pi
+    rot[far] *= ((np.remainder(angle[far] + math.pi, 2.0 * math.pi) - math.pi) / angle[far])[:, None]
+    return Trajectory(times, positions, quat_mul_rows(from_rotation_vector_rows(rot), gq))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +508,7 @@ def rollout(
 
 _DMP_KEYS = (
     "alpha_s", "alpha_z", "beta_z", "tau", "N",
-    "centers", "widths", "weights_pos", "weights_rot", "demo_start", "demo_goal",
+    "centers", "widths", "weights", "demo_start", "demo_goal",
 )
 
 
@@ -558,8 +525,7 @@ def dmp_to_dict(dmp: PoseDmp) -> dict:
         "N": dmp.n_basis,
         "centers": dmp.centers.tolist(),
         "widths": dmp.widths.tolist(),
-        "weights_pos": dmp.weights_pos.tolist(),
-        "weights_rot": dmp.weights_rot.tolist(),
+        "weights": dmp.weights.tolist(),
         "demo_start": pose_json(dmp.demo_start),
         "demo_goal": pose_json(dmp.demo_goal),
     }
@@ -578,8 +544,7 @@ def dmp_from_dict(d: dict, path: str = "<primitive>") -> PoseDmp:
             **{key: json_floats(d, key, (), "primitive") for key in ("alpha_s", "alpha_z", "beta_z", "tau")},
             centers=centers,
             widths=json_floats(d, "widths", (n,), "primitive"),
-            weights_pos=json_floats(d, "weights_pos", (3, n), "primitive"),
-            weights_rot=json_floats(d, "weights_rot", (3, n), "primitive"),
+            weights=json_floats(d, "weights", (6, n), "primitive"),
             demo_start=_pose_from_dict(d["demo_start"], "primitive.demo_start"),
             demo_goal=_pose_from_dict(d["demo_goal"], "primitive.demo_goal"),
         )

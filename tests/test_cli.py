@@ -386,7 +386,7 @@ class TestInputFiles:
             (("demo_goal", "orientation"), [1e200, 0, 0, 0], "not finite"),
             (("N",), "50", "does not match"),
             (("tau",), None, "primitive.tau"),
-            (("weights_rot", 1), {}, "primitive.weights_rot"),
+            (("weights", 4), {}, "primitive.weights"),
             (("gate_mode",), "phase-gated", "unknown key 'gate_mode'"),
             # well-formed but out of range
             (("widths", 0), -1.0, "widths must be positive"),

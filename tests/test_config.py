@@ -2,6 +2,7 @@
 values, and resolved-document idempotence."""
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from lfdkit.config import (
     load_config,
     save_config,
 )
+from lfdkit.dmp import MAX_ROWS
 from lfdkit.trajectory import ParseError
 
 
@@ -72,7 +74,8 @@ class TestRejection:
         with pytest.raises(ParseError) as err:
             config_from_dict({"dmp": {"alpha_z": "fast"}})
         assert err.value.field == "dmp.alpha_z"
-        with pytest.raises(ParseError):
+        # a value of another kind than an optional field's is named against the union
+        with pytest.raises(ParseError, match=r"expected tuple\[float, \.\.\.\] \| None, got str"):
             config_from_dict({"rollout": {"start": "0,0,0"}})
 
     def test_optional_fields_accept_null_and_values(self):
@@ -104,9 +107,15 @@ class TestRejection:
         assert err.value.field == "dmp.gate_mode"
 
     def test_integer_past_the_float_range(self):
-        with pytest.raises(ParseError, match="out of the float range") as err:
-            config_from_dict({"dmp": {"alpha_z": 10**400}})
-        assert err.value.field == "dmp.alpha_z"
+        # a plain, an optional and a tuple float field report the same rule
+        for section, key, value in [
+            ("dmp", "alpha_z", 10**400),
+            ("trial", "yaw_deg", 10**400),
+            ("rollout", "start", [10**400, 0, 0, 1, 0, 0, 0]),
+        ]:
+            with pytest.raises(ParseError, match="out of the float range") as err:
+                config_from_dict({section: {key: value}})
+            assert err.value.field == f"{section}.{key}"
 
 
 # (section, key, out-of-range value, the rule the error states)
@@ -119,6 +128,8 @@ OUT_OF_RANGE = [
     ("trial", "n", 0, "must be at least 1"),
     ("trial", "mask_points", 2, "must be at least 3"),
     ("trial", "demo_duration", 0, "must be positive"),
+    # the trial replays its primitive (tau = demo_duration) at 1 ms steps
+    ("trial", "demo_duration", 0.05, "is the plan rollout's tau: dt must lie in (0, tau/100]"),
     ("rollout", "dt", 0, "must be positive"),
     ("rollout", "tau", 0, "must be positive"),
     ("rollout", "horizon", -1, "must be at least 0"),
@@ -258,6 +269,24 @@ class TestBounds:
         assert cfg.trial.mask_points == MAX_MASK_POINTS and cfg.sweep.stop_deg == MAX_SWEEP_YAWS - 1
 
 
+    # each would allocate more rows than dmp.MAX_ROWS: the rollout at call
+    # time (tau set here), the trial's fit at dmp.dt, the trial's plan
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"rollout": {"tau": 1e9}}, "rollout"),
+            ({"rollout": {"tau": 1.0, "dt": 1e-9}}, "rollout"),
+            ({"rollout": {"tau": 1.0, "horizon": 1e300}}, "rollout"),
+            ({"dmp": {"dt": 1e-9}}, "dmp.dt"),
+            ({"trial": {"demo_duration": 1e9}}, "trial"),
+        ],
+        ids=["rollout-tau", "rollout-dt", "rollout-horizon", "dmp-dt", "trial-demo-duration"],
+    )
+    def test_dmp_rows_are_capped(self, doc, field):
+        with pytest.raises(ParseError, match=f"more than the cap of {MAX_ROWS}") as err:
+            config_from_dict(doc)
+        assert err.value.field == field
+
     def test_teach_steps_are_capped(self):
         at_cap = MAX_TEACH_STEPS / 100.0
         assert config_from_dict({"teach": {"max_duration": at_cap}}).teach.max_duration == at_cap
@@ -305,6 +334,40 @@ class TestNonFinite:
         assert code == 2
         assert err.count("\n") == 1 and rule in err and "Traceback" not in err
         assert not (tmp_path / "out.config.json").exists()
+
+
+# loaded once, each of these failed in the command that used it: the
+# trial's fit smooths demo derivatives over 5 samples, and a rollout steps
+# at most tau/100
+UNRUNNABLE = [
+    ({"dmp": {"dt": 10}}, "dmp.dt", "a 4 s demonstration at dt = 10 gives 1 of the 5 samples fitting needs"),
+    ({"dmp": {"dt": 1.5}}, "dmp.dt", "gives 4 of the 5 samples fitting needs"),
+    ({"rollout": {"tau": 1.0, "dt": 0.5}}, "rollout", "dt must lie in (0, tau/100]"),
+]
+
+
+class TestRunnable:
+    @pytest.mark.parametrize("doc, field, rule", UNRUNNABLE, ids=["coarse-fit", "4-samples", "rollout-dt"])
+    def test_rejected_on_load(self, doc, field, rule):
+        with pytest.raises(ParseError, match=re.escape(rule)) as err:
+            config_from_dict(doc)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("doc, field, rule", UNRUNNABLE[:2], ids=["coarse-fit", "4-samples"])
+    def test_cli_exits_2_before_writing(self, capsys, tmp_path, doc, field, rule):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["batch", "--n", "1", "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and rule in err and f"field '{field}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out.json.config.json").exists()
+
+    @pytest.mark.parametrize("doc", [{"trial": {"demo_duration": 0.1}}, {"dmp": {"dt": 1.0}}], ids=["tau-0.1", "5-samples"])
+    def test_edge_configs_run(self, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["trial", "--seed", "3", "--config", str(cfg), "--out", str(tmp_path / "t.json")]) == 0
 
 
 class TestHoleIds:

@@ -8,20 +8,25 @@ The load-bearing checks are driven by independent oracles:
 * zero-forcing rollouts against the critically damped closed-form solution
   y(t) = g + (y0 - g) * (1 - lam*t) * exp(lam*t), lam = -alpha_z / (2*tau)
 * first-order convergence of the integrator under dt refinement
-* rollout against a plain per-step explicit-Euler reference loop
-* the translation scan against LAPACK's banded triangular solve (scipy,
+* rollout against a plain per-step explicit-Euler reference loop over the
+  six coordinates [p, log(q * conj(g))]
+* the six-axis Euler scan against LAPACK's banded triangular solve (scipy,
   a test-only dependency), which runs the same recurrence by forward
   substitution
 """
 
+import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from lfdkit.cli import main
 from lfdkit.dmp import (
+    MAX_ROWS,
     DegenerateDemo,
     ForcingUnderflow,
     PoseDmp,
@@ -38,6 +43,7 @@ from lfdkit.dmp import (
     load_dmp,
     prepare_demonstration,
     rollout,
+    rollout_steps,
     save_dmp,
 )
 from lfdkit.presets import demo_pose_waypoints, make_smooth_demo
@@ -46,6 +52,7 @@ from lfdkit.se3 import (
     UnitQuaternion,
     from_rotation_vector,
     quat_conj_wxyz,
+    quat_exp_wxyz,
     quat_mul,
     quat_mul_wxyz,
     rotation_vector_wxyz,
@@ -83,8 +90,7 @@ def zero_weight_dmp(n_basis=50, tau=1.0, goal=None):
         tau=tau,
         centers=centers,
         widths=widths,
-        weights_pos=np.zeros((3, n_basis)),
-        weights_rot=np.zeros((3, n_basis)),
+        weights=np.zeros((6, n_basis)),
         demo_start=ORIGIN,
         demo_goal=goal if goal is not None else ORIGIN,
     )
@@ -153,7 +159,7 @@ class TestEvalForcing:
         # a primitive checks its basis: weights per basis, positive widths
         dmp = zero_weight_dmp(n_basis=5)
         with pytest.raises(ValueError):
-            PoseDmp(**{**vars(dmp), "weights_pos": np.zeros((3, 2))})
+            PoseDmp(**{**vars(dmp), "weights": np.zeros((6, 2))})
         with pytest.raises(ValueError, match="widths must be positive"):
             PoseDmp(**{**vars(dmp), "widths": -dmp.widths})
 
@@ -224,8 +230,8 @@ class TestPrepareDemonstration:
         demo = prepare_demonstration(traj)
         assert demo.dt == pytest.approx(1e-3, rel=1e-9)
         assert demo.tau == pytest.approx(2.0, rel=1e-12)
-        np.testing.assert_array_equal(demo.positions[0], traj.positions[0])
-        np.testing.assert_array_equal(demo.positions[-1], traj.positions[-1])
+        np.testing.assert_array_equal(demo.coords[0, :3], traj.positions[0])
+        np.testing.assert_array_equal(demo.coords[-1, :3], traj.positions[-1])
         np.testing.assert_allclose(np.diff(demo.times), demo.dt, rtol=1e-9)
 
     def test_velocity_exact_on_quadratic(self):
@@ -236,19 +242,48 @@ class TestPrepareDemonstration:
         demo = prepare_demonstration(Trajectory(t, pos, quats))
         inner = slice(5, -5)  # edge smoothing is asymmetric by design
         expect = np.stack([0.6 * demo.times, -0.2 * demo.times + 0.2, np.zeros_like(demo.times)], axis=1)
-        np.testing.assert_allclose(demo.velocities[inner], expect[inner], atol=1e-9)
+        np.testing.assert_allclose(demo.velocities[inner, :3], expect[inner], atol=1e-9)
         np.testing.assert_allclose(demo.accelerations[inner, 0], 0.6, atol=1e-6)
 
     def test_omega_constant_spin(self):
+        # a spin at w about z is e = (0, 0, w (t - T)) in the goal's log chart
         w = 0.8
         t = np.linspace(0.0, 1.0, 201)
         quats = np.array([from_rotation_vector(np.array([0.0, 0.0, w * ti])).as_array() for ti in t])
         pos = np.zeros((201, 3))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
+        np.testing.assert_allclose(demo.coords[:, 5], w * (demo.times - 1.0), atol=1e-12)
+        np.testing.assert_array_equal(demo.coords[-1, 3:], 0.0)
         inner = slice(5, -5)
-        np.testing.assert_allclose(demo.omegas[inner, 2], w, atol=1e-6)
-        np.testing.assert_allclose(demo.omegas[inner, :2], 0.0, atol=1e-9)
-        np.testing.assert_allclose(demo.domegas[inner], 0.0, atol=1e-4)
+        np.testing.assert_allclose(demo.velocities[inner, 5], w, atol=1e-6)
+        np.testing.assert_allclose(demo.velocities[inner, 3:5], 0.0, atol=1e-9)
+        np.testing.assert_allclose(demo.accelerations[inner, 3:], 0.0, atol=1e-4)
+
+    @staticmethod
+    def spin_demo(degrees):
+        t = np.linspace(0.0, 1.0, 201)
+        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, math.radians(degrees) * ti])).as_array() for ti in t])
+        return Trajectory(t, np.zeros((201, 3)), quats)
+
+    def test_half_turn_from_goal_rejected(self, tmp_path, capsys):
+        # spun 200 deg about z, the demo starts 160 deg from its goal and
+        # passes 180 deg at t = 0.1 s, where the shortest-arc chart jumps
+        with pytest.raises(ValueError, match=r"passes a half turn from its goal orientation at t = 0\.(099|1)\d* s"):
+            fit_pose_dmp(self.spin_demo(200.0))
+        self.spin_demo(200.0).save_csv(tmp_path / "demo.csv")
+        assert main(["fit", "--demo", str(tmp_path / "demo.csv"), "--out", str(tmp_path / "prim.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "passes a half turn" in err and "Traceback" not in err
+        # 170 deg never leaves the chart
+        assert prepare_demonstration(self.spin_demo(170.0)).coords[0, 5] == pytest.approx(-math.radians(170.0))
+
+    def test_too_few_samples_rejected(self):
+        traj = Trajectory([0.0, 1.0], np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        # the moving average over the derivatives needs one 5-sample window
+        assert len(prepare_demonstration(traj, dt=0.25).times) == 5
+        for dt in (0.3, 0.6, 1.0):
+            with pytest.raises(ValueError, match="of the 5 samples fitting needs"):
+                prepare_demonstration(traj, dt=dt)
 
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
@@ -365,8 +400,7 @@ class TestRollout:
         dmp = PoseDmp(
             alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0,
             centers=centers, widths=widths,
-            weights_pos=np.vstack([np.full(n, 31.25), np.zeros(n), np.zeros(n)]),
-            weights_rot=np.zeros((3, n)),
+            weights=np.vstack([np.full(n, 31.25), np.zeros((5, n))]),
             demo_start=ORIGIN, demo_goal=goal,
         )
         traj = rollout(dmp)
@@ -392,7 +426,7 @@ class TestRollout:
         return PoseDmp(
             alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0,
             centers=centers, widths=widths,
-            weights_pos=np.full((3, n), w_pos), weights_rot=np.full((3, n), w_rot),
+            weights=np.vstack([np.full((3, n), w_pos), np.full((3, n), w_rot)]),
             demo_start=ORIGIN, demo_goal=ORIGIN,
         )
 
@@ -402,9 +436,9 @@ class TestRollout:
         assert exc.value.step == 1
         assert "step" in str(exc.value)
 
-    # the first bad step is the first one whose nine |state| components
-    # (z, y, tau * omega) sum to 1e15 or more; the per-step explicit-Euler
-    # loop of reference_rollout checks all nine each step and must agree
+    # the first bad step is the first row whose |z| over six axes plus |p|
+    # and |e| sum to 1e15 or more; the per-step explicit-Euler loop of
+    # reference_rollout checks that sum each step and must agree
     @pytest.mark.parametrize(
         "w_pos, w_rot, step",
         [
@@ -442,95 +476,93 @@ class TestRollout:
             rollout(dmp, horizon=-1.0)
         assert len(rollout(dmp, horizon=0.0)) == 1
 
+    def test_orientation_past_a_full_turn_wraps(self):
+        # a strong forcing on e's z axis drives it past two full turns; exp(e) g
+        # is the same rotation whichever way round e is counted
+        n = 50
+        centers, widths = basis_layout(n, ALPHA_S)
+        weights = np.zeros((6, n))
+        weights[5] = 6000.0
+        dmp = PoseDmp(
+            alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0, centers=centers, widths=widths,
+            weights=weights, demo_start=ORIGIN, demo_goal=ORIGIN,
+        )
+        theta = reference_coords(dmp, ORIGIN, ORIGIN)[1][:, 5]
+        assert theta.max() > 4.0 * math.pi
+        want = np.column_stack([np.cos(theta / 2), np.zeros((len(theta), 2)), np.sin(theta / 2)])
+        got = rollout(dmp).orientations
+        # up to sign: Trajectory puts both on w >= 0, which is a tie near w = 0
+        gap = np.minimum(np.linalg.norm(got - want, axis=1), np.linalg.norm(got + want, axis=1))
+        assert np.max(gap) < 1e-9
 
-def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
-    """Plain per-step explicit Euler over all six axes, one state at a time.
 
-    Raises RolloutDiverged at the first step whose nine |state| components
-    (z, y, tau * omega) sum to 1e15 or more, or to NaN.
+class TestRowCap:
+    """Every case is rejected in float arithmetic before any array of its
+    size exists; tracemalloc checks that nothing near it was allocated."""
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"more than the cap of {MAX_ROWS}"):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kwargs", [{"tau": 1e9}, {"dt": 1e-12}, {"horizon": 1e12}, {"tau": 1e300, "dt": 1e-300}])
+    def test_rollout(self, kwargs):
+        assert self.peak_bytes(lambda: rollout(zero_weight_dmp(), **kwargs)) < 100_000
+
+    def test_demonstration(self):
+        traj = Trajectory([0.0, 1e4], np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        assert self.peak_bytes(lambda: prepare_demonstration(traj)) < 100_000
+        assert self.peak_bytes(lambda: fit_pose_dmp(smooth_demo(duration=1.0), dt=1e-9)) < 1_000_000
+
+    def test_at_the_cap(self):
+        assert rollout_steps(MAX_ROWS - 1.0, 1.0, 1.0) == MAX_ROWS - 1
+        with pytest.raises(ValueError, match="needs 1000001 samples"):
+            rollout_steps(float(MAX_ROWS), 1.0, 1.0)
+
+
+def reference_coords(dmp, start, goal, dt=1e-3, horizon=1.5):
+    """Plain per-step explicit Euler of the six coordinates [p, e], one state
+    at a time, with e = log(q * conj(g)) the full-angle rotation vector on
+    the shortest arc and goal [g, 0]; returns (times, coords).
+
+    Raises RolloutDiverged at the first step whose |z| over six axes plus |p|
+    and |e| sum to 1e15 or more, or to NaN.
     """
     tau = dmp.tau
     n_steps = int(round(horizon * tau / dt))
     times = np.arange(n_steps + 1) * dt
     s_profile = np.exp(-dmp.alpha_s * times / tau)
-
-    def forcing(weights):
-        psi = np.exp(-dmp.widths[None, :] * (s_profile[:, None] - dmp.centers[None, :]) ** 2)
-        return (psi @ weights.T) / psi.sum(axis=1)[:, None] * s_profile[:, None]
-
-    f_pos, f_rot = forcing(dmp.weights_pos), forcing(dmp.weights_rot)
-    fpx, fpy, fpz = (f_pos[:, i].tolist() for i in range(3))
-    frx, fry, frz = (f_rot[:, i].tolist() for i in range(3))
+    psi = np.exp(-dmp.widths[None, :] * (s_profile[:, None] - dmp.centers[None, :]) ** 2)
+    forcing = ((psi @ dmp.weights.T) / psi.sum(axis=1)[:, None] * s_profile[:, None]).tolist()
 
     az, bz = dmp.alpha_z, dmp.beta_z
     adt = dt / tau
-    half_dt = 0.5 * dt
-    yx, yy, yz = (float(v) for v in start.position)
-    gx, gy, gz = (float(v) for v in goal.position)
-    q = start.orientation
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    gq = goal.orientation
-    gw, gvx, gvy, gvz = gq.w, gq.x, gq.y, gq.z
-    zx = zy = zz = 0.0
-    ex = ey = ez = 0.0
-
-    sqrt, atan2, sin, cos = math.sqrt, math.atan2, math.sin, math.cos
-    out_p = []
-    out_q = []
-
-    for k in range(n_steps + 1):
-        out_p.append((yx, yy, yz))
-        out_q.append((qw, qx, qy, qz))
-        if k == n_steps:
-            break
-
-        nzx = zx + adt * (az * (bz * (gx - yx) - zx) + fpx[k])
-        nzy = zy + adt * (az * (bz * (gy - yy) - zy) + fpy[k])
-        nzz = zz + adt * (az * (bz * (gz - yz) - zz) + fpz[k])
-        yx += adt * zx
-        yy += adt * zy
-        yz += adt * zz
-        zx, zy, zz = nzx, nzy, nzz
-
-        # attractor error 2*log(g * conj(q)), shortest arc
-        dw = gw * qw + gvx * qx + gvy * qy + gvz * qz
-        dx = qw * gvx - gw * qx - (gvy * qz - gvz * qy)
-        dy = qw * gvy - gw * qy - (gvz * qx - gvx * qz)
-        dz = qw * gvz - gw * qz - (gvx * qy - gvy * qx)
-        if dw < 0.0:
-            dw, dx, dy, dz = -dw, -dx, -dy, -dz
-        vn2 = dx * dx + dy * dy + dz * dz
-        if vn2 > 1e-24:
-            vn = sqrt(vn2)
-            kk = 2.0 * atan2(vn, dw) / vn
-        else:
-            kk = 2.0 / dw
-        erx, ery, erz = kk * dx, kk * dy, kk * dz
-
-        omx, omy, omz = ex / tau, ey / tau, ez / tau
-        ex += adt * (az * (bz * erx - ex) + frx[k])
-        ey += adt * (az * (bz * ery - ey) + fry[k])
-        ez += adt * (az * (bz * erz - ez) + frz[k])
-
-        # q <- exp(omega * dt / 2) * q
-        ax, ay, avz = omx * half_dt, omy * half_dt, omz * half_dt
-        an2 = ax * ax + ay * ay + avz * avz
-        an = sqrt(an2)
-        sc = 1.0 - an2 / 6.0 if an < 1e-8 else sin(an) / an
-        cw = cos(an)
-        sx, sy, sz = sc * ax, sc * ay, sc * avz
-        nqw = cw * qw - sx * qx - sy * qy - sz * qz
-        nqx = cw * qx + sx * qw + (sy * qz - sz * qy)
-        nqy = cw * qy + sy * qw + (sz * qx - sx * qz)
-        nqz = cw * qz + sz * qw + (sx * qy - sy * qx)
-        inv = 1.0 / sqrt(nqw * nqw + nqx * nqx + nqy * nqy + nqz * nqz)
-        qw, qx, qy, qz = nqw * inv, nqx * inv, nqy * inv, nqz * inv
-
-        size = abs(zx) + abs(zy) + abs(zz) + abs(yx) + abs(yy) + abs(yz) + abs(ex) + abs(ey) + abs(ez)
-        if not size < 1e15:
+    e0 = rotation_vector_wxyz(quat_mul_wxyz(start.orientation.wxyz, quat_conj_wxyz(goal.orientation.wxyz)))
+    x = [*(float(v) for v in start.position), *e0]
+    x_goal = [*(float(v) for v in goal.position), 0.0, 0.0, 0.0]
+    z = [0.0] * 6
+    out = [list(x)]
+    for k in range(n_steps):
+        z_new = [z[i] + adt * (az * (bz * (x_goal[i] - x[i]) - z[i]) + forcing[k][i]) for i in range(6)]
+        x = [x[i] + adt * z[i] for i in range(6)]
+        z = z_new
+        out.append(list(x))
+        if not sum(abs(v) for v in z) + sum(abs(v) for v in x) < 1e15:
             raise RolloutDiverged(k + 1, (k + 1) * dt)
+    return times, np.array(out)
 
-    return Trajectory(times, np.array(out_p), np.array(out_q))
+
+def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
+    """:func:`reference_coords` mapped back per row: q = exp(e) * g."""
+    times, x = reference_coords(dmp, start, goal, dt, horizon)
+    g = goal.orientation.wxyz
+    quats = [quat_mul_wxyz(quat_exp_wxyz((0.5 * ex, 0.5 * ey, 0.5 * ez)), g) for ex, ey, ez in x[:, 3:].tolist()]
+    return Trajectory(times, x[:, :3], np.array(quats))
 
 
 def banded_reference(e0, u, c1, c0):
@@ -683,8 +715,7 @@ class TestFitRollout:
             warnings.simplefilter("error", RuntimeWarning)
             a = fit_pose_dmp(traj_demo)
             b = fit_pose_dmp(traj_demo)
-        assert np.array_equal(a.weights_pos, b.weights_pos)
-        assert np.array_equal(a.weights_rot, b.weights_rot)
+        assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.centers, b.centers)
         assert a.tau == b.tau
 
@@ -693,8 +724,7 @@ class TestFitRollout:
         pos = np.tile([0.1, -0.2, 0.35], (200, 1))
         quats = np.tile(from_rotation_vector(np.array([0.2, 0.1, 0.0])).as_array(), (200, 1))
         dmp = fit_pose_dmp(Trajectory(t, pos, quats))
-        assert np.all(dmp.weights_pos == 0.0)
-        assert np.all(dmp.weights_rot == 0.0)
+        assert np.all(dmp.weights == 0.0)
         replay = rollout(dmp)
         assert np.max(np.linalg.norm(replay.positions - pos[0], axis=1)) < 1e-9
         assert angle_between(replay.orientations[-1], dmp.demo_goal.orientation.wxyz) < 1e-9
@@ -716,8 +746,7 @@ class TestSerialization:
         path = tmp_path / "prim.json"
         save_dmp(dmp, path)
         back = load_dmp(path)
-        assert np.array_equal(back.weights_pos, dmp.weights_pos)
-        assert np.array_equal(back.weights_rot, dmp.weights_rot)
+        assert np.array_equal(back.weights, dmp.weights)
         assert np.array_equal(back.centers, dmp.centers)
         assert np.array_equal(back.widths, dmp.widths)
         assert back.tau == dmp.tau
@@ -731,9 +760,10 @@ class TestSerialization:
         d = dmp_to_dict(zero_weight_dmp())
         assert set(d) == {
             "alpha_s", "alpha_z", "beta_z", "tau", "N",
-            "centers", "widths", "weights_pos", "weights_rot", "demo_start", "demo_goal",
+            "centers", "widths", "weights", "demo_start", "demo_goal",
         }
         assert d["N"] == 50
+        assert np.shape(d["weights"]) == (6, 50)
 
     def test_rejects_unknown_and_missing_keys(self, tmp_path):
         d = dmp_to_dict(zero_weight_dmp())
@@ -757,3 +787,18 @@ class TestSerialization:
         d["gate_mode"] = "phase-gated"
         with pytest.raises(ParseError, match="unknown key 'gate_mode' in primitive"):
             dmp_from_dict(d)
+
+    def test_rejects_the_unit_quaternion_law_format(self, tmp_path, capsys):
+        # files fitted before the log-chart law split the weights in two; they
+        # have the same shapes but would replay with other dynamics
+        d = dmp_to_dict(zero_weight_dmp())
+        weights = d.pop("weights")
+        d["weights_pos"], d["weights_rot"] = weights[:3], weights[3:]
+        with pytest.raises(ParseError, match="unknown key 'weights_pos' in primitive"):
+            dmp_from_dict(d)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(d))
+        code = main(["rollout", "--dmp", str(path), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "weights_pos" in err and "Traceback" not in err

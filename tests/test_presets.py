@@ -31,8 +31,7 @@ def assert_same_scenario(a: AssemblyScenario, b: AssemblyScenario) -> None:
             continue  # compared through their file form below
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "dmp":
-            assert np.array_equal(x.weights_pos, y.weights_pos)
-            assert np.array_equal(x.weights_rot, y.weights_rot)
+            assert np.array_equal(x.weights, y.weights)
             for g in ("alpha_s", "alpha_z", "beta_z", "tau", "centers", "widths"):
                 assert np.array_equal(getattr(x, g), getattr(y, g)), g
             for g in ("demo_start", "demo_goal"):
