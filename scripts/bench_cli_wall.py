@@ -1,5 +1,5 @@
 """Wall time of whole lfdkit processes, interpreter start included, for two
-checkouts side by side.
+checkouts side by side, and whether the two write the same bytes.
 
     python3 scripts/bench_cli_wall.py --base PARENT_DIR --change CHANGE_DIR \
         --repeats 5 --out BENCH_startup.json
@@ -8,13 +8,22 @@ Each command of the roadmap's end-to-end list runs as a fresh process with
 ``PYTHONPATH`` set to one checkout's ``src/``: ``import lfdkit.cli``,
 ``teach-sim --seed 0``, ``trial --seed 3``, ``batch --n 20 --seed 7``,
 ``sweep`` on its defaults, and the 100-rollout loop of acceptance gate a2
-(fit the 10 s preset demo, roll it out toward 100 shifted goals). The two
-checkouts alternate command by command, the first of each pair switching
-every round, so a host that slows down for a while slows both. BLAS and
-OpenMP pools are pinned to one thread, as in ``perfbench``. The JSON
-written holds min and median per command and checkout, every sample, both
-git shas, the Python and numpy versions and the core count. Five repeats
-take about two minutes on a 2-vCPU host.
+(fit the 10 s preset demo, roll it out toward 100 shifted goals). Then the
+rest of the CLI and the checkout's own scripts, on short settings:
+``localize --seed 1``; ``fit`` and ``rollout`` of the taught demo, scored
+against it by ``metrics``; and each script under ``scripts/`` that writes
+an ``--out`` file. The two checkouts alternate command by command, the
+first of each pair switching every round, so a host that slows down for a
+while slows both. BLAS and OpenMP pools are pinned to one thread, as in
+``perfbench``.
+
+Each checkout writes into its own directory. After the last round every
+command's stdout and output files are compared byte for byte across the
+two checkouts; ``identical`` in the JSON records the result per command
+and file, and any difference is printed. The JSON also holds min and
+median wall time per command and checkout, every sample, both git shas,
+the Python and numpy versions and the core count. Five repeats take under
+two minutes on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -48,13 +57,39 @@ for _ in range(100):
 """
 
 CLI = [sys.executable, "-m", "lfdkit.cli"]
+
+
+def cli(*args: str, out: str, also: tuple[str, ...] = ()) -> tuple[list[str], tuple[str, ...]]:
+    """An lfdkit command writing ``out``, the files ``also`` and its resolved config."""
+    return CLI + [*args, "--out", out], (out, *also, f"{out}.config.json")
+
+
+def script(name: str, *args: str, writes: tuple[str, ...]) -> tuple[list[str], tuple[str, ...]]:
+    """One of the checkout's own scripts, writing the files ``writes``."""
+    return [sys.executable, f"{{checkout}}/scripts/{name}", *args], writes
+
+
+# name -> (argv, files it writes into the output directory); a command may
+# read what an earlier one wrote there
 COMMANDS = {
-    "import lfdkit.cli": [sys.executable, "-c", "import lfdkit.cli"],
-    "teach-sim --seed 0": CLI + ["teach-sim", "--seed", "0", "--out", "{out}/demo.csv"],
-    "trial --seed 3": CLI + ["trial", "--seed", "3", "--out", "{out}/trial.json"],
-    "batch --n 20 --seed 7": CLI + ["batch", "--n", "20", "--seed", "7", "--out", "{out}/batch.json"],
-    "sweep": CLI + ["sweep", "--out", "{out}/sweep.csv"],
-    "a2 loop": [sys.executable, "-c", A2_LOOP],
+    "import lfdkit.cli": ([sys.executable, "-c", "import lfdkit.cli"], ()),
+    "teach-sim --seed 0": cli("teach-sim", "--seed", "0", out="demo.csv"),
+    "trial --seed 3": cli("trial", "--seed", "3", out="trial.json"),
+    "batch --n 20 --seed 7": cli("batch", "--n", "20", "--seed", "7", out="batch.json", also=("batch.csv",)),
+    "sweep": cli("sweep", out="sweep.csv"),
+    "a2 loop": ([sys.executable, "-c", A2_LOOP], ()),
+    "localize --seed 1": cli("localize", "--seed", "1", out="localize.csv"),
+    "fit --demo demo.csv": cli("fit", "--demo", "demo.csv", out="prim.json"),
+    "rollout --dmp prim.json": cli("rollout", "--dmp", "prim.json", out="replay.csv"),
+    "metrics --traj demo.csv --baseline replay.csv": cli(
+        "metrics", "--traj", "demo.csv", "--baseline", "replay.csv", out="metrics.json"),
+    "run_teaching_comparison.py --runs 2": script(
+        "run_teaching_comparison.py", "--runs", "2", "--out", "teach_cmp.json", writes=("teach_cmp.json",)),
+    "run_batch_experiment.py --n 5 --batches 2": script(
+        "run_batch_experiment.py", "--n", "5", "--batches", "2", "--out", "batch_exp",
+        writes=("batch_exp.json", "batch_exp.csv")),
+    "run_detection_sweep.py --seeds 1": script(
+        "run_detection_sweep.py", "--seeds", "1", "--out", "sweep_rows.csv", writes=("sweep_rows.csv",)),
 }
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -66,15 +101,20 @@ def git_sha(checkout: Path) -> str:
     return done.stdout.strip() + (" + uncommitted src/ changes" if dirty else "")
 
 
-def timed(argv: list[str], checkout: Path, out: str) -> float:
+def timed(argv: list[str], checkout: Path, out: Path) -> tuple[float, bytes]:
+    """Wall time and stdout of one run in the output directory ``out``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), **{var: "1" for var in PINNED}}
     t0 = time.perf_counter()
-    done = subprocess.run([a.replace("{out}", out) for a in argv], env=env, cwd=out,
-                          capture_output=True, text=True, timeout=600)
+    done = subprocess.run([a.replace("{checkout}", str(checkout)) for a in argv], env=env, cwd=out,
+                          capture_output=True, timeout=600)
     wall = time.perf_counter() - t0
     if done.returncode != 0:
-        raise SystemExit(f"{argv} failed under {checkout}:\n{done.stderr}")
-    return wall
+        raise SystemExit(f"{argv} failed under {checkout}:\n{done.stderr.decode(errors='replace')}")
+    return wall, done.stdout
+
+
+def same_bytes(a: Path, b: Path) -> bool:
+    return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
 
 
 def main(argv=None) -> int:
@@ -91,13 +131,24 @@ def main(argv=None) -> int:
 
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     samples = {name: {side: [] for side in sides} for name in COMMANDS}
-    with tempfile.TemporaryDirectory() as out:
+    stdout = {name: {} for name in COMMANDS}
+    identical = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {side: Path(tmp) / side for side in sides}
+        for out in outs.values():
+            out.mkdir()
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-            for name, command in COMMANDS.items():
+            for name, (command, _) in COMMANDS.items():
                 for side in order:
-                    samples[name][side].append(timed(command, sides[side], out))
+                    wall, stdout[name][side] = timed(command, sides[side], outs[side])
+                    samples[name][side].append(wall)
             print(f"round {r + 1}/{args.repeats} done", file=sys.stderr)
+        for name, (_, files) in COMMANDS.items():
+            identical[name] = {
+                "stdout": stdout[name]["base"] == stdout[name]["change"],
+                "files": {f: same_bytes(outs["base"] / f, outs["change"] / f) for f in files},
+            }
 
     def summary(values):
         return {"min": round(min(values), 3), "median": round(statistics.median(values), 3),
@@ -115,11 +166,15 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "cores": os.cpu_count(),
         "seconds": {name: {side: summary(v) for side, v in per.items()} for name, per in samples.items()},
+        "identical": identical,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, per in record["seconds"].items():
-        print(f"{name:24s} base min {per['base']['min']:.3f} median {per['base']['median']:.3f}   "
-              f"change min {per['change']['min']:.3f} median {per['change']['median']:.3f}")
+        differ = [what for what, same in [("stdout", identical[name]["stdout"]), *identical[name]["files"].items()]
+                  if not same]
+        print(f"{name:46s} base min {per['base']['min']:.3f} median {per['base']['median']:.3f}   "
+              f"change min {per['change']['min']:.3f} median {per['change']['median']:.3f}   "
+              f"{'DIFFERENT: ' + ', '.join(differ) if differ else 'byte-identical'}")
     return 0
 
 

@@ -8,11 +8,11 @@ JSON and CSV records.
 """
 
 import argparse
-import json
 import sys
 
-from lfdkit.assembly import batch_csv_text, batch_to_dict, run_batch
+from lfdkit.assembly import MAX_TRIALS, batch_csv_text, batch_to_dict, run_batch
 from lfdkit.presets import default_scenario
+from lfdkit.trajectory import write_json, write_text
 
 
 def main(argv=None) -> int:
@@ -23,30 +23,27 @@ def main(argv=None) -> int:
     ap.add_argument("--noise-sigma", type=float, default=5e-4, help="vision noise in meters")
     ap.add_argument("--out", help="optional output prefix; writes <out>.json and <out>.csv")
     args = ap.parse_args(argv)
-    if args.n < 1 or args.batches < 1:
-        print("error: --n and --batches must be at least 1", file=sys.stderr)
+    if not 1 <= args.n <= MAX_TRIALS or args.batches < 1:
+        print(f"error: --n must lie in 1..{MAX_TRIALS} and --batches be at least 1", file=sys.stderr)
         return 1
 
     template = default_scenario(noise_sigma=args.noise_sigma)
     total_ok = 0
     last = None
     for seed in range(args.first_seed, args.first_seed + args.batches):
-        batch = run_batch(template, n=args.n, seed=seed)
-        last = batch
-        ok = sum(r.success for r in batch.records)
+        last = run_batch(template, n=args.n, seed=seed)
+        doc = batch_to_dict(last)
+        ok = sum(r.success for r in last)
         total_ok += ok
-        reasons = "" if not batch.failure_reasons else f"  failures: {dict(batch.failure_reasons)}"
-        print(f"batch seed {seed}: {ok}/{args.n} succeeded, rate {batch.success_rate:.3f}{reasons}")
+        reasons = "" if not doc["failure_reasons"] else f"  failures: {doc['failure_reasons']}"
+        print(f"batch seed {seed}: {ok}/{args.n} succeeded, rate {doc['success_rate']:.3f}{reasons}")
 
     total = args.n * args.batches
     print(f"aggregate: {total_ok}/{total} ({total_ok / total:.3f}) at sigma {args.noise_sigma} m")
 
     if args.out and last is not None:
-        with open(f"{args.out}.json", "w") as fh:
-            json.dump(batch_to_dict(last), fh, indent=2)
-            fh.write("\n")
-        with open(f"{args.out}.csv", "w") as fh:
-            fh.write(batch_csv_text(last))
+        write_json(f"{args.out}.json", doc)
+        write_text(f"{args.out}.csv", batch_csv_text(last))
         print(f"wrote {args.out}.json and {args.out}.csv (last batch)")
     return 0
 

@@ -11,6 +11,7 @@ import math
 import sys
 
 from lfdkit.presets import default_bar_scene, default_camera
+from lfdkit.trajectory import write_text
 from lfdkit.vision import detection_range_sweep
 
 
@@ -49,13 +50,9 @@ def main(argv=None) -> int:
 
     if args.out and rows is not None:
         lines = ["yaw_deg,hole_id,detected,center_err_m,radius_err_m"]
-        for r in rows:
-            lines.append(
-                f"{math.degrees(r.yaw):.9g},{r.hole_id},{int(r.detected)},"
-                f"{r.center_err_m:.9g},{r.radius_err_m:.9g}"
-            )
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        for yaw, hole_id, detected, center_err, radius_err in rows:
+            lines.append(f"{math.degrees(yaw):.9g},{hole_id},{int(detected)},{center_err:.9g},{radius_err:.9g}")
+        write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -8,18 +8,12 @@ only; this simulation makes ordering claims, not magnitude claims).
 """
 
 import argparse
-import json
 import sys
 
 from lfdkit.ktc import simulate_demonstration
-from lfdkit.metrics import (
-    compare_demonstrations,
-    comparison_to_dict,
-    jerk_metrics,
-    render_comparison_table,
-    timing_stats,
-)
+from lfdkit.metrics import compare_demonstrations, jerk_metrics, render_comparison_table, timing_stats
 from lfdkit.presets import default_teach_setup
+from lfdkit.trajectory import write_json
 
 REPORTED_ROWS = [
     ("native avg teach time (s)", "24.66 ± 3.25"),
@@ -50,18 +44,18 @@ def main(argv=None) -> int:
         pairs.append((seed, proposed, native, jp, jn))
         print(
             f"{seed:4d}  {proposed.duration:8.2f}  {native.duration:10.2f}  "
-            f"{jp.mean:10.3f}  {jn.mean:12.3f}  {jp.max:9.2f}  {jn.max:11.2f}"
+            f"{jp['mean']:10.3f}  {jn['mean']:12.3f}  {jp['max']:9.2f}  {jn['max']:11.2f}"
         )
 
     t_prop = timing_stats([p.duration for _, p, _, _, _ in pairs])
     t_nat = timing_stats([n.duration for _, _, n, _, _ in pairs])
     wins = sum(
-        p.duration < n.duration and jp.mean < jn.mean and jp.max < jn.max
+        p.duration < n.duration and jp["mean"] < jn["mean"] and jp["max"] < jn["max"]
         for _, p, n, jp, jn in pairs
     )
     print()
-    print(f"proposed teach time: {t_prop.mean:.2f} ± {t_prop.std:.2f} s over {args.runs} runs")
-    print(f"native teach time:   {t_nat.mean:.2f} ± {t_nat.std:.2f} s over {args.runs} runs")
+    print(f"proposed teach time: {t_prop['mean']:.2f} ± {t_prop['std']:.2f} s over {args.runs} runs")
+    print(f"native teach time:   {t_nat['mean']:.2f} ± {t_nat['std']:.2f} s over {args.runs} runs")
     print(f"proposed wins duration, mean jerk, and max jerk in {wins}/{args.runs} runs")
     print()
 
@@ -75,13 +69,11 @@ def main(argv=None) -> int:
             "runs": args.runs,
             "first_seed": args.first_seed,
             "wins": wins,
-            "proposed_duration": {"mean": t_prop.mean, "std": t_prop.std},
-            "native_duration": {"mean": t_nat.mean, "std": t_nat.std},
-            "first_pair": comparison_to_dict(report),
+            "proposed_duration": t_prop,
+            "native_duration": t_nat,
+            "first_pair": report,
         }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, doc)
         print(f"wrote {args.out}")
     return 0
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dmp import PoseDmp, RolloutDiverged, rollout
 from .ktc import plant_step
-from .metrics import JerkReport, jerk_metrics, jerk_report_to_dict
+from .metrics import jerk_metrics
 from .se3 import Pose, UnitQuaternion, quat_mul, quat_normalize, rotation_between
 from .trajectory import ParseError, Trajectory, fmt_float
 from .vision import (
@@ -39,15 +39,14 @@ from .vision import (
 )
 
 __all__ = [
+    "MAX_TRIALS",
     "Phase",
     "EventKind",
     "TaskState",
     "StepEvent",
     "AssemblyScenario",
-    "InsertionPlan",
     "PlanningFailed",
     "TrialResult",
-    "BatchResult",
     "advance",
     "nominal_events",
     "parse_events",
@@ -67,6 +66,7 @@ _DESCENT_SPEED = 0.02  # m/s along the hole axis, standoff to goal
 _PLAN_DT = 1e-3  # s between plan samples
 _SNAP_BAND = 1e-3  # m of chamfer beyond the clearance that funnels the peg in
 _SETTLE_TIME = 0.5  # s the last command is held after the plan ends
+MAX_TRIALS = 10_000  # trials one batch may run: about 15 min at ~80 ms a trial
 
 
 class Phase(Enum):
@@ -212,29 +212,22 @@ class PlanningFailed(RuntimeError):
     """The insertion move cannot be planned for the fitted hole."""
 
 
-@dataclass(frozen=True)
-class InsertionPlan:
-    """Primitive replay out to the standoff pose, then a constant-speed
-    straight descent along the hole axis to the goal."""
-
-    goal: Pose
-    standoff_pose: Pose
-    trajectory: Trajectory
-
-
 def plan_insertion(
     current: Pose,
     hole: HoleEstimate,
     dmp: PoseDmp,
     standoff: float = 0.030,
     depth: float = 0.012,
-) -> InsertionPlan:
-    """Plan the approach-and-insert move for one fitted hole.
+) -> Trajectory:
+    """The command trajectory of the approach-and-insert move for one
+    fitted hole: primitive replay out to the standoff pose, then a
+    constant-speed straight descent along the hole axis to the goal.
 
     The replayed primitive carries the demonstrated style from ``current``
     out to the standoff point above the hole; the last segment is a straight
     line along the axis so the peg enters square.  ``standoff`` and ``depth``
-    are measured along the axis from the hole center, above and below.
+    are measured along the axis from the hole center, above and below; the
+    goal is :func:`insertion_goal` at ``depth``.
     """
     if standoff <= 0:
         raise ValueError("standoff must be positive")
@@ -254,12 +247,11 @@ def plan_insertion(
     positions[-1] = goal.position
     orientations = np.tile(goal.orientation.as_array(), (n, 1))
 
-    traj = Trajectory(
+    return Trajectory(
         np.concatenate([approach.times, times]),
         np.vstack([approach.positions, positions]),
         np.vstack([approach.orientations, orientations]),
     )
-    return InsertionPlan(goal, standoff_pose, traj)
 
 
 @dataclass(frozen=True)
@@ -320,7 +312,7 @@ class TrialResult:
     state: TaskState
     events: tuple[StepEvent, ...]
     duration_s: float
-    jerk: JerkReport | None
+    jerk: dict | None  # jerk_metrics of the executed motion
 
 
 def _detectable(scene: BarScene, cam: CameraModel, hole_id: int) -> bool:
@@ -363,7 +355,7 @@ def _contact_project(
     return p - h * axis
 
 
-def _run_plan(plan: InsertionPlan, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> Trajectory:
+def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> Trajectory:
     """Track the plan on the lagged plant, contact-projected against the
     true hole each step, then hold the last command until the lag dies.
 
@@ -375,7 +367,6 @@ def _run_plan(plan: InsertionPlan, scenario: AssemblyScenario, scene: BarScene, 
     half_dims = np.asarray(scene.dims, dtype=float) / 2.0
     cx, cy, cz = center.tolist()
     ax, ay, az = axis.tolist()
-    cmd = plan.trajectory
     n_cmd = len(cmd)
     dts = np.diff(cmd.times)
     n_hold = int(round(_SETTLE_TIME / dts[-1]))
@@ -446,10 +437,10 @@ def execute_trial(
     vision_seed = int(rng.integers(0, 2**31 - 1))
 
     state = TaskState()
-    plan: InsertionPlan | None = None
+    plan: Trajectory | None = None
     lateral = tilt = depth = math.nan
     duration = 0.0
-    jerk: JerkReport | None = None
+    jerk: dict | None = None
 
     for ev in evs:
         state = advance(state, ev)
@@ -516,25 +507,15 @@ def execute_trial(
     )
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    records: tuple[TrialResult, ...]
-    success_rate: float
-    failure_reasons: tuple[tuple[str, int], ...]
-
-
-def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0) -> BatchResult:
+def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0) -> tuple[TrialResult, ...]:
     """Independent seeded reruns of one scenario template.
 
     Trial i runs with seed ``seed * 1000003 + i``, so any prefix of a batch
     reproduces on its own; the reduction is a plain ordered loop.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    records = tuple(execute_trial(replace(template, seed=seed * 1000003 + i)) for i in range(n))
-    rate = sum(r.success for r in records) / n
-    reasons = Counter(r.state.reason for r in records if r.state.phase is Phase.FAILED)
-    return BatchResult(records, float(rate), tuple(sorted(reasons.items())))
+    if not 1 <= n <= MAX_TRIALS:
+        raise ValueError(f"n must lie in 1..{MAX_TRIALS}, got {n!r}")
+    return tuple(execute_trial(replace(template, seed=seed * 1000003 + i)) for i in range(n))
 
 
 def _num(x: float) -> float | None:
@@ -553,24 +534,27 @@ def trial_to_dict(r: TrialResult) -> dict:
         "phase": r.state.phase.value,
         "reason": r.state.reason,
         "duration_s": float(r.duration_s),
-        "jerk": None if r.jerk is None else jerk_report_to_dict(r.jerk),
+        "jerk": r.jerk,
         "events": [[e.t, e.kind.value] for e in r.events],
     }
 
 
-def batch_to_dict(b: BatchResult) -> dict:
+def batch_to_dict(records: Sequence[TrialResult]) -> dict:
+    """The batch document: trial count, success rate, failed trials counted
+    per reason (sorted by reason), then every trial."""
+    reasons = Counter(r.state.reason for r in records if r.state.phase is Phase.FAILED)
     return {
-        "n": len(b.records),
-        "success_rate": b.success_rate,
-        "failure_reasons": dict(b.failure_reasons),
-        "trials": [trial_to_dict(r) for r in b.records],
+        "n": len(records),
+        "success_rate": sum(r.success for r in records) / len(records),
+        "failure_reasons": dict(sorted(reasons.items())),
+        "trials": [trial_to_dict(r) for r in records],
     }
 
 
-def batch_csv_text(b: BatchResult) -> str:
+def batch_csv_text(records: Sequence[TrialResult]) -> str:
     """One row per trial: ``trial,seed,hole_id,success,lat_err_m,tilt_rad,depth_m``."""
     lines = ["trial,seed,hole_id,success,lat_err_m,tilt_rad,depth_m"]
-    for i, r in enumerate(b.records):
+    for i, r in enumerate(records):
         hole = "" if r.hole_id is None else str(r.hole_id)
         lines.append(
             f"{i},{r.seed},{hole},{int(r.success)},"

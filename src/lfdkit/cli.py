@@ -19,14 +19,7 @@ from .assembly import batch_csv_text, batch_to_dict, execute_trial, parse_events
 from .config import RunConfig, load_config, save_config
 from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
 from .ktc import simulate_demonstration
-from .metrics import (
-    compare_demonstrations,
-    comparison_to_dict,
-    jerk_metrics,
-    jerk_report_to_dict,
-    render_comparison_table,
-    rotation_jerk_metrics,
-)
+from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
 from .presets import default_teach_setup, scenario_from_config, scene_from_config
 from .se3 import Pose, UnitQuaternion
 from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json
@@ -224,10 +217,9 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         seed=cfg.seed,
     )
     lines = ["yaw,hole_id,detected,center_err_m,radius_err_m"]
-    for r in rows:
+    for yaw, hole_id, detected, center_err, radius_err in rows:
         lines.append(
-            f"{fmt_float(r.yaw)},{r.hole_id},{int(r.detected)},"
-            f"{fmt_float(r.center_err_m)},{fmt_float(r.radius_err_m)}"
+            f"{fmt_float(yaw)},{hole_id},{int(detected)},{fmt_float(center_err)},{fmt_float(radius_err)}"
         )
     write_text(args.out, "\n".join(lines) + "\n")
     _finish(cfg, args.out)
@@ -267,12 +259,13 @@ def _cmd_trial(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_batch(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg = _fold_trial(cfg, args)
     template = scenario_from_config(cfg)
-    batch = run_batch(template, n=cfg.trial.n, seed=cfg.seed)
-    write_json(args.out, batch_to_dict(batch))
+    records = run_batch(template, n=cfg.trial.n, seed=cfg.seed)
+    doc = batch_to_dict(records)
+    write_json(args.out, doc)
     csv_path = f"{args.out.removesuffix('.json')}.csv" if args.out.endswith(".json") else f"{args.out}.csv"
-    write_text(csv_path, batch_csv_text(batch))
+    write_text(csv_path, batch_csv_text(records))
     _finish(cfg, args.out)
-    print(f"success_rate={batch.success_rate!r}")
+    print(f"success_rate={doc['success_rate']!r}")
     return 0
 
 
@@ -289,8 +282,8 @@ def _cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = {
         "trajectory": m.trajectory,
         "duration_s": float(traj.duration),
-        "jerk": jerk_report_to_dict(jerk_metrics(traj)),
-        "rotation_jerk": jerk_report_to_dict(rotation_jerk_metrics(traj)),
+        "jerk": jerk_metrics(traj),
+        "rotation_jerk": rotation_jerk_metrics(traj),
     }
     if m.baseline is not None:
         base = load_trajectory_csv(m.baseline)
@@ -298,10 +291,10 @@ def _cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
         report["baseline"] = {
             "trajectory": m.baseline,
             "duration_s": float(base.duration),
-            "jerk": jerk_report_to_dict(jerk_metrics(base)),
-            "rotation_jerk": jerk_report_to_dict(rotation_jerk_metrics(base)),
+            "jerk": jerk_metrics(base),
+            "rotation_jerk": rotation_jerk_metrics(base),
         }
-        report["comparison"] = comparison_to_dict(comp)
+        report["comparison"] = comp
         print(render_comparison_table(comp))
     write_json(args.out, report)
     _finish(cfg, args.out)

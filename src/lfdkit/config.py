@@ -15,7 +15,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .assembly import _PLAN_DT
+from .assembly import _PLAN_DT, MAX_TRIALS
 from .dmp import check_basis_layout, demo_steps, rollout_steps
 from .trajectory import ParseError, read_json, write_json
 
@@ -215,6 +215,7 @@ class TrialSection:
 
     def __post_init__(self) -> None:
         _at_least(self, 1, "n")
+        _at_most(self, MAX_TRIALS, "n")
         _at_least(self, 3, "mask_points")
         _at_most(self, MAX_MASK_POINTS, "mask_points")
         _positive(self, "demo_duration", "clearance", "tilt_tol_deg", "required_depth", "standoff")

@@ -49,8 +49,10 @@ __all__ = [
     "RolloutDiverged",
     "ForcingUnderflow",
     "MAX_ROWS",
+    "MAX_BASIS",
     "check_basis_layout",
     "basis_layout",
+    "grid_steps",
     "demo_steps",
     "rollout_steps",
     "prepare_demonstration",
@@ -67,6 +69,9 @@ _DENOM_FLOOR = 1e-300    # mixture normalization underflow guard
 _SMOOTH_WINDOW = 5       # samples in the moving average over demo derivatives
 _SCAN_RANGE = 200.0      # |log| of the largest power of a root one scan block forms
 MAX_ROWS = 1_000_000     # samples one demonstration grid or rollout may hold: 1000 s at 1 ms
+# basis functions one primitive may hold: an activation matrix, samples x
+# bases, then holds at most MAX_ROWS * MAX_BASIS = 2e8 floats (1.6 GB)
+MAX_BASIS = 200
 
 
 class DegenerateDemo(ValueError):
@@ -87,11 +92,14 @@ class ForcingUnderflow(RuntimeWarning):
 
 
 def check_basis_layout(n_basis: int, alpha_s: float) -> None:
-    """Reject a layout whose smallest center is not > 0 or whose narrowest
-    gap, the last one, squares to an infinite width; scalar arithmetic on the
-    last two centers, so nothing of size n_basis is allocated."""
+    """Reject a layout of more than MAX_BASIS bases, or whose smallest
+    center is not > 0 or whose narrowest gap, the last one, squares to an
+    infinite width; scalar arithmetic on the last two centers, so nothing of
+    size n_basis is allocated."""
     if n_basis < 2:
         raise ValueError("need at least 2 basis functions")
+    if n_basis > MAX_BASIS:
+        raise ValueError(f"n_basis must be at most {MAX_BASIS}, got {n_basis!r}")
     if alpha_s <= 0:
         raise ValueError("alpha_s must be positive")
     # the last two centers and the last width's denominator, op for op as
@@ -118,7 +126,7 @@ def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
     return centers, widths
 
 
-def _grid_steps(span: float, dt: float, what: str) -> int:
+def grid_steps(span: float, dt: float, what: str) -> int:
     """round(span / dt), rejected in float arithmetic, before anything is
     allocated, when the grid would hold more than MAX_ROWS samples."""
     steps = span / dt
@@ -133,7 +141,7 @@ def demo_steps(duration: float, dt: float) -> int:
     if dt <= 0:
         raise ValueError("dt must be positive")
     what = f"a {duration:.6g} s demonstration at dt = {dt:.6g}"
-    steps = _grid_steps(duration, dt, what)
+    steps = grid_steps(duration, dt, what)
     if steps + 1 < _SMOOTH_WINDOW:
         raise ValueError(f"{what} gives {steps + 1} of the {_SMOOTH_WINDOW} samples fitting needs")
     return steps
@@ -147,7 +155,7 @@ def rollout_steps(tau: float, dt: float, horizon: float = 1.5) -> int:
         raise ValueError(f"dt must lie in (0, tau/100]; got dt = {dt:.6g} for tau = {tau:.6g}")
     if not horizon >= 0:
         raise ValueError(f"horizon must be non-negative; got {horizon!r}")
-    return _grid_steps(horizon * tau, dt, f"a rollout of horizon {horizon:.6g} * tau {tau:.6g} s at dt = {dt:.6g}")
+    return grid_steps(horizon * tau, dt, f"a rollout of horizon {horizon:.6g} * tau {tau:.6g} s at dt = {dt:.6g}")
 
 
 def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -320,6 +328,8 @@ class PoseDmp:
                 raise ValueError(f"{name} must be positive")
         for name in ("centers", "widths"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1))
+        if self.n_basis > MAX_BASIS:  # each rollout builds a samples x n_basis matrix
+            raise ValueError(f"a primitive holds at most {MAX_BASIS} basis functions, got {self.n_basis}")
         if not np.all(self.widths > 0):
             raise ValueError("widths must be positive")
         if not np.all((self.centers > 0) & (self.centers <= 1)):
@@ -347,8 +357,8 @@ def fit_pose_dmp(
     raises at its own interface.
     """
     beta_z = alpha_z / 4.0 if beta_z is None else beta_z
-    demo = prepare_demonstration(traj, dt=dt)
     centers, widths = basis_layout(n_basis, alpha_s)
+    demo = prepare_demonstration(traj, dt=dt)
     try:
         s, targets = compute_forcing_targets(demo, alpha_z, beta_z, alpha_s)
         weights, dead = fit_lwr(s, targets, centers, widths)
@@ -407,7 +417,7 @@ def _log_one_minus(mu: float) -> float | complex:
     return complex(math.log(mu - 1.0), math.pi)
 
 
-def _euler_translation(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> np.ndarray:
+def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> np.ndarray:
     """Rows e[0..n+1] of e[k+2] = c1 e[k+1] - c0 e[k] + u[k], e[1] = e[0],
     for u of shape (n, len(e0)) and c1 < 2.
 
@@ -463,7 +473,7 @@ def rollout(
         a = alpha_z dt/tau, b = alpha_z beta_z (dt/tau)^2, e[1] = e[0],
 
     a second-order linear filter, run for the six axes in one scan (see
-    ``_euler_translation``). Divergence is found row-wise: the first step
+    ``_second_order_scan``). Divergence is found row-wise: the first step
     whose |z| over six axes plus |p| and |e| sum to 1e15 or more, or to NaN,
     raises RolloutDiverged. The orientation comes back as q = exp(e) * g row
     by row, an |e| of 2 pi or more first wrapped along its axis, which is the
@@ -481,7 +491,7 @@ def rollout(
 
     gq = goal.orientation.as_array()[None]
     e0 = relative_rotation_vector_rows(start.orientation.as_array()[None], gq)[0]
-    err = _euler_translation(
+    err = _second_order_scan(
         np.concatenate([start.position - goal.position, e0]),
         adt * forcing[:n_steps],
         2.0 - az * adt,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .assembly import AssemblyScenario
 from .config import RunConfig, TrialSection
-from .dmp import fit_pose_dmp
+from .dmp import fit_pose_dmp, grid_steps
 from .ktc import AdmittanceGains, NativeDrive, VirtualHuman, native_drive, proposed_gains
 from .se3 import Pose, UnitQuaternion, from_rotation_vector, from_rotation_vector_rows, quat_mul_rows
 from .se3 import relative_rotation_vector_rows
@@ -75,7 +75,7 @@ def make_smooth_demo(
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
     knots = np.linspace(0.0, duration, k)
-    steps = max(int(round(duration / dt)), 1)
+    steps = max(grid_steps(duration, dt, f"a {duration:.6g} s demonstration at dt = {dt:.6g}"), 1)
     times = np.arange(steps + 1) * (duration / steps)
     u = times / duration
     warped = duration * (10.0 - (15.0 - 6.0 * u) * u) * u**3

@@ -28,7 +28,6 @@ __all__ = [
     "CameraModel",
     "MaskSample",
     "HoleEstimate",
-    "SweepRow",
     "NotDetectable",
     "check_visible",
     "synthesize_mask",
@@ -163,9 +162,6 @@ class MaskSample:
     """Depth points attributed to one hole's rim, camera frame."""
 
     points: np.ndarray
-    hole_id: int
-    noise_sigma: float
-    dropout: float
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float).reshape(-1, 3)
@@ -251,7 +247,7 @@ def synthesize_mask(
         keep = int(round(len(pts) * (1.0 - dropout)))
         idx = np.sort(rng.choice(len(pts), size=keep, replace=False))
         pts = pts[idx]
-    return MaskSample(points=pts, hole_id=hole_id, noise_sigma=noise_sigma, dropout=dropout)
+    return MaskSample(pts)
 
 
 def fit_plane(points: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -327,17 +323,6 @@ def fit_circle3d(sample: MaskSample) -> HoleEstimate:
     return HoleEstimate(center=center, axis=normal, radius=float(radius), rms=rms)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (yaw, hole) evaluation in a detection-range sweep."""
-
-    yaw: float
-    hole_id: int
-    detected: bool
-    center_err_m: float
-    radius_err_m: float
-
-
 def detection_range_sweep(
     scene: BarScene,
     cam: CameraModel,
@@ -348,9 +333,10 @@ def detection_range_sweep(
     noise_sigma: float = 0.0,
     dropout: float = 0.0,
     seed: int = 0,
-) -> tuple[tuple[SweepRow, ...], dict[int, tuple[tuple[float, float], ...]]]:
+) -> tuple[tuple[tuple[float, int, bool, float, float], ...], dict[int, tuple[tuple[float, float], ...]]]:
     """Evaluate detectability on a yaw grid and return (rows, per-hole
-    maximal contiguous detectable intervals).
+    maximal contiguous detectable intervals). A row is one (yaw, hole)
+    evaluation: ``(yaw, hole_id, detected, center_err_m, radius_err_m)``.
 
     Each (yaw, hole) cell gets its own sub-seed, so results are independent
     of evaluation order.
@@ -362,7 +348,7 @@ def detection_range_sweep(
     count = int(math.floor((yaw_stop - yaw_start) / step + 1e-9)) + 1
     yaws = yaw_start + step * np.arange(count)
 
-    rows: list[SweepRow] = []
+    rows = []
     detected_grid = np.zeros((count, len(scene.holes)), dtype=bool)
     for i, yaw in enumerate(yaws):
         turned = scene.yawed(float(yaw))
@@ -382,7 +368,7 @@ def detection_range_sweep(
                 radius_err = abs(est.radius - turned.holes[j].radius)
                 detected = center_err <= tolerance
             detected_grid[i, j] = detected
-            rows.append(SweepRow(float(yaw), j, detected, center_err, radius_err))
+            rows.append((float(yaw), j, detected, center_err, radius_err))
 
     intervals: dict[int, tuple[tuple[float, float], ...]] = {}
     for j in range(len(scene.holes)):

@@ -151,7 +151,7 @@ def test_a5_teaching_orderings():
         proposed = simulate_demonstration(*default_teach_setup("proposed", seed=seed), seed=seed)
         native = simulate_demonstration(*default_teach_setup("native", seed=seed), seed=seed)
         jp, jn = jerk_metrics(proposed), jerk_metrics(native)
-        if proposed.duration < native.duration and jp.mean < jn.mean and jp.max < jn.max:
+        if proposed.duration < native.duration and jp["mean"] < jn["mean"] and jp["max"] < jn["max"]:
             wins += 1
     elapsed = time.perf_counter() - t0
 
@@ -223,8 +223,8 @@ def test_a7_numeric_oracles():
     pos[:, 0] = D * (10 * u**3 - 15 * u**4 + 6 * u**5)
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (times.size, 1))
     report = jerk_metrics(Trajectory(times, pos, quats))
-    assert abs(report.mean - 40.0 / math.sqrt(3.0) * D / T**3) < 0.01 * report.mean
-    assert abs(report.max - 60.0 * D / T**3) < 0.01 * report.max
+    assert abs(report["mean"] - 40.0 / math.sqrt(3.0) * D / T**3) < 0.01 * report["mean"]
+    assert abs(report["max"] - 60.0 * D / T**3) < 0.01 * report["max"]
 
     # third finite difference reproduces the constant third derivative of
     # random cubics away from the stencil boundary

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdkit.assembly import (
+    MAX_TRIALS,
     _contact_project,
     _final_errors,
     _run_plan,
     AssemblyScenario,
-    BatchResult,
     EventKind,
     Phase,
     StepEvent,
@@ -232,23 +232,31 @@ class TestPlanInsertion:
             rms=0.0,
         )
 
+    @staticmethod
+    def goal(hole, dmp, depth=0.012):
+        """The goal plan_insertion descends to, at its default depth."""
+        return insertion_goal(hole, depth, dmp.demo_goal.orientation)
+
     def test_trajectory_ends_exactly_at_goal(self, scenario):
-        plan = plan_insertion(scenario.initial_pose, self.true_estimate(scenario), scenario.dmp)
-        traj = plan.trajectory
-        assert np.array_equal(traj.positions[-1], plan.goal.position)
+        hole = self.true_estimate(scenario)
+        traj = plan_insertion(scenario.initial_pose, hole, scenario.dmp)
+        goal = self.goal(hole, scenario.dmp)
+        assert np.array_equal(traj.positions[-1], goal.position)
         np.testing.assert_allclose(
-            traj.orientations[-1], plan.goal.orientation.as_array(), atol=1e-12
+            traj.orientations[-1], goal.orientation.as_array(), atol=1e-12
         )
         assert np.all(np.diff(traj.times) > 0)
 
     def test_rollout_segment_converges_to_standoff(self, scenario):
-        plan = plan_insertion(scenario.initial_pose, self.true_estimate(scenario), scenario.dmp)
-        # the descent is a straight vertical drop, so the approach endpoint is
-        # the last sample at standoff height
-        z_standoff = plan.standoff_pose.position[2]
-        above = plan.trajectory.positions[:, 2] >= z_standoff - 1e-12
+        hole = self.true_estimate(scenario)
+        traj = plan_insertion(scenario.initial_pose, hole, scenario.dmp)
+        # the standoff lies the default 30 mm above the hole center along its
+        # axis; the descent is a straight vertical drop, so the approach
+        # endpoint is the last sample at standoff height
+        standoff = np.asarray(hole.center) + 0.030 * np.asarray(hole.axis)
+        above = traj.positions[:, 2] >= standoff[2] - 1e-12
         idx = int(np.where(above)[0][-1])
-        err = np.linalg.norm(plan.trajectory.positions[idx] - plan.standoff_pose.position)
+        err = np.linalg.norm(traj.positions[idx] - standoff)
         assert err < 1e-3
 
     def test_endpoint_tracks_goal_for_random_estimates(self, scenario):
@@ -260,10 +268,11 @@ class TestPlanInsertion:
                 radius=0.004,
                 rms=0.0,
             )
-            plan = plan_insertion(scenario.initial_pose, est, scenario.dmp)
-            assert np.array_equal(plan.trajectory.positions[-1], plan.goal.position)
+            traj = plan_insertion(scenario.initial_pose, est, scenario.dmp)
+            goal = self.goal(est, scenario.dmp)
+            assert np.array_equal(traj.positions[-1], goal.position)
             np.testing.assert_allclose(
-                plan.goal.position,
+                goal.position,
                 np.asarray(est.center) - 0.012 * np.asarray(est.axis),
                 atol=1e-15,
             )
@@ -278,8 +287,8 @@ class TestPlanInsertion:
         )
         p0 = plan_insertion(scenario.initial_pose, base, scenario.dmp)
         p1 = plan_insertion(scenario.initial_pose, moved, scenario.dmp)
-        end_shift = p1.trajectory.positions[-1] - p0.trajectory.positions[-1]
-        goal_shift = p1.goal.position - p0.goal.position
+        end_shift = p1.positions[-1] - p0.positions[-1]
+        goal_shift = self.goal(moved, scenario.dmp).position - self.goal(base, scenario.dmp).position
         assert np.array_equal(end_shift, goal_shift)
         np.testing.assert_allclose(end_shift, [0.005, 0.0, 0.0], atol=1e-12)
 
@@ -305,7 +314,7 @@ class TestExecuteTrial:
         assert r.tilt_rad < math.radians(0.1)
         assert r.depth_m >= scenario.required_depth
         assert r.duration_s > 0
-        assert r.jerk is not None and r.jerk.max > 0
+        assert r.jerk is not None and r.jerk["max"] > 0
         assert r.events == nominal_events()
 
     def test_success_predicate_is_pure_over_the_record(self, noisy_scenario):
@@ -381,52 +390,56 @@ class TestExecuteTrial:
 class TestRunBatch:
     def test_twenty_noisy_trials_all_succeed(self, noisy_scenario):
         b = run_batch(noisy_scenario, n=20, seed=7)
-        assert b.success_rate == 1.0
-        assert b.failure_reasons == ()
-        assert all(r.state.phase is Phase.DONE for r in b.records)
-        assert all(r.lateral_err_m <= noisy_scenario.clearance for r in b.records)
-        assert len({r.hole_id for r in b.records}) == 3
-        assert len({round(r.yaw, 6) for r in b.records}) == 20
+        d = batch_to_dict(b)
+        assert d["success_rate"] == 1.0
+        assert d["failure_reasons"] == {}
+        assert all(r.state.phase is Phase.DONE for r in b)
+        assert all(r.lateral_err_m <= noisy_scenario.clearance for r in b)
+        assert len({r.hole_id for r in b}) == 3
+        assert len({round(r.yaw, 6) for r in b}) == 20
 
     def test_same_seed_is_bit_identical(self, noisy_scenario):
         a = run_batch(noisy_scenario, n=6, seed=3)
         b = run_batch(noisy_scenario, n=6, seed=3)
-        assert a.records == b.records
+        assert a == b
         assert batch_csv_text(a) == batch_csv_text(b)
 
     def test_prefix_of_a_batch_reproduces(self, noisy_scenario):
         big = run_batch(noisy_scenario, n=6, seed=3)
         small = run_batch(noisy_scenario, n=3, seed=3)
-        assert small.records == big.records[:3]
+        assert small == big[:3]
 
     def test_trial_seeds_are_derived_from_batch_seed(self, noisy_scenario):
         b = run_batch(noisy_scenario, n=3, seed=9)
-        assert [r.seed for r in b.records] == [9 * 1000003 + i for i in range(3)]
+        assert [r.seed for r in b] == [9 * 1000003 + i for i in range(3)]
 
     def test_single_trial_batch_equals_that_trial(self, scenario):
         b = run_batch(scenario, n=1, seed=2)
-        assert isinstance(b, BatchResult)
-        assert b.records == (execute_trial(replace(scenario, seed=2 * 1000003)),)
-        assert b.success_rate == float(b.records[0].success)
+        assert b == (execute_trial(replace(scenario, seed=2 * 1000003)),)
+        assert batch_to_dict(b)["success_rate"] == float(b[0].success)
 
     def test_n_must_be_positive(self, scenario):
-        with pytest.raises(ValueError, match="n must be"):
+        with pytest.raises(ValueError, match="n must lie in 1..10000"):
             run_batch(scenario, n=0, seed=0)
+
+    def test_n_past_the_cap_runs_nothing(self, scenario):
+        with pytest.raises(ValueError, match="n must lie in 1..10000, got 10001"):
+            run_batch(scenario, n=MAX_TRIALS + 1, seed=0)
 
     def test_failures_are_counted_by_reason(self, scenario):
         sc = replace(scenario, hole_id=2, yaw=math.radians(80.0))
-        b = run_batch(sc, n=3, seed=0)
-        assert b.success_rate == 0.0
-        assert len(b.failure_reasons) == 1
-        reason, count = b.failure_reasons[0]
+        d = batch_to_dict(run_batch(sc, n=3, seed=0))
+        assert d["success_rate"] == 0.0
+        assert len(d["failure_reasons"]) == 1
+        [(reason, count)] = d["failure_reasons"].items()
         assert reason.startswith("hole not detectable")
         assert count == 3
 
     def test_planning_failures_keep_every_record(self):
         template = scenario_from_config(config_from_dict({"dmp": {"alpha_z": 4.0}}))
         b = run_batch(template, n=3, seed=0)
-        assert len(b.records) == 3
-        for r in b.records:
+        assert len(b) == 3
+        for r in b:
             assert r.state.phase is Phase.FAILED
             assert r.state.reason.startswith("approach endpoint missed the standoff pose")
             assert math.isnan(r.lateral_err_m) and r.jerk is None
@@ -488,9 +501,9 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
     axis = scene.hole_axis_world(hole_id)
     bar_inv = scene.bar.inverse()
     half_dims = np.asarray(scene.dims, dtype=float) / 2.0
-    cmd_t = plan.trajectory.times
-    cmd_p = plan.trajectory.positions
-    cmd_q = plan.trajectory.orientations
+    cmd_t = plan.times
+    cmd_p = plan.positions
+    cmd_q = plan.orientations
 
     start = Pose(cmd_p[0], UnitQuaternion(*cmd_q[0]))
     state = _LagState(start, start)

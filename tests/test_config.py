@@ -2,10 +2,16 @@
 values, and resolved-document idempotence."""
 
 import json
+import math
 import re
+import types
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lfdkit.assembly import _PLAN_DT, MAX_TRIALS
 from lfdkit.cli import main
 from lfdkit.config import (
     MAX_MASK_POINTS,
@@ -17,7 +23,7 @@ from lfdkit.config import (
     load_config,
     save_config,
 )
-from lfdkit.dmp import MAX_ROWS
+from lfdkit.dmp import MAX_BASIS, MAX_ROWS
 from lfdkit.trajectory import ParseError
 
 
@@ -205,8 +211,8 @@ class TestRanges:
         assert cfg.trial.n == 1 and cfg.rollout.horizon == 0.0
 
     def test_n_basis_past_float_range_is_a_parse_error(self):
-        # the basis-layout rule does float arithmetic on n_basis
-        with pytest.raises(ParseError, match="too large to convert to float"):
+        # the cap is an integer comparison, made before any float arithmetic on n_basis
+        with pytest.raises(ParseError, match=f"n_basis must be at most {MAX_BASIS}"):
             config_from_dict({"dmp": {"n_basis": 10**400}})
 
     @pytest.mark.parametrize("n_basis, alpha_s", [(50, 350.0), (10, 399.6), (2, 745.0)])
@@ -230,6 +236,8 @@ class TestRanges:
 OVER_CAP = [
     ("trial", "mask_points", MAX_MASK_POINTS + 1, f"must be at most {MAX_MASK_POINTS}"),
     ("localize", "n_points", 10**12, f"must be at most {MAX_MASK_POINTS}"),
+    ("dmp", "n_basis", 10**9, f"must be at most {MAX_BASIS}"),
+    ("trial", "n", 10**12, f"must be at most {MAX_TRIALS}"),
 ]
 
 
@@ -286,6 +294,31 @@ class TestBounds:
         with pytest.raises(ParseError, match=f"more than the cap of {MAX_ROWS}") as err:
             config_from_dict(doc)
         assert err.value.field == field
+
+    def test_basis_and_trial_counts_at_the_caps(self):
+        cfg = config_from_dict({"dmp": {"n_basis": MAX_BASIS}, "trial": {"n": MAX_TRIALS}})
+        assert (cfg.dmp.n_basis, cfg.trial.n) == (MAX_BASIS, MAX_TRIALS)
+        for section, key, cap in (("dmp", "n_basis", MAX_BASIS), ("trial", "n", MAX_TRIALS)):
+            with pytest.raises(ParseError, match=f"{key} must be at most {cap}, got {cap + 1}") as err:
+                config_from_dict({section: {key: cap + 1}})
+            assert err.value.field == section
+
+    @pytest.mark.parametrize("section, key", [("dmp", "n_basis"), ("trial", "n")])
+    def test_cli_config_past_a_cap_exits_2(self, capsys, tmp_path, section, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: 10**12}}))
+        code = main(["batch", "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and f"{key} must be at most" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_cli_n_past_the_cap_exits_1(self, capsys, tmp_path):
+        code = main(["batch", "--n", str(MAX_TRIALS + 1), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: n must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_teach_steps_are_capped(self):
         at_cap = MAX_TEACH_STEPS / 100.0
@@ -411,3 +444,96 @@ class TestFiles:
         # the resolved document is valid JSON and ascii
         text = json.dumps(config_to_dict(RunConfig()))
         text.encode("ascii")
+
+
+# a document sets up to four fields, each to a value on either side of its
+# rules and caps: mostly of the field's own type (small ints, moderate
+# floats, the caps and one past them), one in eight anything JSON can carry,
+# huge, non-finite or of the wrong type
+_COUNTS = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([MAX_BASIS, MAX_BASIS + 1, MAX_TRIALS, MAX_TRIALS + 1, MAX_MASK_POINTS, MAX_MASK_POINTS + 1]),
+)
+_WILD = st.one_of(
+    st.integers(-(10**15), 10**15),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=8),
+)
+
+
+def _of_type(hint):
+    """Values of the kind a field of this type annotation reads."""
+    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kinds = {
+        type(None): st.none(),
+        int: _COUNTS,
+        float: st.one_of(_COUNTS, st.floats(1e-4, 1e4)),
+        str: st.sampled_from(["proposed", "native", "x"]),
+    }
+    return st.one_of([kinds.get(arm, st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7)) for arm in arms])
+
+
+def _setting(section, key, hint):
+    value = st.integers(0, 7).flatmap(lambda k: _WILD if k == 0 else _of_type(hint))
+    return value.map(lambda v: (section, key, v))
+
+
+def _document(entries):
+    doc = {}
+    for section, key, value in entries:
+        if key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+    return doc
+
+
+_FIELDS = [("seed", None, int)] + [
+    (name, key, hint)
+    for name, cls in typing.get_type_hints(RunConfig).items() if name not in ("seed", "scene")
+    for key, hint in typing.get_type_hints(cls).items()
+]
+_DOCUMENT = st.lists(st.sampled_from(_FIELDS).flatmap(lambda f: _setting(*f)), max_size=4).map(_document)
+
+
+def _derived_sizes(cfg: RunConfig) -> dict:
+    """(size, cap) of everything a run of this config allocates in
+    proportion to a config value, computed as the consumer computes it."""
+    r, t, sw = cfg.rollout, cfg.trial, cfg.sweep
+    span = math.radians(sw.stop_deg) - math.radians(sw.start_deg)
+    fit_rows = t.demo_duration / cfg.dmp.dt + 1
+    plan_rows = 1.5 * t.demo_duration / _PLAN_DT + 1
+    sizes = {
+        "dmp.n_basis": (cfg.dmp.n_basis, MAX_BASIS),
+        "trial.n": (t.n, MAX_TRIALS),
+        "trial.mask_points": (t.mask_points, MAX_MASK_POINTS),
+        "localize.n_points": (cfg.localize.n_points, MAX_MASK_POINTS),
+        "trial demo grid": (fit_rows, MAX_ROWS),
+        "trial preset demo": (t.demo_duration / 1e-3 + 1, MAX_ROWS),
+        "trial plan rollout": (plan_rows, MAX_ROWS),
+        # samples x bases, in fit_lwr and in the plan's rollout
+        "trial fit activations": (fit_rows * cfg.dmp.n_basis, MAX_ROWS * MAX_BASIS),
+        "trial plan activations": (plan_rows * cfg.dmp.n_basis, MAX_ROWS * MAX_BASIS),
+        "teach ticks": (math.ceil(cfg.teach.max_duration * cfg.teach.rate), MAX_TEACH_STEPS),
+        "sweep yaws": (math.floor(span / math.radians(sw.step_deg) + 1e-9) + 1, MAX_SWEEP_YAWS),
+    }
+    if r.tau is not None:
+        sizes["rollout rows"] = (r.horizon * r.tau / r.dt + 1, MAX_ROWS)
+    return sizes
+
+
+class TestLoadProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENT)
+    def test_accepted_documents_stay_under_every_cap(self, doc):
+        # a rejected document raises ParseError and nothing else
+        try:
+            cfg = config_from_dict(doc)
+        except ParseError:
+            return
+        for name, (size, cap) in _derived_sizes(cfg).items():
+            assert size <= cap, (name, size, cap)

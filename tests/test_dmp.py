@@ -26,13 +26,14 @@ import pytest
 
 from lfdkit.cli import main
 from lfdkit.dmp import (
+    MAX_BASIS,
     MAX_ROWS,
     DegenerateDemo,
     ForcingUnderflow,
     PoseDmp,
     RolloutDiverged,
-    _euler_translation,
     _forcing_profile,
+    _second_order_scan,
     basis_layout,
     check_basis_layout,
     compute_forcing_targets,
@@ -127,9 +128,14 @@ class TestBasisLayout:
                 basis_layout(n_basis, alpha_s)
 
     def test_check_allocates_nothing_of_size_n_basis(self):
-        check_basis_layout(10**15, ALPHA_S)
+        check_basis_layout(MAX_BASIS, ALPHA_S)
         with pytest.raises(ValueError, match="width finite"):
-            check_basis_layout(10**15, 400.0)
+            check_basis_layout(MAX_BASIS, 400.0)
+        for n_basis in (MAX_BASIS + 1, 10**15):
+            with pytest.raises(ValueError, match=f"n_basis must be at most {MAX_BASIS}"):
+                check_basis_layout(n_basis, ALPHA_S)
+            with pytest.raises(ValueError, match=f"n_basis must be at most {MAX_BASIS}"):
+                basis_layout(n_basis, ALPHA_S)
 
 
 class TestEvalForcing:
@@ -519,10 +525,44 @@ class TestRowCap:
         assert self.peak_bytes(lambda: prepare_demonstration(traj)) < 100_000
         assert self.peak_bytes(lambda: fit_pose_dmp(smooth_demo(duration=1.0), dt=1e-9)) < 1_000_000
 
+    def test_smooth_demo(self):
+        wp, _ = demo_pose_waypoints()
+        assert self.peak_bytes(lambda: make_smooth_demo(wp, duration=1e4)) < 100_000
+        assert self.peak_bytes(lambda: make_smooth_demo(wp, duration=1.0, dt=1e-9)) < 100_000
+
     def test_at_the_cap(self):
         assert rollout_steps(MAX_ROWS - 1.0, 1.0, 1.0) == MAX_ROWS - 1
         with pytest.raises(ValueError, match="needs 1000001 samples"):
             rollout_steps(float(MAX_ROWS), 1.0, 1.0)
+
+
+class TestBasisCap:
+    """A primitive holds at most MAX_BASIS bases, so a rollout's activation
+    matrix stays under MAX_ROWS x MAX_BASIS; refused before any rollout."""
+
+    @staticmethod
+    def oversized_doc():
+        n = MAX_BASIS + 1
+        doc = dmp_to_dict(zero_weight_dmp(n_basis=5))
+        doc.update(N=n, centers=np.linspace(1.0, 0.01, n).tolist(), widths=[1.0] * n, weights=[[0.0] * n] * 6)
+        return doc
+
+    def test_primitive_file_past_the_cap_rejected(self):
+        with pytest.raises(ParseError, match=f"at most {MAX_BASIS} basis functions, got {MAX_BASIS + 1}"):
+            dmp_from_dict(self.oversized_doc())
+
+    def test_cli_rollout_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(self.oversized_doc()))
+        code = main(["rollout", "--dmp", str(path), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and f"at most {MAX_BASIS} basis functions" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_fit_past_the_cap_rejected(self):
+        with pytest.raises(ValueError, match=f"n_basis must be at most {MAX_BASIS}"):
+            fit_pose_dmp(smooth_demo(duration=1.0), n_basis=10**9)
 
 
 def reference_coords(dmp, start, goal, dt=1e-3, horizon=1.5):
@@ -579,7 +619,7 @@ def banded_reference(e0, u, c1, c0):
 
 
 def euler_coefficients(alpha_z, beta_z, adt):
-    """(c1, c0) of the Euler translation filter, formed as rollout forms them."""
+    """(c1, c0) of the six-axis Euler filter, formed as rollout forms them."""
     return 2.0 - alpha_z * adt, 1.0 - alpha_z * adt + alpha_z * beta_z * adt * adt
 
 
@@ -608,7 +648,7 @@ class TestEulerTranslationScan:
         c1, c0 = euler_coefficients(alpha_z, beta_z, adt)
         u = self.forcing(n, adt)
         want = banded_reference(self.E0, u, c1, c0)
-        got = _euler_translation(self.E0, u, c1, c0)
+        got = _second_order_scan(self.E0, u, c1, c0)
         assert got.shape == want.shape
         assert np.array_equal(got[:2], want[:2])  # e[1] = e[0] exactly
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
@@ -619,7 +659,7 @@ class TestEulerTranslationScan:
         u = self.forcing(3000, 1e-2)
         with np.errstate(over="ignore", invalid="ignore"):
             want = banded_reference(self.E0, u, c1, c0)
-            got = _euler_translation(self.E0, u, c1, c0)
+            got = _second_order_scan(self.E0, u, c1, c0)
         first = int(np.argmin(np.all(np.isfinite(want), axis=1)))
         assert 0 < first < len(want) - 1
         assert np.all(np.isfinite(got[:first]))
@@ -634,20 +674,20 @@ class TestEulerTranslationScan:
         u = self.forcing(15000, 1e-3, scale=1e256)
         want = banded_reference(self.E0, u, c1, c0)
         assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 1e240
-        got = _euler_translation(self.E0, u, c1, c0)
+        got = _second_order_scan(self.E0, u, c1, c0)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_zero_root_passes_forcing_through(self):
         # alpha_z dt/tau = 2 at critical damping: both roots 0, e[k+2] = u[k]
         c1, c0 = euler_coefficients(200.0, 50.0, 1e-2)
         u = self.forcing(150, 1e-2)
-        got = _euler_translation(self.E0, u, c1, c0)
+        got = _second_order_scan(self.E0, u, c1, c0)
         np.testing.assert_array_equal(got[2:], u)
         np.testing.assert_array_equal(got[:2], [self.E0, self.E0])
 
     def test_zero_steps(self):
         c1, c0 = euler_coefficients(25.0, 6.25, 1e-3)
-        got = _euler_translation(self.E0, np.empty((0, 3)), c1, c0)
+        got = _second_order_scan(self.E0, np.empty((0, 3)), c1, c0)
         np.testing.assert_array_equal(got, [self.E0, self.E0])
 
 

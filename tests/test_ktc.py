@@ -497,8 +497,8 @@ class TestSimulateDemonstration:
         tn = simulate_demonstration(native_h, native_drive(), seed=3)
         jp, jn = jerk_metrics(tp), jerk_metrics(tn)
         assert tp.duration < tn.duration
-        assert jp.mean < jn.mean
-        assert jp.max < jn.max
+        assert jp["mean"] < jn["mean"]
+        assert jp["max"] < jn["max"]
         # the native run is only possible because the human exceeds 40 N
         assert np.linalg.norm(tn.wrenches[:, :3], axis=1).max() > 40.0
         assert np.linalg.norm(tp.wrenches[:, :3], axis=1).max() <= 12.0 + 1e-12

@@ -12,13 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdkit.metrics import (
-    ComparisonReport,
-    ComparisonRow,
-    JerkReport,
     _EDGE_TRIM,
     _interior_stats,
     compare_demonstrations,
-    comparison_to_dict,
     jerk_metrics,
     render_comparison_table,
     rotation_jerk_metrics,
@@ -54,16 +50,16 @@ class TestJerkMetrics:
         t = np.arange(41) * 0.25
         pos = np.outer(t, [0.125, -0.5, 0.25])
         r = jerk_metrics(Trajectory(t, pos, identity_quats(len(t))))
-        assert r.mean == 0.0
-        assert r.max == 0.0
-        assert r.std == 0.0
+        assert r["mean"] == 0.0
+        assert r["max"] == 0.0
+        assert r["std"] == 0.0
 
     def test_quintic_matches_analytic(self):
         r = jerk_metrics(quintic_profile())
         mean, peak = quintic_jerk_stats()
-        assert r.mean == pytest.approx(mean, rel=0.01)
-        assert r.max == pytest.approx(peak, rel=0.01)
-        assert r.unit == "m/s^3"
+        assert r["mean"] == pytest.approx(mean, rel=0.01)
+        assert r["max"] == pytest.approx(peak, rel=0.01)
+        assert r["unit"] == "m/s^3"
 
     def test_noise_strictly_increases_mean_jerk(self):
         clean = quintic_profile()
@@ -73,7 +69,7 @@ class TestJerkMetrics:
             clean.positions + rng.normal(scale=1e-4, size=clean.positions.shape),
             identity_quats(len(clean)),
         )
-        assert jerk_metrics(noisy).mean > jerk_metrics(clean).mean
+        assert jerk_metrics(noisy)["mean"] > jerk_metrics(clean)["mean"]
 
     def test_rigid_transform_invariance(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
@@ -84,9 +80,9 @@ class TestJerkMetrics:
             identity_quats(len(traj)),
         )
         a, b = jerk_metrics(traj), jerk_metrics(moved)
-        assert b.mean == pytest.approx(a.mean, abs=1e-9)
-        assert b.max == pytest.approx(a.max, abs=1e-9)
-        assert b.std == pytest.approx(a.std, abs=1e-9)
+        assert b["mean"] == pytest.approx(a["mean"], abs=1e-9)
+        assert b["max"] == pytest.approx(a["max"], abs=1e-9)
+        assert b["std"] == pytest.approx(a["std"], abs=1e-9)
 
     def test_time_reversal_invariance(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
@@ -94,8 +90,8 @@ class TestJerkMetrics:
             traj.times, traj.positions[::-1], traj.orientations[::-1]
         )
         a, b = jerk_metrics(traj), jerk_metrics(reversed_traj)
-        assert b.mean == pytest.approx(a.mean, abs=1e-9)
-        assert b.max == pytest.approx(a.max, abs=1e-9)
+        assert b["mean"] == pytest.approx(a["mean"], abs=1e-9)
+        assert b["max"] == pytest.approx(a["max"], abs=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-5.0, max_value=5.0).filter(lambda c: abs(c) > 0.01))
@@ -103,8 +99,8 @@ class TestJerkMetrics:
         traj = quintic_profile(T=1.0, dt=5e-3)
         scaled = Trajectory(traj.times, c * traj.positions, identity_quats(len(traj)))
         a, b = jerk_metrics(traj), jerk_metrics(scaled)
-        assert b.mean == pytest.approx(abs(c) * a.mean, rel=1e-9)
-        assert b.max == pytest.approx(abs(c) * a.max, rel=1e-9)
+        assert b["mean"] == pytest.approx(abs(c) * a["mean"], rel=1e-9)
+        assert b["max"] == pytest.approx(abs(c) * a["max"], rel=1e-9)
 
     def test_nonuniform_input_is_resampled(self):
         rng = np.random.default_rng(0)
@@ -113,8 +109,8 @@ class TestJerkMetrics:
         pos = np.zeros((400, 3))
         pos[:, 0] = 0.25 * t**3
         r = jerk_metrics(Trajectory(t, pos, identity_quats(400)))
-        assert math.isfinite(r.mean)
-        assert r.max >= r.mean >= 0.0
+        assert math.isfinite(r["mean"])
+        assert r["max"] >= r["mean"] >= 0.0
 
     def test_too_few_samples(self):
         t = np.array([0.0, 0.1, 0.2])
@@ -122,24 +118,30 @@ class TestJerkMetrics:
             jerk_metrics(Trajectory(t, np.zeros((3, 3)), identity_quats(3)))
 
     def test_report_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            JerkReport(mean=2.0, std=0.1, max=1.0, n_interior=10)
-        with pytest.raises(ValueError):
-            JerkReport(mean=-1.0, std=0.1, max=1.0, n_interior=10)
+        # a negative norm is the one input that breaks max >= mean >= 0
+        with pytest.raises(ValueError, match="max >= mean >= 0"):
+            _interior_stats(np.array([-2.0, -1.0]), _EDGE_TRIM, "m/s^3")
+        with pytest.raises(ValueError, match="max >= mean >= 0"):
+            _interior_stats(np.array([1.0, np.nan]), _EDGE_TRIM, "m/s^3")
+
+    def test_report_is_plain_data(self):
+        r = jerk_metrics(quintic_profile(T=1.0, dt=2e-3))
+        assert list(r) == ["mean", "std", "max", "n_interior", "unit"]
+        assert json.loads(json.dumps(r, allow_nan=False)) == r
 
 
 class TestRotationJerk:
     def test_translation_only_motion_has_zero_rotation_jerk(self):
         r = rotation_jerk_metrics(quintic_profile(T=1.0, dt=2e-3))
-        assert r.mean == 0.0
-        assert r.max == 0.0
-        assert r.unit == "rad/s^3"
+        assert r["mean"] == 0.0
+        assert r["max"] == 0.0
+        assert r["unit"] == "rad/s^3"
 
     def test_constant_spin_has_zero_rotation_jerk(self):
         t = np.linspace(0.0, 1.0, 300)
         quats = np.array([from_rotation_vector(np.array([0.0, 0.0, 0.7 * ti])).as_array() for ti in t])
         r = rotation_jerk_metrics(Trajectory(t, np.zeros((300, 3)), quats))
-        assert r.max < 1e-6
+        assert r["max"] < 1e-6
 
     def test_quintic_spin_matches_analytic(self):
         # same quintic shape, applied to a rotation angle about one axis
@@ -150,25 +152,26 @@ class TestRotationJerk:
         quats = np.array([from_rotation_vector(np.array([0.0, th, 0.0])).as_array() for th in theta])
         r = rotation_jerk_metrics(Trajectory(t, np.zeros((len(t), 3)), quats))
         mean, peak = quintic_jerk_stats(d=angle, T=T)
-        assert r.mean == pytest.approx(mean, rel=0.01)
-        assert r.max == pytest.approx(peak, rel=0.01)
+        assert r["mean"] == pytest.approx(mean, rel=0.01)
+        assert r["max"] == pytest.approx(peak, rel=0.01)
 
 
 class TestTimingStats:
     def test_exact_cases(self):
         r = timing_stats([10.0, 10.0, 10.0])
-        assert (r.mean, r.std) == (10.0, 0.0)
+        assert (r["mean"], r["std"]) == (10.0, 0.0)
         r = timing_stats([1.0, 2.0, 3.0])
-        assert (r.mean, r.std) == (2.0, 1.0)
+        assert (r["mean"], r["std"]) == (2.0, 1.0)
 
     def test_singleton_std_zero(self):
         r = timing_stats([7.5])
-        assert r.std == 0.0
-        assert r.mean == 7.5
+        assert r["std"] == 0.0
+        assert r["mean"] == 7.5
 
     def test_mean_within_range(self):
         r = timing_stats([4.0, 9.0, 6.5])
-        assert min(r.durations) <= r.mean <= max(r.durations)
+        assert 4.0 <= r["mean"] <= 9.0
+        assert list(r) == ["mean", "std"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,13 +194,13 @@ near_constant = st.builds(
 class TestMeanInRange:
     def test_equal_durations(self):
         r = timing_stats([0.05] * 3)
-        assert r.mean == 0.05
+        assert r["mean"] == 0.05
 
     @settings(max_examples=300)
     @given(near_constant)
     def test_timing_stats(self, values):
         r = timing_stats(values)
-        assert min(values) <= r.mean <= max(values)
+        assert min(values) <= r["mean"] <= max(values)
 
     @settings(max_examples=300)
     @given(near_constant)
@@ -206,16 +209,16 @@ class TestMeanInRange:
         r = _interior_stats(norms, _EDGE_TRIM, "m/s^3")
         n = len(norms)
         trim = min(_EDGE_TRIM, max((n - 2) // 2, 0))
-        assert norms[trim:n - trim].min() <= r.mean <= r.max
+        assert norms[trim:n - trim].min() <= r["mean"] <= r["max"]
 
 
 class TestComparison:
     def test_identical_inputs_all_tie(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
         rep = compare_demonstrations(traj, traj)
-        for row in rep.rows:
-            assert row.winner == "tie"
-            assert row.ratio_a_over_b == 1.0
+        for row in rep["rows"]:
+            assert row["winner"] == "tie"
+            assert row["ratio_a_over_b"] == 1.0
 
     def test_clean_beats_noisy(self):
         clean = quintic_profile()
@@ -226,21 +229,27 @@ class TestComparison:
             identity_quats(len(clean)),
         )
         rep = compare_demonstrations(clean, noisy, "clean", "noisy")
-        rows = {r.metric: r for r in rep.rows}
-        assert rows["mean_jerk_m_s3"].winner == "a"
-        assert rows["max_jerk_m_s3"].winner == "a"
-        assert rows["mean_jerk_m_s3"].ratio_a_over_b < 1.0
+        rows = {r["metric"]: r for r in rep["rows"]}
+        assert rows["mean_jerk_m_s3"]["winner"] == "a"
+        assert rows["max_jerk_m_s3"]["winner"] == "a"
+        assert rows["mean_jerk_m_s3"]["ratio_a_over_b"] < 1.0
 
     def test_zero_denominator_ratio(self):
-        row = ComparisonRow("m", 1.0, 0.0)
-        assert row.ratio_a_over_b == math.inf
-        assert row.winner == "b"
+        # b never moves, so its jerk is exactly 0 and a's is not
+        a = quintic_profile(T=1.0, dt=2e-3)
+        b = Trajectory(a.times, np.zeros_like(a.positions), identity_quats(len(a)))
+        rows = {r["metric"]: r for r in compare_demonstrations(a, b)["rows"]}
+        for metric in ("mean_jerk_m_s3", "max_jerk_m_s3"):
+            assert rows[metric]["b"] == 0.0 and rows[metric]["a"] > 0.0
+            assert rows[metric]["ratio_a_over_b"] is None  # a / 0 is infinite
+            assert rows[metric]["winner"] == "b"
 
     def test_infinite_ratio_emitted_as_null(self, tmp_path):
         # strict JSON has no Infinity; the file must load with a strict parser
-        report = ComparisonReport("a", "b", (ComparisonRow("m", 1.0, 0.0), ComparisonRow("n", 1.0, 2.0)))
-        d = comparison_to_dict(report)
-        assert [r["ratio_a_over_b"] for r in d["rows"]] == [None, 0.5]
+        a = quintic_profile(T=1.0, dt=2e-3)
+        b = Trajectory(a.times * 2.0, np.zeros_like(a.positions), identity_quats(len(a)))
+        d = compare_demonstrations(a, b)
+        assert [r["ratio_a_over_b"] for r in d["rows"]] == [0.5, None, None]
         path = tmp_path / "report.json"
         write_json(path, d)
 
@@ -248,6 +257,7 @@ class TestComparison:
             raise ValueError(token)
 
         assert json.loads(path.read_text(), parse_constant=reject) == d
+        assert render_comparison_table(d).splitlines()[2].split()[-2:] == ["b", "inf"]
 
     def test_render_includes_reference_rows_verbatim(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
@@ -265,6 +275,6 @@ class TestComparison:
 
     def test_dict_emission(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
-        d = comparison_to_dict(compare_demonstrations(traj, traj))
+        d = compare_demonstrations(traj, traj)
         assert [r["metric"] for r in d["rows"]] == ["duration_s", "mean_jerk_m_s3", "max_jerk_m_s3"]
         assert all(r["winner"] == "tie" for r in d["rows"])

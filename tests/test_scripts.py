@@ -31,3 +31,9 @@ def test_script_runs(tmp_path, capsys, name):
     assert capsys.readouterr().out
     for file in written:
         assert (tmp_path / file).stat().st_size > 0
+
+
+def test_batch_experiment_refuses_n_past_the_cap(tmp_path, capsys):
+    assert load_script("run_batch_experiment").main(["--n", "10001", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: --n must lie in 1..10000 and --batches be at least 1\n"
+    assert list(tmp_path.iterdir()) == []

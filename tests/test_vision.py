@@ -215,10 +215,10 @@ class TestFitCircle3d:
         # full-circle error at the same noise level
         sigma = 5e-4
         full = np.array(
-            [fit_circle3d(MaskSample(arc_points(2 * math.pi, 200, sigma, s), 0, sigma, 0.0)).center for s in range(150)]
+            [fit_circle3d(MaskSample(arc_points(2 * math.pi, 200, sigma, s))).center for s in range(150)]
         )
         half = np.array(
-            [fit_circle3d(MaskSample(arc_points(math.pi, 100, sigma, s), 0, sigma, 0.0)).center for s in range(150)]
+            [fit_circle3d(MaskSample(arc_points(math.pi, 100, sigma, s))).center for s in range(150)]
         )
         full_err = float(np.median(np.linalg.norm(full - RIM_CENTER, axis=1)))
         half_bias = float(np.linalg.norm(half.mean(axis=0) - RIM_CENTER))
@@ -227,11 +227,11 @@ class TestFitCircle3d:
     def test_insufficient_arc_rejected(self):
         pts = arc_points(math.radians(60), 50)
         with pytest.raises(ValueError, match="arc coverage"):
-            fit_circle3d(MaskSample(pts, 0, 0.0, 0.0))
+            fit_circle3d(MaskSample(pts))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 3"):
-            fit_circle3d(MaskSample(np.zeros((2, 3)), 0, 0.0, 0.0))
+            fit_circle3d(MaskSample(np.zeros((2, 3))))
 
     def test_rigid_transform_equivariance(self):
         scene, cam = default_bar_scene(), default_camera()
@@ -277,21 +277,21 @@ class TestDetectionRangeSweep:
         rows, _ = detection_range_sweep(scene, cam, lo, hi, step, noise_sigma=2.5e-4, seed=3)
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         yaw_values = [lo + step * i for i in range(count)]
-        by_key = {(round(r.yaw, 12), r.hole_id): r for r in rows}
+        by_key = {(round(yaw, 12), hole_id): (detected, center_err) for yaw, hole_id, detected, center_err, _ in rows}
         from lfdkit.vision import synthesize_mask as mask_fn, fit_circle3d as fit_fn
 
         for i in reversed(range(count)):
             turned = scene.yawed(yaw_values[i])
             for j in reversed(range(3)):
-                row = by_key[(round(yaw_values[i], 12), j)]
+                detected, center_err = by_key[(round(yaw_values[i], 12), j)]
                 try:
                     est = fit_fn(mask_fn(turned, cam, j, 2.5e-4, 0.0, 3 * 1000003 + i * 3 + j))
                 except (NotDetectable, ValueError):
-                    assert not row.detected and math.isnan(row.center_err_m)
+                    assert not detected and math.isnan(center_err)
                 else:
                     err = world_center_error(cam, turned, j, est)
-                    assert row.center_err_m == err
-                    assert row.detected == (err <= 1e-3)
+                    assert center_err == err
+                    assert detected == (err <= 1e-3)
 
     def test_validation(self):
         scene, cam = default_bar_scene(), default_camera()
