@@ -11,19 +11,21 @@ Each command of the roadmap's end-to-end list runs as a fresh process with
 (fit the 10 s preset demo, roll it out toward 100 shifted goals). Then the
 rest of the CLI and the checkout's own scripts, on short settings:
 ``localize --seed 1``; ``fit`` and ``rollout`` of the taught demo, scored
-against it by ``metrics``; and each script under ``scripts/`` that writes
-an ``--out`` file. The two checkouts alternate command by command, the
-first of each pair switching every round, so a host that slows down for a
-while slows both. BLAS and OpenMP pools are pinned to one thread, as in
-``perfbench``.
+against it by ``metrics``; two trials that end FAILED, one aborted after
+the insertion (its event script is written into each output directory)
+and one on a hole the camera cannot see; and each script under
+``scripts/`` that writes an ``--out`` file. The two checkouts alternate
+command by command, the first of each pair switching every round, so a
+host that slows down for a while slows both. BLAS and OpenMP pools are
+pinned to one thread, as in ``perfbench``.
 
 Each checkout writes into its own directory. After the last round every
 command's stdout and output files are compared byte for byte across the
 two checkouts; ``identical`` in the JSON records the result per command
-and file, and any difference is printed. The JSON also holds min and
-median wall time per command and checkout, every sample, both git shas,
-the Python and numpy versions and the core count. Five repeats take under
-two minutes on a 2-vCPU host.
+and file, any difference is printed, and the script exits 1 if there is
+one. The JSON also holds min and median wall time per command and
+checkout, every sample, both git shas, the Python and numpy versions and
+the core count. Five repeats take under two minutes on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ for _ in range(100):
 CLI = [sys.executable, "-m", "lfdkit.cli"]
 
 
+# the nominal stream with its last pedal press replaced by an abort
+ABORT_EVENTS = "0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n4 motion_done\n5 abort\n"
+
+
 def cli(*args: str, out: str, also: tuple[str, ...] = ()) -> tuple[list[str], tuple[str, ...]]:
     """An lfdkit command writing ``out``, the files ``also`` and its resolved config."""
     return CLI + [*args, "--out", out], (out, *also, f"{out}.config.json")
@@ -83,6 +89,9 @@ COMMANDS = {
     "rollout --dmp prim.json": cli("rollout", "--dmp", "prim.json", out="replay.csv"),
     "metrics --traj demo.csv --baseline replay.csv": cli(
         "metrics", "--traj", "demo.csv", "--baseline", "replay.csv", out="metrics.json"),
+    "trial --seed 3 --events abort.events": cli(
+        "trial", "--seed", "3", "--events", "abort.events", out="trial_abort.json"),
+    "trial --hole 2 --yaw-deg 80": cli("trial", "--hole", "2", "--yaw-deg", "80", out="trial_hidden.json"),
     "run_teaching_comparison.py --runs 2": script(
         "run_teaching_comparison.py", "--runs", "2", "--out", "teach_cmp.json", writes=("teach_cmp.json",)),
     "run_batch_experiment.py --n 5 --batches 2": script(
@@ -137,6 +146,7 @@ def main(argv=None) -> int:
         outs = {side: Path(tmp) / side for side in sides}
         for out in outs.values():
             out.mkdir()
+            (out / "abort.events").write_text(ABORT_EVENTS)
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():
@@ -169,13 +179,16 @@ def main(argv=None) -> int:
         "identical": identical,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    status = 0
     for name, per in record["seconds"].items():
         differ = [what for what, same in [("stdout", identical[name]["stdout"]), *identical[name]["files"].items()]
                   if not same]
+        if differ:
+            status = 1
         print(f"{name:46s} base min {per['base']['min']:.3f} median {per['base']['median']:.3f}   "
               f"change min {per['change']['min']:.3f} median {per['change']['median']:.3f}   "
               f"{'DIFFERENT: ' + ', '.join(differ) if differ else 'byte-identical'}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

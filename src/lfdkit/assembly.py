@@ -27,7 +27,7 @@ from .dmp import PoseDmp, RolloutDiverged, rollout
 from .ktc import plant_step
 from .metrics import jerk_metrics
 from .se3 import Pose, UnitQuaternion, quat_mul, quat_normalize, rotation_between
-from .trajectory import ParseError, Trajectory, fmt_float
+from .trajectory import ParseError, Trajectory, _brief_repr, fmt_float
 from .vision import (
     BarScene,
     CameraModel,
@@ -35,6 +35,7 @@ from .vision import (
     NotDetectable,
     check_visible,
     fit_circle3d,
+    hole_in_world,
     synthesize_mask,
 )
 
@@ -140,10 +141,9 @@ def advance(state: TaskState, event: StepEvent) -> TaskState:
     return TaskState(nxt)
 
 
-def nominal_events(spacing: float = 1.0) -> tuple[StepEvent, ...]:
-    """The six-signal happy path that drives a fresh task to DONE."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+def nominal_events() -> tuple[StepEvent, ...]:
+    """The six-signal happy path that drives a fresh task to DONE, one
+    second apart."""
     kinds = (
         EventKind.PEDAL_PRESS,
         EventKind.MOTION_DONE,
@@ -152,7 +152,7 @@ def nominal_events(spacing: float = 1.0) -> tuple[StepEvent, ...]:
         EventKind.MOTION_DONE,
         EventKind.PEDAL_PRESS,
     )
-    return tuple(StepEvent(k, i * spacing) for i, k in enumerate(kinds))
+    return tuple(StepEvent(k, float(i)) for i, k in enumerate(kinds))
 
 
 _KINDS = {k.value: k for k in EventKind}
@@ -277,6 +277,8 @@ class AssemblyScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy seeds only nonnegative integers
+            raise ValueError(f"seed must be at least 0, got {_brief_repr(self.seed)}")
         if self.mask_points < 3:
             raise ValueError("mask_points must be at least 3")
         if self.clearance <= 0 or self.tilt_tol <= 0 or self.required_depth <= 0:
@@ -284,7 +286,7 @@ class AssemblyScenario:
         if self.standoff <= 0 or self.plan_overtravel < 0:
             raise ValueError("standoff must be positive and plan_overtravel nonnegative")
         if self.hole_id is not None and not 0 <= self.hole_id < len(self.scene.holes):
-            raise ValueError(f"hole_id {self.hole_id} outside 0..{len(self.scene.holes) - 1}")
+            raise ValueError(f"hole_id {_brief_repr(self.hole_id)} outside 0..{len(self.scene.holes) - 1}")
         lo, hi = self.yaw_range
         if not lo <= hi:
             raise ValueError("yaw_range must be ordered")
@@ -395,7 +397,7 @@ def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole
     return Trajectory(times, table[:, :3], table[:, 3:])
 
 
-def _final_errors(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
+def _score(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
     """Lateral offset from the true hole axis, tool tilt from square, and
     depth below the top face, all at the final executed sample."""
     center = scene.hole_center_world(hole_id)
@@ -410,87 +412,80 @@ def _final_errors(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[
     return lateral, tilt, -h
 
 
-def execute_trial(
-    scenario: AssemblyScenario, events: Sequence[StepEvent] | None = None
-) -> TrialResult:
-    """Run one trial: resolve the seeded choices, walk the state machine over
-    the event stream, and localize / plan / execute at the matching steps.
-
-    Vision and planning failures become a FAILED state with its reason, not
-    an exception; the trial's errors stay nan unless the insertion motion
-    actually ran.
-    """
-    evs = nominal_events() if events is None else tuple(events)
-    _check_monotone(evs, "events")
-
+def _resolve(scenario: AssemblyScenario) -> tuple[float, BarScene, int | None, int]:
+    """The seeded choices, drawn from one generator in a fixed order: the
+    yaw, the hole (None when no hole is visible), then the vision seed."""
     rng = np.random.default_rng(scenario.seed)
     yaw = scenario.yaw if scenario.yaw is not None else float(rng.uniform(*scenario.yaw_range))
     scene = scenario.scene.yawed(yaw)
     hole_id = scenario.hole_id
-    no_hole_reason = None
     if hole_id is None:
         candidates = [i for i in range(len(scene.holes)) if _detectable(scene, scenario.cam, i)]
         if candidates:
             hole_id = int(rng.choice(np.asarray(candidates)))
-        else:
-            no_hole_reason = "hole not detectable: no hole is visible from the camera"
-    vision_seed = int(rng.integers(0, 2**31 - 1))
+    return yaw, scene, hole_id, int(rng.integers(0, 2**31 - 1))
 
+
+def _localize(scenario: AssemblyScenario, scene: BarScene, hole_id: int | None, seed: int) -> HoleEstimate:
+    """The world-frame fit of the chosen hole's seeded mask."""
+    if hole_id is None:
+        raise NotDetectable("no hole is visible from the camera")
+    # denser than the oracle default: the tilt of the fitted plane is the
+    # noise floor of the whole trial, and the rim annulus of a real mask
+    # yields several hundred pixels
+    mask = synthesize_mask(
+        scene, scenario.cam, hole_id,
+        scenario.noise_sigma, scenario.dropout, seed=seed,
+        n_points=scenario.mask_points,
+    )
+    return hole_in_world(fit_circle3d(mask), scenario.cam)
+
+
+def execute_trial(
+    scenario: AssemblyScenario, events: Sequence[StepEvent] | None = None
+) -> TrialResult:
+    """Run one trial: walk the state machine over the whole event stream,
+    then resolve the seeded choices, localize, plan, execute and score.
+
+    Localize and plan run when the walk entered INSERTION_PLANNED; either
+    one's failure ends the trial FAILED with its reason, which wins over
+    any later event. The plan executes only when no stage failed, the walk
+    entered INSERTING and did not end FAILED; otherwise the errors stay nan.
+    """
+    evs = nominal_events() if events is None else tuple(events)
+    _check_monotone(evs, "events")
     state = TaskState()
-    plan: Trajectory | None = None
-    lateral = tilt = depth = math.nan
-    duration = 0.0
-    jerk: dict | None = None
-
+    entered: set[Phase] = set()
     for ev in evs:
         state = advance(state, ev)
-        if state.phase is Phase.FAILED:
-            continue
-        if state.phase is Phase.INSERTION_PLANNED and plan is None:
-            if no_hole_reason is not None:
-                state = TaskState(Phase.FAILED, no_hole_reason)
-                continue
-            try:
-                # denser than the oracle default: the tilt of the fitted
-                # plane is the noise floor of the whole trial, and the rim
-                # annulus of a real mask yields several hundred pixels
-                mask = synthesize_mask(
-                    scene, scenario.cam, hole_id,
-                    scenario.noise_sigma, scenario.dropout, seed=vision_seed,
-                    n_points=scenario.mask_points,
-                )
-                est = fit_circle3d(mask)
-            except (NotDetectable, ValueError) as exc:
-                state = TaskState(Phase.FAILED, f"hole not detectable: {exc}")
-                continue
-            est_world = HoleEstimate(
-                center=scenario.cam.pose.transform_point(est.center),
-                axis=scenario.cam.pose.transform_direction(est.axis),
-                radius=est.radius,
-                rms=est.rms,
-            )
+        entered.add(state.phase)
+
+    yaw, scene, hole_id, vision_seed = _resolve(scenario)
+    if Phase.INSERTION_PLANNED in entered:
+        try:
+            hole = _localize(scenario, scene, hole_id, vision_seed)
+        except (NotDetectable, ValueError) as exc:
+            state = TaskState(Phase.FAILED, f"hole not detectable: {exc}")
+        else:
             try:
                 plan = plan_insertion(
-                    scenario.initial_pose, est_world, scenario.dmp,
+                    scenario.initial_pose, hole, scenario.dmp,
                     standoff=scenario.standoff,
                     depth=scenario.required_depth + scenario.plan_overtravel,
                 )
             except (PlanningFailed, RolloutDiverged) as exc:
                 state = TaskState(Phase.FAILED, str(exc))
-                continue
-        elif state.phase is Phase.INSERTING:
-            if plan is None:
-                state = TaskState(Phase.FAILED, "insertion started without a plan")
-                continue
-            executed = _run_plan(plan, scenario, scene, hole_id)
-            lateral, tilt, depth = _final_errors(executed, scene, hole_id)
-            duration = executed.duration
-            jerk = jerk_metrics(executed)
 
-    if state.phase is Phase.FAILED:
-        lateral = tilt = depth = math.nan
-        duration = 0.0
-        jerk = None
+    lateral = tilt = depth = math.nan
+    duration = 0.0
+    jerk: dict | None = None
+    # INSERTING is entered only through INSERTION_PLANNED, so a walk that
+    # got there with no stage failure holds a plan
+    if Phase.INSERTING in entered and state.phase is not Phase.FAILED:
+        executed = _run_plan(plan, scenario, scene, hole_id)
+        lateral, tilt, depth = _score(executed, scene, hole_id)
+        duration = executed.duration
+        jerk = jerk_metrics(executed)
 
     return TrialResult(
         success=meets_tolerances(lateral, tilt, depth, scenario),
@@ -514,7 +509,7 @@ def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0) -> tuple[T
     reproduces on its own; the reduction is a plain ordered loop.
     """
     if not 1 <= n <= MAX_TRIALS:
-        raise ValueError(f"n must lie in 1..{MAX_TRIALS}, got {n!r}")
+        raise ValueError(f"n must lie in 1..{MAX_TRIALS}, got {_brief_repr(n)}")
     return tuple(execute_trial(replace(template, seed=seed * 1000003 + i)) for i in range(n))
 
 

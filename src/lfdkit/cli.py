@@ -22,9 +22,10 @@ from .ktc import simulate_demonstration
 from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
 from .presets import default_teach_setup, scenario_from_config, scene_from_config
 from .se3 import Pose, UnitQuaternion
-from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json
-from .trajectory import write_text
-from .vision import NotDetectable, detection_range_sweep, fit_circle3d, scene_from_dict, synthesize_mask
+from .trajectory import ParseError, _brief_repr, fmt_float, load_trajectory_csv, read_json, read_text
+from .trajectory import write_json, write_text
+from .vision import NotDetectable, detection_range_sweep, fit_circle3d, hole_in_world, scene_from_dict
+from .vision import synthesize_mask
 
 __all__ = ["main"]
 
@@ -174,7 +175,9 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
     scene, cam = scene_from_config(cfg)
     lo = cfg.localize
     if lo.hole_id is not None and not 0 <= lo.hole_id < len(scene.holes):
-        raise ValueError(f"hole id {lo.hole_id} outside the scene's holes 0..{len(scene.holes) - 1}")
+        raise ValueError(
+            f"hole id {_brief_repr(lo.hole_id)} outside the scene's holes 0..{len(scene.holes) - 1}"
+        )
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
     lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m"]
     n_found = 0
@@ -184,14 +187,12 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
                 scene, cam, i, lo.noise_sigma, lo.dropout,
                 seed=cfg.seed * 1000003 + i, n_points=lo.n_points,
             )
-            est = fit_circle3d(mask)  # a rejected fit raises ValueError: not fitted
+            est = hole_in_world(fit_circle3d(mask), cam)  # a rejected fit raises ValueError: not fitted
         except (NotDetectable, ValueError):
             lines.append(f"{i},0," + ",".join(["nan"] * 8))
             continue
         n_found += 1
-        center = cam.pose.transform_point(est.center)
-        axis = cam.pose.transform_direction(est.axis)
-        vals = [*center, *axis, est.radius, est.rms]
+        vals = [*est.center, *est.axis, est.radius, est.rms]
         lines.append(f"{i},1," + ",".join(fmt_float(v) for v in vals))
     write_text(args.out, "\n".join(lines) + "\n")
     _finish(cfg, args.out)

@@ -17,7 +17,7 @@ from typing import Any
 
 from .assembly import _PLAN_DT, MAX_TRIALS
 from .dmp import check_basis_layout, demo_steps, rollout_steps
-from .trajectory import ParseError, read_json, write_json
+from .trajectory import ParseError, _brief_repr, read_json, write_json
 
 __all__ = [
     "DmpSection",
@@ -66,14 +66,14 @@ def _at_least(section: Any, bound: int, *names: str) -> None:
     for name in names:
         value = getattr(section, name)
         if not value >= bound:
-            raise ValueError(f"{name} must be at least {bound}, got {value!r}")
+            raise ValueError(f"{name} must be at least {bound}, got {_brief_repr(value)}")
 
 
 def _at_most(section: Any, bound: int, *names: str) -> None:
     for name in names:
         value = getattr(section, name)
         if not value <= bound:
-            raise ValueError(f"{name} must be at most {bound}, got {value!r}")
+            raise ValueError(f"{name} must be at most {bound}, got {_brief_repr(value)}")
 
 
 def _vision_noise(section: Any) -> None:
@@ -250,6 +250,9 @@ class RunConfig:
     trial: TrialSection = field(default_factory=TrialSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
 
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "seed")  # numpy seeds only nonnegative integers
+
 
 _SECTIONS = {
     "fit": FitSection,
@@ -346,7 +349,10 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     for name, cls in _SECTIONS.items():
         if name in data:
             kwargs[name] = _build_section(cls, data[name], name, path)
-    cfg = RunConfig(**kwargs)
+    try:
+        cfg = RunConfig(**kwargs)
+    except ValueError as exc:  # the seed is the one document-level value with a range
+        raise ParseError(path, 0, "seed", str(exc)) from None
     try:  # the trial fits its demo at dmp.dt
         demo_steps(cfg.trial.demo_duration, cfg.dmp.dt)
     except ValueError as exc:
@@ -358,7 +364,8 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         hole_id = getattr(cfg, name).hole_id
         if hole_id is not None and not 0 <= hole_id < len(scene.holes):
             raise ParseError(
-                path, 0, f"{name}.hole_id", f"{hole_id} outside the scene's holes 0..{len(scene.holes) - 1}"
+                path, 0, f"{name}.hole_id",
+                f"{_brief_repr(hole_id)} outside the scene's holes 0..{len(scene.holes) - 1}",
             )
     return cfg
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .se3 import Pose, UnitQuaternion, from_rotation_vector_rows, quat_mul_rows, relative_rotation_vector_rows
 from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
-from .trajectory import read_json, require_keys, resample_trajectory, write_json
+from .trajectory import _brief_repr, read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
     "DemonstrationData",
@@ -99,7 +99,7 @@ def check_basis_layout(n_basis: int, alpha_s: float) -> None:
     if n_basis < 2:
         raise ValueError("need at least 2 basis functions")
     if n_basis > MAX_BASIS:
-        raise ValueError(f"n_basis must be at most {MAX_BASIS}, got {n_basis!r}")
+        raise ValueError(f"n_basis must be at most {MAX_BASIS}, got {_brief_repr(n_basis)}")
     if alpha_s <= 0:
         raise ValueError("alpha_s must be positive")
     # the last two centers and the last width's denominator, op for op as

@@ -49,6 +49,16 @@ def fmt_float(x: float) -> str:
     return _FLOAT_FORMAT % float(x)
 
 
+def _brief_repr(value: object) -> str:
+    """``repr(value)`` for an error message, except that an integer past 64
+    bits shows its first and last digits and its digit count, so a range
+    error on a huge value stays one short line."""
+    if not isinstance(value, int) or value.bit_length() <= 64:
+        return repr(value)
+    text = str(value)
+    return f"{text[:8]}...{text[-4:]} ({len(text.lstrip('-'))} digits)"
+
+
 class ParseError(ValueError):
     """Malformed file content; carries file, line, and field for CLI reporting."""
 
@@ -183,11 +193,12 @@ class Trajectory:
             return 0.0
         return float(self.times[-1] - self.times[0])
 
-    def is_uniform(self, rtol: float = 1e-6) -> bool:
+    def is_uniform(self) -> bool:
+        """Every time step within a relative 1e-6 of their mean."""
         if len(self.times) < 2:
             return True
         dt = np.diff(self.times)
-        return bool(np.all(np.abs(dt - dt.mean()) <= rtol * dt.mean() + 1e-12))
+        return bool(np.all(np.abs(dt - dt.mean()) <= 1e-6 * dt.mean() + 1e-12))
 
     @property
     def median_dt(self) -> float:

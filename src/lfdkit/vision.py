@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, from_rotation_vector, quat_mul
-from .trajectory import ParseError, json_floats, json_pose, pose_json, require_keys
+from .trajectory import ParseError, _brief_repr, json_floats, json_pose, pose_json, require_keys
 
 __all__ = [
     "HoleSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "synthesize_mask",
     "fit_plane",
     "fit_circle3d",
+    "hole_in_world",
     "detection_range_sweep",
 ]
 
@@ -133,10 +134,6 @@ class CameraModel:
         inv = self.pose.inverse()
         return pts @ inv.orientation.as_matrix().T + inv.position
 
-    def camera_to_world(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return pts @ self.pose.orientation.as_matrix().T + self.pose.position
-
     def visible(self, points_cam: np.ndarray) -> np.ndarray:
         """Boolean mask: in front of the camera and inside the image."""
         pts = np.asarray(points_cam, dtype=float).reshape(-1, 3)
@@ -222,7 +219,7 @@ def synthesize_mask(
     round(n * (1 - dropout)) points).
     """
     if not 0 <= hole_id < len(scene.holes):
-        raise ValueError(f"hole id {hole_id} out of range")
+        raise ValueError(f"hole id {_brief_repr(hole_id)} out of range")
     if noise_sigma < 0:
         raise ValueError("noise sigma must be >= 0")
     if not 0 <= dropout < 1:
@@ -323,6 +320,12 @@ def fit_circle3d(sample: MaskSample) -> HoleEstimate:
     return HoleEstimate(center=center, axis=normal, radius=float(radius), rms=rms)
 
 
+def hole_in_world(est: HoleEstimate, cam: CameraModel) -> HoleEstimate:
+    """A camera-frame fit carried into the world frame by the camera pose."""
+    center, axis = cam.pose.transform_point(est.center), cam.pose.transform_direction(est.axis)
+    return HoleEstimate(center, axis, est.radius, est.rms)
+
+
 def detection_range_sweep(
     scene: BarScene,
     cam: CameraModel,
@@ -341,6 +344,8 @@ def detection_range_sweep(
     Each (yaw, hole) cell gets its own sub-seed, so results are independent
     of evaluation order.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {_brief_repr(seed)}")
     if step <= 0:
         raise ValueError("step must be positive")
     if yaw_stop < yaw_start:
@@ -363,8 +368,8 @@ def detection_range_sweep(
             except (NotDetectable, ValueError):
                 pass
             else:
-                center_world = cam.camera_to_world(est.center)[0]
-                center_err = float(np.linalg.norm(center_world - turned.hole_center_world(j)))
+                center = hole_in_world(est, cam).center
+                center_err = float(np.linalg.norm(center - turned.hole_center_world(j)))
                 radius_err = abs(est.radius - turned.holes[j].radius)
                 detected = center_err <= tolerance
             detected_grid[i, j] = detected

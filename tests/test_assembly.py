@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfdkit.assembly
 from lfdkit.assembly import (
     MAX_TRIALS,
     _contact_project,
-    _final_errors,
     _run_plan,
+    _score,
     AssemblyScenario,
     EventKind,
     Phase,
@@ -37,7 +38,7 @@ from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, slerp_wxyz
 from lfdkit.trajectory import ParseError, Trajectory
-from lfdkit.vision import HoleEstimate, fit_circle3d, synthesize_mask
+from lfdkit.vision import CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
 TOOL_AXIS = np.array([0.0, 0.0, -1.0])
 
@@ -150,9 +151,9 @@ class TestStateMachine:
 
 class TestEvents:
     def test_nominal_events_shape(self):
-        evs = nominal_events(spacing=0.5)
+        evs = nominal_events()
         assert len(evs) == 6
-        assert [e.t for e in evs] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+        assert [e.t for e in evs] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert evs[0].kind is EventKind.PEDAL_PRESS
         assert evs[-1].kind is EventKind.PEDAL_PRESS
 
@@ -367,6 +368,38 @@ class TestExecuteTrial:
         r = execute_trial(scenario, [StepEvent(EventKind.ABORT, 0.0)])
         assert r.state == TaskState(Phase.FAILED, "aborted")
 
+    def test_abort_after_the_insertion_executes_nothing(self, scenario, monkeypatch):
+        ticks = []
+        real = lfdkit.assembly.plant_step
+
+        def counted(*args, **kwargs):
+            ticks.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lfdkit.assembly, "plant_step", counted)
+        assert execute_trial(scenario).state.phase is Phase.DONE and ticks
+        ticks.clear()
+        evs = (*nominal_events()[:5], StepEvent(EventKind.ABORT, 5.0))
+        r = execute_trial(scenario, evs)
+        assert r.state == TaskState(Phase.FAILED, "aborted")
+        assert all(math.isnan(v) for v in (r.lateral_err_m, r.tilt_rad, r.depth_m))
+        assert r.jerk is None and r.duration_s == 0.0
+        assert ticks == []
+
+    def test_planning_failure_wins_over_a_later_abort(self):
+        # gains this soft leave the approach short of the standoff pose
+        sc = scenario_from_config(config_from_dict({"seed": 3, "dmp": {"alpha_z": 4.0}}))
+        r = execute_trial(sc, (*nominal_events()[:3], StepEvent(EventKind.ABORT, 3.0)))
+        assert r.state.phase is Phase.FAILED
+        assert r.state.reason.startswith("approach endpoint missed the standoff pose")
+
+    def test_no_visible_hole_fails_with_reason(self, scenario):
+        # identity attitude: the camera looks up, away from the bar below it
+        up = CameraModel(Pose(scenario.cam.pose.position))
+        r = execute_trial(replace(scenario, cam=up))
+        assert r.state == TaskState(Phase.FAILED, "hole not detectable: no hole is visible from the camera")
+        assert r.hole_id is None and r.jerk is None
+
     def test_event_times_must_be_monotone(self, scenario):
         evs = [StepEvent(EventKind.PEDAL_PRESS, 1.0), StepEvent(EventKind.MOTION_DONE, 0.5)]
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -460,6 +493,10 @@ class TestScenarioValidation:
     def test_bad_hole_id(self, scenario):
         with pytest.raises(ValueError, match="hole_id"):
             replace(scenario, hole_id=7)
+
+    def test_negative_seed(self, scenario):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            replace(scenario, seed=-1)
 
     def test_bad_tolerances(self, scenario):
         with pytest.raises(ValueError):
@@ -568,7 +605,7 @@ class TestRunPlan:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.orientations, want.orientations)
-        return _final_errors(got, scene, self.HOLE)
+        return _score(got, scene, self.HOLE)
 
     def test_noiseless_plan_matches_reference(self, scenario):
         lateral, _, depth = self.assert_same_as_reference(scenario)

@@ -329,6 +329,26 @@ class TestErrorDiscipline:
         assert "nope.csv" in err
 
 
+COMMANDS = ["fit", "rollout", "teach-sim", "localize", "sweep", "trial", "batch", "metrics"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_is_rejected_before_any_output(capsys, tmp_path, command, via):
+    # numpy seeds only nonnegative integers; a sweep once read the seed error
+    # as "never detected" and exited 0
+    if via == "flag":
+        argv, want = ["--seed", "-1"], 1
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}')
+        argv, want = ["--config", cfg], 2
+    code, out, err = run(capsys, command, *argv, "--out", tmp_path / "out")
+    assert code == want and out == ""
+    assert err.count("\n") == 1 and "seed must be at least 0, got -1" in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if via == "flag" else ["cfg.json"])
+
+
 def _scene_doc():
     from lfdkit.presets import default_bar_scene, default_camera
     from lfdkit.vision import scene_to_dict

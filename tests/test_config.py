@@ -73,6 +73,13 @@ class TestRejection:
             with pytest.raises(ParseError):
                 config_from_dict({"seed": bad})
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ParseError, match="seed must be at least 0, got -1") as err:
+            config_from_dict({"seed": -1})
+        assert err.value.field == "seed"
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-1)
+
     def test_typed_section_values(self):
         with pytest.raises(ParseError) as err:
             config_from_dict({"trial": {"n": "twenty"}})
@@ -319,6 +326,30 @@ class TestBounds:
         assert code == 1
         assert err == f"error: n must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"dmp": {"n_basis": 10**400}}, "n_basis"),
+            ({"trial": {"n": 10**400}}, "n"),
+            ({"trial": {"n": -(10**400)}}, "n"),
+            ({"trial": {"hole_id": 10**400}}, "hole_id"),
+            ({"localize": {"n_points": 10**400}}, "n_points"),
+            ({"trial": {"mask_points": 10**400}}, "mask_points"),
+            ({"seed": -(10**400)}, "seed"),
+        ],
+        ids=["n_basis", "trial.n", "trial.n-negative", "trial.hole_id", "localize.n_points",
+             "trial.mask_points", "seed-negative"],
+    )
+    def test_huge_integer_is_named_in_one_short_line(self, capsys, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["batch", "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and len(err) < 200 and key in err
+        assert "(401 digits)" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_teach_steps_are_capped(self):
         at_cap = MAX_TEACH_STEPS / 100.0

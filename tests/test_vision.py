@@ -48,7 +48,7 @@ def arc_points(span: float, n: int, sigma: float = 0.0, seed: int = 0, radius: f
 
 
 def world_center_error(cam: CameraModel, scene: BarScene, hole_id: int, est: HoleEstimate) -> float:
-    center_world = cam.camera_to_world(est.center)[0]
+    center_world = cam.pose.transform_point(est.center)
     return float(np.linalg.norm(center_world - scene.hole_center_world(hole_id)))
 
 
@@ -243,8 +243,8 @@ class TestFitCircle3d:
         for hole_id in (0, 1, 2):
             a = fit_circle3d(synthesize_mask(scene, cam, hole_id))
             b = fit_circle3d(synthesize_mask(moved_scene, moved_cam, hole_id))
-            a_world = g.transform_point(cam.camera_to_world(a.center)[0])
-            b_world = moved_cam.camera_to_world(b.center)[0]
+            a_world = g.transform_point(cam.pose.transform_point(a.center))
+            b_world = moved_cam.pose.transform_point(b.center)
             assert np.linalg.norm(a_world - b_world) < 1e-9
             assert abs(a.radius - b.radius) < 1e-12
 
@@ -299,6 +299,9 @@ class TestDetectionRangeSweep:
             detection_range_sweep(scene, cam, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="empty yaw range"):
             detection_range_sweep(scene, cam, 1.0, 0.0, 0.1)
+        # numpy rejects a negative seed; unchecked, every fit read as undetected
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            detection_range_sweep(scene, cam, 0.0, 1.0, 0.1, seed=-1)
 
 
 class TestSceneSerialization:
