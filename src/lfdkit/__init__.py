@@ -4,7 +4,7 @@ assembly trials with jerk/timing metrics."""
 
 __version__ = "0.1.0"
 
-from .se3 import Pose, UnitQuaternion
+from .se3 import Pose
 from .trajectory import Trajectory
 
-__all__ = ["Pose", "UnitQuaternion", "Trajectory", "__version__"]
+__all__ = ["Pose", "Trajectory", "__version__"]

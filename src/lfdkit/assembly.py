@@ -26,13 +26,14 @@ import numpy as np
 from .dmp import PoseDmp, RolloutDiverged, rollout
 from .ktc import plant_step
 from .metrics import jerk_metrics
-from .se3 import Pose, UnitQuaternion, quat_mul, quat_normalize, rotation_between
+from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between
 from .trajectory import ParseError, Trajectory, _brief_repr, fmt_float
 from .vision import (
     BarScene,
     CameraModel,
     HoleEstimate,
     NotDetectable,
+    _check_corruption,
     check_visible,
     fit_circle3d,
     hole_in_world,
@@ -195,7 +196,7 @@ def parse_events(text: str, path: str = "<events>") -> tuple[StepEvent, ...]:
     return tuple(events)
 
 
-def insertion_goal(hole: HoleEstimate, depth: float, reference: UnitQuaternion) -> Pose:
+def insertion_goal(hole: HoleEstimate, depth: float, reference: tuple[float, float, float, float]) -> Pose:
     """Goal pose for a square insertion: ``depth`` below the hole center
     along the axis, tool axis exactly anti-parallel to the hole axis, and
     the attitude otherwise moved as little as possible from ``reference``."""
@@ -203,9 +204,9 @@ def insertion_goal(hole: HoleEstimate, depth: float, reference: UnitQuaternion) 
         raise ValueError("depth must be positive")
     axis = np.asarray(hole.axis, dtype=float)
     position = np.asarray(hole.center, dtype=float) - depth * axis
-    pointing = reference.rotate(_TOOL_AXIS)
+    pointing = quat_rotate_wxyz(reference, _TOOL_AXIS)
     align = rotation_between(pointing, -axis)
-    return Pose(position, quat_mul(align, reference))
+    return Pose(position, quat_mul_wxyz(align, reference))
 
 
 class PlanningFailed(RuntimeError):
@@ -245,7 +246,7 @@ def plan_insertion(
     u = (np.arange(1, n + 1) / n)[:, None]
     positions = standoff_pose.position + u * (goal.position - standoff_pose.position)
     positions[-1] = goal.position
-    orientations = np.tile(goal.orientation.as_array(), (n, 1))
+    orientations = np.tile(goal.orientation, (n, 1))
 
     return Trajectory(
         np.concatenate([approach.times, times]),
@@ -281,6 +282,7 @@ class AssemblyScenario:
             raise ValueError(f"seed must be at least 0, got {_brief_repr(self.seed)}")
         if self.mask_points < 3:
             raise ValueError("mask_points must be at least 3")
+        _check_corruption(self.noise_sigma, self.dropout)
         if self.clearance <= 0 or self.tilt_tol <= 0 or self.required_depth <= 0:
             raise ValueError("clearance, tilt_tol, and required_depth must be positive")
         if self.standoff <= 0 or self.plan_overtravel < 0:
@@ -403,11 +405,11 @@ def _score(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[float, 
     center = scene.hole_center_world(hole_id)
     axis = scene.hole_axis_world(hole_id)
     p = executed.positions[-1]
-    q = UnitQuaternion(*executed.orientations[-1])
+    q = quat_normalize(*executed.orientations[-1])
     rel = p - center
     h = float(rel @ axis)
     lateral = float(np.linalg.norm(rel - h * axis))
-    pointing = q.rotate(_TOOL_AXIS)
+    pointing = quat_rotate_wxyz(q, _TOOL_AXIS)
     tilt = math.acos(float(np.clip(-(pointing @ axis), -1.0, 1.0)))
     return lateral, tilt, -h
 

@@ -21,7 +21,7 @@ from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
 from .ktc import simulate_demonstration
 from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
 from .presets import default_teach_setup, scenario_from_config, scene_from_config
-from .se3 import Pose, UnitQuaternion
+from .se3 import Pose, quat_normalize
 from .trajectory import ParseError, _brief_repr, fmt_float, load_trajectory_csv, read_json, read_text
 from .trajectory import write_json, write_text
 from .vision import NotDetectable, detection_range_sweep, fit_circle3d, hole_in_world, scene_from_dict
@@ -88,7 +88,7 @@ def _seven(text: str, what: str) -> tuple[float, ...]:
 
 
 def _pose_from_seven(vals: Sequence[float]) -> Pose:
-    return Pose(list(vals[:3]), UnitQuaternion(*vals[3:]))
+    return Pose(list(vals[:3]), quat_normalize(*vals[3:]))
 
 
 def _fold_common(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:

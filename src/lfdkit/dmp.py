@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, UnitQuaternion, from_rotation_vector_rows, quat_mul_rows, relative_rotation_vector_rows
+from .se3 import Pose, from_rotation_vector_rows, quat_mul_rows, quat_normalize, relative_rotation_vector_rows
 from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
 from .trajectory import _brief_repr, read_json, require_keys, resample_trajectory, write_json
 
@@ -253,8 +253,8 @@ def prepare_demonstration(traj: Trajectory, dt: float = 1e-3) -> DemonstrationDa
         coords=coords,
         velocities=_moving_average(finite_difference(t, coords, 1)),
         accelerations=_moving_average(finite_difference(t, coords, 2)),
-        start=Pose(res.positions[0], UnitQuaternion.from_array(quats[0])),
-        goal=Pose(res.positions[-1], UnitQuaternion.from_array(quats[-1])),
+        start=Pose(res.positions[0], quat_normalize(*quats[0].tolist())),
+        goal=Pose(res.positions[-1], quat_normalize(*quats[-1].tolist())),
     )
 
 
@@ -489,8 +489,8 @@ def rollout(
     adt = dt / tau
     forcing = adt * _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
 
-    gq = goal.orientation.as_array()[None]
-    e0 = relative_rotation_vector_rows(start.orientation.as_array()[None], gq)[0]
+    gq = np.array([goal.orientation])
+    e0 = relative_rotation_vector_rows(np.array([start.orientation]), gq)[0]
     err = _second_order_scan(
         np.concatenate([start.position - goal.position, e0]),
         adt * forcing[:n_steps],

@@ -173,7 +173,7 @@ def plant_step(
     the geodesic by the same fraction.
 
     States are float tuples ``(px, py, pz, qw, qx, qy, qz)`` holding a unit
-    quaternion as ``UnitQuaternion`` stores it; the result is one too."""
+    quaternion as ``Pose.orientation`` holds it; the result is one too."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if time_constant <= 0:
@@ -290,7 +290,7 @@ def simulate_demonstration(
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
     admittance = isinstance(gains, AdmittanceGains)
-    waypoints = [(*p.position.tolist(), *p.orientation.wxyz) for p in human.waypoints]
+    waypoints = [(*p.position.tolist(), *p.orientation) for p in human.waypoints]
     capture = human.capture_radius
     stretch_limit, rot_stretch_limit = human.stretch_limit, human.rot_stretch_limit
     speed, accel_2, accel_h = human.hand_speed, 2.0 * human.hand_accel, human.hand_accel * h

@@ -12,7 +12,7 @@ from .assembly import AssemblyScenario
 from .config import RunConfig, TrialSection
 from .dmp import fit_pose_dmp, grid_steps
 from .ktc import AdmittanceGains, NativeDrive, VirtualHuman, native_drive, proposed_gains
-from .se3 import Pose, UnitQuaternion, from_rotation_vector, from_rotation_vector_rows, quat_mul_rows
+from .se3 import Pose, from_rotation_vector, from_rotation_vector_rows, quat_mul_rows
 from .se3 import relative_rotation_vector_rows
 from .trajectory import Trajectory
 from .vision import BarScene, CameraModel, HoleSpec, scene_from_dict
@@ -59,7 +59,7 @@ def make_smooth_demo(
     waypoints: np.ndarray,
     duration: float,
     dt: float = 1e-3,
-    orientations: list[UnitQuaternion] | None = None,
+    orientations: list[tuple[float, float, float, float]] | None = None,
 ) -> Trajectory:
     """Clamped cubic spline through the waypoints, traversed under a smooth
     step time warp so the path starts and ends fully at rest (zero velocity
@@ -86,7 +86,7 @@ def make_smooth_demo(
     else:
         if len(orientations) != k:
             raise ValueError("orientation waypoints must match position waypoints")
-        wq = np.array([q.as_array() for q in orientations])
+        wq = np.array(orientations, dtype=float)
         rotvecs = _clamped_spline(knots, relative_rotation_vector_rows(wq, wq[:1]), warped)
         quats = quat_mul_rows(from_rotation_vector_rows(rotvecs), wq[0])
     return Trajectory(times, pos, quats)
@@ -133,7 +133,7 @@ def default_bar_scene() -> BarScene:
 def default_camera() -> CameraModel:
     """Overhead camera 0.30 m up, looking straight down (180 deg about x),
     VGA with the usual RGB-D intrinsics."""
-    return CameraModel(pose=Pose([0.0, 0.0, 0.30], UnitQuaternion(0.0, 1.0, 0.0, 0.0)))
+    return CameraModel(pose=Pose([0.0, 0.0, 0.30], (0.0, 1.0, 0.0, 0.0)))
 
 
 def default_teach_setup(

@@ -2,11 +2,13 @@
 
 Conventions, fixed once and used everywhere:
 
-* quaternions are stored scalar-first ``(w, x, y, z)`` and composed with the
-  Hamilton product
-* constructors canonicalize to the ``w >= 0`` hemisphere so each rotation has
-  exactly one representation; :func:`from_rotation_vector` past a half turn
-  is the one constructor path that leaves it (see :func:`quat_exp_wxyz`)
+* a rotation is a unit quaternion, a scalar-first ``(w, x, y, z)`` tuple of
+  floats, composed with the Hamilton product; :attr:`Pose.orientation` holds
+  one as given, checked for unit norm but never renormalized
+* :func:`quat_normalize`, and every kernel that returns through it,
+  canonicalizes to the ``w >= 0`` hemisphere so each rotation has exactly
+  one representation; :func:`from_rotation_vector` past a half turn is the
+  one path that leaves it (see :func:`quat_exp_wxyz`)
 * ``quat_log_wxyz``/``quat_exp_wxyz`` use the half-angle convention
   ``log(q) = (theta/2) * u`` for ``q = (cos(theta/2), u*sin(theta/2))``,
   so a full-angle rotation vector is ``2 * log(q)``
@@ -19,19 +21,19 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "UnitQuaternion",
     "Pose",
-    "quat_mul",
     "from_rotation_vector",
     "rotation_between",
     "quat_normalize",
     "quat_mul_wxyz",
     "quat_conj_wxyz",
+    "quat_rotate_wxyz",
+    "quat_matrix_wxyz",
     "quat_log_wxyz",
     "quat_exp_wxyz",
     "rotation_vector_wxyz",
@@ -47,83 +49,6 @@ __all__ = [
 _ZERO_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Rotation as a unit quaternion on the canonical (w >= 0) hemisphere.
-
-    Inputs are renormalized on construction, so the unit-norm invariant holds
-    within float rounding for every operation that returns one of these.
-    """
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        self._set(*quat_normalize(self.w, self.x, self.y, self.z))
-
-    def _set(self, w: float, x: float, y: float, z: float) -> None:
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_unit(cls, w: float, x: float, y: float, z: float) -> "UnitQuaternion":
-        """Wrap components that a float-tuple kernel of this module already
-        renormalized, as they are. Going through the constructor again would
-        renormalize a second time, which moves about a third of unit
-        quaternions by an ulp."""
-        q = object.__new__(cls)
-        q._set(w, x, y, z)
-        return q
-
-    @classmethod
-    def from_array(cls, wxyz) -> "UnitQuaternion":
-        w, x, y, z = (float(v) for v in wxyz)
-        return cls(w, x, y, z)
-
-    @property
-    def wxyz(self) -> tuple[float, float, float, float]:
-        """The components as the float tuple the ``*_wxyz`` kernels take."""
-        return self.w, self.x, self.y, self.z
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.wxyz)
-
-    def as_matrix(self) -> np.ndarray:
-        """3x3 rotation matrix: ``as_matrix() @ v`` rotates v like :meth:`rotate`."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    def rotate(self, v) -> np.ndarray:
-        """Rotate a 3-vector: q * (0, v) * conj(q)."""
-        vx, vy, vz = (float(c) for c in v)
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # t = 2 * (q_vec x v); v' = v + w*t + q_vec x t
-        tx = 2.0 * (y * vz - z * vy)
-        ty = 2.0 * (z * vx - x * vz)
-        tz = 2.0 * (x * vy - y * vx)
-        return np.array(
-            [
-                vx + w * tx + (y * tz - z * ty),
-                vy + w * ty + (z * tx - x * tz),
-                vz + w * tz + (x * ty - y * tx),
-            ]
-        )
-
-
 def _needs_flip(w: float, x: float, y: float, z: float) -> bool:
     if w != 0.0:
         return w < 0.0
@@ -136,8 +61,8 @@ def _needs_flip(w: float, x: float, y: float, z: float) -> bool:
 def quat_normalize(
     w: float, x: float, y: float, z: float, raw: bool = False
 ) -> tuple[float, float, float, float]:
-    """The constructor's arithmetic on plain floats: divide by the norm and,
-    unless ``raw``, flip onto the canonical hemisphere."""
+    """Divide by the norm and, unless ``raw``, flip onto the canonical
+    hemisphere."""
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if not _ZERO_NORM_TOL <= n < math.inf:  # as quat_canonicalize_rows: squares past 1e308 overflow
         raise ValueError(f"quaternion norm {n:.6g} is zero or not finite")
@@ -147,18 +72,13 @@ def quat_normalize(
     return w, x, y, z
 
 
-def quat_mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    """Hamilton product a*b, renormalized and canonicalized."""
-    return UnitQuaternion.from_unit(*quat_mul_wxyz(a.wxyz, b.wxyz))
-
-
-def from_rotation_vector(r) -> UnitQuaternion:
+def from_rotation_vector(r) -> tuple[float, float, float, float]:
     """The rotation of full-angle vector r (angle below 2*pi), through
     :func:`quat_exp_wxyz`: past a half turn it keeps w < 0."""
-    return UnitQuaternion.from_unit(*quat_exp_wxyz(tuple((0.5 * np.asarray(r, dtype=float)).tolist())))
+    return quat_exp_wxyz(tuple((0.5 * np.asarray(r, dtype=float)).tolist()))
 
 
-def rotation_between(u, v) -> UnitQuaternion:
+def rotation_between(u, v) -> tuple[float, float, float, float]:
     """Minimal rotation taking unit vector u onto unit vector v."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -172,13 +92,13 @@ def rotation_between(u, v) -> UnitQuaternion:
     d = float(u @ v)
     if c < 1e-12:
         if d > 0.0:
-            return UnitQuaternion.identity()
+            return 1.0, 0.0, 0.0, 0.0
         # antiparallel: rotate pi about any axis orthogonal to u
         axis = np.cross(u, [1.0, 0.0, 0.0])
         if np.linalg.norm(axis) < 1e-6:
             axis = np.cross(u, [0.0, 1.0, 0.0])
         axis = axis / np.linalg.norm(axis)
-        return UnitQuaternion(0.0, *axis)
+        return quat_normalize(0.0, *axis.tolist())
     axis = np.cross(u, v) / c
     angle = math.atan2(c, d)
     return from_rotation_vector(angle * axis)
@@ -207,6 +127,36 @@ def quat_conj_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, 
     """The inverse rotation, canonicalized."""
     w, x, y, z = q
     return quat_normalize(w, -x, -y, -z)
+
+
+def quat_rotate_wxyz(q: tuple[float, float, float, float], v) -> np.ndarray:
+    """Rotate a 3-vector: q * (0, v) * conj(q)."""
+    vx, vy, vz = (float(c) for c in v)
+    w, x, y, z = q
+    # t = 2 * (q_vec x v); v' = v + w*t + q_vec x t
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.array(
+        [
+            vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx),
+        ]
+    )
+
+
+def quat_matrix_wxyz(q: tuple[float, float, float, float]) -> np.ndarray:
+    """3x3 rotation matrix: ``quat_matrix_wxyz(q) @ v`` rotates v like
+    :func:`quat_rotate_wxyz`."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
 def quat_log_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
@@ -289,7 +239,7 @@ def quat_conj_rows(q: np.ndarray) -> np.ndarray:
 
 def quat_canonicalize_rows(quats: np.ndarray) -> np.ndarray:
     """Renormalize each row and flip it onto the w >= 0 hemisphere, with the
-    tie-break of the scalar constructor. Rows already unit within 1e-12 keep
+    tie-break of :func:`quat_normalize`. Rows already unit within 1e-12 keep
     their values bit for bit."""
     norms = np.linalg.norm(quats, axis=1)
     if not np.all(np.isfinite(norms)) or np.any(norms < _ZERO_NORM_TOL):
@@ -337,7 +287,7 @@ class Pose:
     """Position plus orientation; the universal configuration value."""
 
     position: np.ndarray
-    orientation: UnitQuaternion = field(default_factory=UnitQuaternion.identity)
+    orientation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         p = np.array(self.position, dtype=float).reshape(3)
@@ -345,13 +295,20 @@ class Pose:
             raise ValueError("pose position must be finite")
         p.flags.writeable = False
         object.__setattr__(self, "position", p)
+        # kept as given: renormalizing a kernel's unit result would move
+        # about a third of them by an ulp
+        q = tuple(float(c) for c in self.orientation)
+        unit = len(q) == 4 and abs(math.sqrt(sum(c * c for c in q)) - 1.0) <= 1e-9  # False for nan and inf
+        if not unit:
+            raise ValueError("pose orientation must be 4 finite numbers (w, x, y, z) of unit norm")
+        object.__setattr__(self, "orientation", q)
 
     def transform_point(self, p) -> np.ndarray:
-        return self.position + self.orientation.rotate(p)
+        return self.position + quat_rotate_wxyz(self.orientation, p)
 
     def transform_direction(self, d) -> np.ndarray:
-        return self.orientation.rotate(d)
+        return quat_rotate_wxyz(self.orientation, d)
 
     def inverse(self) -> "Pose":
-        qi = UnitQuaternion.from_unit(*quat_conj_wxyz(self.orientation.wxyz))
-        return Pose(qi.rotate(-self.position), qi)
+        qi = quat_conj_wxyz(self.orientation)
+        return Pose(quat_rotate_wxyz(qi, -self.position), qi)

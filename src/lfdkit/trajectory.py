@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .se3 import Pose, UnitQuaternion, quat_canonicalize_rows, quat_mul_rows
+from .se3 import Pose, quat_canonicalize_rows, quat_mul_rows, quat_normalize
 from .se3 import from_rotation_vector_rows, relative_rotation_vector_rows
 
 __all__ = [
@@ -140,12 +140,12 @@ def json_floats(obj: dict, key: str, shape: tuple[int | None, ...], where: str) 
 
 def json_pose(obj: dict, where: str) -> Pose:
     """The ``position`` and ``orientation`` (w, x, y, z) entries of a JSON object."""
-    q = UnitQuaternion.from_array(json_floats(obj, "orientation", (4,), where))
+    q = quat_normalize(*json_floats(obj, "orientation", (4,), where).tolist())
     return Pose(json_floats(obj, "position", (3,), where), q)
 
 
 def pose_json(p: Pose) -> dict:
-    return {"position": p.position.tolist(), "orientation": list(p.orientation.wxyz)}
+    return {"position": p.position.tolist(), "orientation": list(p.orientation)}
 
 
 class Trajectory:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, from_rotation_vector, quat_mul
+from .se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz
 from .trajectory import ParseError, _brief_repr, json_floats, json_pose, pose_json, require_keys
 
 __all__ = [
@@ -105,7 +105,7 @@ class BarScene:
         center (the stationary-gripper placement degree of freedom)."""
         spin = from_rotation_vector([0.0, 0.0, yaw])
         return BarScene(
-            Pose(self.bar.position, quat_mul(spin, self.bar.orientation)),
+            Pose(self.bar.position, quat_mul_wxyz(spin, self.bar.orientation)),
             self.dims,
             self.holes,
         )
@@ -132,7 +132,7 @@ class CameraModel:
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         inv = self.pose.inverse()
-        return pts @ inv.orientation.as_matrix().T + inv.position
+        return pts @ quat_matrix_wxyz(inv.orientation).T + inv.position
 
     def visible(self, points_cam: np.ndarray) -> np.ndarray:
         """Boolean mask: in front of the camera and inside the image."""
@@ -203,6 +203,15 @@ def check_visible(scene: BarScene, cam: CameraModel, hole_id: int) -> None:
         raise NotDetectable(f"hole {hole_id} not detectable: back-facing")
 
 
+def _check_corruption(noise_sigma: float, dropout: float) -> None:
+    """The mask corruption rule: a noise sigma of at least 0 and a dropout
+    in [0, 1), nan rejected in both."""
+    if not noise_sigma >= 0:
+        raise ValueError("noise sigma must be >= 0")
+    if not 0 <= dropout < 1:
+        raise ValueError("dropout must be in [0, 1)")
+
+
 def synthesize_mask(
     scene: BarScene,
     cam: CameraModel,
@@ -220,10 +229,7 @@ def synthesize_mask(
     """
     if not 0 <= hole_id < len(scene.holes):
         raise ValueError(f"hole id {_brief_repr(hole_id)} out of range")
-    if noise_sigma < 0:
-        raise ValueError("noise sigma must be >= 0")
-    if not 0 <= dropout < 1:
-        raise ValueError("dropout must be in [0, 1)")
+    _check_corruption(noise_sigma, dropout)
     if n_points < 3:
         raise ValueError("need at least 3 rim points")
 
@@ -348,6 +354,7 @@ def detection_range_sweep(
         raise ValueError(f"seed must be at least 0, got {_brief_repr(seed)}")
     if step <= 0:
         raise ValueError("step must be positive")
+    _check_corruption(noise_sigma, dropout)
     if yaw_stop < yaw_start:
         raise ValueError("empty yaw range")
     count = int(math.floor((yaw_stop - yaw_start) / step + 1e-9)) + 1

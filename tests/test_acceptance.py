@@ -22,7 +22,8 @@ from lfdkit.presets import (
     demo_pose_waypoints,
     make_smooth_demo,
 )
-from lfdkit.se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_log_wxyz, quat_mul_wxyz, rotation_vector_wxyz
+from lfdkit.se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_log_wxyz, quat_mul_wxyz, quat_normalize
+from lfdkit.se3 import quat_rotate_wxyz, rotation_vector_wxyz
 from lfdkit.trajectory import Trajectory, finite_difference
 from lfdkit.vision import detection_range_sweep, fit_circle3d, synthesize_mask
 
@@ -33,9 +34,7 @@ def _ten_second_demo():
 
 
 def _angle_between(qa, qb) -> float:
-    from lfdkit.se3 import UnitQuaternion
-
-    rel = quat_mul_wxyz(UnitQuaternion(*qb).wxyz, quat_conj_wxyz(UnitQuaternion(*qa).wxyz))
+    rel = quat_mul_wxyz(quat_normalize(*qb), quat_conj_wxyz(quat_normalize(*qa)))
     return float(np.linalg.norm(rotation_vector_wxyz(rel)))
 
 
@@ -209,7 +208,7 @@ def test_a7_numeric_oracles():
     for hole_id in range(3):
         est = fit_circle3d(synthesize_mask(scene, cam, hole_id))
         center_world = cam.pose.transform_point(est.center)
-        axis_world = cam.pose.orientation.rotate(est.axis)
+        axis_world = quat_rotate_wxyz(cam.pose.orientation, est.axis)
         assert np.linalg.norm(center_world - scene.hole_center_world(hole_id)) < 1e-9
         assert np.linalg.norm(axis_world - scene.hole_axis_world(hole_id)) < 1e-9
         assert abs(est.radius - scene.holes[hole_id].radius) < 1e-9

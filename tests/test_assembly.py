@@ -36,7 +36,7 @@ from lfdkit.assembly import (
 )
 from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
-from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, slerp_wxyz
+from lfdkit.se3 import Pose, from_rotation_vector, quat_normalize, quat_rotate_wxyz, slerp_wxyz
 from lfdkit.trajectory import ParseError, Trajectory
 from lfdkit.vision import CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
@@ -199,9 +199,9 @@ class TestInsertionGoal:
         hole = HoleEstimate(
             center=[0.0, 0.0, 0.06], axis=[0.0, 0.0, 1.0], radius=0.004, rms=0.0
         )
-        goal = insertion_goal(hole, 0.012, UnitQuaternion(1.0, 0.0, 0.0, 0.0))
+        goal = insertion_goal(hole, 0.012, (1.0, 0.0, 0.0, 0.0))
         np.testing.assert_allclose(goal.position, [0.0, 0.0, 0.048], atol=1e-15)
-        np.testing.assert_allclose(goal.orientation.as_array(), [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(goal.orientation, [1, 0, 0, 0], atol=1e-12)
 
     def test_pointing_matches_axis_for_random_holes(self):
         rng = np.random.default_rng(4)
@@ -212,7 +212,7 @@ class TestInsertionGoal:
                 center=rng.normal(scale=0.2, size=3), axis=axis, radius=0.004, rms=0.0
             )
             goal = insertion_goal(hole, 0.01, ref)
-            np.testing.assert_allclose(goal.orientation.rotate(TOOL_AXIS), -axis, atol=1e-9)
+            np.testing.assert_allclose(quat_rotate_wxyz(goal.orientation, TOOL_AXIS), -axis, atol=1e-9)
             np.testing.assert_allclose(
                 goal.position, np.asarray(hole.center) - 0.01 * axis, atol=1e-15
             )
@@ -220,7 +220,7 @@ class TestInsertionGoal:
     def test_depth_must_be_positive(self):
         hole = HoleEstimate(center=[0, 0, 0], axis=[0, 0, 1], radius=0.004, rms=0.0)
         with pytest.raises(ValueError, match="depth"):
-            insertion_goal(hole, 0.0, UnitQuaternion(1, 0, 0, 0))
+            insertion_goal(hole, 0.0, (1.0, 0.0, 0.0, 0.0))
 
 
 class TestPlanInsertion:
@@ -244,7 +244,7 @@ class TestPlanInsertion:
         goal = self.goal(hole, scenario.dmp)
         assert np.array_equal(traj.positions[-1], goal.position)
         np.testing.assert_allclose(
-            traj.orientations[-1], goal.orientation.as_array(), atol=1e-12
+            traj.orientations[-1], goal.orientation, atol=1e-12
         )
         assert np.all(np.diff(traj.times) > 0)
 
@@ -504,6 +504,21 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             replace(scenario, standoff=-0.01)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise_sigma", -1.0, "noise sigma must be >= 0"),
+            ("noise_sigma", math.nan, "noise sigma must be >= 0"),
+            ("dropout", 1.0, "dropout must be in"),
+            ("dropout", math.nan, "dropout must be in"),
+        ],
+    )
+    def test_bad_corruption(self, scenario, field, value, message):
+        # caught only at the localize stage, a negative sigma reads as an
+        # undetectable hole, and nan as no noise
+        with pytest.raises(ValueError, match=message):
+            replace(scenario, **{field: value})
+
     def test_bad_yaw_range(self, scenario):
         with pytest.raises(ValueError, match="yaw_range"):
             replace(scenario, yaw_range=(1.0, -1.0))
@@ -523,10 +538,7 @@ def _lag_step(state: _LagState, dt: float) -> _LagState:
     a = 1.0 - math.exp(-dt / state.time_constant)
     pos = state.x_r.position + a * (state.x_c.position - state.x_r.position)
     qr, qc = state.x_r.orientation, state.x_c.orientation
-    if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
-        orient = qr
-    else:
-        orient = UnitQuaternion.from_unit(*slerp_wxyz(qr.wxyz, qc.wxyz, a))
+    orient = qr if qc == qr else slerp_wxyz(qr, qc, a)
     return replace(state, x_r=Pose(pos, orient))
 
 
@@ -542,7 +554,7 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
     cmd_p = plan.positions
     cmd_q = plan.orientations
 
-    start = Pose(cmd_p[0], UnitQuaternion(*cmd_q[0]))
+    start = Pose(cmd_p[0], quat_normalize(*cmd_q[0]))
     state = _LagState(start, start)
     times = [float(cmd_t[0])]
     out_p = [np.array(cmd_p[0])]
@@ -556,13 +568,13 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
             state = replace(state, x_r=Pose(proj, state.x_r.orientation))
         times.append(t)
         out_p.append(np.array(state.x_r.position))
-        out_q.append(state.x_r.orientation.as_array())
+        out_q.append(np.array(state.x_r.orientation))
 
     for i in range(1, cmd_t.size):
-        cmd = Pose(cmd_p[i], UnitQuaternion(*cmd_q[i]))
+        cmd = Pose(cmd_p[i], quat_normalize(*cmd_q[i]))
         step(cmd, float(cmd_t[i] - cmd_t[i - 1]), float(cmd_t[i]))
     dt = float(cmd_t[-1] - cmd_t[-2])
-    last = Pose(cmd_p[-1], UnitQuaternion(*cmd_q[-1]))
+    last = Pose(cmd_p[-1], quat_normalize(*cmd_q[-1]))
     for j in range(int(round(settle_time / dt))):
         step(last, dt, float(cmd_t[-1]) + (j + 1) * dt)
 

@@ -50,11 +50,9 @@ from lfdkit.dmp import (
 from lfdkit.presets import demo_pose_waypoints, make_smooth_demo
 from lfdkit.se3 import (
     Pose,
-    UnitQuaternion,
     from_rotation_vector,
     quat_conj_wxyz,
     quat_exp_wxyz,
-    quat_mul,
     quat_mul_wxyz,
     rotation_vector_wxyz,
 )
@@ -255,7 +253,7 @@ class TestPrepareDemonstration:
         # a spin at w about z is e = (0, 0, w (t - T)) in the goal's log chart
         w = 0.8
         t = np.linspace(0.0, 1.0, 201)
-        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, w * ti])).as_array() for ti in t])
+        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, w * ti])) for ti in t])
         pos = np.zeros((201, 3))
         demo = prepare_demonstration(Trajectory(t, pos, quats))
         np.testing.assert_allclose(demo.coords[:, 5], w * (demo.times - 1.0), atol=1e-12)
@@ -268,7 +266,7 @@ class TestPrepareDemonstration:
     @staticmethod
     def spin_demo(degrees):
         t = np.linspace(0.0, 1.0, 201)
-        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, math.radians(degrees) * ti])).as_array() for ti in t])
+        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, math.radians(degrees) * ti])) for ti in t])
         return Trajectory(t, np.zeros((201, 3)), quats)
 
     def test_half_turn_from_goal_rejected(self, tmp_path, capsys):
@@ -363,7 +361,7 @@ class TestForcingTargets:
 
 class TestRollout:
     def test_zero_forcing_matches_closed_form(self):
-        goal = Pose(np.array([1.0, -0.5, 0.25]), UnitQuaternion.identity())
+        goal = Pose(np.array([1.0, -0.5, 0.25]), (1.0, 0.0, 0.0, 0.0))
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
         traj = rollout(dmp, start=ORIGIN, goal=goal, dt=1e-4)
         lam = -25.0 / 2.0
@@ -372,7 +370,7 @@ class TestRollout:
         assert np.max(np.abs(traj.positions - expect)) < 5e-3
 
     def test_euler_error_shrinks_first_order(self):
-        goal = Pose(np.array([1.0, 0.0, 0.0]), UnitQuaternion.identity())
+        goal = Pose(np.array([1.0, 0.0, 0.0]), (1.0, 0.0, 0.0, 0.0))
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
         lam = -25.0 / 2.0
 
@@ -385,7 +383,7 @@ class TestRollout:
         assert 3.0 < ratio < 8.0  # first order in dt
 
     def test_zero_forcing_monotone_approach(self):
-        goal = Pose(np.array([0.3, -0.3, 0.1]), UnitQuaternion.identity())
+        goal = Pose(np.array([0.3, -0.3, 0.1]), (1.0, 0.0, 0.0, 0.0))
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
         traj = rollout(dmp, start=ORIGIN, goal=goal)
         for axis in range(3):
@@ -397,12 +395,12 @@ class TestRollout:
         goal = Pose(np.zeros(3), gq)
         dmp = zero_weight_dmp(tau=1.0, goal=goal)
         traj = rollout(dmp, start=ORIGIN, goal=goal)
-        assert angle_between(traj.orientations[-1], gq.wxyz) < 1e-4
+        assert angle_between(traj.orientations[-1], gq) < 1e-4
 
     def test_gated_same_weights_still_reach_goal(self):
         n = 50
         centers, widths = basis_layout(n, ALPHA_S)
-        goal = Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity())
+        goal = Pose(np.array([0.1, 0.0, 0.0]), (1.0, 0.0, 0.0, 0.0))
         dmp = PoseDmp(
             alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0,
             centers=centers, widths=widths,
@@ -582,7 +580,7 @@ def reference_coords(dmp, start, goal, dt=1e-3, horizon=1.5):
 
     az, bz = dmp.alpha_z, dmp.beta_z
     adt = dt / tau
-    e0 = rotation_vector_wxyz(quat_mul_wxyz(start.orientation.wxyz, quat_conj_wxyz(goal.orientation.wxyz)))
+    e0 = rotation_vector_wxyz(quat_mul_wxyz(start.orientation, quat_conj_wxyz(goal.orientation)))
     x = [*(float(v) for v in start.position), *e0]
     x_goal = [*(float(v) for v in goal.position), 0.0, 0.0, 0.0]
     z = [0.0] * 6
@@ -600,7 +598,7 @@ def reference_coords(dmp, start, goal, dt=1e-3, horizon=1.5):
 def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
     """:func:`reference_coords` mapped back per row: q = exp(e) * g."""
     times, x = reference_coords(dmp, start, goal, dt, horizon)
-    g = goal.orientation.wxyz
+    g = goal.orientation
     quats = [quat_mul_wxyz(quat_exp_wxyz((0.5 * ex, 0.5 * ey, 0.5 * ez)), g) for ex, ey, ez in x[:, 3:].tolist()]
     return Trajectory(times, x[:, :3], np.array(quats))
 
@@ -699,14 +697,14 @@ class TestRolloutEquivalence:
         if case == "shifted":
             start = dmp.demo_start
             goal = Pose(dmp.demo_goal.position + np.array([0.04, -0.07, 0.03]),
-                        quat_mul(turn, dmp.demo_goal.orientation))
+                        quat_mul_wxyz(turn, dmp.demo_goal.orientation))
         else:
             # start and goal quaternions 300 deg apart about z: the error
             # quaternion starts with w < 0, so the shortest-arc flip runs
             start = Pose(dmp.demo_start.position, from_rotation_vector(np.array([0.0, 0.0, 2.6])))
             goal = Pose(dmp.demo_goal.position - np.array([0.05, 0.0, 0.02]),
                         from_rotation_vector(np.array([0.0, 0.0, -2.6])))
-            assert float(np.dot(start.orientation.as_array(), goal.orientation.as_array())) < 0.0
+            assert float(np.dot(start.orientation, goal.orientation)) < 0.0
         got = rollout(dmp, start=start, goal=goal)
         want = reference_rollout(dmp, start, goal)
         np.testing.assert_array_equal(got.times, want.times)
@@ -743,11 +741,11 @@ class TestFitRollout:
         dmp = fit_pose_dmp(traj_demo)
         shifted = Pose(
             dmp.demo_goal.position + np.array([0.05, -0.03, 0.04]),
-            quat_mul(from_rotation_vector(np.array([0.0, 0.0, 0.3])), dmp.demo_goal.orientation),
+            quat_mul_wxyz(from_rotation_vector(np.array([0.0, 0.0, 0.3])), dmp.demo_goal.orientation),
         )
         replay = rollout(dmp, goal=shifted)
         assert np.linalg.norm(replay.positions[-1] - shifted.position) < 1e-3
-        assert angle_between(replay.orientations[-1], shifted.orientation.wxyz) < math.radians(0.5)
+        assert angle_between(replay.orientations[-1], shifted.orientation) < math.radians(0.5)
 
     def test_fit_is_deterministic(self):
         traj_demo = smooth_demo(duration=2.0, seed=7)
@@ -762,12 +760,12 @@ class TestFitRollout:
     def test_stay_at_pose_demo_fits_to_zero_weights(self):
         t = np.linspace(0.0, 1.0, 200)
         pos = np.tile([0.1, -0.2, 0.35], (200, 1))
-        quats = np.tile(from_rotation_vector(np.array([0.2, 0.1, 0.0])).as_array(), (200, 1))
+        quats = np.tile(from_rotation_vector(np.array([0.2, 0.1, 0.0])), (200, 1))
         dmp = fit_pose_dmp(Trajectory(t, pos, quats))
         assert np.all(dmp.weights == 0.0)
         replay = rollout(dmp)
         assert np.max(np.linalg.norm(replay.positions - pos[0], axis=1)) < 1e-9
-        assert angle_between(replay.orientations[-1], dmp.demo_goal.orientation.wxyz) < 1e-9
+        assert angle_between(replay.orientations[-1], dmp.demo_goal.orientation) < 1e-9
 
     def test_rollout_speed(self):
         traj_demo = smooth_demo(duration=3.0)
@@ -792,7 +790,7 @@ class TestSerialization:
         assert back.tau == dmp.tau
         assert back.alpha_s == dmp.alpha_s
         assert np.array_equal(back.demo_start.position, dmp.demo_start.position)
-        assert back.demo_goal.orientation.as_array().tolist() == dmp.demo_goal.orientation.as_array().tolist()
+        assert back.demo_goal.orientation == dmp.demo_goal.orientation
         save_dmp(back, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 

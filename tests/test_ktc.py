@@ -29,12 +29,10 @@ from lfdkit.metrics import jerk_metrics
 from lfdkit.presets import default_teach_setup, demo_pose_waypoints
 from lfdkit.se3 import (
     Pose,
-    UnitQuaternion,
     from_rotation_vector,
     quat_conj_wxyz,
     quat_exp_wxyz,
     quat_log_wxyz,
-    quat_mul,
     quat_mul_wxyz,
     quat_normalize,
     rotation_vector_wxyz,
@@ -55,13 +53,13 @@ REST = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 ZERO_WRENCH = (0.0,) * 6
 
 
-def state(position, q: UnitQuaternion = UnitQuaternion.identity()) -> tuple:
-    return (*(float(c) for c in position), q.w, q.x, q.y, q.z)
+def state(position, q: tuple = (1.0, 0.0, 0.0, 0.0)) -> tuple:
+    return (*(float(c) for c in position), *q)
 
 
-def relative_rotation_vector(a: UnitQuaternion, b: UnitQuaternion) -> np.ndarray:
+def relative_rotation_vector(a: tuple, b: tuple) -> np.ndarray:
     """The rotation vector of a * conj(b)."""
-    return np.array(rotation_vector_wxyz(quat_mul_wxyz(a.wxyz, quat_conj_wxyz(b.wxyz))))
+    return np.array(rotation_vector_wxyz(quat_mul_wxyz(a, quat_conj_wxyz(b))))
 
 
 def angle(q: tuple) -> float:
@@ -173,11 +171,11 @@ def reference_plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float) 
     a = 1.0 - math.exp(-dt / time_constant)
     pos = x_r.position + a * (x_c.position - x_r.position)
     qr, qc = x_r.orientation, x_c.orientation
-    if qc.w == qr.w and qc.x == qr.x and qc.y == qr.y and qc.z == qr.z:
+    if qc == qr:
         orient = qr
     else:
-        lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(qc.wxyz, quat_conj_wxyz(qr.wxyz)))
-        orient = UnitQuaternion.from_unit(*quat_mul_wxyz(quat_exp_wxyz((a * lx, a * ly, a * lz)), qr.wxyz))
+        lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(qc, quat_conj_wxyz(qr)))
+        orient = quat_mul_wxyz(quat_exp_wxyz((a * lx, a * ly, a * lz)), qr)
     return Pose(pos, orient)
 
 
@@ -233,7 +231,7 @@ class TestPlantStep:
         assert np.allclose(rv / np.linalg.norm(rv), [0, 0, 1], atol=1e-12)
         for _ in range(200):
             x_r = plant_step(x_r, x_c, 0.05, T)
-        assert np.linalg.norm(relative_rotation_vector(q_goal, UnitQuaternion.from_unit(*x_r[3:]))) < 1e-6
+        assert np.linalg.norm(relative_rotation_vector(q_goal, x_r[3:])) < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError, match="time_constant"):
@@ -260,8 +258,8 @@ class TestPlantStep:
     )
     def test_equals_the_pose_path_bit_for_bit(self, p_r, p_c, q, keep_sign, rel, dt, time_constant):
         # keep_sign leaves w < 0 in place, as quat_exp_wxyz's outputs past a half turn do
-        q_r = UnitQuaternion.from_unit(*quat_normalize(*q, raw=keep_sign))
-        q_c = q_r if rel is None else quat_mul(from_rotation_vector(rel), q_r)
+        q_r = quat_normalize(*q, raw=keep_sign)
+        q_c = q_r if rel is None else quat_mul_wxyz(from_rotation_vector(rel), q_r)
         x_r, x_c = Pose(p_r, q_r), Pose(p_c, q_c)
         want = reference_plant_step(x_r, x_c, dt, time_constant)
         got = plant_step(state(p_r, q_r), state(p_c, q_c), dt, time_constant)
@@ -297,7 +295,7 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
         d[active] = (gains.k_s_inv + gains.k_a)[active] * (f - np.sign(f) * gains.deadband)[active]
         if not d[3:].any():
             return Pose(x_r.position + d[:3], x_r.orientation)
-        return Pose(x_r.position + d[:3], quat_mul(from_rotation_vector(d[3:]), x_r.orientation))
+        return Pose(x_r.position + d[:3], quat_mul_wxyz(from_rotation_vector(d[3:]), x_r.orientation))
 
     def native_step(x_r, f, sliding, spinning):
         position, orientation = x_r.position, x_r.orientation
@@ -309,7 +307,7 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
         spinning = tn > (gains.kinetic_torque if spinning else gains.breakaway_torque)
         if spinning:
             delta = gains.rot_gain * (tn - gains.kinetic_torque) * (f[3:] / tn)
-            orientation = quat_mul(from_rotation_vector(delta), orientation)
+            orientation = quat_mul_wxyz(from_rotation_vector(delta), orientation)
         return Pose(position, orientation), sliding, spinning
 
     x_r = human.waypoints[0]
@@ -346,7 +344,7 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
         rot_lag = relative_rotation_vector(hand_q, x_r.orientation)
         if gap > 0.0 and np.linalg.norm(rot_lag) < human.rot_stretch_limit:
             step = min(human.hand_rot_speed * h, gap)
-            hand_q = quat_mul(from_rotation_vector(rot_gap * (step / gap)), hand_q)
+            hand_q = quat_mul_wxyz(from_rotation_vector(rot_gap * (step / gap)), hand_q)
 
         v = (x_r.position - prev_pos) / h
         omega = relative_rotation_vector(x_r.orientation, prev_q) / h
@@ -368,10 +366,10 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
             x_c, sliding, spinning = native_step(x_r, sensed, sliding, spinning)
         prev_pos, prev_q = x_r.position, x_r.orientation
         nxt = plant_step(state(x_r.position, x_r.orientation), state(x_c.position, x_c.orientation), h)
-        x_r = Pose(nxt[:3], UnitQuaternion.from_unit(*nxt[3:]))
+        x_r = Pose(nxt[:3], nxt[3:])
         k += 1
     return Trajectory(
-        times, [p.position for p in poses], [p.orientation.as_array() for p in poses], wrenches
+        times, [p.position for p in poses], [p.orientation for p in poses], wrenches
     )
 
 

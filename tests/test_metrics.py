@@ -20,7 +20,7 @@ from lfdkit.metrics import (
     rotation_jerk_metrics,
     timing_stats,
 )
-from lfdkit.se3 import UnitQuaternion, from_rotation_vector
+from lfdkit.se3 import from_rotation_vector, quat_rotate_wxyz
 from lfdkit.trajectory import Trajectory, write_json
 
 
@@ -76,7 +76,7 @@ class TestJerkMetrics:
         q = from_rotation_vector(np.array([0.3, -0.5, 0.8]))
         moved = Trajectory(
             traj.times,
-            np.array([q.rotate(p) for p in traj.positions]) + np.array([1.0, -2.0, 0.5]),
+            np.array([quat_rotate_wxyz(q, p) for p in traj.positions]) + np.array([1.0, -2.0, 0.5]),
             identity_quats(len(traj)),
         )
         a, b = jerk_metrics(traj), jerk_metrics(moved)
@@ -139,7 +139,7 @@ class TestRotationJerk:
 
     def test_constant_spin_has_zero_rotation_jerk(self):
         t = np.linspace(0.0, 1.0, 300)
-        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, 0.7 * ti])).as_array() for ti in t])
+        quats = np.array([from_rotation_vector(np.array([0.0, 0.0, 0.7 * ti])) for ti in t])
         r = rotation_jerk_metrics(Trajectory(t, np.zeros((300, 3)), quats))
         assert r["max"] < 1e-6
 
@@ -149,7 +149,7 @@ class TestRotationJerk:
         t = np.arange(0.0, T + 5e-4, 1e-3)
         u = t / T
         theta = angle * (10.0 - (15.0 - 6.0 * u) * u) * u**3
-        quats = np.array([from_rotation_vector(np.array([0.0, th, 0.0])).as_array() for th in theta])
+        quats = np.array([from_rotation_vector(np.array([0.0, th, 0.0])) for th in theta])
         r = rotation_jerk_metrics(Trajectory(t, np.zeros((len(t), 3)), quats))
         mean, peak = quintic_jerk_stats(d=angle, T=T)
         assert r["mean"] == pytest.approx(mean, rel=0.01)

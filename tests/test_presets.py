@@ -36,10 +36,10 @@ def assert_same_scenario(a: AssemblyScenario, b: AssemblyScenario) -> None:
                 assert np.array_equal(getattr(x, g), getattr(y, g)), g
             for g in ("demo_start", "demo_goal"):
                 assert np.array_equal(getattr(x, g).position, getattr(y, g).position)
-                assert np.array_equal(getattr(x, g).orientation.as_array(), getattr(y, g).orientation.as_array())
+                assert getattr(x, g).orientation == getattr(y, g).orientation
         elif f.name == "initial_pose":
             assert np.array_equal(x.position, y.position)
-            assert np.array_equal(x.orientation.as_array(), y.orientation.as_array())
+            assert x.orientation == y.orientation
         else:
             assert x == y, f.name
     assert scene_to_dict(a.scene, a.cam) == scene_to_dict(b.scene, b.cam)
@@ -76,7 +76,7 @@ def test_clamped_spline_matches_scipy(k, spacing):
         knots[1:-1] = np.sort(rng.uniform(0.0, 4.0, k - 2))
     at = np.linspace(0.0, 4.0, 4001)
     positions = rng.normal(scale=0.1, size=(k, 3))
-    quats = np.array([from_rotation_vector(v).as_array() for v in rng.normal(scale=0.3, size=(k, 3))])
+    quats = np.array([from_rotation_vector(v) for v in rng.normal(scale=0.3, size=(k, 3))])
     rotvecs = relative_rotation_vector_rows(quats, quats[:1])
     for values in (positions, rotvecs):
         want = interpolate.CubicSpline(knots, values, bc_type="clamped")(at)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from lfdkit.se3 import (
     Pose,
-    UnitQuaternion,
     from_rotation_vector,
     from_rotation_vector_rows,
     quat_canonicalize_rows,
@@ -14,10 +13,11 @@ from lfdkit.se3 import (
     quat_conj_wxyz,
     quat_exp_wxyz,
     quat_log_wxyz,
-    quat_mul,
+    quat_matrix_wxyz,
     quat_mul_rows,
     quat_mul_wxyz,
     quat_normalize,
+    quat_rotate_wxyz,
     relative_rotation_vector_rows,
     rotation_between,
     rotation_vector_rows,
@@ -25,12 +25,14 @@ from lfdkit.se3 import (
     slerp_wxyz,
 )
 
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
+
 
 def random_unit_quats(n, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, 4))
     raw /= np.linalg.norm(raw, axis=1)[:, None]
-    return [UnitQuaternion.from_array(row) for row in raw]
+    return [quat_normalize(*row) for row in raw.tolist()]
 
 
 def angle_between(a, b):
@@ -44,62 +46,64 @@ unit_vec = st.tuples(
 
 quat_st = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
-).filter(lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3).map(lambda q: UnitQuaternion(*q))
+).filter(lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3).map(lambda q: quat_normalize(*q))
 
 
 class TestCanonicalization:
     def test_negative_w_flips(self):
-        q = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
-        assert q.w == 1.0 and q.x == q.y == q.z == 0.0
+        w, x, y, z = quat_normalize(-1.0, 0.0, 0.0, 0.0)
+        assert w == 1.0 and x == y == z == 0.0
 
     def test_antipodal_pairs_collapse(self):
         for q in random_unit_quats(100, seed=3):
-            qn = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
-            assert np.allclose(q.as_array(), qn.as_array())
+            qn = quat_normalize(*(-c for c in q))
+            assert np.allclose(q, qn)
 
     def test_w_zero_tiebreak_deterministic(self):
-        a = UnitQuaternion(0.0, -1.0, 0.0, 0.0)
-        b = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
-        assert np.allclose(a.as_array(), b.as_array())
-        assert a.x > 0
+        a = quat_normalize(0.0, -1.0, 0.0, 0.0)
+        b = quat_normalize(0.0, 1.0, 0.0, 0.0)
+        assert np.allclose(a, b)
+        assert a[1] > 0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            UnitQuaternion(0.0, 0.0, 0.0, 0.0)
+            quat_normalize(0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("w", [1e200, float("inf"), float("nan")])
     def test_non_finite_norm_rejected(self, w):
         # 1e200 squared overflows; normalizing by that norm gave (0, 0, 0, 0)
         with pytest.raises(ValueError, match="not finite"):
-            UnitQuaternion(w, 0.0, 0.0, 0.0)
+            quat_normalize(w, 0.0, 0.0, 0.0)
 
     @given(quat_st)
     def test_unit_norm_invariant(self, q):
-        assert abs(np.linalg.norm(q.as_array()) - 1.0) < 1e-9
-        assert q.w >= 0.0
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-9
+        assert q[0] >= 0.0
 
 
 class TestAsMatrix:
     @given(quat_st, st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)))
     def test_matrix_rotates_like_rotate(self, q, v):
-        r = q.as_matrix()
-        np.testing.assert_allclose(r @ np.array(v), q.rotate(v), atol=1e-12)
+        r = quat_matrix_wxyz(q)
+        np.testing.assert_allclose(r @ np.array(v), quat_rotate_wxyz(q, v), atol=1e-12)
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_composition_is_matrix_product(self):
         a, b = random_unit_quats(2, seed=21)
-        np.testing.assert_allclose(quat_mul(a, b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-12)
+        np.testing.assert_allclose(
+            quat_matrix_wxyz(quat_mul_wxyz(a, b)), quat_matrix_wxyz(a) @ quat_matrix_wxyz(b), atol=1e-12
+        )
 
 
 class TestMulConj:
     def test_identity(self):
-        q = UnitQuaternion(0.5, 0.5, 0.5, 0.5)
-        assert np.allclose(quat_mul(q, UnitQuaternion.identity()).as_array(), q.as_array())
+        q = (0.5, 0.5, 0.5, 0.5)
+        assert np.allclose(quat_mul_wxyz(q, IDENTITY), q)
 
     def test_conjugate_inverts(self):
         for q in random_unit_quats(50, seed=10):
-            r = quat_mul_wxyz(q.wxyz, quat_conj_wxyz(q.wxyz))
+            r = quat_mul_wxyz(q, quat_conj_wxyz(q))
             assert np.allclose(r, [1, 0, 0, 0], atol=1e-12)
 
     def test_composition_of_axis_rotations(self):
@@ -113,14 +117,14 @@ class TestMulConj:
     def test_associative(self, a, b, c):
         # same rotation either way; near w = 0 the canonical flip can land on
         # opposite representatives, so compare up to sign
-        lhs = quat_mul(quat_mul(a, b), c).as_array()
-        rhs = quat_mul(a, quat_mul(b, c)).as_array()
+        lhs = np.array(quat_mul_wxyz(quat_mul_wxyz(a, b), c))
+        rhs = np.array(quat_mul_wxyz(a, quat_mul_wxyz(b, c)))
         assert min(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs + rhs))) < 1e-9
 
     @given(quat_st, unit_vec)
     def test_rotation_preserves_length(self, q, v):
         v = np.array(v)
-        assert math.isclose(np.linalg.norm(q.rotate(v)), np.linalg.norm(v), rel_tol=1e-9, abs_tol=1e-12)
+        assert math.isclose(np.linalg.norm(quat_rotate_wxyz(q, v)), np.linalg.norm(v), rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestLogExp:
@@ -135,14 +139,14 @@ class TestLogExp:
         assert np.allclose(q, expected, atol=1e-12)
 
     def test_identity_maps_to_zero(self):
-        assert quat_log_wxyz(UnitQuaternion.identity().wxyz) == (0.0, 0.0, 0.0)
-        assert quat_exp_wxyz((0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0, 0.0)
+        assert quat_log_wxyz(IDENTITY) == (0.0, 0.0, 0.0)
+        assert quat_exp_wxyz((0.0, 0.0, 0.0)) == IDENTITY
 
     def test_exp_log_round_trip_canonical(self):
         # oracle: round trip must be the identity map on the w >= 0 hemisphere
         for q in random_unit_quats(1000, seed=7):
-            back = quat_exp_wxyz(quat_log_wxyz(q.wxyz))
-            assert np.allclose(back, q.wxyz, atol=1e-9)
+            back = quat_exp_wxyz(quat_log_wxyz(q))
+            assert np.allclose(back, q, atol=1e-9)
 
     def test_log_exp_round_trip_large_angles(self):
         rng = np.random.default_rng(12)
@@ -162,53 +166,53 @@ class TestLogExp:
         for _ in range(200):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 2 * math.pi - 1e-6) / np.linalg.norm(r) / 2
-            assert np.allclose(rotation_vector_wxyz(from_rotation_vector(r).wxyz), r, atol=1e-9)
+            assert np.allclose(rotation_vector_wxyz(from_rotation_vector(r)), r, atol=1e-9)
 
     def test_from_rotation_vector_past_a_half_turn_keeps_w_negative(self):
-        # the one constructor path off the canonical hemisphere, so the round
-        # trip holds up to a full angle of 2*pi
+        # the one path off the canonical hemisphere, so the round trip holds
+        # up to a full angle of 2*pi
         r = np.array([0.0, 0.0, 1.5 * math.pi])
         q = from_rotation_vector(r)
-        assert q.w < 0.0
-        assert np.allclose(rotation_vector_wxyz(q.wxyz), r, atol=1e-12)
+        assert q[0] < 0.0
+        assert np.allclose(rotation_vector_wxyz(q), r, atol=1e-12)
 
     def test_from_rotation_vector_wraps_the_exp_kernel(self):
         for q in random_unit_quats(100, seed=8):
-            r = 2.0 * np.array(quat_log_wxyz(q.wxyz))
-            assert from_rotation_vector(r).wxyz == quat_exp_wxyz(tuple((0.5 * r).tolist()))
+            r = 2.0 * np.array(quat_log_wxyz(q))
+            assert from_rotation_vector(r) == quat_exp_wxyz(tuple((0.5 * r).tolist()))
 
 
 class TestSlerp:
     def test_endpoints(self):
-        a, b = (q.wxyz for q in random_unit_quats(2, seed=21))
+        a, b = random_unit_quats(2, seed=21)
         assert np.allclose(slerp_wxyz(a, b, 0.0), a, atol=1e-12)
         assert np.allclose(slerp_wxyz(a, b, 1.0), b, atol=1e-12)
 
     def test_midpoint_halves_angle(self):
-        for qa, qb in zip(random_unit_quats(50, seed=30), random_unit_quats(50, seed=31)):
-            a, b = qa.wxyz, qb.wxyz
+        for a, b in zip(random_unit_quats(50, seed=30), random_unit_quats(50, seed=31)):
             mid = slerp_wxyz(a, b, 0.5)
             assert math.isclose(angle_between(a, mid), angle_between(mid, b), rel_tol=1e-9, abs_tol=1e-12)
 
     def test_constant_speed(self):
-        a, b = (q.wxyz for q in random_unit_quats(2, seed=40))
+        a, b = random_unit_quats(2, seed=40)
         total = angle_between(a, b)
         for u in (0.25, 0.5, 0.75):
             assert math.isclose(angle_between(a, slerp_wxyz(a, b, u)), u * total, rel_tol=1e-9)
 
     @settings(deadline=None)
     @given(quat_st, quat_st, st.floats(0.0, 1.0))
-    def test_equals_the_scalar_maps_bit_for_bit(self, qa, qb, u):
-        a, b = qa.wxyz, qb.wxyz
+    def test_equals_the_scalar_maps_bit_for_bit(self, a, b, u):
         lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
         want = quat_mul_wxyz(quat_exp_wxyz((u * lx, u * ly, u * lz)), a)
         assert slerp_wxyz(a, b, u) == want
 
-    def test_from_unit_keeps_components(self):
-        a, b = random_unit_quats(2, seed=41)
-        q = UnitQuaternion.from_unit(*slerp_wxyz(a.wxyz, b.wxyz, 0.3))
-        again = UnitQuaternion.from_unit(q.w, q.x, q.y, q.z)
-        assert again == q and (again.w, again.x, again.y, again.z) == (q.w, q.x, q.y, q.z)
+    def test_pose_keeps_a_slerp_tuple_bit_for_bit(self):
+        qs = random_unit_quats(41, seed=41)
+        slerped = [slerp_wxyz(a, b, 0.3) for a, b in zip(qs, qs[1:])]
+        for q in slerped:
+            assert Pose(np.zeros(3), q).orientation == q
+        # renormalizing again would have moved some of them by an ulp
+        assert any(quat_normalize(*q) != q for q in slerped)
 
 
 class TestQuatNormalize:
@@ -227,12 +231,12 @@ class TestRotationBetween:
             u /= np.linalg.norm(u)
             v /= np.linalg.norm(v)
             q = rotation_between(u, v)
-            assert np.allclose(q.rotate(u), v, atol=1e-9)
+            assert np.allclose(quat_rotate_wxyz(q, u), v, atol=1e-9)
 
     def test_antiparallel(self):
         u = np.array([0.0, 0.0, 1.0])
         q = rotation_between(u, -u)
-        assert np.allclose(q.rotate(u), -u, atol=1e-12)
+        assert np.allclose(quat_rotate_wxyz(q, u), -u, atol=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -248,10 +252,32 @@ class TestPose:
             v = rng.normal(size=3)
             np.testing.assert_allclose(inv.transform_point(p.transform_point(v)), v, atol=1e-12)
             np.testing.assert_allclose(p.transform_point(inv.transform_point(v)), v, atol=1e-12)
-            assert inv.orientation.wxyz == quat_conj_wxyz(q.wxyz)
+            assert inv.orientation == quat_conj_wxyz(q)
 
     def test_default_orientation_is_identity(self):
-        assert Pose(np.zeros(3)).orientation == UnitQuaternion.identity()
+        assert Pose(np.zeros(3)).orientation == IDENTITY
+
+    def test_orientation_becomes_python_floats_as_given(self):
+        # within the unit tolerance, but not renormalized
+        q = Pose(np.zeros(3), np.array([1.0 + 5e-10, 0.0, 0.0, 0.0])).orientation
+        assert q == (1.0 + 5e-10, 0.0, 0.0, 0.0) and all(type(c) is float for c in q)
+        assert Pose(np.zeros(3), (-1.0, 0.0, 0.0, 0.0)).orientation == (-1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            (1.0, 0.0, 0.0),
+            (1.0, 0.0, 0.0, 0.0, 0.0),
+            (float("nan"), 0.0, 0.0, 0.0),
+            (1.0, float("inf"), 0.0, 0.0),
+            (2.0, 0.0, 0.0, 0.0),
+            (1.0 + 2e-9, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0),
+        ],
+    )
+    def test_bad_orientation_rejected(self, q):
+        with pytest.raises(ValueError, match=r"^pose orientation must be 4 finite numbers \(w, x, y, z\) of unit norm$"):
+            Pose(np.zeros(3), q)
 
     def test_transform_point_matches_manual(self):
         p = Pose(np.array([1.0, 2.0, 3.0]), from_rotation_vector([0, 0, math.pi / 2]))
@@ -288,17 +314,17 @@ raw_quat_st = st.one_of(
 raw_quat_lists = st.lists(raw_quat_st, min_size=1, max_size=8)
 
 
-# the scalar maps spelled out on the UnitQuaternion constructor and numpy:
+# the scalar maps spelled out on quat_normalize and numpy:
 # each kernel must equal its reference bit for bit
 def reference_mul(a, b):
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    return UnitQuaternion(
+    return quat_normalize(
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by + ay * bw + az * bx - ax * bz,
         aw * bz + az * bw + ax * by - ay * bx,
-    ).wxyz
+    )
 
 
 def reference_log(q):
@@ -333,21 +359,18 @@ half_vec_st = st.builds(
 
 class TestTupleKernels:
     """Each *_wxyz kernel against its reference map, on both hemispheres,
-    near the identity and near a half turn; quat_mul, which wraps its
-    kernel, must agree too."""
+    near the identity and near a half turn."""
 
     @settings(deadline=None)
     @given(raw_quat_st, raw_quat_st)
     def test_mul(self, a, b):
-        want = reference_mul(a, b)
-        assert quat_mul_wxyz(a, b) == want
-        assert quat_mul(UnitQuaternion.from_unit(*a), UnitQuaternion.from_unit(*b)).wxyz == want
+        assert quat_mul_wxyz(a, b) == reference_mul(a, b)
 
     @settings(deadline=None)
     @given(raw_quat_st)
     def test_conj(self, q):
         w, x, y, z = q
-        assert quat_conj_wxyz(q) == UnitQuaternion(w, -x, -y, -z).wxyz
+        assert quat_conj_wxyz(q) == quat_normalize(w, -x, -y, -z)
 
     @settings(deadline=None)
     @given(raw_quat_st)
@@ -366,7 +389,7 @@ class TestTupleKernels:
 
 
 def rows(quats):
-    return np.array([q.as_array() if isinstance(q, UnitQuaternion) else q for q in quats])
+    return np.array(quats, dtype=float)
 
 
 class TestRowKernels:
@@ -391,7 +414,7 @@ class TestRowKernels:
     def test_canonicalize(self, qs, scale):
         raw = scale * rows(qs)
         got = quat_canonicalize_rows(raw)
-        np.testing.assert_allclose(got, rows([UnitQuaternion(*r) for r in raw]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, rows([quat_normalize(*r) for r in raw]), rtol=0, atol=1e-12)
         assert np.all(got[:, 0] >= 0.0)
 
     def test_canonicalize_keeps_unit_rows_and_rejects_bad_rows(self):

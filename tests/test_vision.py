@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lfdkit.presets import default_bar_scene, default_camera
-from lfdkit.se3 import Pose, UnitQuaternion, from_rotation_vector, quat_mul
+from lfdkit.se3 import Pose, from_rotation_vector, quat_mul_wxyz, quat_rotate_wxyz
 from lfdkit.trajectory import read_json, write_json
 from lfdkit.vision import (
     BarScene,
@@ -36,7 +36,7 @@ RIM_V = np.array([0.0, 1.0, 0.0])
 
 def compose(a: Pose, b: Pose) -> Pose:
     """a * b, both read as frame-to-parent transforms."""
-    return Pose(a.transform_point(b.position), quat_mul(a.orientation, b.orientation))
+    return Pose(a.transform_point(b.position), quat_mul_wxyz(a.orientation, b.orientation))
 
 
 def arc_points(span: float, n: int, sigma: float = 0.0, seed: int = 0, radius: float = 0.004) -> np.ndarray:
@@ -138,6 +138,11 @@ class TestSynthesizeMask:
             synthesize_mask(scene, cam, 0, noise_sigma=-1.0)
         with pytest.raises(ValueError, match="dropout"):
             synthesize_mask(scene, cam, 0, dropout=1.0)
+        # nan compares False both ways, so a `< 0` check lets it through as no noise
+        with pytest.raises(ValueError, match="sigma"):
+            synthesize_mask(scene, cam, 0, noise_sigma=math.nan)
+        with pytest.raises(ValueError, match="dropout"):
+            synthesize_mask(scene, cam, 0, dropout=math.nan)
 
 
 class TestFitPlane:
@@ -184,7 +189,7 @@ class TestFitCircle3d:
             est = fit_circle3d(synthesize_mask(scene, cam, hole_id))
             assert world_center_error(cam, scene, hole_id, est) < 1e-9
             assert abs(est.radius - 0.004) < 1e-9
-            axis_world = cam.pose.orientation.rotate(est.axis)
+            axis_world = quat_rotate_wxyz(cam.pose.orientation, est.axis)
             assert np.linalg.norm(axis_world - scene.hole_axis_world(hole_id)) < 1e-9
             assert est.rms < 1e-12
 
@@ -302,6 +307,14 @@ class TestDetectionRangeSweep:
         # numpy rejects a negative seed; unchecked, every fit read as undetected
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             detection_range_sweep(scene, cam, 0.0, 1.0, 0.1, seed=-1)
+
+    def test_corruption_arguments_rejected_before_the_loop(self):
+        # caught inside the loop, these read as every hole undetected
+        scene, cam = default_bar_scene(), default_camera()
+        with pytest.raises(ValueError, match="noise sigma must be >= 0"):
+            detection_range_sweep(scene, cam, -0.1, 0.1, 0.1, noise_sigma=-1.0)
+        with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
+            detection_range_sweep(scene, cam, -0.1, 0.1, 0.1, dropout=1.5)
 
 
 class TestSceneSerialization:
