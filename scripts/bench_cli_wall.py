@@ -10,8 +10,10 @@ Each command of the roadmap's end-to-end list runs as a fresh process with
 ``sweep`` on its defaults, and the 100-rollout loop of acceptance gate a2
 (fit the 10 s preset demo, roll it out toward 100 shifted goals). Then the
 rest of the CLI and the checkout's own scripts, on short settings:
-``localize --seed 1``; ``fit`` and ``rollout`` of the taught demo, scored
-against it by ``metrics``; two trials that end FAILED, one aborted after
+``teach-sim`` against the native drive, and against the proposed
+controller with sensor noise (its config is written into each output
+directory); ``localize --seed 1``; ``fit`` and ``rollout`` of the taught
+demo, scored against it by ``metrics``; two trials that end FAILED, one aborted after
 the insertion (its event script is written into each output directory)
 and one on a hole the camera cannot see; and each script under
 ``scripts/`` that writes an ``--out`` file. The two checkouts alternate
@@ -63,6 +65,8 @@ CLI = [sys.executable, "-m", "lfdkit.cli"]
 
 # the nominal stream with its last pedal press replaced by an abort
 ABORT_EVENTS = "0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n4 motion_done\n5 abort\n"
+# force and torque noise on what the proposed controller senses
+TEACH_NOISE = json.dumps({"teach": {"force_noise_std": 0.3, "torque_noise_std": 0.03}}) + "\n"
 
 
 def cli(*args: str, out: str, also: tuple[str, ...] = ()) -> tuple[list[str], tuple[str, ...]]:
@@ -84,6 +88,9 @@ COMMANDS = {
     "batch --n 20 --seed 7": cli("batch", "--n", "20", "--seed", "7", out="batch.json", also=("batch.csv",)),
     "sweep": cli("sweep", out="sweep.csv"),
     "a2 loop": ([sys.executable, "-c", A2_LOOP], ()),
+    "teach-sim --controller native --seed 1": cli(
+        "teach-sim", "--controller", "native", "--seed", "1", out="demo_native.csv"),
+    "teach-sim --config teach_noise.json": cli("teach-sim", "--config", "teach_noise.json", out="demo_noisy.csv"),
     "localize --seed 1": cli("localize", "--seed", "1", out="localize.csv"),
     "fit --demo demo.csv": cli("fit", "--demo", "demo.csv", out="prim.json"),
     "rollout --dmp prim.json": cli("rollout", "--dmp", "prim.json", out="replay.csv"),
@@ -147,6 +154,7 @@ def main(argv=None) -> int:
         for out in outs.values():
             out.mkdir()
             (out / "abort.events").write_text(ABORT_EVENTS)
+            (out / "teach_noise.json").write_text(TEACH_NOISE)
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

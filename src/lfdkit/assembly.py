@@ -283,15 +283,20 @@ class AssemblyScenario:
         if self.mask_points < 3:
             raise ValueError("mask_points must be at least 3")
         _check_corruption(self.noise_sigma, self.dropout)
-        if self.clearance <= 0 or self.tilt_tol <= 0 or self.required_depth <= 0:
-            raise ValueError("clearance, tilt_tol, and required_depth must be positive")
-        if self.standoff <= 0 or self.plan_overtravel < 0:
-            raise ValueError("standoff must be positive and plan_overtravel nonnegative")
+        if not (self.clearance > 0 and self.tilt_tol > 0):
+            raise ValueError("clearance and tilt_tol must be positive")
+        # the plan's poses are built from these three, so each must be finite
+        if not (0 < self.required_depth < math.inf and 0 < self.standoff < math.inf):
+            raise ValueError("required_depth and standoff must be positive and finite")
+        if not 0 <= self.plan_overtravel < math.inf:
+            raise ValueError("plan_overtravel must be nonnegative and finite")
         if self.hole_id is not None and not 0 <= self.hole_id < len(self.scene.holes):
             raise ValueError(f"hole_id {_brief_repr(self.hole_id)} outside 0..{len(self.scene.holes) - 1}")
+        if self.yaw is not None and not math.isfinite(self.yaw):
+            raise ValueError(f"yaw must be finite, got {self.yaw!r}")
         lo, hi = self.yaw_range
-        if not lo <= hi:
-            raise ValueError("yaw_range must be ordered")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError("yaw_range must be finite and ordered")
 
 
 def meets_tolerances(lateral: float, tilt: float, depth: float, scenario: AssemblyScenario) -> bool:

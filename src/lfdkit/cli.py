@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .assembly import batch_csv_text, batch_to_dict, execute_trial, parse_events, run_batch, trial_to_dict
 from .config import RunConfig, load_config, save_config
 from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
-from .ktc import simulate_demonstration
+from .ktc import CONTROLLERS, simulate_demonstration
 from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
 from .presets import default_teach_setup, scenario_from_config, scene_from_config
 from .se3 import Pose, quat_normalize
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ro.add_argument("--tau", type=float, help="time scale override")
 
     teach = sub.add_parser("teach-sim", parents=[common], help="simulate a guided demonstration")
-    teach.add_argument("--controller", choices=["proposed", "native"], help="which drive to teach against")
+    teach.add_argument("--controller", choices=list(CONTROLLERS), help="which drive to teach against")
 
     loc = sub.add_parser("localize", parents=[common], help="fit hole estimates from a scene")
     loc.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
@@ -150,10 +150,8 @@ def _cmd_teach_sim(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.controller is not None:
         cfg = replace(cfg, teach=replace(cfg.teach, controller=args.controller))
     t = cfg.teach
-    human, controller = default_teach_setup(t.controller, seed=cfg.seed, scale=t.waypoint_scale)
     traj = simulate_demonstration(
-        human,
-        controller,
+        *default_teach_setup(t.controller, seed=cfg.seed, scale=t.waypoint_scale),
         rate=t.rate,
         max_duration=t.max_duration,
         plant_time_constant=t.plant_time_constant,

@@ -17,6 +17,7 @@ from typing import Any
 
 from .assembly import _PLAN_DT, MAX_TRIALS
 from .dmp import check_basis_layout, demo_steps, rollout_steps
+from .ktc import _check_controller
 from .trajectory import ParseError, _brief_repr, read_json, write_json
 
 __all__ = [
@@ -148,8 +149,7 @@ class TeachSection:
     waypoint_scale: float = 0.12
 
     def __post_init__(self) -> None:
-        if self.controller not in ("proposed", "native"):
-            raise ValueError(f"controller must be 'proposed' or 'native', got {self.controller!r}")
+        _check_controller(self.controller)
         _positive(self, "rate", "max_duration", "plant_time_constant")
         _at_least(self, 0, "force_noise_std", "torque_noise_std")
         _finite(self)

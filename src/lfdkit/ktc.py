@@ -7,7 +7,7 @@ The controller law per tick is
 
     x_c = x_r + (K_s^-1 + K_a) * (f - deadband * sign(f))
 
-applied per enabled axis once |f| clears the deadband; rotational axes act
+applied per axis once |f| clears the deadband; rotational axes act
 through the quaternion exponential.
 
 The native-drive baseline back-drives an unpowered stiff transmission:
@@ -15,14 +15,16 @@ no motion until the force norm clears a 40 N static breakaway, then a weak
 response above a lower kinetic level. The static-to-kinetic jump makes the
 tool lurch at every breakaway and arrest, which is what the comparison
 metrics pick up.
+
+Every parameter is a module constant; the controller name is the one
+switch, and :data:`CONTROLLERS` maps it to how hard the human grips.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -30,100 +32,56 @@ from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_ve
 from .trajectory import Trajectory
 
 __all__ = [
-    "AdmittanceGains",
-    "NativeDrive",
-    "VirtualHuman",
+    "CONTROLLERS",
     "TeachTimeout",
     "ktc_step",
     "native_drive_step",
     "plant_step",
     "simulate_demonstration",
-    "proposed_gains",
-    "native_drive",
 ]
 
+# controller -> the human's (force, torque) grip saturation in N and N*m:
+# gentle against the proposed admittance, hard enough to break the native
+# drive away
+CONTROLLERS = {"proposed": (12.0, 1.0), "native": (60.0, 6.0)}
 
-def _vec6(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.shape != (6,):
-        raise ValueError(f"{name} must have 6 entries")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+# proposed admittance per axis (x, y, z, rx, ry, rz): total gain K_s^-1 + K_a
+# in m/N (rad/(N*m) rotationally) and deadband in N (N*m)
+_GAIN = (1.4e-4 + 0.6e-4,) * 3 + (1.4e-3 + 0.6e-3,) * 3
+_DEADBAND = (0.5,) * 3 + (0.05,) * 3
 
+# native drive: isotropic friction on the wrench norm, a static breakaway
+# above the kinetic sustaining level, and a weak response once moving
+_NATIVE_GAIN = 3.0e-5
+_NATIVE_ROT_GAIN = 3.0e-4
+_BREAKAWAY_FORCE = 40.0
+_KINETIC_FORCE = 20.0
+_BREAKAWAY_TORQUE = 4.0
+_KINETIC_TORQUE = 2.0
 
-@dataclass(frozen=True)
-class AdmittanceGains:
-    """Diagonal admittance: k_s_inv in m/N (rad/(N*m) rotationally), k_a in
-    m/(N*tick), deadband in N (N*m), and a per-axis enable mask. Axis order
-    is (x, y, z, rx, ry, rz)."""
-
-    k_s_inv: np.ndarray
-    k_a: np.ndarray
-    deadband: np.ndarray
-    axis_mask: tuple[bool, bool, bool, bool, bool, bool] = (True,) * 6
-
-    def __post_init__(self) -> None:
-        for name in ("k_s_inv", "k_a", "deadband"):
-            arr = _vec6(getattr(self, name), name)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} entries must be >= 0")
-            object.__setattr__(self, name, arr)
-        mask = tuple(bool(m) for m in self.axis_mask)
-        if len(mask) != 6:
-            raise ValueError("axis_mask must have 6 entries")
-        if not any(mask):
-            raise ValueError("at least one axis must be enabled")
-        object.__setattr__(self, "axis_mask", mask)
-
-    @cached_property
-    def _law(self) -> tuple[tuple[bool, float, float], ...]:
-        """Per axis (enabled, total gain, deadband) as plain floats."""
-        return tuple(zip(self.axis_mask, (self.k_s_inv + self.k_a).tolist(), self.deadband.tolist()))
+# virtual human: hand speed (m/s), acceleration (m/s^2) and turn rate
+# (rad/s); grip spring (N/m, N*m/rad) and damper (N*s/m, N*m*s/rad); a
+# waypoint counts as reached when the tool is within the capture radius (m)
+_HAND_SPEED = 0.03
+_HAND_ACCEL = 0.08
+_HAND_ROT_SPEED = 0.2
+_GRIP_STIFFNESS = 10000.0
+_GRIP_DAMPING = 80.0
+_ROT_STIFFNESS = 50.0
+_ROT_DAMPING = 1.0
+_CAPTURE_RADIUS = 0.006
 
 
-def proposed_gains() -> AdmittanceGains:
-    """Compliant teaching configuration: light touch, small deadband."""
-    return AdmittanceGains(
-        k_s_inv=[1.4e-4] * 3 + [1.4e-3] * 3,
-        k_a=[0.6e-4] * 3 + [0.6e-3] * 3,
-        deadband=[0.5] * 3 + [0.05] * 3,
-    )
-
-
-@dataclass(frozen=True)
-class NativeDrive:
-    """Back-driven unpowered transmission: isotropic friction on the wrench
-    norm with a static breakaway above the kinetic sustaining level, and a
-    weak response once moving."""
-
-    gain: float = 3.0e-5
-    rot_gain: float = 3.0e-4
-    breakaway_force: float = 40.0
-    kinetic_force: float = 20.0
-    breakaway_torque: float = 4.0
-    kinetic_torque: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.gain <= 0 or self.rot_gain <= 0:
-            raise ValueError("gains must be positive")
-        if not (self.breakaway_force > self.kinetic_force >= 0):
-            raise ValueError("need breakaway_force > kinetic_force >= 0")
-        if not (self.breakaway_torque > self.kinetic_torque >= 0):
-            raise ValueError("need breakaway_torque > kinetic_torque >= 0")
-
-
-def native_drive() -> NativeDrive:
-    return NativeDrive()
+def _check_controller(controller: str) -> None:
+    """Raise a one-line ValueError unless ``controller`` names an entry of
+    :data:`CONTROLLERS`."""
+    if controller not in CONTROLLERS:
+        names = " or ".join(repr(name) for name in CONTROLLERS)
+        raise ValueError(f"controller must be {names}, got {controller!r}")
 
 
 def native_drive_step(
-    x_r: tuple[float, ...],
-    f: tuple[float, ...],
-    drive: NativeDrive,
-    sliding: bool = False,
-    spinning: bool = False,
+    x_r: tuple[float, ...], f: tuple[float, ...], sliding: bool = False, spinning: bool = False
 ) -> tuple[tuple[float, ...], bool, bool]:
     """One tick of back-driving the native transmission: the commanded pose
     tuple (as :func:`plant_step` takes) for the reached pose tuple ``x_r`` and
@@ -136,27 +94,27 @@ def native_drive_step(
     px, py, pz, *q = x_r
     fx, fy, fz, tx, ty, tz = f
     fn = math.sqrt(fx * fx + fy * fy + fz * fz)
-    sliding = fn > (drive.kinetic_force if sliding else drive.breakaway_force)
+    sliding = fn > (_KINETIC_FORCE if sliding else _BREAKAWAY_FORCE)
     if sliding:
-        c = drive.gain * (fn - drive.kinetic_force)
+        c = _NATIVE_GAIN * (fn - _KINETIC_FORCE)
         px, py, pz = px + c * (fx / fn), py + c * (fy / fn), pz + c * (fz / fn)
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
-    spinning = tn > (drive.kinetic_torque if spinning else drive.breakaway_torque)
+    spinning = tn > (_KINETIC_TORQUE if spinning else _BREAKAWAY_TORQUE)
     if spinning:
-        c = drive.rot_gain * (tn - drive.kinetic_torque)
+        c = _NATIVE_ROT_GAIN * (tn - _KINETIC_TORQUE)
         half = (0.5 * (c * (tx / tn)), 0.5 * (c * (ty / tn)), 0.5 * (c * (tz / tn)))
         q = quat_mul_wxyz(quat_exp_wxyz(half), q)
     return (px, py, pz, *q), sliding, spinning
 
 
-def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...], gains: AdmittanceGains) -> tuple[float, ...]:
+def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
     """One tick of the admittance law: the commanded pose tuple (as
     :func:`plant_step` takes) for the reached pose tuple ``x_r`` and the
-    measured wrench ``f = (fx, fy, fz, tx, ty, tz)``. Zero (or sub-deadband,
-    or masked) wrench commands x_r exactly."""
+    measured wrench ``f = (fx, fy, fz, tx, ty, tz)``. Zero (or sub-deadband)
+    wrench commands x_r exactly."""
     d = [
-        g * (w - db if w > 0.0 else w + db) if on and abs(w) > db else 0.0
-        for w, (on, g, db) in zip(f, gains._law)
+        g * (w - db if w > 0.0 else w + db) if abs(w) > db else 0.0
+        for w, g, db in zip(f, _GAIN, _DEADBAND)
     ]
     q = x_r[3:]
     if d[3] != 0.0 or d[4] != 0.0 or d[5] != 0.0:
@@ -189,60 +147,6 @@ def plant_step(
     return (rx + a * (cx - rx), ry + a * (cy - ry), rz + a * (cz - rz), *q)
 
 
-@dataclass(frozen=True)
-class VirtualHuman:
-    """Reproducible stand-in for the guiding worker.
-
-    A hand point moves along the waypoint sequence with bounded speed and
-    acceleration; the tool is coupled to it through a stiff saturating
-    spring-damper grip. The hand waits whenever the grip stretch exceeds
-    what the saturated force could ever resolve (nobody drags a tool that
-    is not following). Waypoints advance on tool position capture;
-    orientation follows through the grip torque.
-    """
-
-    waypoints: tuple[Pose, ...]
-    hand_speed: float = 0.03
-    hand_accel: float = 0.08
-    hand_rot_speed: float = 0.2
-    grip_stiffness: float = 10000.0
-    grip_damping: float = 80.0
-    force_saturation: float = 12.0
-    rot_stiffness: float = 50.0
-    rot_damping: float = 1.0
-    torque_saturation: float = 1.0
-    capture_radius: float = 0.006
-
-    def __post_init__(self) -> None:
-        wp = tuple(self.waypoints)
-        if not wp:
-            raise ValueError("need at least one waypoint")
-        object.__setattr__(self, "waypoints", wp)
-        for name in ("grip_damping", "rot_damping"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in (
-            "hand_speed",
-            "hand_accel",
-            "hand_rot_speed",
-            "grip_stiffness",
-            "rot_stiffness",
-            "force_saturation",
-            "torque_saturation",
-            "capture_radius",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def stretch_limit(self) -> float:
-        return 1.5 * self.force_saturation / self.grip_stiffness
-
-    @property
-    def rot_stretch_limit(self) -> float:
-        return 1.5 * self.torque_saturation / self.rot_stiffness
-
-
 class TeachTimeout(RuntimeError):
     """Simulation hit max_duration before the final waypoint; carries the
     partial log."""
@@ -261,8 +165,8 @@ def _log(rows: array) -> Trajectory:
 
 
 def simulate_demonstration(
-    human: VirtualHuman,
-    gains: AdmittanceGains | NativeDrive,
+    waypoints: Sequence[Pose],
+    controller: str,
     rate: float = 100.0,
     max_duration: float = 60.0,
     plant_time_constant: float = 0.05,
@@ -273,8 +177,16 @@ def simulate_demonstration(
     """Run the teach loop at the control rate and return the logged
     demonstration (poses plus the wrench the human actually applied).
 
-    ``gains`` selects the robot side: an AdmittanceGains runs the proposed
-    controller, a NativeDrive back-drives the unpowered transmission.
+    A hand point moves along the waypoints with bounded speed and
+    acceleration; the tool is coupled to it through a stiff spring-damper
+    grip saturated in norm at the controller's :data:`CONTROLLERS` entry.
+    The hand waits whenever the grip stretch exceeds what the saturated
+    force could ever resolve (nobody drags a tool that is not following).
+    Waypoints advance on tool position capture; orientation follows through
+    the grip torque.
+
+    ``controller`` selects the robot side: ``"proposed"`` runs the
+    admittance law, ``"native"`` back-drives the unpowered transmission.
     Sensor noise, when enabled, perturbs only what the controller sees; the
     log keeps the true applied wrench, so the saturation bound holds on the
     log unconditionally.
@@ -282,6 +194,10 @@ def simulate_demonstration(
     Poses are float tuples ``(px, py, pz, qw, qx, qy, qz)`` as
     :func:`plant_step` takes; orientations use the ``se3`` ``*_wxyz`` kernels.
     """
+    _check_controller(controller)
+    waypoints = [(*p.position.tolist(), *p.orientation) for p in waypoints]
+    if not waypoints:
+        raise ValueError("need at least one waypoint")
     if not (rate > 0 and plant_time_constant > 0):
         raise ValueError("rate and plant_time_constant must be positive")
     if not math.isfinite(max_duration * rate):
@@ -289,14 +205,15 @@ def simulate_demonstration(
     h = 1.0 / rate
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
-    admittance = isinstance(gains, AdmittanceGains)
-    waypoints = [(*p.position.tolist(), *p.orientation) for p in human.waypoints]
-    capture = human.capture_radius
-    stretch_limit, rot_stretch_limit = human.stretch_limit, human.rot_stretch_limit
-    speed, accel_2, accel_h = human.hand_speed, 2.0 * human.hand_accel, human.hand_accel * h
-    rot_step = human.hand_rot_speed * h
-    k_grip, d_grip, f_sat = human.grip_stiffness, human.grip_damping, human.force_saturation
-    k_rot, d_rot, t_sat = human.rot_stiffness, human.rot_damping, human.torque_saturation
+    admittance = controller == "proposed"
+    f_sat, t_sat = CONTROLLERS[controller]
+    # locals, not module globals, for the loop to read every tick
+    capture = _CAPTURE_RADIUS
+    stretch_limit, rot_stretch_limit = 1.5 * f_sat / _GRIP_STIFFNESS, 1.5 * t_sat / _ROT_STIFFNESS
+    speed, accel_2, accel_h = _HAND_SPEED, 2.0 * _HAND_ACCEL, _HAND_ACCEL * h
+    rot_step = _HAND_ROT_SPEED * h
+    k_grip, d_grip = _GRIP_STIFFNESS, _GRIP_DAMPING
+    k_rot, d_rot = _ROT_STIFFNESS, _ROT_DAMPING
 
     x_r = prev = waypoints[0]
     hx, hy, hz, *hand_q = x_r
@@ -377,9 +294,9 @@ def simulate_demonstration(
             )
             sensed = tuple(a + b for a, b in zip(applied, noise))
         if admittance:
-            x_c = ktc_step(x_r, sensed, gains)
+            x_c = ktc_step(x_r, sensed)
         else:
-            x_c, sliding, spinning = native_drive_step(x_r, sensed, gains, sliding, spinning)
+            x_c, sliding, spinning = native_drive_step(x_r, sensed, sliding, spinning)
         prev, conj_prev = x_r, conj_r
         x_r = plant_step(x_r, x_c, h, plant_time_constant)
         k += 1

@@ -11,7 +11,6 @@ import numpy as np
 from .assembly import AssemblyScenario
 from .config import RunConfig, TrialSection
 from .dmp import fit_pose_dmp, grid_steps
-from .ktc import AdmittanceGains, NativeDrive, VirtualHuman, native_drive, proposed_gains
 from .se3 import Pose, from_rotation_vector, from_rotation_vector_rows, quat_mul_rows
 from .se3 import relative_rotation_vector_rows
 from .trajectory import Trajectory
@@ -136,24 +135,16 @@ def default_camera() -> CameraModel:
     return CameraModel(pose=Pose([0.0, 0.0, 0.30], (0.0, 1.0, 0.0, 0.0)))
 
 
-def default_teach_setup(
-    controller: str, seed: int = 0, scale: float = 0.12
-) -> tuple[VirtualHuman, AdmittanceGains | NativeDrive]:
-    """Guided-hand operator plus the matching controller for a teaching run.
+def default_teach_setup(controller: str, seed: int = 0, scale: float = 0.12) -> tuple[tuple[Pose, ...], str]:
+    """The waypoint poses and controller of a teaching run, as
+    :func:`ktc.simulate_demonstration` takes them.
 
     The same waypoint path is used for both controllers; the operator pushes
     harder against the native drive (it takes real force to backdrive) and
-    gently against the proposed admittance.
+    gently against the proposed admittance (``ktc.CONTROLLERS``).
     """
     wp, quats = demo_pose_waypoints(seed=seed, scale=scale)
-    poses = tuple(Pose(p, q) for p, q in zip(wp, quats))
-    if controller == "proposed":
-        human = VirtualHuman(waypoints=poses, force_saturation=12.0, torque_saturation=1.0)
-        return human, proposed_gains()
-    if controller == "native":
-        human = VirtualHuman(waypoints=poses, force_saturation=60.0, torque_saturation=6.0)
-        return human, native_drive()
-    raise ValueError(f"controller must be 'proposed' or 'native', got {controller!r}")
+    return tuple(Pose(p, q) for p, q in zip(wp, quats)), controller
 
 
 def scene_from_config(cfg: RunConfig, path: str = "<config>") -> tuple[BarScene, CameraModel]:

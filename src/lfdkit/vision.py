@@ -102,7 +102,11 @@ class BarScene:
 
     def yawed(self, yaw: float) -> "BarScene":
         """The same bar spun by yaw about the world vertical through its
-        center (the stationary-gripper placement degree of freedom)."""
+        center (the stationary-gripper placement degree of freedom). A yaw
+        of a full turn or more is first reduced into [-pi, pi]; a non-finite
+        one is left to :func:`from_rotation_vector` to reject."""
+        if 2.0 * math.pi <= abs(yaw) < math.inf:
+            yaw = math.remainder(yaw, 2.0 * math.pi)
         spin = from_rotation_vector([0.0, 0.0, yaw])
         return BarScene(
             Pose(self.bar.position, quat_mul_wxyz(spin, self.bar.orientation)),

@@ -13,7 +13,8 @@ import numpy as np
 
 from lfdkit.cli import main
 from lfdkit.dmp import _forcing_profile, fit_pose_dmp, rollout
-from lfdkit.ktc import native_drive, simulate_demonstration
+from lfdkit import ktc
+from lfdkit.ktc import simulate_demonstration
 from lfdkit.metrics import jerk_metrics
 from lfdkit.presets import (
     default_bar_scene,
@@ -171,14 +172,13 @@ def test_a6_force_scale():
         )
     assert proposed_peak <= 12.0 + 1e-9
 
-    drive = native_drive()
-    assert drive.breakaway_force >= 40.0
+    assert ktc._BREAKAWAY_FORCE >= 40.0
     native_log = simulate_demonstration(*default_teach_setup("native", seed=0), seed=0)
     native_peak = float(np.max(np.linalg.norm(native_log.wrenches[:, :3], axis=1)))
     assert native_peak > 40.0
     print(
         f"a6 PASS: proposed peak {proposed_peak:.2f} N <= 12 N, "
-        f"native breakaway {drive.breakaway_force:.0f} N, logged peak {native_peak:.1f} N"
+        f"native breakaway {ktc._BREAKAWAY_FORCE:.0f} N, logged peak {native_peak:.1f} N"
     )
 
 

@@ -519,6 +519,31 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=message):
             replace(scenario, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("clearance", math.nan, "clearance and tilt_tol must be positive"),
+            ("tilt_tol", math.nan, "clearance and tilt_tol must be positive"),
+            ("required_depth", math.nan, "required_depth and standoff must be positive and finite"),
+            ("required_depth", math.inf, "required_depth and standoff must be positive and finite"),
+            ("standoff", math.nan, "required_depth and standoff must be positive and finite"),
+            ("standoff", math.inf, "required_depth and standoff must be positive and finite"),
+            ("plan_overtravel", math.nan, "plan_overtravel must be nonnegative and finite"),
+            ("plan_overtravel", math.inf, "plan_overtravel must be nonnegative and finite"),
+            ("yaw", math.nan, "yaw must be finite, got nan"),
+            ("yaw", math.inf, "yaw must be finite, got inf"),
+            ("yaw", -math.inf, "yaw must be finite, got -inf"),
+            ("yaw_range", (-math.inf, math.inf), "yaw_range must be finite and ordered"),
+            ("yaw_range", (0.0, math.nan), "yaw_range must be finite and ordered"),
+        ],
+    )
+    def test_rejects_nan_and_infinity(self, scenario, field, value, message):
+        # left to execute_trial, a nan tolerance ends a trial done but
+        # unsuccessful with no reason, and the rest raise mid-trial, which
+        # would take down a whole batch
+        with pytest.raises(ValueError, match=message):
+            replace(scenario, **{field: value})
+
     def test_bad_yaw_range(self, scenario):
         with pytest.raises(ValueError, match="yaw_range"):
             replace(scenario, yaw_range=(1.0, -1.0))

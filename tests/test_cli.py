@@ -2,6 +2,7 @@
 guarantee, and single-line machine-parsable errors."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,27 @@ class TestTrialBatch:
         doc = json.loads(out.read_text())
         assert doc["phase"] == "failed"
         assert doc["reason"].startswith("approach endpoint missed the standoff pose by")
+
+    def test_yaws_past_a_full_turn_run(self, capsys, tmp_path):
+        # from_rotation_vector ends at a full turn; the bar's yaw is reduced first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trial": {"yaw_limit_deg": 400}}))
+        out = tmp_path / "batch.json"
+        code, _, err = run(capsys, "batch", "--n", 30, "--config", cfg, "--out", out)
+        assert code == 0, err
+        assert len((tmp_path / "batch.csv").read_text().splitlines()) == 1 + 30
+        docs = {}
+        for yaw in (400, 40):
+            out = tmp_path / f"trial{yaw}.json"
+            code, _, err = run(capsys, "trial", "--seed", 3, "--yaw-deg", yaw, "--out", out)
+            assert code == 0, err
+            docs[yaw] = json.loads(out.read_text())
+        assert docs[400]["yaw"] == pytest.approx(math.radians(400.0), abs=1e-12)
+        assert (docs[400]["hole_id"], docs[400]["success"]) == (docs[40]["hole_id"], docs[40]["success"])
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--start-deg", -400, "--stop-deg", 400, "--step-deg", 50, "--out", out)
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) == 1 + 17 * 3
 
     def test_batch_rejects_n_zero(self, capsys, tmp_path):
         code, _, err = run(capsys, "batch", "--n", 0, "--out", tmp_path / "x.json")

@@ -13,20 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfdkit.ktc import (
-    AdmittanceGains,
-    NativeDrive,
-    TeachTimeout,
-    VirtualHuman,
-    ktc_step,
-    native_drive,
-    native_drive_step,
-    plant_step,
-    proposed_gains,
-    simulate_demonstration,
-)
+from lfdkit import ktc
+from lfdkit.ktc import CONTROLLERS, TeachTimeout, ktc_step, native_drive_step, plant_step, simulate_demonstration
 from lfdkit.metrics import jerk_metrics
-from lfdkit.presets import default_teach_setup, demo_pose_waypoints
+from lfdkit.presets import default_teach_setup
 from lfdkit.se3 import (
     Pose,
     from_rotation_vector,
@@ -38,15 +28,6 @@ from lfdkit.se3 import (
     rotation_vector_wxyz,
 )
 from lfdkit.trajectory import Trajectory
-
-
-def uniform_gains(per_axis: float, deadband: float = 0.0, mask=(True,) * 6) -> AdmittanceGains:
-    return AdmittanceGains(
-        k_s_inv=[per_axis] * 6,
-        k_a=[0.0] * 6,
-        deadband=[deadband] * 6,
-        axis_mask=mask,
-    )
 
 
 REST = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -67,102 +48,81 @@ def angle(q: tuple) -> float:
     return math.hypot(*rotation_vector_wxyz(q))
 
 
-class TestAdmittanceGains:
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="6 entries"):
-            AdmittanceGains(k_s_inv=[1e-4] * 5, k_a=[0.0] * 6, deadband=[0.0] * 6)
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            AdmittanceGains(k_s_inv=[-1e-4] * 6, k_a=[0.0] * 6, deadband=[0.0] * 6)
-
-    def test_rejects_all_axes_disabled(self):
-        with pytest.raises(ValueError, match="at least one axis"):
-            uniform_gains(1e-4, mask=(False,) * 6)
-
-    def test_total_gain(self):
-        g = AdmittanceGains(k_s_inv=[1e-3] * 6, k_a=[5e-4] * 6, deadband=[0.0] * 6)
-        assert [gain for _, gain, _ in g._law] == pytest.approx([1.5e-3] * 6)
+# the proposed law's translational and rotational gains, K_s^-1 + K_a
+GAIN = 1.4e-4 + 0.6e-4
+ROT_GAIN = 1.4e-3 + 0.6e-3
 
 
 class TestKtcStep:
     def test_zero_wrench_is_exactly_identity(self):
         x_r = state([0.3, -0.2, 0.7], from_rotation_vector([0.1, 0.2, -0.3]))
-        assert ktc_step(x_r, ZERO_WRENCH, proposed_gains()) == x_r
+        assert ktc_step(x_r, ZERO_WRENCH) == x_r
 
     def test_unit_force_worked_example(self):
-        # 1 N on x with k_s_inv 0.001 and k_a 0.0005, no deadband: 1.5 mm
-        g = AdmittanceGains(k_s_inv=[1e-3] * 6, k_a=[5e-4] * 6, deadband=[0.0] * 6)
-        out = ktc_step(REST, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), g)
-        assert out[0] == pytest.approx(1.5e-3, abs=0.0)
-        assert out[1] == 0.0 and out[2] == 0.0
+        # 1 N on x, 0.5 N past the deadband, at 1.4e-4 + 0.6e-4 m/N: the sum
+        # is 0.00019999999999999998, one ulp below 2e-4, and the law keeps it
+        assert GAIN == 0.00019999999999999998 and ROT_GAIN == 2e-3
+        out = ktc_step(REST, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        assert out[0] == 0.5 * GAIN
+        assert out[0] != 1e-4
+        assert out[1:] == REST[1:]
 
     def test_deadband_blocks_and_shifts(self):
-        g = uniform_gains(1e-3, deadband=0.5)
-        below = ktc_step(REST, (0.5, -0.4, 0.0, 0.0, 0.0, 0.0), g)
-        assert below[:3] == (0.0, 0.0, 0.0)
-        above = ktc_step(REST, (2.0, -2.0, 0.0, 0.0, 0.0, 0.0), g)
-        assert above[0] == pytest.approx(1e-3 * 1.5, rel=1e-12)
-        assert above[1] == pytest.approx(-1e-3 * 1.5, rel=1e-12)
-
-    def test_masked_axis_ignores_force(self):
-        g = uniform_gains(1e-3, mask=(True, True, False, True, True, True))
-        out = ktc_step(REST, (0.0, 0.0, 500.0, 0.0, 0.0, 0.0), g)
-        assert out[:3] == (0.0, 0.0, 0.0)
+        x_r = state([0.3, -0.2, 0.7], from_rotation_vector([0.1, 0.2, -0.3]))
+        assert ktc_step(x_r, (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)) == x_r
+        below = ktc_step(REST, (0.5, -0.4, 0.0, 0.04, -0.05, 0.0))
+        assert below == REST
+        above = ktc_step(REST, (2.0, -2.0, 0.0, 0.0, 0.0, 0.0))
+        assert above[:3] == ((2.0 - 0.5) * GAIN, (-2.0 + 0.5) * GAIN, 0.0)
+        assert above[3:] == REST[3:]
 
     def test_torque_rotates_by_gain_angle(self):
-        g = uniform_gains(2e-3)
-        out = ktc_step(REST, (0.0, 0.0, 0.0, 0.0, 0.0, 3.0), g)
-        assert np.allclose(rotation_vector_wxyz(out[3:]), [0, 0, 6e-3], atol=1e-15)
+        out = ktc_step(REST, (0.0, 0.0, 0.0, 0.0, 0.0, 3.0))
+        assert out[:3] == (0.0, 0.0, 0.0)
+        assert np.allclose(rotation_vector_wxyz(out[3:]), [0, 0, (3.0 - 0.05) * ROT_GAIN], atol=1e-15)
 
     @settings(max_examples=80, deadline=None)
     @given(
-        f=st.lists(st.floats(-80, 80), min_size=6, max_size=6),
-        base=st.lists(st.floats(0, 1e-3), min_size=6, max_size=6),
-        extra=st.lists(st.floats(0, 1e-3), min_size=6, max_size=6),
-        db=st.floats(0, 2),
+        axis=st.integers(0, 5),
+        magnitudes=st.lists(st.floats(0, 80), min_size=2, max_size=2),
+        sign=st.sampled_from([-1.0, 1.0]),
     )
-    def test_monotone_in_gain(self, f, base, extra, db):
-        g_small = AdmittanceGains(k_s_inv=base, k_a=[0.0] * 6, deadband=[db] * 6)
-        g_big = AdmittanceGains(
-            k_s_inv=base, k_a=extra, deadband=[db] * 6
-        )
-        small = ktc_step(REST, tuple(f), g_small)
-        big = ktc_step(REST, tuple(f), g_big)
-        assert np.all(np.abs(big[:3]) + 1e-18 >= np.abs(small[:3]))
-        assert angle(big[3:]) + 1e-12 >= angle(small[3:])
+    def test_monotone_in_force(self, axis, magnitudes, sign):
+        # each axis commands a motion that never shrinks as |f| grows on it
+        def command(magnitude: float) -> float:
+            f = [0.0] * 6
+            f[axis] = sign * magnitude
+            out = ktc_step(REST, tuple(f))
+            return abs(out[axis]) if axis < 3 else angle(out[3:])
+
+        lo, hi = sorted(magnitudes)
+        assert command(hi) + 1e-15 >= command(lo)
 
 
 class TestNativeDrive:
     def test_below_breakaway_is_exactly_stuck(self):
         x_r = state([0.1, 0.2, 0.3])
-        out, sliding, spinning = native_drive_step(x_r, (39.9, 0.0, 0.0, 0.0, 0.0, 0.0), native_drive())
+        out, sliding, spinning = native_drive_step(x_r, (39.9, 0.0, 0.0, 0.0, 0.0, 0.0))
         assert out == x_r
         assert not sliding and not spinning
 
     def test_above_breakaway_moves_along_force(self):
-        d = native_drive()
         f = np.array([30.0, 0.0, 40.0])
-        out, sliding, _ = native_drive_step(REST, (*f.tolist(), 0.0, 0.0, 0.0), d)
+        out, sliding, _ = native_drive_step(REST, (*f.tolist(), 0.0, 0.0, 0.0))
         n = np.linalg.norm(f)
-        expect = d.gain * (n - d.kinetic_force) * f / n
+        expect = ktc._NATIVE_GAIN * (n - ktc._KINETIC_FORCE) * f / n
         assert np.allclose(out[:3], expect, rtol=1e-12)
         assert sliding
 
     def test_kinetic_hysteresis(self):
-        d = native_drive()
         mid = (30.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # between kinetic (20) and breakaway (40)
-        stuck, sliding, _ = native_drive_step(REST, mid, d, sliding=False)
+        stuck, sliding, _ = native_drive_step(REST, mid, sliding=False)
         assert stuck[:3] == (0.0, 0.0, 0.0) and not sliding
-        moving, sliding, _ = native_drive_step(REST, mid, d, sliding=True)
-        assert moving[0] == pytest.approx(d.gain * 10.0, rel=1e-12)
+        moving, sliding, _ = native_drive_step(REST, mid, sliding=True)
+        assert moving[0] == pytest.approx(ktc._NATIVE_GAIN * 10.0, rel=1e-12)
         assert sliding
-        _, sliding, _ = native_drive_step(REST, (19.0, 0.0, 0.0, 0.0, 0.0, 0.0), d, sliding=True)
+        _, sliding, _ = native_drive_step(REST, (19.0, 0.0, 0.0, 0.0, 0.0, 0.0), sliding=True)
         assert not sliding
-
-    def test_requires_static_above_kinetic(self):
-        with pytest.raises(ValueError, match="breakaway_force > kinetic_force"):
-            NativeDrive(breakaway_force=10.0, kinetic_force=10.0)
 
 
 def reference_plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float) -> Pose:
@@ -239,12 +199,10 @@ class TestPlantStep:
         with pytest.raises(ValueError, match="dt"):
             plant_step(REST, REST, 0.0)
         with pytest.raises(ValueError, match="time_constant"):
-            simulate_demonstration(
-                VirtualHuman(waypoints=line_waypoints()), proposed_gains(), plant_time_constant=0.0
-            )
+            simulate_demonstration(line_waypoints(), "proposed", plant_time_constant=0.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="max_duration and rate must be finite"):
-                simulate_demonstration(VirtualHuman(waypoints=line_waypoints()), proposed_gains(), max_duration=bad)
+                simulate_demonstration(line_waypoints(), "proposed", max_duration=bad)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -270,18 +228,15 @@ def line_waypoints(length: float = 0.05) -> list[Pose]:
     return [Pose(np.zeros(3)), Pose(np.array([length, 0.0, 0.0]))]
 
 
-def preset_humans(seed: int) -> tuple[VirtualHuman, VirtualHuman]:
-    wp, quats = demo_pose_waypoints(seed=seed)
-    poses = [Pose(p, q) for p, q in zip(wp, quats)]
-    proposed = VirtualHuman(waypoints=poses, force_saturation=12.0, torque_saturation=1.0)
-    native = VirtualHuman(waypoints=poses, force_saturation=60.0, torque_saturation=6.0)
-    return proposed, native
-
-
-def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=0.0, seed=0, rate=100.0):
+def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_noise_std=0.0, seed=0, rate=100.0):
     """The teach loop as it read with per-tick Pose objects and numpy
-    wrenches, over the object maps and np.linalg.norm (no timeout)."""
+    wrenches, over the object maps and np.linalg.norm (no timeout), with the
+    parameters read from the ``ktc`` constants."""
     h = 1.0 / rate
+    gain, deadband = np.array(ktc._GAIN), np.array(ktc._DEADBAND)
+    force_saturation, torque_saturation = CONTROLLERS[controller]
+    stretch_limit = 1.5 * force_saturation / ktc._GRIP_STIFFNESS
+    rot_stretch_limit = 1.5 * torque_saturation / ktc._ROT_STIFFNESS
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
 
@@ -290,9 +245,9 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
         return v * (limit / n) if n > limit else v
 
     def admittance_step(x_r, f):
-        active = np.array(gains.axis_mask) & (np.abs(f) > gains.deadband)
+        active = np.abs(f) > deadband
         d = np.zeros(6)
-        d[active] = (gains.k_s_inv + gains.k_a)[active] * (f - np.sign(f) * gains.deadband)[active]
+        d[active] = gain[active] * (f - np.sign(f) * deadband)[active]
         if not d[3:].any():
             return Pose(x_r.position + d[:3], x_r.orientation)
         return Pose(x_r.position + d[:3], quat_mul_wxyz(from_rotation_vector(d[3:]), x_r.orientation))
@@ -300,17 +255,17 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
     def native_step(x_r, f, sliding, spinning):
         position, orientation = x_r.position, x_r.orientation
         fn = float(np.linalg.norm(f[:3]))
-        sliding = fn > (gains.kinetic_force if sliding else gains.breakaway_force)
+        sliding = fn > (ktc._KINETIC_FORCE if sliding else ktc._BREAKAWAY_FORCE)
         if sliding:
-            position = position + gains.gain * (fn - gains.kinetic_force) * (f[:3] / fn)
+            position = position + ktc._NATIVE_GAIN * (fn - ktc._KINETIC_FORCE) * (f[:3] / fn)
         tn = float(np.linalg.norm(f[3:]))
-        spinning = tn > (gains.kinetic_torque if spinning else gains.breakaway_torque)
+        spinning = tn > (ktc._KINETIC_TORQUE if spinning else ktc._BREAKAWAY_TORQUE)
         if spinning:
-            delta = gains.rot_gain * (tn - gains.kinetic_torque) * (f[3:] / tn)
+            delta = ktc._NATIVE_ROT_GAIN * (tn - ktc._KINETIC_TORQUE) * (f[3:] / tn)
             orientation = quat_mul_wxyz(from_rotation_vector(delta), orientation)
         return Pose(position, orientation), sliding, spinning
 
-    x_r = human.waypoints[0]
+    x_r = waypoints[0]
     prev_pos = hand_pos = x_r.position
     prev_q = hand_q = x_r.orientation
     hand_vel = np.zeros(3)
@@ -319,48 +274,46 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
     target = 0
     k = 0
     while True:
-        while target < len(human.waypoints) and (
-            np.linalg.norm(x_r.position - human.waypoints[target].position) <= human.capture_radius
+        while target < len(waypoints) and (
+            np.linalg.norm(x_r.position - waypoints[target].position) <= ktc._CAPTURE_RADIUS
         ):
             target += 1
         times.append(k * h)
         poses.append(x_r)
-        if target == len(human.waypoints):
+        if target == len(waypoints):
             wrenches.append(np.zeros(6))
             break
-        goal = human.waypoints[target]
+        goal = waypoints[target]
         to_goal = goal.position - hand_pos
         dist = float(np.linalg.norm(to_goal))
         desired = np.zeros(3)
-        if dist > 0.0 and np.linalg.norm(hand_pos - x_r.position) < human.stretch_limit:
-            desired = to_goal * (min(human.hand_speed, math.sqrt(2.0 * human.hand_accel * dist)) / dist)
+        if dist > 0.0 and np.linalg.norm(hand_pos - x_r.position) < stretch_limit:
+            desired = to_goal * (min(ktc._HAND_SPEED, math.sqrt(2.0 * ktc._HAND_ACCEL * dist)) / dist)
         dv = desired - hand_vel
         dvn = float(np.linalg.norm(dv))
         if dvn > 0.0:
-            hand_vel = hand_vel + dv * min(1.0, human.hand_accel * h / dvn)
+            hand_vel = hand_vel + dv * min(1.0, ktc._HAND_ACCEL * h / dvn)
         hand_pos = hand_pos + hand_vel * h
         rot_gap = relative_rotation_vector(goal.orientation, hand_q)
         gap = float(np.linalg.norm(rot_gap))
         rot_lag = relative_rotation_vector(hand_q, x_r.orientation)
-        if gap > 0.0 and np.linalg.norm(rot_lag) < human.rot_stretch_limit:
-            step = min(human.hand_rot_speed * h, gap)
+        if gap > 0.0 and np.linalg.norm(rot_lag) < rot_stretch_limit:
+            step = min(ktc._HAND_ROT_SPEED * h, gap)
             hand_q = quat_mul_wxyz(from_rotation_vector(rot_gap * (step / gap)), hand_q)
 
         v = (x_r.position - prev_pos) / h
         omega = relative_rotation_vector(x_r.orientation, prev_q) / h
-        force = human.grip_stiffness * (hand_pos - x_r.position) - human.grip_damping * v
+        force = ktc._GRIP_STIFFNESS * (hand_pos - x_r.position) - ktc._GRIP_DAMPING * v
         rot_err = relative_rotation_vector(hand_q, x_r.orientation)
-        torque = human.rot_stiffness * rot_err - human.rot_damping * omega
-        applied = np.concatenate(
-            [clip_norm(force, human.force_saturation), clip_norm(torque, human.torque_saturation)]
-        )
+        torque = ktc._ROT_STIFFNESS * rot_err - ktc._ROT_DAMPING * omega
+        applied = np.concatenate([clip_norm(force, force_saturation), clip_norm(torque, torque_saturation)])
         wrenches.append(applied)
         sensed = applied
         if noisy:
             sensed = applied + np.concatenate(
                 [rng.normal(scale=force_noise_std, size=3), rng.normal(scale=torque_noise_std, size=3)]
             )
-        if isinstance(gains, AdmittanceGains):
+        if controller == "proposed":
             x_c = admittance_step(x_r, sensed)
         else:
             x_c, sliding, spinning = native_step(x_r, sensed, sliding, spinning)
@@ -376,95 +329,66 @@ def reference_demonstration(human, gains, force_noise_std=0.0, torque_noise_std=
 class TestVirtualHuman:
     def test_rejects_empty_waypoints(self):
         with pytest.raises(ValueError, match="at least one waypoint"):
-            VirtualHuman(waypoints=())
-
-    def test_rejects_nonpositive_params(self):
-        with pytest.raises(ValueError, match="hand_speed"):
-            VirtualHuman(waypoints=(Pose(np.zeros(3)),), hand_speed=0.0)
-        with pytest.raises(ValueError, match="capture_radius"):
-            VirtualHuman(waypoints=(Pose(np.zeros(3)),), capture_radius=-1.0)
+            simulate_demonstration((), "proposed")
 
 
 class TestSimulateDemonstration:
+    @pytest.mark.parametrize("controller", ["foo", "Proposed", ""])
+    def test_rejects_unknown_controller(self, controller):
+        with pytest.raises(ValueError, match=f"controller must be 'proposed' or 'native', got {controller!r}$"):
+            simulate_demonstration(line_waypoints(), controller)
+
     def test_single_waypoint_terminates_immediately(self):
-        human = VirtualHuman(waypoints=(Pose(np.array([0.1, 0.0, 0.0])),))
-        traj = simulate_demonstration(human, proposed_gains())
+        traj = simulate_demonstration((Pose(np.array([0.1, 0.0, 0.0])),), "proposed")
         assert len(traj) == 1
         assert traj.duration == 0.0
         assert np.array_equal(traj.wrenches, np.zeros((1, 6)))
 
     def test_reaches_final_waypoint(self):
-        human = VirtualHuman(waypoints=line_waypoints())
-        traj = simulate_demonstration(human, proposed_gains())
-        assert np.linalg.norm(traj.positions[-1] - [0.05, 0, 0]) <= human.capture_radius
+        traj = simulate_demonstration(line_waypoints(), "proposed")
+        assert np.linalg.norm(traj.positions[-1] - [0.05, 0, 0]) <= ktc._CAPTURE_RADIUS
         assert traj.is_uniform()
         assert traj.median_dt == pytest.approx(0.01, rel=1e-9)
 
     def test_logged_wrench_respects_saturation(self):
-        proposed, native_h = preset_humans(seed=0)
-        for human, gains in ((proposed, proposed_gains()), (native_h, native_drive())):
-            traj = simulate_demonstration(human, gains)
+        for controller, (force_saturation, torque_saturation) in CONTROLLERS.items():
+            traj = simulate_demonstration(*default_teach_setup(controller, seed=0))
             fn = np.linalg.norm(traj.wrenches[:, :3], axis=1)
             tn = np.linalg.norm(traj.wrenches[:, 3:], axis=1)
-            assert fn.max() <= human.force_saturation + 1e-12
-            assert tn.max() <= human.torque_saturation + 1e-12
+            assert fn.max() <= force_saturation + 1e-12
+            assert tn.max() <= torque_saturation + 1e-12
 
     def test_deterministic_with_noise(self):
-        human = VirtualHuman(waypoints=line_waypoints())
+        waypoints = line_waypoints()
         kw = dict(force_noise_std=0.2, torque_noise_std=0.02, seed=42)
-        a = simulate_demonstration(human, proposed_gains(), **kw)
-        b = simulate_demonstration(human, proposed_gains(), **kw)
+        a = simulate_demonstration(waypoints, "proposed", **kw)
+        b = simulate_demonstration(waypoints, "proposed", **kw)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.orientations, b.orientations)
         assert np.array_equal(a.wrenches, b.wrenches)
-        c = simulate_demonstration(human, proposed_gains(), force_noise_std=0.2, torque_noise_std=0.02, seed=43)
+        c = simulate_demonstration(waypoints, "proposed", force_noise_std=0.2, torque_noise_std=0.02, seed=43)
         assert not np.array_equal(a.positions, c.positions)
 
-    def test_masked_axis_never_moves(self):
-        # z disabled: a path confined to the xy plane still completes while
-        # the z coordinate stays bit-identical to the start
-        waypoints = [
-            Pose(np.array([0.0, 0.0, 0.02])),
-            Pose(np.array([0.04, 0.01, 0.02])),
-            Pose(np.array([0.08, -0.01, 0.02])),
-        ]
-        base = proposed_gains()
-        gains = AdmittanceGains(
-            k_s_inv=base.k_s_inv,
-            k_a=base.k_a,
-            deadband=base.deadband,
-            axis_mask=(True, True, False, True, True, True),
-        )
-        human = VirtualHuman(waypoints=waypoints)
-        traj = simulate_demonstration(human, gains)
-        assert np.all(traj.positions[:, 2] == 0.02)
-
     def test_timeout_carries_partial_log(self):
-        human = VirtualHuman(waypoints=line_waypoints(0.5))
         with pytest.raises(TeachTimeout, match="timeout after reaching 1 of 2") as exc:
-            simulate_demonstration(human, proposed_gains(), max_duration=0.5)
+            simulate_demonstration(line_waypoints(0.5), "proposed", max_duration=0.5)
         partial = exc.value.partial
         assert len(partial) == 50
         assert exc.value.reached == 1 and exc.value.total == 2
 
-    def test_stiffer_gains_teach_slower(self):
-        human = VirtualHuman(waypoints=line_waypoints())
-        base = proposed_gains()
-        stiff = AdmittanceGains(
-            k_s_inv=base.k_s_inv / 10.0,
-            k_a=base.k_a / 10.0,
-            deadband=base.deadband,
-        )
-        fast = simulate_demonstration(human, base)
-        slow = simulate_demonstration(human, stiff)
+    def test_stiffer_gains_teach_slower(self, monkeypatch):
+        fast = simulate_demonstration(line_waypoints(), "proposed")
+        monkeypatch.setattr(ktc, "_GAIN", tuple(g / 10.0 for g in ktc._GAIN))
+        slow = simulate_demonstration(line_waypoints(), "proposed")
         assert slow.duration > fast.duration
 
-    def test_weak_human_cannot_backdrive_native(self):
-        # below the 40 N breakaway nothing moves at all
-        human = VirtualHuman(waypoints=line_waypoints(), force_saturation=12.0)
+    def test_weak_human_cannot_backdrive_native(self, monkeypatch):
+        # gripping as gently as against the proposed controller stays below
+        # the 40 N breakaway, so nothing moves at all
+        monkeypatch.setitem(ktc.CONTROLLERS, "native", (12.0, 1.0))
         with pytest.raises(TeachTimeout) as exc:
-            simulate_demonstration(human, native_drive(), max_duration=2.0)
+            simulate_demonstration(line_waypoints(), "native", max_duration=2.0)
         partial = exc.value.partial
         assert np.all(partial.positions == 0.0)
         assert np.linalg.norm(partial.wrenches[:, :3], axis=1).max() <= 12.0 + 1e-12
@@ -490,9 +414,8 @@ class TestSimulateDemonstration:
             assert np.max(np.abs(got.wrenches - want.wrenches)) <= 1e-9
 
     def test_proposed_beats_native_on_preset_path(self):
-        proposed, native_h = preset_humans(seed=3)
-        tp = simulate_demonstration(proposed, proposed_gains(), seed=3)
-        tn = simulate_demonstration(native_h, native_drive(), seed=3)
+        tp = simulate_demonstration(*default_teach_setup("proposed", seed=3), seed=3)
+        tn = simulate_demonstration(*default_teach_setup("native", seed=3), seed=3)
         jp, jn = jerk_metrics(tp), jerk_metrics(tn)
         assert tp.duration < tn.duration
         assert jp["mean"] < jn["mean"]
