@@ -15,7 +15,6 @@ identity attitude is straight down.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -23,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmp import PoseDmp, RolloutDiverged, rollout
-from .ktc import plant_step
+from .dmp import PoseDmp, RolloutDiverged, linear_scan, rollout
+from .ktc import PLANT_TIME_CONSTANT, plant_step
 from .metrics import jerk_metrics
-from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between
+from .se3 import Pose, from_rotation_vector_rows, quat_mul_rows, quat_mul_wxyz, quat_normalize
+from .se3 import quat_rotate_wxyz, relative_rotation_vector_rows, rotation_between
 from .trajectory import ParseError, Trajectory, _brief_repr, fmt_float
 from .vision import (
     BarScene,
@@ -332,76 +332,107 @@ def _detectable(scene: BarScene, cam: CameraModel, hole_id: int) -> bool:
     return True
 
 
-def _contact_project(
-    p: np.ndarray,
-    center: np.ndarray,
-    axis: np.ndarray,
-    bar_inv: Pose,
-    half_dims: np.ndarray,
-    clearance: float,
-) -> np.ndarray:
-    """Chamfer-style contact with the true bar.
+def _contact_model(scene: BarScene, hole_id: int, clearance: float) -> tuple[float, ...]:
+    """The floats :func:`_contact_project` reads, in the world frame: the
+    hole center and axis, the bar origin, the bar's x and y axes and its half
+    extents along them, then the clearance."""
+    return (
+        *scene.hole_center_world(hole_id).tolist(),
+        *scene.hole_axis_world(hole_id).tolist(),
+        *scene.bar.position.tolist(),
+        *scene.bar.transform_direction((1.0, 0.0, 0.0)).tolist(),
+        *scene.bar.transform_direction((0.0, 1.0, 0.0)).tolist(),
+        float(scene.dims[0]) / 2.0,
+        float(scene.dims[1]) / 2.0,
+        float(clearance),
+    )
+
+
+def _contact_project(p: tuple[float, float, float], model: tuple[float, ...]) -> tuple[float, float, float]:
+    """Chamfer-style contact with the true bar, for the position ``p`` and a
+    :func:`_contact_model`; ``p`` itself when motion is free.
 
     Above the top face (or off the bar footprint) motion is free; inside the
     hole the wall caps the lateral offset; within the chamfer band the peg
     funnels in; farther out the face blocks descent.  Attitude is untouched:
     the peg is short enough that wall torque is negligible at these tilts.
     """
-    rel = p - center
-    h = float(rel @ axis)
+    cx, cy, cz, ax, ay, az, ox, oy, oz, ux, uy, uz, vx, vy, vz, half_x, half_y, clearance = model
+    px, py, pz = p
+    rx, ry, rz = px - cx, py - cy, pz - cz
+    h = rx * ax + ry * ay + rz * az
     if h >= 0.0:
         return p
-    local = bar_inv.transform_point(p)
-    if abs(local[0]) > half_dims[0] or abs(local[1]) > half_dims[1]:
+    bx, by, bz = px - ox, py - oy, pz - oz
+    if abs(bx * ux + by * uy + bz * uz) > half_x or abs(bx * vx + by * vy + bz * vz) > half_y:
         return p
-    lat = rel - h * axis
-    r = float(np.linalg.norm(lat))
+    lx, ly, lz = rx - h * ax, ry - h * ay, rz - h * az
+    r = math.sqrt(lx * lx + ly * ly + lz * lz)
     if r <= clearance:
         return p
     if r <= clearance + _SNAP_BAND:
         # land a hair inside the wall so the boundary comparison stays robust
-        return center + h * axis + lat * (clearance * (1.0 - 1e-9) / r)
-    return p - h * axis
+        s = clearance * (1.0 - 1e-9) / r
+        return cx + h * ax + lx * s, cy + h * ay + ly * s, cz + h * az + lz * s
+    return px - h * ax, py - h * ay, pz - h * az
 
 
 def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> Trajectory:
     """Track the plan on the lagged plant, contact-projected against the
-    true hole each step, then hold the last command until the lag dies.
+    true hole each tick, then hold the last command until the lag dies.
 
-    Plant states are float tuples ``(px, py, pz, qw, qx, qy, qz)``; the
-    numpy contact model runs only on ticks not clearly above the top face."""
-    center = scene.hole_center_world(hole_id)
-    axis = scene.hole_axis_world(hole_id)
-    bar_inv = scene.bar.inverse()
-    half_dims = np.asarray(scene.dims, dtype=float) / 2.0
-    cx, cy, cz = center.tolist()
-    ax, ay, az = axis.tolist()
-    n_cmd = len(cmd)
+    The plant is a first-order lag with time constant T. Each tick of
+    interval dt, the position closes the gap to the command by
+    a = 1 - exp(-dt/T), and so does the attitude in the log chart of the
+    last command g, e = log(q * conj(g)), the chart ``dmp.rollout`` replays
+    in: e_r[k] = (1 - a) e_r[k-1] + a e_c[k]. Free motion of all six axes is
+    then one linear scan over every tick. Contact never moves the attitude,
+    so its scan is final. The scanned position holds up to the first tick at
+    or below the top face; from there a float loop steps the position
+    through ``plant_step`` and :func:`_contact_project`.
+
+    One lag factor serves every tick, so the plan's intervals must agree to
+    1e-9 relative.
+    """
     dts = np.diff(cmd.times)
-    n_hold = int(round(_SETTLE_TIME / dts[-1]))
-    times = np.concatenate([cmd.times, cmd.times[-1] + np.arange(1, n_hold + 1) * dts[-1]])
-    dts = np.concatenate([dts, np.full(n_hold, dts[-1])])
+    dt = float(dts[-1])
+    if np.ptp(dts) > 1e-9 * dt:
+        raise ValueError(f"plan intervals must be uniform, got {dts.min():.9g} to {dts.max():.9g} s")
+    n_cmd = len(cmd)
+    n = n_cmd + int(round(_SETTLE_TIME / dt))
+    times = np.concatenate([cmd.times, cmd.times[-1] + np.arange(1, n - n_cmd + 1) * dt])
 
-    cmd_rows = array("d", np.hstack([cmd.positions, cmd.orientations]).tobytes())
-    rows = cmd_rows[:7]  # row 0 is the raw command row
-    x_r = x_c = (*rows[:3], *quat_normalize(*rows[3:]))
-    for i, dt in enumerate(dts.tolist(), start=1):
-        if i < n_cmd:
-            px, py, pz, qw, qx, qy, qz = cmd_rows[7 * i : 7 * i + 7]
-            x_c = (px, py, pz, *quat_normalize(qw, qx, qy, qz))
-        x_r = plant_step(x_r, x_c, dt)
-        # free motion when clearly above the top face; the margin dwarfs the
-        # rounding by which _contact_project's numpy dot may differ
-        if (x_r[0] - cx) * ax + (x_r[1] - cy) * ay + (x_r[2] - cz) * az <= 1e-9:
-            p = np.array(x_r[:3])
-            proj = _contact_project(p, center, axis, bar_inv, half_dims, scenario.clearance)
-            if proj is not p:
-                x_r = (*proj.tolist(), *x_r[3:])
-        rows.extend(x_r)
+    goal = tuple(cmd.orientations[-1].tolist())
+    g = cmd.orientations[-1:]
+    # column k holds tick k's command (position, attitude error), the last one
+    # held through the settle; the scan overwrites it with the reached state
+    lag = np.empty((6, n))
+    lag[:3, :n_cmd] = cmd.positions.T
+    lag[3:, :n_cmd] = relative_rotation_vector_rows(cmd.orientations, g).T
+    lag[:, n_cmd:] = lag[:, n_cmd - 1 : n_cmd]
+    lam = -dt / PLANT_TIME_CONSTANT
+    lag[:, 1:] *= -math.expm1(lam)
+    linear_scan(lag[:, 1:], lam, lag[:, 0])
+    orientations = quat_mul_rows(from_rotation_vector_rows(lag[3:].T), g)
 
-    del cmd_rows  # freed before Trajectory copies the rows, to keep the peak memory down
-    table = np.frombuffer(rows, dtype=float).reshape(-1, 7)
-    return Trajectory(times, table[:, :3], table[:, 3:])
+    model = _contact_model(scene, hole_id, scenario.clearance)
+    cx, cy, cz, ax, ay, az = model[:6]
+    # the margin dwarfs the scan's rounding, so no contact is missed
+    height = (lag[0] - cx) * ax + (lag[1] - cy) * ay + (lag[2] - cz) * az
+    below = np.flatnonzero(height[1:] <= 1e-9)
+    positions = lag[:3].T
+    if len(below):
+        k0 = int(below[0]) + 1
+        commands = cmd.positions[k0:].tolist() + [cmd.positions[-1].tolist()] * (n - max(k0, n_cmd))
+        # the same attitude on both sides: plant_step moves the position only
+        x_r = (*positions[k0 - 1].tolist(), *goal)
+        reached = []
+        for c in commands:
+            p = _contact_project(plant_step(x_r, (*c, *goal), dt, PLANT_TIME_CONSTANT)[:3], model)
+            x_r = (*p, *goal)
+            reached.append(p)
+        positions[k0:] = reached
+    return Trajectory(times, positions, orientations)
 
 
 def _score(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[float, float, float]:

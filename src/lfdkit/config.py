@@ -17,7 +17,7 @@ from typing import Any
 
 from .assembly import _PLAN_DT, MAX_TRIALS
 from .dmp import check_basis_layout, demo_steps, rollout_steps
-from .ktc import _check_controller
+from .ktc import PLANT_TIME_CONSTANT, _check_controller
 from .trajectory import ParseError, _brief_repr, read_json, write_json
 
 __all__ = [
@@ -143,7 +143,7 @@ class TeachSection:
     controller: str = "proposed"
     rate: float = 100.0
     max_duration: float = 60.0
-    plant_time_constant: float = 0.05
+    plant_time_constant: float = PLANT_TIME_CONSTANT
     force_noise_std: float = 0.0
     torque_noise_std: float = 0.0
     waypoint_scale: float = 0.12

@@ -379,7 +379,7 @@ def fit_pose_dmp(
     )
 
 
-def _linear_scan(y: np.ndarray, lam: float | complex, carry: np.ndarray) -> None:
+def linear_scan(y: np.ndarray, lam: float | complex, carry: np.ndarray) -> None:
     """In place along the last axis: y[..., k] += r * y[..., k-1], r = exp(lam),
     where y[..., -1] is ``carry``.
 
@@ -446,8 +446,8 @@ def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> n
     buf = np.empty((len(e0), len(u) + 2), dtype=np.result_type(lam1, lam2))
     buf[:, :2] = e0[:, None]
     buf[:, 2:] = u.T
-    _linear_scan(buf[:, 2:], lam1, mu2 * e0)
-    _linear_scan(buf[:, 2:], lam2, e0)
+    linear_scan(buf[:, 2:], lam1, mu2 * e0)
+    linear_scan(buf[:, 2:], lam2, e0)
     return buf.real.T.copy()
 
 

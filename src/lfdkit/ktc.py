@@ -71,6 +71,10 @@ _ROT_STIFFNESS = 50.0
 _ROT_DAMPING = 1.0
 _CAPTURE_RADIUS = 0.006
 
+# time constant (s) of the position-controlled robot's first-order lag, in
+# teaching and in trial execution alike
+PLANT_TIME_CONSTANT = 0.05
+
 
 def _check_controller(controller: str) -> None:
     """Raise a one-line ValueError unless ``controller`` names an entry of
@@ -123,7 +127,7 @@ def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def plant_step(
-    x_r: tuple[float, ...], x_c: tuple[float, ...], dt: float, time_constant: float = 0.05
+    x_r: tuple[float, ...], x_c: tuple[float, ...], dt: float, time_constant: float = PLANT_TIME_CONSTANT
 ) -> tuple[float, ...]:
     """One tick of the position-controlled robot, a first-order lag from the
     reached state x_r toward the commanded state x_c: the position closes the
@@ -169,7 +173,7 @@ def simulate_demonstration(
     controller: str,
     rate: float = 100.0,
     max_duration: float = 60.0,
-    plant_time_constant: float = 0.05,
+    plant_time_constant: float = PLANT_TIME_CONSTANT,
     force_noise_std: float = 0.0,
     torque_noise_std: float = 0.0,
     seed: int = 0,

@@ -75,7 +75,12 @@ def quat_normalize(
 def from_rotation_vector(r) -> tuple[float, float, float, float]:
     """The rotation of full-angle vector r (angle below 2*pi), through
     :func:`quat_exp_wxyz`: past a half turn it keeps w < 0."""
-    return quat_exp_wxyz(tuple((0.5 * np.asarray(r, dtype=float)).tolist()))
+    x, y, z = np.asarray(r, dtype=float).tolist()
+    # the norm quat_exp_wxyz takes of the half vector, exactly doubled
+    n = math.sqrt(x * x + y * y + z * z)
+    if not n < 2.0 * math.pi:
+        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, 2 pi)")
+    return quat_exp_wxyz((0.5 * x, 0.5 * y, 0.5 * z))
 
 
 def rotation_between(u, v) -> tuple[float, float, float, float]:
@@ -268,10 +273,11 @@ def rotation_vector_rows(q: np.ndarray) -> np.ndarray:
 def from_rotation_vector_rows(r: np.ndarray) -> np.ndarray:
     """:func:`from_rotation_vector` per row, on the same domain (full angle
     below 2*pi) and equally left off the canonical hemisphere."""
-    h = 0.5 * np.asarray(r, dtype=float)
-    n = np.linalg.norm(h, axis=1)
-    if not np.all(n < math.pi):
-        raise ValueError(f"rotation-vector norm {np.max(n):.6g} is outside the domain [0, pi)")
+    r = np.asarray(r, dtype=float)
+    n = np.linalg.norm(r, axis=1)
+    if not np.all(n < 2.0 * math.pi):
+        raise ValueError(f"rotation-vector norm {np.max(n):.6g} is outside the domain [0, 2 pi)")
+    h, n = 0.5 * r, 0.5 * n  # the half-angle vector and its norm, both exact
     q = np.column_stack([np.cos(n), np.sinc(n / math.pi)[:, None] * h])  # sinc(n/pi) = sin(n)/n
     return q / np.linalg.norm(q, axis=1)[:, None]
 

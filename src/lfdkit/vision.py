@@ -356,6 +356,8 @@ def detection_range_sweep(
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {_brief_repr(seed)}")
+    if not all(math.isfinite(v) for v in (yaw_start, yaw_stop, step)):
+        raise ValueError(f"yaw range must be finite, got start {yaw_start!r}, stop {yaw_stop!r}, step {step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     _check_corruption(noise_sigma, dropout)

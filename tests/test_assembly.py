@@ -2,7 +2,7 @@
 end-to-end trials against the true scene, and batch determinism."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import lfdkit.assembly
 from lfdkit.assembly import (
     MAX_TRIALS,
+    _contact_model,
     _contact_project,
     _run_plan,
     _score,
@@ -36,7 +37,9 @@ from lfdkit.assembly import (
 )
 from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
-from lfdkit.se3 import Pose, from_rotation_vector, quat_normalize, quat_rotate_wxyz, slerp_wxyz
+from lfdkit.ktc import PLANT_TIME_CONSTANT
+from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
+from lfdkit.se3 import relative_rotation_vector_rows, rotation_vector_wxyz, slerp_wxyz
 from lfdkit.trajectory import ParseError, Trajectory
 from lfdkit.vision import CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
@@ -552,58 +555,37 @@ class TestScenarioValidation:
         assert not meets_tolerances(math.nan, math.nan, math.nan, scenario)
 
 
-@dataclass(frozen=True)
-class _LagState:
-    x_r: Pose
-    x_c: Pose
-    time_constant: float = 0.05
-
-
-def _lag_step(state: _LagState, dt: float) -> _LagState:
-    a = 1.0 - math.exp(-dt / state.time_constant)
-    pos = state.x_r.position + a * (state.x_c.position - state.x_r.position)
-    qr, qc = state.x_r.orientation, state.x_c.orientation
-    orient = qr if qc == qr else slerp_wxyz(qr, qc, a)
-    return replace(state, x_r=Pose(pos, orient))
-
-
 def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
-    """The execution loop as it was written before the plant became a plain
-    function: a state object rebuilt with ``replace`` every tick, a nested
-    step closure, and a separate settle loop."""
-    center = scene.hole_center_world(hole_id)
-    axis = scene.hole_axis_world(hole_id)
-    bar_inv = scene.bar.inverse()
-    half_dims = np.asarray(scene.dims, dtype=float) / 2.0
-    cmd_t = plan.times
-    cmd_p = plan.positions
-    cmd_q = plan.orientations
+    """The execution law tick by tick on scalars: the position and the
+    attitude error in the last command's log chart each close the gap to
+    the command by a = 1 - exp(-dt/T), and the contact rule then projects
+    the position. Returns the trajectory and, alongside it, the attitudes of
+    the slerp lag the execution plant ran before (teaching still does)."""
+    model = _contact_model(scene, hole_id, scenario.clearance)
+    g = tuple(plan.orientations[-1].tolist())
+    conj_g = quat_conj_wxyz(g)
+    cmd_t = plan.times.tolist()
+    cmd_p = plan.positions.tolist()
+    cmd_q = [quat_normalize(*q) for q in plan.orientations.tolist()]
+    dt = cmd_t[-1] - cmd_t[-2]
+    n_hold = int(round(settle_time / dt))
+    ticks = list(zip(cmd_t, cmd_p, cmd_q))
+    ticks += [(cmd_t[-1] + (j + 1) * dt, cmd_p[-1], cmd_q[-1]) for j in range(n_hold)]
 
-    start = Pose(cmd_p[0], quat_normalize(*cmd_q[0]))
-    state = _LagState(start, start)
-    times = [float(cmd_t[0])]
-    out_p = [np.array(cmd_p[0])]
-    out_q = [np.array(cmd_q[0])]
-
-    def step(cmd, dt, t):
-        nonlocal state
-        state = _lag_step(replace(state, x_c=cmd), dt)
-        proj = _contact_project(state.x_r.position, center, axis, bar_inv, half_dims, scenario.clearance)
-        if proj is not state.x_r.position:
-            state = replace(state, x_r=Pose(proj, state.x_r.orientation))
-        times.append(t)
-        out_p.append(np.array(state.x_r.position))
-        out_q.append(np.array(state.x_r.orientation))
-
-    for i in range(1, cmd_t.size):
-        cmd = Pose(cmd_p[i], quat_normalize(*cmd_q[i]))
-        step(cmd, float(cmd_t[i] - cmd_t[i - 1]), float(cmd_t[i]))
-    dt = float(cmd_t[-1] - cmd_t[-2])
-    last = Pose(cmd_p[-1], quat_normalize(*cmd_q[-1]))
-    for j in range(int(round(settle_time / dt))):
-        step(last, dt, float(cmd_t[-1]) + (j + 1) * dt)
-
-    return Trajectory(np.array(times), np.vstack(out_p), np.vstack(out_q))
+    p, e, q_slerp = cmd_p[0], rotation_vector_wxyz(quat_mul_wxyz(cmd_q[0], conj_g)), cmd_q[0]
+    out_p, out_e, out_slerp = [p], [e], [q_slerp]
+    for (t0, _, _), (t1, c, q_c) in zip(ticks, ticks[1:]):
+        a = 1.0 - math.exp(-(t1 - t0) / PLANT_TIME_CONSTANT)
+        e_c = rotation_vector_wxyz(quat_mul_wxyz(q_c, conj_g))
+        p = _contact_project(tuple(pi + a * (ci - pi) for pi, ci in zip(p, c)), model)
+        e = tuple(ei + a * (ci - ei) for ei, ci in zip(e, e_c))
+        q_slerp = q_slerp if q_c == q_slerp else slerp_wxyz(q_slerp, q_c, a)
+        out_p.append(p)
+        out_e.append(e)
+        out_slerp.append(q_slerp)
+    out_q = [quat_mul_wxyz(from_rotation_vector(e), g) for e in out_e]
+    want = Trajectory(np.array([t for t, _, _ in ticks]), np.array(out_p), np.array(out_q))
+    return want, np.array(out_slerp)
 
 
 class TestRunPlan:
@@ -638,10 +620,14 @@ class TestRunPlan:
     def assert_same_as_reference(self, scenario, offset=0.0):
         plan, scene = self.plan(scenario, offset)
         got = _run_plan(plan, scenario, scene, self.HOLE)
-        want = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        want, slerp = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        # the scan and the tick loop round differently
         assert np.array_equal(got.times, want.times)
-        assert np.array_equal(got.positions, want.positions)
-        assert np.array_equal(got.orientations, want.orientations)
+        np.testing.assert_allclose(got.positions, want.positions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.orientations, want.orientations, rtol=0, atol=1e-12)
+        # the chart lag stays within 1e-5 rad of the slerp lag, tick by tick
+        apart = np.linalg.norm(relative_rotation_vector_rows(got.orientations, slerp), axis=1)
+        assert apart.max() <= 1e-5
         return _score(got, scene, self.HOLE)
 
     def test_noiseless_plan_matches_reference(self, scenario):
@@ -661,3 +647,11 @@ class TestRunPlan:
         # 2 mm off: beyond the chamfer, so the top face stops the descent
         lateral, _, depth = self.assert_same_as_reference(scenario, offset=2e-3)
         assert lateral > 1.5e-3 and abs(depth) < 1e-9
+
+    def test_non_uniform_intervals_rejected(self, scenario):
+        plan, scene = self.plan(scenario)
+        times = plan.times.copy()
+        times[-1] += 0.5 * (times[-1] - times[-2])
+        stretched = Trajectory(times, plan.positions, plan.orientations)
+        with pytest.raises(ValueError, match="plan intervals must be uniform"):
+            _run_plan(stretched, scenario, scene, self.HOLE)

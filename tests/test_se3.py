@@ -176,6 +176,19 @@ class TestLogExp:
         assert q[0] < 0.0
         assert np.allclose(rotation_vector_wxyz(q), r, atol=1e-12)
 
+    def test_domain_errors_name_the_callers_norm(self):
+        # a 400 degree yaw: full angle 6.98132, half angle 3.49066
+        r = (0.0, 0.0, math.radians(400.0))
+        full = r"norm 6\.98132 is outside the domain \[0, 2 pi\)"
+        with pytest.raises(ValueError, match=full):
+            from_rotation_vector(r)
+        with pytest.raises(ValueError, match=full):
+            from_rotation_vector_rows(np.array([[0.1, 0.0, 0.0], r]))
+        with pytest.raises(ValueError, match=r"norm 3\.49066 is outside the domain \[0, pi\)"):
+            quat_exp_wxyz((0.0, 0.0, 0.5 * r[2]))
+        with pytest.raises(ValueError, match=r"norm nan is outside the domain \[0, 2 pi\)"):
+            from_rotation_vector((math.nan, 0.0, 0.0))
+
     def test_from_rotation_vector_wraps_the_exp_kernel(self):
         for q in random_unit_quats(100, seed=8):
             r = 2.0 * np.array(quat_log_wxyz(q))

@@ -308,6 +308,16 @@ class TestDetectionRangeSweep:
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             detection_range_sweep(scene, cam, 0.0, 1.0, 0.1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [(-math.inf, 0.0, 0.1), (0.0, math.inf, 0.1), (0.0, math.nan, 0.1), (math.nan, 0.0, 0.1),
+         (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)],
+    )
+    def test_non_finite_range_is_named(self, start, stop, step):
+        # unchecked, the grid size raised OverflowError or a NaN-to-int error
+        with pytest.raises(ValueError, match="yaw range must be finite"):
+            detection_range_sweep(default_bar_scene(), default_camera(), start, stop, step)
+
     def test_corruption_arguments_rejected_before_the_loop(self):
         # caught inside the loop, these read as every hole undetected
         scene, cam = default_bar_scene(), default_camera()
