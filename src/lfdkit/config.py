@@ -19,6 +19,7 @@ from .assembly import _PLAN_DT, MAX_TRIALS
 from .dmp import check_basis_layout, demo_steps, rollout_steps
 from .ktc import PLANT_TIME_CONSTANT, _check_controller
 from .trajectory import ParseError, _brief_repr, read_json, write_json
+from .vision import sweep_yaw_count
 
 __all__ = [
     "DmpSection",
@@ -36,12 +37,10 @@ __all__ = [
     "save_config",
 ]
 
-# upper bounds on what a config may ask to allocate: rim points per mask,
-# yaws in a sweep grid, each of which runs every hole (10k yaws is a 0.016 deg
-# step over the default 160 deg), and teach ticks, one logged row each (an
-# hour at the default 100 Hz)
+# upper bounds on what a config may ask to allocate: rim points per mask and
+# teach ticks, one logged row each (an hour at the default 100 Hz); the sweep
+# grid's cap is vision.MAX_SWEEP_YAWS
 MAX_MASK_POINTS = 100_000
-MAX_SWEEP_YAWS = 10_000
 MAX_TEACH_STEPS = 360_000
 
 
@@ -188,12 +187,8 @@ class SweepSection:
         _finite(self)
         if not self.stop_deg >= self.start_deg:
             raise ValueError(f"stop_deg must be at least start_deg {self.start_deg!r}, got {self.stop_deg!r}")
-        # detection_range_sweep builds floor(span) + 1 yaws; count them first
-        span = (self.stop_deg - self.start_deg) / self.step_deg + 1e-9
-        if not span < MAX_SWEEP_YAWS:
-            raise ValueError(
-                f"sweep grid of {span + 1:.6g} yaws exceeds {MAX_SWEEP_YAWS}; raise step_deg"
-            )
+        # the grid detection_range_sweep builds from the cli's radians
+        sweep_yaw_count(*map(math.radians, (self.start_deg, self.stop_deg, self.step_deg)), "step_deg")
 
 
 @dataclass(frozen=True)

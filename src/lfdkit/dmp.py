@@ -28,6 +28,15 @@ all six axes are known in advance, and under explicit Euler each axis is a
 fixed second-order linear filter over that forcing. It factors into two
 first-order linear scans, each a scaled prefix sum (Blelloch 1990), run
 for all six axes at once; q = exp(e) * g maps the orientation back.
+
+The forcing is not scaled by the start or the goal, so a rollout is the
+superposition e[k] = h[k] e[0] + F[k] of the filter's unit response h and
+its forced response F (the DMP's linearity in start and goal, Ijspeert et
+al. 2013). Both depend only on the primitive, tau, dt and the step count;
+the module keeps them for the last such key, one entry, so replaying one
+primitive toward many goals scans once. A primitive's arrays are read-only
+copies, so it cannot change under that entry. Superposed rows differ from a
+single scan from e[0] in the last few bits only.
 """
 
 from __future__ import annotations
@@ -170,8 +179,10 @@ def _activations(s: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.n
 
 def _forcing_profile(
     weights: np.ndarray, centers: np.ndarray, widths: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """The normalized mixture of several axes sharing one basis layout, times s.
+) -> tuple[np.ndarray, int]:
+    """The normalized mixture of several axes sharing one basis layout, times
+    s, and the number of phase samples at which every basis underflowed
+    (their forcing is 0).
 
     weights: (n_axes, N); returns (len(s), n_axes).
     """
@@ -181,17 +192,13 @@ def _forcing_profile(
     # threaded BLAS, whose idle workers then spin against the caller's loop
     mix = np.einsum("kn,an->ka", psi, weights)
     bad = denom < _DENOM_FLOOR
-    if np.any(bad):
-        warnings.warn(
-            f"all bases underflowed at {int(bad.sum())} of {len(s)} phase samples",
-            ForcingUnderflow,
-            stacklevel=2,
-        )
+    underflows = int(bad.sum())
+    if underflows:
         denom = np.where(bad, 1.0, denom)
         mix[bad] = 0.0
     out = mix / denom[:, None]
     out *= s[:, None]
-    return out
+    return out, underflows
 
 
 def _moving_average(v: np.ndarray) -> np.ndarray:
@@ -326,15 +333,19 @@ class PoseDmp:
         for name in ("alpha_s", "alpha_z", "beta_z", "tau"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # own read-only copies, so the primitive cannot change under the
+        # responses rollout keeps for it
         for name in ("centers", "widths"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).reshape(-1))
         if self.n_basis > MAX_BASIS:  # each rollout builds a samples x n_basis matrix
             raise ValueError(f"a primitive holds at most {MAX_BASIS} basis functions, got {self.n_basis}")
         if not np.all(self.widths > 0):
             raise ValueError("widths must be positive")
         if not np.all((self.centers > 0) & (self.centers <= 1)):
             raise ValueError("centers must lie in (0, 1]")
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float).reshape(6, len(self.centers)))
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=float).reshape(6, len(self.centers)))
+        for name in ("centers", "widths", "weights"):
+            getattr(self, name).flags.writeable = False
 
     @property
     def n_basis(self) -> int:
@@ -451,6 +462,42 @@ def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> n
     return buf.real.T.copy()
 
 
+# the responses of the last primitive rolled out, matched on the instance
+# itself: (dmp, tau, dt, n_steps, unit, forced, underflows)
+_last_responses: tuple | None = None
+
+
+def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The Euler filter's unit response h, shape (n + 2,), its forced
+    response F, shape (n + 2, 6), for the n = len(times) - 1 steps of a
+    rollout, and the phase samples at which the forcing underflowed.
+
+    h starts at 1 without forcing and serves all six axes, which share one
+    filter; F starts at 0 under the primitive's forcing. Both are read-only
+    and kept for the last (primitive, tau, dt, n) asked for, as a batch
+    replays one primitive at one tau and dt toward every goal.
+    """
+    global _last_responses
+    n_steps = len(times) - 1
+    last = _last_responses
+    if last is not None and last[0] is dmp and last[1:4] == (tau, dt, n_steps):
+        return last[4:]
+    s_profile = np.exp(-dmp.alpha_s * times / tau)
+    az, bz = dmp.alpha_z, dmp.beta_z
+    adt = dt / tau
+    forcing, underflows = _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
+    c1, c0 = 2.0 - az * adt, 1.0 - az * adt + az * bz * adt * adt
+    # one scan: F on six axes from 0, and h on a seventh from 1 without forcing
+    u = np.zeros((n_steps, 7))
+    np.multiply(adt, adt * forcing[:n_steps], out=u[:, :6])
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable h overflows; only a moved axis uses it
+        both = _second_order_scan(np.eye(7)[6], u, c1, c0)
+    both.flags.writeable = False
+    unit, forced = both[:, 6], both[:, :6]
+    _last_responses = (dmp, tau, dt, n_steps, unit, forced, underflows)
+    return unit, forced, underflows
+
+
 def rollout(
     dmp: PoseDmp,
     start: Pose | None = None,
@@ -472,43 +519,58 @@ def rollout(
         e[k+2] = (2 - a) e[k+1] - (1 - a + b) e[k] + (dt/tau)^2 f[k],
         a = alpha_z dt/tau, b = alpha_z beta_z (dt/tau)^2, e[1] = e[0],
 
-    a second-order linear filter, run for the six axes in one scan (see
-    ``_second_order_scan``). Divergence is found row-wise: the first step
-    whose |z| over six axes plus |p| and |e| sum to 1e15 or more, or to NaN,
-    raises RolloutDiverged. The orientation comes back as q = exp(e) * g row
-    by row, an |e| of 2 pi or more first wrapped along its axis, which is the
-    same rotation.
+    a second-order linear filter (see ``_second_order_scan``). The forcing
+    does not depend on the start or the goal, so by superposition
+    e[k] = h[k] e[0] + F[k], with h the filter's unit response and F its
+    response to the forcing from e = 0 (Ijspeert et al. 2013). Both are
+    scanned once and kept for the last primitive, tau, dt and step count
+    rolled out; a rollout toward a new goal only forms h e[0] + F. An axis
+    that starts on its goal gets F alone, so an overflowing h cannot turn it
+    into 0 * inf. Superposed rows match one scan from e[0] to within a few
+    units in the last place.
+
+    Divergence is found row-wise: the first step whose |z| over six axes
+    plus |p| and |e| sum to 1e15 or more, or to NaN, raises RolloutDiverged.
+    Every call whose forcing underflowed warns ForcingUnderflow, a call
+    served from the kept responses included. The orientation comes back as
+    q = exp(e) * g row by row, an |e| of 2 pi or more first wrapped along its
+    axis, which is the same rotation.
     """
     start = dmp.demo_start if start is None else start
     goal = dmp.demo_goal if goal is None else goal
     tau = dmp.tau if tau is None else float(tau)
     n_steps = rollout_steps(tau, dt, horizon)
     times = np.arange(n_steps + 1) * dt
-    s_profile = np.exp(-dmp.alpha_s * times / tau)
-    az, bz = dmp.alpha_z, dmp.beta_z
+    unit, forced, underflows = _responses(dmp, tau, dt, times)
+    if underflows:
+        warnings.warn(
+            f"all bases underflowed at {underflows} of {n_steps + 1} phase samples", ForcingUnderflow, stacklevel=2
+        )
     adt = dt / tau
-    forcing = adt * _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
 
     gq = np.array([goal.orientation])
-    e0 = relative_rotation_vector_rows(np.array([start.orientation]), gq)[0]
-    err = _second_order_scan(
-        np.concatenate([start.position - goal.position, e0]),
-        adt * forcing[:n_steps],
-        2.0 - az * adt,
-        1.0 - az * adt + az * bz * adt * adt,
+    e0 = np.concatenate(
+        [start.position - goal.position, relative_rotation_vector_rows(np.array([start.orientation]), gq)[0]]
     )
+    err = forced.copy()
+    for axis in np.flatnonzero(e0):
+        err[:, axis] += unit * e0[axis]
     positions = err[:-1, :3] + goal.position
     rot = err[:-1, 3:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = (np.abs(np.diff(err, axis=0)) / adt).sum(axis=1) + np.abs(positions).sum(axis=1)
-        size += np.abs(rot).sum(axis=1)
-    bad = np.flatnonzero(~(size[1:] < 1e15))
-    if len(bad):
-        raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
-
-    angle = np.linalg.norm(rot, axis=1)
-    far = angle >= 2.0 * math.pi
-    rot[far] *= ((np.remainder(angle[far] + math.pi, 2.0 * math.pi) - math.pi) / angle[far])[:, None]
+    # the largest |e| bounds every row's sum and angle; the row-wise checks
+    # run only when that bound does not clear them (NaN never does)
+    bound = float(np.abs(err).max())
+    if not bound * (12.0 / adt + 6.0) + 3.0 * float(np.abs(goal.position).max()) < 1e14:
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = (np.abs(np.diff(err, axis=0)) / adt).sum(axis=1) + np.abs(positions).sum(axis=1)
+            size += np.abs(rot).sum(axis=1)
+        bad = np.flatnonzero(~(size[1:] < 1e15))
+        if len(bad):
+            raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
+    if not bound < 3.6:  # sqrt(3) * 3.6 < 2 pi
+        angle = np.linalg.norm(rot, axis=1)
+        far = angle >= 2.0 * math.pi
+        rot[far] *= ((np.remainder(angle[far] + math.pi, 2.0 * math.pi) - math.pi) / angle[far])[:, None]
     return Trajectory(times, positions, quat_mul_rows(from_rotation_vector_rows(rot), gq))
 
 

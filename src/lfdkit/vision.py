@@ -34,10 +34,15 @@ __all__ = [
     "fit_plane",
     "fit_circle3d",
     "hole_in_world",
+    "MAX_SWEEP_YAWS",
+    "sweep_yaw_count",
     "detection_range_sweep",
 ]
 
 _TOP_FACE_TOL = 1e-9
+# yaws in a sweep grid, each of which runs every hole (10k yaws is a 0.016 deg
+# step over the default 160 deg)
+MAX_SWEEP_YAWS = 10_000
 _LENS = ("fx", "fy", "cx", "cy")  # CameraModel's float intrinsics
 
 
@@ -336,6 +341,22 @@ def hole_in_world(est: HoleEstimate, cam: CameraModel) -> HoleEstimate:
     return HoleEstimate(center, axis, est.radius, est.rms)
 
 
+def sweep_yaw_count(yaw_start: float, yaw_stop: float, step: float, step_name: str = "step") -> int:
+    """Yaws on the grid ``yaw_start + i * step`` up to ``yaw_stop``, counted
+    in float arithmetic and refused past MAX_SWEEP_YAWS before any exists;
+    ``step_name`` names the step in the errors."""
+    if not all(math.isfinite(v) for v in (yaw_start, yaw_stop, step)):
+        raise ValueError(f"yaw range must be finite, got start {yaw_start!r}, stop {yaw_stop!r}, step {step!r}")
+    if step <= 0:
+        raise ValueError(f"{step_name} must be positive")
+    if yaw_stop < yaw_start:
+        raise ValueError("empty yaw range")
+    span = (yaw_stop - yaw_start) / step + 1e-9
+    if not span < MAX_SWEEP_YAWS:
+        raise ValueError(f"sweep grid of {span + 1:.6g} yaws exceeds {MAX_SWEEP_YAWS}; raise {step_name}")
+    return int(span) + 1
+
+
 def detection_range_sweep(
     scene: BarScene,
     cam: CameraModel,
@@ -356,14 +377,8 @@ def detection_range_sweep(
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {_brief_repr(seed)}")
-    if not all(math.isfinite(v) for v in (yaw_start, yaw_stop, step)):
-        raise ValueError(f"yaw range must be finite, got start {yaw_start!r}, stop {yaw_stop!r}, step {step!r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
     _check_corruption(noise_sigma, dropout)
-    if yaw_stop < yaw_start:
-        raise ValueError("empty yaw range")
-    count = int(math.floor((yaw_stop - yaw_start) / step + 1e-9)) + 1
+    count = sweep_yaw_count(yaw_start, yaw_stop, step)
     yaws = yaw_start + step * np.arange(count)
 
     rows = []

@@ -194,7 +194,7 @@ def test_a7_numeric_oracles():
     for s in np.linspace(1e-3, 1.0, 50):
         psi = np.exp(-widths * (s - centers) ** 2)
         direct = float(psi @ weights) / float(psi.sum())
-        assert abs(_forcing_profile(weights[None, :], centers, widths, np.array([s]))[0, 0] - s * direct) < 1e-12
+        assert abs(_forcing_profile(weights[None, :], centers, widths, np.array([s]))[0][0, 0] - s * direct) < 1e-12
 
     # exp/log round trip on 10^4 rotation vectors
     vecs = rng.normal(size=(10_000, 3))

@@ -15,7 +15,6 @@ from lfdkit.assembly import _PLAN_DT, MAX_TRIALS
 from lfdkit.cli import main
 from lfdkit.config import (
     MAX_MASK_POINTS,
-    MAX_SWEEP_YAWS,
     MAX_TEACH_STEPS,
     RunConfig,
     config_from_dict,
@@ -25,6 +24,7 @@ from lfdkit.config import (
 )
 from lfdkit.dmp import MAX_BASIS, MAX_ROWS
 from lfdkit.trajectory import ParseError
+from lfdkit.vision import MAX_SWEEP_YAWS
 
 
 class TestDefaults:
@@ -261,8 +261,9 @@ class TestBounds:
             {"start_deg": -80.0, "stop_deg": 80.0, "step_deg": 160.0 / MAX_SWEEP_YAWS},
             {"stop_deg": float("inf")},
             {"start_deg": float("nan")},
+            {"start_deg": 0.0, "stop_deg": 0.0, "step_deg": 5e-324},  # 0 rad: refused on load, not at run time
         ],
-        ids=["tiny-step", "one-over", "infinite-stop", "nan-start"],
+        ids=["tiny-step", "one-over", "infinite-stop", "nan-start", "step-zero-in-radians"],
     )
     def test_sweep_grid_is_capped(self, sweep):
         with pytest.raises(ParseError) as err:

@@ -15,15 +15,18 @@ The load-bearing checks are driven by independent oracles:
   substitution
 """
 
+import gc
 import json
 import math
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from lfdkit import dmp as dmp_module
 from lfdkit.cli import main
 from lfdkit.dmp import (
     MAX_BASIS,
@@ -71,8 +74,17 @@ def angle_between(a, b):
 def forcing_at(weights, centers, widths, s):
     """One axis of the forcing profile at phase s: the mixture times s."""
     w = np.asarray(weights, dtype=float)[None, :]
-    profile = _forcing_profile(w, np.asarray(centers, dtype=float), np.asarray(widths, dtype=float), np.array([s]))
+    profile, _ = _forcing_profile(w, np.asarray(centers, dtype=float), np.asarray(widths, dtype=float), np.array([s]))
     return float(profile[0, 0])
+
+
+def underflowing_dmp():
+    """Two narrow bases at the start of the phase: every basis underflows at
+    the late phase samples of a rollout."""
+    return PoseDmp(
+        alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0, centers=[1.0, 0.9], widths=[1e7, 1e7],
+        weights=np.full((6, 2), 5.0), demo_start=ORIGIN, demo_goal=ORIGIN,
+    )
 
 
 def smooth_demo(duration=3.0, seed=0, dt=1e-3):
@@ -156,8 +168,12 @@ class TestEvalForcing:
             assert forcing_at(np.full(30, 7.25), centers, widths, s) == pytest.approx(7.25 * s, rel=1e-12)
 
     def test_underflow_warns_and_returns_zero(self):
-        with pytest.warns(ForcingUnderflow):
-            assert forcing_at([5.0, 5.0], [1.0, 0.9], [1e7, 1e7], 0.01) == 0.0
+        dmp = underflowing_dmp()
+        profile, underflows = _forcing_profile(dmp.weights[:1], dmp.centers, dmp.widths, np.array([0.01]))
+        assert profile[0, 0] == 0.0 and underflows == 1
+        # a rollout reaches phases where these narrow bases all underflow
+        with pytest.warns(ForcingUnderflow, match=r"all bases underflowed at \d+ of 1501 phase samples"):
+            rollout(dmp)
 
     def test_validation(self):
         # a primitive checks its basis: weights per basis, positive widths
@@ -687,6 +703,101 @@ class TestEulerTranslationScan:
         c1, c0 = euler_coefficients(25.0, 6.25, 1e-3)
         got = _second_order_scan(self.E0, np.empty((0, 3)), c1, c0)
         np.testing.assert_array_equal(got, [self.E0, self.E0])
+
+
+class TestResponseMemo:
+    """A rollout forms h e[0] + F from the responses kept for the last
+    primitive, tau, dt and step count; these pin what that memo may not
+    change."""
+
+    @staticmethod
+    def goal(dmp, shift):
+        return Pose(dmp.demo_goal.position + np.asarray(shift), dmp.demo_goal.orientation)
+
+    def test_memo_hit_equals_cold_rollout(self):
+        dmp = fit_pose_dmp(smooth_demo(duration=1.0, seed=3))
+        near, far = self.goal(dmp, [0.02, -0.01, 0.03]), self.goal(dmp, [-0.05, 0.04, 0.0])
+        dmp_module._last_responses = None
+        cold = rollout(dmp, goal=near)
+        rollout(dmp, goal=far)
+        assert dmp_module._last_responses[0] is dmp
+        hit = rollout(dmp, goal=near)
+        for got, want in ((hit.times, cold.times), (hit.positions, cold.positions),
+                          (hit.orientations, cold.orientations)):
+            assert np.array_equal(got, want)
+
+    def test_memo_keys_on_tau_dt_and_steps(self):
+        dmp = fit_pose_dmp(smooth_demo(duration=1.0, seed=3))
+        # tau 1 s: each entry but the last two keeps 1,500 steps and changes tau or dt
+        assert dmp.tau == pytest.approx(1.0)
+        for kwargs in ({}, {"tau": 2.0, "horizon": 0.75}, {}, {"dt": 5e-4, "horizon": 0.75}, {"horizon": 1.0}, {}):
+            got = rollout(dmp, **kwargs)
+            dmp_module._last_responses = None
+            assert np.array_equal(got.positions, rollout(dmp, **kwargs).positions)
+
+    def test_memo_holds_only_the_last_primitive(self):
+        dmps = [zero_weight_dmp(tau=tau) for tau in (1.0, 1.5, 2.0)]
+        for dmp in dmps:
+            rollout(dmp)
+        last = dmps[-1]
+        refs = [weakref.ref(dmp) for dmp in dmps[:2]]
+        del dmps, dmp
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert dmp_module._last_responses[0] is last
+
+    def test_primitive_arrays_are_read_only_copies(self):
+        centers, widths = basis_layout(5, ALPHA_S)
+        weights = np.ones((6, 5))
+        dmp = PoseDmp(alpha_s=ALPHA_S, alpha_z=25.0, beta_z=6.25, tau=1.0, centers=centers, widths=widths,
+                      weights=weights, demo_start=ORIGIN, demo_goal=ORIGIN)
+        weights[0, 0] = 2.0
+        assert dmp.weights[0, 0] == 1.0 and weights.flags.writeable
+        for name in ("centers", "widths", "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dmp, name)[0] = 0.5
+        again = PoseDmp(**vars(dmp))
+        assert np.array_equal(again.weights, dmp.weights) and again.weights is not dmp.weights
+
+    def test_underflow_warns_on_a_cached_call(self):
+        dmp = underflowing_dmp()
+        dmp_module._last_responses = None
+        for _ in range(2):
+            with pytest.warns(ForcingUnderflow, match="of 1501 phase samples"):
+                rollout(dmp)
+        assert dmp_module._last_responses[0] is dmp
+
+    def test_axis_on_its_goal_stays_there_under_an_unstable_filter(self):
+        # alpha_z dt/tau = 5: h overflows, but e[0] = 0 and no forcing keep
+        # every axis at the goal; h * 0 would read 0 * inf as NaN
+        pose = Pose(np.array([0.1, -0.2, 0.3]), from_rotation_vector(np.array([0.1, 0.2, -0.3])))
+        centers, widths = basis_layout(50, ALPHA_S)
+        dmp = PoseDmp(alpha_s=ALPHA_S, alpha_z=500.0, beta_z=125.0, tau=1.0, centers=centers, widths=widths,
+                      weights=np.zeros((6, 50)), demo_start=pose, demo_goal=pose)
+        off_goal = Pose(pose.position + np.array([1e-3, 0.0, 0.0]), pose.orientation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either way
+            traj = rollout(dmp, dt=0.01, horizon=30.0)
+            # one axis off its goal meets the overflowing h and diverges
+            with pytest.raises(RolloutDiverged):
+                rollout(dmp, goal=off_goal, dt=0.01, horizon=30.0)
+        assert len(traj) == 3001
+        assert np.all(traj.positions == traj.positions[0])
+        assert np.all(traj.orientations == traj.orientations[0])
+        assert np.max(np.abs(traj.positions[0] - pose.position)) < 1e-15
+
+    def test_superposed_rows_match_one_scan(self):
+        dmp = fit_pose_dmp(smooth_demo(duration=1.0, seed=5))
+        goal = self.goal(dmp, [0.04, -0.07, 0.03])
+        n = rollout_steps(dmp.tau, 1e-3)
+        adt = 1e-3 / dmp.tau
+        s = np.exp(-dmp.alpha_s * (np.arange(n + 1) * 1e-3) / dmp.tau)
+        u = adt * (adt * _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s)[0][:n])
+        rel = quat_mul_wxyz(dmp.demo_start.orientation, quat_conj_wxyz(goal.orientation))
+        e0 = np.concatenate([dmp.demo_start.position - goal.position, rotation_vector_wxyz(rel)])
+        want = _second_order_scan(e0, u, *euler_coefficients(dmp.alpha_z, dmp.beta_z, adt))
+        got = rollout(dmp, goal=goal)
+        assert np.max(np.abs(got.positions - (want[:-1, :3] + goal.position))) <= 1e-15
 
 
 class TestRolloutEquivalence:

@@ -14,6 +14,7 @@ from lfdkit.presets import default_bar_scene, default_camera
 from lfdkit.se3 import Pose, from_rotation_vector, quat_mul_wxyz, quat_rotate_wxyz
 from lfdkit.trajectory import read_json, write_json
 from lfdkit.vision import (
+    MAX_SWEEP_YAWS,
     BarScene,
     CameraModel,
     HoleEstimate,
@@ -26,6 +27,7 @@ from lfdkit.vision import (
     fit_plane,
     scene_from_dict,
     scene_to_dict,
+    sweep_yaw_count,
     synthesize_mask,
 )
 
@@ -317,6 +319,22 @@ class TestDetectionRangeSweep:
         # unchecked, the grid size raised OverflowError or a NaN-to-int error
         with pytest.raises(ValueError, match="yaw range must be finite"):
             detection_range_sweep(default_bar_scene(), default_camera(), start, stop, step)
+
+    def test_grid_past_the_cap_rejected_before_it_exists(self):
+        # unchecked, a grid of 1e600 yaws raised OverflowError sizing np.arange
+        with pytest.raises(ValueError, match=f"sweep grid of inf yaws exceeds {MAX_SWEEP_YAWS}; raise step"):
+            detection_range_sweep(default_bar_scene(), default_camera(), 0.0, 1e300, 1e-300)
+        with pytest.raises(ValueError, match=f"10001 yaws exceeds {MAX_SWEEP_YAWS}"):
+            detection_range_sweep(default_bar_scene(), default_camera(), 0.0, 1e4, 1.0)
+
+    def test_yaw_count_at_the_cap(self):
+        assert sweep_yaw_count(0.0, MAX_SWEEP_YAWS - 1.0, 1.0) == MAX_SWEEP_YAWS
+        assert sweep_yaw_count(-0.1, 0.1, 0.1) == 3
+        assert sweep_yaw_count(0.5, 0.5, 1e-300) == 1
+        with pytest.raises(ValueError, match="raise step_deg"):
+            sweep_yaw_count(0.0, float(MAX_SWEEP_YAWS), 1.0, "step_deg")
+        with pytest.raises(ValueError, match="step_deg must be positive"):
+            sweep_yaw_count(0.0, 1.0, 0.0, "step_deg")
 
     def test_corruption_arguments_rejected_before_the_loop(self):
         # caught inside the loop, these read as every hole undetected
