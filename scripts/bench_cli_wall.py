@@ -25,7 +25,11 @@ Each checkout writes into its own directory. After the last round every
 command's stdout and output files are compared byte for byte across the
 two checkouts; ``identical`` in the JSON records the result per command
 and file, any difference is printed, and the script exits 1 if there is
-one. The JSON also holds min and median wall time per command and
+one. Then each command of ``INVALID`` (a bad flag value, or a config file
+with one value out of range) runs once per checkout, untimed; it must exit
+non-zero, and its exit status and stderr must match across the two
+checkouts byte for byte. ``invalid`` in the JSON records both, and any
+difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
 checkout, every sample, both git shas, the Python and numpy versions and
 the core count. Five repeats take under two minutes on a 2-vCPU host.
 """
@@ -67,6 +71,17 @@ CLI = [sys.executable, "-m", "lfdkit.cli"]
 ABORT_EVENTS = "0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n4 motion_done\n5 abort\n"
 # force and torque noise on what the proposed controller senses
 TEACH_NOISE = json.dumps({"teach": {"force_noise_std": 0.3, "torque_noise_std": 0.03}}) + "\n"
+# config files with one value out of range, written into each output directory
+BAD_CONFIGS = {
+    "bad_trial_noise.json": {"trial": {"noise_sigma": -1}},
+    "bad_localize_dropout.json": {"localize": {"dropout": 1.0}},
+    "bad_trial_few_points.json": {"trial": {"mask_points": 2}},
+    "bad_trial_many_points.json": {"trial": {"mask_points": 100001}},
+    "bad_trial_clearance.json": {"trial": {"clearance": 0}},
+    "bad_trial_hole.json": {"trial": {"hole_id": 7}},
+    "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
+    "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
+}
 
 
 def cli(*args: str, out: str, also: tuple[str, ...] = ()) -> tuple[list[str], tuple[str, ...]]:
@@ -107,6 +122,15 @@ COMMANDS = {
     "run_detection_sweep.py --seeds 1": script(
         "run_detection_sweep.py", "--seeds", "1", "--out", "sweep_rows.csv", writes=("sweep_rows.csv",)),
 }
+# name -> argv of a command that must fail: exit status and stderr are compared
+INVALID = {
+    "trial --hole 7": cli("trial", "--hole", "7", out="bad.json")[0],
+    "localize --hole 7": cli("localize", "--hole", "7", out="bad.csv")[0],
+    "batch --n 0": cli("batch", "--n", "0", out="bad.json")[0],
+    "trial --seed -1": cli("trial", "--seed", "-1", out="bad.json")[0],
+    "sweep --start-deg 10 --stop-deg -10": cli("sweep", "--start-deg", "10", "--stop-deg", "-10", out="bad.csv")[0],
+    **{f"trial --config {name}": cli("trial", "--config", name, out="bad.json")[0] for name in BAD_CONFIGS},
+}
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -117,12 +141,17 @@ def git_sha(checkout: Path) -> str:
     return done.stdout.strip() + (" + uncommitted src/ changes" if dirty else "")
 
 
+def run(argv: list[str], checkout: Path, out: Path) -> subprocess.CompletedProcess:
+    """One run of ``argv`` on ``checkout`` in the output directory ``out``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), **{var: "1" for var in PINNED}}
+    return subprocess.run([a.replace("{checkout}", str(checkout)) for a in argv], env=env, cwd=out,
+                          capture_output=True, timeout=600)
+
+
 def timed(argv: list[str], checkout: Path, out: Path) -> tuple[float, bytes]:
     """Wall time and stdout of one run in the output directory ``out``."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), **{var: "1" for var in PINNED}}
     t0 = time.perf_counter()
-    done = subprocess.run([a.replace("{checkout}", str(checkout)) for a in argv], env=env, cwd=out,
-                          capture_output=True, timeout=600)
+    done = run(argv, checkout, out)
     wall = time.perf_counter() - t0
     if done.returncode != 0:
         raise SystemExit(f"{argv} failed under {checkout}:\n{done.stderr.decode(errors='replace')}")
@@ -155,6 +184,8 @@ def main(argv=None) -> int:
             out.mkdir()
             (out / "abort.events").write_text(ABORT_EVENTS)
             (out / "teach_noise.json").write_text(TEACH_NOISE)
+            for name, doc in BAD_CONFIGS.items():
+                (out / name).write_text(json.dumps(doc) + "\n")
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():
@@ -167,6 +198,11 @@ def main(argv=None) -> int:
                 "stdout": stdout[name]["base"] == stdout[name]["change"],
                 "files": {f: same_bytes(outs["base"] / f, outs["change"] / f) for f in files},
             }
+        invalid = {}
+        for name, argv in INVALID.items():
+            done = {side: run(argv, sides[side], outs[side]) for side in sides}
+            invalid[name] = {side: {"status": d.returncode, "stderr": d.stderr.decode(errors="replace")}
+                             for side, d in done.items()}
 
     def summary(values):
         return {"min": round(min(values), 3), "median": round(statistics.median(values), 3),
@@ -185,6 +221,7 @@ def main(argv=None) -> int:
         "cores": os.cpu_count(),
         "seconds": {name: {side: summary(v) for side, v in per.items()} for name, per in samples.items()},
         "identical": identical,
+        "invalid": invalid,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     status = 0
@@ -196,6 +233,14 @@ def main(argv=None) -> int:
         print(f"{name:46s} base min {per['base']['min']:.3f} median {per['base']['median']:.3f}   "
               f"change min {per['change']['min']:.3f} median {per['change']['median']:.3f}   "
               f"{'DIFFERENT: ' + ', '.join(differ) if differ else 'byte-identical'}")
+    for name, per in invalid.items():
+        base, change = per["base"], per["change"]
+        if base != change or 0 in (base["status"], change["status"]):
+            status = 1
+            print(f"{name:46s} DIFFERENT or exit 0:\n  base   {base['status']} {base['stderr']!r}\n"
+                  f"  change {change['status']} {change['stderr']!r}")
+        else:
+            print(f"{name:46s} exit {base['status']}, stderr byte-identical")
     return status
 
 

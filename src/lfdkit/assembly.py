@@ -27,18 +27,9 @@ from .ktc import PLANT_TIME_CONSTANT, plant_step
 from .metrics import jerk_metrics
 from .se3 import Pose, from_rotation_vector_rows, quat_mul_rows, quat_mul_wxyz, quat_normalize
 from .se3 import quat_rotate_wxyz, relative_rotation_vector_rows, rotation_between
-from .trajectory import ParseError, Trajectory, _brief_repr, fmt_float
-from .vision import (
-    BarScene,
-    CameraModel,
-    HoleEstimate,
-    NotDetectable,
-    _check_corruption,
-    check_visible,
-    fit_circle3d,
-    hole_in_world,
-    synthesize_mask,
-)
+from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite, _positive, fmt_float
+from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
+from .vision import _check_mask_points, check_visible, fit_circle3d, hole_in_world, synthesize_mask
 
 __all__ = [
     "MAX_TRIALS",
@@ -200,8 +191,7 @@ def insertion_goal(hole: HoleEstimate, depth: float, reference: tuple[float, flo
     """Goal pose for a square insertion: ``depth`` below the hole center
     along the axis, tool axis exactly anti-parallel to the hole axis, and
     the attitude otherwise moved as little as possible from ``reference``."""
-    if depth <= 0:
-        raise ValueError("depth must be positive")
+    _positive("depth", depth)
     axis = np.asarray(hole.axis, dtype=float)
     position = np.asarray(hole.center, dtype=float) - depth * axis
     pointing = quat_rotate_wxyz(reference, _TOOL_AXIS)
@@ -230,8 +220,7 @@ def plan_insertion(
     are measured along the axis from the hole center, above and below; the
     goal is :func:`insertion_goal` at ``depth``.
     """
-    if standoff <= 0:
-        raise ValueError("standoff must be positive")
+    _positive("standoff", standoff)
     goal = insertion_goal(hole, depth, dmp.demo_goal.orientation)
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
@@ -253,6 +242,21 @@ def plan_insertion(
         np.vstack([approach.positions, positions]),
         np.vstack([approach.orientations, orientations]),
     )
+
+
+def _check_tolerances(clearance: float, tilt_tol: float, required_depth: float, standoff: float,
+                      plan_overtravel: float, *, tilt_name: str = "tilt_tol") -> None:
+    """The trial tolerance rule: clearance, tilt, depth and standoff positive,
+    the overtravel at least 0; ``tilt_name`` names the tilt in the errors."""
+    for name, value in (("clearance", clearance), (tilt_name, tilt_tol), ("required_depth", required_depth),
+                        ("standoff", standoff)):
+        _positive(name, value)
+    _at_least("plan_overtravel", plan_overtravel, 0)
+
+
+def _check_trial_count(n: int) -> None:
+    """The batch size rule: 1 to MAX_TRIALS trials."""
+    _at_least("n", n, 1, MAX_TRIALS)
 
 
 @dataclass(frozen=True)
@@ -278,22 +282,13 @@ class AssemblyScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:  # numpy seeds only nonnegative integers
-            raise ValueError(f"seed must be at least 0, got {_brief_repr(self.seed)}")
-        if self.mask_points < 3:
-            raise ValueError("mask_points must be at least 3")
+        _check_seed(self.seed)
+        _check_mask_points(self.mask_points, name="mask_points")
         _check_corruption(self.noise_sigma, self.dropout)
-        if not (self.clearance > 0 and self.tilt_tol > 0):
-            raise ValueError("clearance and tilt_tol must be positive")
-        # the plan's poses are built from these three, so each must be finite
-        if not (0 < self.required_depth < math.inf and 0 < self.standoff < math.inf):
-            raise ValueError("required_depth and standoff must be positive and finite")
-        if not 0 <= self.plan_overtravel < math.inf:
-            raise ValueError("plan_overtravel must be nonnegative and finite")
-        if self.hole_id is not None and not 0 <= self.hole_id < len(self.scene.holes):
-            raise ValueError(f"hole_id {_brief_repr(self.hole_id)} outside 0..{len(self.scene.holes) - 1}")
-        if self.yaw is not None and not math.isfinite(self.yaw):
-            raise ValueError(f"yaw must be finite, got {self.yaw!r}")
+        _check_tolerances(self.clearance, self.tilt_tol, self.required_depth, self.standoff, self.plan_overtravel)
+        if self.hole_id is not None:
+            _check_hole_id(self.scene, self.hole_id)
+        _finite("yaw", self.yaw)
         lo, hi = self.yaw_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError("yaw_range must be finite and ordered")
@@ -546,8 +541,7 @@ def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0) -> tuple[T
     Trial i runs with seed ``seed * 1000003 + i``, so any prefix of a batch
     reproduces on its own; the reduction is a plain ordered loop.
     """
-    if not 1 <= n <= MAX_TRIALS:
-        raise ValueError(f"n must lie in 1..{MAX_TRIALS}, got {_brief_repr(n)}")
+    _check_trial_count(n)
     return tuple(execute_trial(replace(template, seed=seed * 1000003 + i)) for i in range(n))
 
 

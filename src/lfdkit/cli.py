@@ -22,10 +22,9 @@ from .ktc import CONTROLLERS, simulate_demonstration
 from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
 from .presets import default_teach_setup, scenario_from_config, scene_from_config
 from .se3 import Pose, quat_normalize
-from .trajectory import ParseError, _brief_repr, fmt_float, load_trajectory_csv, read_json, read_text
-from .trajectory import write_json, write_text
-from .vision import NotDetectable, detection_range_sweep, fit_circle3d, hole_in_world, scene_from_dict
-from .vision import synthesize_mask
+from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json, write_text
+from .vision import NotDetectable, _check_hole_id, detection_range_sweep, fit_circle3d, hole_in_world
+from .vision import scene_from_dict, synthesize_mask
 
 __all__ = ["main"]
 
@@ -172,10 +171,8 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg = replace(cfg, localize=replace(cfg.localize, hole_id=args.hole))
     scene, cam = scene_from_config(cfg)
     lo = cfg.localize
-    if lo.hole_id is not None and not 0 <= lo.hole_id < len(scene.holes):
-        raise ValueError(
-            f"hole id {_brief_repr(lo.hole_id)} outside the scene's holes 0..{len(scene.holes) - 1}"
-        )
+    if lo.hole_id is not None:  # checked here: the loop below reads a failed mask as undetected
+        _check_hole_id(scene, lo.hole_id)
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
     lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m"]
     n_found = 0

@@ -15,11 +15,12 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .assembly import _PLAN_DT, MAX_TRIALS
+from .assembly import _PLAN_DT, _check_tolerances, _check_trial_count
 from .dmp import check_basis_layout, demo_steps, rollout_steps
-from .ktc import PLANT_TIME_CONSTANT, _check_controller
-from .trajectory import ParseError, _brief_repr, read_json, write_json
-from .vision import sweep_yaw_count
+from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_timing
+from .se3 import quat_normalize
+from .trajectory import ParseError, _at_least, _check_seed, _finite, _positive, read_json, write_json
+from .vision import _check_corruption, _check_hole_id, _check_mask_points, sweep_yaw_count
 
 __all__ = [
     "DmpSection",
@@ -37,50 +38,11 @@ __all__ = [
     "save_config",
 ]
 
-# upper bounds on what a config may ask to allocate: rim points per mask and
-# teach ticks, one logged row each (an hour at the default 100 Hz); the sweep
-# grid's cap is vision.MAX_SWEEP_YAWS
-MAX_MASK_POINTS = 100_000
-MAX_TEACH_STEPS = 360_000
-
-
-def _positive(section: Any, *names: str) -> None:
-    """Reject a set field that is not > 0 (NaN included); None means unset."""
-    for name in names:
-        value = getattr(section, name)
-        if value is not None and not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def _finite(section: Any) -> None:
+def _finite_fields(section: Any) -> None:
     """Reject a non-finite float field or tuple entry. Sections call it after
     their range rules, so a NaN that breaks one reports that rule."""
     for f in fields(section):
-        value = getattr(section, f.name)
-        items = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
-
-
-def _at_least(section: Any, bound: int, *names: str) -> None:
-    for name in names:
-        value = getattr(section, name)
-        if not value >= bound:
-            raise ValueError(f"{name} must be at least {bound}, got {_brief_repr(value)}")
-
-
-def _at_most(section: Any, bound: int, *names: str) -> None:
-    for name in names:
-        value = getattr(section, name)
-        if not value <= bound:
-            raise ValueError(f"{name} must be at most {bound}, got {_brief_repr(value)}")
-
-
-def _vision_noise(section: Any) -> None:
-    """``synthesize_mask``'s rules: noise_sigma >= 0, 0 <= dropout < 1."""
-    _at_least(section, 0, "noise_sigma", "dropout")
-    if not section.dropout < 1:
-        raise ValueError(f"dropout must be below 1, got {section.dropout!r}")
+        _finite(f.name, getattr(section, f.name))
 
 
 @dataclass(frozen=True)
@@ -102,9 +64,10 @@ class DmpSection:
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
-        _at_least(self, 2, "n_basis")
-        _positive(self, "alpha_z", "beta_z", "alpha_s", "dt")
-        _finite(self)
+        _positive("alpha_z", self.alpha_z)
+        if self.beta_z is not None:
+            _positive("beta_z", self.beta_z)
+        _positive("dt", self.dt)
         check_basis_layout(self.n_basis, self.alpha_s)
 
 
@@ -121,20 +84,23 @@ class RolloutSection:
     horizon: float = 1.5
 
     def __post_init__(self) -> None:
-        _positive(self, "tau", "dt")
-        _at_least(self, 0, "horizon")
-        _finite(self)
+        _positive("dt", self.dt)
+        _at_least("horizon", self.horizon, 0)
+        if self.tau is not None:
+            rollout_steps(self.tau, self.dt, self.horizon)
+        _finite_fields(self)
         for name in ("start", "goal"):
             pose = getattr(self, name)
             if pose is None:
                 continue
-            norm = math.sqrt(sum(v * v for v in pose[3:]))
-            if not (len(pose) == 7 and 1e-12 <= norm < math.inf):  # se3.quat_normalize's rule
+            try:
+                if len(pose) != 7:
+                    raise ValueError
+                quat_normalize(*pose[3:])
+            except ValueError:
                 raise ValueError(
                     f"{name} must have 7 values (px,py,pz,qw,qx,qy,qz) with a nonzero quaternion, got {list(pose)}"
-                )
-        if self.tau is not None:
-            rollout_steps(self.tau, self.dt, self.horizon)
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -149,13 +115,10 @@ class TeachSection:
 
     def __post_init__(self) -> None:
         _check_controller(self.controller)
-        _positive(self, "rate", "max_duration", "plant_time_constant")
-        _at_least(self, 0, "force_noise_std", "torque_noise_std")
-        _finite(self)
-        # simulate_demonstration logs one row per tick, up to max_duration * rate
-        steps = self.max_duration * self.rate
-        if not steps <= MAX_TEACH_STEPS:
-            raise ValueError(f"max_duration * rate = {steps:.6g} teach steps exceeds {MAX_TEACH_STEPS}")
+        _check_teach_timing(self.rate, self.max_duration, self.plant_time_constant)
+        _at_least("force_noise_std", self.force_noise_std, 0)
+        _at_least("torque_noise_std", self.torque_noise_std, 0)
+        _finite_fields(self)
 
 
 @dataclass(frozen=True)
@@ -166,10 +129,8 @@ class LocalizeSection:
     n_points: int = 200
 
     def __post_init__(self) -> None:
-        _at_least(self, 3, "n_points")
-        _at_most(self, MAX_MASK_POINTS, "n_points")
-        _vision_noise(self)
-        _finite(self)
+        _check_mask_points(self.n_points)
+        _check_corruption(self.noise_sigma, self.dropout)
 
 
 @dataclass(frozen=True)
@@ -182,13 +143,13 @@ class SweepSection:
     tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        _positive(self, "step_deg", "tolerance")
-        _vision_noise(self)
-        _finite(self)
-        if not self.stop_deg >= self.start_deg:
-            raise ValueError(f"stop_deg must be at least start_deg {self.start_deg!r}, got {self.stop_deg!r}")
+        _positive("step_deg", self.step_deg)
+        _positive("tolerance", self.tolerance)
+        _check_corruption(self.noise_sigma, self.dropout)
+        _finite_fields(self)
         # the grid detection_range_sweep builds from the cli's radians
-        sweep_yaw_count(*map(math.radians, (self.start_deg, self.stop_deg, self.step_deg)), "step_deg")
+        sweep_yaw_count(*map(math.radians, (self.start_deg, self.stop_deg, self.step_deg)), "step_deg",
+                        start_name="start_deg", stop_name="stop_deg")
 
 
 @dataclass(frozen=True)
@@ -209,14 +170,14 @@ class TrialSection:
     events: str | None = None
 
     def __post_init__(self) -> None:
-        _at_least(self, 1, "n")
-        _at_most(self, MAX_TRIALS, "n")
-        _at_least(self, 3, "mask_points")
-        _at_most(self, MAX_MASK_POINTS, "mask_points")
-        _positive(self, "demo_duration", "clearance", "tilt_tol_deg", "required_depth", "standoff")
-        _at_least(self, 0, "plan_overtravel", "yaw_limit_deg")
-        _vision_noise(self)
-        _finite(self)
+        _check_trial_count(self.n)
+        _check_mask_points(self.mask_points, name="mask_points")
+        _positive("demo_duration", self.demo_duration)
+        _check_tolerances(self.clearance, self.tilt_tol_deg, self.required_depth, self.standoff, self.plan_overtravel,
+                          tilt_name="tilt_tol_deg")
+        _at_least("yaw_limit_deg", self.yaw_limit_deg, 0)
+        _check_corruption(self.noise_sigma, self.dropout)
+        _finite_fields(self)
         try:  # the plan replays the primitive, whose tau is the demo's duration
             rollout_steps(self.demo_duration, _PLAN_DT)
         except ValueError as exc:
@@ -246,7 +207,7 @@ class RunConfig:
     metrics: MetricsSection = field(default_factory=MetricsSection)
 
     def __post_init__(self) -> None:
-        _at_least(self, 0, "seed")  # numpy seeds only nonnegative integers
+        _check_seed(self.seed)
 
 
 _SECTIONS = {
@@ -357,11 +318,11 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     scene, _ = scene_from_config(cfg, path)
     for name in ("localize", "trial"):
         hole_id = getattr(cfg, name).hole_id
-        if hole_id is not None and not 0 <= hole_id < len(scene.holes):
-            raise ParseError(
-                path, 0, f"{name}.hole_id",
-                f"{_brief_repr(hole_id)} outside the scene's holes 0..{len(scene.holes) - 1}",
-            )
+        try:
+            if hole_id is not None:
+                _check_hole_id(scene, hole_id)
+        except ValueError as exc:
+            raise ParseError(path, 0, f"{name}.hole_id", str(exc)) from None
     return cfg
 
 

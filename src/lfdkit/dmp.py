@@ -49,7 +49,7 @@ import numpy as np
 
 from .se3 import Pose, from_rotation_vector_rows, quat_mul_rows, quat_normalize, relative_rotation_vector_rows
 from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
-from .trajectory import _brief_repr, read_json, require_keys, resample_trajectory, write_json
+from .trajectory import _at_least, _positive, read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
     "DemonstrationData",
@@ -101,16 +101,13 @@ class ForcingUnderflow(RuntimeWarning):
 
 
 def check_basis_layout(n_basis: int, alpha_s: float) -> None:
-    """Reject a layout of more than MAX_BASIS bases, or whose smallest
+    """Reject a layout of fewer than 2 or more than MAX_BASIS bases, an
+    alpha_s that is not positive and finite, or a layout whose smallest
     center is not > 0 or whose narrowest gap, the last one, squares to an
     infinite width; scalar arithmetic on the last two centers, so nothing of
     size n_basis is allocated."""
-    if n_basis < 2:
-        raise ValueError("need at least 2 basis functions")
-    if n_basis > MAX_BASIS:
-        raise ValueError(f"n_basis must be at most {MAX_BASIS}, got {_brief_repr(n_basis)}")
-    if alpha_s <= 0:
-        raise ValueError("alpha_s must be positive")
+    _at_least("n_basis", n_basis, 2, MAX_BASIS)
+    _positive("alpha_s", alpha_s)
     # the last two centers and the last width's denominator, op for op as
     # basis_layout computes them
     last = math.exp(-alpha_s * (n_basis - 1) / (n_basis - 1))
@@ -147,8 +144,7 @@ def grid_steps(span: float, dt: float, what: str) -> int:
 def demo_steps(duration: float, dt: float) -> int:
     """Steps of the grid :func:`prepare_demonstration` fits on, enough for
     one window of the moving average over its derivatives."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _positive("dt", dt)
     what = f"a {duration:.6g} s demonstration at dt = {dt:.6g}"
     steps = grid_steps(duration, dt, what)
     if steps + 1 < _SMOOTH_WINDOW:
@@ -158,12 +154,10 @@ def demo_steps(duration: float, dt: float) -> int:
 
 def rollout_steps(tau: float, dt: float, horizon: float = 1.5) -> int:
     """Euler steps of :func:`rollout` over ``horizon * tau`` at dt <= tau/100."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _positive("tau", tau)
     if dt <= 0 or dt > tau / 100.0:
         raise ValueError(f"dt must lie in (0, tau/100]; got dt = {dt:.6g} for tau = {tau:.6g}")
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be non-negative; got {horizon!r}")
+    _at_least("horizon", horizon, 0)
     return grid_steps(horizon * tau, dt, f"a rollout of horizon {horizon:.6g} * tau {tau:.6g} s at dt = {dt:.6g}")
 
 

@@ -29,10 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_vector_wxyz, slerp_wxyz
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _positive
 
 __all__ = [
     "CONTROLLERS",
+    "MAX_TEACH_STEPS",
     "TeachTimeout",
     "ktc_step",
     "native_drive_step",
@@ -75,6 +76,8 @@ _CAPTURE_RADIUS = 0.006
 # teaching and in trial execution alike
 PLANT_TIME_CONSTANT = 0.05
 
+MAX_TEACH_STEPS = 360_000  # teach ticks one demonstration logs, a row each: an hour at 100 Hz
+
 
 def _check_controller(controller: str) -> None:
     """Raise a one-line ValueError unless ``controller`` names an entry of
@@ -82,6 +85,16 @@ def _check_controller(controller: str) -> None:
     if controller not in CONTROLLERS:
         names = " or ".join(repr(name) for name in CONTROLLERS)
         raise ValueError(f"controller must be {names}, got {controller!r}")
+
+
+def _check_teach_timing(rate: float, max_duration: float, plant_time_constant: float) -> None:
+    """The teach timing rule: each value positive, and at most MAX_TEACH_STEPS
+    ticks, ``max_duration * rate``."""
+    _positive("rate", rate)
+    _positive("max_duration", max_duration)
+    _positive("plant_time_constant", plant_time_constant)
+    if not max_duration * rate <= MAX_TEACH_STEPS:
+        raise ValueError(f"max_duration * rate = {max_duration * rate:.6g} teach steps exceeds {MAX_TEACH_STEPS}")
 
 
 def native_drive_step(
@@ -199,13 +212,10 @@ def simulate_demonstration(
     :func:`plant_step` takes; orientations use the ``se3`` ``*_wxyz`` kernels.
     """
     _check_controller(controller)
+    _check_teach_timing(rate, max_duration, plant_time_constant)
     waypoints = [(*p.position.tolist(), *p.orientation) for p in waypoints]
     if not waypoints:
         raise ValueError("need at least one waypoint")
-    if not (rate > 0 and plant_time_constant > 0):
-        raise ValueError("rate and plant_time_constant must be positive")
-    if not math.isfinite(max_duration * rate):
-        raise ValueError("max_duration and rate must be finite")
     h = 1.0 / rate
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0

@@ -59,6 +59,35 @@ def _brief_repr(value: object) -> str:
     return f"{text[:8]}...{text[-4:]} ({len(text.lstrip('-'))} digits)"
 
 
+# the range rules every module and the config state in one phrasing,
+# "<name> must be <rule>, got <value>"; each also rejects NaN and infinity
+def _positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {_brief_repr(value)}")
+    _finite(name, value)
+
+
+def _at_least(name: str, value: float, low: int, high: int | None = None) -> None:
+    """``value >= low``, and ``value <= high`` when a high bound is given."""
+    if not value >= low:
+        raise ValueError(f"{name} must be at least {low}, got {_brief_repr(value)}")
+    if high is not None and not value <= high:
+        raise ValueError(f"{name} must be at most {high}, got {_brief_repr(value)}")
+    _finite(name, value)
+
+
+def _finite(name: str, value: object) -> None:
+    """Reject a non-finite float, or a tuple holding one."""
+    items = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_seed(seed: int) -> None:
+    """The seed rule: numpy seeds only nonnegative integers."""
+    _at_least("seed", seed, 0)
+
+
 class ParseError(ValueError):
     """Malformed file content; carries file, line, and field for CLI reporting."""
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz
-from .trajectory import ParseError, _brief_repr, json_floats, json_pose, pose_json, require_keys
+from .trajectory import ParseError, _at_least, _brief_repr, _check_seed, json_floats, json_pose, pose_json
+from .trajectory import require_keys
 
 __all__ = [
     "HoleSpec",
@@ -30,6 +31,7 @@ __all__ = [
     "HoleEstimate",
     "NotDetectable",
     "check_visible",
+    "MAX_MASK_POINTS",
     "synthesize_mask",
     "fit_plane",
     "fit_circle3d",
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 _TOP_FACE_TOL = 1e-9
+MAX_MASK_POINTS = 100_000  # rim points one mask may sample
 # yaws in a sweep grid, each of which runs every hole (10k yaws is a 0.016 deg
 # step over the default 160 deg)
 MAX_SWEEP_YAWS = 10_000
@@ -212,13 +215,24 @@ def check_visible(scene: BarScene, cam: CameraModel, hole_id: int) -> None:
         raise NotDetectable(f"hole {hole_id} not detectable: back-facing")
 
 
+def _check_hole_id(scene: BarScene, hole_id: int) -> None:
+    """The hole id rule: an index into the scene's holes."""
+    if not 0 <= hole_id < len(scene.holes):
+        raise ValueError(f"hole id {_brief_repr(hole_id)} outside the scene's holes 0..{len(scene.holes) - 1}")
+
+
 def _check_corruption(noise_sigma: float, dropout: float) -> None:
     """The mask corruption rule: a noise sigma of at least 0 and a dropout
-    in [0, 1), nan rejected in both."""
-    if not noise_sigma >= 0:
-        raise ValueError("noise sigma must be >= 0")
-    if not 0 <= dropout < 1:
-        raise ValueError("dropout must be in [0, 1)")
+    in [0, 1), NaN and infinity rejected in both."""
+    _at_least("noise_sigma", noise_sigma, 0)
+    _at_least("dropout", dropout, 0)
+    if not dropout < 1:
+        raise ValueError(f"dropout must be below 1, got {dropout!r}")
+
+
+def _check_mask_points(n_points: int, *, name: str = "n_points") -> None:
+    """The rim point count rule, 3 to MAX_MASK_POINTS, naming the count ``name``."""
+    _at_least(name, n_points, 3, MAX_MASK_POINTS)
 
 
 def synthesize_mask(
@@ -236,11 +250,9 @@ def synthesize_mask(
     add seeded Gaussian noise, then apply dropout (keeping
     round(n * (1 - dropout)) points).
     """
-    if not 0 <= hole_id < len(scene.holes):
-        raise ValueError(f"hole id {_brief_repr(hole_id)} out of range")
+    _check_hole_id(scene, hole_id)
     _check_corruption(noise_sigma, dropout)
-    if n_points < 3:
-        raise ValueError("need at least 3 rim points")
+    _check_mask_points(n_points)
 
     check_visible(scene, cam, hole_id)
     center_w = scene.hole_center_world(hole_id)
@@ -341,16 +353,17 @@ def hole_in_world(est: HoleEstimate, cam: CameraModel) -> HoleEstimate:
     return HoleEstimate(center, axis, est.radius, est.rms)
 
 
-def sweep_yaw_count(yaw_start: float, yaw_stop: float, step: float, step_name: str = "step") -> int:
+def sweep_yaw_count(yaw_start: float, yaw_stop: float, step: float, step_name: str = "step", *,
+                    start_name: str = "yaw_start", stop_name: str = "yaw_stop") -> int:
     """Yaws on the grid ``yaw_start + i * step`` up to ``yaw_stop``, counted
     in float arithmetic and refused past MAX_SWEEP_YAWS before any exists;
-    ``step_name`` names the step in the errors."""
+    the ``*_name`` arguments name the step and the range ends in the errors."""
     if not all(math.isfinite(v) for v in (yaw_start, yaw_stop, step)):
         raise ValueError(f"yaw range must be finite, got start {yaw_start!r}, stop {yaw_stop!r}, step {step!r}")
     if step <= 0:
         raise ValueError(f"{step_name} must be positive")
     if yaw_stop < yaw_start:
-        raise ValueError("empty yaw range")
+        raise ValueError(f"{stop_name} must be at least {start_name}")
     span = (yaw_stop - yaw_start) / step + 1e-9
     if not span < MAX_SWEEP_YAWS:
         raise ValueError(f"sweep grid of {span + 1:.6g} yaws exceeds {MAX_SWEEP_YAWS}; raise {step_name}")
@@ -375,8 +388,7 @@ def detection_range_sweep(
     Each (yaw, hole) cell gets its own sub-seed, so results are independent
     of evaluation order.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {_brief_repr(seed)}")
+    _check_seed(seed)
     _check_corruption(noise_sigma, dropout)
     count = sweep_yaw_count(yaw_start, yaw_stop, step)
     yaws = yaw_start + step * np.arange(count)

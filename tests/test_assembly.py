@@ -41,7 +41,7 @@ from lfdkit.ktc import PLANT_TIME_CONSTANT
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
 from lfdkit.se3 import relative_rotation_vector_rows, rotation_vector_wxyz, slerp_wxyz
 from lfdkit.trajectory import ParseError, Trajectory
-from lfdkit.vision import CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
+from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
 TOOL_AXIS = np.array([0.0, 0.0, -1.0])
 
@@ -455,11 +455,11 @@ class TestRunBatch:
         assert batch_to_dict(b)["success_rate"] == float(b[0].success)
 
     def test_n_must_be_positive(self, scenario):
-        with pytest.raises(ValueError, match="n must lie in 1..10000"):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             run_batch(scenario, n=0, seed=0)
 
     def test_n_past_the_cap_runs_nothing(self, scenario):
-        with pytest.raises(ValueError, match="n must lie in 1..10000, got 10001"):
+        with pytest.raises(ValueError, match="n must be at most 10000, got 10001"):
             run_batch(scenario, n=MAX_TRIALS + 1, seed=0)
 
     def test_failures_are_counted_by_reason(self, scenario):
@@ -494,7 +494,7 @@ class TestRunBatch:
 
 class TestScenarioValidation:
     def test_bad_hole_id(self, scenario):
-        with pytest.raises(ValueError, match="hole_id"):
+        with pytest.raises(ValueError, match=r"^hole id 7 outside the scene's holes 0\.\.2$"):
             replace(scenario, hole_id=7)
 
     def test_negative_seed(self, scenario):
@@ -506,15 +506,29 @@ class TestScenarioValidation:
             replace(scenario, clearance=0.0)
         with pytest.raises(ValueError):
             replace(scenario, standoff=-0.01)
+        # the config's limits: every trial of a batch from such a template
+        # would sample 10**9 rim points, or never fail on lateral error or tilt
+        for field, value, message in [
+            ("mask_points", MAX_MASK_POINTS + 1, f"mask_points must be at most {MAX_MASK_POINTS}, got {MAX_MASK_POINTS + 1}"),
+            ("mask_points", 10**9, f"mask_points must be at most {MAX_MASK_POINTS}, got 1000000000"),
+            ("clearance", math.inf, "clearance must be finite, got inf"),
+            ("tilt_tol", math.inf, "tilt_tol must be finite, got inf"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                replace(scenario, **{field: value})
+            assert str(err.value) == message
 
+    # each case keeps the id it had before the text became the config's
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("noise_sigma", -1.0, "noise sigma must be >= 0"),
-            ("noise_sigma", math.nan, "noise sigma must be >= 0"),
-            ("dropout", 1.0, "dropout must be in"),
-            ("dropout", math.nan, "dropout must be in"),
+            ("noise_sigma", -1.0, "noise_sigma must be at least 0, got -1.0"),
+            ("noise_sigma", math.nan, "noise_sigma must be at least 0, got nan"),
+            ("dropout", 1.0, "dropout must be below 1, got 1.0"),
+            ("dropout", math.nan, "dropout must be at least 0, got nan"),
         ],
+        ids=["noise_sigma--1.0-noise sigma must be >= 0", "noise_sigma-nan-noise sigma must be >= 0",
+             "dropout-1.0-dropout must be in", "dropout-nan-dropout must be in"],
     )
     def test_bad_corruption(self, scenario, field, value, message):
         # caught only at the localize stage, a negative sigma reads as an
@@ -525,14 +539,23 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("clearance", math.nan, "clearance and tilt_tol must be positive"),
-            ("tilt_tol", math.nan, "clearance and tilt_tol must be positive"),
-            ("required_depth", math.nan, "required_depth and standoff must be positive and finite"),
-            ("required_depth", math.inf, "required_depth and standoff must be positive and finite"),
-            ("standoff", math.nan, "required_depth and standoff must be positive and finite"),
-            ("standoff", math.inf, "required_depth and standoff must be positive and finite"),
-            ("plan_overtravel", math.nan, "plan_overtravel must be nonnegative and finite"),
-            ("plan_overtravel", math.inf, "plan_overtravel must be nonnegative and finite"),
+            # these keep the ids they had before the text became the config's
+            pytest.param("clearance", math.nan, "clearance must be positive, got nan",
+                         id="clearance-nan-clearance and tilt_tol must be positive"),
+            pytest.param("tilt_tol", math.nan, "tilt_tol must be positive, got nan",
+                         id="tilt_tol-nan-clearance and tilt_tol must be positive"),
+            pytest.param("required_depth", math.nan, "required_depth must be positive, got nan",
+                         id="required_depth-nan-required_depth and standoff must be positive and finite"),
+            pytest.param("required_depth", math.inf, "required_depth must be finite, got inf",
+                         id="required_depth-inf-required_depth and standoff must be positive and finite"),
+            pytest.param("standoff", math.nan, "standoff must be positive, got nan",
+                         id="standoff-nan-required_depth and standoff must be positive and finite"),
+            pytest.param("standoff", math.inf, "standoff must be finite, got inf",
+                         id="standoff-inf-required_depth and standoff must be positive and finite"),
+            pytest.param("plan_overtravel", math.nan, "plan_overtravel must be at least 0, got nan",
+                         id="plan_overtravel-nan-plan_overtravel must be nonnegative and finite"),
+            pytest.param("plan_overtravel", math.inf, "plan_overtravel must be finite, got inf",
+                         id="plan_overtravel-inf-plan_overtravel must be nonnegative and finite"),
             ("yaw", math.nan, "yaw must be finite, got nan"),
             ("yaw", math.inf, "yaw must be finite, got inf"),
             ("yaw", -math.inf, "yaw must be finite, got -inf"),

@@ -183,6 +183,12 @@ class TestLocalizeSweep:
         assert err.count("\n") == 1 and "hole id 7 outside" in err
         assert not out.exists()
 
+    def test_trial_and_localize_print_one_hole_id_error(self, capsys, tmp_path):
+        for command in ("localize", "trial"):
+            code, _, err = run(capsys, command, "--hole", 7, "--out", tmp_path / "out")
+            assert (code, err) == (1, "error: hole id 7 outside the scene's holes 0..2\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_flags_are_checked_as_one_grid(self, capsys, tmp_path):
         # folded one at a time, --start-deg and --stop-deg would meet the
         # config's 0.01 deg step as a 16,001-yaw grid before --step-deg applies

@@ -6,25 +6,20 @@ import math
 import re
 import types
 import typing
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfdkit.assembly import _PLAN_DT, MAX_TRIALS
+from lfdkit.assembly import _PLAN_DT, MAX_TRIALS, _check_tolerances, run_batch
 from lfdkit.cli import main
-from lfdkit.config import (
-    MAX_MASK_POINTS,
-    MAX_TEACH_STEPS,
-    RunConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
-from lfdkit.dmp import MAX_BASIS, MAX_ROWS
+from lfdkit.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
+from lfdkit.dmp import MAX_BASIS, MAX_ROWS, check_basis_layout, rollout_steps
+from lfdkit.ktc import MAX_TEACH_STEPS, simulate_demonstration
+from lfdkit.presets import default_scenario, default_teach_setup
 from lfdkit.trajectory import ParseError
-from lfdkit.vision import MAX_SWEEP_YAWS
+from lfdkit.vision import MAX_MASK_POINTS, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count, synthesize_mask
 
 
 class TestDefaults:
@@ -452,6 +447,88 @@ class TestHoleIds:
             config_from_dict(doc)
         doc["localize"]["hole_id"] = 0
         assert config_from_dict(doc).localize.hole_id == 0
+
+
+def _teach(**timing):
+    return simulate_demonstration(*default_teach_setup("proposed"), **timing)
+
+
+HOLE_7 = "hole id 7 outside the scene's holes 0..2"
+# one row per rule that the config shares with the library: the config
+# document, the library call on the default scenario that owns the rule, and
+# the one text both give
+ONE_RULE = [
+    pytest.param({"localize": {"hole_id": 7}}, lambda sc: synthesize_mask(sc.scene, sc.cam, 7), HOLE_7,
+                 id="hole_id-synthesize_mask"),
+    pytest.param({"trial": {"hole_id": 7}}, lambda sc: replace(sc, hole_id=7), HOLE_7, id="hole_id-scenario"),
+    pytest.param({"trial": {"noise_sigma": -1}}, lambda sc: replace(sc, noise_sigma=-1.0),
+                 "noise_sigma must be at least 0, got -1.0", id="noise_sigma-scenario"),
+    pytest.param({"localize": {"noise_sigma": math.inf}},
+                 lambda sc: synthesize_mask(sc.scene, sc.cam, 0, noise_sigma=math.inf),
+                 "noise_sigma must be finite, got inf", id="noise_sigma-synthesize_mask"),
+    pytest.param({"localize": {"dropout": 1.0}}, lambda sc: synthesize_mask(sc.scene, sc.cam, 0, dropout=1.0),
+                 "dropout must be below 1, got 1.0", id="dropout-synthesize_mask"),
+    pytest.param({"sweep": {"dropout": -0.1}},
+                 lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, dropout=-0.1),
+                 "dropout must be at least 0, got -0.1", id="dropout-detection_range_sweep"),
+    pytest.param({"trial": {"mask_points": 2}}, lambda sc: replace(sc, mask_points=2),
+                 "mask_points must be at least 3, got 2", id="mask_points-scenario"),
+    pytest.param({"trial": {"mask_points": MAX_MASK_POINTS + 1}},
+                 lambda sc: replace(sc, mask_points=MAX_MASK_POINTS + 1),
+                 f"mask_points must be at most {MAX_MASK_POINTS}, got {MAX_MASK_POINTS + 1}", id="mask_points-cap"),
+    pytest.param({"localize": {"n_points": MAX_MASK_POINTS + 1}},
+                 lambda sc: synthesize_mask(sc.scene, sc.cam, 0, n_points=MAX_MASK_POINTS + 1),
+                 f"n_points must be at most {MAX_MASK_POINTS}, got {MAX_MASK_POINTS + 1}", id="n_points-cap"),
+    pytest.param({"seed": -1}, lambda sc: replace(sc, seed=-1), "seed must be at least 0, got -1", id="seed-scenario"),
+    pytest.param({"seed": -1}, lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, seed=-1),
+                 "seed must be at least 0, got -1", id="seed-detection_range_sweep"),
+    pytest.param({"trial": {"n": 0}}, lambda sc: run_batch(sc, n=0), "n must be at least 1, got 0", id="n-run_batch"),
+    pytest.param({"trial": {"n": MAX_TRIALS + 1}}, lambda sc: run_batch(sc, n=MAX_TRIALS + 1),
+                 f"n must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}", id="n-cap"),
+    pytest.param({"trial": {"clearance": 0}}, lambda sc: replace(sc, clearance=0.0),
+                 "clearance must be positive, got 0.0", id="clearance"),
+    pytest.param({"trial": {"required_depth": math.nan}}, lambda sc: replace(sc, required_depth=math.nan),
+                 "required_depth must be positive, got nan", id="required_depth"),
+    pytest.param({"trial": {"standoff": math.inf}}, lambda sc: replace(sc, standoff=math.inf),
+                 "standoff must be finite, got inf", id="standoff"),
+    pytest.param({"trial": {"plan_overtravel": -1e-3}}, lambda sc: replace(sc, plan_overtravel=-1e-3),
+                 "plan_overtravel must be at least 0, got -0.001", id="plan_overtravel"),
+    pytest.param({"trial": {"tilt_tol_deg": 0}},
+                 lambda sc: _check_tolerances(5e-4, 0.0, 0.01, 0.03, 0.0, tilt_name="tilt_tol_deg"),
+                 "tilt_tol_deg must be positive, got 0.0", id="tilt_tol_deg"),
+    pytest.param({"dmp": {"n_basis": 1}}, lambda sc: check_basis_layout(1, 25.0 / 3.0),
+                 "n_basis must be at least 2, got 1", id="n_basis"),
+    pytest.param({"dmp": {"alpha_s": math.nan}}, lambda sc: check_basis_layout(50, math.nan),
+                 "alpha_s must be positive, got nan", id="alpha_s"),
+    pytest.param({"dmp": {"alpha_s": math.inf}}, lambda sc: check_basis_layout(50, math.inf),
+                 "alpha_s must be finite, got inf", id="alpha_s-inf"),
+    pytest.param({"rollout": {"tau": 0}}, lambda sc: rollout_steps(0.0, 1e-3), "tau must be positive, got 0.0",
+                 id="rollout-tau"),
+    pytest.param({"rollout": {"horizon": -1}}, lambda sc: rollout_steps(1.0, 1e-3, -1.0),
+                 "horizon must be at least 0, got -1.0", id="rollout-horizon"),
+    pytest.param({"teach": {"rate": 0}}, lambda sc: _teach(rate=0.0), "rate must be positive, got 0.0", id="rate"),
+    pytest.param({"teach": {"max_duration": 3600.01}}, lambda sc: _teach(max_duration=3600.01),
+                 f"max_duration * rate = 360001 teach steps exceeds {MAX_TEACH_STEPS}", id="teach-steps"),
+    pytest.param({"sweep": {"start_deg": 10.0, "stop_deg": -10.0}},
+                 lambda sc: sweep_yaw_count(0.1, -0.1, 0.01, "step_deg", start_name="start_deg", stop_name="stop_deg"),
+                 "stop_deg must be at least start_deg", id="sweep-order"),
+]
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return default_scenario(noise_sigma=0.0)
+
+
+class TestOneRule:
+    @pytest.mark.parametrize("doc, call, text", ONE_RULE)
+    def test_config_and_library_give_one_text(self, scenario, doc, call, text):
+        with pytest.raises(ParseError) as err:
+            config_from_dict(doc)
+        assert err.value.message == text
+        with pytest.raises(ValueError) as err:
+            call(scenario)
+        assert str(err.value) == text
 
 
 class TestFiles:

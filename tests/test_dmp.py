@@ -133,9 +133,12 @@ class TestBasisLayout:
     def test_underflowing_layout_rejected(self, n_basis, edge):
         centers, widths = basis_layout(n_basis, edge)
         assert centers[-1] > 0 and np.all(np.isfinite(widths))
-        for alpha_s in (edge + 0.01, 1000.0, math.inf):
+        for alpha_s in (edge + 0.01, 1000.0):
             with pytest.raises(ValueError, match="alpha_s must keep every basis center above 0 and width finite"):
                 basis_layout(n_basis, alpha_s)
+        # the config's text for it
+        with pytest.raises(ValueError, match="^alpha_s must be finite, got inf$"):
+            basis_layout(n_basis, math.inf)
 
     def test_check_allocates_nothing_of_size_n_basis(self):
         check_basis_layout(MAX_BASIS, ALPHA_S)

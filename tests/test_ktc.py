@@ -200,9 +200,19 @@ class TestPlantStep:
             plant_step(REST, REST, 0.0)
         with pytest.raises(ValueError, match="time_constant"):
             simulate_demonstration(line_waypoints(), "proposed", plant_time_constant=0.0)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="max_duration and rate must be finite"):
+        for bad, rule in ((math.inf, "finite"), (math.nan, "positive"), (-math.inf, "positive")):
+            with pytest.raises(ValueError, match=f"^max_duration must be {rule}, got {bad}$"):
                 simulate_demonstration(line_waypoints(), "proposed", max_duration=bad)
+
+    @pytest.mark.parametrize("rate, max_duration", [(1e6, 60.0), (100.0, 3600.01)])
+    def test_teach_steps_capped_before_the_loop(self, monkeypatch, rate, max_duration):
+        # the config's cap: one logged row per tick, up to max_duration * rate
+        def no_tick(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(ktc, "plant_step", no_tick)
+        with pytest.raises(ValueError, match=f"teach steps exceeds {ktc.MAX_TEACH_STEPS}$"):
+            simulate_demonstration(line_waypoints(), "proposed", rate=rate, max_duration=max_duration)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -14,6 +14,7 @@ from lfdkit.presets import default_bar_scene, default_camera
 from lfdkit.se3 import Pose, from_rotation_vector, quat_mul_wxyz, quat_rotate_wxyz
 from lfdkit.trajectory import read_json, write_json
 from lfdkit.vision import (
+    MAX_MASK_POINTS,
     MAX_SWEEP_YAWS,
     BarScene,
     CameraModel,
@@ -134,8 +135,13 @@ class TestSynthesizeMask:
 
     def test_parameter_validation(self):
         scene, cam = default_bar_scene(), default_camera()
-        with pytest.raises(ValueError, match="hole id"):
+        with pytest.raises(ValueError, match=r"^hole id 5 outside the scene's holes 0\.\.2$"):
             synthesize_mask(scene, cam, 5)
+        # at the config's cap, not only its floor: the rim is sampled before visibility
+        with pytest.raises(ValueError, match="^n_points must be at least 3, got 2$"):
+            synthesize_mask(scene, cam, 0, n_points=2)
+        with pytest.raises(ValueError, match=f"^n_points must be at most {MAX_MASK_POINTS}, got 100001$"):
+            synthesize_mask(scene, cam, 0, n_points=MAX_MASK_POINTS + 1)
         with pytest.raises(ValueError, match="sigma"):
             synthesize_mask(scene, cam, 0, noise_sigma=-1.0)
         with pytest.raises(ValueError, match="dropout"):
@@ -304,7 +310,7 @@ class TestDetectionRangeSweep:
         scene, cam = default_bar_scene(), default_camera()
         with pytest.raises(ValueError, match="step"):
             detection_range_sweep(scene, cam, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="empty yaw range"):
+        with pytest.raises(ValueError, match="^yaw_stop must be at least yaw_start$"):
             detection_range_sweep(scene, cam, 1.0, 0.0, 0.1)
         # numpy rejects a negative seed; unchecked, every fit read as undetected
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
@@ -339,9 +345,9 @@ class TestDetectionRangeSweep:
     def test_corruption_arguments_rejected_before_the_loop(self):
         # caught inside the loop, these read as every hole undetected
         scene, cam = default_bar_scene(), default_camera()
-        with pytest.raises(ValueError, match="noise sigma must be >= 0"):
+        with pytest.raises(ValueError, match="^noise_sigma must be at least 0, got -1.0$"):
             detection_range_sweep(scene, cam, -0.1, 0.1, 0.1, noise_sigma=-1.0)
-        with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
+        with pytest.raises(ValueError, match="^dropout must be below 1, got 1.5$"):
             detection_range_sweep(scene, cam, -0.1, 0.1, 0.1, dropout=1.5)
 
 
