@@ -12,7 +12,9 @@ Each command of the roadmap's end-to-end list runs as a fresh process with
 rest of the CLI and the checkout's own scripts, on short settings:
 ``teach-sim`` against the native drive, and against the proposed
 controller with sensor noise (its config is written into each output
-directory); ``localize --seed 1``; ``fit`` and ``rollout`` of the taught
+directory); a batch at 2 mm vision noise whose trials reach the wall, so
+the scalar contact loop is compared too (its config is written alongside);
+``localize --seed 1``; ``fit`` and ``rollout`` of the taught
 demo, scored against it by ``metrics``; two trials that end FAILED, one aborted after
 the insertion (its event script is written into each output directory)
 and one on a hole the camera cannot see; and each script under
@@ -71,6 +73,8 @@ CLI = [sys.executable, "-m", "lfdkit.cli"]
 ABORT_EVENTS = "0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n4 motion_done\n5 abort\n"
 # force and torque noise on what the proposed controller senses
 TEACH_NOISE = json.dumps({"teach": {"force_noise_std": 0.3, "torque_noise_std": 0.03}}) + "\n"
+# vision noise at which most trials of the batch bind on the hole wall or the chamfer
+CONTACT_BATCH = json.dumps({"seed": 0, "trial": {"n": 6, "noise_sigma": 0.002}}) + "\n"
 # config files with one value out of range, written into each output directory
 BAD_CONFIGS = {
     "bad_trial_noise.json": {"trial": {"noise_sigma": -1}},
@@ -78,6 +82,7 @@ BAD_CONFIGS = {
     "bad_trial_few_points.json": {"trial": {"mask_points": 2}},
     "bad_trial_many_points.json": {"trial": {"mask_points": 100001}},
     "bad_trial_clearance.json": {"trial": {"clearance": 0}},
+    "bad_trial_tilt.json": {"trial": {"tilt_tol_deg": 5e-324}},
     "bad_trial_hole.json": {"trial": {"hole_id": 7}},
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
@@ -106,6 +111,8 @@ COMMANDS = {
     "teach-sim --controller native --seed 1": cli(
         "teach-sim", "--controller", "native", "--seed", "1", out="demo_native.csv"),
     "teach-sim --config teach_noise.json": cli("teach-sim", "--config", "teach_noise.json", out="demo_noisy.csv"),
+    "batch --config contact_batch.json": cli(
+        "batch", "--config", "contact_batch.json", out="batch_contact.json", also=("batch_contact.csv",)),
     "localize --seed 1": cli("localize", "--seed", "1", out="localize.csv"),
     "fit --demo demo.csv": cli("fit", "--demo", "demo.csv", out="prim.json"),
     "rollout --dmp prim.json": cli("rollout", "--dmp", "prim.json", out="replay.csv"),
@@ -184,6 +191,7 @@ def main(argv=None) -> int:
             out.mkdir()
             (out / "abort.events").write_text(ABORT_EVENTS)
             (out / "teach_noise.json").write_text(TEACH_NOISE)
+            (out / "contact_batch.json").write_text(CONTACT_BATCH)
             for name, doc in BAD_CONFIGS.items():
                 (out / name).write_text(json.dumps(doc) + "\n")
         for r in range(args.repeats):

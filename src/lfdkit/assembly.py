@@ -372,6 +372,35 @@ def _contact_project(p: tuple[float, float, float], model: tuple[float, ...]) ->
     return px - h * ax, py - h * ay, pz - h * az
 
 
+def _first_binding_tick(lag: np.ndarray, model: tuple[float, ...]) -> int | None:
+    """The first tick after the start whose scanned position the contact
+    rule of :func:`_contact_project` may move, or None when none can.
+
+    A tick binds when it is at or below the top face, on the bar footprint
+    and outside the clearance, each test widened by 1e-9 m. The margins
+    dwarf the scan's rounding, so they only ever move the answer earlier:
+    no contact is missed, and a false alarm costs a few scalar ticks. Only
+    the rows from the first tick at or below the face are tested.
+    """
+    cx, cy, cz, ax, ay, az, ox, oy, oz, ux, uy, uz, vx, vy, vz, half_x, half_y, clearance = model
+    height = (lag[0] - cx) * ax + (lag[1] - cy) * ay + (lag[2] - cz) * az
+    below = np.flatnonzero(height[1:] <= 1e-9)
+    if not len(below):
+        return None
+    k0 = int(below[0]) + 1
+    px, py, pz, h = lag[0, k0:], lag[1, k0:], lag[2, k0:], height[k0:]
+    bx, by, bz = px - ox, py - oy, pz - oz
+    lx, ly, lz = px - cx - h * ax, py - cy - h * ay, pz - cz - h * az
+    binds = (
+        (h <= 1e-9)
+        & (np.abs(bx * ux + by * uy + bz * uz) <= half_x + 1e-9)
+        & (np.abs(bx * vx + by * vy + bz * vz) <= half_y + 1e-9)
+        & (np.sqrt(lx * lx + ly * ly + lz * lz) > clearance - 1e-9)
+    )
+    hits = np.flatnonzero(binds)
+    return k0 + int(hits[0]) if len(hits) else None
+
+
 def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> Trajectory:
     """Track the plan on the lagged plant, contact-projected against the
     true hole each tick, then hold the last command until the lag dies.
@@ -382,9 +411,12 @@ def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole
     last command g, e = log(q * conj(g)), the chart ``dmp.rollout`` replays
     in: e_r[k] = (1 - a) e_r[k-1] + a e_c[k]. Free motion of all six axes is
     then one linear scan over every tick. Contact never moves the attitude,
-    so its scan is final. The scanned position holds up to the first tick at
-    or below the top face; from there a float loop steps the position
-    through ``plant_step`` and :func:`_contact_project`.
+    so its scan is final. The scanned position holds up to the first tick
+    where contact binds (:func:`_first_binding_tick`); from there, starting
+    at the scanned state of the tick before it, a float loop steps the
+    position through ``plant_step`` and :func:`_contact_project`. A peg that
+    enters within the clearance never binds, and its positions are the
+    scan's.
 
     One lag factor serves every tick, so the plan's intervals must agree to
     1e-9 relative.
@@ -411,13 +443,9 @@ def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole
     orientations = quat_mul_rows(from_rotation_vector_rows(lag[3:].T), g)
 
     model = _contact_model(scene, hole_id, scenario.clearance)
-    cx, cy, cz, ax, ay, az = model[:6]
-    # the margin dwarfs the scan's rounding, so no contact is missed
-    height = (lag[0] - cx) * ax + (lag[1] - cy) * ay + (lag[2] - cz) * az
-    below = np.flatnonzero(height[1:] <= 1e-9)
     positions = lag[:3].T
-    if len(below):
-        k0 = int(below[0]) + 1
+    k0 = _first_binding_tick(lag, model)
+    if k0 is not None:
         commands = cmd.positions[k0:].tolist() + [cmd.positions[-1].tolist()] * (n - max(k0, n_cmd))
         # the same attitude on both sides: plant_step moves the position only
         x_r = (*positions[k0 - 1].tolist(), *goal)

@@ -175,6 +175,8 @@ class TrialSection:
         _positive("demo_duration", self.demo_duration)
         _check_tolerances(self.clearance, self.tilt_tol_deg, self.required_depth, self.standoff, self.plan_overtravel,
                           tilt_name="tilt_tol_deg")
+        if not math.radians(self.tilt_tol_deg) > 0:  # the scenario holds radians, where 5e-324 degrees is 0
+            raise ValueError(f"tilt_tol_deg must be positive in radians, got {self.tilt_tol_deg!r}")
         _at_least("yaw_limit_deg", self.yaw_limit_deg, 0)
         _check_corruption(self.noise_sigma, self.dropout)
         _finite_fields(self)

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import lfdkit.assembly
 from lfdkit.assembly import (
     MAX_TRIALS,
+    _SNAP_BAND,
     _contact_model,
     _contact_project,
+    _first_binding_tick,
     _run_plan,
     _score,
     AssemblyScenario,
@@ -59,6 +61,19 @@ def noisy_scenario():
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def count_calls(monkeypatch, name):
+    """Patch ``lfdkit.assembly.<name>``; the returned list grows one entry per call."""
+    calls = []
+    real = getattr(lfdkit.assembly, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lfdkit.assembly, name, counted)
+    return calls
 
 
 class TestStateMachine:
@@ -372,22 +387,16 @@ class TestExecuteTrial:
         assert r.state == TaskState(Phase.FAILED, "aborted")
 
     def test_abort_after_the_insertion_executes_nothing(self, scenario, monkeypatch):
-        ticks = []
-        real = lfdkit.assembly.plant_step
-
-        def counted(*args, **kwargs):
-            ticks.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(lfdkit.assembly, "plant_step", counted)
-        assert execute_trial(scenario).state.phase is Phase.DONE and ticks
-        ticks.clear()
+        # jerk_metrics scores each executed plan once, so it counts executions
+        executed = count_calls(monkeypatch, "jerk_metrics")
+        assert execute_trial(scenario).state.phase is Phase.DONE and executed
+        executed.clear()
         evs = (*nominal_events()[:5], StepEvent(EventKind.ABORT, 5.0))
         r = execute_trial(scenario, evs)
         assert r.state == TaskState(Phase.FAILED, "aborted")
         assert all(math.isnan(v) for v in (r.lateral_err_m, r.tilt_rad, r.depth_m))
         assert r.jerk is None and r.duration_s == 0.0
-        assert ticks == []
+        assert executed == []
 
     def test_planning_failure_wins_over_a_later_abort(self):
         # gains this soft leave the approach short of the standoff pose
@@ -671,6 +680,43 @@ class TestRunPlan:
         lateral, _, depth = self.assert_same_as_reference(scenario, offset=2e-3)
         assert lateral > 1.5e-3 and abs(depth) < 1e-9
 
+    # either side of the clearance (0.5 mm) and of the chamfer band's outer edge (1.5 mm)
+    @pytest.mark.parametrize("offset_mm", [0.45, 0.5, 0.55, 1.45, 1.55])
+    def test_offsets_across_the_contact_edges_match_reference(self, scenario, offset_mm):
+        self.assert_same_as_reference(scenario, offset=offset_mm * 1e-3)
+
+    def test_offset_on_the_band_edge_takes_either_branch(self, scenario):
+        # 1.5 mm off: the peg reaches the face within 1e-17 m of the band's
+        # outer edge, where the rule jumps from funnelling in to blocking. The
+        # scan lands a hair inside the edge and the tick loop a hair outside,
+        # so each rounding takes its own branch of the same law.
+        plan, scene = self.plan(scenario, offset=1.5e-3)
+        got = _run_plan(plan, scenario, scene, self.HOLE)
+        want, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        model = _contact_model(scene, self.HOLE, scenario.clearance)
+        k = _first_binding_tick(want.positions.T, model)
+        np.testing.assert_allclose(got.positions[:k], want.positions[:k], rtol=0, atol=1e-12)
+        for run in (got, want):
+            lateral, _, depth = _score(run, scene, self.HOLE)
+            entered = lateral <= scenario.clearance and depth >= scenario.required_depth
+            blocked = abs(lateral - 1.5e-3) < 1e-12 and abs(depth) < 1e-9
+            assert entered or blocked
+
+    def test_face_block_steps_from_the_first_binding_tick(self, scenario, monkeypatch):
+        plan, scene = self.plan(scenario, offset=2e-3)
+        want, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        model = _contact_model(scene, self.HOLE, scenario.clearance)
+        # the first tick where the tick-by-tick law's contact rule moves the peg
+        a = 1.0 - math.exp(-(plan.times[1] - plan.times[0]) / PLANT_TIME_CONSTANT)
+        commands = np.vstack([plan.positions, np.repeat(plan.positions[-1:], len(want) - len(plan), axis=0)])
+        free = want.positions[:-1] + a * (commands[1:] - want.positions[:-1])
+        moved = [k + 1 for k, p in enumerate(free.tolist()) if _contact_project(tuple(p), model) != tuple(p)]
+        assert moved
+        calls = count_calls(monkeypatch, "plant_step")
+        got = _run_plan(plan, scenario, scene, self.HOLE)
+        # one call per tick from the first one stepped to the end
+        assert len(got) - len(calls) == moved[0]
+
     def test_non_uniform_intervals_rejected(self, scenario):
         plan, scene = self.plan(scenario)
         times = plan.times.copy()
@@ -678,3 +724,58 @@ class TestRunPlan:
         stretched = Trajectory(times, plan.positions, plan.orientations)
         with pytest.raises(ValueError, match="plan intervals must be uniform"):
             _run_plan(stretched, scenario, scene, self.HOLE)
+
+
+class TestContactGate:
+    """The scalar contact loop runs only from the first tick where contact
+    can bind; before it, the executed positions are the scan's."""
+
+    def test_noiseless_trial_steps_no_tick(self, scenario, monkeypatch):
+        calls = count_calls(monkeypatch, "plant_step")
+        r = execute_trial(scenario)
+        assert r.state.phase is Phase.DONE and r.success
+        assert calls == []
+
+    HEIGHTS = [-2e-3, -1e-6, -2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9, 1e-6]
+    NUDGES = [-1e-6, -2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9, 1e-6]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        hole_id=st.integers(0, 2),
+        yaw=st.floats(-1.0, 1.0),
+        height=st.one_of(st.sampled_from(HEIGHTS), st.floats(-3e-3, 1e-3)),
+        nudge=st.one_of(st.sampled_from(NUDGES), st.floats(-1e-4, 1e-4)),
+        edge=st.sampled_from(["clearance", "snap band", "footprint x", "footprint y"]),
+        angle=st.floats(-math.pi, math.pi),
+        along=st.floats(-1.0, 1.0),
+    )
+    def test_gate_flags_every_point_the_rule_moves(self, scenario, hole_id, yaw, height, nudge, edge, angle, along):
+        scene = scenario.scene.yawed(yaw)
+        model = _contact_model(scene, hole_id, scenario.clearance)
+        center, axis, origin = (np.array(model[i : i + 3]) for i in (0, 3, 6))
+        u, v = np.array(model[9:12]), np.array(model[12:15])
+        half_x, half_y, clearance = model[15:]
+        hole = (center - origin) @ u, (center - origin) @ v
+        if edge in ("clearance", "snap band"):
+            r = (clearance if edge == "clearance" else clearance + _SNAP_BAND) + nudge
+            x, y = r * math.cos(angle), r * math.sin(angle)
+        elif edge == "footprint x":  # across the bar's end, anywhere along its width
+            x, y = math.copysign(half_x, angle) - hole[0] + nudge, along * half_y - hole[1]
+        else:  # across the bar's long side, anywhere along its length
+            x, y = along * half_x - hole[0], math.copysign(half_y, angle) - hole[1] + nudge
+        p = tuple((center + height * axis + x * u + y * v).tolist())
+        # the first tick goes below the face on the axis, where nothing binds,
+        # so the row test sees p whether it is above the face or below
+        inside = center - 1e-3 * axis
+        first = _first_binding_tick(np.array([p, inside, p]).T, model)
+        assert first in (None, 2)
+        flagged = first == 2
+        if _contact_project(p, model) != p:
+            assert flagged
+        if flagged:  # and only near a point the rule moves
+            rel = np.array(p) - center
+            h = float(rel @ axis)
+            bar = np.array(p) - origin
+            assert h <= 2e-9
+            assert abs(bar @ u) <= half_x + 2e-9 and abs(bar @ v) <= half_y + 2e-9
+            assert np.linalg.norm(rel - h * axis) > clearance - 2e-9

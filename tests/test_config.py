@@ -159,6 +159,7 @@ OUT_OF_RANGE = [
     ("dmp", "alpha_s", 0, "must be positive"),
     ("trial", "clearance", -1, "must be positive"),
     ("trial", "tilt_tol_deg", 0, "must be positive"),
+    ("trial", "tilt_tol_deg", 5e-324, "must be positive in radians"),
     ("trial", "required_depth", 0, "must be positive"),
     ("trial", "standoff", 0, "must be positive"),
     ("trial", "plan_overtravel", -1e-3, "must be at least 0"),
@@ -529,6 +530,15 @@ class TestOneRule:
         with pytest.raises(ValueError) as err:
             call(scenario)
         assert str(err.value) == text
+
+    def test_tilt_that_is_zero_in_radians_is_refused_on_load(self, scenario):
+        # positive in degrees, 0 in the radians the scenario holds, which refuses it too
+        with pytest.raises(ParseError) as err:
+            config_from_dict({"trial": {"tilt_tol_deg": 5e-324}})
+        assert err.value.message == "tilt_tol_deg must be positive in radians, got 5e-324"
+        with pytest.raises(ValueError) as err:
+            replace(scenario, tilt_tol=math.radians(5e-324))
+        assert str(err.value) == "tilt_tol must be positive, got 0.0"
 
 
 class TestFiles:
