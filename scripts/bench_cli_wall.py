@@ -27,8 +27,8 @@ Each checkout writes into its own directory. After the last round every
 command's stdout and output files are compared byte for byte across the
 two checkouts; ``identical`` in the JSON records the result per command
 and file, any difference is printed, and the script exits 1 if there is
-one. Then each command of ``INVALID`` (a bad flag value, or a config file
-with one value out of range) runs once per checkout, untimed; it must exit
+one. Then each command of ``INVALID`` (a bad flag value, or a config or
+primitive file with one value out of range) runs once per checkout, untimed; it must exit
 non-zero, and its exit status and stderr must match across the two
 checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
@@ -87,6 +87,10 @@ BAD_CONFIGS = {
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
 }
+# a two-basis primitive file with alpha_z out of range, written into each output directory
+_REST = {"position": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}
+BAD_PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
+                 "widths": [1.0, 1.0], "weights": [[0.0, 0.0]] * 6, "demo_start": _REST, "demo_goal": _REST}
 
 
 def cli(*args: str, out: str, also: tuple[str, ...] = ()) -> tuple[list[str], tuple[str, ...]]:
@@ -137,6 +141,7 @@ INVALID = {
     "trial --seed -1": cli("trial", "--seed", "-1", out="bad.json")[0],
     "sweep --start-deg 10 --stop-deg -10": cli("sweep", "--start-deg", "10", "--stop-deg", "-10", out="bad.csv")[0],
     **{f"trial --config {name}": cli("trial", "--config", name, out="bad.json")[0] for name in BAD_CONFIGS},
+    "rollout --dmp bad_prim_alpha_z.json": cli("rollout", "--dmp", "bad_prim_alpha_z.json", out="bad.csv")[0],
 }
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -194,6 +199,7 @@ def main(argv=None) -> int:
             (out / "contact_batch.json").write_text(CONTACT_BATCH)
             for name, doc in BAD_CONFIGS.items():
                 (out / name).write_text(json.dumps(doc) + "\n")
+            (out / "bad_prim_alpha_z.json").write_text(json.dumps(BAD_PRIMITIVE) + "\n")
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

@@ -25,8 +25,7 @@ import numpy as np
 from .dmp import PoseDmp, RolloutDiverged, linear_scan, rollout
 from .ktc import PLANT_TIME_CONSTANT, plant_step
 from .metrics import jerk_metrics
-from .se3 import Pose, from_rotation_vector_rows, quat_mul_rows, quat_mul_wxyz, quat_normalize
-from .se3 import quat_rotate_wxyz, relative_rotation_vector_rows, rotation_between
+from .se3 import Pose, chart_rows, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
 from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite, _positive, fmt_float
 from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
 from .vision import _check_mask_points, check_visible, fit_circle3d, hole_in_world, synthesize_mask
@@ -262,7 +261,8 @@ def _check_trial_count(n: int) -> None:
 @dataclass(frozen=True)
 class AssemblyScenario:
     """Everything one trial needs; ``hole_id`` and ``yaw`` left as None are
-    drawn from the trial seed (uniform detectable hole, uniform yaw)."""
+    drawn from the trial seed (uniform detectable hole, yaw uniform within
+    ``yaw_limit`` radians of 0)."""
 
     scene: BarScene
     cam: CameraModel
@@ -270,7 +270,7 @@ class AssemblyScenario:
     initial_pose: Pose
     hole_id: int | None = None
     yaw: float | None = None
-    yaw_range: tuple[float, float] = (-math.pi / 3.0, math.pi / 3.0)
+    yaw_limit: float = math.pi / 3.0
     clearance: float = 5e-4
     tilt_tol: float = math.radians(2.0)
     required_depth: float = 0.010
@@ -289,9 +289,7 @@ class AssemblyScenario:
         if self.hole_id is not None:
             _check_hole_id(self.scene, self.hole_id)
         _finite("yaw", self.yaw)
-        lo, hi = self.yaw_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError("yaw_range must be finite and ordered")
+        _at_least("yaw_limit", self.yaw_limit, 0)
 
 
 def meets_tolerances(lateral: float, tilt: float, depth: float, scenario: AssemblyScenario) -> bool:
@@ -435,12 +433,12 @@ def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole
     # held through the settle; the scan overwrites it with the reached state
     lag = np.empty((6, n))
     lag[:3, :n_cmd] = cmd.positions.T
-    lag[3:, :n_cmd] = relative_rotation_vector_rows(cmd.orientations, g).T
+    lag[3:, :n_cmd] = chart_rows(cmd.orientations, g).T
     lag[:, n_cmd:] = lag[:, n_cmd - 1 : n_cmd]
     lam = -dt / PLANT_TIME_CONSTANT
     lag[:, 1:] *= -math.expm1(lam)
     linear_scan(lag[:, 1:], lam, lag[:, 0])
-    orientations = quat_mul_rows(from_rotation_vector_rows(lag[3:].T), g)
+    orientations = unchart_rows(lag[3:].T, g)
 
     model = _contact_model(scene, hole_id, scenario.clearance)
     positions = lag[:3].T
@@ -477,7 +475,7 @@ def _resolve(scenario: AssemblyScenario) -> tuple[float, BarScene, int | None, i
     """The seeded choices, drawn from one generator in a fixed order: the
     yaw, the hole (None when no hole is visible), then the vision seed."""
     rng = np.random.default_rng(scenario.seed)
-    yaw = scenario.yaw if scenario.yaw is not None else float(rng.uniform(*scenario.yaw_range))
+    yaw = scenario.yaw if scenario.yaw is not None else float(rng.uniform(-scenario.yaw_limit, scenario.yaw_limit))
     scene = scenario.scene.yawed(yaw)
     hole_id = scenario.hole_id
     if hole_id is None:

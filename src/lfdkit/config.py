@@ -17,7 +17,7 @@ from typing import Any
 
 from .assembly import _PLAN_DT, _check_tolerances, _check_trial_count
 from .dmp import check_basis_layout, demo_steps, rollout_steps
-from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_timing
+from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_noise, _check_teach_timing
 from .se3 import quat_normalize
 from .trajectory import ParseError, _at_least, _check_seed, _finite, _positive, read_json, write_json
 from .vision import _check_corruption, _check_hole_id, _check_mask_points, sweep_yaw_count
@@ -116,8 +116,7 @@ class TeachSection:
     def __post_init__(self) -> None:
         _check_controller(self.controller)
         _check_teach_timing(self.rate, self.max_duration, self.plant_time_constant)
-        _at_least("force_noise_std", self.force_noise_std, 0)
-        _at_least("torque_noise_std", self.torque_noise_std, 0)
+        _check_teach_noise(self.force_noise_std, self.torque_noise_std)
         _finite_fields(self)
 
 

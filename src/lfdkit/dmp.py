@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, from_rotation_vector_rows, quat_mul_rows, quat_normalize, relative_rotation_vector_rows
+from .se3 import Pose, chart_rows, quat_normalize, unchart_rows
 from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
 from .trajectory import _at_least, _positive, read_json, require_keys, resample_trajectory, write_json
 
@@ -238,7 +238,7 @@ def prepare_demonstration(traj: Trajectory, dt: float = 1e-3) -> DemonstrationDa
     res = resample_trajectory(traj, grid_dt)
     t = res.times - res.times[0]
     quats = res.orientations
-    e = relative_rotation_vector_rows(quats, quats[-1:])
+    e = chart_rows(quats, quats[-1:])
     # neighbouring samples lie a grid step apart; only the chart's jump moves e by more than pi
     jump = np.flatnonzero(np.linalg.norm(np.diff(e, axis=0), axis=1) > math.pi)
     if len(jump):
@@ -325,8 +325,7 @@ class PoseDmp:
 
     def __post_init__(self) -> None:
         for name in ("alpha_s", "alpha_z", "beta_z", "tau"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            _positive(name, getattr(self, name))
         # own read-only copies, so the primitive cannot change under the
         # responses rollout keeps for it
         for name in ("centers", "widths"):
@@ -526,9 +525,9 @@ def rollout(
     Divergence is found row-wise: the first step whose |z| over six axes
     plus |p| and |e| sum to 1e15 or more, or to NaN, raises RolloutDiverged.
     Every call whose forcing underflowed warns ForcingUnderflow, a call
-    served from the kept responses included. The orientation comes back as
-    q = exp(e) * g row by row, an |e| of 2 pi or more first wrapped along its
-    axis, which is the same rotation.
+    served from the kept responses included. The orientation comes back
+    through ``se3.unchart_rows`` as q = exp(e) * g row by row, which is
+    defined for every e.
     """
     start = dmp.demo_start if start is None else start
     goal = dmp.demo_goal if goal is None else goal
@@ -543,9 +542,7 @@ def rollout(
     adt = dt / tau
 
     gq = np.array([goal.orientation])
-    e0 = np.concatenate(
-        [start.position - goal.position, relative_rotation_vector_rows(np.array([start.orientation]), gq)[0]]
-    )
+    e0 = np.concatenate([start.position - goal.position, chart_rows(np.array([start.orientation]), gq)[0]])
     err = forced.copy()
     for axis in np.flatnonzero(e0):
         err[:, axis] += unit * e0[axis]
@@ -561,11 +558,7 @@ def rollout(
         bad = np.flatnonzero(~(size[1:] < 1e15))
         if len(bad):
             raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
-    if not bound < 3.6:  # sqrt(3) * 3.6 < 2 pi
-        angle = np.linalg.norm(rot, axis=1)
-        far = angle >= 2.0 * math.pi
-        rot[far] *= ((np.remainder(angle[far] + math.pi, 2.0 * math.pi) - math.pi) / angle[far])[:, None]
-    return Trajectory(times, positions, quat_mul_rows(from_rotation_vector_rows(rot), gq))
+    return Trajectory(times, positions, unchart_rows(rot, gq))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_vector_wxyz, slerp_wxyz
-from .trajectory import Trajectory, _positive
+from .trajectory import Trajectory, _at_least, _positive
 
 __all__ = [
     "CONTROLLERS",
@@ -95,6 +95,12 @@ def _check_teach_timing(rate: float, max_duration: float, plant_time_constant: f
     _positive("plant_time_constant", plant_time_constant)
     if not max_duration * rate <= MAX_TEACH_STEPS:
         raise ValueError(f"max_duration * rate = {max_duration * rate:.6g} teach steps exceeds {MAX_TEACH_STEPS}")
+
+
+def _check_teach_noise(force_noise_std: float, torque_noise_std: float) -> None:
+    """The sensor noise rule: each standard deviation at least 0 and finite."""
+    _at_least("force_noise_std", force_noise_std, 0)
+    _at_least("torque_noise_std", torque_noise_std, 0)
 
 
 def native_drive_step(
@@ -213,6 +219,7 @@ def simulate_demonstration(
     """
     _check_controller(controller)
     _check_teach_timing(rate, max_duration, plant_time_constant)
+    _check_teach_noise(force_noise_std, torque_noise_std)
     waypoints = [(*p.position.tolist(), *p.orientation) for p in waypoints]
     if not waypoints:
         raise ValueError("need at least one waypoint")

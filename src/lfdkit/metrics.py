@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .se3 import relative_rotation_vector_rows
+from .se3 import chart_rows
 from .trajectory import Trajectory, finite_difference, resample_trajectory
 
 __all__ = [
@@ -69,7 +69,7 @@ def rotation_jerk_metrics(traj: Trajectory) -> dict:
     relative to the first sample. Assumes the motion stays within a half-turn
     of its starting orientation (true of hand-guided demonstrations)."""
     traj = _uniform(traj)
-    rvs = relative_rotation_vector_rows(traj.orientations, traj.orientations[:1])
+    rvs = chart_rows(traj.orientations, traj.orientations[:1])
     jerk = finite_difference(traj.times, rvs, 3)
     return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "rad/s^3")
 

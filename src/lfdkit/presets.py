@@ -11,8 +11,7 @@ import numpy as np
 from .assembly import AssemblyScenario
 from .config import RunConfig, TrialSection
 from .dmp import fit_pose_dmp, grid_steps
-from .se3 import Pose, from_rotation_vector, from_rotation_vector_rows, quat_mul_rows
-from .se3 import relative_rotation_vector_rows
+from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
 from .trajectory import Trajectory
 from .vision import BarScene, CameraModel, HoleSpec, scene_from_dict
 
@@ -86,8 +85,7 @@ def make_smooth_demo(
         if len(orientations) != k:
             raise ValueError("orientation waypoints must match position waypoints")
         wq = np.array(orientations, dtype=float)
-        rotvecs = _clamped_spline(knots, relative_rotation_vector_rows(wq, wq[:1]), warped)
-        quats = quat_mul_rows(from_rotation_vector_rows(rotvecs), wq[0])
+        quats = unchart_rows(_clamped_spline(knots, chart_rows(wq, wq[:1]), warped), wq[0])
     return Trajectory(times, pos, quats)
 
 
@@ -168,7 +166,6 @@ def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
     wp, quats = demo_pose_waypoints(seed=0)
     t = cfg.trial
     demo = make_smooth_demo(wp, duration=t.demo_duration, orientations=quats)
-    limit = math.radians(t.yaw_limit_deg)
     return AssemblyScenario(
         scene=scene,
         cam=cam,
@@ -176,7 +173,7 @@ def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
         initial_pose=Pose([-0.06, -0.10, 0.25]),
         hole_id=t.hole_id,
         yaw=None if t.yaw_deg is None else math.radians(t.yaw_deg),
-        yaw_range=(-limit, limit),
+        yaw_limit=math.radians(t.yaw_limit_deg),
         clearance=t.clearance,
         tilt_tol=math.radians(t.tilt_tol_deg),
         required_depth=t.required_depth,

@@ -13,8 +13,10 @@ Conventions, fixed once and used everywhere:
   ``log(q) = (theta/2) * u`` for ``q = (cos(theta/2), u*sin(theta/2))``,
   so a full-angle rotation vector is ``2 * log(q)``
 * per-tick loops go through the ``*_wxyz`` float-tuple kernels; whole
-  trajectories go through the ``*_rows`` kernels, which apply the same maps
-  to ``(n, 4)`` quaternion and ``(n, 3)`` vector arrays row by row
+  trajectories go through one log chart at a reference orientation:
+  :func:`chart_rows` maps ``(n, 4)`` quaternions to ``(n, 3)`` full-angle
+  rotation vectors from the reference, and :func:`unchart_rows` maps them
+  back, row by row
 * units are meters, seconds, newtons, and radians throughout
 """
 
@@ -38,12 +40,9 @@ __all__ = [
     "quat_exp_wxyz",
     "rotation_vector_wxyz",
     "slerp_wxyz",
-    "quat_mul_rows",
-    "quat_conj_rows",
     "quat_canonicalize_rows",
-    "rotation_vector_rows",
-    "from_rotation_vector_rows",
-    "relative_rotation_vector_rows",
+    "chart_rows",
+    "unchart_rows",
 ]
 
 _ZERO_NORM_TOL = 1e-12
@@ -215,31 +214,10 @@ def slerp_wxyz(
 
 
 # ---------------------------------------------------------------------------
-# row kernels: the maps above over arrays with one quaternion (w, x, y, z) or
-# one vector per row; products broadcast, so a single row may stand for all
+# row kernels: arrays with one quaternion (w, x, y, z) or one vector per row;
+# a single reference row stands for all
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b per row, neither renormalized nor canonicalized
-    (follow with :func:`quat_canonicalize_rows` for what :func:`quat_mul_wxyz`
-    returns)."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ],
-        axis=-1,
-    )
-
-
-def quat_conj_rows(q: np.ndarray) -> np.ndarray:
-    return q * _CONJ
 
 
 def quat_canonicalize_rows(quats: np.ndarray) -> np.ndarray:
@@ -258,34 +236,44 @@ def quat_canonicalize_rows(quats: np.ndarray) -> np.ndarray:
     return q
 
 
-def rotation_vector_rows(q: np.ndarray) -> np.ndarray:
-    """:func:`rotation_vector_wxyz` per row; like it, no hemisphere flip, so
-    rows with w < 0 map to angles above pi."""
-    v = q[:, 1:]
+def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product a*b per row, neither renormalized nor canonicalized."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by + ay * bw + az * bx - ax * bz,
+            aw * bz + az * bw + ax * by - ay * bx,
+        ],
+        axis=-1,
+    )
+
+
+def chart_rows(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The log chart at ``ref``: per row, the full-angle, shortest-arc
+    rotation vector taking ``ref`` onto ``q``, i.e.
+    ``rotation_vector_wxyz(quat_mul_wxyz(q, quat_conj_wxyz(ref)))``. Every
+    angle lies in [0, pi]."""
+    d = quat_canonicalize_rows(_mul_rows(q, ref * _CONJ))
+    v = d[:, 1:]
     vn = np.linalg.norm(v, axis=1)
-    w = q[:, 0]
-    near = vn < 1e-12
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k = np.where(near, np.where(w < 0.0, 0.0, 1.0 / w), np.arctan2(vn, w) / vn)
+        k = np.where(vn < 1e-12, 1.0 / d[:, 0], np.arctan2(vn, d[:, 0]) / vn)
     return (2.0 * k)[:, None] * v
 
 
-def from_rotation_vector_rows(r: np.ndarray) -> np.ndarray:
-    """:func:`from_rotation_vector` per row, on the same domain (full angle
-    below 2*pi) and equally left off the canonical hemisphere."""
-    r = np.asarray(r, dtype=float)
-    n = np.linalg.norm(r, axis=1)
-    if not np.all(n < 2.0 * math.pi):
-        raise ValueError(f"rotation-vector norm {np.max(n):.6g} is outside the domain [0, 2 pi)")
-    h, n = 0.5 * r, 0.5 * n  # the half-angle vector and its norm, both exact
-    q = np.column_stack([np.cos(n), np.sinc(n / math.pi)[:, None] * h])  # sinc(n/pi) = sin(n)/n
-    return q / np.linalg.norm(q, axis=1)[:, None]
-
-
-def relative_rotation_vector_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``rotation_vector_wxyz(quat_mul_wxyz(a, quat_conj_wxyz(b)))`` per row:
-    the shortest-arc rotation vector taking b onto a."""
-    return rotation_vector_rows(quat_canonicalize_rows(quat_mul_rows(a, quat_conj_rows(b))))
+def unchart_rows(e: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The map back from the chart at ``ref``: per row, the rotation of
+    full-angle vector ``e`` composed onto ``ref``, exp(e/2) * ref, neither
+    renormalized nor canonicalized. The exponential is defined for every
+    vector; one of 2 pi or more is the same rotation as the vector wrapped
+    along its axis."""
+    e = np.asarray(e, dtype=float)
+    n = 0.5 * np.linalg.norm(e, axis=1)  # the half-angle norm, exact
+    x = np.column_stack([np.cos(n), np.sinc(n / math.pi)[:, None] * (0.5 * e)])  # sinc(n/pi) = sin(n)/n
+    return _mul_rows(x / np.linalg.norm(x, axis=1)[:, None], ref)
 
 
 @dataclass(frozen=True)

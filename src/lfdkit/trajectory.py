@@ -21,8 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .se3 import Pose, quat_canonicalize_rows, quat_mul_rows, quat_normalize
-from .se3 import from_rotation_vector_rows, relative_rotation_vector_rows
+from .se3 import Pose, chart_rows, quat_canonicalize_rows, quat_normalize, unchart_rows
 
 __all__ = [
     "Trajectory",
@@ -375,8 +374,7 @@ def resample_trajectory(traj: Trajectory, dt: float) -> Trajectory:
         wr = traj.wrenches[idx] + u[:, None] * (traj.wrenches[idx + 1] - traj.wrenches[idx])
 
     qa = traj.orientations[idx]
-    rel = relative_rotation_vector_rows(traj.orientations[idx + 1], qa)  # the short way round
-    quats = quat_mul_rows(from_rotation_vector_rows(u[:, None] * rel), qa)
+    quats = unchart_rows(u[:, None] * chart_rows(traj.orientations[idx + 1], qa), qa)  # the short way round
 
     # endpoints are the original samples, bit for bit
     pos[0] = traj.positions[0]

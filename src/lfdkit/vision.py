@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz
-from .trajectory import ParseError, _at_least, _brief_repr, _check_seed, json_floats, json_pose, pose_json
+from .trajectory import ParseError, _at_least, _brief_repr, _check_seed, _positive, json_floats, json_pose, pose_json
 from .trajectory import require_keys
 
 __all__ = [
@@ -390,6 +390,7 @@ def detection_range_sweep(
     """
     _check_seed(seed)
     _check_corruption(noise_sigma, dropout)
+    _positive("tolerance", tolerance)
     count = sweep_yaw_count(yaw_start, yaw_stop, step)
     yaws = yaw_start + step * np.arange(count)
 

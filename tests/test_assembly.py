@@ -41,7 +41,7 @@ from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.ktc import PLANT_TIME_CONSTANT
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
-from lfdkit.se3 import relative_rotation_vector_rows, rotation_vector_wxyz, slerp_wxyz
+from lfdkit.se3 import chart_rows, rotation_vector_wxyz, slerp_wxyz
 from lfdkit.trajectory import ParseError, Trajectory
 from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
@@ -568,8 +568,8 @@ class TestScenarioValidation:
             ("yaw", math.nan, "yaw must be finite, got nan"),
             ("yaw", math.inf, "yaw must be finite, got inf"),
             ("yaw", -math.inf, "yaw must be finite, got -inf"),
-            ("yaw_range", (-math.inf, math.inf), "yaw_range must be finite and ordered"),
-            ("yaw_range", (0.0, math.nan), "yaw_range must be finite and ordered"),
+            pytest.param("yaw_limit", math.nan, "yaw_limit must be at least 0, got nan", id="yaw_limit-nan"),
+            pytest.param("yaw_limit", math.inf, "yaw_limit must be finite, got inf", id="yaw_limit-inf"),
         ],
     )
     def test_rejects_nan_and_infinity(self, scenario, field, value, message):
@@ -579,9 +579,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=message):
             replace(scenario, **{field: value})
 
-    def test_bad_yaw_range(self, scenario):
-        with pytest.raises(ValueError, match="yaw_range"):
-            replace(scenario, yaw_range=(1.0, -1.0))
+    def test_bad_yaw_limit(self, scenario):
+        with pytest.raises(ValueError, match=r"yaw_limit must be at least 0, got -1\.0"):
+            replace(scenario, yaw_limit=-1.0)
 
     def test_nan_errors_never_pass(self, scenario):
         assert not meets_tolerances(math.nan, math.nan, math.nan, scenario)
@@ -658,7 +658,7 @@ class TestRunPlan:
         np.testing.assert_allclose(got.positions, want.positions, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.orientations, want.orientations, rtol=0, atol=1e-12)
         # the chart lag stays within 1e-5 rad of the slerp lag, tick by tick
-        apart = np.linalg.norm(relative_rotation_vector_rows(got.orientations, slerp), axis=1)
+        apart = np.linalg.norm(chart_rows(got.orientations, slerp), axis=1)
         assert apart.max() <= 1e-5
         return _score(got, scene, self.HOLE)
 

@@ -445,6 +445,7 @@ class TestInputFiles:
             (("tau",), -2.0, "tau must be positive"),
             (("centers", 0), 1.5, "centers must lie in (0, 1]"),
             (("centers", 49), 0.0, "centers must lie in (0, 1]"),
+            (("alpha_z",), 0, "field 'primitive': alpha_z must be positive, got 0.0\n"),
         ],
     )
     def test_malformed_primitive(self, smooth_prim, capsys, tmp_path, path, value, named):

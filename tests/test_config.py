@@ -450,8 +450,8 @@ class TestHoleIds:
         assert config_from_dict(doc).localize.hole_id == 0
 
 
-def _teach(**timing):
-    return simulate_demonstration(*default_teach_setup("proposed"), **timing)
+def _teach(**kwargs):
+    return simulate_demonstration(*default_teach_setup("proposed"), **kwargs)
 
 
 HOLE_7 = "hole id 7 outside the scene's holes 0..2"
@@ -508,6 +508,16 @@ ONE_RULE = [
     pytest.param({"rollout": {"horizon": -1}}, lambda sc: rollout_steps(1.0, 1e-3, -1.0),
                  "horizon must be at least 0, got -1.0", id="rollout-horizon"),
     pytest.param({"teach": {"rate": 0}}, lambda sc: _teach(rate=0.0), "rate must be positive, got 0.0", id="rate"),
+    # a nan or negative spread would otherwise teach noise-free without a word
+    pytest.param({"teach": {"force_noise_std": math.nan}}, lambda sc: _teach(force_noise_std=math.nan),
+                 "force_noise_std must be at least 0, got nan", id="force_noise_std-nan"),
+    pytest.param({"teach": {"torque_noise_std": -1.0}}, lambda sc: _teach(torque_noise_std=-1.0),
+                 "torque_noise_std must be at least 0, got -1.0", id="torque_noise_std-negative"),
+    pytest.param({"teach": {"force_noise_std": math.inf}}, lambda sc: _teach(force_noise_std=math.inf),
+                 "force_noise_std must be finite, got inf", id="force_noise_std-inf"),
+    pytest.param({"sweep": {"tolerance": 0}},
+                 lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, tolerance=0.0),
+                 "tolerance must be positive, got 0.0", id="tolerance-detection_range_sweep"),
     pytest.param({"teach": {"max_duration": 3600.01}}, lambda sc: _teach(max_duration=3600.01),
                  f"max_duration * rate = 360001 teach steps exceeds {MAX_TEACH_STEPS}", id="teach-steps"),
     pytest.param({"sweep": {"start_deg": 10.0, "stop_deg": -10.0}},

@@ -186,6 +186,15 @@ class TestEvalForcing:
         with pytest.raises(ValueError, match="widths must be positive"):
             PoseDmp(**{**vars(dmp), "widths": -dmp.widths})
 
+    @pytest.mark.parametrize("name", ["alpha_s", "alpha_z", "beta_z", "tau"])
+    @pytest.mark.parametrize("value, text", [(0.0, "must be positive, got 0.0"), (math.nan, "must be positive, got nan"),
+                                             (math.inf, "must be finite, got inf")])
+    def test_gains_share_the_config_phrasing(self, name, value, text):
+        dmp = zero_weight_dmp(n_basis=5)
+        with pytest.raises(ValueError) as err:
+            PoseDmp(**{**vars(dmp), name: value})
+        assert str(err.value) == f"{name} {text}"
+
 
 class TestFitLwr:
     def test_recovers_constant(self):

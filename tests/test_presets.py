@@ -21,7 +21,7 @@ from lfdkit.presets import (
     make_smooth_demo,
     scenario_from_config,
 )
-from lfdkit.se3 import Pose, from_rotation_vector, relative_rotation_vector_rows
+from lfdkit.se3 import Pose, chart_rows, from_rotation_vector
 from lfdkit.vision import scene_to_dict
 
 
@@ -62,7 +62,7 @@ def test_default_scenario_matches_spelled_out_build():
         seed=4,
     )
     got = default_scenario(5e-4, 4)
-    assert got.yaw_range == (-math.pi / 3.0, math.pi / 3.0)
+    assert got.yaw_limit == math.pi / 3.0
     assert_same_scenario(got, want)
 
 
@@ -77,7 +77,7 @@ def test_clamped_spline_matches_scipy(k, spacing):
     at = np.linspace(0.0, 4.0, 4001)
     positions = rng.normal(scale=0.1, size=(k, 3))
     quats = np.array([from_rotation_vector(v) for v in rng.normal(scale=0.3, size=(k, 3))])
-    rotvecs = relative_rotation_vector_rows(quats, quats[:1])
+    rotvecs = chart_rows(quats, quats[:1])
     for values in (positions, rotvecs):
         want = interpolate.CubicSpline(knots, values, bc_type="clamped")(at)
         assert np.max(np.abs(_clamped_spline(knots, values, at) - want)) <= 1e-12

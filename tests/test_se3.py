@@ -6,23 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from lfdkit.se3 import (
     Pose,
+    chart_rows,
     from_rotation_vector,
-    from_rotation_vector_rows,
     quat_canonicalize_rows,
-    quat_conj_rows,
     quat_conj_wxyz,
     quat_exp_wxyz,
     quat_log_wxyz,
     quat_matrix_wxyz,
-    quat_mul_rows,
     quat_mul_wxyz,
     quat_normalize,
     quat_rotate_wxyz,
-    relative_rotation_vector_rows,
     rotation_between,
-    rotation_vector_rows,
     rotation_vector_wxyz,
     slerp_wxyz,
+    unchart_rows,
 )
 
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
@@ -182,8 +179,6 @@ class TestLogExp:
         full = r"norm 6\.98132 is outside the domain \[0, 2 pi\)"
         with pytest.raises(ValueError, match=full):
             from_rotation_vector(r)
-        with pytest.raises(ValueError, match=full):
-            from_rotation_vector_rows(np.array([[0.1, 0.0, 0.0], r]))
         with pytest.raises(ValueError, match=r"norm 3\.49066 is outside the domain \[0, pi\)"):
             quat_exp_wxyz((0.0, 0.0, 0.5 * r[2]))
         with pytest.raises(ValueError, match=r"norm nan is outside the domain \[0, 2 pi\)"):
@@ -405,22 +400,15 @@ def rows(quats):
     return np.array(quats, dtype=float)
 
 
+def assert_same_rotations(got, want):
+    """Row by row the same rotation within 1e-12, q and -q alike."""
+    got = got * np.sign(np.sum(got * want, axis=1))[:, None]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestRowKernels:
-    """Each row kernel against its float-tuple kernel, row by row."""
-
-    @settings(deadline=None)
-    @given(raw_quat_lists, raw_quat_lists)
-    def test_mul(self, qa, qb):
-        n = min(len(qa), len(qb))
-        got = quat_canonicalize_rows(quat_mul_rows(rows(qa[:n]), rows(qb[:n])))
-        want = rows([quat_mul_wxyz(a, b) for a, b in zip(qa, qb)])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    @settings(deadline=None)
-    @given(raw_quat_lists)
-    def test_conj(self, qs):
-        got = quat_canonicalize_rows(quat_conj_rows(rows(qs)))
-        np.testing.assert_allclose(got, rows([quat_conj_wxyz(q) for q in qs]), rtol=0, atol=1e-12)
+    """The canonicalization and the log chart pair against the float-tuple
+    kernels, row by row."""
 
     @settings(deadline=None)
     @given(raw_quat_lists, st.floats(0.5, 2.0))
@@ -438,28 +426,41 @@ class TestRowKernels:
                 quat_canonicalize_rows(np.array([[1.0, 0.0, 0.0, 0.0], bad]))
 
     @settings(deadline=None)
-    @given(raw_quat_lists)
-    def test_log(self, qs):
-        got = rotation_vector_rows(rows(qs))
-        np.testing.assert_allclose(got, [rotation_vector_wxyz(q) for q in qs], rtol=0, atol=1e-12)
+    @given(raw_quat_lists, raw_quat_lists)
+    def test_relative(self, qa, qb):
+        # chart_rows is the shortest-arc rotation vector of q * conj(ref)
+        n = min(len(qa), len(qb))
+        got = chart_rows(rows(qa[:n]), rows(qb[:n]))
+        want = [rotation_vector_wxyz(quat_mul_wxyz(a, quat_conj_wxyz(b))) for a, b in zip(qa, qb)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.all(np.linalg.norm(got, axis=1) <= math.pi + 1e-12)
 
     @settings(deadline=None)
-    @given(raw_quat_lists)
-    def test_exp(self, qs):
-        # full angles up to just below 2*pi, from both hemispheres
-        r = np.array([rotation_vector_wxyz(q) for q in qs])
-        got = from_rotation_vector_rows(r)
-        np.testing.assert_allclose(got, rows([from_rotation_vector(v) for v in r]), rtol=0, atol=1e-12)
-
-    def test_exp_domain_error(self):
-        for bad in ([2.0 * math.pi, 0.0, 0.0], [5.0, 5.0, 0.0], [np.nan, 0.0, 0.0]):
-            with pytest.raises(ValueError, match="outside the domain"):
-                from_rotation_vector_rows(np.array([[0.1, 0.0, 0.0], bad]))
+    @given(raw_quat_lists, raw_quat_st)
+    def test_exp(self, qs, ref):
+        # full angles up to just below 2*pi, from both hemispheres; one
+        # reference row stands for all
+        e = np.array([rotation_vector_wxyz(q) for q in qs])
+        got = quat_canonicalize_rows(unchart_rows(e, rows([ref])))
+        want = rows([quat_mul_wxyz(from_rotation_vector(v), ref) for v in e])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @settings(deadline=None)
     @given(raw_quat_lists, raw_quat_lists)
-    def test_relative(self, qa, qb):
-        n = min(len(qa), len(qb))
-        got = relative_rotation_vector_rows(rows(qa[:n]), rows(qb[:n]))
-        want = [rotation_vector_wxyz(quat_mul_wxyz(a, quat_conj_wxyz(b))) for a, b in zip(qa, qb)]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    def test_round_trip(self, qs, refs):
+        n = min(len(qs), len(refs))
+        q, ref = rows(qs[:n]), rows(refs[:n])
+        got = quat_canonicalize_rows(unchart_rows(chart_rows(q, ref), ref))
+        want = quat_canonicalize_rows(q)
+        # a half turn has w = 0 up to rounding, which then picks the hemisphere
+        assert np.all((np.sum(got * want, axis=1) > 0.0) | (np.abs(want[:, 0]) <= 1e-12))
+        assert_same_rotations(got, want)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(unit_vec, st.floats(2.0 * math.pi, 20.0 * math.pi)), min_size=1, max_size=8),
+           raw_quat_st)
+    def test_exp_past_a_full_turn_is_the_wrapped_rotation(self, vectors, ref):
+        e = np.array([np.array(u) * (angle / np.linalg.norm(u)) for u, angle in vectors])
+        angle = np.linalg.norm(e, axis=1)
+        wrapped = e * ((np.remainder(angle + math.pi, 2.0 * math.pi) - math.pi) / angle)[:, None]
+        assert_same_rotations(unchart_rows(e, rows([ref])), unchart_rows(wrapped, rows([ref])))

@@ -263,6 +263,14 @@ class TestFitCircle3d:
 
 
 class TestDetectionRangeSweep:
+    @pytest.mark.parametrize("tolerance, shown", [(math.nan, "nan"), (-1.0, "-1.0"), (0.0, "0.0")])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tolerance, shown):
+        # no center error is at most such a tolerance, so every hole would read undetected
+        scene, cam = default_bar_scene(), default_camera()
+        with pytest.raises(ValueError) as err:
+            detection_range_sweep(scene, cam, 0.0, 0.1, 0.1, tolerance=tolerance)
+        assert str(err.value) == f"tolerance must be positive, got {shown}"
+
     def test_centered_hole_fully_detectable(self):
         scene, cam = default_bar_scene(), default_camera()
         deg5 = math.radians(5)
