@@ -9,7 +9,7 @@ Each command of the roadmap's end-to-end list runs as a fresh process with
 ``teach-sim --seed 0``, ``trial --seed 3``, ``batch --n 20 --seed 7``,
 ``sweep`` on its defaults, and the 100-rollout loop of acceptance gate a2
 (fit the 10 s preset demo, roll it out toward 100 shifted goals). Then the
-rest of the CLI and the checkout's own scripts, on short settings:
+rest of the CLI and the teaching comparison script, on short settings:
 ``teach-sim`` against the native drive, and against the proposed
 controller with sensor noise (its config is written into each output
 directory); a batch at 2 mm vision noise whose trials reach the wall, so
@@ -17,8 +17,8 @@ the scalar contact loop is compared too (its config is written alongside);
 ``localize --seed 1``; ``fit`` and ``rollout`` of the taught
 demo, scored against it by ``metrics``; two trials that end FAILED, one aborted after
 the insertion (its event script is written into each output directory)
-and one on a hole the camera cannot see; and each script under
-``scripts/`` that writes an ``--out`` file. The two checkouts alternate
+and one on a hole the camera cannot see; and
+``scripts/run_teaching_comparison.py --runs 2``. The two checkouts alternate
 command by command, the first of each pair switching every round, so a
 host that slows down for a while slows both. BLAS and OpenMP pools are
 pinned to one thread, as in ``perfbench``.
@@ -27,8 +27,9 @@ Each checkout writes into its own directory. After the last round every
 command's stdout and output files are compared byte for byte across the
 two checkouts; ``identical`` in the JSON records the result per command
 and file, any difference is printed, and the script exits 1 if there is
-one. Then each command of ``INVALID`` (a bad flag value, or a config or
-primitive file with one value out of range) runs once per checkout, untimed; it must exit
+one. Then each command of ``INVALID`` (a bad flag value of the CLI or of
+the teaching comparison, or a config or primitive file with one value out
+of range) runs once per checkout, untimed; it must exit
 non-zero, and its exit status and stderr must match across the two
 checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
@@ -87,6 +88,8 @@ BAD_CONFIGS = {
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
 }
+# a sweep config with the dropout out of range, written into each output directory
+BAD_SWEEP = {"sweep": {"dropout": 1.5}}
 # a two-basis primitive file with alpha_z out of range, written into each output directory
 _REST = {"position": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}
 BAD_PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
@@ -127,11 +130,6 @@ COMMANDS = {
     "trial --hole 2 --yaw-deg 80": cli("trial", "--hole", "2", "--yaw-deg", "80", out="trial_hidden.json"),
     "run_teaching_comparison.py --runs 2": script(
         "run_teaching_comparison.py", "--runs", "2", "--out", "teach_cmp.json", writes=("teach_cmp.json",)),
-    "run_batch_experiment.py --n 5 --batches 2": script(
-        "run_batch_experiment.py", "--n", "5", "--batches", "2", "--out", "batch_exp",
-        writes=("batch_exp.json", "batch_exp.csv")),
-    "run_detection_sweep.py --seeds 1": script(
-        "run_detection_sweep.py", "--seeds", "1", "--out", "sweep_rows.csv", writes=("sweep_rows.csv",)),
 }
 # name -> argv of a command that must fail: exit status and stderr are compared
 INVALID = {
@@ -140,8 +138,14 @@ INVALID = {
     "batch --n 0": cli("batch", "--n", "0", out="bad.json")[0],
     "trial --seed -1": cli("trial", "--seed", "-1", out="bad.json")[0],
     "sweep --start-deg 10 --stop-deg -10": cli("sweep", "--start-deg", "10", "--stop-deg", "-10", out="bad.csv")[0],
+    "sweep --start-deg nan": cli("sweep", "--start-deg", "nan", out="bad.csv")[0],
+    "sweep --step-deg 1e-9": cli("sweep", "--step-deg", "1e-9", out="bad.csv")[0],
+    "sweep --config bad_sweep_dropout.json": cli("sweep", "--config", "bad_sweep_dropout.json", out="bad.csv")[0],
     **{f"trial --config {name}": cli("trial", "--config", name, out="bad.json")[0] for name in BAD_CONFIGS},
     "rollout --dmp bad_prim_alpha_z.json": cli("rollout", "--dmp", "bad_prim_alpha_z.json", out="bad.csv")[0],
+    "run_teaching_comparison.py --first-seed -1": script(
+        "run_teaching_comparison.py", "--first-seed", "-1", writes=())[0],
+    "run_teaching_comparison.py --runs 0": script("run_teaching_comparison.py", "--runs", "0", writes=())[0],
 }
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -200,6 +204,7 @@ def main(argv=None) -> int:
             for name, doc in BAD_CONFIGS.items():
                 (out / name).write_text(json.dumps(doc) + "\n")
             (out / "bad_prim_alpha_z.json").write_text(json.dumps(BAD_PRIMITIVE) + "\n")
+            (out / "bad_sweep_dropout.json").write_text(json.dumps(BAD_SWEEP) + "\n")
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

@@ -26,7 +26,7 @@ from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, r
 from .vision import NotDetectable, _check_hole_id, detection_range_sweep, fit_circle3d, hole_in_world
 from .vision import scene_from_dict, synthesize_mask
 
-__all__ = ["main"]
+__all__ = ["main", "report_errors"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,21 +315,30 @@ def _warn_line(message, category, filename, lineno, file=None, line=None) -> Non
     print("lfdkit: warning: " + " ".join(str(message).splitlines()), file=sys.stderr)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def report_errors(command: Callable[[], int]) -> int:
+    """Run ``command`` under the one-line error contract: a malformed file
+    exits 2, any other ``ValueError``, ``OSError`` or ``RuntimeError`` exits
+    1, each as one ``error:`` line on stderr, and each warning is one line."""
     with warnings.catch_warnings():
         warnings.showwarning = _warn_line
         try:
-            cfg = load_config(args.config) if args.config else RunConfig()
-            cfg = _fold_common(cfg, args)
-            return _HANDLERS[args.command](cfg, args)
+            return command()
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except (ValueError, OSError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+
+    def command() -> int:
+        cfg = load_config(args.config) if args.config else RunConfig()
+        return _HANDLERS[args.command](_fold_common(cfg, args), args)
+
+    return report_errors(command)
 
 
 if __name__ == "__main__":

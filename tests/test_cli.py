@@ -200,8 +200,19 @@ class TestLocalizeSweep:
         )
         assert code == 0, err
         assert len(out.read_text().splitlines()) == 1 + 5 * 3
-        code, _, err = run(capsys, "sweep", "--step-deg", 1e-9, "--out", tmp_path / "fine.csv")
-        assert code == 1 and "exceeds" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, text",
+        [
+            ("--step-deg", 1e-9, "sweep grid of 1.6e+11 yaws exceeds 10000; raise step_deg"),
+            ("--start-deg", "nan", "start_deg must be finite, got nan"),
+        ],
+        ids=["tiny-step", "nan-start"],
+    )
+    def test_bad_sweep_flag_exits_1_before_writing(self, capsys, tmp_path, flag, value, text):
+        code, _, err = run(capsys, "sweep", flag, value, "--out", tmp_path / "sweep.csv")
+        assert (code, err) == (1, f"error: {text}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_csv_and_intervals(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
