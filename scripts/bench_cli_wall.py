@@ -151,10 +151,13 @@ PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git_sha(checkout: Path) -> str:
+    """HEAD of ``checkout``, marked with whichever of ``src/`` and
+    ``scripts/`` hold uncommitted changes."""
     done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
-    dirty = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain", "--", "src"],
-                           capture_output=True, text=True).stdout.strip()
-    return done.stdout.strip() + (" + uncommitted src/ changes" if dirty else "")
+    dirty = [f"{d}/" for d in ("src", "scripts")
+             if subprocess.run(["git", "-C", str(checkout), "status", "--porcelain", "--", d],
+                               capture_output=True, text=True).stdout.strip()]
+    return done.stdout.strip() + (f" + uncommitted {' and '.join(dirty)} changes" if dirty else "")
 
 
 def run(argv: list[str], checkout: Path, out: Path) -> subprocess.CompletedProcess:

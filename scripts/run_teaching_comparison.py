@@ -8,6 +8,8 @@ only; this simulation makes ordering claims, not magnitude claims).
 """
 
 import argparse
+import errno
+import os
 
 from lfdkit.assembly import MAX_TRIALS
 from lfdkit.cli import report_errors
@@ -31,6 +33,8 @@ def compare(runs: int, first_seed: int, out: str | None) -> int:
     and write it to ``out`` if given."""
     _check_seed(first_seed)
     _at_least("runs", runs, 1, MAX_TRIALS)  # a run is a seeded pair, as a batch trial is
+    if out and not os.path.isdir(os.path.dirname(out) or "."):  # fail before the pairs run, as open() would after
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     proposed_durations, native_durations = [], []
     wins = 0
     first_pair = None

@@ -22,13 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmp import PoseDmp, RolloutDiverged, linear_scan, rollout
+from .dmp import PoseDmp, RolloutDiverged, _replay, linear_scan
 from .ktc import PLANT_TIME_CONSTANT, plant_step
-from .metrics import jerk_metrics
-from .se3 import Pose, chart_rows, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
+from .metrics import _position_jerk
+from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
 from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite, _positive, fmt_float
 from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
 from .vision import _check_mask_points, check_visible, fit_circle3d, hole_in_world, synthesize_mask
+# not called here, but perfbench/spans.py wraps both by their names in this module
+from .dmp import rollout
+from .metrics import jerk_metrics
 
 __all__ = [
     "MAX_TRIALS",
@@ -202,6 +205,12 @@ class PlanningFailed(RuntimeError):
     """The insertion move cannot be planned for the fitted hole."""
 
 
+# a trial passes its plan and executed motion along as these rows: the
+# times, the positions, the attitude in the goal's log chart
+# e = log(q * conj(g)), and the chart's reference g as one (1, 4) row
+ChartRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def plan_insertion(
     current: Pose,
     hole: HoleEstimate,
@@ -219,27 +228,33 @@ def plan_insertion(
     are measured along the axis from the hole center, above and below; the
     goal is :func:`insertion_goal` at ``depth``.
     """
+    times, positions, e, g = _plan(current, hole, dmp, standoff, depth)
+    return Trajectory(times, positions, unchart_rows(e, g))
+
+
+def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, depth: float) -> ChartRows:
+    """The rows of :func:`plan_insertion` before the map back, with its
+    checks. The standoff and the goal share one attitude, so the replay's
+    chart is the goal's, and the descent rows are 0 in it."""
     _positive("standoff", standoff)
     goal = insertion_goal(hole, depth, dmp.demo_goal.orientation)
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
 
-    approach = rollout(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
-    miss = float(np.linalg.norm(approach.positions[-1] - standoff_pose.position))
+    times, positions, e, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
+    miss = float(np.linalg.norm(positions[-1] - standoff_pose.position))
     if miss > _CONVERGENCE_TOL:
         raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
 
     n = max(2, int(math.ceil((standoff + depth) / (_DESCENT_SPEED * _PLAN_DT))))
-    times = approach.times[-1] + np.arange(1, n + 1) * _PLAN_DT
     u = (np.arange(1, n + 1) / n)[:, None]
-    positions = standoff_pose.position + u * (goal.position - standoff_pose.position)
-    positions[-1] = goal.position
-    orientations = np.tile(goal.orientation, (n, 1))
-
-    return Trajectory(
-        np.concatenate([approach.times, times]),
-        np.vstack([approach.positions, positions]),
-        np.vstack([approach.orientations, orientations]),
+    descent = standoff_pose.position + u * (goal.position - standoff_pose.position)
+    descent[-1] = goal.position
+    return (
+        np.concatenate([times, times[-1] + np.arange(1, n + 1) * _PLAN_DT]),
+        np.vstack([positions, descent]),
+        np.vstack([e, np.zeros((n, 3))]),
+        g,
     )
 
 
@@ -399,15 +414,19 @@ def _first_binding_tick(lag: np.ndarray, model: tuple[float, ...]) -> int | None
     return k0 + int(hits[0]) if len(hits) else None
 
 
-def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> Trajectory:
+def _run_plan(
+    plan: ChartRows, scenario: AssemblyScenario, scene: BarScene, hole_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Track the plan on the lagged plant, contact-projected against the
     true hole each tick, then hold the last command until the lag dies.
+    Returns the executed times, positions and attitudes, the attitudes in
+    the plan's chart.
 
     The plant is a first-order lag with time constant T. Each tick of
     interval dt, the position closes the gap to the command by
-    a = 1 - exp(-dt/T), and so does the attitude in the log chart of the
-    last command g, e = log(q * conj(g)), the chart ``dmp.rollout`` replays
-    in: e_r[k] = (1 - a) e_r[k-1] + a e_c[k]. Free motion of all six axes is
+    a = 1 - exp(-dt/T), and so does the attitude in the plan's log chart
+    e = log(q * conj(g)), the chart ``dmp.rollout`` replays in:
+    e_r[k] = (1 - a) e_r[k-1] + a e_c[k]. Free motion of all six axes is
     then one linear scan over every tick. Contact never moves the attitude,
     so its scan is final. The scanned position holds up to the first tick
     where contact binds (:func:`_first_binding_tick`); from there, starting
@@ -419,33 +438,32 @@ def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole
     One lag factor serves every tick, so the plan's intervals must agree to
     1e-9 relative.
     """
-    dts = np.diff(cmd.times)
+    cmd_times, cmd_positions, cmd_e, g = plan
+    dts = np.diff(cmd_times)
     dt = float(dts[-1])
     if np.ptp(dts) > 1e-9 * dt:
         raise ValueError(f"plan intervals must be uniform, got {dts.min():.9g} to {dts.max():.9g} s")
-    n_cmd = len(cmd)
+    n_cmd = len(cmd_times)
     n = n_cmd + int(round(_SETTLE_TIME / dt))
-    times = np.concatenate([cmd.times, cmd.times[-1] + np.arange(1, n - n_cmd + 1) * dt])
+    times = np.concatenate([cmd_times, cmd_times[-1] + np.arange(1, n - n_cmd + 1) * dt])
 
-    goal = tuple(cmd.orientations[-1].tolist())
-    g = cmd.orientations[-1:]
     # column k holds tick k's command (position, attitude error), the last one
     # held through the settle; the scan overwrites it with the reached state
     lag = np.empty((6, n))
-    lag[:3, :n_cmd] = cmd.positions.T
-    lag[3:, :n_cmd] = chart_rows(cmd.orientations, g).T
+    lag[:3, :n_cmd] = cmd_positions.T
+    lag[3:, :n_cmd] = cmd_e.T
     lag[:, n_cmd:] = lag[:, n_cmd - 1 : n_cmd]
     lam = -dt / PLANT_TIME_CONSTANT
     lag[:, 1:] *= -math.expm1(lam)
     linear_scan(lag[:, 1:], lam, lag[:, 0])
-    orientations = unchart_rows(lag[3:].T, g)
 
     model = _contact_model(scene, hole_id, scenario.clearance)
     positions = lag[:3].T
     k0 = _first_binding_tick(lag, model)
     if k0 is not None:
-        commands = cmd.positions[k0:].tolist() + [cmd.positions[-1].tolist()] * (n - max(k0, n_cmd))
+        commands = cmd_positions[k0:].tolist() + [cmd_positions[-1].tolist()] * (n - max(k0, n_cmd))
         # the same attitude on both sides: plant_step moves the position only
+        goal = tuple(g[0].tolist())
         x_r = (*positions[k0 - 1].tolist(), *goal)
         reached = []
         for c in commands:
@@ -453,16 +471,16 @@ def _run_plan(cmd: Trajectory, scenario: AssemblyScenario, scene: BarScene, hole
             x_r = (*p, *goal)
             reached.append(p)
         positions[k0:] = reached
-    return Trajectory(times, positions, orientations)
+    return times, positions, lag[3:].T
 
 
-def _score(executed: Trajectory, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
+def _score(p: np.ndarray, q: np.ndarray, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
     """Lateral offset from the true hole axis, tool tilt from square, and
-    depth below the top face, all at the final executed sample."""
+    depth below the top face, all at the final executed position ``p`` and
+    attitude ``q``."""
     center = scene.hole_center_world(hole_id)
     axis = scene.hole_axis_world(hole_id)
-    p = executed.positions[-1]
-    q = quat_normalize(*executed.orientations[-1])
+    q = quat_normalize(*q.tolist())
     rel = p - center
     h = float(rel @ axis)
     lateral = float(np.linalg.norm(rel - h * axis))
@@ -527,7 +545,7 @@ def execute_trial(
             state = TaskState(Phase.FAILED, f"hole not detectable: {exc}")
         else:
             try:
-                plan = plan_insertion(
+                plan = _plan(
                     scenario.initial_pose, hole, scenario.dmp,
                     standoff=scenario.standoff,
                     depth=scenario.required_depth + scenario.plan_overtravel,
@@ -541,10 +559,11 @@ def execute_trial(
     # INSERTING is entered only through INSERTION_PLANNED, so a walk that
     # got there with no stage failure holds a plan
     if Phase.INSERTING in entered and state.phase is not Phase.FAILED:
-        executed = _run_plan(plan, scenario, scene, hole_id)
-        lateral, tilt, depth = _score(executed, scene, hole_id)
-        duration = executed.duration
-        jerk = jerk_metrics(executed)
+        # the motion stays in the plan's chart; only its final attitude maps back
+        times, positions, e = _run_plan(plan, scenario, scene, hole_id)
+        lateral, tilt, depth = _score(positions[-1], unchart_rows(e[-1:], plan[3])[0], scene, hole_id)
+        duration = float(times[-1] - times[0])
+        jerk = _position_jerk(times, positions)
 
     return TrialResult(
         success=meets_tolerances(lateral, tilt, depth, scenario),

@@ -529,6 +529,22 @@ def rollout(
     through ``se3.unchart_rows`` as q = exp(e) * g row by row, which is
     defined for every e.
     """
+    times, positions, e, g = _replay(dmp, start, goal, tau, dt, horizon)
+    return Trajectory(times, positions, unchart_rows(e, g))
+
+
+def _replay(
+    dmp: PoseDmp,
+    start: Pose | None = None,
+    goal: Pose | None = None,
+    tau: float | None = None,
+    dt: float = 1e-3,
+    horizon: float = 1.5,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of :func:`rollout` before the map back, with its checks and
+    warning: the times, the positions, the orientation in the goal's log
+    chart e = log(q * conj(g)), and the chart's reference g, the goal
+    orientation as one (1, 4) row."""
     start = dmp.demo_start if start is None else start
     goal = dmp.demo_goal if goal is None else goal
     tau = dmp.tau if tau is None else float(tau)
@@ -537,7 +553,7 @@ def rollout(
     unit, forced, underflows = _responses(dmp, tau, dt, times)
     if underflows:
         warnings.warn(
-            f"all bases underflowed at {underflows} of {n_steps + 1} phase samples", ForcingUnderflow, stacklevel=2
+            f"all bases underflowed at {underflows} of {n_steps + 1} phase samples", ForcingUnderflow, stacklevel=3
         )
     adt = dt / tau
 
@@ -558,7 +574,7 @@ def rollout(
         bad = np.flatnonzero(~(size[1:] < 1e15))
         if len(bad):
             raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
-    return Trajectory(times, positions, unchart_rows(rot, gq))
+    return times, positions, rot, gq
 
 
 # ---------------------------------------------------------------------------

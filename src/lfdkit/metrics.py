@@ -60,7 +60,12 @@ def jerk_metrics(traj: Trajectory) -> dict:
     Non-uniform input is resampled to its median dt first.
     """
     traj = _uniform(traj)
-    jerk = finite_difference(traj.times, traj.positions, 3)
+    return _position_jerk(traj.times, traj.positions)
+
+
+def _position_jerk(times: np.ndarray, positions: np.ndarray) -> dict:
+    """:func:`jerk_metrics` of positions on uniform times, at least 4 of them."""
+    jerk = finite_difference(times, positions, 3)
     return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "m/s^3")
 
 

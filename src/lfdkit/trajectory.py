@@ -317,27 +317,22 @@ def finite_difference(times: np.ndarray, values: np.ndarray, order: int = 1) -> 
     squeeze = v.ndim == 1
     if squeeze:
         v = v[:, None]
-    for _ in range(order):
-        v = _first_difference(t, v)
-    return v[:, 0] if squeeze else v
-
-
-def _first_difference(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = len(t)
-    out = np.empty_like(v)
-    if n == 2:
+    if len(t) == 2:  # order 1: one slope serves both samples
         slope = (v[1] - v[0]) / (t[1] - t[0])
-        out[0] = slope
-        out[1] = slope
-        return out
-    a, b, c = t[:-2], t[1:-1], t[2:]
-    wa, wb, wc = _three_point_weights(a, b, c, b)
-    out[1:-1] = wa[:, None] * v[:-2] + wb[:, None] * v[1:-1] + wc[:, None] * v[2:]
-    wa, wb, wc = _three_point_weights(t[0], t[1], t[2], t[0])
-    out[0] = wa * v[0] + wb * v[1] + wc * v[2]
-    wa, wb, wc = _three_point_weights(t[-3], t[-2], t[-1], t[-1])
-    out[-1] = wa * v[-3] + wb * v[-2] + wc * v[-1]
-    return out
+        v = np.stack([slope, slope])
+    else:
+        # the weights depend on the times only, so every pass shares them
+        a, b, c = t[:-2], t[1:-1], t[2:]
+        wa, wb, wc = (w[:, None] for w in _three_point_weights(a, b, c, b))
+        first = _three_point_weights(t[0], t[1], t[2], t[0])
+        last = _three_point_weights(t[-3], t[-2], t[-1], t[-1])
+        for _ in range(order):
+            out = np.empty_like(v)
+            out[1:-1] = wa * v[:-2] + wb * v[1:-1] + wc * v[2:]
+            out[0] = first[0] * v[0] + first[1] * v[1] + first[2] * v[2]
+            out[-1] = last[0] * v[-3] + last[1] * v[-2] + last[2] * v[-1]
+            v = out
+    return v[:, 0] if squeeze else v
 
 
 def resample_trajectory(traj: Trajectory, dt: float) -> Trajectory:

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfdkit.assembly
+import lfdkit.dmp
+import lfdkit.metrics
 from lfdkit.assembly import (
     MAX_TRIALS,
     _SNAP_BAND,
     _contact_model,
     _contact_project,
     _first_binding_tick,
+    _plan,
     _run_plan,
     _score,
     AssemblyScenario,
@@ -41,7 +44,7 @@ from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.ktc import PLANT_TIME_CONSTANT
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
-from lfdkit.se3 import chart_rows, rotation_vector_wxyz, slerp_wxyz
+from lfdkit.se3 import chart_rows, rotation_vector_wxyz, slerp_wxyz, unchart_rows
 from lfdkit.trajectory import ParseError, Trajectory
 from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
@@ -387,8 +390,8 @@ class TestExecuteTrial:
         assert r.state == TaskState(Phase.FAILED, "aborted")
 
     def test_abort_after_the_insertion_executes_nothing(self, scenario, monkeypatch):
-        # jerk_metrics scores each executed plan once, so it counts executions
-        executed = count_calls(monkeypatch, "jerk_metrics")
+        # the execute stage runs once per executed plan, so it counts executions
+        executed = count_calls(monkeypatch, "_run_plan")
         assert execute_trial(scenario).state.phase is Phase.DONE and executed
         executed.clear()
         evs = (*nominal_events()[:5], StepEvent(EventKind.ABORT, 5.0))
@@ -397,6 +400,24 @@ class TestExecuteTrial:
         assert all(math.isnan(v) for v in (r.lateral_err_m, r.tilt_rad, r.depth_m))
         assert r.jerk is None and r.duration_s == 0.0
         assert executed == []
+
+    def test_trial_stays_in_the_chart(self, scenario, monkeypatch):
+        # the replay charts only its start attitude, and the trial maps back
+        # only the final executed one
+        rows = {"chart_rows": [], "unchart_rows": []}
+
+        def counted(real, seen):
+            def wrapper(q, ref):
+                seen.append(len(q))
+                return real(q, ref)
+            return wrapper
+
+        for module in (lfdkit.assembly, lfdkit.dmp, lfdkit.metrics):
+            for name, seen in rows.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), seen))
+        assert execute_trial(scenario).success
+        assert rows == {"chart_rows": [1], "unchart_rows": [1]}
 
     def test_planning_failure_wins_over_a_later_abort(self):
         # gains this soft leave the approach short of the standoff pose
@@ -591,8 +612,9 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
     """The execution law tick by tick on scalars: the position and the
     attitude error in the last command's log chart each close the gap to
     the command by a = 1 - exp(-dt/T), and the contact rule then projects
-    the position. Returns the trajectory and, alongside it, the attitudes of
-    the slerp lag the execution plant ran before (teaching still does)."""
+    the position. Returns the trajectory, its attitude errors in that chart
+    and, alongside them, the attitudes of the slerp lag the execution plant
+    ran before (teaching still does)."""
     model = _contact_model(scene, hole_id, scenario.clearance)
     g = tuple(plan.orientations[-1].tolist())
     conj_g = quat_conj_wxyz(g)
@@ -617,7 +639,7 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
         out_slerp.append(q_slerp)
     out_q = [quat_mul_wxyz(from_rotation_vector(e), g) for e in out_e]
     want = Trajectory(np.array([t for t, _, _ in ticks]), np.array(out_p), np.array(out_q))
-    return want, np.array(out_slerp)
+    return want, np.array(out_e), np.array(out_slerp)
 
 
 class TestRunPlan:
@@ -626,7 +648,9 @@ class TestRunPlan:
 
     def plan(self, scenario, offset=0.0):
         """Plan for hole 1 of the yawed bar: the true hole when noiseless,
-        the seeded vision fit otherwise, moved ``offset`` m off the axis."""
+        the seeded vision fit otherwise, moved ``offset`` m off the axis. The
+        command trajectory for the reference, the chart rows for
+        ``_run_plan``, and the scene."""
         scene = scenario.scene.yawed(self.YAW)
         if scenario.noise_sigma == 0.0:
             center = scene.hole_center_world(self.HOLE)
@@ -642,25 +666,26 @@ class TestRunPlan:
         side = unit(np.cross(axis, [1.0, 0.0, 0.0]))
         radius = scene.holes[self.HOLE].radius
         est = HoleEstimate(center=center + offset * side, axis=axis, radius=radius, rms=0.0)
-        plan = plan_insertion(
-            scenario.initial_pose, est, scenario.dmp,
-            standoff=scenario.standoff,
-            depth=scenario.required_depth + scenario.plan_overtravel,
-        )
-        return plan, scene
+        args = (scenario.initial_pose, est, scenario.dmp, scenario.standoff,
+                scenario.required_depth + scenario.plan_overtravel)
+        return plan_insertion(*args), _plan(*args), scene
+
+    def score(self, positions, e, g, scene):
+        """The errors of an executed run, its final attitude mapped back."""
+        return _score(positions[-1], unchart_rows(e[-1:], g)[0], scene, self.HOLE)
 
     def assert_same_as_reference(self, scenario, offset=0.0):
-        plan, scene = self.plan(scenario, offset)
-        got = _run_plan(plan, scenario, scene, self.HOLE)
-        want, slerp = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        plan, rows, scene = self.plan(scenario, offset)
+        times, positions, e = _run_plan(rows, scenario, scene, self.HOLE)
+        want, want_e, slerp = _reference_run_plan(plan, scenario, scene, self.HOLE)
         # the scan and the tick loop round differently
-        assert np.array_equal(got.times, want.times)
-        np.testing.assert_allclose(got.positions, want.positions, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.orientations, want.orientations, rtol=0, atol=1e-12)
+        assert np.array_equal(times, want.times)
+        np.testing.assert_allclose(positions, want.positions, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(e, want_e, rtol=0, atol=1e-12)
         # the chart lag stays within 1e-5 rad of the slerp lag, tick by tick
-        apart = np.linalg.norm(chart_rows(got.orientations, slerp), axis=1)
+        apart = np.linalg.norm(chart_rows(unchart_rows(e, rows[3]), slerp), axis=1)
         assert apart.max() <= 1e-5
-        return _score(got, scene, self.HOLE)
+        return self.score(positions, e, rows[3], scene)
 
     def test_noiseless_plan_matches_reference(self, scenario):
         lateral, _, depth = self.assert_same_as_reference(scenario)
@@ -690,21 +715,24 @@ class TestRunPlan:
         # outer edge, where the rule jumps from funnelling in to blocking. The
         # scan lands a hair inside the edge and the tick loop a hair outside,
         # so each rounding takes its own branch of the same law.
-        plan, scene = self.plan(scenario, offset=1.5e-3)
-        got = _run_plan(plan, scenario, scene, self.HOLE)
-        want, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        plan, rows, scene = self.plan(scenario, offset=1.5e-3)
+        times, positions, e = _run_plan(rows, scenario, scene, self.HOLE)
+        want, _, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
         model = _contact_model(scene, self.HOLE, scenario.clearance)
         k = _first_binding_tick(want.positions.T, model)
-        np.testing.assert_allclose(got.positions[:k], want.positions[:k], rtol=0, atol=1e-12)
-        for run in (got, want):
-            lateral, _, depth = _score(run, scene, self.HOLE)
+        np.testing.assert_allclose(positions[:k], want.positions[:k], rtol=0, atol=1e-12)
+        scores = (
+            self.score(positions, e, rows[3], scene),
+            _score(want.positions[-1], want.orientations[-1], scene, self.HOLE),
+        )
+        for lateral, _, depth in scores:
             entered = lateral <= scenario.clearance and depth >= scenario.required_depth
             blocked = abs(lateral - 1.5e-3) < 1e-12 and abs(depth) < 1e-9
             assert entered or blocked
 
     def test_face_block_steps_from_the_first_binding_tick(self, scenario, monkeypatch):
-        plan, scene = self.plan(scenario, offset=2e-3)
-        want, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        plan, rows, scene = self.plan(scenario, offset=2e-3)
+        want, _, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
         model = _contact_model(scene, self.HOLE, scenario.clearance)
         # the first tick where the tick-by-tick law's contact rule moves the peg
         a = 1.0 - math.exp(-(plan.times[1] - plan.times[0]) / PLANT_TIME_CONSTANT)
@@ -713,17 +741,16 @@ class TestRunPlan:
         moved = [k + 1 for k, p in enumerate(free.tolist()) if _contact_project(tuple(p), model) != tuple(p)]
         assert moved
         calls = count_calls(monkeypatch, "plant_step")
-        got = _run_plan(plan, scenario, scene, self.HOLE)
+        times, _, _ = _run_plan(rows, scenario, scene, self.HOLE)
         # one call per tick from the first one stepped to the end
-        assert len(got) - len(calls) == moved[0]
+        assert len(times) - len(calls) == moved[0]
 
     def test_non_uniform_intervals_rejected(self, scenario):
-        plan, scene = self.plan(scenario)
-        times = plan.times.copy()
+        _, (times, positions, e, g), scene = self.plan(scenario)
+        times = times.copy()
         times[-1] += 0.5 * (times[-1] - times[-2])
-        stretched = Trajectory(times, plan.positions, plan.orientations)
         with pytest.raises(ValueError, match="plan intervals must be uniform"):
-            _run_plan(stretched, scenario, scene, self.HOLE)
+            _run_plan((times, positions, e, g), scenario, scene, self.HOLE)
 
 
 class TestContactGate:

@@ -47,6 +47,8 @@ def test_script_runs(tmp_path, capsys, name):
 def test_teaching_comparison_errors_are_one_line(tmp_path, capsys, argv, text):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert load_script("run_teaching_comparison").main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+    # each value is checked before the first pair runs
+    assert out == ""
     assert list(tmp_path.iterdir()) == []
