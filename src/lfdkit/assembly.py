@@ -462,12 +462,12 @@ def _run_plan(
     k0 = _first_binding_tick(lag, model)
     if k0 is not None:
         commands = cmd_positions[k0:].tolist() + [cmd_positions[-1].tolist()] * (n - max(k0, n_cmd))
-        # the same attitude on both sides: plant_step moves the position only
+        # a zero rotation increment: plant_step moves the position only
         goal = tuple(g[0].tolist())
         x_r = (*positions[k0 - 1].tolist(), *goal)
         reached = []
         for c in commands:
-            p = _contact_project(plant_step(x_r, (*c, *goal), dt, PLANT_TIME_CONSTANT)[:3], model)
+            p = _contact_project(plant_step(x_r, (*c, 0.0, 0.0, 0.0), dt, PLANT_TIME_CONSTANT)[:3], model)
             x_r = (*p, *goal)
             reached.append(p)
         positions[k0:] = reached

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_vector_wxyz, slerp_wxyz
+from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_vector_wxyz
 from .trajectory import Trajectory, _at_least, _positive
 
 __all__ = [
@@ -106,15 +106,15 @@ def _check_teach_noise(force_noise_std: float, torque_noise_std: float) -> None:
 def native_drive_step(
     x_r: tuple[float, ...], f: tuple[float, ...], sliding: bool = False, spinning: bool = False
 ) -> tuple[tuple[float, ...], bool, bool]:
-    """One tick of back-driving the native transmission: the commanded pose
-    tuple (as :func:`plant_step` takes) for the reached pose tuple ``x_r`` and
-    the measured wrench ``f = (fx, fy, fz, tx, ty, tz)``.
+    """One tick of back-driving the native transmission: the command (as
+    :func:`plant_step` takes) for the reached pose tuple ``x_r`` and the
+    measured wrench ``f = (fx, fy, fz, tx, ty, tz)``.
 
     The friction state (sliding, spinning) is carried by the caller; motion
     starts only above the static threshold but persists down to the kinetic
     one, so velocity jumps at both transitions.
     """
-    px, py, pz, *q = x_r
+    px, py, pz = x_r[:3]
     fx, fy, fz, tx, ty, tz = f
     fn = math.sqrt(fx * fx + fy * fy + fz * fz)
     sliding = fn > (_KINETIC_FORCE if sliding else _BREAKAWAY_FORCE)
@@ -123,51 +123,46 @@ def native_drive_step(
         px, py, pz = px + c * (fx / fn), py + c * (fy / fn), pz + c * (fz / fn)
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     spinning = tn > (_KINETIC_TORQUE if spinning else _BREAKAWAY_TORQUE)
+    r = (0.0, 0.0, 0.0)
     if spinning:
         c = _NATIVE_ROT_GAIN * (tn - _KINETIC_TORQUE)
-        half = (0.5 * (c * (tx / tn)), 0.5 * (c * (ty / tn)), 0.5 * (c * (tz / tn)))
-        q = quat_mul_wxyz(quat_exp_wxyz(half), q)
-    return (px, py, pz, *q), sliding, spinning
+        r = (0.5 * (c * (tx / tn)), 0.5 * (c * (ty / tn)), 0.5 * (c * (tz / tn)))
+    return (px, py, pz, *r), sliding, spinning
 
 
 def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
-    """One tick of the admittance law: the commanded pose tuple (as
-    :func:`plant_step` takes) for the reached pose tuple ``x_r`` and the
-    measured wrench ``f = (fx, fy, fz, tx, ty, tz)``. Zero (or sub-deadband)
-    wrench commands x_r exactly."""
+    """One tick of the admittance law: the command (as :func:`plant_step`
+    takes) for the reached pose tuple ``x_r`` and the measured wrench
+    ``f = (fx, fy, fz, tx, ty, tz)``. Zero (or sub-deadband) wrench commands
+    the position of x_r and no rotation, exactly."""
     d = [
         g * (w - db if w > 0.0 else w + db) if abs(w) > db else 0.0
         for w, g, db in zip(f, _GAIN, _DEADBAND)
     ]
-    q = x_r[3:]
-    if d[3] != 0.0 or d[4] != 0.0 or d[5] != 0.0:
-        q = quat_mul_wxyz(quat_exp_wxyz((0.5 * d[3], 0.5 * d[4], 0.5 * d[5])), q)
-    return (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], *q)
+    return (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], 0.5 * d[3], 0.5 * d[4], 0.5 * d[5])
 
 
 def plant_step(
-    x_r: tuple[float, ...], x_c: tuple[float, ...], dt: float, time_constant: float = PLANT_TIME_CONSTANT
+    x_r: tuple[float, ...], u: tuple[float, ...], dt: float, time_constant: float = PLANT_TIME_CONSTANT
 ) -> tuple[float, ...]:
     """One tick of the position-controlled robot, a first-order lag from the
-    reached state x_r toward the commanded state x_c: the position closes the
-    gap by the exact factor 1 - exp(-dt/T), and the orientation moves along
-    the geodesic by the same fraction.
+    reached state x_r toward the command u: with a = 1 - exp(-dt/T), the
+    position closes the gap to the commanded one by a, and the attitude turns
+    by exp(a*r) * q_r, in exact arithmetic the slerp toward exp(r) * q_r. A
+    zero increment r leaves q_r as it is.
 
-    States are float tuples ``(px, py, pz, qw, qx, qy, qz)`` holding a unit
-    quaternion as ``Pose.orientation`` holds it; the result is one too."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if time_constant <= 0:
-        raise ValueError("time_constant must be positive")
+    The state is a float tuple ``(px, py, pz, qw, qx, qy, qz)`` holding a unit
+    quaternion as ``Pose.orientation`` holds it, and so is the result; the
+    command ``(cx, cy, cz, rx, ry, rz)`` holds the position and the half-angle
+    increment r (``quat_exp_wxyz``'s convention), |r| below pi/2."""
+    _positive("dt", dt)
+    _positive("time_constant", time_constant)
     a = 1.0 - math.exp(-dt / time_constant)
-    rx, ry, rz, rw, rqx, rqy, rqz = x_r
-    cx, cy, cz, cw, cqx, cqy, cqz = x_c
-    if cw == rw and cqx == rqx and cqy == rqy and cqz == rqz:
-        # equal command, no motion; skips slerp's renormalization wobble
-        q = (rw, rqx, rqy, rqz)
-    else:
-        q = slerp_wxyz((rw, rqx, rqy, rqz), (cw, cqx, cqy, cqz), a)
-    return (rx + a * (cx - rx), ry + a * (cy - ry), rz + a * (cz - rz), *q)
+    px, py, pz, *q = x_r
+    cx, cy, cz, rx, ry, rz = u
+    if rx != 0.0 or ry != 0.0 or rz != 0.0:
+        q = quat_mul_wxyz(quat_exp_wxyz((a * rx, a * ry, a * rz)), q)
+    return (px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz), *q)
 
 
 class TeachTimeout(RuntimeError):
@@ -235,11 +230,13 @@ def simulate_demonstration(
     rot_step = _HAND_ROT_SPEED * h
     k_grip, d_grip = _GRIP_STIFFNESS, _GRIP_DAMPING
     k_rot, d_rot = _ROT_STIFFNESS, _ROT_DAMPING
+    turn = 2.0 * (1.0 - math.exp(-h / plant_time_constant))  # plant_step's exp(a*r) turns by 2*a*r
 
     x_r = prev = waypoints[0]
     hx, hy, hz, *hand_q = x_r
-    conj_prev = quat_conj_wxyz(hand_q)
     hvx = hvy = hvz = 0.0
+    ox = oy = oz = 0.0  # the rotation vector the plant applied last tick
+    gap = None  # the hand's rotation gap to the goal, None once it is stale
     sliding = False
     spinning = False
 
@@ -256,6 +253,7 @@ def simulate_demonstration(
             if not math.sqrt(wx * wx + wy * wy + wz * wz) <= capture:
                 break
             target += 1
+            gap = None
         if target == len(waypoints):
             rows.extend((t, *x_r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             break
@@ -278,14 +276,16 @@ def simulate_demonstration(
             c = min(1.0, accel_h / dvn)
             hvx, hvy, hvz = hvx + dx * c, hvy + dy * c, hvz + dz * c
         hx, hy, hz = hx + hvx * h, hy + hvy * h, hz + hvz * h
-        # rotation vectors of a * conj(b), with each conjugate computed once
+        # rotation vectors of a * conj(b); the gap moves only with the target or the hand
+        if gap is None:
+            ax, ay, az = rotation_vector_wxyz(quat_mul_wxyz(goal_q, quat_conj_wxyz(hand_q)))
+            gap = math.sqrt(ax * ax + ay * ay + az * az)
         conj_r = quat_conj_wxyz(q_r)
-        ax, ay, az = rotation_vector_wxyz(quat_mul_wxyz(goal_q, quat_conj_wxyz(hand_q)))
-        gap = math.sqrt(ax * ax + ay * ay + az * az)
         ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
         if gap > 0.0 and math.sqrt(ex * ex + ey * ey + ez * ez) < rot_stretch_limit:
             c = min(rot_step, gap) / gap
             hand_q = quat_mul_wxyz(quat_exp_wxyz((0.5 * (ax * c), 0.5 * (ay * c), 0.5 * (az * c))), hand_q)
+            gap = None
             ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
 
         # grip: spring-damper from the tool to the hand, saturated in norm
@@ -296,7 +296,6 @@ def simulate_demonstration(
         if n > f_sat:
             c = f_sat / n
             fx, fy, fz = fx * c, fy * c, fz * c
-        ox, oy, oz = rotation_vector_wxyz(quat_mul_wxyz(q_r, conj_prev))
         tx = k_rot * ex - d_rot * (ox / h)
         ty = k_rot * ey - d_rot * (oy / h)
         tz = k_rot * ez - d_rot * (oz / h)
@@ -315,11 +314,12 @@ def simulate_demonstration(
             )
             sensed = tuple(a + b for a, b in zip(applied, noise))
         if admittance:
-            x_c = ktc_step(x_r, sensed)
+            u = ktc_step(x_r, sensed)
         else:
-            x_c, sliding, spinning = native_drive_step(x_r, sensed, sliding, spinning)
-        prev, conj_prev = x_r, conj_r
-        x_r = plant_step(x_r, x_c, h, plant_time_constant)
+            u, sliding, spinning = native_drive_step(x_r, sensed, sliding, spinning)
+        prev = x_r
+        x_r = plant_step(x_r, u, h, plant_time_constant)
+        ox, oy, oz = turn * u[3], turn * u[4], turn * u[5]
         k += 1
 
     return _log(rows)

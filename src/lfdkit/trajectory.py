@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -63,7 +64,8 @@ def _brief_repr(value: object) -> str:
 def _positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {_brief_repr(value)}")
-    _finite(name, value)
+    if not value < math.inf:  # a finite value skips _finite's tuple walk: plant_step checks every tick
+        _finite(name, value)
 
 
 def _at_least(name: str, value: float, low: int, high: int | None = None) -> None:
@@ -244,20 +246,26 @@ class Trajectory:
         write_text(path, "\n".join(lines) + "\n")
 
 
-def load_trajectory_csv(path) -> Trajectory:
-    raw = read_text(path).splitlines()
-    if not raw:
-        raise ParseError(path, 1, "header", "empty file")
-    header = [c.strip() for c in raw[0].split(",")]
-    if header == _BASE_COLUMNS:
-        with_wrench = False
-    elif header == _BASE_COLUMNS + _WRENCH_COLUMNS:
-        with_wrench = True
-    else:
-        raise ParseError(path, 1, "header", f"expected '{','.join(_BASE_COLUMNS)}[,fx,...]', got '{raw[0]}'")
+def _parse_body(path, header: list[str], lines: list[str]) -> np.ndarray:
+    """The rows after the header as one ``(n, ncol)`` array, blank lines
+    skipped. All rows parse in one pass when each has ``ncol`` cells and
+    every cell is a finite number; otherwise the per-cell loop names the
+    first bad line and field."""
     ncol = len(header)
+    body = [line for line in lines if line.strip()]
+    if body and all(line.count(",") == ncol - 1 for line in body):
+        # line by line into one buffer: splitting the joined body would hold
+        # every cell's string at once
+        cells = chain.from_iterable(map(float, line.split(",")) for line in body)
+        try:
+            data = np.fromiter(cells, float, count=len(body) * ncol).reshape(-1, ncol)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(data).all():
+                return data
     rows = []
-    for lineno, line in enumerate(raw[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -275,7 +283,21 @@ def load_trajectory_csv(path) -> Trajectory:
         rows.append(vals)
     if not rows:
         raise ParseError(path, 2, "t", "no samples")
-    data = np.array(rows)
+    return np.array(rows)
+
+
+def load_trajectory_csv(path) -> Trajectory:
+    raw = read_text(path).splitlines()
+    if not raw:
+        raise ParseError(path, 1, "header", "empty file")
+    header = [c.strip() for c in raw[0].split(",")]
+    if header == _BASE_COLUMNS:
+        with_wrench = False
+    elif header == _BASE_COLUMNS + _WRENCH_COLUMNS:
+        with_wrench = True
+    else:
+        raise ParseError(path, 1, "header", f"expected '{','.join(_BASE_COLUMNS)}[,fx,...]', got '{raw[0]}'")
+    data = _parse_body(path, header, raw[1:])
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         bad = int(np.argmax(np.diff(times) <= 0)) + 1

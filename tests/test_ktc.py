@@ -32,10 +32,16 @@ from lfdkit.trajectory import Trajectory
 
 REST = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 ZERO_WRENCH = (0.0,) * 6
+HOLD = (0.0,) * 6  # the command at REST: its position, no rotation
 
 
 def state(position, q: tuple = (1.0, 0.0, 0.0, 0.0)) -> tuple:
     return (*(float(c) for c in position), *q)
+
+
+def plant_command(position, r: tuple = (0.0, 0.0, 0.0)) -> tuple:
+    """A plant command: position and half-angle rotation increment."""
+    return (*(float(c) for c in position), *r)
 
 
 def relative_rotation_vector(a: tuple, b: tuple) -> np.ndarray:
@@ -56,7 +62,7 @@ ROT_GAIN = 1.4e-3 + 0.6e-3
 class TestKtcStep:
     def test_zero_wrench_is_exactly_identity(self):
         x_r = state([0.3, -0.2, 0.7], from_rotation_vector([0.1, 0.2, -0.3]))
-        assert ktc_step(x_r, ZERO_WRENCH) == x_r
+        assert ktc_step(x_r, ZERO_WRENCH) == plant_command(x_r[:3])
 
     def test_unit_force_worked_example(self):
         # 1 N on x, 0.5 N past the deadband, at 1.4e-4 + 0.6e-4 m/N: the sum
@@ -65,21 +71,22 @@ class TestKtcStep:
         out = ktc_step(REST, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         assert out[0] == 0.5 * GAIN
         assert out[0] != 1e-4
-        assert out[1:] == REST[1:]
+        assert out[1:] == HOLD[1:]
 
     def test_deadband_blocks_and_shifts(self):
         x_r = state([0.3, -0.2, 0.7], from_rotation_vector([0.1, 0.2, -0.3]))
-        assert ktc_step(x_r, (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)) == x_r
+        assert ktc_step(x_r, (0.4, 0.0, 0.0, 0.0, 0.0, 0.0)) == plant_command(x_r[:3])
         below = ktc_step(REST, (0.5, -0.4, 0.0, 0.04, -0.05, 0.0))
-        assert below == REST
+        assert below == HOLD
         above = ktc_step(REST, (2.0, -2.0, 0.0, 0.0, 0.0, 0.0))
         assert above[:3] == ((2.0 - 0.5) * GAIN, (-2.0 + 0.5) * GAIN, 0.0)
-        assert above[3:] == REST[3:]
+        assert above[3:] == HOLD[3:]
 
     def test_torque_rotates_by_gain_angle(self):
+        # the increment is half the rotation vector, quat_exp_wxyz's convention
         out = ktc_step(REST, (0.0, 0.0, 0.0, 0.0, 0.0, 3.0))
-        assert out[:3] == (0.0, 0.0, 0.0)
-        assert np.allclose(rotation_vector_wxyz(out[3:]), [0, 0, (3.0 - 0.05) * ROT_GAIN], atol=1e-15)
+        assert out == (0.0, 0.0, 0.0, 0.0, 0.0, 0.5 * (ROT_GAIN * (3.0 - 0.05)))
+        assert np.allclose(rotation_vector_wxyz(quat_exp_wxyz(out[3:])), [0, 0, (3.0 - 0.05) * ROT_GAIN], atol=1e-15)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -93,7 +100,7 @@ class TestKtcStep:
             f = [0.0] * 6
             f[axis] = sign * magnitude
             out = ktc_step(REST, tuple(f))
-            return abs(out[axis]) if axis < 3 else angle(out[3:])
+            return abs(out[axis]) if axis < 3 else math.hypot(*out[3:])
 
         lo, hi = sorted(magnitudes)
         assert command(hi) + 1e-15 >= command(lo)
@@ -103,7 +110,7 @@ class TestNativeDrive:
     def test_below_breakaway_is_exactly_stuck(self):
         x_r = state([0.1, 0.2, 0.3])
         out, sliding, spinning = native_drive_step(x_r, (39.9, 0.0, 0.0, 0.0, 0.0, 0.0))
-        assert out == x_r
+        assert out == plant_command(x_r[:3])
         assert not sliding and not spinning
 
     def test_above_breakaway_moves_along_force(self):
@@ -141,18 +148,18 @@ def reference_plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float) 
 
 coords = st.floats(-1.0, 1.0)
 raw_quats = st.tuples(coords, coords, coords, coords).filter(lambda q: math.hypot(*q) > 1e-3)
-# command relative to the reached attitude: equal, near identity, generic, near pi
-rel_rotations = st.one_of(
-    st.just(None),
+# half-angle increments: none, near identity, generic, just below a half turn
+increments = st.one_of(
+    st.just((0.0, 0.0, 0.0)),
     st.builds(
-        lambda u, n: [c * n for c in u],
+        lambda u, n: tuple(c * n for c in u),
         st.tuples(coords, coords, coords).filter(lambda u: math.hypot(*u) > 1e-3).map(
             lambda u: [c / math.hypot(*u) for c in u]
         ),
         st.one_of(
             st.floats(1e-15, 1e-6),
-            st.floats(1e-6, math.pi),
-            st.integers(3, 15).map(lambda k: math.pi - 10.0**-k),
+            st.floats(1e-6, 0.5 * math.pi),
+            st.integers(3, 15).map(lambda k: 0.5 * math.pi - 10.0**-k),
         ),
     ),
 )
@@ -162,9 +169,9 @@ class TestPlantStep:
     def test_five_time_constants(self):
         T = 0.05
         dt = 1e-3
-        x_r, x_c = REST, state([1.0, 0.0, 0.0])
+        x_r, u = REST, plant_command([1.0, 0.0, 0.0])
         for _ in range(int(round(5 * T / dt))):
-            x_r = plant_step(x_r, x_c, dt, T)
+            x_r = plant_step(x_r, u, dt, T)
         gap = 1.0 - x_r[0]
         assert gap == pytest.approx(math.exp(-5.0), rel=1e-9)
 
@@ -175,7 +182,7 @@ class TestPlantStep:
         x_r = REST
         lag = None
         for k in range(3000):
-            cmd = state([rate * k * dt, 0.0, 0.0])
+            cmd = plant_command([rate * k * dt, 0.0, 0.0])
             x_r = plant_step(x_r, cmd, dt, T)
             lag = cmd[0] - x_r[0]
         assert lag == pytest.approx(T * rate, rel=0.02)
@@ -183,21 +190,25 @@ class TestPlantStep:
     def test_orientation_moves_along_geodesic(self):
         T = 0.1
         q_goal = from_rotation_vector([0.0, 0.0, 1.2])
-        x_r, x_c = REST, state(np.zeros(3), q_goal)
-        stepped = plant_step(x_r, x_c, 0.05, T)[3:]
+        stepped = plant_step(REST, plant_command(np.zeros(3), (0.0, 0.0, 0.6)), 0.05, T)[3:]
         a = 1.0 - math.exp(-0.05 / T)
         assert angle(stepped) == pytest.approx(a * 1.2, rel=1e-9)
         rv = np.array(rotation_vector_wxyz(stepped))
         assert np.allclose(rv / np.linalg.norm(rv), [0, 0, 1], atol=1e-12)
+        # commanding the remaining increment each tick converges on the goal
+        x_r = REST
         for _ in range(200):
-            x_r = plant_step(x_r, x_c, 0.05, T)
+            r = quat_log_wxyz(quat_mul_wxyz(q_goal, quat_conj_wxyz(x_r[3:])))
+            x_r = plant_step(x_r, plant_command(np.zeros(3), r), 0.05, T)
         assert np.linalg.norm(relative_rotation_vector(q_goal, x_r[3:])) < 1e-6
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="time_constant"):
-            plant_step(REST, REST, 1e-3, 0.0)
-        with pytest.raises(ValueError, match="dt"):
-            plant_step(REST, REST, 0.0)
+        with pytest.raises(ValueError, match="^time_constant must be positive, got 0.0$"):
+            plant_step(REST, HOLD, 1e-3, 0.0)
+        with pytest.raises(ValueError, match="^dt must be positive, got 0.0$"):
+            plant_step(REST, HOLD, 0.0)
+        with pytest.raises(ValueError, match="^dt must be finite, got inf$"):
+            plant_step(REST, HOLD, math.inf)
         with pytest.raises(ValueError, match="time_constant"):
             simulate_demonstration(line_waypoints(), "proposed", plant_time_constant=0.0)
         for bad, rule in ((math.inf, "finite"), (math.nan, "positive"), (-math.inf, "positive")):
@@ -214,34 +225,78 @@ class TestPlantStep:
         with pytest.raises(ValueError, match=f"teach steps exceeds {ktc.MAX_TEACH_STEPS}$"):
             simulate_demonstration(line_waypoints(), "proposed", rate=rate, max_duration=max_duration)
 
+    def test_a_teach_run_steps_the_plant_once_a_tick(self, monkeypatch):
+        # the trace site ktc.plant_step.calls counts teach ticks through this
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return plant_step(*args)
+
+        monkeypatch.setattr(ktc, "plant_step", counted)
+        for controller in CONTROLLERS:
+            calls.clear()
+            demo = simulate_demonstration(*default_teach_setup(controller, seed=1), seed=1)
+            assert len(calls) == len(demo) - 1
+
     @settings(max_examples=300, deadline=None)
     @given(
         p_r=st.tuples(coords, coords, coords),
         p_c=st.tuples(coords, coords, coords),
         q=raw_quats,
         keep_sign=st.booleans(),
-        rel=rel_rotations,
+        r=increments,
         dt=st.floats(1e-4, 0.05),
         time_constant=st.floats(1e-3, 1.0),
     )
-    def test_equals_the_pose_path_bit_for_bit(self, p_r, p_c, q, keep_sign, rel, dt, time_constant):
+    def test_turns_by_the_scaled_increment_bit_for_bit(self, p_r, p_c, q, keep_sign, r, dt, time_constant):
         # keep_sign leaves w < 0 in place, as quat_exp_wxyz's outputs past a half turn do
         q_r = quat_normalize(*q, raw=keep_sign)
-        q_c = q_r if rel is None else quat_mul_wxyz(from_rotation_vector(rel), q_r)
-        x_r, x_c = Pose(p_r, q_r), Pose(p_c, q_c)
-        want = reference_plant_step(x_r, x_c, dt, time_constant)
-        got = plant_step(state(p_r, q_r), state(p_c, q_c), dt, time_constant)
-        assert got == state(want.position, want.orientation)
+        got = plant_step(state(p_r, q_r), plant_command(p_c, r), dt, time_constant)
+        a = 1.0 - math.exp(-dt / time_constant)
+        assert got[:3] == tuple(p + a * (c - p) for p, c in zip(p_r, p_c))
+        if r == (0.0, 0.0, 0.0):
+            assert got[3:] == q_r
+        else:
+            assert got[3:] == quat_mul_wxyz(quat_exp_wxyz(tuple(a * c for c in r)), q_r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_r=st.tuples(coords, coords, coords),
+        p_c=st.tuples(coords, coords, coords),
+        q=raw_quats,
+        keep_sign=st.booleans(),
+        r=increments,
+        dt=st.floats(1e-4, 0.05),
+        time_constant=st.floats(1e-3, 1.0),
+    )
+    def test_agrees_with_the_slerp_plant(self, p_r, p_c, q, keep_sign, r, dt, time_constant):
+        # the slerp toward exp(r) * q_r, with the command composed first
+        q_r = quat_normalize(*q, raw=keep_sign)
+        q_c = q_r if r == (0.0, 0.0, 0.0) else quat_mul_wxyz(quat_exp_wxyz(r), q_r)
+        want = reference_plant_step(Pose(p_r, q_r), Pose(p_c, q_c), dt, time_constant)
+        got = plant_step(state(p_r, q_r), plant_command(p_c, r), dt, time_constant)
+        assert got[:3] == tuple(want.position.tolist())
+        w, g = np.array(want.orientation), np.array(got[3:])
+        assert min(np.max(np.abs(g - w)), np.max(np.abs(g + w))) <= 1e-12
 
 
 def line_waypoints(length: float = 0.05) -> list[Pose]:
     return [Pose(np.zeros(3)), Pose(np.array([length, 0.0, 0.0]))]
 
 
+def norm3(v) -> float:
+    """The norm of a 3-vector as the teach loop takes it: np.linalg.norm is a
+    BLAS dot, which may round differently, and a 9-digit CSV cell can sit on
+    that rounding (native seed 16, tick 367)."""
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
 def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_noise_std=0.0, seed=0, rate=100.0):
     """The teach loop as it read with per-tick Pose objects and numpy
-    wrenches, over the object maps and np.linalg.norm (no timeout), with the
-    parameters read from the ``ktc`` constants."""
+    wrenches, over the object maps (no timeout), with the parameters read
+    from the ``ktc`` constants: each tick composes the commanded attitude,
+    slerps toward it, and recomputes every rotation."""
     h = 1.0 / rate
     gain, deadband = np.array(ktc._GAIN), np.array(ktc._DEADBAND)
     force_saturation, torque_saturation = CONTROLLERS[controller]
@@ -251,7 +306,7 @@ def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_n
     noisy = force_noise_std > 0 or torque_noise_std > 0
 
     def clip_norm(v, limit):
-        n = float(np.linalg.norm(v))
+        n = norm3(v)
         return v * (limit / n) if n > limit else v
 
     def admittance_step(x_r, f):
@@ -264,11 +319,11 @@ def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_n
 
     def native_step(x_r, f, sliding, spinning):
         position, orientation = x_r.position, x_r.orientation
-        fn = float(np.linalg.norm(f[:3]))
+        fn = norm3(f[:3])
         sliding = fn > (ktc._KINETIC_FORCE if sliding else ktc._BREAKAWAY_FORCE)
         if sliding:
             position = position + ktc._NATIVE_GAIN * (fn - ktc._KINETIC_FORCE) * (f[:3] / fn)
-        tn = float(np.linalg.norm(f[3:]))
+        tn = norm3(f[3:])
         spinning = tn > (ktc._KINETIC_TORQUE if spinning else ktc._BREAKAWAY_TORQUE)
         if spinning:
             delta = ktc._NATIVE_ROT_GAIN * (tn - ktc._KINETIC_TORQUE) * (f[3:] / tn)
@@ -285,7 +340,7 @@ def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_n
     k = 0
     while True:
         while target < len(waypoints) and (
-            np.linalg.norm(x_r.position - waypoints[target].position) <= ktc._CAPTURE_RADIUS
+            norm3(x_r.position - waypoints[target].position) <= ktc._CAPTURE_RADIUS
         ):
             target += 1
         times.append(k * h)
@@ -295,19 +350,19 @@ def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_n
             break
         goal = waypoints[target]
         to_goal = goal.position - hand_pos
-        dist = float(np.linalg.norm(to_goal))
+        dist = norm3(to_goal)
         desired = np.zeros(3)
-        if dist > 0.0 and np.linalg.norm(hand_pos - x_r.position) < stretch_limit:
+        if dist > 0.0 and norm3(hand_pos - x_r.position) < stretch_limit:
             desired = to_goal * (min(ktc._HAND_SPEED, math.sqrt(2.0 * ktc._HAND_ACCEL * dist)) / dist)
         dv = desired - hand_vel
-        dvn = float(np.linalg.norm(dv))
+        dvn = norm3(dv)
         if dvn > 0.0:
             hand_vel = hand_vel + dv * min(1.0, ktc._HAND_ACCEL * h / dvn)
         hand_pos = hand_pos + hand_vel * h
         rot_gap = relative_rotation_vector(goal.orientation, hand_q)
-        gap = float(np.linalg.norm(rot_gap))
+        gap = norm3(rot_gap)
         rot_lag = relative_rotation_vector(hand_q, x_r.orientation)
-        if gap > 0.0 and np.linalg.norm(rot_lag) < rot_stretch_limit:
+        if gap > 0.0 and norm3(rot_lag) < rot_stretch_limit:
             step = min(ktc._HAND_ROT_SPEED * h, gap)
             hand_q = quat_mul_wxyz(from_rotation_vector(rot_gap * (step / gap)), hand_q)
 
@@ -328,8 +383,7 @@ def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_n
         else:
             x_c, sliding, spinning = native_step(x_r, sensed, sliding, spinning)
         prev_pos, prev_q = x_r.position, x_r.orientation
-        nxt = plant_step(state(x_r.position, x_r.orientation), state(x_c.position, x_c.orientation), h)
-        x_r = Pose(nxt[:3], nxt[3:])
+        x_r = reference_plant_step(x_r, x_c, h, ktc.PLANT_TIME_CONSTANT)
         k += 1
     return Trajectory(
         times, [p.position for p in poses], [p.orientation for p in poses], wrenches
@@ -406,18 +460,22 @@ class TestSimulateDemonstration:
     @pytest.mark.parametrize("noise", [{}, {"force_noise_std": 0.3, "torque_noise_std": 0.03}])
     @pytest.mark.parametrize("controller", ["proposed", "native"])
     def test_matches_the_object_loop(self, tmp_path, controller, noise):
-        for seed in range(4):
+        # seeds 16 and 1000003 diverge from this loop at tick 40 when the
+        # rounding of the logged torque moves: a threshold of the hand or the
+        # native drive flips
+        for seed in (0, 1, 2, 3, 16, 1000003):
             setup = default_teach_setup(controller, seed=seed)
             got = simulate_demonstration(*setup, seed=seed, **noise)
             want = reference_demonstration(*setup, seed=seed, **noise)
             assert len(got) == len(want)
             got.save_csv(tmp_path / "got.csv")
             want.save_csv(tmp_path / "want.csv")
-            assert (tmp_path / "got.csv").read_text() == (tmp_path / "want.csv").read_text()
-            # np.linalg.norm of a 3-vector is a BLAS dot, which may run as a
-            # chain of fused multiply-adds; the loop's math.sqrt of a plain sum
-            # of squares can differ from it in the last bit, and that rounding
-            # is all the floats may move by
+            # compared as line lists, which pytest diffs in moments where two
+            # whole differing files take it minutes
+            assert (tmp_path / "got.csv").read_text().splitlines() == (tmp_path / "want.csv").read_text().splitlines()
+            # the loop turns by exp(a*r) where this one slerps toward exp(r),
+            # and reads the damper's rotation from the increment; the two
+            # agree to rounding, and that rounding is all the floats may move by
             assert np.array_equal(got.times, want.times)
             assert np.max(np.abs(got.positions - want.positions)) <= 1e-12
             assert np.max(np.abs(got.orientations - want.orientations)) <= 1e-12

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfdkit.ktc import simulate_demonstration
+from lfdkit.presets import default_teach_setup
 from lfdkit.se3 import from_rotation_vector, quat_conj_wxyz, quat_exp_wxyz, quat_log_wxyz, quat_mul_wxyz
 from lfdkit.trajectory import (
     ParseError,
@@ -296,6 +298,23 @@ class TestCsv:
         with pytest.raises(ParseError) as exc:
             load_trajectory_csv(path)
         assert exc.value.line == 2
+
+    def test_cell_count_checked_per_line(self, tmp_path):
+        # 7 + 9 cells are 2 x 8 in all: each line's count must match, not the total
+        path = tmp_path / "bad.csv"
+        path.write_text("t,px,py,pz,qw,qx,qy,qz\n0,0,0,0,1,0,0\n0.1,0,0,0,1,0,0,0,0\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:2: field 'qy': expected 8 columns, got 7$"):
+            load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("controller", ["proposed", "native"])
+    def test_teach_demo_reads_back_as_the_per_cell_parse(self, tmp_path, controller):
+        path = tmp_path / "demo.csv"
+        simulate_demonstration(*default_teach_setup(controller, seed=1), seed=1).save_csv(path)
+        cells = np.array([[float(c) for c in line.split(",")] for line in path.read_text().splitlines()[1:]])
+        want = Trajectory(cells[:, 0], cells[:, 1:4], cells[:, 4:8], cells[:, 8:])
+        back = load_trajectory_csv(path)
+        for name in ("times", "positions", "orientations", "wrenches"):
+            assert np.array_equal(getattr(back, name), getattr(want, name))
 
     def test_decreasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
