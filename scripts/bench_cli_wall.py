@@ -85,6 +85,7 @@ BAD_CONFIGS = {
     "bad_trial_clearance.json": {"trial": {"clearance": 0}},
     "bad_trial_tilt.json": {"trial": {"tilt_tol_deg": 5e-324}},
     "bad_trial_hole.json": {"trial": {"hole_id": 7}},
+    "bad_trial_depth.json": {"trial": {"required_depth": 1e300}},
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
 }

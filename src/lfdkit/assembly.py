@@ -22,15 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmp import PoseDmp, RolloutDiverged, _replay, linear_scan
-from .ktc import PLANT_TIME_CONSTANT, plant_step
+from .dmp import MAX_ROWS, PoseDmp, RolloutDiverged, _replay, linear_scan
+from .ktc import PLANT_TIME_CONSTANT
 from .metrics import _position_jerk
 from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
 from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite, _positive, fmt_float
 from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
 from .vision import _check_mask_points, check_visible, fit_circle3d, hole_in_world, synthesize_mask
-# not called here, but perfbench/spans.py wraps both by their names in this module
+# not called here, but perfbench/spans.py wraps these by their names in this module
 from .dmp import rollout
+from .ktc import plant_step
 from .metrics import jerk_metrics
 
 __all__ = [
@@ -61,7 +62,7 @@ _DESCENT_SPEED = 0.02  # m/s along the hole axis, standoff to goal
 _PLAN_DT = 1e-3  # s between plan samples
 _SNAP_BAND = 1e-3  # m of chamfer beyond the clearance that funnels the peg in
 _SETTLE_TIME = 0.5  # s the last command is held after the plan ends
-MAX_TRIALS = 10_000  # trials one batch may run: about 15 min at ~80 ms a trial
+MAX_TRIALS = 10_000  # trials one batch may run: about a minute at ~5 ms a trial
 
 
 class Phase(Enum):
@@ -238,6 +239,7 @@ def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, dept
     chart is the goal's, and the descent rows are 0 in it."""
     _positive("standoff", standoff)
     goal = insertion_goal(hole, depth, dmp.demo_goal.orientation)
+    n = max(2, int(math.ceil(_descent_rows(standoff, depth))))
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
 
@@ -246,7 +248,6 @@ def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, dept
     if miss > _CONVERGENCE_TOL:
         raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
 
-    n = max(2, int(math.ceil((standoff + depth) / (_DESCENT_SPEED * _PLAN_DT))))
     u = (np.arange(1, n + 1) / n)[:, None]
     descent = standoff_pose.position + u * (goal.position - standoff_pose.position)
     descent[-1] = goal.position
@@ -258,14 +259,26 @@ def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, dept
     )
 
 
+def _descent_rows(standoff: float, depth: float) -> float:
+    """The descent's plan rows before rounding up, refused past MAX_ROWS in
+    float arithmetic, before anything is allocated."""
+    rows = (standoff + depth) / (_DESCENT_SPEED * _PLAN_DT)
+    if not rows <= MAX_ROWS:
+        raise ValueError(f"a descent of standoff {standoff:.6g} + depth {depth:.6g} m needs {rows:.10g} plan rows, "
+                         f"more than the cap of {MAX_ROWS}")
+    return rows
+
+
 def _check_tolerances(clearance: float, tilt_tol: float, required_depth: float, standoff: float,
                       plan_overtravel: float, *, tilt_name: str = "tilt_tol") -> None:
     """The trial tolerance rule: clearance, tilt, depth and standoff positive,
-    the overtravel at least 0; ``tilt_name`` names the tilt in the errors."""
+    the overtravel at least 0, the descent at most MAX_ROWS plan rows;
+    ``tilt_name`` names the tilt in the errors."""
     for name, value in (("clearance", clearance), (tilt_name, tilt_tol), ("required_depth", required_depth),
                         ("standoff", standoff)):
         _positive(name, value)
     _at_least("plan_overtravel", plan_overtravel, 0)
+    _descent_rows(standoff, required_depth + plan_overtravel)
 
 
 def _check_trial_count(n: int) -> None:
@@ -430,15 +443,15 @@ def _run_plan(
     then one linear scan over every tick. Contact never moves the attitude,
     so its scan is final. The scanned position holds up to the first tick
     where contact binds (:func:`_first_binding_tick`); from there, starting
-    at the scanned state of the tick before it, a float loop steps the
-    position through ``plant_step`` and :func:`_contact_project`. A peg that
+    at the scanned state of the tick before it, a float loop lags the
+    position by the same a and applies :func:`_contact_project`. A peg that
     enters within the clearance never binds, and its positions are the
     scan's.
 
     One lag factor serves every tick, so the plan's intervals must agree to
     1e-9 relative.
     """
-    cmd_times, cmd_positions, cmd_e, g = plan
+    cmd_times, cmd_positions, cmd_e, _ = plan
     dts = np.diff(cmd_times)
     dt = float(dts[-1])
     if np.ptp(dts) > 1e-9 * dt:
@@ -454,7 +467,8 @@ def _run_plan(
     lag[3:, :n_cmd] = cmd_e.T
     lag[:, n_cmd:] = lag[:, n_cmd - 1 : n_cmd]
     lam = -dt / PLANT_TIME_CONSTANT
-    lag[:, 1:] *= -math.expm1(lam)
+    a = -math.expm1(lam)
+    lag[:, 1:] *= a
     linear_scan(lag[:, 1:], lam, lag[:, 0])
 
     model = _contact_model(scene, hole_id, scenario.clearance)
@@ -462,14 +476,11 @@ def _run_plan(
     k0 = _first_binding_tick(lag, model)
     if k0 is not None:
         commands = cmd_positions[k0:].tolist() + [cmd_positions[-1].tolist()] * (n - max(k0, n_cmd))
-        # a zero rotation increment: plant_step moves the position only
-        goal = tuple(g[0].tolist())
-        x_r = (*positions[k0 - 1].tolist(), *goal)
+        px, py, pz = positions[k0 - 1].tolist()
         reached = []
-        for c in commands:
-            p = _contact_project(plant_step(x_r, (*c, 0.0, 0.0, 0.0), dt, PLANT_TIME_CONSTANT)[:3], model)
-            x_r = (*p, *goal)
-            reached.append(p)
+        for cx, cy, cz in commands:
+            px, py, pz = _contact_project((px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz)), model)
+            reached.append((px, py, pz))
         positions[k0:] = reached
     return times, positions, lag[3:].T
 

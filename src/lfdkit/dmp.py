@@ -434,6 +434,18 @@ def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> n
     precision. Underdamped gains give a complex pair, scanned in complex
     arithmetic.
     """
+    lam1, lam2, mu2 = _scan_rates(c1, c0)
+    buf = np.empty((len(e0), len(u) + 2), dtype=np.result_type(lam1, lam2))
+    buf[:, :2] = e0[:, None]
+    buf[:, 2:] = u.T
+    linear_scan(buf[:, 2:], lam1, mu2 * e0)
+    linear_scan(buf[:, 2:], lam2, e0)
+    return buf.real.T.copy()
+
+
+def _scan_rates(c1: float, c0: float) -> tuple[float | complex, float | complex, float | complex]:
+    """The roots of z^2 - c1 z + c0 as :func:`_second_order_scan` scans
+    them: lam1 = log(r1), lam2 = log(r2) and mu2 = 1 - r2."""
     a = 2.0 - c1
     b = (1.0 - c1) + c0
     h = 0.5 * a
@@ -445,14 +457,9 @@ def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> n
         lam2, mu2 = lam1.conjugate(), complex(h, -t)
     else:
         mu1 = h + math.sqrt(disc)
-        mu2 = b / mu1
+        mu2 = b / mu1 if mu1 else 0.0  # c1 rounded to 2: a double root at 1
         lam1, lam2 = _log_one_minus(mu1), _log_one_minus(mu2)
-    buf = np.empty((len(e0), len(u) + 2), dtype=np.result_type(lam1, lam2))
-    buf[:, :2] = e0[:, None]
-    buf[:, 2:] = u.T
-    linear_scan(buf[:, 2:], lam1, mu2 * e0)
-    linear_scan(buf[:, 2:], lam2, e0)
-    return buf.real.T.copy()
+    return lam1, lam2, mu2
 
 
 # the responses of the last primitive rolled out, matched on the instance
@@ -468,7 +475,8 @@ def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[
     h starts at 1 without forcing and serves all six axes, which share one
     filter; F starts at 0 under the primitive's forcing. Both are read-only
     and kept for the last (primitive, tau, dt, n) asked for, as a batch
-    replays one primitive at one tau and dt toward every goal.
+    replays one primitive at one tau and dt toward every goal. A filter
+    with a coefficient or root that is not finite diverges at step 1.
     """
     global _last_responses
     n_steps = len(times) - 1
@@ -480,6 +488,10 @@ def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[
     adt = dt / tau
     forcing, underflows = _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
     c1, c0 = 2.0 - az * adt, 1.0 - az * adt + az * bz * adt * adt
+    # a root of 0 scans at rate -inf, which linear_scan carries
+    if not (math.isfinite(c1) and math.isfinite(c0)
+            and all(x == x and x.real < math.inf for x in _scan_rates(c1, c0))):
+        raise RolloutDiverged(1, dt)
     # one scan: F on six axes from 0, and h on a seventh from 1 without forcing
     u = np.zeros((n_steps, 7))
     np.multiply(adt, adt * forcing[:n_steps], out=u[:, :6])

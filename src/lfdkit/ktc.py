@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .se3 import Pose, quat_conj_wxyz, quat_exp_wxyz, quat_mul_wxyz, rotation_vector_wxyz
+from .se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, rotation_vector_wxyz
 from .trajectory import Trajectory, _at_least, _positive
 
 __all__ = [
@@ -126,7 +126,7 @@ def native_drive_step(
     r = (0.0, 0.0, 0.0)
     if spinning:
         c = _NATIVE_ROT_GAIN * (tn - _KINETIC_TORQUE)
-        r = (0.5 * (c * (tx / tn)), 0.5 * (c * (ty / tn)), 0.5 * (c * (tz / tn)))
+        r = (c * (tx / tn), c * (ty / tn), c * (tz / tn))
     return (px, py, pz, *r), sliding, spinning
 
 
@@ -139,7 +139,7 @@ def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
         g * (w - db if w > 0.0 else w + db) if abs(w) > db else 0.0
         for w, g, db in zip(f, _GAIN, _DEADBAND)
     ]
-    return (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], 0.5 * d[3], 0.5 * d[4], 0.5 * d[5])
+    return (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], d[3], d[4], d[5])
 
 
 def plant_step(
@@ -148,20 +148,20 @@ def plant_step(
     """One tick of the position-controlled robot, a first-order lag from the
     reached state x_r toward the command u: with a = 1 - exp(-dt/T), the
     position closes the gap to the commanded one by a, and the attitude turns
-    by exp(a*r) * q_r, in exact arithmetic the slerp toward exp(r) * q_r. A
-    zero increment r leaves q_r as it is.
+    by exp(a*v) * q_r, in exact arithmetic the slerp toward exp(v) * q_r. A
+    zero increment v leaves q_r as it is.
 
     The state is a float tuple ``(px, py, pz, qw, qx, qy, qz)`` holding a unit
     quaternion as ``Pose.orientation`` holds it, and so is the result; the
-    command ``(cx, cy, cz, rx, ry, rz)`` holds the position and the half-angle
-    increment r (``quat_exp_wxyz``'s convention), |r| below pi/2."""
+    command ``(cx, cy, cz, vx, vy, vz)`` holds the position and the full-angle
+    rotation increment v, |v| below pi."""
     _positive("dt", dt)
     _positive("time_constant", time_constant)
     a = 1.0 - math.exp(-dt / time_constant)
     px, py, pz, *q = x_r
-    cx, cy, cz, rx, ry, rz = u
-    if rx != 0.0 or ry != 0.0 or rz != 0.0:
-        q = quat_mul_wxyz(quat_exp_wxyz((a * rx, a * ry, a * rz)), q)
+    cx, cy, cz, vx, vy, vz = u
+    if vx != 0.0 or vy != 0.0 or vz != 0.0:
+        q = quat_mul_wxyz(from_rotation_vector((a * vx, a * vy, a * vz)), q)
     return (px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz), *q)
 
 
@@ -230,7 +230,7 @@ def simulate_demonstration(
     rot_step = _HAND_ROT_SPEED * h
     k_grip, d_grip = _GRIP_STIFFNESS, _GRIP_DAMPING
     k_rot, d_rot = _ROT_STIFFNESS, _ROT_DAMPING
-    turn = 2.0 * (1.0 - math.exp(-h / plant_time_constant))  # plant_step's exp(a*r) turns by 2*a*r
+    turn = 1.0 - math.exp(-h / plant_time_constant)  # plant_step turns by a * v
 
     x_r = prev = waypoints[0]
     hx, hy, hz, *hand_q = x_r
@@ -284,7 +284,7 @@ def simulate_demonstration(
         ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
         if gap > 0.0 and math.sqrt(ex * ex + ey * ey + ez * ez) < rot_stretch_limit:
             c = min(rot_step, gap) / gap
-            hand_q = quat_mul_wxyz(quat_exp_wxyz((0.5 * (ax * c), 0.5 * (ay * c), 0.5 * (az * c))), hand_q)
+            hand_q = quat_mul_wxyz(from_rotation_vector((ax * c, ay * c, az * c)), hand_q)
             gap = None
             ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
 

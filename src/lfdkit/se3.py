@@ -8,10 +8,10 @@ Conventions, fixed once and used everywhere:
 * :func:`quat_normalize`, and every kernel that returns through it,
   canonicalizes to the ``w >= 0`` hemisphere so each rotation has exactly
   one representation; :func:`from_rotation_vector` past a half turn is the
-  one path that leaves it (see :func:`quat_exp_wxyz`)
-* ``quat_log_wxyz``/``quat_exp_wxyz`` use the half-angle convention
-  ``log(q) = (theta/2) * u`` for ``q = (cos(theta/2), u*sin(theta/2))``,
-  so a full-angle rotation vector is ``2 * log(q)``
+  one path that leaves it
+* a rotation vector is full-angle, ``theta * u`` for the rotation of
+  ``theta`` about the unit axis ``u``: :func:`from_rotation_vector` is the
+  exp map and :func:`rotation_vector_wxyz` the log map
 * per-tick loops go through the ``*_wxyz`` float-tuple kernels; whole
   trajectories go through one log chart at a reference orientation:
   :func:`chart_rows` maps ``(n, 4)`` quaternions to ``(n, 3)`` full-angle
@@ -36,10 +36,7 @@ __all__ = [
     "quat_conj_wxyz",
     "quat_rotate_wxyz",
     "quat_matrix_wxyz",
-    "quat_log_wxyz",
-    "quat_exp_wxyz",
     "rotation_vector_wxyz",
-    "slerp_wxyz",
     "quat_canonicalize_rows",
     "chart_rows",
     "unchart_rows",
@@ -72,14 +69,22 @@ def quat_normalize(
 
 
 def from_rotation_vector(r) -> tuple[float, float, float, float]:
-    """The rotation of full-angle vector r (angle below 2*pi), through
-    :func:`quat_exp_wxyz`: past a half turn it keeps w < 0."""
-    x, y, z = np.asarray(r, dtype=float).tolist()
-    # the norm quat_exp_wxyz takes of the half vector, exactly doubled
-    n = math.sqrt(x * x + y * y + z * z)
-    if not n < 2.0 * math.pi:
-        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, 2 pi)")
-    return quat_exp_wxyz((0.5 * x, 0.5 * y, 0.5 * z))
+    """The exp map: the rotation of full-angle vector r, angle below 2*pi,
+    the inverse of :func:`rotation_vector_wxyz` there.
+
+    The result is deliberately NOT canonicalized: past a half turn the
+    scalar part is negative, and flipping it would break the round trip
+    rotation_vector(exp(r)) = r. Anything composed from it through
+    :func:`quat_mul_wxyz` lands back on the canonical hemisphere. A tuple
+    is read as it is; any other sequence becomes Python floats first.
+    """
+    x, y, z = r if type(r) is tuple else np.asarray(r, dtype=float).tolist()
+    x, y, z = 0.5 * x, 0.5 * y, 0.5 * z
+    n = math.sqrt(x * x + y * y + z * z)  # half the angle
+    if not n < math.pi:
+        raise ValueError(f"rotation-vector norm {2.0 * n:.6g} is outside the domain [0, 2 pi)")
+    s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
+    return quat_normalize(math.cos(n), s * x, s * y, s * z, raw=True)
 
 
 def rotation_between(u, v) -> tuple[float, float, float, float]:
@@ -163,54 +168,23 @@ def quat_matrix_wxyz(q: tuple[float, float, float, float]) -> np.ndarray:
     )
 
 
-def quat_log_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
-    """Half-angle log map: (theta/2) * u as a 3-tuple.
+def rotation_vector_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """The log map: full-angle rotation vector theta*u as a 3-tuple.
 
-    Accepts any unit quaternion (w < 0 included, as :func:`quat_exp_wxyz`
-    returns past a half turn); the identity maps to the zero vector.
+    Accepts any unit quaternion (w < 0 included, as
+    :func:`from_rotation_vector` returns past a half turn); the identity
+    maps to the zero vector.
     """
     w, x, y, z = q
     vn = math.sqrt(x * x + y * y + z * z)
     if vn < 1e-12:
         if w < 0.0:
-            # -identity: same rotation as identity but log would sit at theta/2 = pi
+            # -identity: same rotation as identity but the angle would be 2 pi
             # with an undefined axis; canonical inputs never reach this.
             return 0.0, 0.0, 0.0
-        return x / w, y / w, z / w
+        return 2.0 * (x / w), 2.0 * (y / w), 2.0 * (z / w)
     k = math.atan2(vn, w) / vn
-    return k * x, k * y, k * z
-
-
-def quat_exp_wxyz(v: tuple[float, float, float]) -> tuple[float, float, float, float]:
-    """Half-angle exp map, the exact inverse of :func:`quat_log_wxyz` for
-    ||v|| < pi.
-
-    The result is deliberately NOT canonicalized: for ||v|| in (pi/2, pi) the
-    scalar part is negative, and flipping it would break the round trip
-    log(exp(v)) = v. Anything composed from it through :func:`quat_mul_wxyz`
-    lands back on the canonical hemisphere.
-    """
-    vx, vy, vz = v
-    n = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if n >= math.pi:
-        raise ValueError(f"rotation-vector norm {n:.6g} is outside the domain [0, pi)")
-    s = 1.0 - n * n / 6.0 if n < 1e-8 else math.sin(n) / n
-    return quat_normalize(math.cos(n), s * vx, s * vy, s * vz, raw=True)
-
-
-def rotation_vector_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
-    """Full-angle rotation vector theta*u (twice the log)."""
-    lx, ly, lz = quat_log_wxyz(q)
-    return 2.0 * lx, 2.0 * ly, 2.0 * lz
-
-
-def slerp_wxyz(
-    a: tuple[float, float, float, float], b: tuple[float, float, float, float], u: float
-) -> tuple[float, float, float, float]:
-    """Spherical-linear interpolation along the shorter arc, u in [0, 1]."""
-    # b * conj(a) is canonical, so always the short way round
-    lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
-    return quat_mul_wxyz(quat_exp_wxyz((u * lx, u * ly, u * lz)), a)
+    return 2.0 * (k * x), 2.0 * (k * y), 2.0 * (k * z)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +240,10 @@ def chart_rows(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def unchart_rows(e: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """The map back from the chart at ``ref``: per row, the rotation of
-    full-angle vector ``e`` composed onto ``ref``, exp(e/2) * ref, neither
-    renormalized nor canonicalized. The exponential is defined for every
-    vector; one of 2 pi or more is the same rotation as the vector wrapped
-    along its axis."""
+    full-angle vector ``e`` composed onto ``ref``, as
+    ``quat_mul_wxyz(from_rotation_vector(e), ref)`` but neither renormalized
+    nor canonicalized. The map is defined for every vector; one of 2 pi or
+    more is the same rotation as the vector wrapped along its axis."""
     e = np.asarray(e, dtype=float)
     n = 0.5 * np.linalg.norm(e, axis=1)  # the half-angle norm, exact
     x = np.column_stack([np.cos(n), np.sinc(n / math.pi)[:, None] * (0.5 * e)])  # sinc(n/pi) = sin(n)/n

@@ -15,6 +15,8 @@ import lfdkit.dmp
 import lfdkit.metrics
 from lfdkit.assembly import (
     MAX_TRIALS,
+    _DESCENT_SPEED,
+    _PLAN_DT,
     _SNAP_BAND,
     _contact_model,
     _contact_project,
@@ -41,10 +43,11 @@ from lfdkit.assembly import (
     trial_to_dict,
 )
 from lfdkit.config import config_from_dict
+from lfdkit.dmp import MAX_ROWS
 from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.ktc import PLANT_TIME_CONSTANT
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
-from lfdkit.se3 import chart_rows, rotation_vector_wxyz, slerp_wxyz, unchart_rows
+from lfdkit.se3 import chart_rows, rotation_vector_wxyz, unchart_rows
 from lfdkit.trajectory import ParseError, Trajectory
 from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
 
@@ -339,6 +342,14 @@ class TestExecuteTrial:
         assert r.jerk is not None and r.jerk["max"] > 0
         assert r.events == nominal_events()
 
+    def test_non_finite_filter_ends_the_trial_failed(self, scenario):
+        # alpha_z * beta_z overflows; the replay's filter once raised a bare
+        # ValueError out of execute_trial, which ended the whole batch
+        dmp = replace(scenario.dmp, alpha_z=1e160, beta_z=2.5e159)
+        r = execute_trial(replace(scenario, dmp=dmp))
+        assert r.state.phase is Phase.FAILED and not r.success
+        assert r.state.reason == "non-finite rollout state at step 1 (t = 0.001 s)"
+
     def test_success_predicate_is_pure_over_the_record(self, noisy_scenario):
         for s in (0, 1, 2, 3):
             r = execute_trial(replace(noisy_scenario, seed=s))
@@ -543,6 +554,16 @@ class TestScenarioValidation:
             ("mask_points", 10**9, f"mask_points must be at most {MAX_MASK_POINTS}, got 1000000000"),
             ("clearance", math.inf, "clearance must be finite, got inf"),
             ("tilt_tol", math.inf, "tilt_tol must be finite, got inf"),
+            # 1e300 m of descent once asked numpy for 5e304 plan rows
+            # mid-trial, and 1000 m for 5e7, several GB
+            ("required_depth", 1e300, "a descent of standoff 0.03 + depth 1e+300 m needs 5e+304 plan rows, "
+                                      "more than the cap of 1000000"),
+            ("plan_overtravel", 1e300, "a descent of standoff 0.03 + depth 1e+300 m needs 5e+304 plan rows, "
+                                       "more than the cap of 1000000"),
+            ("standoff", 1e300, "a descent of standoff 1e+300 + depth 0.012 m needs 5e+304 plan rows, "
+                                "more than the cap of 1000000"),
+            ("required_depth", 1000.0, "a descent of standoff 0.03 + depth 1000 m needs 50001600 plan rows, "
+                                       "more than the cap of 1000000"),
         ]:
             with pytest.raises(ValueError) as err:
                 replace(scenario, **{field: value})
@@ -607,14 +628,27 @@ class TestScenarioValidation:
     def test_nan_errors_never_pass(self, scenario):
         assert not meets_tolerances(math.nan, math.nan, math.nan, scenario)
 
+    def test_descent_rule_is_the_plans(self, scenario, monkeypatch):
+        # 10 m of descent, 5e5 rows, passes; _plan refuses 20 m, 1e6 rows
+        # plus the standoff's, before its replay allocates anything
+        replace(scenario, required_depth=10.0)
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("replayed")
+
+        monkeypatch.setattr(lfdkit.assembly, "_replay", no_replay)
+        hole = HoleEstimate(center=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1e-3, rms=0.0)
+        with pytest.raises(ValueError, match=rf"more than the cap of {MAX_ROWS}$"):
+            _plan(scenario.initial_pose, hole, scenario.dmp, scenario.standoff, MAX_ROWS * _DESCENT_SPEED * _PLAN_DT)
+
 
 def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
     """The execution law tick by tick on scalars: the position and the
     attitude error in the last command's log chart each close the gap to
     the command by a = 1 - exp(-dt/T), and the contact rule then projects
     the position. Returns the trajectory, its attitude errors in that chart
-    and, alongside them, the attitudes of the slerp lag the execution plant
-    ran before (teaching still does)."""
+    and, alongside them, the attitudes of a slerp lag toward each commanded
+    attitude, the slerp spelled from the exp/log pair."""
     model = _contact_model(scene, hole_id, scenario.clearance)
     g = tuple(plan.orientations[-1].tolist())
     conj_g = quat_conj_wxyz(g)
@@ -633,7 +667,9 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
         e_c = rotation_vector_wxyz(quat_mul_wxyz(q_c, conj_g))
         p = _contact_project(tuple(pi + a * (ci - pi) for pi, ci in zip(p, c)), model)
         e = tuple(ei + a * (ci - ei) for ei, ci in zip(e, e_c))
-        q_slerp = q_slerp if q_c == q_slerp else slerp_wxyz(q_slerp, q_c, a)
+        if q_c != q_slerp:
+            vx, vy, vz = rotation_vector_wxyz(quat_mul_wxyz(q_c, quat_conj_wxyz(q_slerp)))
+            q_slerp = quat_mul_wxyz(from_rotation_vector((a * vx, a * vy, a * vz)), q_slerp)
         out_p.append(p)
         out_e.append(e)
         out_slerp.append(q_slerp)
@@ -740,9 +776,9 @@ class TestRunPlan:
         free = want.positions[:-1] + a * (commands[1:] - want.positions[:-1])
         moved = [k + 1 for k, p in enumerate(free.tolist()) if _contact_project(tuple(p), model) != tuple(p)]
         assert moved
-        calls = count_calls(monkeypatch, "plant_step")
+        calls = count_calls(monkeypatch, "_contact_project")
         times, _, _ = _run_plan(rows, scenario, scene, self.HOLE)
-        # one call per tick from the first one stepped to the end
+        # one projection per tick from the first one stepped to the end
         assert len(times) - len(calls) == moved[0]
 
     def test_non_uniform_intervals_rejected(self, scenario):
@@ -758,7 +794,8 @@ class TestContactGate:
     can bind; before it, the executed positions are the scan's."""
 
     def test_noiseless_trial_steps_no_tick(self, scenario, monkeypatch):
-        calls = count_calls(monkeypatch, "plant_step")
+        # the contact loop projects once per tick it steps
+        calls = count_calls(monkeypatch, "_contact_project")
         r = execute_trial(scenario)
         assert r.state.phase is Phase.DONE and r.success
         assert calls == []

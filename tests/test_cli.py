@@ -362,6 +362,34 @@ class TestErrorDiscipline:
         assert "\n" not in line
         assert str(bad) in line and "trial.bogus" in line
 
+    def test_unbounded_descent_is_refused_when_loaded(self, capsys, tmp_path):
+        # 1e300 m of descent once ended a batch with "Maximum allowed size
+        # exceeded" from numpy and no trial recorded
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trial": {"required_depth": 1e300}}))
+        code, out, err = run(capsys, "batch", "--n", 2, "--config", cfg, "--out", tmp_path / "b.json")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert str(cfg) in err and "field 'trial'" in err and err.endswith("more than the cap of 1000000\n")
+
+    def test_non_finite_filter_rollout_is_one_line(self, smooth_prim, capsys, tmp_path):
+        _, prim = smooth_prim
+        doc = json.loads(prim.read_text())
+        doc["alpha_z"] = 1e160
+        bad = tmp_path / "prim.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "rollout", "--dmp", bad, "--out", tmp_path / "r.csv")
+        assert code == 1 and out == ""
+        assert err == "error: non-finite rollout state at step 1 (t = 0.001 s)\n"
+
+    def test_non_finite_filter_fails_each_trial(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dmp": {"alpha_z": 1e160}}))
+        out = tmp_path / "b.json"
+        code, _, _ = run(capsys, "batch", "--n", 2, "--config", cfg, "--out", out)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["failure_reasons"] == {"non-finite rollout state at step 1 (t = 0.001 s)": 2}
+
     def test_missing_trajectory_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "x.json")
         assert code == 1

@@ -22,6 +22,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,6 @@ from lfdkit.se3 import (
     Pose,
     from_rotation_vector,
     quat_conj_wxyz,
-    quat_exp_wxyz,
     quat_mul_wxyz,
     rotation_vector_wxyz,
 )
@@ -491,6 +491,26 @@ class TestRollout:
             reference_rollout(dmp, dmp.demo_start, dmp.demo_goal)
         assert ref.value.step == step
 
+    @pytest.mark.parametrize(
+        "alpha_z, beta_z",
+        [
+            (1e160, 2.5e159),  # alpha_z * beta_z overflows: c0 is inf
+            (1e160, 1e-300),  # finite coefficients, but h^2 overflows: a root at inf
+        ],
+    )
+    def test_non_finite_filter_diverges_at_step_one(self, alpha_z, beta_z):
+        # int(nan) in linear_scan's block size used to raise a bare ValueError
+        dmp = replace(self.blowup_dmp(0.0, 0.0), alpha_z=alpha_z, beta_z=beta_z)
+        with pytest.raises(RolloutDiverged, match=r"^non-finite rollout state at step 1 \(t = 0\.001 s\)$"):
+            rollout(dmp)
+
+    def test_gain_below_rounding_holds_the_start(self):
+        # alpha_z dt/tau under half an ulp of 2 rounds c1 to 2: a double root
+        # at 1, once a ZeroDivisionError that reached the user as a traceback
+        dmp = replace(self.blowup_dmp(0.0, 0.0), alpha_z=1e-20, beta_z=1e-20)
+        traj = rollout(dmp, goal=Pose(np.array([0.1, -0.2, 0.3])))
+        assert np.array_equal(traj.positions, np.zeros_like(traj.positions))
+
     def test_large_bounded_forcing_does_not_diverge(self):
         # the gated forcing decays with s before the state reaches the bound
         traj = rollout(self.blowup_dmp(1e16, 0.0))
@@ -627,7 +647,7 @@ def reference_rollout(dmp, start, goal, dt=1e-3, horizon=1.5):
     """:func:`reference_coords` mapped back per row: q = exp(e) * g."""
     times, x = reference_coords(dmp, start, goal, dt, horizon)
     g = goal.orientation
-    quats = [quat_mul_wxyz(quat_exp_wxyz((0.5 * ex, 0.5 * ey, 0.5 * ez)), g) for ex, ey, ez in x[:, 3:].tolist()]
+    quats = [quat_mul_wxyz(from_rotation_vector(tuple(e)), g) for e in x[:, 3:].tolist()]
     return Trajectory(times, x[:, :3], np.array(quats))
 
 

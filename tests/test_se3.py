@@ -10,15 +10,12 @@ from lfdkit.se3 import (
     from_rotation_vector,
     quat_canonicalize_rows,
     quat_conj_wxyz,
-    quat_exp_wxyz,
-    quat_log_wxyz,
     quat_matrix_wxyz,
     quat_mul_wxyz,
     quat_normalize,
     quat_rotate_wxyz,
     rotation_between,
     rotation_vector_wxyz,
-    slerp_wxyz,
     unchart_rows,
 )
 
@@ -105,8 +102,8 @@ class TestMulConj:
 
     def test_composition_of_axis_rotations(self):
         # 90 deg about x then 90 deg about yields 120 deg about (1,1,1)/sqrt(3)
-        qx = quat_exp_wxyz((math.pi / 4, 0.0, 0.0))
-        qz = quat_exp_wxyz((0.0, 0.0, math.pi / 4))
+        qx = from_rotation_vector((math.pi / 2, 0.0, 0.0))
+        qz = from_rotation_vector((0.0, 0.0, math.pi / 2))
         v = rotation_vector_wxyz(quat_mul_wxyz(qz, qx))
         assert math.isclose(np.linalg.norm(v), 2 * math.pi / 3, rel_tol=1e-12)
 
@@ -125,44 +122,44 @@ class TestMulConj:
 
 
 class TestLogExp:
-    def test_log_half_angle_convention(self):
+    def test_log_full_angle_convention(self):
         # rotation of pi about x: q = (cos(pi/2), sin(pi/2), 0, 0)
-        assert np.allclose(quat_log_wxyz((0.0, 1.0, 0.0, 0.0)), [math.pi / 2, 0, 0], atol=1e-12)
+        assert np.allclose(rotation_vector_wxyz((0.0, 1.0, 0.0, 0.0)), [math.pi, 0, 0], atol=1e-12)
 
-    def test_exp_half_angle_convention(self):
-        # (0, 0, pi/4) is a rotation of pi/2 about z
-        q = quat_exp_wxyz((0.0, 0.0, math.pi / 4))
+    def test_exp_full_angle_convention(self):
+        # (0, 0, pi/2) is a rotation of pi/2 about z
+        q = from_rotation_vector((0.0, 0.0, math.pi / 2))
         expected = [math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)]
         assert np.allclose(q, expected, atol=1e-12)
 
     def test_identity_maps_to_zero(self):
-        assert quat_log_wxyz(IDENTITY) == (0.0, 0.0, 0.0)
-        assert quat_exp_wxyz((0.0, 0.0, 0.0)) == IDENTITY
+        assert rotation_vector_wxyz(IDENTITY) == (0.0, 0.0, 0.0)
+        assert from_rotation_vector((0.0, 0.0, 0.0)) == IDENTITY
 
     def test_exp_log_round_trip_canonical(self):
         # oracle: round trip must be the identity map on the w >= 0 hemisphere
         for q in random_unit_quats(1000, seed=7):
-            back = quat_exp_wxyz(quat_log_wxyz(q))
+            back = from_rotation_vector(rotation_vector_wxyz(q))
             assert np.allclose(back, q, atol=1e-9)
 
     def test_log_exp_round_trip_large_angles(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             v = rng.normal(size=3)
-            v *= rng.uniform(0, 3.0) / np.linalg.norm(v)
-            assert np.allclose(quat_log_wxyz(quat_exp_wxyz(tuple(v.tolist()))), v, atol=1e-9)
+            v *= rng.uniform(0, 6.0) / np.linalg.norm(v)
+            assert np.allclose(rotation_vector_wxyz(from_rotation_vector(tuple(v.tolist()))), v, atol=1e-9)
 
     def test_exp_domain_error(self):
         with pytest.raises(ValueError):
-            quat_exp_wxyz((math.pi, 0.0, 0.0))
+            from_rotation_vector((2 * math.pi, 0.0, 0.0))
         with pytest.raises(ValueError):
-            quat_exp_wxyz((3.0, 3.0, 0.0))
+            from_rotation_vector((4.5, 4.5, 0.0))
 
     def test_rotation_vector_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             r = rng.normal(size=3)
-            r *= rng.uniform(0, 2 * math.pi - 1e-6) / np.linalg.norm(r) / 2
+            r *= rng.uniform(0, 2 * math.pi - 1e-6) / np.linalg.norm(r)
             assert np.allclose(rotation_vector_wxyz(from_rotation_vector(r)), r, atol=1e-9)
 
     def test_from_rotation_vector_past_a_half_turn_keeps_w_negative(self):
@@ -172,51 +169,54 @@ class TestLogExp:
         q = from_rotation_vector(r)
         assert q[0] < 0.0
         assert np.allclose(rotation_vector_wxyz(q), r, atol=1e-12)
+        # -q is the same rotation, logged the short way round
+        assert np.allclose(rotation_vector_wxyz(tuple(-c for c in q)), [0.0, 0.0, -0.5 * math.pi], atol=1e-12)
 
     def test_domain_errors_name_the_callers_norm(self):
-        # a 400 degree yaw: full angle 6.98132, half angle 3.49066
-        r = (0.0, 0.0, math.radians(400.0))
-        full = r"norm 6\.98132 is outside the domain \[0, 2 pi\)"
-        with pytest.raises(ValueError, match=full):
-            from_rotation_vector(r)
-        with pytest.raises(ValueError, match=r"norm 3\.49066 is outside the domain \[0, pi\)"):
-            quat_exp_wxyz((0.0, 0.0, 0.5 * r[2]))
-        with pytest.raises(ValueError, match=r"norm nan is outside the domain \[0, 2 pi\)"):
+        # a 400 degree yaw: the full angle 6.98132 is named, not its half
+        with pytest.raises(ValueError, match=r"^rotation-vector norm 6\.98132 is outside the domain \[0, 2 pi\)$"):
+            from_rotation_vector((0.0, 0.0, math.radians(400.0)))
+        with pytest.raises(ValueError, match=r"^rotation-vector norm nan is outside the domain \[0, 2 pi\)$"):
             from_rotation_vector((math.nan, 0.0, 0.0))
 
-    def test_from_rotation_vector_wraps_the_exp_kernel(self):
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_sequences_give_the_tuples_floats(self, kind):
+        # a tuple is read as it is, any other sequence through numpy first
         for q in random_unit_quats(100, seed=8):
-            r = 2.0 * np.array(quat_log_wxyz(q))
-            assert from_rotation_vector(r) == quat_exp_wxyz(tuple((0.5 * r).tolist()))
+            r = rotation_vector_wxyz(q)
+            got = from_rotation_vector(kind(r))
+            assert got == from_rotation_vector(r) and all(type(c) is float for c in got)
+
+
+def slerp(a, b, u):
+    """Spherical-linear interpolation along the shorter arc, spelled from
+    the exp/log pair: exp(u * log(b * conj(a))) * a."""
+    vx, vy, vz = rotation_vector_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
+    return quat_mul_wxyz(from_rotation_vector((u * vx, u * vy, u * vz)), a)
 
 
 class TestSlerp:
+    """The exp/log pair interpolates along the geodesic."""
+
     def test_endpoints(self):
         a, b = random_unit_quats(2, seed=21)
-        assert np.allclose(slerp_wxyz(a, b, 0.0), a, atol=1e-12)
-        assert np.allclose(slerp_wxyz(a, b, 1.0), b, atol=1e-12)
+        assert np.allclose(slerp(a, b, 0.0), a, atol=1e-12)
+        assert np.allclose(slerp(a, b, 1.0), b, atol=1e-12)
 
     def test_midpoint_halves_angle(self):
         for a, b in zip(random_unit_quats(50, seed=30), random_unit_quats(50, seed=31)):
-            mid = slerp_wxyz(a, b, 0.5)
+            mid = slerp(a, b, 0.5)
             assert math.isclose(angle_between(a, mid), angle_between(mid, b), rel_tol=1e-9, abs_tol=1e-12)
 
     def test_constant_speed(self):
         a, b = random_unit_quats(2, seed=40)
         total = angle_between(a, b)
         for u in (0.25, 0.5, 0.75):
-            assert math.isclose(angle_between(a, slerp_wxyz(a, b, u)), u * total, rel_tol=1e-9)
-
-    @settings(deadline=None)
-    @given(quat_st, quat_st, st.floats(0.0, 1.0))
-    def test_equals_the_scalar_maps_bit_for_bit(self, a, b, u):
-        lx, ly, lz = quat_log_wxyz(quat_mul_wxyz(b, quat_conj_wxyz(a)))
-        want = quat_mul_wxyz(quat_exp_wxyz((u * lx, u * ly, u * lz)), a)
-        assert slerp_wxyz(a, b, u) == want
+            assert math.isclose(angle_between(a, slerp(a, b, u)), u * total, rel_tol=1e-9)
 
     def test_pose_keeps_a_slerp_tuple_bit_for_bit(self):
         qs = random_unit_quats(41, seed=41)
-        slerped = [slerp_wxyz(a, b, 0.3) for a, b in zip(qs, qs[1:])]
+        slerped = [slerp(a, b, 0.3) for a, b in zip(qs, qs[1:])]
         for q in slerped:
             assert Pose(np.zeros(3), q).orientation == q
         # renormalizing again would have moved some of them by an ulp
@@ -336,16 +336,18 @@ def reference_mul(a, b):
 
 
 def reference_log(q):
+    """The full-angle log map: twice the quaternion log (theta/2) * u."""
     w, x, y, z = q
     vn = math.sqrt(x * x + y * y + z * z)
     if vn < 1e-12:
-        return np.zeros(3) if w < 0.0 else np.array([x / w, y / w, z / w])
+        return np.zeros(3) if w < 0.0 else 2.0 * np.array([x / w, y / w, z / w])
     k = math.atan2(vn, w) / vn
-    return np.array([k * x, k * y, k * z])
+    return 2.0 * np.array([k * x, k * y, k * z])
 
 
 def reference_exp(v):
-    vx, vy, vz = (float(c) for c in v)
+    """The full-angle exp map: the quaternion exp of half the vector."""
+    vx, vy, vz = (0.5 * float(c) for c in v)
     n = math.sqrt(vx * vx + vy * vy + vz * vz)
     if n >= math.pi:
         raise ValueError("outside the domain")
@@ -353,21 +355,21 @@ def reference_exp(v):
     return quat_normalize(math.cos(n), s * vx, s * vy, s * vz, raw=True)
 
 
-# half-angle vectors: below the series cutoff, generic, and just short of pi
-half_vec_st = st.builds(
+# full-angle vectors: below the series cutoff, generic, and just short of 2 pi
+rot_vec_st = st.builds(
     lambda u, n: tuple(c * n / math.sqrt(sum(x * x for x in u)) for c in u),
     unit_vec,
     st.one_of(
-        st.floats(0.0, 1e-8),
-        st.floats(1e-8, math.pi, exclude_max=True),
-        st.integers(3, 15).map(lambda k: math.pi - 10.0**-k),
+        st.floats(0.0, 2e-8),
+        st.floats(2e-8, 2.0 * math.pi, exclude_max=True),
+        st.integers(3, 15).map(lambda k: 2.0 * math.pi - 10.0**-k),
     ),
-).filter(lambda v: math.sqrt(sum(c * c for c in v)) < math.pi)  # rescaling can round up onto pi
+).filter(lambda v: math.sqrt(sum(c * c for c in v)) < 2.0 * math.pi)  # rescaling can round up onto 2 pi
 
 
 class TestTupleKernels:
-    """Each *_wxyz kernel against its reference map, on both hemispheres,
-    near the identity and near a half turn."""
+    """Each *_wxyz kernel and the exp map against its reference map, on both
+    hemispheres, near the identity and near a half turn."""
 
     @settings(deadline=None)
     @given(raw_quat_st, raw_quat_st)
@@ -383,17 +385,18 @@ class TestTupleKernels:
     @settings(deadline=None)
     @given(raw_quat_st)
     def test_log_and_rotation_vector(self, q):
-        assert quat_log_wxyz(q) == tuple(reference_log(q).tolist())
-        assert rotation_vector_wxyz(q) == tuple((2.0 * reference_log(q)).tolist())
+        # the log map is the full-angle rotation vector
+        assert rotation_vector_wxyz(q) == tuple(reference_log(q).tolist())
 
     @settings(deadline=None)
-    @given(half_vec_st)
+    @given(rot_vec_st)
     def test_exp(self, v):
-        assert quat_exp_wxyz(v) == reference_exp(v)
+        assert from_rotation_vector(v) == reference_exp(v)
+        assert from_rotation_vector(np.array(v)) == reference_exp(v)
 
     def test_exp_domain_error(self):
         with pytest.raises(ValueError, match="outside the domain"):
-            quat_exp_wxyz((0.0, math.pi, 0.0))
+            from_rotation_vector((0.0, 2.0 * math.pi, 0.0))
 
 
 def rows(quats):
