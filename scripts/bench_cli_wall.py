@@ -88,6 +88,7 @@ BAD_CONFIGS = {
     "bad_trial_depth.json": {"trial": {"required_depth": 1e300}},
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
+    "bad_dmp_alpha_z.json": {"dmp": {"alpha_z": 1e160}},  # the forcing targets overflow
 }
 # a sweep config with the dropout out of range, written into each output directory
 BAD_SWEEP = {"sweep": {"dropout": 1.5}}

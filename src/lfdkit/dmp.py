@@ -270,14 +270,19 @@ def compute_forcing_targets(
 
     Returns (s_k, targets) with targets of shape (n, 6): three translation
     axes then three orientation axes. The targets are the raw inversion,
-    gate included; :func:`fit_lwr` fits them against the gate s.
+    gate included; :func:`fit_lwr` fits them against the gate s. Gains so
+    large that a target overflows raise ValueError.
     """
     x = demo.coords
     if np.max(np.abs(x - x[0])) < 1e-9 and np.max(np.abs(demo.velocities)) < 1e-9:
         raise DegenerateDemo("no information to fit: start equals goal and the demo never moves")
     tau = demo.tau
     s = np.exp(-alpha_s * demo.times / tau)
-    return s, tau**2 * demo.accelerations - alpha_z * (beta_z * (x[-1] - x) - tau * demo.velocities)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        targets = tau**2 * demo.accelerations - alpha_z * (beta_z * (x[-1] - x) - tau * demo.velocities)
+    if not np.isfinite(targets).all():
+        raise ValueError(f"forcing targets overflow at alpha_z = {alpha_z:.6g}, beta_z = {beta_z:.6g}")
+    return s, targets
 
 
 def fit_lwr(
@@ -305,7 +310,8 @@ def fit_lwr(
     num = np.einsum("kn,k,k...->...n", psi, s, f)
     den = np.einsum("kn,k->n", psi, s * s)
     supported = den > _SUPPORT_FLOOR
-    weights = np.where(supported, num / np.where(supported, den, 1.0), 0.0)
+    with np.errstate(over="ignore"):  # an infinite weight is PoseDmp's to refuse, not warned about
+        weights = np.where(supported, num / np.where(supported, den, 1.0), 0.0)
     return weights, [int(i) for i in np.flatnonzero(~supported)]
 
 
@@ -337,6 +343,8 @@ class PoseDmp:
         if not np.all((self.centers > 0) & (self.centers <= 1)):
             raise ValueError("centers must lie in (0, 1]")
         object.__setattr__(self, "weights", np.array(self.weights, dtype=float).reshape(6, len(self.centers)))
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         for name in ("centers", "widths", "weights"):
             getattr(self, name).flags.writeable = False
 

@@ -23,6 +23,7 @@ switch, and :data:`CONTROLLERS` maps it to how hard the human grips.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from typing import Sequence
 
@@ -114,7 +115,7 @@ def native_drive_step(
     starts only above the static threshold but persists down to the kinetic
     one, so velocity jumps at both transitions.
     """
-    px, py, pz = x_r[:3]
+    px, py, pz = x_r[0], x_r[1], x_r[2]
     fx, fy, fz, tx, ty, tz = f
     fn = math.sqrt(fx * fx + fy * fy + fz * fz)
     sliding = fn > (_KINETIC_FORCE if sliding else _BREAKAWAY_FORCE)
@@ -123,11 +124,15 @@ def native_drive_step(
         px, py, pz = px + c * (fx / fn), py + c * (fy / fn), pz + c * (fz / fn)
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     spinning = tn > (_KINETIC_TORQUE if spinning else _BREAKAWAY_TORQUE)
-    r = (0.0, 0.0, 0.0)
     if spinning:
         c = _NATIVE_ROT_GAIN * (tn - _KINETIC_TORQUE)
-        r = (c * (tx / tn), c * (ty / tn), c * (tz / tn))
-    return (px, py, pz, *r), sliding, spinning
+        return (px, py, pz, c * (tx / tn), c * (ty / tn), c * (tz / tn)), sliding, spinning
+    return (px, py, pz, 0.0, 0.0, 0.0), sliding, spinning
+
+
+def _admit(w: float, gain: float, deadband: float) -> float:
+    """The admittance law on one axis: gain times the wrench past the deadband."""
+    return gain * (w - deadband if w > 0.0 else w + deadband) if abs(w) > deadband else 0.0
 
 
 def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
@@ -135,11 +140,17 @@ def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
     takes) for the reached pose tuple ``x_r`` and the measured wrench
     ``f = (fx, fy, fz, tx, ty, tz)``. Zero (or sub-deadband) wrench commands
     the position of x_r and no rotation, exactly."""
-    d = [
-        g * (w - db if w > 0.0 else w + db) if abs(w) > db else 0.0
-        for w, g, db in zip(f, _GAIN, _DEADBAND)
-    ]
-    return (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], d[3], d[4], d[5])
+    fx, fy, fz, tx, ty, tz = f
+    gx, gy, gz, grx, gry, grz = _GAIN
+    bx, by, bz, brx, bry, brz = _DEADBAND
+    return (
+        x_r[0] + _admit(fx, gx, bx),
+        x_r[1] + _admit(fy, gy, by),
+        x_r[2] + _admit(fz, gz, bz),
+        _admit(tx, grx, brx),
+        _admit(ty, gry, bry),
+        _admit(tz, grz, brz),
+    )
 
 
 def plant_step(
@@ -158,11 +169,11 @@ def plant_step(
     _positive("dt", dt)
     _positive("time_constant", time_constant)
     a = 1.0 - math.exp(-dt / time_constant)
-    px, py, pz, *q = x_r
+    px, py, pz, qw, qx, qy, qz = x_r
     cx, cy, cz, vx, vy, vz = u
     if vx != 0.0 or vy != 0.0 or vz != 0.0:
-        q = quat_mul_wxyz(from_rotation_vector((a * vx, a * vy, a * vz)), q)
-    return (px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz), *q)
+        qw, qx, qy, qz = quat_mul_wxyz(from_rotation_vector((a * vx, a * vy, a * vz)), (qw, qx, qy, qz))
+    return (px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz), qw, qx, qy, qz)
 
 
 class TeachTimeout(RuntimeError):
@@ -174,6 +185,9 @@ class TeachTimeout(RuntimeError):
         self.total = total
         self.partial = partial
         super().__init__(f"timeout after reaching {reached} of {total} waypoints")
+
+
+_quat_bytes = struct.Struct("4d").pack  # equal floats may differ in a zero's sign; their bytes do not
 
 
 def _log(rows: array) -> Trajectory:
@@ -215,9 +229,11 @@ def simulate_demonstration(
     _check_controller(controller)
     _check_teach_timing(rate, max_duration, plant_time_constant)
     _check_teach_noise(force_noise_std, torque_noise_std)
-    waypoints = [(*p.position.tolist(), *p.orientation) for p in waypoints]
-    if not waypoints:
+    # each waypoint's position and attitude, split once
+    goals = [(p.position.tolist(), p.orientation) for p in waypoints]
+    if not goals:
         raise ValueError("need at least one waypoint")
+    n_goals = len(goals)
     h = 1.0 / rate
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
@@ -232,11 +248,13 @@ def simulate_demonstration(
     k_rot, d_rot = _ROT_STIFFNESS, _ROT_DAMPING
     turn = 1.0 - math.exp(-h / plant_time_constant)  # plant_step turns by a * v
 
-    x_r = prev = waypoints[0]
-    hx, hy, hz, *hand_q = x_r
+    (hx, hy, hz), hand_q = goals[0]
+    x_r = (hx, hy, hz, *hand_q)
+    prev_x, prev_y, prev_z = hx, hy, hz  # last tick's reached position
     hvx = hvy = hvz = 0.0
     ox = oy = oz = 0.0  # the rotation vector the plant applied last tick
     gap = None  # the hand's rotation gap to the goal, None once it is stale
+    conj_r = None  # the inverse of the reached attitude, None once the plant turned
     sliding = False
     spinning = False
 
@@ -247,20 +265,20 @@ def simulate_demonstration(
 
     while True:
         t = k * h
-        px, py, pz, *q_r = x_r
-        while target < len(waypoints):
-            wx, wy, wz = px - waypoints[target][0], py - waypoints[target][1], pz - waypoints[target][2]
-            if not math.sqrt(wx * wx + wy * wy + wz * wz) <= capture:
+        px, py, pz, qw, qx, qy, qz = x_r
+        while target < n_goals:
+            (wx, wy, wz), goal_q = goals[target]
+            dx, dy, dz = px - wx, py - wy, pz - wz
+            if not math.sqrt(dx * dx + dy * dy + dz * dz) <= capture:
                 break
             target += 1
             gap = None
-        if target == len(waypoints):
+        if target == n_goals:
             rows.extend((t, *x_r, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             break
         if k >= n_steps:
-            raise TeachTimeout(target, len(waypoints), _log(rows))
+            raise TeachTimeout(target, n_goals, _log(rows))
 
-        wx, wy, wz, *goal_q = waypoints[target]
         # hand kinematics: acceleration-bounded velocity toward the goal,
         # trapezoidal approach, full stop while the tool lags too far
         gx, gy, gz = wx - hx, wy - hy, wz - hz
@@ -280,18 +298,22 @@ def simulate_demonstration(
         if gap is None:
             ax, ay, az = rotation_vector_wxyz(quat_mul_wxyz(goal_q, quat_conj_wxyz(hand_q)))
             gap = math.sqrt(ax * ax + ay * ay + az * az)
-        conj_r = quat_conj_wxyz(q_r)
+        if conj_r is None:
+            conj_r = quat_conj_wxyz((qw, qx, qy, qz))
         ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
         if gap > 0.0 and math.sqrt(ex * ex + ey * ey + ez * ez) < rot_stretch_limit:
             c = min(rot_step, gap) / gap
-            hand_q = quat_mul_wxyz(from_rotation_vector((ax * c, ay * c, az * c)), hand_q)
-            gap = None
-            ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
+            turned = quat_mul_wxyz(from_rotation_vector((ax * c, ay * c, az * c)), hand_q)
+            # a turn below rounding leaves the gap and the error as they are
+            if turned != hand_q or _quat_bytes(*turned) != _quat_bytes(*hand_q):
+                hand_q = turned
+                gap = None
+                ex, ey, ez = rotation_vector_wxyz(quat_mul_wxyz(hand_q, conj_r))
 
         # grip: spring-damper from the tool to the hand, saturated in norm
-        fx = k_grip * (hx - px) - d_grip * ((px - prev[0]) / h)
-        fy = k_grip * (hy - py) - d_grip * ((py - prev[1]) / h)
-        fz = k_grip * (hz - pz) - d_grip * ((pz - prev[2]) / h)
+        fx = k_grip * (hx - px) - d_grip * ((px - prev_x) / h)
+        fy = k_grip * (hy - py) - d_grip * ((py - prev_y) / h)
+        fz = k_grip * (hz - pz) - d_grip * ((pz - prev_z) / h)
         n = math.sqrt(fx * fx + fy * fy + fz * fz)
         if n > f_sat:
             c = f_sat / n
@@ -303,23 +325,24 @@ def simulate_demonstration(
         if n > t_sat:
             c = t_sat / n
             tx, ty, tz = tx * c, ty * c, tz * c
-        applied = (fx, fy, fz, tx, ty, tz)
-        rows.extend((t, *x_r, *applied))
+        rows.extend((t, px, py, pz, qw, qx, qy, qz, fx, fy, fz, tx, ty, tz))
 
-        sensed = applied
         if noisy:
-            noise = (
-                *rng.normal(scale=force_noise_std, size=3).tolist(),
-                *rng.normal(scale=torque_noise_std, size=3).tolist(),
-            )
-            sensed = tuple(a + b for a, b in zip(applied, noise))
+            nfx, nfy, nfz = rng.normal(scale=force_noise_std, size=3).tolist()
+            ntx, nty, ntz = rng.normal(scale=torque_noise_std, size=3).tolist()
+            sensed = (fx + nfx, fy + nfy, fz + nfz, tx + ntx, ty + nty, tz + ntz)
+        else:
+            sensed = (fx, fy, fz, tx, ty, tz)
         if admittance:
             u = ktc_step(x_r, sensed)
         else:
             u, sliding, spinning = native_drive_step(x_r, sensed, sliding, spinning)
-        prev = x_r
+        prev_x, prev_y, prev_z = px, py, pz
         x_r = plant_step(x_r, u, h, plant_time_constant)
-        ox, oy, oz = turn * u[3], turn * u[4], turn * u[5]
+        vx, vy, vz = u[3], u[4], u[5]
+        if vx != 0.0 or vy != 0.0 or vz != 0.0:  # else plant_step kept the attitude
+            conj_r = None
+        ox, oy, oz = turn * vx, turn * vy, turn * vz
         k += 1
 
     return _log(rows)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz
-from .trajectory import ParseError, _at_least, _brief_repr, _check_seed, _positive, json_floats, json_pose, pose_json
-from .trajectory import require_keys
+from .trajectory import ParseError, _at_least, _brief_repr, _check_seed, _finite, _positive, json_floats, json_pose
+from .trajectory import pose_json, require_keys
 
 __all__ = [
     "HoleSpec",
@@ -65,12 +65,13 @@ class HoleSpec:
     def __post_init__(self) -> None:
         off = np.array(self.offset, dtype=float).reshape(3)
         ax = np.array(self.axis, dtype=float).reshape(3)
+        _finite("hole offset", tuple(off.tolist()))
+        _finite("hole axis", tuple(ax.tolist()))
         n = float(np.linalg.norm(ax))
         if n < 1e-12:
             raise ValueError("hole axis must be nonzero")
         ax = ax / n
-        if self.radius <= 0:
-            raise ValueError("hole radius must be positive")
+        _positive("hole radius", self.radius)
         off.flags.writeable = False
         ax.flags.writeable = False
         object.__setattr__(self, "offset", off)
@@ -87,8 +88,9 @@ class BarScene:
 
     def __post_init__(self) -> None:
         dims = np.array(self.dims, dtype=float).reshape(3)
-        if np.any(dims <= 0):
+        if not np.all(dims > 0):  # NaN fails too
             raise ValueError("bar dimensions must be positive")
+        _finite("bar dimensions", tuple(dims.tolist()))
         dims.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         holes = tuple(self.holes)
@@ -136,10 +138,12 @@ class CameraModel:
     height: int = 480
 
     def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("resolution must be positive")
+        _positive("focal length fx", self.fx)
+        _positive("focal length fy", self.fy)
+        _finite("cx", self.cx)
+        _finite("cy", self.cy)
+        _positive("width", self.width)
+        _positive("height", self.height)
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -191,13 +195,12 @@ class HoleEstimate:
     def __post_init__(self) -> None:
         c = np.array(self.center, dtype=float).reshape(3)
         a = np.array(self.axis, dtype=float).reshape(3)
+        _finite("center", tuple(c.tolist()))
         n = float(np.linalg.norm(a))
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("axis must be unit-norm")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.rms < 0:
-            raise ValueError("rms must be >= 0")
+        _positive("radius", self.radius)
+        _at_least("rms", self.rms, 0)
         c.flags.writeable = False
         a.flags.writeable = False
         object.__setattr__(self, "center", c)

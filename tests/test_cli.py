@@ -381,14 +381,15 @@ class TestErrorDiscipline:
         assert code == 1 and out == ""
         assert err == "error: non-finite rollout state at step 1 (t = 0.001 s)\n"
 
-    def test_non_finite_filter_fails_each_trial(self, capsys, tmp_path):
+    def test_overflowing_gain_is_refused_before_any_trial(self, capsys, tmp_path):
+        # the fit once overflowed with a numpy warning into an all-NaN
+        # primitive, and every trial then ended FAILED at its filter
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dmp": {"alpha_z": 1e160}}))
         out = tmp_path / "b.json"
-        code, _, _ = run(capsys, "batch", "--n", 2, "--config", cfg, "--out", out)
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["failure_reasons"] == {"non-finite rollout state at step 1 (t = 0.001 s)": 2}
+        code, stdout, err = run(capsys, "batch", "--n", 2, "--config", cfg, "--out", out)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == "error: forcing targets overflow at alpha_z = 1e+160, beta_z = 2.5e+159\n"
 
     def test_missing_trajectory_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "x.json")

@@ -186,6 +186,14 @@ class TestEvalForcing:
         with pytest.raises(ValueError, match="widths must be positive"):
             PoseDmp(**{**vars(dmp), "widths": -dmp.widths})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_weights_must_be_finite(self, bad):
+        dmp = zero_weight_dmp(n_basis=5)
+        weights = np.zeros((6, 5))
+        weights[4, 2] = bad
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            PoseDmp(**{**vars(dmp), "weights": weights})
+
     @pytest.mark.parametrize("name", ["alpha_s", "alpha_z", "beta_z", "tau"])
     @pytest.mark.parametrize("value, text", [(0.0, "must be positive, got 0.0"), (math.nan, "must be positive, got nan"),
                                              (math.inf, "must be finite, got inf")])
@@ -377,6 +385,20 @@ class TestForcingTargets:
         assert rms < 0.02 * np.sqrt(np.mean(expect**2))
         # axes with no motion and no rotation invert to ~0
         assert np.max(np.abs(targets[inner, 1:])) < 1e-6 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("alpha_z, text", [
+        (1e160, "forcing targets overflow at alpha_z = 1e+160, beta_z = 2.5e+159"),  # in the targets
+        (1e154, "weights must be finite"),  # finite targets, in the weights' division
+    ])
+    def test_overflowing_gains_are_refused_without_a_warning(self, alpha_z, text):
+        # such a fit once returned all-NaN weights behind a numpy overflow warning
+        wp, quats = demo_pose_waypoints(seed=0)
+        demo = make_smooth_demo(wp, duration=2.0, orientations=quats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                fit_pose_dmp(demo, alpha_z=alpha_z)
+        assert str(err.value) == text
 
     def test_degenerate_demo_raises(self):
         t = np.linspace(0.0, 1.0, 50)

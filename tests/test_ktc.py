@@ -87,6 +87,30 @@ class TestKtcStep:
         assert np.allclose(rotation_vector_wxyz(from_rotation_vector(out[3:])), [0, 0, (3.0 - 0.05) * ROT_GAIN],
                            atol=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        position=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        wrench=st.lists(
+            st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.05, -0.05])),
+            min_size=6, max_size=6,
+        ),
+    )
+    def test_matches_the_per_axis_law_bit_for_bit(self, position, wrench):
+        # g * (w - db) above the deadband, g * (w + db) below its negative,
+        # and exactly zero inside it, the position axes added to x_r
+        def law(w: float, g: float, db: float) -> float:
+            if w > db:
+                return g * (w - db)
+            if w < -db:
+                return g * (w + db)
+            return 0.0
+
+        x_r = state(position, from_rotation_vector([0.1, 0.2, -0.3]))
+        d = [law(w, g, db) for w, g, db in zip(wrench, (GAIN,) * 3 + (ROT_GAIN,) * 3, (0.5,) * 3 + (0.05,) * 3)]
+        want = (x_r[0] + d[0], x_r[1] + d[1], x_r[2] + d[2], *d[3:])
+        got = ktc_step(x_r, tuple(wrench))
+        assert type(got) is tuple and np.array(got).tobytes() == np.array(want).tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(
         axis=st.integers(0, 5),

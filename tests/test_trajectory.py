@@ -306,6 +306,13 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"bad\.csv:2: field 'qy': expected 8 columns, got 7$"):
             load_trajectory_csv(path)
 
+    def test_every_line_short_of_the_header_is_refused(self, tmp_path):
+        # the lines agree with each other, so numpy's reader alone would read them
+        path = tmp_path / "bad.csv"
+        path.write_text("t,px,py,pz,qw,qx,qy,qz\n0,0,0,0,1,0,0\n0.1,0,0,0,1,0,0\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:2: field 'qy': expected 8 columns, got 7$"):
+            load_trajectory_csv(path)
+
     @pytest.mark.parametrize("controller", ["proposed", "native"])
     def test_teach_demo_reads_back_as_the_per_cell_parse(self, tmp_path, controller):
         path = tmp_path / "demo.csv"
@@ -315,6 +322,47 @@ class TestCsv:
         back = load_trajectory_csv(path)
         for name in ("times", "positions", "orientations", "wrenches"):
             assert np.array_equal(getattr(back, name), getattr(want, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        number=st.one_of(
+            st.floats().map(repr),  # subnormals, signed zeros, nan and inf included
+            st.floats(allow_nan=False).map(fmt_float),
+            st.sampled_from(["1e309", "-1e309", "nan", "-NaN", "Infinity", "1_5", "1__5", "_1", "1e-320",
+                             "4.9e-324", "2e-324", "+.5", "5.", ".", "1e", "0x10", "1d5", "1.5f", ""]),
+            st.text(alphabet="0123456789+-.eE_infatyINFATY", max_size=8),
+        ),
+        left=st.text(alphabet=" \t\x1f", max_size=2),
+        right=st.text(alphabet=" \t\x1f", max_size=2),
+        col=st.sampled_from(["px", "py", "pz", "fx", "fy", "fz", "tx", "ty", "tz"]),
+    )
+    def test_a_cell_reads_as_float_reads_it(self, tmp_path_factory, number, left, right, col):
+        # numpy's reader and the per-cell fallback together read a cell
+        # exactly as float() does, and refuse it with the per-cell text
+        header = "t,px,py,pz,qw,qx,qy,qz,fx,fy,fz,tx,ty,tz".split(",")
+        rows = [[str(0.01 * k), "0.1", "-0.2", "0.3", "1", "0", "0", "0", "1", "2", "3", "0.1", "0.2", "0.3"]
+                for k in range(3)]
+        cell = left + number + right
+        rows[1][header.index(col)] = cell
+        path = tmp_path_factory.mktemp("cell") / "cell.csv"
+        path.write_bytes(("\n".join(",".join(r) for r in [header, *rows]) + "\n").encode("ascii"))
+        try:
+            value = float(cell)
+        except ValueError:
+            value, problem = None, "not a number"
+        else:
+            problem = None if math.isfinite(value) else "not finite"
+        if problem is not None:
+            with pytest.raises(ParseError) as exc:
+                load_trajectory_csv(path)
+            assert str(exc.value) == f"{path}:3: field '{col}': {problem}: '{cell.strip()}'"
+            return
+        want = np.array([[float(c) for c in r] for r in rows])
+        assert np.float64(value).tobytes() == want[1, header.index(col)].tobytes()
+        back = load_trajectory_csv(path)
+        assert back.times.tobytes() == want[:, 0].tobytes()
+        assert back.positions.tobytes() == want[:, 1:4].copy().tobytes()
+        assert back.wrenches.tobytes() == want[:, 8:].copy().tobytes()
 
     def test_decreasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -82,6 +82,28 @@ class TestSceneTypes:
         with pytest.raises(ValueError, match="focal"):
             CameraModel(pose=Pose(np.zeros(3)), fx=0.0)
 
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (lambda: CameraModel(Pose(np.zeros(3)), fx=math.nan), "focal length fx must be positive, got nan"),
+            (lambda: CameraModel(Pose(np.zeros(3)), fy=math.inf), "focal length fy must be finite, got inf"),
+            (lambda: CameraModel(Pose(np.zeros(3)), cy=math.nan), "cy must be finite, got nan"),
+            (lambda: CameraModel(Pose(np.zeros(3)), height=math.nan), "height must be positive, got nan"),
+            (lambda: HoleSpec([0, 0, 0.01], math.nan, [0, 0, 1]), "hole radius must be positive, got nan"),
+            (lambda: HoleSpec([0, math.nan, 0.01], 0.004, [0, 0, 1]), "hole offset must be finite, got (0.0, nan, 0.01)"),
+            (lambda: HoleSpec([0, 0, 0.01], 0.004, [math.nan, 0, 1]), "hole axis must be finite, got (nan, 0.0, 1.0)"),
+            (lambda: HoleEstimate([0, 0, 0], [0, 0, 1], math.nan, 0.0), "radius must be positive, got nan"),
+            (lambda: HoleEstimate([0, 0, math.inf], [0, 0, 1], 0.004, 0.0), "center must be finite, got (0.0, 0.0, inf)"),
+            (lambda: HoleEstimate([0, 0, 0], [0, 0, math.nan], 0.004, 0.0), "axis must be unit-norm"),
+            (lambda: HoleEstimate([0, 0, 0], [0, 0, 1], 0.004, math.nan), "rms must be at least 0, got nan"),
+        ],
+    )
+    def test_non_finite_values_are_refused(self, make, text):
+        # each of these was once accepted and carried NaN into the pipeline
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == text
+
     def test_default_scene_geometry(self):
         scene = default_bar_scene()
         assert len(scene.holes) == 3
