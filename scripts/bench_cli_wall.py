@@ -89,6 +89,8 @@ BAD_CONFIGS = {
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
     "bad_dmp_alpha_z.json": {"dmp": {"alpha_z": 1e160}},  # the forcing targets overflow
+    "bad_teach_waypoint_scale.json": {"teach": {"waypoint_scale": 1.7e308}},  # the waypoints overflow
+    "bad_trial_noise_cap.json": {"trial": {"noise_sigma": 1e300}},  # the vision fit overflows
 }
 # a sweep config with the dropout out of range, written into each output directory
 BAD_SWEEP = {"sweep": {"dropout": 1.5}}

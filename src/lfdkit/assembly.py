@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .dmp import MAX_ROWS, PoseDmp, RolloutDiverged, _replay, linear_scan
+from .dmp import MAX_ROWS, PoseDmp, RolloutDiverged, _replay, linear_scan, rollout_steps
 from .ktc import PLANT_TIME_CONSTANT
 from .metrics import _position_jerk
 from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
-from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite, _positive, fmt_float
+from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite_fields, _positive, fmt_float
 from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
 from .vision import _check_mask_points, check_visible, fit_circle3d, hole_in_world, synthesize_mask
 # not called here, but perfbench/spans.py wraps these by their names in this module
@@ -40,6 +40,7 @@ __all__ = [
     "EventKind",
     "TaskState",
     "StepEvent",
+    "TrialSection",
     "AssemblyScenario",
     "PlanningFailed",
     "TrialResult",
@@ -103,8 +104,7 @@ class StepEvent:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise ValueError("event time must be finite and nonnegative")
+        _at_least("event time", self.t, 0)
 
 
 _TABLE = {
@@ -269,64 +269,79 @@ def _descent_rows(standoff: float, depth: float) -> float:
     return rows
 
 
-def _check_tolerances(clearance: float, tilt_tol: float, required_depth: float, standoff: float,
-                      plan_overtravel: float, *, tilt_name: str = "tilt_tol") -> None:
-    """The trial tolerance rule: clearance, tilt, depth and standoff positive,
-    the overtravel at least 0, the descent at most MAX_ROWS plan rows;
-    ``tilt_name`` names the tilt in the errors."""
-    for name, value in (("clearance", clearance), (tilt_name, tilt_tol), ("required_depth", required_depth),
-                        ("standoff", standoff)):
-        _positive(name, value)
-    _at_least("plan_overtravel", plan_overtravel, 0)
-    _descent_rows(standoff, required_depth + plan_overtravel)
-
-
 def _check_trial_count(n: int) -> None:
     """The batch size rule: 1 to MAX_TRIALS trials."""
     _at_least("n", n, 1, MAX_TRIALS)
 
 
 @dataclass(frozen=True)
+class TrialSection:
+    """A trial's settings, the config's ``trial`` section: angles in degrees,
+    lengths in m. ``hole_id`` and ``yaw_deg`` left as None are drawn from the
+    trial seed (uniform detectable hole, yaw uniform within ``yaw_limit_deg``
+    of 0). ``n`` is the batch size, ``events`` an event script, and the
+    trial's primitive is fit from a ``demo_duration`` s demonstration."""
+
+    n: int = 20
+    hole_id: int | None = None
+    yaw_deg: float | None = None
+    yaw_limit_deg: float = 60.0
+    clearance: float = 5e-4
+    tilt_tol_deg: float = 2.0
+    required_depth: float = 0.010
+    standoff: float = 0.030
+    plan_overtravel: float = 0.002
+    noise_sigma: float = 5e-4
+    dropout: float = 0.0
+    mask_points: int = 600
+    demo_duration: float = 4.0
+    events: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_trial_count(self.n)
+        _check_mask_points(self.mask_points, name="mask_points")
+        _positive("demo_duration", self.demo_duration)
+        for name in ("clearance", "tilt_tol_deg", "required_depth", "standoff"):
+            _positive(name, getattr(self, name))
+        _at_least("plan_overtravel", self.plan_overtravel, 0)
+        _descent_rows(self.standoff, self.required_depth + self.plan_overtravel)
+        if not math.radians(self.tilt_tol_deg) > 0:  # the tilt is compared in radians, where 5e-324 degrees is 0
+            raise ValueError(f"tilt_tol_deg must be positive in radians, got {self.tilt_tol_deg!r}")
+        _at_least("yaw_limit_deg", self.yaw_limit_deg, 0)
+        _check_corruption(self.noise_sigma, self.dropout)
+        _finite_fields(self)
+        try:  # the plan replays the primitive, whose tau is the demo's duration
+            rollout_steps(self.demo_duration, _PLAN_DT)
+        except ValueError as exc:
+            raise ValueError(f"demo_duration is the plan rollout's tau: {exc}") from None
+
+
+@dataclass(frozen=True)
 class AssemblyScenario:
-    """Everything one trial needs; ``hole_id`` and ``yaw`` left as None are
-    drawn from the trial seed (uniform detectable hole, yaw uniform within
-    ``yaw_limit`` radians of 0)."""
+    """Everything one trial needs: the true scene and camera, the fitted
+    primitive, the arm's start pose, the trial's settings and its seed."""
 
     scene: BarScene
     cam: CameraModel
     dmp: PoseDmp
     initial_pose: Pose
-    hole_id: int | None = None
-    yaw: float | None = None
-    yaw_limit: float = math.pi / 3.0
-    clearance: float = 5e-4
-    tilt_tol: float = math.radians(2.0)
-    required_depth: float = 0.010
-    standoff: float = 0.030
-    plan_overtravel: float = 2e-3
-    noise_sigma: float = 0.0
-    dropout: float = 0.0
-    mask_points: int = 600
+    trial: TrialSection = field(default_factory=TrialSection)
     seed: int = 0
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
-        _check_mask_points(self.mask_points, name="mask_points")
-        _check_corruption(self.noise_sigma, self.dropout)
-        _check_tolerances(self.clearance, self.tilt_tol, self.required_depth, self.standoff, self.plan_overtravel)
-        if self.hole_id is not None:
-            _check_hole_id(self.scene, self.hole_id)
-        _finite("yaw", self.yaw)
-        _at_least("yaw_limit", self.yaw_limit, 0)
+        if self.trial.hole_id is not None:
+            _check_hole_id(self.scene, self.trial.hole_id)
 
 
 def meets_tolerances(lateral: float, tilt: float, depth: float, scenario: AssemblyScenario) -> bool:
     """Success is exactly these three inequalities over the logged errors;
     a trial that never inserted carries nan and compares False."""
+    t = scenario.trial
     return bool(
-        lateral <= scenario.clearance
-        and tilt <= scenario.tilt_tol
-        and depth >= scenario.required_depth
+        lateral <= t.clearance
+        and tilt <= math.radians(t.tilt_tol_deg)
+        and depth >= t.required_depth
     )
 
 
@@ -471,7 +486,7 @@ def _run_plan(
     lag[:, 1:] *= a
     linear_scan(lag[:, 1:], lam, lag[:, 0])
 
-    model = _contact_model(scene, hole_id, scenario.clearance)
+    model = _contact_model(scene, hole_id, scenario.trial.clearance)
     positions = lag[:3].T
     k0 = _first_binding_tick(lag, model)
     if k0 is not None:
@@ -503,10 +518,12 @@ def _score(p: np.ndarray, q: np.ndarray, scene: BarScene, hole_id: int) -> tuple
 def _resolve(scenario: AssemblyScenario) -> tuple[float, BarScene, int | None, int]:
     """The seeded choices, drawn from one generator in a fixed order: the
     yaw, the hole (None when no hole is visible), then the vision seed."""
+    t = scenario.trial
     rng = np.random.default_rng(scenario.seed)
-    yaw = scenario.yaw if scenario.yaw is not None else float(rng.uniform(-scenario.yaw_limit, scenario.yaw_limit))
+    limit = math.radians(t.yaw_limit_deg)
+    yaw = math.radians(t.yaw_deg) if t.yaw_deg is not None else float(rng.uniform(-limit, limit))
     scene = scenario.scene.yawed(yaw)
-    hole_id = scenario.hole_id
+    hole_id = t.hole_id
     if hole_id is None:
         candidates = [i for i in range(len(scene.holes)) if _detectable(scene, scenario.cam, i)]
         if candidates:
@@ -518,14 +535,11 @@ def _localize(scenario: AssemblyScenario, scene: BarScene, hole_id: int | None, 
     """The world-frame fit of the chosen hole's seeded mask."""
     if hole_id is None:
         raise NotDetectable("no hole is visible from the camera")
+    t = scenario.trial
     # denser than the oracle default: the tilt of the fitted plane is the
     # noise floor of the whole trial, and the rim annulus of a real mask
     # yields several hundred pixels
-    mask = synthesize_mask(
-        scene, scenario.cam, hole_id,
-        scenario.noise_sigma, scenario.dropout, seed=seed,
-        n_points=scenario.mask_points,
-    )
+    mask = synthesize_mask(scene, scenario.cam, hole_id, t.noise_sigma, t.dropout, seed=seed, n_points=t.mask_points)
     return hole_in_world(fit_circle3d(mask), scenario.cam)
 
 
@@ -555,12 +569,10 @@ def execute_trial(
         except (NotDetectable, ValueError) as exc:
             state = TaskState(Phase.FAILED, f"hole not detectable: {exc}")
         else:
+            t = scenario.trial
             try:
-                plan = _plan(
-                    scenario.initial_pose, hole, scenario.dmp,
-                    standoff=scenario.standoff,
-                    depth=scenario.required_depth + scenario.plan_overtravel,
-                )
+                plan = _plan(scenario.initial_pose, hole, scenario.dmp, t.standoff,
+                             t.required_depth + t.plan_overtravel)
             except (PlanningFailed, RolloutDiverged) as exc:
                 state = TaskState(Phase.FAILED, str(exc))
 

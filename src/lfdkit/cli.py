@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loc = sub.add_parser("localize", parents=[common], help="fit hole estimates from a scene")
     loc.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
-    loc.add_argument("--hole", type=int, help="single hole id (all holes if omitted)")
+    loc.add_argument("--hole", type=int, dest="hole_id", help="single hole id (all holes if omitted)")
 
     sw = sub.add_parser("sweep", parents=[common], help="yaw detection-range sweep over a scene")
     sw.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("trial", parents=[common], help="run one scripted assembly trial")
     tr.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
-    tr.add_argument("--hole", type=int, help="fixed hole id (random detectable if omitted)")
+    tr.add_argument("--hole", type=int, dest="hole_id", help="fixed hole id (random detectable if omitted)")
     tr.add_argument("--yaw-deg", type=float, help="fixed bar yaw (random in range if omitted)")
     tr.add_argument("--events", help="event script: one 'time kind' per line")
 
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--n", type=int, help="number of trials")
 
     me = sub.add_parser("metrics", parents=[common], help="jerk and timing reports for a trajectory CSV")
-    me.add_argument("--traj", help="trajectory CSV to score")
+    me.add_argument("--traj", dest="trajectory", help="trajectory CSV to score")
     me.add_argument("--baseline", help="optional second CSV to compare against")
     return p
 
@@ -90,44 +90,47 @@ def _pose_from_seven(vals: Sequence[float]) -> Pose:
     return Pose(list(vals[:3]), quat_normalize(*vals[3:]))
 
 
-def _fold_common(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+# the parsed values that are no field of the command's section: the
+# subcommand, and the flags that read, write or set the document itself
+_DOCUMENT_FLAGS = ("command", "config", "seed", "out", "scene")
+
+
+def _fold(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """``cfg`` with every flag given: ``--seed`` and ``--scene`` set the
+    document, and each other flag sets the field of the command's section
+    that its dest names, in one replace so the section's rules see the
+    final values."""
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "scene", None) is not None:
         scene = read_json(args.scene)
         scene_from_dict(scene, args.scene)
         cfg = replace(cfg, scene=scene)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k not in _DOCUMENT_FLAGS and v is not None}
+    for name in ("start", "goal"):
+        if name in flags:
+            flags[name] = _seven(flags[name], f"--{name}")
+    section = _COMMANDS[args.command][0]
+    return replace(cfg, **{section: replace(getattr(cfg, section), **flags)}) if flags else cfg
 
 
 def _finish(cfg: RunConfig, out: str) -> None:
     save_config(cfg, f"{out}.config.json")
 
 
-def _cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.demo is not None:
-        cfg = replace(cfg, fit=replace(cfg.fit, demo=args.demo))
+def _cmd_fit(cfg: RunConfig, out: str) -> int:
     if cfg.fit.demo is None:
         raise ValueError("no demonstration given: pass --demo or set fit.demo in the config")
     demo = load_trajectory_csv(cfg.fit.demo)
     dmp = fit_pose_dmp(demo, **asdict(cfg.dmp))
-    save_dmp(dmp, args.out)
-    _finish(cfg, args.out)
-    print(f"fit {dmp.n_basis} basis functions, tau={dmp.tau:.6g}s -> {args.out}")
+    save_dmp(dmp, out)
+    _finish(cfg, out)
+    print(f"fit {dmp.n_basis} basis functions, tau={dmp.tau:.6g}s -> {out}")
     return 0
 
 
-def _cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_rollout(cfg: RunConfig, out: str) -> int:
     ro = cfg.rollout
-    if args.dmp is not None:
-        ro = replace(ro, dmp=args.dmp)
-    if args.start is not None:
-        ro = replace(ro, start=_seven(args.start, "--start"))
-    if args.goal is not None:
-        ro = replace(ro, goal=_seven(args.goal, "--goal"))
-    if args.tau is not None:
-        ro = replace(ro, tau=args.tau)
-    cfg = replace(cfg, rollout=ro)
     if ro.dmp is None:
         raise ValueError("no primitive given: pass --dmp or set rollout.dmp in the config")
     dmp = load_dmp(ro.dmp)
@@ -139,15 +142,13 @@ def _cmd_rollout(cfg: RunConfig, args: argparse.Namespace) -> int:
         dt=ro.dt,
         horizon=ro.horizon,
     )
-    traj.save_csv(args.out)
-    _finish(cfg, args.out)
-    print(f"rollout {traj.times.size} samples over {traj.duration:.6g}s -> {args.out}")
+    traj.save_csv(out)
+    _finish(cfg, out)
+    print(f"rollout {traj.times.size} samples over {traj.duration:.6g}s -> {out}")
     return 0
 
 
-def _cmd_teach_sim(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.controller is not None:
-        cfg = replace(cfg, teach=replace(cfg.teach, controller=args.controller))
+def _cmd_teach_sim(cfg: RunConfig, out: str) -> int:
     t = cfg.teach
     traj = simulate_demonstration(
         *default_teach_setup(t.controller, seed=cfg.seed, scale=t.waypoint_scale),
@@ -158,17 +159,15 @@ def _cmd_teach_sim(cfg: RunConfig, args: argparse.Namespace) -> int:
         torque_noise_std=t.torque_noise_std,
         seed=cfg.seed,
     )
-    traj.save_csv(args.out)
-    _finish(cfg, args.out)
+    traj.save_csv(out)
+    _finish(cfg, out)
     print(
-        f"teach-sim ({t.controller}) {traj.times.size} samples over {traj.duration:.6g}s -> {args.out}"
+        f"teach-sim ({t.controller}) {traj.times.size} samples over {traj.duration:.6g}s -> {out}"
     )
     return 0
 
 
-def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.hole is not None:
-        cfg = replace(cfg, localize=replace(cfg.localize, hole_id=args.hole))
+def _cmd_localize(cfg: RunConfig, out: str) -> int:
     scene, cam = scene_from_config(cfg)
     lo = cfg.localize
     if lo.hole_id is not None:  # checked here: the loop below reads a failed mask as undetected
@@ -189,17 +188,14 @@ def _cmd_localize(cfg: RunConfig, args: argparse.Namespace) -> int:
         n_found += 1
         vals = [*est.center, *est.axis, est.radius, est.rms]
         lines.append(f"{i},1," + ",".join(fmt_float(v) for v in vals))
-    write_text(args.out, "\n".join(lines) + "\n")
-    _finish(cfg, args.out)
-    print(f"localize: {n_found} of {len(list(ids))} holes fitted -> {args.out}")
+    write_text(out, "\n".join(lines) + "\n")
+    _finish(cfg, out)
+    print(f"localize: {n_found} of {len(list(ids))} holes fitted -> {out}")
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    # one replace, so the range checks see the final grid, not a half-folded one
-    flags = {"start_deg": args.start_deg, "stop_deg": args.stop_deg, "step_deg": args.step_deg}
-    sw = replace(cfg.sweep, **{k: v for k, v in flags.items() if v is not None})
-    cfg = replace(cfg, sweep=sw)
+def _cmd_sweep(cfg: RunConfig, out: str) -> int:
+    sw = cfg.sweep
     scene, cam = scene_from_config(cfg)
     rows, intervals = detection_range_sweep(
         scene,
@@ -217,8 +213,8 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         lines.append(
             f"{fmt_float(yaw)},{hole_id},{int(detected)},{fmt_float(center_err)},{fmt_float(radius_err)}"
         )
-    write_text(args.out, "\n".join(lines) + "\n")
-    _finish(cfg, args.out)
+    write_text(out, "\n".join(lines) + "\n")
+    _finish(cfg, out)
     for hole_id in sorted(intervals):
         spans = ", ".join(
             f"[{math.degrees(lo):.1f}, {math.degrees(hi):.1f}]" for lo, hi in intervals[hole_id]
@@ -227,51 +223,31 @@ def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _fold_trial(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    t = cfg.trial
-    if getattr(args, "hole", None) is not None:
-        t = replace(t, hole_id=args.hole)
-    if getattr(args, "yaw_deg", None) is not None:
-        t = replace(t, yaw_deg=args.yaw_deg)
-    if getattr(args, "events", None) is not None:
-        t = replace(t, events=args.events)
-    if getattr(args, "n", None) is not None:
-        t = replace(t, n=args.n)
-    return replace(cfg, trial=t)
-
-
-def _cmd_trial(cfg: RunConfig, args: argparse.Namespace) -> int:
-    cfg = _fold_trial(cfg, args)
+def _cmd_trial(cfg: RunConfig, out: str) -> int:
     events = None if cfg.trial.events is None else parse_events(read_text(cfg.trial.events), cfg.trial.events)
     result = execute_trial(scenario_from_config(cfg), events)
-    write_json(args.out, trial_to_dict(result))
-    _finish(cfg, args.out)
+    write_json(out, trial_to_dict(result))
+    _finish(cfg, out)
     print(f"success={result.success!r}")
     if result.state.reason is not None:
         print(f"reason={result.state.reason}")
     return 0
 
 
-def _cmd_batch(cfg: RunConfig, args: argparse.Namespace) -> int:
-    cfg = _fold_trial(cfg, args)
+def _cmd_batch(cfg: RunConfig, out: str) -> int:
     template = scenario_from_config(cfg)
     records = run_batch(template, n=cfg.trial.n, seed=cfg.seed)
     doc = batch_to_dict(records)
-    write_json(args.out, doc)
-    csv_path = f"{args.out.removesuffix('.json')}.csv" if args.out.endswith(".json") else f"{args.out}.csv"
+    write_json(out, doc)
+    csv_path = f"{out.removesuffix('.json')}.csv" if out.endswith(".json") else f"{out}.csv"
     write_text(csv_path, batch_csv_text(records))
-    _finish(cfg, args.out)
+    _finish(cfg, out)
     print(f"success_rate={doc['success_rate']!r}")
     return 0
 
 
-def _cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_metrics(cfg: RunConfig, out: str) -> int:
     m = cfg.metrics
-    if args.traj is not None:
-        m = replace(m, trajectory=args.traj)
-    if args.baseline is not None:
-        m = replace(m, baseline=args.baseline)
-    cfg = replace(cfg, metrics=m)
     if m.trajectory is None:
         raise ValueError("no trajectory given: pass --traj or set metrics.trajectory in the config")
     traj = load_trajectory_csv(m.trajectory)
@@ -292,21 +268,22 @@ def _cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
         }
         report["comparison"] = comp
         print(render_comparison_table(comp))
-    write_json(args.out, report)
-    _finish(cfg, args.out)
-    print(f"metrics -> {args.out}")
+    write_json(out, report)
+    _finish(cfg, out)
+    print(f"metrics -> {out}")
     return 0
 
 
-_HANDLERS: dict[str, Callable[[RunConfig, argparse.Namespace], int]] = {
-    "fit": _cmd_fit,
-    "rollout": _cmd_rollout,
-    "teach-sim": _cmd_teach_sim,
-    "localize": _cmd_localize,
-    "sweep": _cmd_sweep,
-    "trial": _cmd_trial,
-    "batch": _cmd_batch,
-    "metrics": _cmd_metrics,
+# command -> the config section its flags set, and its handler
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig, str], int]]] = {
+    "fit": ("fit", _cmd_fit),
+    "rollout": ("rollout", _cmd_rollout),
+    "teach-sim": ("teach", _cmd_teach_sim),
+    "localize": ("localize", _cmd_localize),
+    "sweep": ("sweep", _cmd_sweep),
+    "trial": ("trial", _cmd_trial),
+    "batch": ("trial", _cmd_batch),
+    "metrics": ("metrics", _cmd_metrics),
 }
 
 
@@ -336,7 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     def command() -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
-        return _HANDLERS[args.command](_fold_common(cfg, args), args)
+        return _COMMANDS[args.command][1](_fold(cfg, args), args.out)
 
     return report_errors(command)
 

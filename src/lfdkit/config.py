@@ -15,11 +15,11 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .assembly import _PLAN_DT, _check_tolerances, _check_trial_count
+from .assembly import TrialSection
 from .dmp import check_basis_layout, demo_steps, rollout_steps
-from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_noise, _check_teach_timing
+from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_noise, _check_teach_timing, _check_waypoint_scale
 from .se3 import quat_normalize
-from .trajectory import ParseError, _at_least, _check_seed, _finite, _positive, read_json, write_json
+from .trajectory import ParseError, _at_least, _check_seed, _finite_fields, _positive, read_json, write_json
 from .vision import _check_corruption, _check_hole_id, _check_mask_points, sweep_yaw_count
 
 __all__ = [
@@ -37,13 +37,6 @@ __all__ = [
     "load_config",
     "save_config",
 ]
-
-def _finite_fields(section: Any) -> None:
-    """Reject a non-finite float field or tuple entry. Sections call it after
-    their range rules, so a NaN that breaks one reports that rule."""
-    for f in fields(section):
-        _finite(f.name, getattr(section, f.name))
-
 
 @dataclass(frozen=True)
 class FitSection:
@@ -117,6 +110,7 @@ class TeachSection:
         _check_controller(self.controller)
         _check_teach_timing(self.rate, self.max_duration, self.plant_time_constant)
         _check_teach_noise(self.force_noise_std, self.torque_noise_std)
+        _check_waypoint_scale(self.waypoint_scale)
         _finite_fields(self)
 
 
@@ -149,40 +143,6 @@ class SweepSection:
         # the grid detection_range_sweep builds from the cli's radians
         sweep_yaw_count(*map(math.radians, (self.start_deg, self.stop_deg, self.step_deg)), "step_deg",
                         start_name="start_deg", stop_name="stop_deg")
-
-
-@dataclass(frozen=True)
-class TrialSection:
-    n: int = 20
-    hole_id: int | None = None
-    yaw_deg: float | None = None
-    yaw_limit_deg: float = 60.0
-    clearance: float = 5e-4
-    tilt_tol_deg: float = 2.0
-    required_depth: float = 0.010
-    standoff: float = 0.030
-    plan_overtravel: float = 0.002
-    noise_sigma: float = 5e-4
-    dropout: float = 0.0
-    mask_points: int = 600
-    demo_duration: float = 4.0
-    events: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_trial_count(self.n)
-        _check_mask_points(self.mask_points, name="mask_points")
-        _positive("demo_duration", self.demo_duration)
-        _check_tolerances(self.clearance, self.tilt_tol_deg, self.required_depth, self.standoff, self.plan_overtravel,
-                          tilt_name="tilt_tol_deg")
-        if not math.radians(self.tilt_tol_deg) > 0:  # the scenario holds radians, where 5e-324 degrees is 0
-            raise ValueError(f"tilt_tol_deg must be positive in radians, got {self.tilt_tol_deg!r}")
-        _at_least("yaw_limit_deg", self.yaw_limit_deg, 0)
-        _check_corruption(self.noise_sigma, self.dropout)
-        _finite_fields(self)
-        try:  # the plan replays the primitive, whose tau is the demo's duration
-            rollout_steps(self.demo_duration, _PLAN_DT)
-        except ValueError as exc:
-            raise ValueError(f"demo_duration is the plan rollout's tau: {exc}") from None
 
 
 @dataclass(frozen=True)

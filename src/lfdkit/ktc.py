@@ -35,6 +35,8 @@ from .trajectory import Trajectory, _at_least, _positive
 __all__ = [
     "CONTROLLERS",
     "MAX_TEACH_STEPS",
+    "MIN_WAYPOINT_SCALE",
+    "MAX_WAYPOINT_SCALE",
     "TeachTimeout",
     "ktc_step",
     "native_drive_step",
@@ -79,6 +81,13 @@ PLANT_TIME_CONSTANT = 0.05
 
 MAX_TEACH_STEPS = 360_000  # teach ticks one demonstration logs, a row each: an hour at 100 Hz
 
+# the span in m of a taught waypoint path: twice the capture radius at least,
+# or the tool starts within capture of every waypoint and the demonstration
+# is a single sample; 2 m at most, the reach of the widest arm a person
+# guides by hand
+MIN_WAYPOINT_SCALE = 2 * _CAPTURE_RADIUS
+MAX_WAYPOINT_SCALE = 2.0
+
 
 def _check_controller(controller: str) -> None:
     """Raise a one-line ValueError unless ``controller`` names an entry of
@@ -102,6 +111,12 @@ def _check_teach_noise(force_noise_std: float, torque_noise_std: float) -> None:
     """The sensor noise rule: each standard deviation at least 0 and finite."""
     _at_least("force_noise_std", force_noise_std, 0)
     _at_least("torque_noise_std", torque_noise_std, 0)
+
+
+def _check_waypoint_scale(scale: float) -> None:
+    """The waypoint path rule: a span of MIN_WAYPOINT_SCALE to
+    MAX_WAYPOINT_SCALE m, named as the teach section's field."""
+    _at_least("waypoint_scale", scale, MIN_WAYPOINT_SCALE, MAX_WAYPOINT_SCALE)
 
 
 def native_drive_step(

@@ -3,16 +3,16 @@ and the CLI, which builds its scene and trial scenario from a config here."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict
 
 import numpy as np
 
-from .assembly import AssemblyScenario
-from .config import RunConfig, TrialSection
+from .assembly import AssemblyScenario, TrialSection
+from .config import RunConfig
 from .dmp import fit_pose_dmp, grid_steps
+from .ktc import _check_waypoint_scale
 from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _positive
 from .vision import BarScene, CameraModel, HoleSpec, scene_from_dict
 
 __all__ = [
@@ -70,8 +70,8 @@ def make_smooth_demo(
     k = len(wp)
     if k < 2:
         raise ValueError("need at least 2 waypoints")
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be positive")
+    _positive("duration", duration)
+    _positive("dt", dt)
     knots = np.linspace(0.0, duration, k)
     steps = max(grid_steps(duration, dt, f"a {duration:.6g} s demonstration at dt = {dt:.6g}"), 1)
     times = np.arange(steps + 1) * (duration / steps)
@@ -90,11 +90,13 @@ def make_smooth_demo(
 
 
 def demo_pose_waypoints(seed: int = 0, scale: float = 0.12):
-    """A reproducible, gently curved 5-waypoint 6-DoF path for tests/scripts.
+    """A reproducible, gently curved 5-waypoint 6-DoF path for tests/scripts,
+    ``scale`` m from end to end.
 
     Single lateral sway, no direction reversals: a 50-basis fit tracks it to
     about 1% of the span, so the default span keeps round-trip error near 1 mm.
     """
+    _check_waypoint_scale(scale)
     rng = np.random.default_rng(seed)
     base = np.array(
         [
@@ -162,28 +164,10 @@ def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
     default scene is fully visible with margin (the outer ones leave the
     frustum near +-70 deg).
     """
-    scene, cam = scene_from_config(cfg)
     wp, quats = demo_pose_waypoints(seed=0)
-    t = cfg.trial
-    demo = make_smooth_demo(wp, duration=t.demo_duration, orientations=quats)
-    return AssemblyScenario(
-        scene=scene,
-        cam=cam,
-        dmp=fit_pose_dmp(demo, **asdict(cfg.dmp)),
-        initial_pose=Pose([-0.06, -0.10, 0.25]),
-        hole_id=t.hole_id,
-        yaw=None if t.yaw_deg is None else math.radians(t.yaw_deg),
-        yaw_limit=math.radians(t.yaw_limit_deg),
-        clearance=t.clearance,
-        tilt_tol=math.radians(t.tilt_tol_deg),
-        required_depth=t.required_depth,
-        standoff=t.standoff,
-        plan_overtravel=t.plan_overtravel,
-        noise_sigma=t.noise_sigma,
-        dropout=t.dropout,
-        mask_points=t.mask_points,
-        seed=cfg.seed,
-    )
+    demo = make_smooth_demo(wp, duration=cfg.trial.demo_duration, orientations=quats)
+    return AssemblyScenario(*scene_from_config(cfg), fit_pose_dmp(demo, **asdict(cfg.dmp)),
+                            Pose([-0.06, -0.10, 0.25]), cfg.trial, cfg.seed)
 
 
 def default_scenario(noise_sigma: float = 5e-4, seed: int = 0) -> AssemblyScenario:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -67,7 +68,7 @@ def _positive(name: str, value: float) -> None:
         _finite(name, value)
 
 
-def _at_least(name: str, value: float, low: int, high: int | None = None) -> None:
+def _at_least(name: str, value: float, low: float, high: float | None = None) -> None:
     """``value >= low``, and ``value <= high`` when a high bound is given."""
     if not value >= low:
         raise ValueError(f"{name} must be at least {low}, got {_brief_repr(value)}")
@@ -81,6 +82,13 @@ def _finite(name: str, value: object) -> None:
     items = value if isinstance(value, tuple) else (value,)
     if any(isinstance(v, float) and not math.isfinite(v) for v in items):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _finite_fields(section: Any) -> None:
+    """Reject a non-finite float field or tuple entry of a dataclass. Sections
+    call it after their range rules, so a NaN that breaks one reports that rule."""
+    for f in fields(section):
+        _finite(f.name, getattr(section, f.name))
 
 
 def _check_seed(seed: int) -> None:

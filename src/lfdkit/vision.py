@@ -32,6 +32,7 @@ __all__ = [
     "NotDetectable",
     "check_visible",
     "MAX_MASK_POINTS",
+    "MAX_NOISE_SIGMA",
     "synthesize_mask",
     "fit_plane",
     "fit_circle3d",
@@ -43,6 +44,10 @@ __all__ = [
 
 _TOP_FACE_TOL = 1e-9
 MAX_MASK_POINTS = 100_000  # rim points one mask may sample
+# m of rim point noise: thrice the default camera's height above the bar and
+# 250 radii of its holes, so no mask that noisy places a hole; the fit's sums
+# of squares stay far from overflow, which starts near 1e150 m
+MAX_NOISE_SIGMA = 1.0
 # yaws in a sweep grid, each of which runs every hole (10k yaws is a 0.016 deg
 # step over the default 160 deg)
 MAX_SWEEP_YAWS = 10_000
@@ -225,9 +230,11 @@ def _check_hole_id(scene: BarScene, hole_id: int) -> None:
 
 
 def _check_corruption(noise_sigma: float, dropout: float) -> None:
-    """The mask corruption rule: a noise sigma of at least 0 and a dropout
-    in [0, 1), NaN and infinity rejected in both."""
+    """The mask corruption rule: a noise sigma in [0, MAX_NOISE_SIGMA] and a
+    dropout in [0, 1), NaN and infinity rejected in both."""
     _at_least("noise_sigma", noise_sigma, 0)
+    if not noise_sigma <= MAX_NOISE_SIGMA:
+        raise ValueError(f"noise_sigma must be at most {MAX_NOISE_SIGMA}, got {noise_sigma!r}")
     _at_least("dropout", dropout, 0)
     if not dropout < 1:
         raise ValueError(f"dropout must be below 1, got {dropout!r}")

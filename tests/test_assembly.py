@@ -24,7 +24,6 @@ from lfdkit.assembly import (
     _plan,
     _run_plan,
     _score,
-    AssemblyScenario,
     EventKind,
     Phase,
     StepEvent,
@@ -62,6 +61,11 @@ def scenario():
 @pytest.fixture(scope="module")
 def noisy_scenario():
     return default_scenario(noise_sigma=5e-4, seed=0)
+
+
+def with_trial(scenario, **settings):
+    """``scenario`` with these trial settings replaced."""
+    return replace(scenario, trial=replace(scenario.trial, **settings))
 
 
 def unit(v):
@@ -212,10 +216,11 @@ class TestEvents:
             parse_events("1 pedal_press\n0.5 motion_done\n")
 
     def test_event_time_must_be_finite_nonnegative(self):
-        with pytest.raises(ValueError):
-            StepEvent(EventKind.ABORT, -1.0)
-        with pytest.raises(ValueError):
-            StepEvent(EventKind.ABORT, math.nan)
+        for t, message in [(-1.0, "at least 0, got -1.0"), (math.nan, "at least 0, got nan"),
+                           (math.inf, "finite, got inf")]:
+            with pytest.raises(ValueError) as err:
+                StepEvent(EventKind.ABORT, t)
+            assert str(err.value) == f"event time must be {message}"
 
 
 class TestInsertionGoal:
@@ -337,7 +342,7 @@ class TestExecuteTrial:
         assert r.success
         assert r.lateral_err_m < 0.2e-3
         assert r.tilt_rad < math.radians(0.1)
-        assert r.depth_m >= scenario.required_depth
+        assert r.depth_m >= scenario.trial.required_depth
         assert r.duration_s > 0
         assert r.jerk is not None and r.jerk["max"] > 0
         assert r.events == nominal_events()
@@ -368,8 +373,8 @@ class TestExecuteTrial:
     def test_valid_scenarios_end_in_a_record_never_an_exception(
         self, scenario, seed, noise, dropout, yaw_deg, hole_id
     ):
-        yaw = None if yaw_deg is None else math.radians(yaw_deg)
-        s = replace(scenario, seed=seed, noise_sigma=noise, dropout=dropout, yaw=yaw, hole_id=hole_id)
+        s = with_trial(replace(scenario, seed=seed), noise_sigma=noise, dropout=dropout, yaw_deg=yaw_deg,
+                       hole_id=hole_id)
         r = execute_trial(s)
         if r.state.phase is Phase.FAILED:
             assert r.state.reason and not r.success
@@ -381,7 +386,7 @@ class TestExecuteTrial:
             assert r.success == meets_tolerances(r.lateral_err_m, r.tilt_rad, r.depth_m, s)
 
     def test_bar_outside_frustum_fails_with_reason(self, scenario):
-        r = execute_trial(replace(scenario, hole_id=2, yaw=math.radians(80.0)))
+        r = execute_trial(with_trial(scenario, hole_id=2, yaw_deg=80.0))
         assert r.state.phase is Phase.FAILED
         assert r.state.reason.startswith("hole not detectable")
         assert not r.success
@@ -458,7 +463,7 @@ class TestExecuteTrial:
     def test_trial_dict_is_json_clean(self, scenario):
         import json
 
-        r = execute_trial(replace(scenario, hole_id=2, yaw=math.radians(80.0)))
+        r = execute_trial(with_trial(scenario, hole_id=2, yaw_deg=80.0))
         d = trial_to_dict(r)
         text = json.dumps(d, allow_nan=False)
         assert "hole not detectable" in text
@@ -471,7 +476,7 @@ class TestRunBatch:
         assert d["success_rate"] == 1.0
         assert d["failure_reasons"] == {}
         assert all(r.state.phase is Phase.DONE for r in b)
-        assert all(r.lateral_err_m <= noisy_scenario.clearance for r in b)
+        assert all(r.lateral_err_m <= noisy_scenario.trial.clearance for r in b)
         assert len({r.hole_id for r in b}) == 3
         assert len({round(r.yaw, 6) for r in b}) == 20
 
@@ -504,7 +509,7 @@ class TestRunBatch:
             run_batch(scenario, n=MAX_TRIALS + 1, seed=0)
 
     def test_failures_are_counted_by_reason(self, scenario):
-        sc = replace(scenario, hole_id=2, yaw=math.radians(80.0))
+        sc = with_trial(scenario, hole_id=2, yaw_deg=80.0)
         d = batch_to_dict(run_batch(sc, n=3, seed=0))
         assert d["success_rate"] == 0.0
         assert len(d["failure_reasons"]) == 1
@@ -536,7 +541,7 @@ class TestRunBatch:
 class TestScenarioValidation:
     def test_bad_hole_id(self, scenario):
         with pytest.raises(ValueError, match=r"^hole id 7 outside the scene's holes 0\.\.2$"):
-            replace(scenario, hole_id=7)
+            with_trial(scenario, hole_id=7)
 
     def test_negative_seed(self, scenario):
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
@@ -544,16 +549,16 @@ class TestScenarioValidation:
 
     def test_bad_tolerances(self, scenario):
         with pytest.raises(ValueError):
-            replace(scenario, clearance=0.0)
+            with_trial(scenario, clearance=0.0)
         with pytest.raises(ValueError):
-            replace(scenario, standoff=-0.01)
+            with_trial(scenario, standoff=-0.01)
         # the config's limits: every trial of a batch from such a template
         # would sample 10**9 rim points, or never fail on lateral error or tilt
         for field, value, message in [
             ("mask_points", MAX_MASK_POINTS + 1, f"mask_points must be at most {MAX_MASK_POINTS}, got {MAX_MASK_POINTS + 1}"),
             ("mask_points", 10**9, f"mask_points must be at most {MAX_MASK_POINTS}, got 1000000000"),
             ("clearance", math.inf, "clearance must be finite, got inf"),
-            ("tilt_tol", math.inf, "tilt_tol must be finite, got inf"),
+            ("tilt_tol_deg", math.inf, "tilt_tol_deg must be finite, got inf"),
             # 1e300 m of descent once asked numpy for 5e304 plan rows
             # mid-trial, and 1000 m for 5e7, several GB
             ("required_depth", 1e300, "a descent of standoff 0.03 + depth 1e+300 m needs 5e+304 plan rows, "
@@ -566,7 +571,7 @@ class TestScenarioValidation:
                                        "more than the cap of 1000000"),
         ]:
             with pytest.raises(ValueError) as err:
-                replace(scenario, **{field: value})
+                with_trial(scenario, **{field: value})
             assert str(err.value) == message
 
     # each case keeps the id it had before the text became the config's
@@ -585,7 +590,7 @@ class TestScenarioValidation:
         # caught only at the localize stage, a negative sigma reads as an
         # undetectable hole, and nan as no noise
         with pytest.raises(ValueError, match=message):
-            replace(scenario, **{field: value})
+            with_trial(scenario, **{field: value})
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -593,7 +598,7 @@ class TestScenarioValidation:
             # these keep the ids they had before the text became the config's
             pytest.param("clearance", math.nan, "clearance must be positive, got nan",
                          id="clearance-nan-clearance and tilt_tol must be positive"),
-            pytest.param("tilt_tol", math.nan, "tilt_tol must be positive, got nan",
+            pytest.param("tilt_tol_deg", math.nan, "tilt_tol_deg must be positive, got nan",
                          id="tilt_tol-nan-clearance and tilt_tol must be positive"),
             pytest.param("required_depth", math.nan, "required_depth must be positive, got nan",
                          id="required_depth-nan-required_depth and standoff must be positive and finite"),
@@ -607,11 +612,14 @@ class TestScenarioValidation:
                          id="plan_overtravel-nan-plan_overtravel must be nonnegative and finite"),
             pytest.param("plan_overtravel", math.inf, "plan_overtravel must be finite, got inf",
                          id="plan_overtravel-inf-plan_overtravel must be nonnegative and finite"),
-            ("yaw", math.nan, "yaw must be finite, got nan"),
-            ("yaw", math.inf, "yaw must be finite, got inf"),
-            ("yaw", -math.inf, "yaw must be finite, got -inf"),
-            pytest.param("yaw_limit", math.nan, "yaw_limit must be at least 0, got nan", id="yaw_limit-nan"),
-            pytest.param("yaw_limit", math.inf, "yaw_limit must be finite, got inf", id="yaw_limit-inf"),
+            pytest.param("yaw_deg", math.nan, "yaw_deg must be finite, got nan",
+                         id="yaw-nan-yaw must be finite, got nan"),
+            pytest.param("yaw_deg", math.inf, "yaw_deg must be finite, got inf",
+                         id="yaw-inf-yaw must be finite, got inf"),
+            pytest.param("yaw_deg", -math.inf, "yaw_deg must be finite, got -inf",
+                         id="yaw--inf-yaw must be finite, got -inf"),
+            pytest.param("yaw_limit_deg", math.nan, "yaw_limit_deg must be at least 0, got nan", id="yaw_limit-nan"),
+            pytest.param("yaw_limit_deg", math.inf, "yaw_limit_deg must be finite, got inf", id="yaw_limit-inf"),
         ],
     )
     def test_rejects_nan_and_infinity(self, scenario, field, value, message):
@@ -619,11 +627,11 @@ class TestScenarioValidation:
         # unsuccessful with no reason, and the rest raise mid-trial, which
         # would take down a whole batch
         with pytest.raises(ValueError, match=message):
-            replace(scenario, **{field: value})
+            with_trial(scenario, **{field: value})
 
     def test_bad_yaw_limit(self, scenario):
-        with pytest.raises(ValueError, match=r"yaw_limit must be at least 0, got -1\.0"):
-            replace(scenario, yaw_limit=-1.0)
+        with pytest.raises(ValueError, match=r"yaw_limit_deg must be at least 0, got -1\.0"):
+            with_trial(scenario, yaw_limit_deg=-1.0)
 
     def test_nan_errors_never_pass(self, scenario):
         assert not meets_tolerances(math.nan, math.nan, math.nan, scenario)
@@ -631,7 +639,7 @@ class TestScenarioValidation:
     def test_descent_rule_is_the_plans(self, scenario, monkeypatch):
         # 10 m of descent, 5e5 rows, passes; _plan refuses 20 m, 1e6 rows
         # plus the standoff's, before its replay allocates anything
-        replace(scenario, required_depth=10.0)
+        with_trial(scenario, required_depth=10.0)
 
         def no_replay(*args, **kwargs):
             raise AssertionError("replayed")
@@ -639,7 +647,8 @@ class TestScenarioValidation:
         monkeypatch.setattr(lfdkit.assembly, "_replay", no_replay)
         hole = HoleEstimate(center=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1e-3, rms=0.0)
         with pytest.raises(ValueError, match=rf"more than the cap of {MAX_ROWS}$"):
-            _plan(scenario.initial_pose, hole, scenario.dmp, scenario.standoff, MAX_ROWS * _DESCENT_SPEED * _PLAN_DT)
+            _plan(scenario.initial_pose, hole, scenario.dmp, scenario.trial.standoff,
+                  MAX_ROWS * _DESCENT_SPEED * _PLAN_DT)
 
 
 def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
@@ -649,7 +658,7 @@ def _reference_run_plan(plan, scenario, scene, hole_id, settle_time=0.5):
     the position. Returns the trajectory, its attitude errors in that chart
     and, alongside them, the attitudes of a slerp lag toward each commanded
     attitude, the slerp spelled from the exp/log pair."""
-    model = _contact_model(scene, hole_id, scenario.clearance)
+    model = _contact_model(scene, hole_id, scenario.trial.clearance)
     g = tuple(plan.orientations[-1].tolist())
     conj_g = quat_conj_wxyz(g)
     cmd_t = plan.times.tolist()
@@ -688,13 +697,13 @@ class TestRunPlan:
         command trajectory for the reference, the chart rows for
         ``_run_plan``, and the scene."""
         scene = scenario.scene.yawed(self.YAW)
-        if scenario.noise_sigma == 0.0:
+        if scenario.trial.noise_sigma == 0.0:
             center = scene.hole_center_world(self.HOLE)
             axis = scene.hole_axis_world(self.HOLE)
         else:
             mask = synthesize_mask(
-                scene, scenario.cam, self.HOLE, scenario.noise_sigma, 0.0,
-                seed=scenario.seed, n_points=scenario.mask_points,
+                scene, scenario.cam, self.HOLE, scenario.trial.noise_sigma, 0.0,
+                seed=scenario.seed, n_points=scenario.trial.mask_points,
             )
             est = fit_circle3d(mask)
             center = scenario.cam.pose.transform_point(est.center)
@@ -702,8 +711,8 @@ class TestRunPlan:
         side = unit(np.cross(axis, [1.0, 0.0, 0.0]))
         radius = scene.holes[self.HOLE].radius
         est = HoleEstimate(center=center + offset * side, axis=axis, radius=radius, rms=0.0)
-        args = (scenario.initial_pose, est, scenario.dmp, scenario.standoff,
-                scenario.required_depth + scenario.plan_overtravel)
+        args = (scenario.initial_pose, est, scenario.dmp, scenario.trial.standoff,
+                scenario.trial.required_depth + scenario.trial.plan_overtravel)
         return plan_insertion(*args), _plan(*args), scene
 
     def score(self, positions, e, g, scene):
@@ -725,7 +734,7 @@ class TestRunPlan:
 
     def test_noiseless_plan_matches_reference(self, scenario):
         lateral, _, depth = self.assert_same_as_reference(scenario)
-        assert lateral < 1e-6 and depth >= scenario.required_depth
+        assert lateral < 1e-6 and depth >= scenario.trial.required_depth
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_noisy_plans_match_reference(self, noisy_scenario, seed):
@@ -734,7 +743,7 @@ class TestRunPlan:
     def test_chamfer_snap_matches_reference(self, scenario):
         # 0.8 mm off: inside the chamfer band, so the peg funnels into the hole
         lateral, _, depth = self.assert_same_as_reference(scenario, offset=8e-4)
-        assert lateral <= scenario.clearance and depth >= scenario.required_depth
+        assert lateral <= scenario.trial.clearance and depth >= scenario.trial.required_depth
 
     def test_face_block_matches_reference(self, scenario):
         # 2 mm off: beyond the chamfer, so the top face stops the descent
@@ -754,7 +763,7 @@ class TestRunPlan:
         plan, rows, scene = self.plan(scenario, offset=1.5e-3)
         times, positions, e = _run_plan(rows, scenario, scene, self.HOLE)
         want, _, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
-        model = _contact_model(scene, self.HOLE, scenario.clearance)
+        model = _contact_model(scene, self.HOLE, scenario.trial.clearance)
         k = _first_binding_tick(want.positions.T, model)
         np.testing.assert_allclose(positions[:k], want.positions[:k], rtol=0, atol=1e-12)
         scores = (
@@ -762,14 +771,14 @@ class TestRunPlan:
             _score(want.positions[-1], want.orientations[-1], scene, self.HOLE),
         )
         for lateral, _, depth in scores:
-            entered = lateral <= scenario.clearance and depth >= scenario.required_depth
+            entered = lateral <= scenario.trial.clearance and depth >= scenario.trial.required_depth
             blocked = abs(lateral - 1.5e-3) < 1e-12 and abs(depth) < 1e-9
             assert entered or blocked
 
     def test_face_block_steps_from_the_first_binding_tick(self, scenario, monkeypatch):
         plan, rows, scene = self.plan(scenario, offset=2e-3)
         want, _, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
-        model = _contact_model(scene, self.HOLE, scenario.clearance)
+        model = _contact_model(scene, self.HOLE, scenario.trial.clearance)
         # the first tick where the tick-by-tick law's contact rule moves the peg
         a = 1.0 - math.exp(-(plan.times[1] - plan.times[0]) / PLANT_TIME_CONSTANT)
         commands = np.vstack([plan.positions, np.repeat(plan.positions[-1:], len(want) - len(plan), axis=0)])
@@ -815,7 +824,7 @@ class TestContactGate:
     )
     def test_gate_flags_every_point_the_rule_moves(self, scenario, hole_id, yaw, height, nudge, edge, angle, along):
         scene = scenario.scene.yawed(yaw)
-        model = _contact_model(scene, hole_id, scenario.clearance)
+        model = _contact_model(scene, hole_id, scenario.trial.clearance)
         center, axis, origin = (np.array(model[i : i + 3]) for i in (0, 3, 6))
         u, v = np.array(model[9:12]), np.array(model[12:15])
         half_x, half_y, clearance = model[15:]

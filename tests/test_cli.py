@@ -1,20 +1,25 @@
 """CLI tests: exit codes, file artifacts, the resolved-config reproduction
 guarantee, and single-line machine-parsable errors."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lfdkit
+from lfdkit import cli
 from lfdkit.cli import main
+from lfdkit.config import RunConfig
 from lfdkit.dmp import load_dmp
 from lfdkit.trajectory import load_trajectory_csv
+from lfdkit.vision import MAX_NOISE_SIGMA
 
 
 def run(capsys, *argv):
@@ -395,6 +400,26 @@ class TestErrorDiscipline:
         code, _, err = run(capsys, "metrics", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "x.json")
         assert code == 1
         assert "nope.csv" in err
+
+    @pytest.mark.parametrize("command, extra", [("trial", {}), ("localize", {}), ("sweep", {"step_deg": 40.0})])
+    def test_noise_at_its_cap_runs_without_a_warning(self, capsys, tmp_path, command, extra):
+        # past 1e150 m the fit once overflowed with numpy warnings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: {"noise_sigma": MAX_NOISE_SIGMA, **extra}}))
+        code, _, err = run(capsys, command, "--config", cfg, "--out", tmp_path / "out")
+        assert code == 0 and err == ""
+
+
+def test_every_flag_folds_into_a_field_of_its_section():
+    # each flag but the document's own sets the field its dest names, so a
+    # renamed field fails here instead of dropping its flag
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._COMMANDS)
+    for command, sub in commands.choices.items():
+        section = getattr(RunConfig(), cli._COMMANDS[command][0])
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests - {"config", "seed", "out", "scene"} <= {f.name for f in fields(section)}, command
 
 
 COMMANDS = ["fit", "rollout", "teach-sim", "localize", "sweep", "trial", "batch", "metrics"]

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfdkit.assembly import _PLAN_DT, MAX_TRIALS, _check_tolerances, run_batch
+from lfdkit.assembly import _PLAN_DT, MAX_TRIALS, run_batch
 from lfdkit.cli import main
 from lfdkit.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
 from lfdkit.dmp import MAX_BASIS, MAX_ROWS, check_basis_layout, rollout_steps
-from lfdkit.ktc import MAX_TEACH_STEPS, simulate_demonstration
-from lfdkit.presets import default_scenario, default_teach_setup
+from lfdkit.ktc import MAX_TEACH_STEPS, MAX_WAYPOINT_SCALE, MIN_WAYPOINT_SCALE, simulate_demonstration
+from lfdkit.presets import default_scenario, default_teach_setup, demo_pose_waypoints
 from lfdkit.trajectory import ParseError
-from lfdkit.vision import MAX_MASK_POINTS, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count, synthesize_mask
+from lfdkit.vision import MAX_MASK_POINTS, MAX_NOISE_SIGMA, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count
+from lfdkit.vision import synthesize_mask
 
 
 class TestDefaults:
@@ -169,6 +170,16 @@ OUT_OF_RANGE = [
     # or the last center itself does (1000)
     ("dmp", "alpha_s", 400, "must keep every basis center above 0 and width finite"),
     ("dmp", "alpha_s", 1000, "must keep every basis center above 0 and width finite"),
+    # below the floor every waypoint lies within capture of the start, and a
+    # taught demonstration is a single sample that metrics cannot score
+    ("teach", "waypoint_scale", -0.12, f"must be at least {MIN_WAYPOINT_SCALE}"),
+    ("teach", "waypoint_scale", 0, f"must be at least {MIN_WAYPOINT_SCALE}"),
+    ("teach", "waypoint_scale", MIN_WAYPOINT_SCALE / 2, f"must be at least {MIN_WAYPOINT_SCALE}"),
+    # the waypoints overflowed with numpy warnings
+    ("teach", "waypoint_scale", 1.7e308, f"must be at most {MAX_WAYPOINT_SCALE}"),
+    # the vision fit overflowed with numpy warnings and failed on numpy's own text
+    ("trial", "noise_sigma", 1e300, f"must be at most {MAX_NOISE_SIGMA}"),
+    ("localize", "noise_sigma", 1.5, f"must be at most {MAX_NOISE_SIGMA}"),
 ]
 
 
@@ -204,11 +215,13 @@ class TestRanges:
     def test_boundary_values_accepted(self):
         cfg = config_from_dict(
             {
-                "trial": {"n": 1, "mask_points": 3, "plan_overtravel": 0, "yaw_limit_deg": 0},
+                "trial": {"n": 1, "mask_points": 3, "plan_overtravel": 0, "yaw_limit_deg": 0,
+                          "noise_sigma": MAX_NOISE_SIGMA},
                 "rollout": {"horizon": 0, "tau": None},
                 "localize": {"n_points": 3},
                 "dmp": {"n_basis": 2},
-                "teach": {"force_noise_std": 0, "torque_noise_std": 0, "controller": "native"},
+                "teach": {"force_noise_std": 0, "torque_noise_std": 0, "controller": "native",
+                          "waypoint_scale": MAX_WAYPOINT_SCALE},
             }
         )
         assert cfg.trial.n == 1 and cfg.rollout.horizon == 0.0
@@ -454,6 +467,10 @@ def _teach(**kwargs):
     return simulate_demonstration(*default_teach_setup("proposed"), **kwargs)
 
 
+def _trial(scenario, **settings):
+    return replace(scenario, trial=replace(scenario.trial, **settings))
+
+
 HOLE_7 = "hole id 7 outside the scene's holes 0..2"
 # one row per rule that the config shares with the library: the config
 # document, the library call on the default scenario that owns the rule, and
@@ -461,21 +478,23 @@ HOLE_7 = "hole id 7 outside the scene's holes 0..2"
 ONE_RULE = [
     pytest.param({"localize": {"hole_id": 7}}, lambda sc: synthesize_mask(sc.scene, sc.cam, 7), HOLE_7,
                  id="hole_id-synthesize_mask"),
-    pytest.param({"trial": {"hole_id": 7}}, lambda sc: replace(sc, hole_id=7), HOLE_7, id="hole_id-scenario"),
-    pytest.param({"trial": {"noise_sigma": -1}}, lambda sc: replace(sc, noise_sigma=-1.0),
+    pytest.param({"trial": {"hole_id": 7}}, lambda sc: _trial(sc, hole_id=7), HOLE_7, id="hole_id-scenario"),
+    pytest.param({"trial": {"noise_sigma": -1}}, lambda sc: _trial(sc, noise_sigma=-1.0),
                  "noise_sigma must be at least 0, got -1.0", id="noise_sigma-scenario"),
     pytest.param({"localize": {"noise_sigma": math.inf}},
                  lambda sc: synthesize_mask(sc.scene, sc.cam, 0, noise_sigma=math.inf),
                  "noise_sigma must be finite, got inf", id="noise_sigma-synthesize_mask"),
+    pytest.param({"trial": {"noise_sigma": 1e300}}, lambda sc: synthesize_mask(sc.scene, sc.cam, 0, noise_sigma=1e300),
+                 f"noise_sigma must be at most {MAX_NOISE_SIGMA}, got 1e+300", id="noise_sigma-cap"),
     pytest.param({"localize": {"dropout": 1.0}}, lambda sc: synthesize_mask(sc.scene, sc.cam, 0, dropout=1.0),
                  "dropout must be below 1, got 1.0", id="dropout-synthesize_mask"),
     pytest.param({"sweep": {"dropout": -0.1}},
                  lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, dropout=-0.1),
                  "dropout must be at least 0, got -0.1", id="dropout-detection_range_sweep"),
-    pytest.param({"trial": {"mask_points": 2}}, lambda sc: replace(sc, mask_points=2),
+    pytest.param({"trial": {"mask_points": 2}}, lambda sc: _trial(sc, mask_points=2),
                  "mask_points must be at least 3, got 2", id="mask_points-scenario"),
     pytest.param({"trial": {"mask_points": MAX_MASK_POINTS + 1}},
-                 lambda sc: replace(sc, mask_points=MAX_MASK_POINTS + 1),
+                 lambda sc: _trial(sc, mask_points=MAX_MASK_POINTS + 1),
                  f"mask_points must be at most {MAX_MASK_POINTS}, got {MAX_MASK_POINTS + 1}", id="mask_points-cap"),
     pytest.param({"localize": {"n_points": MAX_MASK_POINTS + 1}},
                  lambda sc: synthesize_mask(sc.scene, sc.cam, 0, n_points=MAX_MASK_POINTS + 1),
@@ -486,16 +505,15 @@ ONE_RULE = [
     pytest.param({"trial": {"n": 0}}, lambda sc: run_batch(sc, n=0), "n must be at least 1, got 0", id="n-run_batch"),
     pytest.param({"trial": {"n": MAX_TRIALS + 1}}, lambda sc: run_batch(sc, n=MAX_TRIALS + 1),
                  f"n must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}", id="n-cap"),
-    pytest.param({"trial": {"clearance": 0}}, lambda sc: replace(sc, clearance=0.0),
+    pytest.param({"trial": {"clearance": 0}}, lambda sc: _trial(sc, clearance=0.0),
                  "clearance must be positive, got 0.0", id="clearance"),
-    pytest.param({"trial": {"required_depth": math.nan}}, lambda sc: replace(sc, required_depth=math.nan),
+    pytest.param({"trial": {"required_depth": math.nan}}, lambda sc: _trial(sc, required_depth=math.nan),
                  "required_depth must be positive, got nan", id="required_depth"),
-    pytest.param({"trial": {"standoff": math.inf}}, lambda sc: replace(sc, standoff=math.inf),
+    pytest.param({"trial": {"standoff": math.inf}}, lambda sc: _trial(sc, standoff=math.inf),
                  "standoff must be finite, got inf", id="standoff"),
-    pytest.param({"trial": {"plan_overtravel": -1e-3}}, lambda sc: replace(sc, plan_overtravel=-1e-3),
+    pytest.param({"trial": {"plan_overtravel": -1e-3}}, lambda sc: _trial(sc, plan_overtravel=-1e-3),
                  "plan_overtravel must be at least 0, got -0.001", id="plan_overtravel"),
-    pytest.param({"trial": {"tilt_tol_deg": 0}},
-                 lambda sc: _check_tolerances(5e-4, 0.0, 0.01, 0.03, 0.0, tilt_name="tilt_tol_deg"),
+    pytest.param({"trial": {"tilt_tol_deg": 0}}, lambda sc: _trial(sc, tilt_tol_deg=0.0),
                  "tilt_tol_deg must be positive, got 0.0", id="tilt_tol_deg"),
     pytest.param({"dmp": {"n_basis": 1}}, lambda sc: check_basis_layout(1, 25.0 / 3.0),
                  "n_basis must be at least 2, got 1", id="n_basis"),
@@ -508,6 +526,10 @@ ONE_RULE = [
     pytest.param({"rollout": {"horizon": -1}}, lambda sc: rollout_steps(1.0, 1e-3, -1.0),
                  "horizon must be at least 0, got -1.0", id="rollout-horizon"),
     pytest.param({"teach": {"rate": 0}}, lambda sc: _teach(rate=0.0), "rate must be positive, got 0.0", id="rate"),
+    pytest.param({"teach": {"waypoint_scale": 0}}, lambda sc: demo_pose_waypoints(scale=0.0),
+                 f"waypoint_scale must be at least {MIN_WAYPOINT_SCALE}, got 0.0", id="waypoint_scale"),
+    pytest.param({"teach": {"waypoint_scale": math.inf}}, lambda sc: default_teach_setup("native", scale=math.inf),
+                 f"waypoint_scale must be at most {MAX_WAYPOINT_SCALE}, got inf", id="waypoint_scale-cap"),
     # a nan or negative spread would otherwise teach noise-free without a word
     pytest.param({"teach": {"force_noise_std": math.nan}}, lambda sc: _teach(force_noise_std=math.nan),
                  "force_noise_std must be at least 0, got nan", id="force_noise_std-nan"),
@@ -541,14 +563,11 @@ class TestOneRule:
             call(scenario)
         assert str(err.value) == text
 
-    def test_tilt_that_is_zero_in_radians_is_refused_on_load(self, scenario):
-        # positive in degrees, 0 in the radians the scenario holds, which refuses it too
+    def test_tilt_that_is_zero_in_radians_is_refused_on_load(self):
+        # positive in degrees, 0 in the radians a trial compares its tilt in
         with pytest.raises(ParseError) as err:
             config_from_dict({"trial": {"tilt_tol_deg": 5e-324}})
         assert err.value.message == "tilt_tol_deg must be positive in radians, got 5e-324"
-        with pytest.raises(ValueError) as err:
-            replace(scenario, tilt_tol=math.radians(5e-324))
-        assert str(err.value) == "tilt_tol must be positive, got 0.0"
 
 
 class TestFiles:

@@ -4,19 +4,23 @@ demonstration spline is checked against scipy's clamped ``CubicSpline``
 (scipy is a test-only dependency)."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lfdkit.assembly import AssemblyScenario
+from lfdkit.assembly import AssemblyScenario, TrialSection
 from lfdkit.config import config_from_dict
 from lfdkit.dmp import fit_pose_dmp
+from lfdkit.ktc import MAX_WAYPOINT_SCALE, MIN_WAYPOINT_SCALE, simulate_demonstration
+from lfdkit.metrics import jerk_metrics
 from lfdkit.presets import (
     _clamped_spline,
     default_bar_scene,
     default_camera,
     default_scenario,
+    default_teach_setup,
     demo_pose_waypoints,
     make_smooth_demo,
     scenario_from_config,
@@ -58,11 +62,11 @@ def test_default_scenario_matches_spelled_out_build():
         cam=default_camera(),
         dmp=fit_pose_dmp(make_smooth_demo(wp, duration=4.0, orientations=quats)),
         initial_pose=Pose([-0.06, -0.10, 0.25]),
-        noise_sigma=5e-4,
+        trial=TrialSection(noise_sigma=5e-4),
         seed=4,
     )
     got = default_scenario(5e-4, 4)
-    assert got.yaw_limit == math.pi / 3.0
+    assert got.trial.yaw_limit_deg == 60.0
     assert_same_scenario(got, want)
 
 
@@ -81,3 +85,35 @@ def test_clamped_spline_matches_scipy(k, spacing):
     for values in (positions, rotvecs):
         want = interpolate.CubicSpline(knots, values, bc_type="clamped")(at)
         assert np.max(np.abs(_clamped_spline(knots, values, at) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "duration, dt, text",
+    [
+        (math.nan, 1e-3, "duration must be positive, got nan"),
+        (math.inf, 1e-3, "duration must be finite, got inf"),
+        (4.0, 0.0, "dt must be positive, got 0.0"),
+        (4.0, math.nan, "dt must be positive, got nan"),
+    ],
+)
+def test_demo_timing_follows_the_shared_rule(duration, dt, text):
+    # nan once asked for "nan samples, more than the cap", and inf warned first
+    wp, quats = demo_pose_waypoints()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            make_smooth_demo(wp, duration, dt, quats)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("scale", [MIN_WAYPOINT_SCALE, MAX_WAYPOINT_SCALE])
+@pytest.mark.parametrize("controller", ["proposed", "native"])
+def test_waypoint_scales_in_range_teach_a_scorable_demo(controller, scale):
+    # a scale of 0 once taught a one-sample demonstration, and 1.7e308 warned
+    for seed in range(3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            demo = simulate_demonstration(*default_teach_setup(controller, seed=seed, scale=scale),
+                                          max_duration=600.0, seed=seed)
+            assert jerk_metrics(demo)["max"] > 0
+
