@@ -88,7 +88,8 @@ BAD_CONFIGS = {
     "bad_trial_depth.json": {"trial": {"required_depth": 1e300}},
     "bad_dmp_basis.json": {"dmp": {"n_basis": 1}},
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
-    "bad_dmp_alpha_z.json": {"dmp": {"alpha_z": 1e160}},  # the forcing targets overflow
+    "bad_dmp_alpha_z.json": {"dmp": {"alpha_z": 1e160}},  # an unstable Euler step; its forcing targets overflow too
+    "bad_dmp_alpha_z_unstable.json": {"dmp": {"alpha_z": 17000}},  # an unstable Euler step at the trial's tau
     "bad_teach_waypoint_scale.json": {"teach": {"waypoint_scale": 1.7e308}},  # the waypoints overflow
     "bad_trial_noise_cap.json": {"trial": {"noise_sigma": 1e300}},  # the vision fit overflows
 }

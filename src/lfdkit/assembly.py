@@ -573,7 +573,7 @@ def execute_trial(
             try:
                 plan = _plan(scenario.initial_pose, hole, scenario.dmp, t.standoff,
                              t.required_depth + t.plan_overtravel)
-            except (PlanningFailed, RolloutDiverged) as exc:
+            except (PlanningFailed, RolloutDiverged, ValueError) as exc:  # ValueError: a primitive the replay refuses
                 state = TaskState(Phase.FAILED, str(exc))
 
     lateral = tilt = depth = math.nan

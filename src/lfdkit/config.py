@@ -15,8 +15,8 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .assembly import TrialSection
-from .dmp import check_basis_layout, demo_steps, rollout_steps
+from .assembly import _PLAN_DT, TrialSection
+from .dmp import _check_stable, check_basis_layout, demo_steps, rollout_steps
 from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_noise, _check_teach_timing, _check_waypoint_scale
 from .se3 import quat_normalize
 from .trajectory import ParseError, _at_least, _check_seed, _finite_fields, _positive, read_json, write_json
@@ -274,6 +274,10 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         demo_steps(cfg.trial.demo_duration, cfg.dmp.dt)
     except ValueError as exc:
         raise ParseError(path, 0, "dmp.dt", str(exc)) from None
+    try:  # and the plan replays it at _PLAN_DT, its tau the demo's duration
+        _check_stable(cfg.dmp.alpha_z, cfg.dmp.beta_z, cfg.trial.demo_duration, _PLAN_DT)
+    except ValueError as exc:
+        raise ParseError(path, 0, "dmp.alpha_z", str(exc)) from None
     from .presets import scene_from_config  # presets builds on this module
 
     scene, _ = scene_from_config(cfg, path)

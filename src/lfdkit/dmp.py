@@ -52,9 +52,7 @@ from .trajectory import ParseError, Trajectory, finite_difference, json_floats, 
 from .trajectory import _at_least, _positive, read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
-    "DemonstrationData",
     "PoseDmp",
-    "DegenerateDemo",
     "RolloutDiverged",
     "ForcingUnderflow",
     "MAX_ROWS",
@@ -64,9 +62,6 @@ __all__ = [
     "grid_steps",
     "demo_steps",
     "rollout_steps",
-    "prepare_demonstration",
-    "compute_forcing_targets",
-    "fit_lwr",
     "fit_pose_dmp",
     "rollout",
     "save_dmp",
@@ -81,10 +76,6 @@ MAX_ROWS = 1_000_000     # samples one demonstration grid or rollout may hold: 1
 # basis functions one primitive may hold: an activation matrix, samples x
 # bases, then holds at most MAX_ROWS * MAX_BASIS = 2e8 floats (1.6 GB)
 MAX_BASIS = 200
-
-
-class DegenerateDemo(ValueError):
-    """Demonstration carries no information to fit (start = goal, no motion)."""
 
 
 class RolloutDiverged(RuntimeError):
@@ -142,7 +133,7 @@ def grid_steps(span: float, dt: float, what: str) -> int:
 
 
 def demo_steps(duration: float, dt: float) -> int:
-    """Steps of the grid :func:`prepare_demonstration` fits on, enough for
+    """Steps of the grid :func:`fit_pose_dmp` fits on, enough for
     one window of the moving average over its derivatives."""
     _positive("dt", dt)
     what = f"a {duration:.6g} s demonstration at dt = {dt:.6g}"
@@ -207,115 +198,6 @@ def _moving_average(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DemonstrationData:
-    """A demonstration regridded to uniform dt: its six coordinates
-    [p, log(q * conj(g))] with smoothed derivatives, and its end poses."""
-
-    times: np.ndarray
-    dt: float
-    tau: float
-    coords: np.ndarray  # (n, 6)
-    velocities: np.ndarray
-    accelerations: np.ndarray
-    start: Pose
-    goal: Pose
-
-
-def prepare_demonstration(traj: Trajectory, dt: float = 1e-3) -> DemonstrationData:
-    """Regrid to uniform dt (snapped so the span is an integer number of
-    steps, endpoints exact), chart the orientation at the goal and
-    differentiate.
-
-    The chart takes the shortest arc, so it jumps where the rotation from the
-    goal passes a half turn; such a demonstration is rejected. All derivative
-    series get a centered moving average, since recorded demonstrations are
-    noisy by nature.
-    """
-    if len(traj) < 2 or traj.duration <= 0:
-        raise ValueError("demonstration needs at least 2 samples spanning a positive duration")
-    steps = demo_steps(traj.duration, dt)
-    grid_dt = traj.duration / steps
-    res = resample_trajectory(traj, grid_dt)
-    t = res.times - res.times[0]
-    quats = res.orientations
-    e = chart_rows(quats, quats[-1:])
-    # neighbouring samples lie a grid step apart; only the chart's jump moves e by more than pi
-    jump = np.flatnonzero(np.linalg.norm(np.diff(e, axis=0), axis=1) > math.pi)
-    if len(jump):
-        raise ValueError(
-            f"demonstration passes a half turn from its goal orientation at t = {t[jump[0]]:.6g} s;"
-            " a primitive cannot chart it"
-        )
-    coords = np.hstack([res.positions, e])
-    return DemonstrationData(
-        times=t,
-        dt=grid_dt,
-        tau=float(t[-1]),
-        coords=coords,
-        velocities=_moving_average(finite_difference(t, coords, 1)),
-        accelerations=_moving_average(finite_difference(t, coords, 2)),
-        start=Pose(res.positions[0], quat_normalize(*quats[0].tolist())),
-        goal=Pose(res.positions[-1], quat_normalize(*quats[-1].tolist())),
-    )
-
-
-def compute_forcing_targets(
-    demo: DemonstrationData,
-    alpha_z: float,
-    beta_z: float,
-    alpha_s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the transformation system along the demonstration, one formula
-    for all six coordinates, whose goal is their last sample.
-
-    Returns (s_k, targets) with targets of shape (n, 6): three translation
-    axes then three orientation axes. The targets are the raw inversion,
-    gate included; :func:`fit_lwr` fits them against the gate s. Gains so
-    large that a target overflows raise ValueError.
-    """
-    x = demo.coords
-    if np.max(np.abs(x - x[0])) < 1e-9 and np.max(np.abs(demo.velocities)) < 1e-9:
-        raise DegenerateDemo("no information to fit: start equals goal and the demo never moves")
-    tau = demo.tau
-    s = np.exp(-alpha_s * demo.times / tau)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        targets = tau**2 * demo.accelerations - alpha_z * (beta_z * (x[-1] - x) - tau * demo.velocities)
-    if not np.isfinite(targets).all():
-        raise ValueError(f"forcing targets overflow at alpha_z = {alpha_z:.6g}, beta_z = {beta_z:.6g}")
-    return s, targets
-
-
-def fit_lwr(
-    s: np.ndarray,
-    targets: np.ndarray,
-    centers: np.ndarray,
-    widths: np.ndarray,
-) -> tuple[np.ndarray, list[int]]:
-    """Per-basis weighted least squares, for one axis or several at once.
-
-    w_i = sum_k psi_i(s_k) s_k f_k / sum_k psi_i(s_k) s_k^2. ``targets`` of
-    shape (n,) give weights of shape (N,); of shape (n, k), weights of shape
-    (k, N) from one activation matrix. Bases whose denominator
-    underflows the 1e-12 guard get weight 0 and are reported in the second
-    return value.
-    """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    f = np.asarray(targets, dtype=float)
-    if len(s) != len(f):
-        raise ValueError("phase and target sample counts differ")
-    if len(s) == 0:
-        raise ValueError("cannot fit with zero samples")
-    psi = _activations(s, centers, widths)
-    # einsum, not matmul: see _forcing_profile
-    num = np.einsum("kn,k,k...->...n", psi, s, f)
-    den = np.einsum("kn,k->n", psi, s * s)
-    supported = den > _SUPPORT_FLOOR
-    with np.errstate(over="ignore"):  # an infinite weight is PoseDmp's to refuse, not warned about
-        weights = np.where(supported, num / np.where(supported, den, 1.0), 0.0)
-    return weights, [int(i) for i in np.flatnonzero(~supported)]
-
-
-@dataclass(frozen=True)
 class PoseDmp:
     """A fitted 6-DoF movement primitive plus everything needed to replay it."""
 
@@ -362,32 +244,73 @@ def fit_pose_dmp(
     dt: float = 1e-3,
 ) -> PoseDmp:
     """Fit all six axes of a demonstration; beta_z defaults to alpha_z/4
-    (critical damping).
+    (critical damping). The steps:
 
-    A degenerate (stay-at-pose) demonstration fits to all-zero weights, which
-    replays as staying at the pose; the underlying target computation still
-    raises at its own interface.
+    1. Regrid to uniform dt, snapped so the span is an integer number of
+       steps, endpoints exact (:func:`demo_steps`).
+    2. Chart the orientation at the goal. The chart takes the shortest arc,
+       so it jumps where the rotation from the goal passes a half turn; such
+       a demonstration is rejected.
+    3. Differentiate the six coordinates twice, each derivative smoothed by
+       a centered moving average, since recorded demonstrations are noisy by
+       nature.
+    4. Invert the transformation system along the demonstration, one
+       formula for all six coordinates, whose goal is their last sample;
+       gains so large that a target overflows are refused.
+    5. Per-basis weighted least squares of the targets against the gate s:
+       w_i = sum_k psi_i(s_k) s_k f_k / sum_k psi_i(s_k) s_k^2. Bases whose
+       denominator underflows the 1e-12 guard get weight 0, and their count
+       is warned about.
+
+    A demonstration that never moves (start equals goal) carries nothing to
+    fit and keeps all-zero weights, which replay as staying at the pose.
     """
     beta_z = alpha_z / 4.0 if beta_z is None else beta_z
     centers, widths = basis_layout(n_basis, alpha_s)
-    demo = prepare_demonstration(traj, dt=dt)
-    try:
-        s, targets = compute_forcing_targets(demo, alpha_z, beta_z, alpha_s)
-        weights, dead = fit_lwr(s, targets, centers, widths)
+    if len(traj) < 2 or traj.duration <= 0:
+        raise ValueError("demonstration needs at least 2 samples spanning a positive duration")
+    res = resample_trajectory(traj, traj.duration / demo_steps(traj.duration, dt))
+    t = res.times - res.times[0]
+    quats = res.orientations
+    e = chart_rows(quats, quats[-1:])
+    # neighbouring samples lie a grid step apart; only the chart's jump moves e by more than pi
+    jump = np.flatnonzero(np.linalg.norm(np.diff(e, axis=0), axis=1) > math.pi)
+    if len(jump):
+        raise ValueError(
+            f"demonstration passes a half turn from its goal orientation at t = {t[jump[0]]:.6g} s;"
+            " a primitive cannot chart it"
+        )
+    x = np.hstack([res.positions, e])
+    vel = _moving_average(finite_difference(t, x, 1))
+    tau = float(t[-1])
+    weights = np.zeros((6, n_basis))
+    if not (np.max(np.abs(x - x[0])) < 1e-9 and np.max(np.abs(vel)) < 1e-9):
+        acc = _moving_average(finite_difference(t, x, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            targets = tau**2 * acc - alpha_z * (beta_z * (x[-1] - x) - tau * vel)
+        if not np.isfinite(targets).all():
+            raise ValueError(f"forcing targets overflow at alpha_z = {alpha_z:.6g}, beta_z = {beta_z:.6g}")
+        s = np.exp(-alpha_s * t / tau)
+        psi = _activations(s, centers, widths)
+        # einsum, not matmul: see _forcing_profile
+        num = np.einsum("kn,k,ka->an", psi, s, targets)
+        den = np.einsum("kn,k->n", psi, s * s)
+        supported = den > _SUPPORT_FLOOR
+        with np.errstate(over="ignore"):  # an infinite weight is PoseDmp's to refuse, not warned about
+            weights = np.where(supported, num / np.where(supported, den, 1.0), 0.0)
+        dead = n_basis - int(np.count_nonzero(supported))
         if dead:
-            warnings.warn(f"{len(dead)} basis functions had no sample support", RuntimeWarning, stacklevel=2)
-    except DegenerateDemo:
-        weights = np.zeros((6, n_basis))
+            warnings.warn(f"{dead} basis functions had no sample support", RuntimeWarning, stacklevel=2)
     return PoseDmp(
         alpha_s=alpha_s,
         alpha_z=alpha_z,
         beta_z=beta_z,
-        tau=demo.tau,
+        tau=tau,
         centers=centers,
         widths=widths,
         weights=weights,
-        demo_start=demo.start,
-        demo_goal=demo.goal,
+        demo_start=Pose(res.positions[0], quat_normalize(*quats[0].tolist())),
+        demo_goal=Pose(res.positions[-1], quat_normalize(*quats[-1].tolist())),
     )
 
 
@@ -470,6 +393,25 @@ def _scan_rates(c1: float, c0: float) -> tuple[float | complex, float | complex,
     return lam1, lam2, mu2
 
 
+def _check_stable(alpha_z: float, beta_z: float | None, tau: float, dt: float) -> None:
+    """The stability rule of the rollout's Euler step, the discretized
+    attractor of Ijspeert et al. 2013: both roots of z^2 - c1 z + c0, with
+    c1 = 2 - a, c0 = 1 - a + b, a = alpha_z dt/tau and b = alpha_z beta_z
+    (dt/tau)^2, lie strictly inside the unit circle. Jury's conditions
+    |c0| < 1 and |c1| < 1 + c0 read 0 < b < a and 2a - b < 4, and are
+    checked in that form, so a slow filter whose c1 rounds to 2 is not
+    refused on the rounding. At critical damping, :func:`fit_pose_dmp`'s
+    default for a beta_z of None, they hold for a < 4."""
+    beta_z = alpha_z / 4.0 if beta_z is None else beta_z
+    adt = dt / tau
+    a, b = alpha_z * adt, alpha_z * beta_z * adt * adt
+    if not (0.0 < b < a and 2.0 * a - b < 4.0):  # NaN fails too
+        raise ValueError(
+            f"alpha_z must leave the Euler step at dt = {dt:.6g} s, tau = {tau:.6g} s stable (both roots of its"
+            f" filter inside the unit circle), got {alpha_z!r} with beta_z = {beta_z!r}"
+        )
+
+
 # the responses of the last primitive rolled out, matched on the instance
 # itself: (dmp, tau, dt, n_steps, unit, forced, underflows)
 _last_responses: tuple | None = None
@@ -484,26 +426,23 @@ def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[
     filter; F starts at 0 under the primitive's forcing. Both are read-only
     and kept for the last (primitive, tau, dt, n) asked for, as a batch
     replays one primitive at one tau and dt toward every goal. A filter
-    with a coefficient or root that is not finite diverges at step 1.
+    that breaks :func:`_check_stable` is refused before step 1.
     """
     global _last_responses
     n_steps = len(times) - 1
     last = _last_responses
     if last is not None and last[0] is dmp and last[1:4] == (tau, dt, n_steps):
         return last[4:]
-    s_profile = np.exp(-dmp.alpha_s * times / tau)
     az, bz = dmp.alpha_z, dmp.beta_z
+    _check_stable(az, bz, tau, dt)
+    s_profile = np.exp(-dmp.alpha_s * times / tau)
     adt = dt / tau
     forcing, underflows = _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
     c1, c0 = 2.0 - az * adt, 1.0 - az * adt + az * bz * adt * adt
-    # a root of 0 scans at rate -inf, which linear_scan carries
-    if not (math.isfinite(c1) and math.isfinite(c0)
-            and all(x == x and x.real < math.inf for x in _scan_rates(c1, c0))):
-        raise RolloutDiverged(1, dt)
     # one scan: F on six axes from 0, and h on a seventh from 1 without forcing
     u = np.zeros((n_steps, 7))
     np.multiply(adt, adt * forcing[:n_steps], out=u[:, :6])
-    with np.errstate(over="ignore", invalid="ignore"):  # an unstable h overflows; only a moved axis uses it
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge forcing overflows; _replay's row check refuses it
         both = _second_order_scan(np.eye(7)[6], u, c1, c0)
     both.flags.writeable = False
     unit, forced = both[:, 6], both[:, :6]
@@ -537,11 +476,12 @@ def rollout(
     e[k] = h[k] e[0] + F[k], with h the filter's unit response and F its
     response to the forcing from e = 0 (Ijspeert et al. 2013). Both are
     scanned once and kept for the last primitive, tau, dt and step count
-    rolled out; a rollout toward a new goal only forms h e[0] + F. An axis
-    that starts on its goal gets F alone, so an overflowing h cannot turn it
-    into 0 * inf. Superposed rows match one scan from e[0] to within a few
-    units in the last place.
+    rolled out; a rollout toward a new goal only forms h e[0] + F, and an
+    axis that starts on its goal gets F alone. Superposed rows match one
+    scan from e[0] to within a few units in the last place.
 
+    An Euler step that breaks the stability rule (both roots of the filter
+    strictly inside the unit circle) raises ValueError before step 1.
     Divergence is found row-wise: the first step whose |z| over six axes
     plus |p| and |e| sum to 1e15 or more, or to NaN, raises RolloutDiverged.
     Every call whose forcing underflowed warns ForcingUnderflow, a call

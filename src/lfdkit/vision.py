@@ -34,7 +34,6 @@ __all__ = [
     "MAX_MASK_POINTS",
     "MAX_NOISE_SIGMA",
     "synthesize_mask",
-    "fit_plane",
     "fit_circle3d",
     "hole_in_world",
     "MAX_SWEEP_YAWS",
@@ -72,7 +71,7 @@ class HoleSpec:
         ax = np.array(self.axis, dtype=float).reshape(3)
         _finite("hole offset", tuple(off.tolist()))
         _finite("hole axis", tuple(ax.tolist()))
-        n = float(np.linalg.norm(ax))
+        n = math.hypot(*ax.tolist())  # scaled, so an axis near the float range does not overflow
         if n < 1e-12:
             raise ValueError("hole axis must be nonzero")
         ax = ax / n
@@ -160,7 +159,7 @@ class CameraModel:
         pts = np.asarray(points_cam, dtype=float).reshape(-1, 3)
         z = pts[:, 2]
         ok = z > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf is outside the image
             u = self.fx * pts[:, 0] / z + self.cx
             v = self.fy * pts[:, 1] / z + self.cy
         ok &= (u >= 0) & (u < self.width) & (v >= 0) & (v < self.height)
@@ -284,26 +283,6 @@ def synthesize_mask(
     return MaskSample(pts)
 
 
-def fit_plane(points: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Least-squares plane (normal, offset, rms) with the normal oriented
-    toward the camera at the origin; the plane is {x : n . x + d = 0}."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit a plane")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[1] <= 1e-12 * max(evals[2], 1e-300):
-        raise ValueError("degenerate plane fit: points are collinear")
-    normal = evecs[:, 0]
-    if float(np.dot(normal, centroid)) > 0:
-        normal = -normal
-    d = -float(np.dot(normal, centroid))
-    rms = float(np.sqrt(np.mean((centered @ normal) ** 2)))
-    return normal, d, rms
-
-
 def _kasa_circle(xi: np.ndarray, eta: np.ndarray) -> tuple[float, float, float]:
     a = np.column_stack([xi, eta, np.ones_like(xi)])
     b = xi * xi + eta * eta
@@ -321,14 +300,23 @@ def _arc_coverage(xi: np.ndarray, eta: np.ndarray, cx: float, cy: float) -> floa
 
 
 def fit_circle3d(sample: MaskSample) -> HoleEstimate:
-    """Plane fit, in-plane Kasa circle fit, one Gauss-Newton refinement."""
+    """Least-squares plane through the centroid, its normal the axis,
+    oriented toward the camera at the origin; in-plane Kasa circle fit; one
+    Gauss-Newton refinement. Fewer than 3 points, collinear points or an arc
+    under 90 deg are refused."""
     pts = sample.points
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a circle")
-    normal, d, _ = fit_plane(pts)
     centroid = pts.mean(axis=0)
-    u, v = _orthobasis(normal)
     rel = pts - centroid
+    evals, evecs = np.linalg.eigh(rel.T @ rel)
+    if evals[1] <= 1e-12 * max(evals[2], 1e-300):
+        raise ValueError("degenerate plane fit: points are collinear")
+    normal = evecs[:, 0]
+    if float(np.dot(normal, centroid)) > 0:
+        normal = -normal
+    d = -float(np.dot(normal, centroid))
+    u, v = _orthobasis(normal)
     xi = rel @ u
     eta = rel @ v
     cx, cy, radius = _kasa_circle(xi, eta)

@@ -349,11 +349,17 @@ class TestExecuteTrial:
 
     def test_non_finite_filter_ends_the_trial_failed(self, scenario):
         # alpha_z * beta_z overflows; the replay's filter once raised a bare
-        # ValueError out of execute_trial, which ended the whole batch
-        dmp = replace(scenario.dmp, alpha_z=1e160, beta_z=2.5e159)
-        r = execute_trial(replace(scenario, dmp=dmp))
-        assert r.state.phase is Phase.FAILED and not r.success
-        assert r.state.reason == "non-finite rollout state at step 1 (t = 0.001 s)"
+        # ValueError out of execute_trial, which ended the whole batch. The
+        # stability rule refuses it, and a finite but unstable step, before
+        # step 1, and the trial records the rule's line as its reason
+        for alpha_z, beta_z in ((1e160, 2.5e159), (17000.0, 4250.0)):
+            dmp = replace(scenario.dmp, alpha_z=alpha_z, beta_z=beta_z)
+            r = execute_trial(replace(scenario, dmp=dmp))
+            assert r.state.phase is Phase.FAILED and not r.success
+            assert r.state.reason == (
+                f"alpha_z must leave the Euler step at dt = 0.001 s, tau = {dmp.tau:.6g} s stable (both roots of"
+                f" its filter inside the unit circle), got {alpha_z!r} with beta_z = {beta_z!r}"
+            )
 
     def test_success_predicate_is_pure_over_the_record(self, noisy_scenario):
         for s in (0, 1, 2, 3):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -383,18 +384,42 @@ class TestErrorDiscipline:
         bad = tmp_path / "prim.json"
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "rollout", "--dmp", bad, "--out", tmp_path / "r.csv")
-        assert code == 1 and out == ""
-        assert err == "error: non-finite rollout state at step 1 (t = 0.001 s)\n"
+        assert code == 1 and out == "" and err.count("\n") == 1
+        # the stability rule refuses the Euler step before step 1
+        assert err == ("error: alpha_z must leave the Euler step at dt = 0.001 s, tau = 4 s stable (both roots of its"
+                       " filter inside the unit circle), got 1e+160 with beta_z = 6.25\n")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_overflowing_gain_is_refused_before_any_trial(self, capsys, tmp_path):
         # the fit once overflowed with a numpy warning into an all-NaN
-        # primitive, and every trial then ended FAILED at its filter
+        # primitive, and every trial then ended FAILED at its filter; the
+        # stability rule now refuses the gain when the config loads
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dmp": {"alpha_z": 1e160}}))
         out = tmp_path / "b.json"
         code, stdout, err = run(capsys, "batch", "--n", 2, "--config", cfg, "--out", out)
-        assert code == 1 and stdout == "" and not out.exists()
-        assert err == "error: forcing targets overflow at alpha_z = 1e+160, beta_z = 2.5e+159\n"
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == (f"error: {cfg}:0: field 'dmp.alpha_z': alpha_z must leave the Euler step at dt = 0.001 s,"
+                       " tau = 4 s stable (both roots of its filter inside the unit circle), got 1e+160 with"
+                       " beta_z = 2.5e+159\n")
+
+    @pytest.mark.parametrize("alpha_z, code", [(15000, 0), (17000, 2)])
+    def test_unstable_euler_step_is_refused_on_load(self, capsys, tmp_path, alpha_z, code):
+        # at dt/tau = 1/4000 the critically damped Euler step is unstable from
+        # alpha_z = 16000; 17000 once loaded, warned "invalid value encountered
+        # in add" and ended every trial "non-finite rollout state at step 174"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dmp": {"alpha_z": alpha_z}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, stdout, err = run(capsys, "batch", "--n", 2, "--config", cfg, "--out", tmp_path / "b.json")
+        assert got == code
+        if code:
+            assert stdout == "" and err.count("\n") == 1
+            assert "field 'dmp.alpha_z': alpha_z must leave the Euler step" in err
+            assert err.endswith("got 17000.0 with beta_z = 4250.0\n")
+        else:
+            assert err == "" and "success_rate=" in stdout
 
     def test_missing_trajectory_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--traj", tmp_path / "nope.csv", "--out", tmp_path / "x.json")

@@ -663,7 +663,7 @@ def _derived_sizes(cfg: RunConfig) -> dict:
         "trial demo grid": (fit_rows, MAX_ROWS),
         "trial preset demo": (t.demo_duration / 1e-3 + 1, MAX_ROWS),
         "trial plan rollout": (plan_rows, MAX_ROWS),
-        # samples x bases, in fit_lwr and in the plan's rollout
+        # samples x bases, in the fit's regression and in the plan's rollout
         "trial fit activations": (fit_rows * cfg.dmp.n_basis, MAX_ROWS * MAX_BASIS),
         "trial plan activations": (plan_rows * cfg.dmp.n_basis, MAX_ROWS * MAX_BASIS),
         "teach ticks": (math.ceil(cfg.teach.max_duration * cfg.teach.rate), MAX_TEACH_STEPS),

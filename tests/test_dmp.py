@@ -4,7 +4,10 @@ The load-bearing checks are driven by independent oracles:
 
 * the forcing profile against a plain double-loop mixture sum
 * forcing-target inversion against a hand-rolled Euler forward simulation
-  driven by a known closed-form forcing function
+  driven by a known closed-form forcing function; fit_pose_dmp runs its
+  whole fit in one call, so its intermediates are read from the private
+  array helpers it calls, and its regression is fed set targets through a
+  stubbed smoother
 * zero-forcing rollouts against the critically damped closed-form solution
   y(t) = g + (y0 - g) * (1 - lam*t) * exp(lam*t), lam = -alpha_z / (2*tau)
 * first-order convergence of the integrator under dt refinement
@@ -23,6 +26,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,21 +36,19 @@ from lfdkit.cli import main
 from lfdkit.dmp import (
     MAX_BASIS,
     MAX_ROWS,
-    DegenerateDemo,
     ForcingUnderflow,
     PoseDmp,
     RolloutDiverged,
+    _activations,
     _forcing_profile,
+    _moving_average,
     _second_order_scan,
     basis_layout,
     check_basis_layout,
-    compute_forcing_targets,
     dmp_from_dict,
     dmp_to_dict,
-    fit_lwr,
     fit_pose_dmp,
     load_dmp,
-    prepare_demonstration,
     rollout,
     rollout_steps,
     save_dmp,
@@ -59,7 +61,7 @@ from lfdkit.se3 import (
     quat_mul_wxyz,
     rotation_vector_wxyz,
 )
-from lfdkit.trajectory import ParseError, Trajectory
+from lfdkit.trajectory import ParseError, Trajectory, finite_difference
 
 ALPHA_S = 25.0 / 3.0
 ORIGIN = Pose(np.zeros(3))  # identity orientation
@@ -204,21 +206,89 @@ class TestEvalForcing:
         assert str(err.value) == f"{name} {text}"
 
 
+def fit_steps(monkeypatch, traj, **kwargs):
+    """fit_pose_dmp(traj, **kwargs) with the arrays it hands the private
+    array helpers it calls: the grid times t and six coordinates x it
+    differentiates, and the smoothed velocity and acceleration (None for a
+    demonstration that never moves, whose acceleration is not needed)."""
+    seen, smoothed = [], []
+
+    def differentiate(t, x, order):
+        seen.append((t, x))
+        return finite_difference(t, x, order)
+
+    def smooth(v):
+        smoothed.append(_moving_average(v))
+        return smoothed[-1]
+
+    monkeypatch.setattr(dmp_module, "finite_difference", differentiate)
+    monkeypatch.setattr(dmp_module, "_moving_average", smooth)
+    dmp = fit_pose_dmp(traj, **kwargs)
+    (t, x), *_ = seen
+    return dmp, SimpleNamespace(t=t, x=x, vel=smoothed[0], acc=smoothed[1] if len(smoothed) > 1 else None)
+
+
+def regression(s, targets, centers, widths):
+    """Per-basis weighted least squares of (n, 6) targets against the gate s,
+    the formula fit_pose_dmp documents, in plain matrix products."""
+    psi = _activations(s, centers, widths)
+    return (psi.T @ (s[:, None] * targets)).T / (psi.T @ (s * s))
+
+
+def forcing_targets(dmp, steps):
+    """The phase s and the inverted transformation system along a fit's
+    intermediates; checks that the fitted weights regress exactly these."""
+    tau = dmp.tau
+    s = np.exp(-dmp.alpha_s * steps.t / tau)
+    targets = tau**2 * steps.acc - dmp.alpha_z * (dmp.beta_z * (steps.x[-1] - steps.x) - tau * steps.vel)
+    want = regression(s, targets, dmp.centers, dmp.widths)
+    np.testing.assert_allclose(dmp.weights, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+    return s, targets
+
+
+def fit_to_targets(monkeypatch, forcing, n_basis=20, duration=1.0):
+    """fit_pose_dmp's weights for the targets forcing(s), an (n, 6) array of
+    the phase samples s, and s. The smoother is stubbed to hand the inversion
+    a zero velocity and the acceleration whose targets those are, over a
+    demonstration that creeps 1 um along x, so the weights show the
+    per-basis regression alone."""
+    grid, calls = {}, []
+
+    def differentiate(t, x, order):
+        grid["t"], grid["x"] = t, x
+        return finite_difference(t, x, order)
+
+    def smooth(v):
+        calls.append(v)
+        if len(calls) == 1:
+            return np.zeros_like(v)
+        t, x = grid["t"], grid["x"]
+        tau = float(t[-1])
+        grid["s"] = np.exp(-ALPHA_S * t / tau)
+        return (forcing(grid["s"]) + 25.0 * (6.25 * (x[-1] - x))) / tau**2  # the default gains
+
+    monkeypatch.setattr(dmp_module, "finite_difference", differentiate)
+    monkeypatch.setattr(dmp_module, "_moving_average", smooth)
+    t = np.arange(int(round(duration * 1000)) + 1) * 1e-3
+    pos = np.zeros((len(t), 3))
+    pos[:, 0] = 1e-6 * t / duration
+    dmp = fit_pose_dmp(Trajectory(t, pos, np.tile([1.0, 0.0, 0.0, 0.0], (len(t), 1))), n_basis=n_basis)
+    return dmp.weights, grid["s"]
+
+
 class TestFitLwr:
-    def test_recovers_constant(self):
+    """The per-basis regression, with the targets set through a stubbed smoother."""
+
+    def test_recovers_constant(self, monkeypatch):
         # gated targets s * c come from the constant mixture c
-        centers, widths = basis_layout(20, ALPHA_S)
-        s = np.exp(-ALPHA_S * np.linspace(0.0, 1.0, 500))
-        targets = -3.75 * s
-        weights, unsupported = fit_lwr(s, targets, centers, widths)
-        assert unsupported == []
+        weights, _ = fit_to_targets(monkeypatch, lambda s: np.outer(s, np.full(6, -3.75)))
         assert np.allclose(weights, -3.75, rtol=1e-9)
 
     # per-basis regression is a kernel smoother: it does not interpolate a
     # rough weight vector, it reproduces the emitted FUNCTION for targets
     # that vary smoothly over time (centers are uniform in time)
 
-    def test_function_match_round_trip(self):
+    def test_function_match_round_trip(self, monkeypatch):
         # targets sampled from a known mixture; the refit must reproduce the
         # emitted function to 1% RMS on s in [0.01, 1] even though individual
         # weights may differ. Double kernel smoothing biases rough profiles
@@ -226,78 +296,88 @@ class TestFitLwr:
         # 1% contract is pinned with a gently varying profile.
         n = 20
         centers, widths = basis_layout(n, ALPHA_S)
-        truth = 15.0 + 0.2 * np.arange(n)
-        t = np.linspace(0.0, math.log(200.0) / ALPHA_S, 500)
-        s = np.exp(-ALPHA_S * t)
-        targets = np.array([forcing_at(truth, centers, widths, v) for v in s])
-        weights, _ = fit_lwr(s, targets, centers, widths)
+        truth = np.tile(15.0 + 0.2 * np.arange(n), (6, 1))
+
+        def emitted(weights, s):
+            return _forcing_profile(weights, centers, widths, s)[0]
+
+        weights, s = fit_to_targets(monkeypatch, lambda s: emitted(truth, s), n_basis=n)
         keep = s >= 0.01
-        want = targets[keep]
-        got = np.array([forcing_at(weights, centers, widths, v) for v in s[keep]])
+        want = emitted(truth, s[keep])
+        got = emitted(weights, s[keep])
         rms = np.sqrt(np.mean((got - want) ** 2))
         assert rms < 0.01 * np.sqrt(np.mean(want**2))
 
-    def test_several_axes_match_one_axis_fits(self):
-        centers, widths = basis_layout(30, ALPHA_S)
-        s = np.linspace(0.6, 1.0, 400)  # late bases unsupported, as in the test below
-        targets = np.random.default_rng(5).normal(size=(400, 6)) * 30.0
-        weights, unsupported = fit_lwr(s, targets, centers, widths)
+    def test_several_axes_match_one_axis_fits(self, monkeypatch):
+        # the six axes share one activation matrix, and each axis's weights
+        # depend on its own targets alone
+        rng = np.random.default_rng(5)
+        columns = rng.normal(size=(6, 3)) * 30.0
+
+        def targets(s, only=None):
+            f = np.outer(s, columns[:, 0]) + np.outer(np.sin(9.0 * s), columns[:, 1]) + columns[:, 2]
+            if only is not None:
+                f[:, np.arange(6) != only] = 0.0
+            return f
+
+        weights, _ = fit_to_targets(monkeypatch, targets, n_basis=30)
         assert weights.shape == (6, 30)
         for axis in range(6):
-            one, dead = fit_lwr(s, targets[:, axis], centers, widths)
-            assert dead == unsupported
-            np.testing.assert_allclose(weights[axis], one, rtol=1e-13, atol=0.0)
+            one, _ = fit_to_targets(monkeypatch, lambda s: targets(s, axis), n_basis=30)
+            np.testing.assert_allclose(weights[axis], one[axis], rtol=1e-13, atol=0.0)
 
-    def test_unsupported_bases_reported_and_zeroed(self):
-        centers, widths = basis_layout(30, ALPHA_S)
-        s = np.linspace(0.6, 1.0, 200)  # late bases (small centers) see no samples
-        weights, unsupported = fit_lwr(s, np.ones(200), centers, widths)
-        assert len(unsupported) > 0
-        assert np.all(weights[unsupported] == 0.0)
-        assert 29 in unsupported
-
-    def test_validation(self):
-        centers, widths = basis_layout(5, ALPHA_S)
-        with pytest.raises(ValueError):
-            fit_lwr(np.array([0.5, 0.6]), np.array([1.0]), centers, widths)
-        with pytest.raises(ValueError):
-            fit_lwr(np.array([]), np.array([]), centers, widths)
+    def test_unsupported_bases_reported_and_zeroed(self, monkeypatch):
+        # eleven samples over 10 ms leave most of 200 narrow bases without support
+        demo = smooth_demo(duration=0.01)
+        with pytest.warns(RuntimeWarning, match=r"^(\d+) basis functions had no sample support$") as record:
+            dmp, steps = fit_steps(monkeypatch, demo, n_basis=200)
+        s = np.exp(-ALPHA_S * steps.t / dmp.tau)
+        unsupported = _activations(s, dmp.centers, dmp.widths).T @ (s * s) <= 1e-12
+        assert str(record[0].message) == f"{int(unsupported.sum())} basis functions had no sample support"
+        assert 0 < unsupported.sum() < 200
+        assert np.all(dmp.weights[:, unsupported] == 0.0)
+        assert np.all(dmp.weights[:, ~unsupported] != 0.0)
 
 
 class TestPrepareDemonstration:
-    def test_uniform_grid_and_exact_endpoints(self):
-        traj = smooth_demo(duration=2.0)
-        demo = prepare_demonstration(traj)
-        assert demo.dt == pytest.approx(1e-3, rel=1e-9)
-        assert demo.tau == pytest.approx(2.0, rel=1e-12)
-        np.testing.assert_array_equal(demo.coords[0, :3], traj.positions[0])
-        np.testing.assert_array_equal(demo.coords[-1, :3], traj.positions[-1])
-        np.testing.assert_allclose(np.diff(demo.times), demo.dt, rtol=1e-9)
+    """The regrid, the chart and the smoothed derivatives fit_pose_dmp fits
+    on, read from the private helpers it hands them to."""
 
-    def test_velocity_exact_on_quadratic(self):
+    def test_uniform_grid_and_exact_endpoints(self, monkeypatch):
+        traj = smooth_demo(duration=2.0)
+        dmp, steps = fit_steps(monkeypatch, traj)
+        assert dmp.tau == steps.t[-1] == pytest.approx(2.0, rel=1e-12)
+        assert steps.t[0] == 0.0
+        np.testing.assert_allclose(np.diff(steps.t), 1e-3, rtol=1e-9)
+        np.testing.assert_array_equal(steps.x[0, :3], traj.positions[0])
+        np.testing.assert_array_equal(steps.x[-1, :3], traj.positions[-1])
+        np.testing.assert_array_equal(dmp.demo_start.position, traj.positions[0])
+        np.testing.assert_array_equal(dmp.demo_goal.position, traj.positions[-1])
+
+    def test_velocity_exact_on_quadratic(self, monkeypatch):
         # source already on the 1 kHz grid, so regridding is the identity
         t = np.linspace(0.0, 1.0, 1001)
         pos = np.stack([0.3 * t**2, -0.1 * t**2 + 0.2 * t, np.zeros_like(t)], axis=1)
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (1001, 1))
-        demo = prepare_demonstration(Trajectory(t, pos, quats))
+        _, steps = fit_steps(monkeypatch, Trajectory(t, pos, quats))
         inner = slice(5, -5)  # edge smoothing is asymmetric by design
-        expect = np.stack([0.6 * demo.times, -0.2 * demo.times + 0.2, np.zeros_like(demo.times)], axis=1)
-        np.testing.assert_allclose(demo.velocities[inner, :3], expect[inner], atol=1e-9)
-        np.testing.assert_allclose(demo.accelerations[inner, 0], 0.6, atol=1e-6)
+        expect = np.stack([0.6 * steps.t, -0.2 * steps.t + 0.2, np.zeros_like(steps.t)], axis=1)
+        np.testing.assert_allclose(steps.vel[inner, :3], expect[inner], atol=1e-9)
+        np.testing.assert_allclose(steps.acc[inner, 0], 0.6, atol=1e-6)
 
-    def test_omega_constant_spin(self):
+    def test_omega_constant_spin(self, monkeypatch):
         # a spin at w about z is e = (0, 0, w (t - T)) in the goal's log chart
         w = 0.8
         t = np.linspace(0.0, 1.0, 201)
         quats = np.array([from_rotation_vector(np.array([0.0, 0.0, w * ti])) for ti in t])
         pos = np.zeros((201, 3))
-        demo = prepare_demonstration(Trajectory(t, pos, quats))
-        np.testing.assert_allclose(demo.coords[:, 5], w * (demo.times - 1.0), atol=1e-12)
-        np.testing.assert_array_equal(demo.coords[-1, 3:], 0.0)
+        _, steps = fit_steps(monkeypatch, Trajectory(t, pos, quats))
+        np.testing.assert_allclose(steps.x[:, 5], w * (steps.t - 1.0), atol=1e-12)
+        np.testing.assert_array_equal(steps.x[-1, 3:], 0.0)
         inner = slice(5, -5)
-        np.testing.assert_allclose(demo.velocities[inner, 5], w, atol=1e-6)
-        np.testing.assert_allclose(demo.velocities[inner, 3:5], 0.0, atol=1e-9)
-        np.testing.assert_allclose(demo.accelerations[inner, 3:], 0.0, atol=1e-4)
+        np.testing.assert_allclose(steps.vel[inner, 5], w, atol=1e-6)
+        np.testing.assert_allclose(steps.vel[inner, 3:5], 0.0, atol=1e-9)
+        np.testing.assert_allclose(steps.acc[inner, 3:], 0.0, atol=1e-4)
 
     @staticmethod
     def spin_demo(degrees):
@@ -305,7 +385,7 @@ class TestPrepareDemonstration:
         quats = np.array([from_rotation_vector(np.array([0.0, 0.0, math.radians(degrees) * ti])) for ti in t])
         return Trajectory(t, np.zeros((201, 3)), quats)
 
-    def test_half_turn_from_goal_rejected(self, tmp_path, capsys):
+    def test_half_turn_from_goal_rejected(self, tmp_path, capsys, monkeypatch):
         # spun 200 deg about z, the demo starts 160 deg from its goal and
         # passes 180 deg at t = 0.1 s, where the shortest-arc chart jumps
         with pytest.raises(ValueError, match=r"passes a half turn from its goal orientation at t = 0\.(099|1)\d* s"):
@@ -315,23 +395,29 @@ class TestPrepareDemonstration:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "passes a half turn" in err and "Traceback" not in err
         # 170 deg never leaves the chart
-        assert prepare_demonstration(self.spin_demo(170.0)).coords[0, 5] == pytest.approx(-math.radians(170.0))
+        _, steps = fit_steps(monkeypatch, self.spin_demo(170.0))
+        assert steps.x[0, 5] == pytest.approx(-math.radians(170.0))
 
-    def test_too_few_samples_rejected(self):
+    def test_too_few_samples_rejected(self, monkeypatch):
         traj = Trajectory([0.0, 1.0], np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
         # the moving average over the derivatives needs one 5-sample window
-        assert len(prepare_demonstration(traj, dt=0.25).times) == 5
+        _, steps = fit_steps(monkeypatch, traj, dt=0.25)
+        assert len(steps.t) == 5
         for dt in (0.3, 0.6, 1.0):
             with pytest.raises(ValueError, match="of the 5 samples fitting needs"):
-                prepare_demonstration(traj, dt=dt)
+                fit_pose_dmp(traj, dt=dt)
 
     def test_rejects_too_short(self):
-        with pytest.raises(ValueError):
-            prepare_demonstration(Trajectory([0.0], np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            fit_pose_dmp(Trajectory([0.0], np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]]))
 
 
 class TestForcingTargets:
-    def test_zero_on_critically_damped_relaxation(self):
+    """The inversion of the transformation system along a demonstration, on
+    the intermediates fit_pose_dmp hands its private helpers; each test also
+    checks that the fitted weights regress exactly those targets."""
+
+    def test_zero_on_critically_damped_relaxation(self, monkeypatch):
         # the unforced transform system solves exactly to
         # y = g + (y0 - g)(1 - lam t) e^(lam t); inverting it must give ~0
         az, tau = 25.0, 1.0
@@ -342,13 +428,13 @@ class TestForcingTargets:
         shape = (1.0 - lam * t) * np.exp(lam * t)
         pos = g[None, :] + (y0 - g)[None, :] * shape[:, None]
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(t), 1))
-        demo = prepare_demonstration(Trajectory(t, pos, quats))
-        s, targets = compute_forcing_targets(demo, az, az / 4.0, ALPHA_S)
+        dmp, steps = fit_steps(monkeypatch, Trajectory(t, pos, quats), alpha_z=az)
+        _, targets = forcing_targets(dmp, steps)
         scale = az * (az / 4.0) * float(np.max(np.abs(g - y0)))
         inner = slice(5, -5)
         assert np.max(np.abs(targets[inner])) < 1e-3 * scale
 
-    def test_inversion_recovers_injected_forcing(self):
+    def test_inversion_recovers_injected_forcing(self, monkeypatch):
         # independent forward Euler simulation with a known forcing law,
         # then invert the recorded motion and compare
         az, bz, tau = 25.0, 6.25, 1.5
@@ -376,8 +462,8 @@ class TestForcingTargets:
         pos = np.zeros((len(ys), 3))
         pos[:, 0] = ys
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(ys), 1))
-        demo = prepare_demonstration(Trajectory(t, pos, quats))
-        s_k, targets = compute_forcing_targets(demo, az, bz, ALPHA_S)
+        dmp, steps = fit_steps(monkeypatch, Trajectory(t, pos, quats), alpha_z=az, beta_z=bz)
+        s_k, targets = forcing_targets(dmp, steps)
         inner = slice(5, -5)
         raw = targets[inner, 0]
         expect = np.array([injected(v) for v in s_k[inner]])
@@ -399,14 +485,6 @@ class TestForcingTargets:
             with pytest.raises(ValueError) as err:
                 fit_pose_dmp(demo, alpha_z=alpha_z)
         assert str(err.value) == text
-
-    def test_degenerate_demo_raises(self):
-        t = np.linspace(0.0, 1.0, 50)
-        pos = np.tile([0.1, 0.2, 0.3], (50, 1))
-        quats = np.tile([1.0, 0.0, 0.0, 0.0], (50, 1))
-        demo = prepare_demonstration(Trajectory(t, pos, quats))
-        with pytest.raises(DegenerateDemo):
-            compute_forcing_targets(demo, 25.0, 6.25, ALPHA_S)
 
 
 class TestRollout:
@@ -514,17 +592,35 @@ class TestRollout:
         assert ref.value.step == step
 
     @pytest.mark.parametrize(
-        "alpha_z, beta_z",
+        "alpha_z, beta_z, dt",
         [
-            (1e160, 2.5e159),  # alpha_z * beta_z overflows: c0 is inf
-            (1e160, 1e-300),  # finite coefficients, but h^2 overflows: a root at inf
+            (1e160, 2.5e159, 1e-3),  # alpha_z * beta_z overflows: c0 is inf
+            (1e160, 1e-300, 1e-3),  # finite coefficients, but h^2 overflows: a root at inf
+            (4000.0, 1000.0, 1e-3),  # alpha_z dt/tau = 4 at critical damping: a double root at -1
+            (500.0, 125.0, 1e-2),  # alpha_z dt/tau = 5: a double root at -1.5
         ],
+        ids=["c0-overflows", "root-overflows", "a-is-4", "a-is-5"],
     )
-    def test_non_finite_filter_diverges_at_step_one(self, alpha_z, beta_z):
-        # int(nan) in linear_scan's block size used to raise a bare ValueError
+    def test_unstable_filter_is_refused_before_step_one(self, alpha_z, beta_z, dt):
+        # such a filter once diverged at step 1 or later, or, from a start on
+        # its goal (as here), held the goal while its unit response overflowed
         dmp = replace(self.blowup_dmp(0.0, 0.0), alpha_z=alpha_z, beta_z=beta_z)
-        with pytest.raises(RolloutDiverged, match=r"^non-finite rollout state at step 1 \(t = 0\.001 s\)$"):
-            rollout(dmp)
+        text = (f"alpha_z must leave the Euler step at dt = {dt:.6g} s, tau = 1 s stable (both roots of its filter"
+                f" inside the unit circle), got {alpha_z!r} with beta_z = {beta_z!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                rollout(dmp, dt=dt)
+        assert str(err.value) == text
+        assert dmp_module._last_responses is None or dmp_module._last_responses[0] is not dmp
+
+    def test_stability_rule_edge(self):
+        # just inside a = 4 at critical damping the roots sit at -0.9995
+        dmp = replace(self.blowup_dmp(0.0, 0.0), alpha_z=3998.0, beta_z=999.5)
+        traj = rollout(dmp, goal=Pose(np.array([1e-3, 0.0, 0.0])))
+        assert np.all(np.isfinite(traj.positions))
+        with pytest.raises(ValueError, match="must leave the Euler step"):
+            rollout(replace(dmp, alpha_z=4000.0, beta_z=1000.0))
 
     def test_gain_below_rounding_holds_the_start(self):
         # alpha_z dt/tau under half an ulp of 2 rounds c1 to 2: a double root
@@ -590,7 +686,7 @@ class TestRowCap:
 
     def test_demonstration(self):
         traj = Trajectory([0.0, 1e4], np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
-        assert self.peak_bytes(lambda: prepare_demonstration(traj)) < 100_000
+        assert self.peak_bytes(lambda: fit_pose_dmp(traj)) < 100_000
         assert self.peak_bytes(lambda: fit_pose_dmp(smooth_demo(duration=1.0), dt=1e-9)) < 1_000_000
 
     def test_smooth_demo(self):
@@ -820,25 +916,6 @@ class TestResponseMemo:
             with pytest.warns(ForcingUnderflow, match="of 1501 phase samples"):
                 rollout(dmp)
         assert dmp_module._last_responses[0] is dmp
-
-    def test_axis_on_its_goal_stays_there_under_an_unstable_filter(self):
-        # alpha_z dt/tau = 5: h overflows, but e[0] = 0 and no forcing keep
-        # every axis at the goal; h * 0 would read 0 * inf as NaN
-        pose = Pose(np.array([0.1, -0.2, 0.3]), from_rotation_vector(np.array([0.1, 0.2, -0.3])))
-        centers, widths = basis_layout(50, ALPHA_S)
-        dmp = PoseDmp(alpha_s=ALPHA_S, alpha_z=500.0, beta_z=125.0, tau=1.0, centers=centers, widths=widths,
-                      weights=np.zeros((6, 50)), demo_start=pose, demo_goal=pose)
-        off_goal = Pose(pose.position + np.array([1e-3, 0.0, 0.0]), pose.orientation)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy overflow warning either way
-            traj = rollout(dmp, dt=0.01, horizon=30.0)
-            # one axis off its goal meets the overflowing h and diverges
-            with pytest.raises(RolloutDiverged):
-                rollout(dmp, goal=off_goal, dt=0.01, horizon=30.0)
-        assert len(traj) == 3001
-        assert np.all(traj.positions == traj.positions[0])
-        assert np.all(traj.orientations == traj.orientations[0])
-        assert np.max(np.abs(traj.positions[0] - pose.position)) < 1e-15
 
     def test_superposed_rows_match_one_scan(self):
         dmp = fit_pose_dmp(smooth_demo(duration=1.0, seed=5))

@@ -25,7 +25,6 @@ from lfdkit.vision import (
     check_visible,
     detection_range_sweep,
     fit_circle3d,
-    fit_plane,
     scene_from_dict,
     scene_to_dict,
     sweep_yaw_count,
@@ -176,39 +175,42 @@ class TestSynthesizeMask:
 
 
 class TestFitPlane:
+    """The plane step of fit_circle3d: its normal is the fitted axis,
+    oriented toward the camera at the origin."""
+
     def test_exact_horizontal_plane(self):
-        g = np.linspace(-0.1, 0.1, 7)
-        xx, yy = np.meshgrid(g, g)
-        pts = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.5)])
-        normal, d, rms = fit_plane(pts)
-        assert np.allclose(normal, [0, 0, -1.0], atol=1e-12)
-        assert d == pytest.approx(0.5, abs=1e-12)
-        assert rms < 1e-15
+        pts = arc_points(2 * math.pi, 24, radius=0.1) + [0.0, 0.0, 0.5 - RIM_CENTER[2]]
+        est = fit_circle3d(MaskSample(pts))
+        assert np.allclose(est.axis, [0, 0, -1.0], atol=1e-12)
+        assert est.center[2] == pytest.approx(0.5, abs=1e-12)
+        assert est.rms < 1e-15
 
     def test_three_points_fit_exactly(self):
         pts = np.array([[0.1, 0.0, 0.3], [0.0, 0.2, 0.35], [-0.1, -0.1, 0.28]])
-        _, _, rms = fit_plane(pts)
-        assert rms < 1e-12
+        est = fit_circle3d(MaskSample(pts))
+        assert est.rms < 1e-12
+        assert float(est.axis @ pts.mean(axis=0)) < 0  # toward the camera
+        np.testing.assert_allclose(np.linalg.norm(pts - est.center, axis=1), est.radius, rtol=1e-9)
 
     def test_collinear_points_rejected(self):
         t = np.linspace(0, 1, 10)
         pts = np.outer(t, [1.0, 2.0, 3.0]) + [0.0, 0.0, 0.5]
         with pytest.raises(ValueError, match="collinear"):
-            fit_plane(pts)
+            fit_circle3d(MaskSample(pts))
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            fit_plane(np.zeros((2, 3)))
+        # a plane needs three points: one point or none is refused before the fit
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least 3"):
+                fit_circle3d(MaskSample(np.zeros((n, 3))))
 
     def test_noisy_plane_recovery(self):
-        rng = np.random.default_rng(11)
-        pts = np.column_stack(
-            [rng.uniform(-0.05, 0.05, 200), rng.uniform(-0.05, 0.05, 200), np.full(200, 0.24)]
-        )
-        pts[:, 2] += rng.normal(scale=5e-4, size=200)
-        normal, d, rms = fit_plane(pts)
-        assert 3e-4 < rms < 7e-4
-        angle = math.acos(min(1.0, abs(float(normal @ [0, 0, 1]))))
+        # a 40 mm rim with 0.5 mm of noise across its plane
+        pts = arc_points(2 * math.pi, 200, radius=0.04)
+        pts[:, 2] += np.random.default_rng(11).normal(scale=5e-4, size=200)
+        est = fit_circle3d(MaskSample(pts))
+        assert 3e-4 < est.rms < 7e-4
+        angle = math.acos(min(1.0, abs(float(est.axis @ [0, 0, 1]))))
         assert math.degrees(angle) < 1.0
 
 
