@@ -17,7 +17,9 @@ the scalar contact loop is compared too (its config is written alongside);
 ``localize --seed 1``; ``fit`` and ``rollout`` of the taught
 demo, scored against it by ``metrics``; two trials that end FAILED, one aborted after
 the insertion (its event script is written into each output directory)
-and one on a hole the camera cannot see; and
+and one on a hole the camera cannot see; a batch of three trials that
+each walk that abort script, set as ``trial.events`` in its config
+(written alongside); and
 ``scripts/run_teaching_comparison.py --runs 2``. The two checkouts alternate
 command by command, the first of each pair switching every round, so a
 host that slows down for a while slows both. BLAS and OpenMP pools are
@@ -76,6 +78,8 @@ ABORT_EVENTS = "0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n4 m
 TEACH_NOISE = json.dumps({"teach": {"force_noise_std": 0.3, "torque_noise_std": 0.03}}) + "\n"
 # vision noise at which most trials of the batch bind on the hole wall or the chamfer
 CONTACT_BATCH = json.dumps({"seed": 0, "trial": {"n": 6, "noise_sigma": 0.002}}) + "\n"
+# a batch whose every trial walks the abort script
+ABORT_BATCH = json.dumps({"trial": {"n": 3, "events": "abort.events"}}) + "\n"
 # config files with one value out of range, written into each output directory
 BAD_CONFIGS = {
     "bad_trial_noise.json": {"trial": {"noise_sigma": -1}},
@@ -92,6 +96,9 @@ BAD_CONFIGS = {
     "bad_dmp_alpha_z_unstable.json": {"dmp": {"alpha_z": 17000}},  # an unstable Euler step at the trial's tau
     "bad_teach_waypoint_scale.json": {"teach": {"waypoint_scale": 1.7e308}},  # the waypoints overflow
     "bad_trial_noise_cap.json": {"trial": {"noise_sigma": 1e300}},  # the vision fit overflows
+    # the robot's tick and lag are ktc constants, no longer config keys
+    "bad_teach_rate.json": {"teach": {"rate": 100.0}},
+    "bad_teach_plant_time_constant.json": {"teach": {"plant_time_constant": 0.05}},
 }
 # a sweep config with the dropout out of range, written into each output directory
 BAD_SWEEP = {"sweep": {"dropout": 1.5}}
@@ -133,6 +140,8 @@ COMMANDS = {
     "trial --seed 3 --events abort.events": cli(
         "trial", "--seed", "3", "--events", "abort.events", out="trial_abort.json"),
     "trial --hole 2 --yaw-deg 80": cli("trial", "--hole", "2", "--yaw-deg", "80", out="trial_hidden.json"),
+    "batch --config abort_batch.json": cli(
+        "batch", "--config", "abort_batch.json", out="batch_abort.json", also=("batch_abort.csv",)),
     "run_teaching_comparison.py --runs 2": script(
         "run_teaching_comparison.py", "--runs", "2", "--out", "teach_cmp.json", writes=("teach_cmp.json",)),
 }
@@ -209,6 +218,7 @@ def main(argv=None) -> int:
             (out / "abort.events").write_text(ABORT_EVENTS)
             (out / "teach_noise.json").write_text(TEACH_NOISE)
             (out / "contact_batch.json").write_text(CONTACT_BATCH)
+            (out / "abort_batch.json").write_text(ABORT_BATCH)
             for name, doc in BAD_CONFIGS.items():
                 (out / name).write_text(json.dumps(doc) + "\n")
             (out / "bad_prim_alpha_z.json").write_text(json.dumps(BAD_PRIMITIVE) + "\n")

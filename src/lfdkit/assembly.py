@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dmp import MAX_ROWS, PoseDmp, RolloutDiverged, _replay, linear_scan, rollout_steps
-from .ktc import PLANT_TIME_CONSTANT
+from .ktc import plant_lag
 from .metrics import _position_jerk
 from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
 from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite_fields, _positive, fmt_float
@@ -450,9 +450,9 @@ def _run_plan(
     Returns the executed times, positions and attitudes, the attitudes in
     the plan's chart.
 
-    The plant is a first-order lag with time constant T. Each tick of
-    interval dt, the position closes the gap to the command by
-    a = 1 - exp(-dt/T), and so does the attitude in the plan's log chart
+    The plant is the robot's first-order lag. Each tick of interval dt, the
+    position closes the gap to the command by a = 1 - exp(lam), both from
+    ``ktc.plant_lag(dt)``, and so does the attitude in the plan's log chart
     e = log(q * conj(g)), the chart ``dmp.rollout`` replays in:
     e_r[k] = (1 - a) e_r[k-1] + a e_c[k]. Free motion of all six axes is
     then one linear scan over every tick. Contact never moves the attitude,
@@ -481,8 +481,7 @@ def _run_plan(
     lag[:3, :n_cmd] = cmd_positions.T
     lag[3:, :n_cmd] = cmd_e.T
     lag[:, n_cmd:] = lag[:, n_cmd - 1 : n_cmd]
-    lam = -dt / PLANT_TIME_CONSTANT
-    a = -math.expm1(lam)
+    lam, a = plant_lag(dt)
     lag[:, 1:] *= a
     linear_scan(lag[:, 1:], lam, lag[:, 0])
 
@@ -603,14 +602,16 @@ def execute_trial(
     )
 
 
-def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0) -> tuple[TrialResult, ...]:
-    """Independent seeded reruns of one scenario template.
+def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0,
+              events: Sequence[StepEvent] | None = None) -> tuple[TrialResult, ...]:
+    """Independent seeded reruns of one scenario template, each walking
+    ``events`` (the nominal stream when None) as :func:`execute_trial` does.
 
     Trial i runs with seed ``seed * 1000003 + i``, so any prefix of a batch
     reproduces on its own; the reduction is a plain ordered loop.
     """
     _check_trial_count(n)
-    return tuple(execute_trial(replace(template, seed=seed * 1000003 + i)) for i in range(n))
+    return tuple(execute_trial(replace(template, seed=seed * 1000003 + i), events) for i in range(n))
 
 
 def _num(x: float) -> float | None:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import asdict, replace
 from typing import Callable, Sequence
 
-from .assembly import batch_csv_text, batch_to_dict, execute_trial, parse_events, run_batch, trial_to_dict
+from .assembly import StepEvent, batch_csv_text, batch_to_dict, execute_trial, parse_events, run_batch, trial_to_dict
 from .config import RunConfig, load_config, save_config
 from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
 from .ktc import CONTROLLERS, simulate_demonstration
@@ -152,9 +152,7 @@ def _cmd_teach_sim(cfg: RunConfig, out: str) -> int:
     t = cfg.teach
     traj = simulate_demonstration(
         *default_teach_setup(t.controller, seed=cfg.seed, scale=t.waypoint_scale),
-        rate=t.rate,
         max_duration=t.max_duration,
-        plant_time_constant=t.plant_time_constant,
         force_noise_std=t.force_noise_std,
         torque_noise_std=t.torque_noise_std,
         seed=cfg.seed,
@@ -223,9 +221,14 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+def _trial_events(cfg: RunConfig) -> tuple[StepEvent, ...] | None:
+    """The event script ``trial.events`` names, or None for the nominal stream."""
+    path = cfg.trial.events
+    return None if path is None else parse_events(read_text(path), path)
+
+
 def _cmd_trial(cfg: RunConfig, out: str) -> int:
-    events = None if cfg.trial.events is None else parse_events(read_text(cfg.trial.events), cfg.trial.events)
-    result = execute_trial(scenario_from_config(cfg), events)
+    result = execute_trial(scenario_from_config(cfg), _trial_events(cfg))
     write_json(out, trial_to_dict(result))
     _finish(cfg, out)
     print(f"success={result.success!r}")
@@ -235,8 +238,7 @@ def _cmd_trial(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_batch(cfg: RunConfig, out: str) -> int:
-    template = scenario_from_config(cfg)
-    records = run_batch(template, n=cfg.trial.n, seed=cfg.seed)
+    records = run_batch(scenario_from_config(cfg), n=cfg.trial.n, seed=cfg.seed, events=_trial_events(cfg))
     doc = batch_to_dict(records)
     write_json(out, doc)
     csv_path = f"{out.removesuffix('.json')}.csv" if out.endswith(".json") else f"{out}.csv"

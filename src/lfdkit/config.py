@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .assembly import _PLAN_DT, TrialSection
-from .dmp import _check_stable, check_basis_layout, demo_steps, rollout_steps
-from .ktc import PLANT_TIME_CONSTANT, _check_controller, _check_teach_noise, _check_teach_timing, _check_waypoint_scale
+from .dmp import _check_stable, basis_layout, demo_steps, rollout_steps
+from .ktc import _check_controller, _check_teach_noise, _check_teach_timing, _check_waypoint_scale
 from .se3 import quat_normalize
 from .trajectory import ParseError, _at_least, _check_seed, _finite_fields, _positive, read_json, write_json
 from .vision import _check_corruption, _check_hole_id, _check_mask_points, sweep_yaw_count
@@ -61,7 +61,7 @@ class DmpSection:
         if self.beta_z is not None:
             _positive("beta_z", self.beta_z)
         _positive("dt", self.dt)
-        check_basis_layout(self.n_basis, self.alpha_s)
+        basis_layout(self.n_basis, self.alpha_s)
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,14 @@ class RolloutSection:
 @dataclass(frozen=True)
 class TeachSection:
     controller: str = "proposed"
-    rate: float = 100.0
     max_duration: float = 60.0
-    plant_time_constant: float = PLANT_TIME_CONSTANT
     force_noise_std: float = 0.0
     torque_noise_std: float = 0.0
     waypoint_scale: float = 0.12
 
     def __post_init__(self) -> None:
         _check_controller(self.controller)
-        _check_teach_timing(self.rate, self.max_duration, self.plant_time_constant)
+        _check_teach_timing(self.max_duration)
         _check_teach_noise(self.force_noise_std, self.torque_noise_std)
         _check_waypoint_scale(self.waypoint_scale)
         _finite_fields(self)

@@ -57,7 +57,6 @@ __all__ = [
     "ForcingUnderflow",
     "MAX_ROWS",
     "MAX_BASIS",
-    "check_basis_layout",
     "basis_layout",
     "grid_steps",
     "demo_steps",
@@ -91,35 +90,25 @@ class ForcingUnderflow(RuntimeWarning):
     """Every basis underflowed at the queried phase; forcing evaluated as 0."""
 
 
-def check_basis_layout(n_basis: int, alpha_s: float) -> None:
-    """Reject a layout of fewer than 2 or more than MAX_BASIS bases, an
-    alpha_s that is not positive and finite, or a layout whose smallest
-    center is not > 0 or whose narrowest gap, the last one, squares to an
-    infinite width; scalar arithmetic on the last two centers, so nothing of
-    size n_basis is allocated."""
-    _at_least("n_basis", n_basis, 2, MAX_BASIS)
-    _positive("alpha_s", alpha_s)
-    # the last two centers and the last width's denominator, op for op as
-    # basis_layout computes them
-    last = math.exp(-alpha_s * (n_basis - 1) / (n_basis - 1))
-    gap = last - math.exp(-alpha_s * (n_basis - 2) / (n_basis - 1))
-    twice_sq = 2.0 * (gap * gap)
-    if not (last > 0.0 and twice_sq > 0.0 and 1.0 / twice_sq < math.inf):
-        raise ValueError(
-            f"alpha_s must keep every basis center above 0 and width finite, got {alpha_s!r} at n_basis {n_basis}"
-        )
-
-
 def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Centers equally spaced in time (hence exponentially in phase) and the
     matching widths: c_i = exp(-alpha_s * i/(n-1)), h_i = 1/(2*(c_{i+1}-c_i)^2)
-    with the last width repeated; :func:`check_basis_layout` first."""
-    check_basis_layout(n_basis, alpha_s)
-    centers = np.exp(-alpha_s * np.arange(n_basis) / (n_basis - 1))
-    gaps = np.diff(centers)
-    widths = np.empty(n_basis)
-    widths[:-1] = 1.0 / (2.0 * gaps**2)
+    with the last width repeated. Refused: fewer than 2 or more than
+    MAX_BASIS bases, before anything is allocated; an alpha_s that is not
+    positive and finite; a last center that is not > 0, or an infinite
+    width, from a gap that squares to 0 (the last and narrowest for a large
+    alpha_s, any that rounds to 0 for a tiny one)."""
+    _at_least("n_basis", n_basis, 2, MAX_BASIS)
+    _positive("alpha_s", alpha_s)
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
+        centers = np.exp(-alpha_s * np.arange(n_basis) / (n_basis - 1))
+        widths = np.empty(n_basis)
+        widths[:-1] = 1.0 / (2.0 * np.diff(centers) ** 2)
     widths[-1] = widths[-2]
+    if not (centers[-1] > 0.0 and widths.max() < math.inf):
+        raise ValueError(
+            f"alpha_s must keep every basis center above 0 and width finite, got {alpha_s!r} at n_basis {n_basis}"
+        )
     return centers, widths
 
 

@@ -16,8 +16,9 @@ response above a lower kinetic level. The static-to-kinetic jump makes the
 tool lurch at every breakaway and arrest, which is what the comparison
 metrics pick up.
 
-Every parameter is a module constant; the controller name is the one
-switch, and :data:`CONTROLLERS` maps it to how hard the human grips.
+Every parameter is a module constant, the robot's tick (:data:`TEACH_RATE`)
+and lag (:data:`PLANT_TIME_CONSTANT`) among them; the controller name is the
+one switch, and :data:`CONTROLLERS` maps it to how hard the human grips.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ from .trajectory import Trajectory, _at_least, _positive
 __all__ = [
     "CONTROLLERS",
     "MAX_TEACH_STEPS",
+    "PLANT_TIME_CONSTANT",
+    "TEACH_RATE",
     "MIN_WAYPOINT_SCALE",
     "MAX_WAYPOINT_SCALE",
     "TeachTimeout",
     "ktc_step",
     "native_drive_step",
+    "plant_lag",
     "plant_step",
     "simulate_demonstration",
 ]
@@ -75,11 +79,13 @@ _ROT_STIFFNESS = 50.0
 _ROT_DAMPING = 1.0
 _CAPTURE_RADIUS = 0.006
 
-# time constant (s) of the position-controlled robot's first-order lag, in
-# teaching and in trial execution alike
+# the one robot that is taught and that executes: its controller rate (Hz),
+# fixed since the gains above act once per tick and would rescale with it,
+# and the time constant (s) of its position lag, discretized by plant_lag
+TEACH_RATE = 100.0
 PLANT_TIME_CONSTANT = 0.05
 
-MAX_TEACH_STEPS = 360_000  # teach ticks one demonstration logs, a row each: an hour at 100 Hz
+MAX_TEACH_STEPS = 360_000  # teach ticks one demonstration logs, a row each: an hour at TEACH_RATE
 
 # the span in m of a taught waypoint path: twice the capture radius at least,
 # or the tool starts within capture of every waypoint and the demonstration
@@ -97,14 +103,13 @@ def _check_controller(controller: str) -> None:
         raise ValueError(f"controller must be {names}, got {controller!r}")
 
 
-def _check_teach_timing(rate: float, max_duration: float, plant_time_constant: float) -> None:
-    """The teach timing rule: each value positive, and at most MAX_TEACH_STEPS
-    ticks, ``max_duration * rate``."""
-    _positive("rate", rate)
+def _check_teach_timing(max_duration: float) -> None:
+    """The teach timing rule: a positive duration of at most MAX_TEACH_STEPS
+    ticks, ``max_duration * TEACH_RATE``."""
     _positive("max_duration", max_duration)
-    _positive("plant_time_constant", plant_time_constant)
-    if not max_duration * rate <= MAX_TEACH_STEPS:
-        raise ValueError(f"max_duration * rate = {max_duration * rate:.6g} teach steps exceeds {MAX_TEACH_STEPS}")
+    steps = max_duration * TEACH_RATE
+    if not steps <= MAX_TEACH_STEPS:
+        raise ValueError(f"max_duration * TEACH_RATE = {steps:.6g} teach steps exceeds {MAX_TEACH_STEPS}")
 
 
 def _check_teach_noise(force_noise_std: float, torque_noise_std: float) -> None:
@@ -168,22 +173,27 @@ def ktc_step(x_r: tuple[float, ...], f: tuple[float, ...]) -> tuple[float, ...]:
     )
 
 
-def plant_step(
-    x_r: tuple[float, ...], u: tuple[float, ...], dt: float, time_constant: float = PLANT_TIME_CONSTANT
-) -> tuple[float, ...]:
+def plant_lag(dt: float) -> tuple[float, float]:
+    """The robot's first-order lag over one tick of ``dt`` s (positive and
+    finite): its log rate lam = -dt/T and the share a = 1 - exp(lam) of the
+    gap to the command that the tick closes, T = PLANT_TIME_CONSTANT."""
+    _positive("dt", dt)
+    lam = -dt / PLANT_TIME_CONSTANT
+    return lam, -math.expm1(lam)
+
+
+def plant_step(x_r: tuple[float, ...], u: tuple[float, ...], dt: float) -> tuple[float, ...]:
     """One tick of the position-controlled robot, a first-order lag from the
-    reached state x_r toward the command u: with a = 1 - exp(-dt/T), the
-    position closes the gap to the commanded one by a, and the attitude turns
-    by exp(a*v) * q_r, in exact arithmetic the slerp toward exp(v) * q_r. A
-    zero increment v leaves q_r as it is.
+    reached state x_r toward the command u: with a from :func:`plant_lag`,
+    the position closes the gap to the commanded one by a, and the attitude
+    turns by exp(a*v) * q_r, in exact arithmetic the slerp toward
+    exp(v) * q_r. A zero increment v leaves q_r as it is.
 
     The state is a float tuple ``(px, py, pz, qw, qx, qy, qz)`` holding a unit
     quaternion as ``Pose.orientation`` holds it, and so is the result; the
     command ``(cx, cy, cz, vx, vy, vz)`` holds the position and the full-angle
     rotation increment v, |v| below pi."""
-    _positive("dt", dt)
-    _positive("time_constant", time_constant)
-    a = 1.0 - math.exp(-dt / time_constant)
+    a = plant_lag(dt)[1]
     px, py, pz, qw, qx, qy, qz = x_r
     cx, cy, cz, vx, vy, vz = u
     if vx != 0.0 or vy != 0.0 or vz != 0.0:
@@ -214,14 +224,12 @@ def _log(rows: array) -> Trajectory:
 def simulate_demonstration(
     waypoints: Sequence[Pose],
     controller: str,
-    rate: float = 100.0,
     max_duration: float = 60.0,
-    plant_time_constant: float = PLANT_TIME_CONSTANT,
     force_noise_std: float = 0.0,
     torque_noise_std: float = 0.0,
     seed: int = 0,
 ) -> Trajectory:
-    """Run the teach loop at the control rate and return the logged
+    """Run the teach loop at TEACH_RATE and return the logged
     demonstration (poses plus the wrench the human actually applied).
 
     A hand point moves along the waypoints with bounded speed and
@@ -242,14 +250,14 @@ def simulate_demonstration(
     :func:`plant_step` takes; orientations use the ``se3`` ``*_wxyz`` kernels.
     """
     _check_controller(controller)
-    _check_teach_timing(rate, max_duration, plant_time_constant)
+    _check_teach_timing(max_duration)
     _check_teach_noise(force_noise_std, torque_noise_std)
     # each waypoint's position and attitude, split once
     goals = [(p.position.tolist(), p.orientation) for p in waypoints]
     if not goals:
         raise ValueError("need at least one waypoint")
     n_goals = len(goals)
-    h = 1.0 / rate
+    h = 1.0 / TEACH_RATE
     rng = np.random.default_rng(seed)
     noisy = force_noise_std > 0 or torque_noise_std > 0
     admittance = controller == "proposed"
@@ -261,7 +269,7 @@ def simulate_demonstration(
     rot_step = _HAND_ROT_SPEED * h
     k_grip, d_grip = _GRIP_STIFFNESS, _GRIP_DAMPING
     k_rot, d_rot = _ROT_STIFFNESS, _ROT_DAMPING
-    turn = 1.0 - math.exp(-h / plant_time_constant)  # plant_step turns by a * v
+    turn = plant_lag(h)[1]  # plant_step turns by turn * v
 
     (hx, hy, hz), hand_q = goals[0]
     x_r = (hx, hy, hz, *hand_q)
@@ -276,7 +284,7 @@ def simulate_demonstration(
     rows = array("d")
     target = 0
     k = 0
-    n_steps = int(math.ceil(max_duration * rate))
+    n_steps = int(math.ceil(max_duration * TEACH_RATE))
 
     while True:
         t = k * h
@@ -353,7 +361,7 @@ def simulate_demonstration(
         else:
             u, sliding, spinning = native_drive_step(x_r, sensed, sliding, spinning)
         prev_x, prev_y, prev_z = px, py, pz
-        x_r = plant_step(x_r, u, h, plant_time_constant)
+        x_r = plant_step(x_r, u, h)
         vx, vy, vz = u[3], u[4], u[5]
         if vx != 0.0 or vy != 0.0 or vz != 0.0:  # else plant_step kept the attitude
             conj_r = None

@@ -314,6 +314,39 @@ class TestTrialBatch:
         assert code == 0, err
         assert len(out.read_text().splitlines()) == 1 + 17 * 3
 
+    def test_batch_walks_the_event_script(self, capsys, tmp_path):
+        # the nominal stream with its last pedal press replaced by an abort
+        steps = tmp_path / "abort.events"
+        steps.write_text("0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n4 motion_done\n5 abort\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trial": {"n": 3, "events": str(steps)}}))
+        out = tmp_path / "batch.json"
+        code, text, err = run(capsys, "batch", "--seed", 3, "--config", cfg, "--out", out)
+        assert code == 0, err
+        assert text == "success_rate=0.0\n"
+        doc = json.loads(out.read_text())
+        assert doc["failure_reasons"] == {"aborted": 3}
+        assert [t["events"][-1] for t in doc["trials"]] == [[5.0, "abort"]] * 3
+        code, text, err = run(capsys, "trial", "--seed", 3, "--config", cfg, "--out", tmp_path / "trial.json")
+        assert code == 0, err
+        assert text == "success=False\nreason=aborted\n"
+
+    @pytest.mark.parametrize("script, status", [(None, 1), ("0 pedal_press\n1 knee_press\n", 2)],
+                             ids=["missing", "malformed"])
+    def test_batch_refuses_an_event_script_as_trial_does(self, capsys, tmp_path, script, status):
+        steps = tmp_path / "steps.events"
+        if script is not None:
+            steps.write_text(script)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trial": {"n": 2, "events": str(steps)}}))
+        errs = []
+        for command in ("trial", "batch"):
+            code, text, err = run(capsys, command, "--config", cfg, "--out", tmp_path / "out" / f"{command}.json")
+            assert (code, text) == (status, "")
+            errs.append(err)
+        assert errs[0] == errs[1] and errs[0].count("\n") == 1 and str(steps) in errs[0]
+        assert not (tmp_path / "out").exists()
+
     def test_batch_rejects_n_zero(self, capsys, tmp_path):
         code, _, err = run(capsys, "batch", "--n", 0, "--out", tmp_path / "x.json")
         assert code == 1

@@ -6,7 +6,7 @@ import math
 import re
 import types
 import typing
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from lfdkit.assembly import _PLAN_DT, MAX_TRIALS, run_batch
 from lfdkit.cli import main
-from lfdkit.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
-from lfdkit.dmp import MAX_BASIS, MAX_ROWS, check_basis_layout, rollout_steps
-from lfdkit.ktc import MAX_TEACH_STEPS, MAX_WAYPOINT_SCALE, MIN_WAYPOINT_SCALE, simulate_demonstration
+from lfdkit.config import RunConfig, TeachSection, config_from_dict, config_to_dict, load_config, save_config
+from lfdkit.dmp import MAX_BASIS, MAX_ROWS, basis_layout, rollout_steps
+from lfdkit.ktc import MAX_TEACH_STEPS, MAX_WAYPOINT_SCALE, MIN_WAYPOINT_SCALE, TEACH_RATE, simulate_demonstration
 from lfdkit.presets import default_scenario, default_teach_setup, demo_pose_waypoints
 from lfdkit.trajectory import ParseError
 from lfdkit.vision import MAX_MASK_POINTS, MAX_NOISE_SIGMA, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count
@@ -115,6 +115,26 @@ class TestRejection:
             config_from_dict({"dmp": {"gate_mode": "phase-gated"}})
         assert err.value.field == "dmp.gate_mode"
 
+    @pytest.mark.parametrize("key, value", [("rate", 100.0), ("plant_time_constant", 0.05)])
+    def test_retired_teach_key_is_unknown(self, capsys, tmp_path, key, value):
+        # the robot's tick and lag are ktc constants; every resolved config
+        # written while they were settable carries both keys
+        with pytest.raises(ParseError, match="unknown key") as err:
+            config_from_dict({"teach": {key: value}})
+        assert err.value.field == f"teach.{key}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"teach": {key: value}}))
+        code = main(["teach-sim", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {cfg}:0: field 'teach.{key}': unknown key\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_teach_section_holds_no_robot_constant(self):
+        assert [f.name for f in fields(TeachSection)] == [
+            "controller", "max_duration", "force_noise_std", "torque_noise_std", "waypoint_scale"
+        ]
+
     def test_integer_past_the_float_range(self):
         # a plain, an optional and a tuple float field report the same rule
         for section, key, value in [
@@ -129,8 +149,6 @@ class TestRejection:
 
 # (section, key, out-of-range value, the rule the error states)
 OUT_OF_RANGE = [
-    ("teach", "plant_time_constant", 0, "must be positive"),
-    ("teach", "rate", 0, "must be positive"),
     ("teach", "max_duration", -1.0, "must be positive"),
     ("teach", "force_noise_std", -0.1, "must be at least 0"),
     ("teach", "torque_noise_std", -0.1, "must be at least 0"),
@@ -170,6 +188,9 @@ OUT_OF_RANGE = [
     # or the last center itself does (1000)
     ("dmp", "alpha_s", 400, "must keep every basis center above 0 and width finite"),
     ("dmp", "alpha_s", 1000, "must keep every basis center above 0 and width finite"),
+    # or two neighbouring centers round onto one float: the fit and the
+    # trial warned and failed, the fit writing no primitive
+    ("dmp", "alpha_s", 3e-15, "must keep every basis center above 0 and width finite"),
     # below the floor every waypoint lies within capture of the start, and a
     # taught demonstration is a single sample that metrics cannot score
     ("teach", "waypoint_scale", -0.12, f"must be at least {MIN_WAYPOINT_SCALE}"),
@@ -209,8 +230,8 @@ class TestRanges:
             config_from_dict({"rollout": {"start": [0, 0, 0, 1e200, 0, 0, 0]}})
 
     def test_nan_is_out_of_range(self):
-        with pytest.raises(ParseError, match="rate must be positive"):
-            config_from_dict({"teach": {"rate": float("nan")}})
+        with pytest.raises(ParseError, match="max_duration must be positive"):
+            config_from_dict({"teach": {"max_duration": float("nan")}})
 
     def test_boundary_values_accepted(self):
         cfg = config_from_dict(
@@ -362,10 +383,11 @@ class TestBounds:
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_teach_steps_are_capped(self):
-        at_cap = MAX_TEACH_STEPS / 100.0
+        at_cap = MAX_TEACH_STEPS / TEACH_RATE
+        assert at_cap == 3600.0
         assert config_from_dict({"teach": {"max_duration": at_cap}}).teach.max_duration == at_cap
         with pytest.raises(ParseError, match=f"teach steps exceeds {MAX_TEACH_STEPS}") as err:
-            config_from_dict({"teach": {"max_duration": at_cap, "rate": 100.5}})
+            config_from_dict({"teach": {"max_duration": 3600.01}})
         assert err.value.field == "teach"
 
 
@@ -515,17 +537,16 @@ ONE_RULE = [
                  "plan_overtravel must be at least 0, got -0.001", id="plan_overtravel"),
     pytest.param({"trial": {"tilt_tol_deg": 0}}, lambda sc: _trial(sc, tilt_tol_deg=0.0),
                  "tilt_tol_deg must be positive, got 0.0", id="tilt_tol_deg"),
-    pytest.param({"dmp": {"n_basis": 1}}, lambda sc: check_basis_layout(1, 25.0 / 3.0),
+    pytest.param({"dmp": {"n_basis": 1}}, lambda sc: basis_layout(1, 25.0 / 3.0),
                  "n_basis must be at least 2, got 1", id="n_basis"),
-    pytest.param({"dmp": {"alpha_s": math.nan}}, lambda sc: check_basis_layout(50, math.nan),
+    pytest.param({"dmp": {"alpha_s": math.nan}}, lambda sc: basis_layout(50, math.nan),
                  "alpha_s must be positive, got nan", id="alpha_s"),
-    pytest.param({"dmp": {"alpha_s": math.inf}}, lambda sc: check_basis_layout(50, math.inf),
+    pytest.param({"dmp": {"alpha_s": math.inf}}, lambda sc: basis_layout(50, math.inf),
                  "alpha_s must be finite, got inf", id="alpha_s-inf"),
     pytest.param({"rollout": {"tau": 0}}, lambda sc: rollout_steps(0.0, 1e-3), "tau must be positive, got 0.0",
                  id="rollout-tau"),
     pytest.param({"rollout": {"horizon": -1}}, lambda sc: rollout_steps(1.0, 1e-3, -1.0),
                  "horizon must be at least 0, got -1.0", id="rollout-horizon"),
-    pytest.param({"teach": {"rate": 0}}, lambda sc: _teach(rate=0.0), "rate must be positive, got 0.0", id="rate"),
     pytest.param({"teach": {"waypoint_scale": 0}}, lambda sc: demo_pose_waypoints(scale=0.0),
                  f"waypoint_scale must be at least {MIN_WAYPOINT_SCALE}, got 0.0", id="waypoint_scale"),
     pytest.param({"teach": {"waypoint_scale": math.inf}}, lambda sc: default_teach_setup("native", scale=math.inf),
@@ -541,7 +562,7 @@ ONE_RULE = [
                  lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, tolerance=0.0),
                  "tolerance must be positive, got 0.0", id="tolerance-detection_range_sweep"),
     pytest.param({"teach": {"max_duration": 3600.01}}, lambda sc: _teach(max_duration=3600.01),
-                 f"max_duration * rate = 360001 teach steps exceeds {MAX_TEACH_STEPS}", id="teach-steps"),
+                 f"max_duration * TEACH_RATE = 360001 teach steps exceeds {MAX_TEACH_STEPS}", id="teach-steps"),
     pytest.param({"sweep": {"start_deg": 10.0, "stop_deg": -10.0}},
                  lambda sc: sweep_yaw_count(0.1, -0.1, 0.01, "step_deg", start_name="start_deg", stop_name="stop_deg"),
                  "stop_deg must be at least start_deg", id="sweep-order"),
@@ -666,7 +687,7 @@ def _derived_sizes(cfg: RunConfig) -> dict:
         # samples x bases, in the fit's regression and in the plan's rollout
         "trial fit activations": (fit_rows * cfg.dmp.n_basis, MAX_ROWS * MAX_BASIS),
         "trial plan activations": (plan_rows * cfg.dmp.n_basis, MAX_ROWS * MAX_BASIS),
-        "teach ticks": (math.ceil(cfg.teach.max_duration * cfg.teach.rate), MAX_TEACH_STEPS),
+        "teach ticks": (math.ceil(cfg.teach.max_duration * TEACH_RATE), MAX_TEACH_STEPS),
         "sweep yaws": (math.floor(span / math.radians(sw.step_deg) + 1e-9) + 1, MAX_SWEEP_YAWS),
     }
     if r.tau is not None:

@@ -1,9 +1,10 @@
 """Extreme config values through ``cli.main``, one field at a time.
 
 Each case starts from a small runnable config, sets one field (a config
-section's field, the seed, or a leaf of the inline scene) to one of the
-values below, and runs the command that field feeds, in process. Whatever
-the value, the run must keep the error contract: exit 0, 1 or 2, at most one
+section's field or a key it once had, the seed, or a leaf of the inline
+scene) to one of the values below, and runs the command that field feeds,
+in process. Whatever the value, the run must keep the error contract:
+exit 0, 1 or 2, at most one
 ``error:`` line on stderr, and no warning but ``ForcingUnderflow`` (matched
 exactly, as it is a ``RuntimeWarning`` subclass, like numpy's floating-point
 warnings).
@@ -57,11 +58,14 @@ def scene_paths(doc, path=("scene",)):
         yield path + (0,)
 
 
+# the keys resolved configs carried while the robot's tick and lag were teach settings
+RETIRED = [("teach", "rate"), ("teach", "plant_time_constant")]
+
 FIELDS = [("seed",)] + [
     (section, key)
     for section, cls in typing.get_type_hints(RunConfig).items() if section not in ("seed", "scene")
     for key in typing.get_type_hints(cls)
-] + list(scene_paths(SCENE))
+] + RETIRED + list(scene_paths(SCENE))
 
 
 

@@ -43,8 +43,8 @@ from lfdkit.dmp import (
     _forcing_profile,
     _moving_average,
     _second_order_scan,
+    _scan_rates,
     basis_layout,
-    check_basis_layout,
     dmp_from_dict,
     dmp_to_dict,
     fit_pose_dmp,
@@ -135,22 +135,34 @@ class TestBasisLayout:
     def test_underflowing_layout_rejected(self, n_basis, edge):
         centers, widths = basis_layout(n_basis, edge)
         assert centers[-1] > 0 and np.all(np.isfinite(widths))
-        for alpha_s in (edge + 0.01, 1000.0):
-            with pytest.raises(ValueError, match="alpha_s must keep every basis center above 0 and width finite"):
-                basis_layout(n_basis, alpha_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the layout's own underflow and overflow stay silent
+            for alpha_s in (edge + 0.01, 1000.0, 1e300):
+                with pytest.raises(ValueError, match="alpha_s must keep every basis center above 0 and width finite"):
+                    basis_layout(n_basis, alpha_s)
         # the config's text for it
         with pytest.raises(ValueError, match="^alpha_s must be finite, got inf$"):
             basis_layout(n_basis, math.inf)
 
     def test_check_allocates_nothing_of_size_n_basis(self):
-        check_basis_layout(MAX_BASIS, ALPHA_S)
+        # the count is refused before the layout, of at most MAX_BASIS entries, is built
+        basis_layout(MAX_BASIS, ALPHA_S)
         with pytest.raises(ValueError, match="width finite"):
-            check_basis_layout(MAX_BASIS, 400.0)
+            basis_layout(MAX_BASIS, 400.0)
         for n_basis in (MAX_BASIS + 1, 10**15):
             with pytest.raises(ValueError, match=f"n_basis must be at most {MAX_BASIS}"):
-                check_basis_layout(n_basis, ALPHA_S)
-            with pytest.raises(ValueError, match=f"n_basis must be at most {MAX_BASIS}"):
                 basis_layout(n_basis, ALPHA_S)
+
+    # all but the last were accepted while only the last gap was checked
+    @pytest.mark.parametrize("n_basis, alpha_s", [(5, 3e-16), (10, 3e-16), (10, 5e-16), (3, 1e-300)])
+    def test_gap_that_rounds_to_zero_rejected(self, n_basis, alpha_s):
+        # exp rounds two neighbouring centers of a tiny alpha_s onto one
+        # float, and that basis width is infinite
+        assert np.any(np.diff(np.exp(-alpha_s * np.arange(n_basis) / (n_basis - 1))) == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha_s must keep every basis center above 0 and width finite"):
+                basis_layout(n_basis, alpha_s)
 
 
 class TestEvalForcing:
@@ -830,6 +842,23 @@ class TestEulerTranslationScan:
         assert not np.all(np.isfinite(got[first]))
         finite = np.max(np.abs(want[:first]))
         assert np.max(np.abs(got[:first] - want[:first])) <= 1e-11 * finite
+
+    def test_growing_root_of_a_stable_filter(self):
+        # a slow, barely damped filter passes _check_stable, but its b (about
+        # 1e-29) is lost when c0 is rounded, so one scanned root lies just
+        # outside the unit circle and linear_scan anchors its blocks at the
+        # first sample; the rollout still follows the per-step recurrence
+        alpha_z, beta_z = 0.001, 1e-20
+        lam2 = _scan_rates(*euler_coefficients(alpha_z, beta_z, 1e-3))[1]
+        assert lam2.real > 0.0
+        centers, widths = basis_layout(50, ALPHA_S)
+        dmp = PoseDmp(alpha_s=ALPHA_S, alpha_z=alpha_z, beta_z=beta_z, tau=1.0, centers=centers, widths=widths,
+                      weights=np.full((6, 50), 50.0), demo_start=ORIGIN, demo_goal=ORIGIN)
+        goal = Pose(np.array([0.1, -0.2, 0.05]))
+        traj = rollout(dmp, start=ORIGIN, goal=goal)
+        _, want = reference_coords(dmp, ORIGIN, goal)
+        assert np.max(np.abs(want[:, :3])) > 8.0
+        assert np.max(np.abs(traj.positions - want[:, :3])) <= 1e-9
 
     def test_huge_forcing_overflows_no_sooner_than_the_recurrence(self):
         # decaying roots (0.8, double) over blocks of hundreds of steps: no

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdkit import ktc
-from lfdkit.ktc import CONTROLLERS, TeachTimeout, ktc_step, native_drive_step, plant_step, simulate_demonstration
+from lfdkit.ktc import CONTROLLERS, TeachTimeout, ktc_step, native_drive_step, plant_lag, plant_step
+from lfdkit.ktc import simulate_demonstration
 from lfdkit.metrics import jerk_metrics
 from lfdkit.presets import default_teach_setup
 from lfdkit.se3 import (
@@ -155,10 +156,15 @@ class TestNativeDrive:
         assert not sliding
 
 
-def reference_plant_step(x_r: Pose, x_c: Pose, dt: float, time_constant: float) -> Pose:
+def lag_gain(dt: float) -> float:
+    """The share of the gap one plant tick of ``dt`` closes, 1 - exp(-dt/T)."""
+    return -math.expm1(-dt / ktc.PLANT_TIME_CONSTANT)
+
+
+def reference_plant_step(x_r: Pose, x_c: Pose, dt: float) -> Pose:
     """The plant as a function of two poses, with slerp spelled out through
     the float-tuple quaternion kernels."""
-    a = 1.0 - math.exp(-dt / time_constant)
+    a = lag_gain(dt)
     pos = x_r.position + a * (x_c.position - x_r.position)
     qr, qc = x_r.orientation, x_c.orientation
     if qc == qr:
@@ -190,32 +196,41 @@ increments = st.one_of(
 
 
 class TestPlantStep:
+    def test_one_tick_closes_the_lag_share_of_the_gap(self):
+        # the share plant_lag gives execution is the one a teach tick closes
+        for dt in (1e-3, 1.0 / ktc.TEACH_RATE, 0.05):
+            lam, a = plant_lag(dt)
+            assert lam == -dt / ktc.PLANT_TIME_CONSTANT and a == -math.expm1(lam)
+            got = plant_step(REST, plant_command([1.0, -2.0, 0.5], (0.0, 0.0, 1.2)), dt)
+            assert got[:3] == (a, a * -2.0, a * 0.5)
+            assert got[3:] == quat_mul_wxyz(from_rotation_vector((0.0, 0.0, a * 1.2)), REST[3:])
+
     def test_five_time_constants(self):
-        T = 0.05
+        T = ktc.PLANT_TIME_CONSTANT
         dt = 1e-3
         x_r, u = REST, plant_command([1.0, 0.0, 0.0])
         for _ in range(int(round(5 * T / dt))):
-            x_r = plant_step(x_r, u, dt, T)
+            x_r = plant_step(x_r, u, dt)
         gap = 1.0 - x_r[0]
         assert gap == pytest.approx(math.exp(-5.0), rel=1e-9)
 
     def test_ramp_lag_is_time_constant_times_rate(self):
-        T = 0.05
+        T = ktc.PLANT_TIME_CONSTANT
         dt = 1e-3
         rate = 0.2
         x_r = REST
         lag = None
         for k in range(3000):
             cmd = plant_command([rate * k * dt, 0.0, 0.0])
-            x_r = plant_step(x_r, cmd, dt, T)
+            x_r = plant_step(x_r, cmd, dt)
             lag = cmd[0] - x_r[0]
         assert lag == pytest.approx(T * rate, rel=0.02)
 
     def test_orientation_moves_along_geodesic(self):
-        T = 0.1
+        dt = 0.5 * ktc.PLANT_TIME_CONSTANT
         q_goal = from_rotation_vector([0.0, 0.0, 1.2])
-        stepped = plant_step(REST, plant_command(np.zeros(3), (0.0, 0.0, 1.2)), 0.05, T)[3:]
-        a = 1.0 - math.exp(-0.05 / T)
+        stepped = plant_step(REST, plant_command(np.zeros(3), (0.0, 0.0, 1.2)), dt)[3:]
+        a = lag_gain(dt)
         assert angle(stepped) == pytest.approx(a * 1.2, rel=1e-9)
         rv = np.array(rotation_vector_wxyz(stepped))
         assert np.allclose(rv / np.linalg.norm(rv), [0, 0, 1], atol=1e-12)
@@ -223,31 +238,32 @@ class TestPlantStep:
         x_r = REST
         for _ in range(200):
             r = rotation_vector_wxyz(quat_mul_wxyz(q_goal, quat_conj_wxyz(x_r[3:])))
-            x_r = plant_step(x_r, plant_command(np.zeros(3), r), 0.05, T)
+            x_r = plant_step(x_r, plant_command(np.zeros(3), r), dt)
         assert np.linalg.norm(relative_rotation_vector(q_goal, x_r[3:])) < 1e-6
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="^time_constant must be positive, got 0.0$"):
-            plant_step(REST, HOLD, 1e-3, 0.0)
-        with pytest.raises(ValueError, match="^dt must be positive, got 0.0$"):
-            plant_step(REST, HOLD, 0.0)
-        with pytest.raises(ValueError, match="^dt must be finite, got inf$"):
-            plant_step(REST, HOLD, math.inf)
-        with pytest.raises(ValueError, match="time_constant"):
-            simulate_demonstration(line_waypoints(), "proposed", plant_time_constant=0.0)
+        for step in (plant_lag, lambda dt: plant_step(REST, HOLD, dt)):
+            with pytest.raises(ValueError, match="^dt must be positive, got 0.0$"):
+                step(0.0)
+            with pytest.raises(ValueError, match="^dt must be positive, got nan$"):
+                step(math.nan)
+            with pytest.raises(ValueError, match="^dt must be finite, got inf$"):
+                step(math.inf)
         for bad, rule in ((math.inf, "finite"), (math.nan, "positive"), (-math.inf, "positive")):
             with pytest.raises(ValueError, match=f"^max_duration must be {rule}, got {bad}$"):
                 simulate_demonstration(line_waypoints(), "proposed", max_duration=bad)
 
-    @pytest.mark.parametrize("rate, max_duration", [(1e6, 60.0), (100.0, 3600.01)])
-    def test_teach_steps_capped_before_the_loop(self, monkeypatch, rate, max_duration):
-        # the config's cap: one logged row per tick, up to max_duration * rate
+    def test_teach_steps_capped_before_the_loop(self, monkeypatch):
+        # the config's cap: one logged row per tick, up to max_duration * TEACH_RATE
         def no_tick(*args):
             raise AssertionError("stepped")
 
         monkeypatch.setattr(ktc, "plant_step", no_tick)
         with pytest.raises(ValueError, match=f"teach steps exceeds {ktc.MAX_TEACH_STEPS}$"):
-            simulate_demonstration(line_waypoints(), "proposed", rate=rate, max_duration=max_duration)
+            simulate_demonstration(line_waypoints(), "proposed", max_duration=3600.01)
+        # an hour is the cap itself, so that run reaches its first tick
+        with pytest.raises(AssertionError, match="stepped"):
+            simulate_demonstration(line_waypoints(), "proposed", max_duration=ktc.MAX_TEACH_STEPS / ktc.TEACH_RATE)
 
     def test_a_teach_run_steps_the_plant_once_a_tick(self, monkeypatch):
         # the trace site ktc.plant_step.calls counts teach ticks through this
@@ -270,14 +286,14 @@ class TestPlantStep:
         q=raw_quats,
         keep_sign=st.booleans(),
         r=increments,
-        dt=st.floats(1e-4, 0.05),
-        time_constant=st.floats(1e-3, 1.0),
+        # dt/T over [1e-4, 50]
+        dt=st.floats(5e-6, 2.5),
     )
-    def test_turns_by_the_scaled_increment_bit_for_bit(self, p_r, p_c, q, keep_sign, r, dt, time_constant):
+    def test_turns_by_the_scaled_increment_bit_for_bit(self, p_r, p_c, q, keep_sign, r, dt):
         # keep_sign leaves w < 0 in place, as from_rotation_vector's outputs past a half turn do
         q_r = quat_normalize(*q, raw=keep_sign)
-        got = plant_step(state(p_r, q_r), plant_command(p_c, r), dt, time_constant)
-        a = 1.0 - math.exp(-dt / time_constant)
+        got = plant_step(state(p_r, q_r), plant_command(p_c, r), dt)
+        a = lag_gain(dt)
         assert got[:3] == tuple(p + a * (c - p) for p, c in zip(p_r, p_c))
         if r == (0.0, 0.0, 0.0):
             assert got[3:] == q_r
@@ -291,15 +307,14 @@ class TestPlantStep:
         q=raw_quats,
         keep_sign=st.booleans(),
         r=increments,
-        dt=st.floats(1e-4, 0.05),
-        time_constant=st.floats(1e-3, 1.0),
+        dt=st.floats(5e-6, 2.5),
     )
-    def test_agrees_with_the_slerp_plant(self, p_r, p_c, q, keep_sign, r, dt, time_constant):
+    def test_agrees_with_the_slerp_plant(self, p_r, p_c, q, keep_sign, r, dt):
         # the slerp toward exp(r) * q_r, with the command composed first
         q_r = quat_normalize(*q, raw=keep_sign)
         q_c = q_r if r == (0.0, 0.0, 0.0) else quat_mul_wxyz(from_rotation_vector(r), q_r)
-        want = reference_plant_step(Pose(p_r, q_r), Pose(p_c, q_c), dt, time_constant)
-        got = plant_step(state(p_r, q_r), plant_command(p_c, r), dt, time_constant)
+        want = reference_plant_step(Pose(p_r, q_r), Pose(p_c, q_c), dt)
+        got = plant_step(state(p_r, q_r), plant_command(p_c, r), dt)
         assert got[:3] == tuple(want.position.tolist())
         w, g = np.array(want.orientation), np.array(got[3:])
         assert min(np.max(np.abs(g - w)), np.max(np.abs(g + w))) <= 1e-12
@@ -316,12 +331,12 @@ def norm3(v) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_noise_std=0.0, seed=0, rate=100.0):
+def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_noise_std=0.0, seed=0):
     """The teach loop as it read with per-tick Pose objects and numpy
     wrenches, over the object maps (no timeout), with the parameters read
     from the ``ktc`` constants: each tick composes the commanded attitude,
     slerps toward it, and recomputes every rotation."""
-    h = 1.0 / rate
+    h = 1.0 / ktc.TEACH_RATE
     gain, deadband = np.array(ktc._GAIN), np.array(ktc._DEADBAND)
     force_saturation, torque_saturation = CONTROLLERS[controller]
     stretch_limit = 1.5 * force_saturation / ktc._GRIP_STIFFNESS
@@ -407,7 +422,7 @@ def reference_demonstration(waypoints, controller, force_noise_std=0.0, torque_n
         else:
             x_c, sliding, spinning = native_step(x_r, sensed, sliding, spinning)
         prev_pos, prev_q = x_r.position, x_r.orientation
-        x_r = reference_plant_step(x_r, x_c, h, ktc.PLANT_TIME_CONSTANT)
+        x_r = reference_plant_step(x_r, x_c, h)
         k += 1
     return Trajectory(
         times, [p.position for p in poses], [p.orientation for p in poses], wrenches

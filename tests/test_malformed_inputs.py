@@ -32,7 +32,7 @@ CONFIG = {
     "seed": 3,
     "dmp": {"n_basis": 20, "alpha_z": 25.0},
     "rollout": {"goal": [0.2, 0.1, 0.05, 1.0, 0.0, 0.0, 0.0], "horizon": 1.5},
-    "teach": {"controller": "native", "rate": 100.0},
+    "teach": {"controller": "native", "max_duration": 60.0},
     "trial": {"n": 2, "clearance": 5e-4},
 }
 
