@@ -19,7 +19,9 @@ demo, scored against it by ``metrics``; two trials that end FAILED, one aborted 
 the insertion (its event script is written into each output directory)
 and one on a hole the camera cannot see; a batch of three trials that
 each walk that abort script, set as ``trial.events`` in its config
-(written alongside); and
+(written alongside); a sweep with a ``--scene`` that lacks the hole its
+config's ``localize.hole_id`` names, then a rerun from its resolved config
+if it wrote one; and
 ``scripts/run_teaching_comparison.py --runs 2``. The two checkouts alternate
 command by command, the first of each pair switching every round, so a
 host that slows down for a while slows both. BLAS and OpenMP pools are
@@ -30,10 +32,10 @@ command's stdout and output files are compared byte for byte across the
 two checkouts; ``identical`` in the JSON records the result per command
 and file, any difference is printed, and the script exits 1 if there is
 one. Then each command of ``INVALID`` (a bad flag value of the CLI or of
-the teaching comparison, or a config or primitive file with one value out
-of range) runs once per checkout, untimed; it must exit
-non-zero, and its exit status and stderr must match across the two
-checkouts byte for byte. ``invalid`` in the JSON records both, and any
+the teaching comparison, a config or primitive file with one value out
+of range, or a trajectory whose resampling grid is past the row cap) runs
+once per checkout, untimed; it must exit non-zero, and its exit status
+and stderr must match across the two checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
 checkout, every sample, both git shas, the Python and numpy versions and
 the core count. Five repeats take under two minutes on a 2-vCPU host.
@@ -69,6 +71,25 @@ for _ in range(100):
     rollout(dmp, goal=Pose(dmp.demo_goal.position + shift, dmp.demo_goal.orientation))
 """
 
+# a sweep whose config sets localize.hole_id 2 on a --scene of the default
+# scene without hole 2, then its rerun from the resolved config, if the sweep
+# wrote one; prints each exit status
+SCENE_RERUN = """
+import json, os
+from lfdkit.cli import main
+from lfdkit.presets import default_bar_scene, default_camera
+from lfdkit.vision import scene_to_dict
+scene = scene_to_dict(default_bar_scene(), default_camera())
+del scene["bar"]["holes"][2]
+with open("two.json", "w") as fh:
+    json.dump(scene, fh)
+with open("c.json", "w") as fh:
+    json.dump({"localize": {"hole_id": 2}}, fh)
+print(main(["sweep", "--config", "c.json", "--scene", "two.json", "--out", "scene_sweep.csv"]))
+if os.path.exists("scene_sweep.csv.config.json"):
+    print(main(["sweep", "--config", "scene_sweep.csv.config.json", "--out", "scene_rerun.csv"]))
+"""
+
 CLI = [sys.executable, "-m", "lfdkit.cli"]
 
 
@@ -102,6 +123,10 @@ BAD_CONFIGS = {
 }
 # a sweep config with the dropout out of range, written into each output directory
 BAD_SWEEP = {"sweep": {"dropout": 1.5}}
+# a trajectory whose median dt of 1 ns resamples its 1e6 s into 1e15 samples,
+# written into each output directory
+NON_UNIFORM_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
+    f"{t},0,0,0,1,0,0,0\n" for t in ("0", "1e-9", "2e-9", "3e-9", "1e6"))
 # a two-basis primitive file with alpha_z out of range, written into each output directory
 _REST = {"position": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}
 BAD_PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
@@ -142,6 +167,8 @@ COMMANDS = {
     "trial --hole 2 --yaw-deg 80": cli("trial", "--hole", "2", "--yaw-deg", "80", out="trial_hidden.json"),
     "batch --config abort_batch.json": cli(
         "batch", "--config", "abort_batch.json", out="batch_abort.json", also=("batch_abort.csv",)),
+    "sweep --config c.json --scene two.json, rerun": ([sys.executable, "-c", SCENE_RERUN],
+                                                      ("scene_sweep.csv", "scene_sweep.csv.config.json")),
     "run_teaching_comparison.py --runs 2": script(
         "run_teaching_comparison.py", "--runs", "2", "--out", "teach_cmp.json", writes=("teach_cmp.json",)),
 }
@@ -157,6 +184,7 @@ INVALID = {
     "sweep --config bad_sweep_dropout.json": cli("sweep", "--config", "bad_sweep_dropout.json", out="bad.csv")[0],
     **{f"trial --config {name}": cli("trial", "--config", name, out="bad.json")[0] for name in BAD_CONFIGS},
     "rollout --dmp bad_prim_alpha_z.json": cli("rollout", "--dmp", "bad_prim_alpha_z.json", out="bad.csv")[0],
+    "metrics --traj non_uniform.csv": cli("metrics", "--traj", "non_uniform.csv", out="bad.json")[0],
     "run_teaching_comparison.py --first-seed -1": script(
         "run_teaching_comparison.py", "--first-seed", "-1", writes=())[0],
     "run_teaching_comparison.py --runs 0": script("run_teaching_comparison.py", "--runs", "0", writes=())[0],
@@ -223,6 +251,7 @@ def main(argv=None) -> int:
                 (out / name).write_text(json.dumps(doc) + "\n")
             (out / "bad_prim_alpha_z.json").write_text(json.dumps(BAD_PRIMITIVE) + "\n")
             (out / "bad_sweep_dropout.json").write_text(json.dumps(BAD_SWEEP) + "\n")
+            (out / "non_uniform.csv").write_text(NON_UNIFORM_CSV)
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

@@ -20,11 +20,10 @@ from .config import RunConfig, load_config, save_config
 from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
 from .ktc import CONTROLLERS, simulate_demonstration
 from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
-from .presets import default_teach_setup, scenario_from_config, scene_from_config
+from .presets import default_teach_setup, scenario_from_config
 from .se3 import Pose, quat_normalize
 from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json, write_text
-from .vision import NotDetectable, _check_hole_id, detection_range_sweep, fit_circle3d, hole_in_world
-from .vision import scene_from_dict, synthesize_mask
+from .vision import NotDetectable, detection_range_sweep, fit_circle3d, hole_in_world, synthesize_mask
 
 __all__ = ["main", "report_errors"]
 
@@ -98,20 +97,23 @@ _DOCUMENT_FLAGS = ("command", "config", "seed", "out", "scene")
 def _fold(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """``cfg`` with every flag given: ``--seed`` and ``--scene`` set the
     document, and each other flag sets the field of the command's section
-    that its dest names, in one replace so the section's rules see the
+    that its dest names, all in one replace so the config's rules see the
     final values."""
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "scene", None) is not None:
-        scene = read_json(args.scene)
-        scene_from_dict(scene, args.scene)
-        cfg = replace(cfg, scene=scene)
     flags = {k: v for k, v in vars(args).items() if k not in _DOCUMENT_FLAGS and v is not None}
     for name in ("start", "goal"):
         if name in flags:
             flags[name] = _seven(flags[name], f"--{name}")
     section = _COMMANDS[args.command][0]
-    return replace(cfg, **{section: replace(getattr(cfg, section), **flags)}) if flags else cfg
+    changes = {section: replace(getattr(cfg, section), **flags)} if flags else {}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    scene = getattr(args, "scene", None)
+    if scene is not None:
+        changes["scene"] = read_json(scene)
+    try:
+        return replace(cfg, **changes) if changes else cfg
+    except ParseError as exc:  # only the --scene file can be malformed
+        raise ParseError(scene, 0, exc.field, exc.message) from None
 
 
 def _finish(cfg: RunConfig, out: str) -> None:
@@ -166,10 +168,8 @@ def _cmd_teach_sim(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_localize(cfg: RunConfig, out: str) -> int:
-    scene, cam = scene_from_config(cfg)
+    scene, cam = cfg.scene_and_camera
     lo = cfg.localize
-    if lo.hole_id is not None:  # checked here: the loop below reads a failed mask as undetected
-        _check_hole_id(scene, lo.hole_id)
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
     lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m"]
     n_found = 0
@@ -194,7 +194,7 @@ def _cmd_localize(cfg: RunConfig, out: str) -> int:
 
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     sw = cfg.sweep
-    scene, cam = scene_from_config(cfg)
+    scene, cam = cfg.scene_and_camera
     rows, intervals = detection_range_sweep(
         scene,
         cam,

@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cached_property
+from typing import Any, Callable
 
 from .assembly import _PLAN_DT, TrialSection
 from .dmp import _check_stable, basis_layout, demo_steps, rollout_steps
 from .ktc import _check_controller, _check_teach_noise, _check_teach_timing, _check_waypoint_scale
 from .se3 import quat_normalize
 from .trajectory import ParseError, _at_least, _check_seed, _finite_fields, _positive, read_json, write_json
-from .vision import _check_corruption, _check_hole_id, _check_mask_points, sweep_yaw_count
+from .vision import BarScene, CameraModel, _check_corruption, _check_hole_id, _check_mask_points, scene_from_dict
+from .vision import scene_to_dict, sweep_yaw_count
 
 __all__ = [
     "DmpSection",
@@ -152,7 +154,11 @@ class MetricsSection:
 @dataclass(frozen=True)
 class RunConfig:
     """The whole run in one document; ``scene`` is the inline scene/camera
-    description (None means the default desk scene)."""
+    description (None means the default desk scene).
+
+    Its rules are the ones that span sections, so every config meets them,
+    loaded, built in code or folded from flags alike. A broken one raises a
+    ValueError whose ``field`` names the value a file is refused on."""
 
     seed: int = 0
     scene: dict | None = None
@@ -166,27 +172,41 @@ class RunConfig:
     metrics: MetricsSection = field(default_factory=MetricsSection)
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        _rule("seed", _check_seed, self.seed)
+        scene, _ = self.scene_and_camera  # a malformed scene is a ParseError on field 'scene'
+        # the trial fits its demo at dmp.dt, and the plan replays it at _PLAN_DT, its tau the demo's duration
+        _rule("dmp.dt", demo_steps, self.trial.demo_duration, self.dmp.dt)
+        _rule("dmp.alpha_z", _check_stable, self.dmp.alpha_z, self.dmp.beta_z, self.trial.demo_duration, _PLAN_DT)
+        for name in ("localize", "trial"):
+            hole_id = getattr(self, name).hole_id
+            if hole_id is not None:
+                _rule(f"{name}.hole_id", _check_hole_id, scene, hole_id)
+
+    @cached_property
+    def scene_and_camera(self) -> tuple[BarScene, CameraModel]:
+        """The inline scene parsed, or the default desk scene."""
+        if self.scene is None:
+            from .presets import default_bar_scene, default_camera  # presets builds on this module
+
+            return default_bar_scene(), default_camera()
+        return scene_from_dict(self.scene)
 
 
-_SECTIONS = {
-    "fit": FitSection,
-    "dmp": DmpSection,
-    "rollout": RolloutSection,
-    "teach": TeachSection,
-    "localize": LocalizeSection,
-    "sweep": SweepSection,
-    "trial": TrialSection,
-    "metrics": MetricsSection,
-}
+def _rule(name: str, check: Callable[..., object], *args: Any) -> None:
+    """``check(*args)``, a ValueError it raises naming the field ``name``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        exc.field = name
+        raise
 
 
 def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
     """Coerce a JSON value to the annotated type or reject it by field name.
 
-    Handles exactly the shapes the sections use: scalars, optionals, and
-    number tuples; ints are accepted for floats, bools never stand for
-    numbers.
+    Handles exactly the shapes the document uses: scalars, optionals,
+    number tuples and sections; ints are accepted for floats, bools never
+    stand for numbers.
     """
     if isinstance(hint, types.UnionType):
         arms = typing.get_args(hint)
@@ -201,6 +221,8 @@ def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
                 if _shaped(value, arm):  # the arm's own error says more than the union's
                     raise
         raise ParseError(path, 0, where, f"expected {hint}, got {type(value).__name__}")
+    if is_dataclass(hint):
+        return _build_section(hint, value, where, path)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ParseError(path, 0, where, f"expected a list, got {type(value).__name__}")
@@ -233,79 +255,36 @@ def _shaped(value: Any, hint: Any) -> bool:
 
 
 def _build_section(cls: type, data: Any, where: str, path: str) -> Any:
+    """The dataclass ``cls`` from the JSON object ``data``, named ``where``
+    ('' for the whole document)."""
     if not isinstance(data, dict):
-        raise ParseError(path, 0, where, f"expected an object, got {type(data).__name__}")
+        raise ParseError(path, 0, where or "config", f"expected an object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
-    allowed = {f.name for f in fields(cls)}
+    prefix = f"{where}." if where else ""
     for key in data:
-        if key not in allowed:
-            raise ParseError(path, 0, f"{where}.{key}", "unknown key")
-    kwargs = {key: _check_value(value, hints[key], f"{where}.{key}", path) for key, value in data.items()}
+        if key not in hints:
+            raise ParseError(path, 0, prefix + key, "unknown key")
+    kwargs = {key: _check_value(value, hints[key], prefix + key, path) for key, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-        raise ParseError(path, 0, where, str(exc)) from None
+        # a rule of RunConfig names its field, a section's own rule the section
+        raise ParseError(path, 0, getattr(exc, "field", where), getattr(exc, "message", str(exc))) from None
 
 
 def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     """Build a config from a parsed JSON document, rejecting unknown keys
     at every level (section contents are checked recursively)."""
-    if not isinstance(data, dict):
-        raise ParseError(path, 0, "config", f"expected an object, got {type(data).__name__}")
-    allowed = {"seed", "scene"} | set(_SECTIONS)
-    for key in data:
-        if key not in allowed:
-            raise ParseError(path, 0, key, "unknown key")
-    kwargs: dict[str, Any] = {}
-    if "seed" in data:
-        kwargs["seed"] = _check_value(data["seed"], int, "seed", path)
-    if data.get("scene") is not None:
-        kwargs["scene"] = data["scene"]
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            kwargs[name] = _build_section(cls, data[name], name, path)
-    try:
-        cfg = RunConfig(**kwargs)
-    except ValueError as exc:  # the seed is the one document-level value with a range
-        raise ParseError(path, 0, "seed", str(exc)) from None
-    try:  # the trial fits its demo at dmp.dt
-        demo_steps(cfg.trial.demo_duration, cfg.dmp.dt)
-    except ValueError as exc:
-        raise ParseError(path, 0, "dmp.dt", str(exc)) from None
-    try:  # and the plan replays it at _PLAN_DT, its tau the demo's duration
-        _check_stable(cfg.dmp.alpha_z, cfg.dmp.beta_z, cfg.trial.demo_duration, _PLAN_DT)
-    except ValueError as exc:
-        raise ParseError(path, 0, "dmp.alpha_z", str(exc)) from None
-    from .presets import scene_from_config  # presets builds on this module
-
-    scene, _ = scene_from_config(cfg, path)
-    for name in ("localize", "trial"):
-        hole_id = getattr(cfg, name).hole_id
-        try:
-            if hole_id is not None:
-                _check_hole_id(scene, hole_id)
-        except ValueError as exc:
-            raise ParseError(path, 0, f"{name}.hole_id", str(exc)) from None
-    return cfg
+    return _build_section(RunConfig, data, "", path)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully resolved document: the scene is materialized and section order
-    is fixed so emitted files diff cleanly."""
+    """Fully resolved document: the scene is materialized and sections keep
+    their field order, so emitted files diff cleanly."""
+    doc = asdict(cfg)
     if cfg.scene is None:
-        from .presets import default_bar_scene, default_camera
-        from .vision import scene_to_dict
-
-        scene = scene_to_dict(default_bar_scene(), default_camera())
-    else:
-        scene = cfg.scene
-    out: dict[str, Any] = {"seed": cfg.seed, "scene": scene}
-    for name in _SECTIONS:
-        section = asdict(getattr(cfg, name))
-        out[name] = {
-            k: list(v) if isinstance(v, tuple) else v for k, v in section.items()
-        }
-    return out
+        doc["scene"] = scene_to_dict(*cfg.scene_and_camera)
+    return doc
 
 
 def load_config(path: str) -> RunConfig:

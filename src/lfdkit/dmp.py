@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, chart_rows, quat_normalize, unchart_rows
-from .trajectory import ParseError, Trajectory, finite_difference, json_floats, json_pose, pose_json
-from .trajectory import _at_least, _positive, read_json, require_keys, resample_trajectory, write_json
+from .trajectory import MAX_ROWS, ParseError, Trajectory, finite_difference, grid_steps, json_floats, json_pose
+from .trajectory import _at_least, _positive, pose_json, read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
     "PoseDmp",
@@ -71,7 +71,6 @@ _SUPPORT_FLOOR = 1e-12   # per-basis regression denominator guard
 _DENOM_FLOOR = 1e-300    # mixture normalization underflow guard
 _SMOOTH_WINDOW = 5       # samples in the moving average over demo derivatives
 _SCAN_RANGE = 200.0      # |log| of the largest power of a root one scan block forms
-MAX_ROWS = 1_000_000     # samples one demonstration grid or rollout may hold: 1000 s at 1 ms
 # basis functions one primitive may hold: an activation matrix, samples x
 # bases, then holds at most MAX_ROWS * MAX_BASIS = 2e8 floats (1.6 GB)
 MAX_BASIS = 200
@@ -110,15 +109,6 @@ def basis_layout(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
             f"alpha_s must keep every basis center above 0 and width finite, got {alpha_s!r} at n_basis {n_basis}"
         )
     return centers, widths
-
-
-def grid_steps(span: float, dt: float, what: str) -> int:
-    """round(span / dt), rejected in float arithmetic, before anything is
-    allocated, when the grid would hold more than MAX_ROWS samples."""
-    steps = span / dt
-    if not steps + 1 <= MAX_ROWS:
-        raise ValueError(f"{what} needs {steps + 1:.10g} samples, more than the cap of {MAX_ROWS}")
-    return int(round(steps))
 
 
 def demo_steps(duration: float, dt: float) -> int:

@@ -1,5 +1,5 @@
 """Factories for synthetic worlds and demonstrations used by tests, scripts,
-and the CLI, which builds its scene and trial scenario from a config here."""
+and the CLI, which builds its trial scenario from a config here."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .dmp import fit_pose_dmp, grid_steps
 from .ktc import _check_waypoint_scale
 from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
 from .trajectory import Trajectory, _positive
-from .vision import BarScene, CameraModel, HoleSpec, scene_from_dict
+from .vision import BarScene, CameraModel, HoleSpec
 
 __all__ = [
     "make_smooth_demo",
@@ -21,7 +21,6 @@ __all__ = [
     "default_bar_scene",
     "default_camera",
     "default_scenario",
-    "scene_from_config",
     "scenario_from_config",
     "default_teach_setup",
 ]
@@ -147,14 +146,6 @@ def default_teach_setup(controller: str, seed: int = 0, scale: float = 0.12) -> 
     return tuple(Pose(p, q) for p, q in zip(wp, quats)), controller
 
 
-def scene_from_config(cfg: RunConfig, path: str = "<config>") -> tuple[BarScene, CameraModel]:
-    """The config's inline scene and camera, or the default desk scene;
-    ``path`` names the config file in a ParseError."""
-    if cfg.scene is None:
-        return default_bar_scene(), default_camera()
-    return scene_from_dict(cfg.scene, path)
-
-
 def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
     """Runnable trial setup: the primitive is fit from the smooth preset
     demonstration with the config's dmp section, and the arm starts beside
@@ -166,7 +157,7 @@ def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
     """
     wp, quats = demo_pose_waypoints(seed=0)
     demo = make_smooth_demo(wp, duration=cfg.trial.demo_duration, orientations=quats)
-    return AssemblyScenario(*scene_from_config(cfg), fit_pose_dmp(demo, **asdict(cfg.dmp)),
+    return AssemblyScenario(*cfg.scene_and_camera, fit_pose_dmp(demo, **asdict(cfg.dmp)),
                             Pose([-0.06, -0.10, 0.25]), cfg.trial, cfg.seed)
 
 

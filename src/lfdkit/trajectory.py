@@ -42,6 +42,7 @@ _WRENCH_COLUMNS = ["fx", "fy", "fz", "tx", "ty", "tz"]
 
 
 _FLOAT_FORMAT = "%.9g"
+MAX_ROWS = 1_000_000  # samples one grid may hold: a demonstration, a rollout or a resampling; 1000 s at 1 ms
 
 
 def fmt_float(x: float) -> str:
@@ -364,12 +365,22 @@ def finite_difference(times: np.ndarray, values: np.ndarray, order: int = 1) -> 
     return v[:, 0] if squeeze else v
 
 
+def grid_steps(span: float, dt: float, what: str) -> int:
+    """round(span / dt), rejected in float arithmetic, before anything is
+    allocated, when the grid would hold more than MAX_ROWS samples."""
+    steps = span / dt
+    if not steps + 1 <= MAX_ROWS:
+        raise ValueError(f"{what} needs {steps + 1:.10g} samples, more than the cap of {MAX_ROWS}")
+    return int(round(steps))
+
+
 def resample_trajectory(traj: Trajectory, dt: float) -> Trajectory:
     """Resample onto a dt grid: linear in position (and wrench), slerp in
     orientation, endpoints preserved exactly.
 
     When the span is not an integer multiple of dt, the final sample is pinned
-    to the exact end time, so the last interval may be shorter than dt.
+    to the exact end time, so the last interval may be shorter than dt. A
+    grid past MAX_ROWS samples is refused before it is allocated.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -378,6 +389,7 @@ def resample_trajectory(traj: Trajectory, dt: float) -> Trajectory:
     span = traj.duration
     if span < dt:
         raise ValueError(f"trajectory span {span:.6g} is shorter than dt {dt:.6g}")
+    grid_steps(span, dt, f"resampling a {span:.6g} s trajectory at dt = {dt:.6g}")
     t0 = float(traj.times[0])
     tend = float(traj.times[-1])
     steps = int(math.floor(span / dt + 1e-9))

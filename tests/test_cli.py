@@ -168,6 +168,15 @@ class TestLocalizeSweep:
         assert len(lines) == 2
         assert lines[1].startswith("2,1,")
 
+    def test_localize_reports_a_hole_out_of_view(self, capsys, tmp_path):
+        # at x = 0.14 m hole 2 leaves the camera's frustum
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(_set(_scene_doc(), ("bar", "holes", 2, "offset", 0), 0.14)))
+        out = tmp_path / "holes.csv"
+        code, text, err = run(capsys, "localize", "--scene", scene, "--out", out)
+        assert (code, text, err) == (0, f"localize: 2 of 3 holes fitted -> {out}\n", "")
+        assert out.read_text().splitlines()[3] == "2,0,nan,nan,nan,nan,nan,nan,nan,nan"
+
     @pytest.mark.parametrize(
         "localize",
         [{"hole_id": 7}, {"noise_sigma": -1}, {"dropout": 1.5}],
@@ -379,6 +388,16 @@ class TestMetricsCommand:
         rows = json.loads(out.read_text(), parse_constant=reject)["comparison"]["rows"]
         assert any(r["ratio_a_over_b"] is None for r in rows)
 
+    def test_grid_past_the_cap_is_one_line(self, capsys, tmp_path):
+        # resampled at its median dt of 1 ns, this 1e6 s file would need 1e15
+        # samples; numpy once failed to allocate 7.11 PiB with a traceback
+        traj = tmp_path / "uneven.csv"
+        traj.write_text(NON_UNIFORM_CSV)
+        code, out, err = run(capsys, "metrics", "--traj", traj, "--out", tmp_path / "m.json")
+        assert (code, out) == (1, "")
+        assert err == "error: resampling a 1e+06 s trajectory at dt = 1e-09 needs 1e+15 samples, more than the cap of 1000000\n"
+        assert list(tmp_path.iterdir()) == [traj]
+
     def test_metrics_missing_input(self, capsys, tmp_path):
         code, _, err = run(capsys, "metrics", "--out", tmp_path / "x.json")
         assert code == 1
@@ -500,6 +519,29 @@ def test_negative_seed_is_rejected_before_any_output(capsys, tmp_path, command, 
     assert [p.name for p in tmp_path.iterdir()] == ([] if via == "flag" else ["cfg.json"])
 
 
+HEADER = "t,px,py,pz,qw,qx,qy,qz\n"
+NON_UNIFORM_CSV = HEADER + "".join(f"{t},0,0,0,1,0,0,0\n" for t in ("0", "1e-9", "2e-9", "3e-9", "1e6"))
+# one malformed input each: the command line, with {} for the file holding
+# the text (None: no file), the exit status and the one stderr line
+MALFORMED = {
+    "goal-not-numbers": (["rollout", "--goal", "a,b"], None, 1, "error: --goal must be 7 comma-separated numbers\n"),
+    "empty-csv": (["metrics", "--traj", "{}"], "", 2, "error: {}:1: field 'header': empty file\n"),
+    "header-only-csv": (["metrics", "--traj", "{}"], HEADER, 2, "error: {}:2: field 't': no samples\n"),
+    "zero-quaternion-csv": (["metrics", "--traj", "{}"], HEADER + "0,0,0,0,0,0,0,0\n0.1,0,0,0,0,0,0,0\n", 2,
+                            "error: {}:2: field 'qw': orientation rows must be finite and nonzero\n"),
+}
+
+
+@pytest.mark.parametrize("argv, text, status, line", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_is_one_line(capsys, tmp_path, argv, text, status, line):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(a.replace("{}", str(path)) for a in argv), "--out", tmp_path / "out")
+    assert (code, out, err) == (status, "", line.replace("{}", str(path)))
+    assert list(tmp_path.iterdir()) == ([] if text is None else [path])
+
+
 def _scene_doc():
     from lfdkit.presets import default_bar_scene, default_camera
     from lfdkit.vision import scene_to_dict
@@ -522,6 +564,36 @@ SCENE_FAULTS = {
     "fx-nan": (("camera", "fx"), float("nan")),
     "holes-a-number": (("bar", "holes"), 3),
 }
+
+
+class TestSceneFlag:
+    """A --scene file meets both sections' hole ids, as an inline scene does,
+    so a run with one writes a config its own rerun loads."""
+
+    @staticmethod
+    def files(tmp_path, doc):
+        scene = _scene_doc()
+        del scene["bar"]["holes"][2]
+        (tmp_path / "two.json").write_text(json.dumps(scene))
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        return tmp_path / "c.json", tmp_path / "two.json"
+
+    @pytest.mark.parametrize("command", ["sweep", "trial"])
+    def test_hole_id_outside_the_scene_exits_1(self, capsys, tmp_path, command):
+        # each once exited 0 and wrote a config whose rerun exited 2 on this id
+        cfg, scene = self.files(tmp_path, {"localize": {"hole_id": 2}})
+        code, out, err = run(capsys, command, "--config", cfg, "--scene", scene, "--out", tmp_path / "out")
+        assert (code, out, err) == (1, "", "error: hole id 2 outside the scene's holes 0..1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "two.json"]
+
+    def test_flags_fold_in_one_replace(self, capsys, tmp_path):
+        # hole 2 of the config is outside the flag's scene, and the flag's hole 1 replaces it
+        cfg, scene = self.files(tmp_path, {"trial": {"hole_id": 2}})
+        out = tmp_path / "trial.json"
+        code, _, err = run(capsys, "trial", "--config", cfg, "--scene", scene, "--hole", 1, "--out", out)
+        assert code == 0, err
+        assert json.loads(out.read_text())["hole_id"] == 1
+        assert rerun_is_byte_identical(capsys, out, "trial")
 
 
 class TestInputFiles:

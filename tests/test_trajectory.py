@@ -8,6 +8,7 @@ from lfdkit.ktc import simulate_demonstration
 from lfdkit.presets import default_teach_setup
 from lfdkit.se3 import from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, rotation_vector_wxyz
 from lfdkit.trajectory import (
+    MAX_ROWS,
     ParseError,
     Trajectory,
     finite_difference,
@@ -208,6 +209,12 @@ class TestResample:
             resample_trajectory(tr, 0.1)
         with pytest.raises(ValueError):
             resample_trajectory(tr, -0.1)
+
+    def test_grid_past_the_cap_is_refused_before_allocation(self):
+        # 1e15 samples at the median dt of 1 ns; numpy once tried to allocate 7.11 PiB
+        tr = make_traj([0.0, 1e-9, 2e-9, 3e-9, 1e6], np.zeros((5, 3)))
+        with pytest.raises(ValueError, match=f"needs 1e\\+15 samples, more than the cap of {MAX_ROWS}$"):
+            resample_trajectory(tr, tr.median_dt)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 20))
