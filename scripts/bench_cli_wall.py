@@ -21,7 +21,8 @@ and one on a hole the camera cannot see; a batch of three trials that
 each walk that abort script, set as ``trial.events`` in its config
 (written alongside); a sweep with a ``--scene`` that lacks the hole its
 config's ``localize.hole_id`` names, then a rerun from its resolved config
-if it wrote one; and
+if it wrote one; a batch of three trials at a yaw limit of -0.0 (its config
+written alongside), run in process so that its exit status is printed; and
 ``scripts/run_teaching_comparison.py --runs 2``. The two checkouts alternate
 command by command, the first of each pair switching every round, so a
 host that slows down for a while slows both. BLAS and OpenMP pools are
@@ -29,11 +30,13 @@ pinned to one thread, as in ``perfbench``.
 
 Each checkout writes into its own directory. After the last round every
 command's stdout and output files are compared byte for byte across the
-two checkouts; ``identical`` in the JSON records the result per command
+two checkouts, a file that neither wrote counting as the same; ``identical`` in the JSON records the result per command
 and file, any difference is printed, and the script exits 1 if there is
 one. Then each command of ``INVALID`` (a bad flag value of the CLI or of
 the teaching comparison, a config or primitive file with one value out
-of range, or a trajectory whose resampling grid is past the row cap) runs
+of range or a key the config no longer has, a teach config whose
+``teach-sim`` fails, or a trajectory whose resampling grid is past the row
+cap) runs
 once per checkout, untimed; it must exit non-zero, and its exit status
 and stderr must match across the two checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
@@ -91,6 +94,9 @@ if os.path.exists("scene_sweep.csv.config.json"):
 """
 
 CLI = [sys.executable, "-m", "lfdkit.cli"]
+# the CLI in process, printing its exit status: for a command that one
+# checkout may fail and the other run
+STATUS = "import sys\nfrom lfdkit.cli import main\nprint(main(sys.argv[1:]))"
 
 
 # the nominal stream with its last pedal press replaced by an abort
@@ -101,6 +107,8 @@ TEACH_NOISE = json.dumps({"teach": {"force_noise_std": 0.3, "torque_noise_std": 
 CONTACT_BATCH = json.dumps({"seed": 0, "trial": {"n": 6, "noise_sigma": 0.002}}) + "\n"
 # a batch whose every trial walks the abort script
 ABORT_BATCH = json.dumps({"trial": {"n": 3, "events": "abort.events"}}) + "\n"
+# a yaw limit that meets the rule at -0.0
+YAW_ZERO = json.dumps({"trial": {"yaw_limit_deg": -0.0}}) + "\n"
 # config files with one value out of range, written into each output directory
 BAD_CONFIGS = {
     "bad_trial_noise.json": {"trial": {"noise_sigma": -1}},
@@ -115,11 +123,18 @@ BAD_CONFIGS = {
     "bad_dmp_alpha_s.json": {"dmp": {"alpha_s": float("inf")}},
     "bad_dmp_alpha_z.json": {"dmp": {"alpha_z": 1e160}},  # an unstable Euler step; its forcing targets overflow too
     "bad_dmp_alpha_z_unstable.json": {"dmp": {"alpha_z": 17000}},  # an unstable Euler step at the trial's tau
-    "bad_teach_waypoint_scale.json": {"teach": {"waypoint_scale": 1.7e308}},  # the waypoints overflow
     "bad_trial_noise_cap.json": {"trial": {"noise_sigma": 1e300}},  # the vision fit overflows
     # the robot's tick and lag are ktc constants, no longer config keys
     "bad_teach_rate.json": {"teach": {"rate": 100.0}},
     "bad_teach_plant_time_constant.json": {"teach": {"plant_time_constant": 0.05}},
+    # the taught path is the preset's; this span was past its range while it was a key
+    "bad_teach_waypoint_scale.json": {"teach": {"waypoint_scale": 1.7e308}},
+}
+# teach configs whose teach-sim fails, written into each output directory: a
+# torque noise spread past its cap, and a max_duration shorter than the teach
+BAD_TEACH = {
+    "bad_teach_torque_noise.json": {"teach": {"torque_noise_std": 1e9}},
+    "short_teach.json": {"teach": {"max_duration": 3}},
 }
 # a sweep config with the dropout out of range, written into each output directory
 BAD_SWEEP = {"sweep": {"dropout": 1.5}}
@@ -169,6 +184,9 @@ COMMANDS = {
         "batch", "--config", "abort_batch.json", out="batch_abort.json", also=("batch_abort.csv",)),
     "sweep --config c.json --scene two.json, rerun": ([sys.executable, "-c", SCENE_RERUN],
                                                       ("scene_sweep.csv", "scene_sweep.csv.config.json")),
+    "batch --n 3 --config yaw_zero.json": (
+        [sys.executable, "-c", STATUS, "batch", "--n", "3", "--config", "yaw_zero.json", "--out", "batch_yaw.json"],
+        ("batch_yaw.json", "batch_yaw.csv", "batch_yaw.json.config.json")),
     "run_teaching_comparison.py --runs 2": script(
         "run_teaching_comparison.py", "--runs", "2", "--out", "teach_cmp.json", writes=("teach_cmp.json",)),
 }
@@ -183,6 +201,7 @@ INVALID = {
     "sweep --step-deg 1e-9": cli("sweep", "--step-deg", "1e-9", out="bad.csv")[0],
     "sweep --config bad_sweep_dropout.json": cli("sweep", "--config", "bad_sweep_dropout.json", out="bad.csv")[0],
     **{f"trial --config {name}": cli("trial", "--config", name, out="bad.json")[0] for name in BAD_CONFIGS},
+    **{f"teach-sim --config {name}": cli("teach-sim", "--config", name, out="bad.csv")[0] for name in BAD_TEACH},
     "rollout --dmp bad_prim_alpha_z.json": cli("rollout", "--dmp", "bad_prim_alpha_z.json", out="bad.csv")[0],
     "metrics --traj non_uniform.csv": cli("metrics", "--traj", "non_uniform.csv", out="bad.json")[0],
     "run_teaching_comparison.py --first-seed -1": script(
@@ -220,6 +239,9 @@ def timed(argv: list[str], checkout: Path, out: Path) -> tuple[float, bytes]:
 
 
 def same_bytes(a: Path, b: Path) -> bool:
+    """Whether two outputs hold the same bytes, or neither checkout wrote one."""
+    if not (a.exists() or b.exists()):
+        return True
     return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
 
 
@@ -247,7 +269,8 @@ def main(argv=None) -> int:
             (out / "teach_noise.json").write_text(TEACH_NOISE)
             (out / "contact_batch.json").write_text(CONTACT_BATCH)
             (out / "abort_batch.json").write_text(ABORT_BATCH)
-            for name, doc in BAD_CONFIGS.items():
+            (out / "yaw_zero.json").write_text(YAW_ZERO)
+            for name, doc in {**BAD_CONFIGS, **BAD_TEACH}.items():
                 (out / name).write_text(json.dumps(doc) + "\n")
             (out / "bad_prim_alpha_z.json").write_text(json.dumps(BAD_PRIMITIVE) + "\n")
             (out / "bad_sweep_dropout.json").write_text(json.dumps(BAD_SWEEP) + "\n")

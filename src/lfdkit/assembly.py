@@ -519,7 +519,8 @@ def _resolve(scenario: AssemblyScenario) -> tuple[float, BarScene, int | None, i
     yaw, the hole (None when no hole is visible), then the vision seed."""
     t = scenario.trial
     rng = np.random.default_rng(scenario.seed)
-    limit = math.radians(t.yaw_limit_deg)
+    # abs: a limit of -0.0 passes the section's rule, and uniform(0.0, -0.0) raises
+    limit = abs(math.radians(t.yaw_limit_deg))
     yaw = math.radians(t.yaw_deg) if t.yaw_deg is not None else float(rng.uniform(-limit, limit))
     scene = scenario.scene.yawed(yaw)
     hole_id = t.hole_id

@@ -153,7 +153,7 @@ def _cmd_rollout(cfg: RunConfig, out: str) -> int:
 def _cmd_teach_sim(cfg: RunConfig, out: str) -> int:
     t = cfg.teach
     traj = simulate_demonstration(
-        *default_teach_setup(t.controller, seed=cfg.seed, scale=t.waypoint_scale),
+        *default_teach_setup(t.controller, seed=cfg.seed),
         max_duration=t.max_duration,
         force_noise_std=t.force_noise_std,
         torque_noise_std=t.torque_noise_std,

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from .assembly import _PLAN_DT, TrialSection
 from .dmp import _check_stable, basis_layout, demo_steps, rollout_steps
-from .ktc import _check_controller, _check_teach_noise, _check_teach_timing, _check_waypoint_scale
+from .ktc import _check_controller, _check_teach_noise, _check_teach_timing
 from .se3 import quat_normalize
 from .trajectory import ParseError, _at_least, _check_seed, _finite_fields, _positive, read_json, write_json
 from .vision import BarScene, CameraModel, _check_corruption, _check_hole_id, _check_mask_points, scene_from_dict
@@ -104,13 +104,11 @@ class TeachSection:
     max_duration: float = 60.0
     force_noise_std: float = 0.0
     torque_noise_std: float = 0.0
-    waypoint_scale: float = 0.12
 
     def __post_init__(self) -> None:
         _check_controller(self.controller)
         _check_teach_timing(self.max_duration)
         _check_teach_noise(self.force_noise_std, self.torque_noise_std)
-        _check_waypoint_scale(self.waypoint_scale)
         _finite_fields(self)
 
 

@@ -35,11 +35,11 @@ from .trajectory import Trajectory, _at_least, _positive
 
 __all__ = [
     "CONTROLLERS",
+    "MAX_FORCE_NOISE_STD",
     "MAX_TEACH_STEPS",
+    "MAX_TORQUE_NOISE_STD",
     "PLANT_TIME_CONSTANT",
     "TEACH_RATE",
-    "MIN_WAYPOINT_SCALE",
-    "MAX_WAYPOINT_SCALE",
     "TeachTimeout",
     "ktc_step",
     "native_drive_step",
@@ -87,12 +87,15 @@ PLANT_TIME_CONSTANT = 0.05
 
 MAX_TEACH_STEPS = 360_000  # teach ticks one demonstration logs, a row each: an hour at TEACH_RATE
 
-# the span in m of a taught waypoint path: twice the capture radius at least,
-# or the tool starts within capture of every waypoint and the demonstration
-# is a single sample; 2 m at most, the reach of the widest arm a person
-# guides by hand
-MIN_WAYPOINT_SCALE = 2 * _CAPTURE_RADIUS
-MAX_WAYPOINT_SCALE = 2.0
+# spreads of the sensor noise, in N and N*m. The plant turns by exp(a*v),
+# a = 1 - exp(-0.2), v = 2e-3 rad/(N*m) times the sensed torque, and the
+# turn must stay under 2 pi: a sensed torque norm under about 17,000 N*m, 17
+# spreads at the torque cap. The force cap is as many times the native
+# grip's 60 N as the torque cap is its 6 N*m; at it the longest teach the
+# timing rule allows wanders the tool up to 290 m (seeds 0-2), where
+# 1.7e308 N made the positions overflow
+MAX_FORCE_NOISE_STD = 10_000.0
+MAX_TORQUE_NOISE_STD = 1_000.0
 
 
 def _check_controller(controller: str) -> None:
@@ -113,15 +116,13 @@ def _check_teach_timing(max_duration: float) -> None:
 
 
 def _check_teach_noise(force_noise_std: float, torque_noise_std: float) -> None:
-    """The sensor noise rule: each standard deviation at least 0 and finite."""
-    _at_least("force_noise_std", force_noise_std, 0)
-    _at_least("torque_noise_std", torque_noise_std, 0)
-
-
-def _check_waypoint_scale(scale: float) -> None:
-    """The waypoint path rule: a span of MIN_WAYPOINT_SCALE to
-    MAX_WAYPOINT_SCALE m, named as the teach section's field."""
-    _at_least("waypoint_scale", scale, MIN_WAYPOINT_SCALE, MAX_WAYPOINT_SCALE)
+    """The sensor noise rule: each standard deviation at least 0 and at most
+    its cap, MAX_FORCE_NOISE_STD or MAX_TORQUE_NOISE_STD."""
+    for name, std, cap in (("force_noise_std", force_noise_std, MAX_FORCE_NOISE_STD),
+                           ("torque_noise_std", torque_noise_std, MAX_TORQUE_NOISE_STD)):
+        _at_least(name, std, 0)
+        if not std <= cap:
+            raise ValueError(f"{name} must be at most {cap}, got {std!r}")
 
 
 def native_drive_step(

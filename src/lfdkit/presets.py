@@ -10,7 +10,6 @@ import numpy as np
 from .assembly import AssemblyScenario, TrialSection
 from .config import RunConfig
 from .dmp import fit_pose_dmp, grid_steps
-from .ktc import _check_waypoint_scale
 from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
 from .trajectory import Trajectory, _positive
 from .vision import BarScene, CameraModel, HoleSpec
@@ -88,14 +87,18 @@ def make_smooth_demo(
     return Trajectory(times, pos, quats)
 
 
-def demo_pose_waypoints(seed: int = 0, scale: float = 0.12):
+# the preset path spans 0.12 m end to end: the 0.25 m base path of
+# demo_pose_waypoints, scaled
+_PATH_SCALE = 0.12 / 0.25
+
+
+def demo_pose_waypoints(seed: int = 0):
     """A reproducible, gently curved 5-waypoint 6-DoF path for tests/scripts,
-    ``scale`` m from end to end.
+    0.12 m from end to end.
 
     Single lateral sway, no direction reversals: a 50-basis fit tracks it to
-    about 1% of the span, so the default span keeps round-trip error near 1 mm.
+    about 1% of the span, which keeps round-trip error near 1 mm.
     """
-    _check_waypoint_scale(scale)
     rng = np.random.default_rng(seed)
     base = np.array(
         [
@@ -106,8 +109,7 @@ def demo_pose_waypoints(seed: int = 0, scale: float = 0.12):
             [0.25, 0.000, 0.00],
         ]
     )
-    f = scale / 0.25
-    wp = base * f + rng.normal(scale=0.0015 * f, size=(5, 3))
+    wp = base * _PATH_SCALE + rng.normal(scale=0.0015 * _PATH_SCALE, size=(5, 3))
     tilts = rng.normal(scale=0.10, size=(5, 3))
     tilts[0] = 0.0
     quats = [from_rotation_vector(t) for t in tilts]
@@ -134,7 +136,7 @@ def default_camera() -> CameraModel:
     return CameraModel(pose=Pose([0.0, 0.0, 0.30], (0.0, 1.0, 0.0, 0.0)))
 
 
-def default_teach_setup(controller: str, seed: int = 0, scale: float = 0.12) -> tuple[tuple[Pose, ...], str]:
+def default_teach_setup(controller: str, seed: int = 0) -> tuple[tuple[Pose, ...], str]:
     """The waypoint poses and controller of a teaching run, as
     :func:`ktc.simulate_demonstration` takes them.
 
@@ -142,7 +144,7 @@ def default_teach_setup(controller: str, seed: int = 0, scale: float = 0.12) -> 
     harder against the native drive (it takes real force to backdrive) and
     gently against the proposed admittance (``ktc.CONTROLLERS``).
     """
-    wp, quats = demo_pose_waypoints(seed=seed, scale=scale)
+    wp, quats = demo_pose_waypoints(seed=seed)
     return tuple(Pose(p, q) for p, q in zip(wp, quats)), controller
 
 

@@ -506,6 +506,15 @@ class TestRunBatch:
         assert b == (execute_trial(replace(scenario, seed=2 * 1000003)),)
         assert batch_to_dict(b)["success_rate"] == float(b[0].success)
 
+    def test_yaw_limit_of_minus_zero_runs_as_zero(self, scenario):
+        # -0.0 meets the limit's rule; drawn as uniform(0.0, -0.0), it raised
+        # numpy's "high - low < 0" in every trial
+        zero, minus_zero = (run_batch(with_trial(scenario, yaw_limit_deg=limit), n=3, seed=0)
+                            for limit in (0.0, -0.0))
+        assert batch_to_dict(minus_zero) == batch_to_dict(zero)
+        assert batch_csv_text(minus_zero) == batch_csv_text(zero)
+        assert [r.yaw for r in minus_zero] == [0.0] * 3
+
     def test_n_must_be_positive(self, scenario):
         with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             run_batch(scenario, n=0, seed=0)

@@ -323,6 +323,21 @@ class TestTrialBatch:
         assert code == 0, err
         assert len(out.read_text().splitlines()) == 1 + 17 * 3
 
+    @pytest.mark.parametrize("command, flags", [("trial", ("--seed", 3)), ("batch", ("--n", 3))],
+                             ids=["trial", "batch"])
+    def test_yaw_limit_of_minus_zero_runs_as_zero(self, capsys, tmp_path, command, flags):
+        # both exited 1 with numpy's "high - low < 0" and wrote nothing
+        runs = []
+        for name, limit in (("zero", 0.0), ("minus_zero", -0.0)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"trial": {"yaw_limit_deg": limit}}))
+            out = tmp_path / f"{name}_{command}.json"
+            code, text, err = run(capsys, command, *flags, "--config", cfg, "--out", out)
+            assert code == 0, err
+            runs.append([text] + [p.read_bytes() for p in (out, out.with_suffix(".csv")) if p.exists()])
+        assert runs[1] == runs[0]
+        assert len(runs[0]) == (3 if command == "batch" else 2)
+
     def test_batch_walks_the_event_script(self, capsys, tmp_path):
         # the nominal stream with its last pedal press replaced by an abort
         steps = tmp_path / "abort.events"

@@ -16,8 +16,8 @@ from lfdkit.assembly import _PLAN_DT, MAX_TRIALS, run_batch
 from lfdkit.cli import main
 from lfdkit.config import RunConfig, TeachSection, config_from_dict, config_to_dict, load_config, save_config
 from lfdkit.dmp import MAX_BASIS, MAX_ROWS, basis_layout, rollout_steps
-from lfdkit.ktc import MAX_TEACH_STEPS, MAX_WAYPOINT_SCALE, MIN_WAYPOINT_SCALE, TEACH_RATE, simulate_demonstration
-from lfdkit.presets import default_scenario, default_teach_setup, demo_pose_waypoints
+from lfdkit.ktc import MAX_FORCE_NOISE_STD, MAX_TEACH_STEPS, MAX_TORQUE_NOISE_STD, TEACH_RATE, simulate_demonstration
+from lfdkit.presets import default_scenario, default_teach_setup
 from lfdkit.trajectory import ParseError
 from lfdkit.vision import MAX_MASK_POINTS, MAX_NOISE_SIGMA, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count
 from lfdkit.vision import synthesize_mask
@@ -115,10 +115,11 @@ class TestRejection:
             config_from_dict({"dmp": {"gate_mode": "phase-gated"}})
         assert err.value.field == "dmp.gate_mode"
 
-    @pytest.mark.parametrize("key, value", [("rate", 100.0), ("plant_time_constant", 0.05)])
+    @pytest.mark.parametrize("key, value", [("rate", 100.0), ("plant_time_constant", 0.05), ("waypoint_scale", 0.12)])
     def test_retired_teach_key_is_unknown(self, capsys, tmp_path, key, value):
-        # the robot's tick and lag are ktc constants; every resolved config
-        # written while they were settable carries both keys
+        # the robot's tick and lag are ktc constants and the taught path is
+        # the preset's; every resolved config written while they were
+        # settable carries these keys
         with pytest.raises(ParseError, match="unknown key") as err:
             config_from_dict({"teach": {key: value}})
         assert err.value.field == f"teach.{key}"
@@ -132,7 +133,7 @@ class TestRejection:
 
     def test_teach_section_holds_no_robot_constant(self):
         assert [f.name for f in fields(TeachSection)] == [
-            "controller", "max_duration", "force_noise_std", "torque_noise_std", "waypoint_scale"
+            "controller", "max_duration", "force_noise_std", "torque_noise_std"
         ]
 
     def test_integer_past_the_float_range(self):
@@ -191,13 +192,9 @@ OUT_OF_RANGE = [
     # or two neighbouring centers round onto one float: the fit and the
     # trial warned and failed, the fit writing no primitive
     ("dmp", "alpha_s", 3e-15, "must keep every basis center above 0 and width finite"),
-    # below the floor every waypoint lies within capture of the start, and a
-    # taught demonstration is a single sample that metrics cannot score
-    ("teach", "waypoint_scale", -0.12, f"must be at least {MIN_WAYPOINT_SCALE}"),
-    ("teach", "waypoint_scale", 0, f"must be at least {MIN_WAYPOINT_SCALE}"),
-    ("teach", "waypoint_scale", MIN_WAYPOINT_SCALE / 2, f"must be at least {MIN_WAYPOINT_SCALE}"),
-    # the waypoints overflowed with numpy warnings
-    ("teach", "waypoint_scale", 1.7e308, f"must be at most {MAX_WAYPOINT_SCALE}"),
+    # teaching ended at run time: the positions overflowed, or a turn left se3's domain
+    ("teach", "force_noise_std", 1.7e308, f"must be at most {MAX_FORCE_NOISE_STD}"),
+    ("teach", "torque_noise_std", 1e9, f"must be at most {MAX_TORQUE_NOISE_STD}"),
     # the vision fit overflowed with numpy warnings and failed on numpy's own text
     ("trial", "noise_sigma", 1e300, f"must be at most {MAX_NOISE_SIGMA}"),
     ("localize", "noise_sigma", 1.5, f"must be at most {MAX_NOISE_SIGMA}"),
@@ -241,8 +238,7 @@ class TestRanges:
                 "rollout": {"horizon": 0, "tau": None},
                 "localize": {"n_points": 3},
                 "dmp": {"n_basis": 2},
-                "teach": {"force_noise_std": 0, "torque_noise_std": 0, "controller": "native",
-                          "waypoint_scale": MAX_WAYPOINT_SCALE},
+                "teach": {"force_noise_std": 0, "torque_noise_std": 0, "controller": "native"},
             }
         )
         assert cfg.trial.n == 1 and cfg.rollout.horizon == 0.0
@@ -547,10 +543,6 @@ ONE_RULE = [
                  id="rollout-tau"),
     pytest.param({"rollout": {"horizon": -1}}, lambda sc: rollout_steps(1.0, 1e-3, -1.0),
                  "horizon must be at least 0, got -1.0", id="rollout-horizon"),
-    pytest.param({"teach": {"waypoint_scale": 0}}, lambda sc: demo_pose_waypoints(scale=0.0),
-                 f"waypoint_scale must be at least {MIN_WAYPOINT_SCALE}, got 0.0", id="waypoint_scale"),
-    pytest.param({"teach": {"waypoint_scale": math.inf}}, lambda sc: default_teach_setup("native", scale=math.inf),
-                 f"waypoint_scale must be at most {MAX_WAYPOINT_SCALE}, got inf", id="waypoint_scale-cap"),
     # a nan or negative spread would otherwise teach noise-free without a word
     pytest.param({"teach": {"force_noise_std": math.nan}}, lambda sc: _teach(force_noise_std=math.nan),
                  "force_noise_std must be at least 0, got nan", id="force_noise_std-nan"),

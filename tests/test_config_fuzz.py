@@ -58,8 +58,9 @@ def scene_paths(doc, path=("scene",)):
         yield path + (0,)
 
 
-# the keys resolved configs carried while the robot's tick and lag were teach settings
-RETIRED = [("teach", "rate"), ("teach", "plant_time_constant")]
+# the keys resolved configs carried while the robot's tick and lag and the
+# taught path's span were teach settings
+RETIRED = [("teach", "rate"), ("teach", "plant_time_constant"), ("teach", "waypoint_scale")]
 
 FIELDS = [("seed",)] + [
     (section, key)

@@ -7,6 +7,7 @@ against behavioral orderings rather than trajectories.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ class TestPlantStep:
         # an hour is the cap itself, so that run reaches its first tick
         with pytest.raises(AssertionError, match="stepped"):
             simulate_demonstration(line_waypoints(), "proposed", max_duration=ktc.MAX_TEACH_STEPS / ktc.TEACH_RATE)
+
+    @pytest.mark.parametrize("name, cap, over", [("force_noise_std", ktc.MAX_FORCE_NOISE_STD, 1.7e308),
+                                                 ("torque_noise_std", ktc.MAX_TORQUE_NOISE_STD, 1e9)])
+    def test_noise_capped_before_the_loop(self, monkeypatch, name, cap, over):
+        # past its cap a spread ended teaching at run time: the positions
+        # overflowed (force), or a turn left se3's domain (torque)
+        def no_tick(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(ktc, "plant_step", no_tick)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be at most {cap}, got {over!r}")):
+            simulate_demonstration(line_waypoints(), "proposed", **{name: over})
+        with pytest.raises(AssertionError, match="stepped"):
+            simulate_demonstration(line_waypoints(), "proposed", **{name: cap})
 
     def test_a_teach_run_steps_the_plant_once_a_tick(self, monkeypatch):
         # the trace site ktc.plant_step.calls counts teach ticks through this
