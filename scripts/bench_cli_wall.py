@@ -35,8 +35,8 @@ and file, any difference is printed, and the script exits 1 if there is
 one. Then each command of ``INVALID`` (a bad flag value of the CLI or of
 the teaching comparison, a config or primitive file with one value out
 of range or a key the config no longer has, a teach config whose
-``teach-sim`` fails, or a trajectory whose resampling grid is past the row
-cap) runs
+``teach-sim`` fails, a trajectory whose resampling grid is past the row
+cap, or one with a zero quaternion on its line 301) runs
 once per checkout, untimed; it must exit non-zero, and its exit status
 and stderr must match across the two checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
@@ -142,10 +142,18 @@ BAD_SWEEP = {"sweep": {"dropout": 1.5}}
 # written into each output directory
 NON_UNIFORM_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
     f"{t},0,0,0,1,0,0,0\n" for t in ("0", "1e-9", "2e-9", "3e-9", "1e6"))
-# a two-basis primitive file with alpha_z out of range, written into each output directory
+# 400 samples of a still pose, the one on line 301 a zero quaternion,
+# written into each output directory
+ZERO_QUATERNION_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
+    f"{k / 100},0,0,0,{0 if k == 299 else 1},0,0,0\n" for k in range(400))
+# two-basis primitive files with one gain out of range, written into each output directory
 _REST = {"position": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}
-BAD_PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
-                 "widths": [1.0, 1.0], "weights": [[0.0, 0.0]] * 6, "demo_start": _REST, "demo_goal": _REST}
+_PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 25.0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
+              "widths": [1.0, 1.0], "weights": [[0.0, 0.0]] * 6, "demo_start": _REST, "demo_goal": _REST}
+BAD_PRIMITIVES = {
+    "bad_prim_alpha_z.json": {**_PRIMITIVE, "alpha_z": 0},
+    "bad_prim_alpha_s.json": {**_PRIMITIVE, "alpha_s": 1.7e308},  # past the config's basis layout rule
+}
 
 
 def cli(*args: str, out: str, also: tuple[str, ...] = ()) -> tuple[list[str], tuple[str, ...]]:
@@ -202,8 +210,9 @@ INVALID = {
     "sweep --config bad_sweep_dropout.json": cli("sweep", "--config", "bad_sweep_dropout.json", out="bad.csv")[0],
     **{f"trial --config {name}": cli("trial", "--config", name, out="bad.json")[0] for name in BAD_CONFIGS},
     **{f"teach-sim --config {name}": cli("teach-sim", "--config", name, out="bad.csv")[0] for name in BAD_TEACH},
-    "rollout --dmp bad_prim_alpha_z.json": cli("rollout", "--dmp", "bad_prim_alpha_z.json", out="bad.csv")[0],
+    **{f"rollout --dmp {name}": cli("rollout", "--dmp", name, out="bad.csv")[0] for name in BAD_PRIMITIVES},
     "metrics --traj non_uniform.csv": cli("metrics", "--traj", "non_uniform.csv", out="bad.json")[0],
+    "metrics --traj zero_quaternion.csv": cli("metrics", "--traj", "zero_quaternion.csv", out="bad.json")[0],
     "run_teaching_comparison.py --first-seed -1": script(
         "run_teaching_comparison.py", "--first-seed", "-1", writes=())[0],
     "run_teaching_comparison.py --runs 0": script("run_teaching_comparison.py", "--runs", "0", writes=())[0],
@@ -272,9 +281,11 @@ def main(argv=None) -> int:
             (out / "yaw_zero.json").write_text(YAW_ZERO)
             for name, doc in {**BAD_CONFIGS, **BAD_TEACH}.items():
                 (out / name).write_text(json.dumps(doc) + "\n")
-            (out / "bad_prim_alpha_z.json").write_text(json.dumps(BAD_PRIMITIVE) + "\n")
+            for name, doc in BAD_PRIMITIVES.items():
+                (out / name).write_text(json.dumps(doc) + "\n")
             (out / "bad_sweep_dropout.json").write_text(json.dumps(BAD_SWEEP) + "\n")
             (out / "non_uniform.csv").write_text(NON_UNIFORM_CSV)
+            (out / "zero_quaternion.csv").write_text(ZERO_QUATERNION_CSV)
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

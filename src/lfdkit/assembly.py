@@ -28,11 +28,12 @@ from .metrics import _position_jerk
 from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
 from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite_fields, _positive, fmt_float
 from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
-from .vision import _check_mask_points, check_visible, fit_circle3d, hole_in_world, synthesize_mask
+from .vision import _check_mask_points, check_visible, locate_hole
 # not called here, but perfbench/spans.py wraps these by their names in this module
 from .dmp import rollout
 from .ktc import plant_step
 from .metrics import jerk_metrics
+from .vision import fit_circle3d, synthesize_mask
 
 __all__ = [
     "MAX_TRIALS",
@@ -539,8 +540,7 @@ def _localize(scenario: AssemblyScenario, scene: BarScene, hole_id: int | None, 
     # denser than the oracle default: the tilt of the fitted plane is the
     # noise floor of the whole trial, and the rim annulus of a real mask
     # yields several hundred pixels
-    mask = synthesize_mask(scene, scenario.cam, hole_id, t.noise_sigma, t.dropout, seed=seed, n_points=t.mask_points)
-    return hole_in_world(fit_circle3d(mask), scenario.cam)
+    return locate_hole(scene, scenario.cam, hole_id, t.noise_sigma, t.dropout, seed, t.mask_points)
 
 
 def execute_trial(
@@ -566,7 +566,7 @@ def execute_trial(
     if Phase.INSERTION_PLANNED in entered:
         try:
             hole = _localize(scenario, scene, hole_id, vision_seed)
-        except (NotDetectable, ValueError) as exc:
+        except NotDetectable as exc:
             state = TaskState(Phase.FAILED, f"hole not detectable: {exc}")
         else:
             t = scenario.trial

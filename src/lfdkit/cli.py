@@ -23,7 +23,7 @@ from .metrics import compare_demonstrations, jerk_metrics, render_comparison_tab
 from .presets import default_teach_setup, scenario_from_config
 from .se3 import Pose, quat_normalize
 from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json, write_text
-from .vision import NotDetectable, detection_range_sweep, fit_circle3d, hole_in_world, synthesize_mask
+from .vision import NotDetectable, detection_range_sweep, hole_errors, locate_hole
 
 __all__ = ["main", "report_errors"]
 
@@ -171,20 +171,17 @@ def _cmd_localize(cfg: RunConfig, out: str) -> int:
     scene, cam = cfg.scene_and_camera
     lo = cfg.localize
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
-    lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m"]
+    lines = ["hole_id,detected,center_x_m,center_y_m,center_z_m,axis_x,axis_y,axis_z,radius_m,rms_m,"
+             "center_err_m,tilt_rad,radius_err_m"]
     n_found = 0
     for i in ids:
         try:
-            mask = synthesize_mask(
-                scene, cam, i, lo.noise_sigma, lo.dropout,
-                seed=cfg.seed * 1000003 + i, n_points=lo.n_points,
-            )
-            est = hole_in_world(fit_circle3d(mask), cam)  # a rejected fit raises ValueError: not fitted
-        except (NotDetectable, ValueError):
-            lines.append(f"{i},0," + ",".join(["nan"] * 8))
+            est = locate_hole(scene, cam, i, lo.noise_sigma, lo.dropout, cfg.seed * 1000003 + i, lo.n_points)
+        except NotDetectable:
+            lines.append(f"{i},0," + ",".join(["nan"] * 11))
             continue
         n_found += 1
-        vals = [*est.center, *est.axis, est.radius, est.rms]
+        vals = [*est.center, *est.axis, est.radius, est.rms, *hole_errors(est, scene, i)]
         lines.append(f"{i},1," + ",".join(fmt_float(v) for v in vals))
     write_text(out, "\n".join(lines) + "\n")
     _finish(cfg, out)

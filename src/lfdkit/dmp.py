@@ -193,12 +193,13 @@ class PoseDmp:
     def __post_init__(self) -> None:
         for name in ("alpha_s", "alpha_z", "beta_z", "tau"):
             _positive(name, getattr(self, name))
+        if self.n_basis > MAX_BASIS:  # each rollout builds a samples x n_basis matrix
+            raise ValueError(f"a primitive holds at most {MAX_BASIS} basis functions, got {self.n_basis}")
+        basis_layout(self.n_basis, self.alpha_s)  # the alpha_s rule a config meets, at this primitive's size
         # own read-only copies, so the primitive cannot change under the
         # responses rollout keeps for it
         for name in ("centers", "widths"):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float).reshape(-1))
-        if self.n_basis > MAX_BASIS:  # each rollout builds a samples x n_basis matrix
-            raise ValueError(f"a primitive holds at most {MAX_BASIS} basis functions, got {self.n_basis}")
         if not np.all(self.widths > 0):
             raise ValueError("widths must be positive")
         if not np.all((self.centers > 0) & (self.centers <= 1)):

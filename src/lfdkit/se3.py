@@ -38,11 +38,21 @@ __all__ = [
     "quat_matrix_wxyz",
     "rotation_vector_wxyz",
     "quat_canonicalize_rows",
+    "BadOrientationRow",
     "chart_rows",
     "unchart_rows",
 ]
 
 _ZERO_NORM_TOL = 1e-12
+
+
+class BadOrientationRow(ValueError):
+    """An orientation row that is not finite or has no norm; carries the
+    index of the first such row."""
+
+    def __init__(self, row: int) -> None:
+        self.row = row
+        super().__init__("orientation rows must be finite and nonzero")
 
 
 def _needs_flip(w: float, x: float, y: float, z: float) -> bool:
@@ -60,7 +70,7 @@ def quat_normalize(
     """Divide by the norm and, unless ``raw``, flip onto the canonical
     hemisphere."""
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if not _ZERO_NORM_TOL <= n < math.inf:  # as quat_canonicalize_rows: squares past 1e308 overflow
+    if not _ZERO_NORM_TOL <= n < math.inf:  # squares of entries past 1e154 overflow
         raise ValueError(f"quaternion norm {n:.6g} is zero or not finite")
     w, x, y, z = w / n, x / n, y / n, z / n
     if not raw and (w < 0.0 or (w == 0.0 and _needs_flip(w, x, y, z))):
@@ -197,11 +207,20 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 def quat_canonicalize_rows(quats: np.ndarray) -> np.ndarray:
     """Renormalize each row and flip it onto the w >= 0 hemisphere, with the
     tie-break of :func:`quat_normalize`. Rows already unit within 1e-12 keep
-    their values bit for bit."""
-    norms = np.linalg.norm(quats, axis=1)
-    if not np.all(np.isfinite(norms)) or np.any(norms < _ZERO_NORM_TOL):
-        raise ValueError("orientation rows must be finite and nonzero")
-    q = quats.copy()
+    their values bit for bit. A row whose squares overflow is first divided
+    by the power of two of its largest entry, so every finite row of norm
+    1e-12 or more normalizes; any other raises :class:`BadOrientationRow`."""
+    with np.errstate(over="ignore"):  # a finite row it would warn about is scaled; an infinite one is refused
+        norms = np.linalg.norm(quats, axis=1)
+        q = quats.copy()
+        big = norms == math.inf
+        if big.any():
+            # exact, and it leaves every finite entry below 1 in magnitude
+            q[big] = np.ldexp(q[big], -np.frexp(np.abs(q[big]).max(axis=1, keepdims=True))[1])
+            norms[big] = np.linalg.norm(q[big], axis=1)
+    bad = ~((norms >= _ZERO_NORM_TOL) & (norms < math.inf))
+    if bad.any():
+        raise BadOrientationRow(int(np.argmax(bad)))
     off = np.abs(norms - 1.0) > 1e-12
     q[off] /= norms[off, None]
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]

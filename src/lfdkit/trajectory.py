@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .se3 import Pose, chart_rows, quat_canonicalize_rows, quat_normalize, unchart_rows
+from .se3 import BadOrientationRow, Pose, chart_rows, quat_canonicalize_rows, quat_normalize, unchart_rows
 
 __all__ = [
     "Trajectory",
@@ -309,12 +309,17 @@ def load_trajectory_csv(path) -> Trajectory:
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         bad = int(np.argmax(np.diff(times) <= 0)) + 1
-        raise ParseError(path, bad + 2, "t", "timestamps must be strictly increasing")
+        raise ParseError(path, _line_of(raw, bad), "t", "timestamps must be strictly increasing")
     wr = data[:, 8:14] if with_wrench else None
     try:
         return Trajectory(times, data[:, 1:4], data[:, 4:8], wr)
-    except ValueError as e:
-        raise ParseError(path, 2, "qw", str(e)) from None
+    except BadOrientationRow as e:
+        raise ParseError(path, _line_of(raw, e.row), "qw", str(e)) from None
+
+
+def _line_of(raw: list[str], row: int) -> int:
+    """The file line that holds data row ``row``; blank lines hold none."""
+    return [n for n, line in enumerate(raw[1:], start=2) if line.strip()][row]
 
 
 def _three_point_weights(a, b, c, te):

@@ -35,7 +35,8 @@ __all__ = [
     "MAX_NOISE_SIGMA",
     "synthesize_mask",
     "fit_circle3d",
-    "hole_in_world",
+    "locate_hole",
+    "hole_errors",
     "MAX_SWEEP_YAWS",
     "sweep_yaw_count",
     "detection_range_sweep",
@@ -345,10 +346,27 @@ def fit_circle3d(sample: MaskSample) -> HoleEstimate:
     return HoleEstimate(center=center, axis=normal, radius=float(radius), rms=rms)
 
 
-def hole_in_world(est: HoleEstimate, cam: CameraModel) -> HoleEstimate:
-    """A camera-frame fit carried into the world frame by the camera pose."""
-    center, axis = cam.pose.transform_point(est.center), cam.pose.transform_direction(est.axis)
-    return HoleEstimate(center, axis, est.radius, est.rms)
+def locate_hole(scene: BarScene, cam: CameraModel, hole_id: int, noise_sigma: float = 0.0, dropout: float = 0.0,
+                seed: int = 0, n_points: int = 200) -> HoleEstimate:
+    """The world-frame fit of one hole: its seeded :func:`synthesize_mask`,
+    fitted by :func:`fit_circle3d` and carried into the world by the camera
+    pose. A hole out of view, or a fit that is refused, raises NotDetectable
+    with its message; an argument out of range stays a ValueError."""
+    mask = synthesize_mask(scene, cam, hole_id, noise_sigma, dropout, seed, n_points)
+    try:
+        est = fit_circle3d(mask)
+    except ValueError as exc:
+        raise NotDetectable(str(exc)) from None
+    return HoleEstimate(cam.pose.transform_point(est.center), cam.pose.transform_direction(est.axis),
+                        est.radius, est.rms)
+
+
+def hole_errors(est: HoleEstimate, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
+    """How far a world-frame fit lies from the scene's true hole: the center
+    distance (m), the tilt between the axes (rad) and the radius error (m)."""
+    center_err = float(np.linalg.norm(est.center - scene.hole_center_world(hole_id)))
+    tilt = math.acos(float(np.clip(est.axis @ scene.hole_axis_world(hole_id), -1.0, 1.0)))
+    return center_err, tilt, abs(est.radius - scene.holes[hole_id].radius)
 
 
 def sweep_yaw_count(yaw_start: float, yaw_stop: float, step: float, step_name: str = "step", *,
@@ -398,18 +416,13 @@ def detection_range_sweep(
         turned = scene.yawed(float(yaw))
         for j in range(len(scene.holes)):
             sub_seed = seed * 1000003 + i * len(scene.holes) + j
-            center_err = math.nan
-            radius_err = math.nan
-            detected = False
             try:
-                mask = synthesize_mask(turned, cam, j, noise_sigma, dropout, sub_seed)
-                est = fit_circle3d(mask)
-            except (NotDetectable, ValueError):
-                pass
+                est = locate_hole(turned, cam, j, noise_sigma, dropout, sub_seed)
+            except NotDetectable:
+                center_err = radius_err = math.nan
+                detected = False
             else:
-                center = hole_in_world(est, cam).center
-                center_err = float(np.linalg.norm(center - turned.hole_center_world(j)))
-                radius_err = abs(est.radius - turned.holes[j].radius)
+                center_err, _, radius_err = hole_errors(est, turned, j)
                 detected = center_err <= tolerance
             detected_grid[i, j] = detected
             rows.append((float(yaw), j, detected, center_err, radius_err))

@@ -24,9 +24,9 @@ from lfdkit.presets import (
     make_smooth_demo,
 )
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize
-from lfdkit.se3 import quat_rotate_wxyz, rotation_vector_wxyz
+from lfdkit.se3 import rotation_vector_wxyz
 from lfdkit.trajectory import Trajectory, finite_difference
-from lfdkit.vision import detection_range_sweep, fit_circle3d, synthesize_mask
+from lfdkit.vision import detection_range_sweep, locate_hole
 
 
 def _ten_second_demo():
@@ -206,11 +206,9 @@ def test_a7_numeric_oracles():
     # exact rim points recover center, axis, and radius
     scene, cam = default_bar_scene(), default_camera()
     for hole_id in range(3):
-        est = fit_circle3d(synthesize_mask(scene, cam, hole_id))
-        center_world = cam.pose.transform_point(est.center)
-        axis_world = quat_rotate_wxyz(cam.pose.orientation, est.axis)
-        assert np.linalg.norm(center_world - scene.hole_center_world(hole_id)) < 1e-9
-        assert np.linalg.norm(axis_world - scene.hole_axis_world(hole_id)) < 1e-9
+        est = locate_hole(scene, cam, hole_id)
+        assert np.linalg.norm(est.center - scene.hole_center_world(hole_id)) < 1e-9
+        assert np.linalg.norm(est.axis - scene.hole_axis_world(hole_id)) < 1e-9
         assert abs(est.radius - scene.holes[hole_id].radius) < 1e-9
 
     # jerk statistics of the minimum-jerk quintic: mean 40/sqrt(3)*D/T^3,

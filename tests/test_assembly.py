@@ -48,7 +48,7 @@ from lfdkit.ktc import PLANT_TIME_CONSTANT
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
 from lfdkit.se3 import chart_rows, rotation_vector_wxyz, unchart_rows
 from lfdkit.trajectory import ParseError, Trajectory
-from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, fit_circle3d, synthesize_mask
+from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, locate_hole
 
 TOOL_AXIS = np.array([0.0, 0.0, -1.0])
 
@@ -716,13 +716,9 @@ class TestRunPlan:
             center = scene.hole_center_world(self.HOLE)
             axis = scene.hole_axis_world(self.HOLE)
         else:
-            mask = synthesize_mask(
-                scene, scenario.cam, self.HOLE, scenario.trial.noise_sigma, 0.0,
-                seed=scenario.seed, n_points=scenario.trial.mask_points,
-            )
-            est = fit_circle3d(mask)
-            center = scenario.cam.pose.transform_point(est.center)
-            axis = scenario.cam.pose.transform_direction(est.axis)
+            est = locate_hole(scene, scenario.cam, self.HOLE, scenario.trial.noise_sigma, 0.0,
+                              seed=scenario.seed, n_points=scenario.trial.mask_points)
+            center, axis = est.center, est.axis
         side = unit(np.cross(axis, [1.0, 0.0, 0.0]))
         radius = scene.holes[self.HOLE].radius
         est = HoleEstimate(center=center + offset * side, axis=axis, radius=radius, rms=0.0)

@@ -154,11 +154,25 @@ class TestLocalizeSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == (
             "hole_id,detected,center_x_m,center_y_m,center_z_m,"
-            "axis_x,axis_y,axis_z,radius_m,rms_m"
+            "axis_x,axis_y,axis_z,radius_m,rms_m,center_err_m,tilt_rad,radius_err_m"
         )
         assert len(lines) == 4
         assert all(row.split(",")[1] == "1" for row in lines[1:])
+        # noiseless masks are exact fits
+        assert all(float(v) < 1e-9 for row in lines[1:] for v in row.split(",")[10:])
         assert rerun_is_byte_identical(capsys, out, "localize")
+
+    def test_localize_reports_how_far_a_noisy_fit_misses(self, capsys, tmp_path):
+        # at 1 m of noise every mask still fits, so every hole reads fitted,
+        # and only the error column shows the fits are nowhere near the holes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"localize": {"noise_sigma": 1.0}}))
+        out = tmp_path / "holes.csv"
+        code, text, err = run(capsys, "localize", "--config", cfg, "--seed", 1, "--out", out)
+        assert (code, text, err) == (0, f"localize: 3 of 3 holes fitted -> {out}\n", "")
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1", "1", "1"]
+        assert all(float(row[10]) > 0.05 for row in rows)
 
     def test_localize_single_hole(self, capsys, tmp_path):
         out = tmp_path / "one.csv"
@@ -175,7 +189,7 @@ class TestLocalizeSweep:
         out = tmp_path / "holes.csv"
         code, text, err = run(capsys, "localize", "--scene", scene, "--out", out)
         assert (code, text, err) == (0, f"localize: 2 of 3 holes fitted -> {out}\n", "")
-        assert out.read_text().splitlines()[3] == "2,0,nan,nan,nan,nan,nan,nan,nan,nan"
+        assert out.read_text().splitlines()[3] == "2,0," + ",".join(["nan"] * 11)
 
     @pytest.mark.parametrize(
         "localize",
@@ -544,6 +558,10 @@ MALFORMED = {
     "header-only-csv": (["metrics", "--traj", "{}"], HEADER, 2, "error: {}:2: field 't': no samples\n"),
     "zero-quaternion-csv": (["metrics", "--traj", "{}"], HEADER + "0,0,0,0,0,0,0,0\n0.1,0,0,0,0,0,0,0\n", 2,
                             "error: {}:2: field 'qw': orientation rows must be finite and nonzero\n"),
+    "zero-quaternion-on-line-301-csv": (
+        ["metrics", "--traj", "{}"],
+        HEADER + "".join(f"{k / 100},0,0,0,{0 if k == 299 else 1},0,0,0\n" for k in range(400)), 2,
+        "error: {}:301: field 'qw': orientation rows must be finite and nonzero\n"),
 }
 
 
@@ -555,6 +573,20 @@ def test_malformed_input_is_one_line(capsys, tmp_path, argv, text, status, line)
     code, out, err = run(capsys, *(a.replace("{}", str(path)) for a in argv), "--out", tmp_path / "out")
     assert (code, out, err) == (status, "", line.replace("{}", str(path)))
     assert list(tmp_path.iterdir()) == ([] if text is None else [path])
+
+
+@pytest.mark.parametrize("command", [["metrics", "--traj"], ["fit", "--demo"]], ids=["metrics", "fit"])
+def test_huge_quaternion_cell_reads_without_a_warning(capsys, tmp_path, demo_csv, command):
+    # a qz of 1e300 on line 301 once leaked numpy's overflow warning and was
+    # refused on line 2; the row normalizes, as a row of any finite scale does
+    lines = demo_csv.read_text().splitlines()
+    cells = lines[300].split(",")
+    cells[7] = "1e300"
+    lines[300] = ",".join(cells)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, *command, path, "--out", tmp_path / "out")
+    assert (code, err) == (0, "")
 
 
 def _scene_doc():

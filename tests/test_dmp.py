@@ -217,6 +217,28 @@ class TestEvalForcing:
             PoseDmp(**{**vars(dmp), name: value})
         assert str(err.value) == f"{name} {text}"
 
+    @pytest.mark.parametrize("alpha_s", [1.7e308, 1000.0, 3e-16])
+    def test_alpha_s_meets_the_basis_layout_rule(self, alpha_s):
+        # the rule a config's alpha_s meets; 1.7e308 once overflowed the phase of every rollout
+        dmp = zero_weight_dmp(n_basis=5)
+        with pytest.raises(ValueError, match="^alpha_s must keep every basis center above 0 and width finite"):
+            PoseDmp(**{**vars(dmp), "alpha_s": alpha_s})
+
+    def test_primitive_file_with_a_huge_alpha_s_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "prim.json"
+        path.write_text(json.dumps({**dmp_to_dict(zero_weight_dmp(n_basis=5)), "alpha_s": 1.7e308}))
+        code = main(["rollout", "--dmp", str(path), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {path}:0: field 'primitive': alpha_s must keep every basis center above 0 "
+                       "and width finite, got 1.7e+308 at n_basis 5\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_one_basis_is_refused_as_a_config_refuses_it(self):
+        dmp = zero_weight_dmp(n_basis=5)
+        with pytest.raises(ValueError, match="^n_basis must be at least 2, got 1$"):
+            PoseDmp(**{**vars(dmp), "centers": [1.0], "widths": [1.0], "weights": np.zeros((6, 1))})
+
 
 def fit_steps(monkeypatch, traj, **kwargs):
     """fit_pose_dmp(traj, **kwargs) with the arrays it hands the private

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfdkit.se3 import (
+    BadOrientationRow,
     Pose,
     chart_rows,
     from_rotation_vector,
@@ -424,9 +426,19 @@ class TestRowKernels:
     def test_canonicalize_keeps_unit_rows_and_rejects_bad_rows(self):
         unit = rows(random_unit_quats(20, seed=4))
         assert np.array_equal(quat_canonicalize_rows(unit), unit)
-        for bad in ([0.0, 0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
-            with pytest.raises(ValueError):
-                quat_canonicalize_rows(np.array([[1.0, 0.0, 0.0, 0.0], bad]))
+        for bad in ([0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
+            # the error names the first bad row
+            with pytest.raises(BadOrientationRow, match="^orientation rows must be finite and nonzero$") as err:
+                quat_canonicalize_rows(np.array([[1.0, 0.0, 0.0, 0.0], bad, bad]))
+            assert err.value.row == 1
+
+    def test_canonicalize_takes_a_huge_row_scale_out_before_its_norm(self):
+        # the squares of these entries overflow; the rows themselves are fine
+        huge = np.array([[1.7e308, 1.7e308, 1.7e308, 1.7e308], [1.0, 0.0, 0.0, -1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quat_canonicalize_rows(huge)
+        assert np.array_equal(got, [[0.5, 0.5, 0.5, 0.5], [1e-300, 0.0, 0.0, -1.0]])
 
     @settings(deadline=None)
     @given(raw_quat_lists, raw_quat_lists)

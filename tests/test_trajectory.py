@@ -372,13 +372,23 @@ class TestCsv:
         assert back.wrenches.tobytes() == want[:, 8:].copy().tobytes()
 
     def test_decreasing_time_rejected(self, tmp_path):
+        # the error names the decreasing row's own line, the blank one counted
         path = tmp_path / "bad.csv"
         path.write_text(
-            "t,px,py,pz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n0.5,0,0,0,1,0,0,0\n0.2,0,0,0,1,0,0,0\n"
+            "t,px,py,pz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n\n0.5,0,0,0,1,0,0,0\n0.2,0,0,0,1,0,0,0\n"
         )
         with pytest.raises(ParseError) as exc:
             load_trajectory_csv(path)
-        assert exc.value.field == "t"
+        assert exc.value.field == "t" and exc.value.line == 5
+
+    def test_bad_orientation_names_its_own_line(self, tmp_path):
+        # a zero quaternion on line 303, after two blank lines
+        rows = [f"{0.01 * k:.2f},0,0,0,{0 if k == 299 else 1},0,0,0" for k in range(400)]
+        path = tmp_path / "bad.csv"
+        path.write_text("t,px,py,pz,qw,qx,qy,qz\n\n\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_trajectory_csv(path)
+        assert str(exc.value) == f"{path}:303: field 'qw': orientation rows must be finite and nonzero"
 
     def test_fmt_is_nine_significant_digits(self):
         assert fmt_float(0.123456789123) == "0.123456789"

@@ -25,6 +25,8 @@ from lfdkit.vision import (
     check_visible,
     detection_range_sweep,
     fit_circle3d,
+    hole_errors,
+    locate_hole,
     scene_from_dict,
     scene_to_dict,
     sweep_yaw_count,
@@ -284,6 +286,77 @@ class TestFitCircle3d:
             b_world = moved_cam.pose.transform_point(b.center)
             assert np.linalg.norm(a_world - b_world) < 1e-9
             assert abs(a.radius - b.radius) < 1e-12
+
+
+class TestLocateHole:
+    """The one mask -> fit -> world chain, and its errors against the true hole."""
+
+    @staticmethod
+    def corner_camera():
+        """The default camera with hole 1's center 0.1 px inside the image's
+        last column and row, so the image shows a quarter of its rim."""
+        cam = default_camera()
+        return CameraModel(cam.pose, cx=320.9, cy=240.9, width=321, height=241)
+
+    def test_exact_rim_errors_vanish(self):
+        scene, cam = default_bar_scene(), default_camera()
+        for hole_id in range(3):
+            est = locate_hole(scene, cam, hole_id)
+            assert all(err < 1e-9 for err in hole_errors(est, scene, hole_id))
+
+    def test_rejected_arc_is_not_detectable_with_the_fit_message(self):
+        scene, cam = default_bar_scene(), self.corner_camera()
+        with pytest.raises(ValueError, match="arc coverage 72.0 deg") as fit_err:
+            fit_circle3d(synthesize_mask(scene, cam, 1, n_points=10))
+        with pytest.raises(NotDetectable) as err:
+            locate_hole(scene, cam, 1, n_points=10)
+        assert str(err.value) == str(fit_err.value)
+
+    def test_argument_errors_stay_value_errors(self):
+        scene, cam = default_bar_scene(), default_camera()
+        for kwargs in ({"hole_id": 5}, {"hole_id": 0, "n_points": 2}, {"hole_id": 0, "dropout": 1.0}):
+            with pytest.raises(ValueError) as err:
+                locate_hole(scene, cam, **kwargs)
+            assert not isinstance(err.value, NotDetectable)
+
+    def test_tilt_is_the_angle_between_the_axes(self):
+        scene = default_bar_scene()
+        assert np.array_equal(scene.hole_axis_world(0), [0.0, 0.0, 1.0])
+        est = HoleEstimate(scene.hole_center_world(0) + [0.0, 0.003, 0.004], [0.0, -math.sin(0.3), math.cos(0.3)],
+                           scene.holes[0].radius + 1e-3, 0.0)
+        center_err, tilt, radius_err = hole_errors(est, scene, 0)
+        assert center_err == pytest.approx(0.005, abs=1e-15)
+        assert tilt == pytest.approx(0.3, abs=1e-12)
+        assert radius_err == pytest.approx(1e-3, abs=1e-15)
+
+    def test_calls_go_through_the_module_functions(self, monkeypatch):
+        # a tracer that replaces vision's synthesize_mask and fit_circle3d sees every call
+        import lfdkit.vision as vision
+
+        calls = []
+        for name in ("synthesize_mask", "fit_circle3d"):
+            inner = getattr(vision, name)
+            monkeypatch.setattr(vision, name, lambda *a, _f=inner, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        locate_hole(default_bar_scene(), default_camera(), 1)
+        assert calls == ["synthesize_mask", "fit_circle3d"]
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_errors_match_the_sweep_rows(self, seed):
+        scene, cam = default_bar_scene(), default_camera()
+        rows, _ = detection_range_sweep(scene, cam, math.radians(-60), math.radians(60), math.radians(20),
+                                        noise_sigma=5e-4, seed=seed)
+        fitted = 0
+        for k, (yaw, hole_id, _, center_err, radius_err) in enumerate(rows):
+            turned = scene.yawed(yaw)
+            try:
+                est = locate_hole(turned, cam, hole_id, 5e-4, 0.0, seed * 1000003 + k)
+            except NotDetectable:
+                assert math.isnan(center_err) and math.isnan(radius_err)
+                continue
+            got = hole_errors(est, turned, hole_id)
+            assert (got[0], got[2]) == (center_err, radius_err)
+            fitted += 1
+        assert fitted >= 15
 
 
 class TestDetectionRangeSweep:
