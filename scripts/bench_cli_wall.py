@@ -36,8 +36,9 @@ one. Then each command of ``INVALID`` (a bad flag value of the CLI or of
 the teaching comparison, a config or primitive file with one value out
 of range or a key the config no longer has, a teach config whose
 ``teach-sim`` fails, a trajectory whose resampling grid is past the row
-cap, or one with a zero quaternion on its line 301) runs
-once per checkout, untimed; it must exit non-zero, and its exit status
+cap, one with a zero quaternion on its line 301, or one whose px of 1e300
+on line 301 overflows its jerk and its fit's replay, through ``metrics``
+and ``fit``) runs once per checkout, untimed; it must exit non-zero, and its exit status
 and stderr must match across the two checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
 checkout, every sample, both git shas, the Python and numpy versions and
@@ -146,6 +147,9 @@ NON_UNIFORM_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
 # written into each output directory
 ZERO_QUATERNION_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
     f"{k / 100},0,0,0,{0 if k == 299 else 1},0,0,0\n" for k in range(400))
+# the same still pose with px 1e300 on line 301, written into each output directory
+HUGE_POSITION_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
+    f"{k / 100},{'1e300' if k == 299 else 0},0,0,1,0,0,0\n" for k in range(400))
 # two-basis primitive files with one gain out of range, written into each output directory
 _REST = {"position": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}
 _PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 25.0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
@@ -213,6 +217,8 @@ INVALID = {
     **{f"rollout --dmp {name}": cli("rollout", "--dmp", name, out="bad.csv")[0] for name in BAD_PRIMITIVES},
     "metrics --traj non_uniform.csv": cli("metrics", "--traj", "non_uniform.csv", out="bad.json")[0],
     "metrics --traj zero_quaternion.csv": cli("metrics", "--traj", "zero_quaternion.csv", out="bad.json")[0],
+    "metrics --traj huge_position.csv": cli("metrics", "--traj", "huge_position.csv", out="bad.json")[0],
+    "fit --demo huge_position.csv": cli("fit", "--demo", "huge_position.csv", out="bad_prim.json")[0],
     "run_teaching_comparison.py --first-seed -1": script(
         "run_teaching_comparison.py", "--first-seed", "-1", writes=())[0],
     "run_teaching_comparison.py --runs 0": script("run_teaching_comparison.py", "--runs", "0", writes=())[0],
@@ -286,6 +292,7 @@ def main(argv=None) -> int:
             (out / "bad_sweep_dropout.json").write_text(json.dumps(BAD_SWEEP) + "\n")
             (out / "non_uniform.csv").write_text(NON_UNIFORM_CSV)
             (out / "zero_quaternion.csv").write_text(ZERO_QUATERNION_CSV)
+            (out / "huge_position.csv").write_text(HUGE_POSITION_CSV)
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

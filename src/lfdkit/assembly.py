@@ -270,18 +270,14 @@ def _descent_rows(standoff: float, depth: float) -> float:
     return rows
 
 
-def _check_trial_count(n: int) -> None:
-    """The batch size rule: 1 to MAX_TRIALS trials."""
-    _at_least("n", n, 1, MAX_TRIALS)
-
-
 @dataclass(frozen=True)
 class TrialSection:
     """A trial's settings, the config's ``trial`` section: angles in degrees,
     lengths in m. ``hole_id`` and ``yaw_deg`` left as None are drawn from the
     trial seed (uniform detectable hole, yaw uniform within ``yaw_limit_deg``
-    of 0). ``n`` is the batch size, ``events`` an event script, and the
-    trial's primitive is fit from a ``demo_duration`` s demonstration."""
+    of 0). ``n`` is the batch size, ``events`` the path of an event script
+    (the scenario carries the parsed stream), and the trial's primitive is
+    fit from a ``demo_duration`` s demonstration."""
 
     n: int = 20
     hole_id: int | None = None
@@ -299,7 +295,7 @@ class TrialSection:
     events: str | None = None
 
     def __post_init__(self) -> None:
-        _check_trial_count(self.n)
+        _at_least("n", self.n, 1, MAX_TRIALS)
         _check_mask_points(self.mask_points, name="mask_points")
         _positive("demo_duration", self.demo_duration)
         for name in ("clearance", "tilt_tol_deg", "required_depth", "standoff"):
@@ -320,7 +316,9 @@ class TrialSection:
 @dataclass(frozen=True)
 class AssemblyScenario:
     """Everything one trial needs: the true scene and camera, the fitted
-    primitive, the arm's start pose, the trial's settings and its seed."""
+    primitive, the arm's start pose, the trial's settings, its seed, and the
+    operator's event stream, which the trial walks (the nominal stream when
+    None)."""
 
     scene: BarScene
     cam: CameraModel
@@ -328,11 +326,15 @@ class AssemblyScenario:
     initial_pose: Pose
     trial: TrialSection = field(default_factory=TrialSection)
     seed: int = 0
+    events: tuple[StepEvent, ...] | None = None
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
         if self.trial.hole_id is not None:
             _check_hole_id(self.scene, self.trial.hole_id)
+        if self.events is not None:
+            object.__setattr__(self, "events", tuple(self.events))
+            _check_monotone(self.events, "events")
 
 
 def meets_tolerances(lateral: float, tilt: float, depth: float, scenario: AssemblyScenario) -> bool:
@@ -543,19 +545,16 @@ def _localize(scenario: AssemblyScenario, scene: BarScene, hole_id: int | None, 
     return locate_hole(scene, scenario.cam, hole_id, t.noise_sigma, t.dropout, seed, t.mask_points)
 
 
-def execute_trial(
-    scenario: AssemblyScenario, events: Sequence[StepEvent] | None = None
-) -> TrialResult:
-    """Run one trial: walk the state machine over the whole event stream,
-    then resolve the seeded choices, localize, plan, execute and score.
+def execute_trial(scenario: AssemblyScenario) -> TrialResult:
+    """Run one trial: walk the state machine over the scenario's whole event
+    stream, then resolve the seeded choices, localize, plan, execute and score.
 
     Localize and plan run when the walk entered INSERTION_PLANNED; either
     one's failure ends the trial FAILED with its reason, which wins over
     any later event. The plan executes only when no stage failed, the walk
     entered INSERTING and did not end FAILED; otherwise the errors stay nan.
     """
-    evs = nominal_events() if events is None else tuple(events)
-    _check_monotone(evs, "events")
+    evs = nominal_events() if scenario.events is None else scenario.events
     state = TaskState()
     entered: set[Phase] = set()
     for ev in evs:
@@ -603,16 +602,14 @@ def execute_trial(
     )
 
 
-def run_batch(template: AssemblyScenario, n: int = 20, seed: int = 0,
-              events: Sequence[StepEvent] | None = None) -> tuple[TrialResult, ...]:
-    """Independent seeded reruns of one scenario template, each walking
-    ``events`` (the nominal stream when None) as :func:`execute_trial` does.
+def run_batch(template: AssemblyScenario) -> tuple[TrialResult, ...]:
+    """``template.trial.n`` independent seeded reruns of one scenario
+    template, each run by :func:`execute_trial`.
 
-    Trial i runs with seed ``seed * 1000003 + i``, so any prefix of a batch
-    reproduces on its own; the reduction is a plain ordered loop.
+    Trial i runs with seed ``template.seed * 1000003 + i``, so any prefix of
+    a batch reproduces on its own; the reduction is a plain ordered loop.
     """
-    _check_trial_count(n)
-    return tuple(execute_trial(replace(template, seed=seed * 1000003 + i), events) for i in range(n))
+    return tuple(execute_trial(replace(template, seed=template.seed * 1000003 + i)) for i in range(template.trial.n))
 
 
 def _num(x: float) -> float | None:

@@ -15,14 +15,14 @@ import warnings
 from dataclasses import asdict, replace
 from typing import Callable, Sequence
 
-from .assembly import StepEvent, batch_csv_text, batch_to_dict, execute_trial, parse_events, run_batch, trial_to_dict
+from .assembly import batch_csv_text, batch_to_dict, execute_trial, run_batch, trial_to_dict
 from .config import RunConfig, load_config, save_config
-from .dmp import fit_pose_dmp, load_dmp, rollout, save_dmp
+from .dmp import ForcingUnderflow, RolloutDiverged, _replay, fit_pose_dmp, load_dmp, rollout, save_dmp
 from .ktc import CONTROLLERS, simulate_demonstration
 from .metrics import compare_demonstrations, jerk_metrics, render_comparison_table, rotation_jerk_metrics
 from .presets import default_teach_setup, scenario_from_config
 from .se3 import Pose, quat_normalize
-from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, read_text, write_json, write_text
+from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, write_json, write_text
 from .vision import NotDetectable, detection_range_sweep, hole_errors, locate_hole
 
 __all__ = ["main", "report_errors"]
@@ -125,6 +125,12 @@ def _cmd_fit(cfg: RunConfig, out: str) -> int:
         raise ValueError("no demonstration given: pass --demo or set fit.demo in the config")
     demo = load_trajectory_csv(cfg.fit.demo)
     dmp = fit_pose_dmp(demo, **asdict(cfg.dmp))
+    with warnings.catch_warnings():  # only whether the primitive replays matters here
+        warnings.simplefilter("ignore", ForcingUnderflow)
+        try:
+            _replay(dmp)
+        except RolloutDiverged as exc:
+            raise RuntimeError(f"the fitted primitive does not replay its demonstration: {exc}") from None
     save_dmp(dmp, out)
     _finish(cfg, out)
     print(f"fit {dmp.n_basis} basis functions, tau={dmp.tau:.6g}s -> {out}")
@@ -218,14 +224,8 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _trial_events(cfg: RunConfig) -> tuple[StepEvent, ...] | None:
-    """The event script ``trial.events`` names, or None for the nominal stream."""
-    path = cfg.trial.events
-    return None if path is None else parse_events(read_text(path), path)
-
-
 def _cmd_trial(cfg: RunConfig, out: str) -> int:
-    result = execute_trial(scenario_from_config(cfg), _trial_events(cfg))
+    result = execute_trial(scenario_from_config(cfg))
     write_json(out, trial_to_dict(result))
     _finish(cfg, out)
     print(f"success={result.success!r}")
@@ -235,7 +235,7 @@ def _cmd_trial(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_batch(cfg: RunConfig, out: str) -> int:
-    records = run_batch(scenario_from_config(cfg), n=cfg.trial.n, seed=cfg.seed, events=_trial_events(cfg))
+    records = run_batch(scenario_from_config(cfg))
     doc = batch_to_dict(records)
     write_json(out, doc)
     csv_path = f"{out.removesuffix('.json')}.csv" if out.endswith(".json") else f"{out}.csv"

@@ -261,12 +261,13 @@ def fit_pose_dmp(
             " a primitive cannot chart it"
         )
     x = np.hstack([res.positions, e])
-    vel = _moving_average(finite_difference(t, x, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a derivative past the float range is refused below
+        vel = _moving_average(finite_difference(t, x, 1))
     tau = float(t[-1])
     weights = np.zeros((6, n_basis))
     if not (np.max(np.abs(x - x[0])) < 1e-9 and np.max(np.abs(vel)) < 1e-9):
-        acc = _moving_average(finite_difference(t, x, 2))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            acc = _moving_average(finite_difference(t, x, 2))
             targets = tau**2 * acc - alpha_z * (beta_z * (x[-1] - x) - tau * vel)
         if not np.isfinite(targets).all():
             raise ValueError(f"forcing targets overflow at alpha_z = {alpha_z:.6g}, beta_z = {beta_z:.6g}")

@@ -41,6 +41,8 @@ def _interior_stats(norms: np.ndarray, trim: int, unit: str) -> dict:
     mean = _clipped_mean(interior)
     std = float(np.std(interior, ddof=1)) if len(interior) > 1 else 0.0
     peak = float(np.max(interior))
+    if not math.isfinite(peak + std):  # inf, or nan from inf - inf, past the float range
+        raise ValueError(f"jerk is not finite ({unit}): a sample is too large for its time step to difference thrice")
     if not (peak >= mean >= 0.0 and std >= 0.0):
         raise ValueError("jerk statistics must satisfy max >= mean >= 0 and std >= 0")
     return {"mean": mean, "std": std, "max": peak, "n_interior": len(interior), "unit": unit}
@@ -60,7 +62,8 @@ def jerk_metrics(traj: Trajectory) -> dict:
     Non-uniform input is resampled to its median dt first.
     """
     traj = _uniform(traj)
-    return _position_jerk(traj.times, traj.positions)
+    with np.errstate(over="ignore", invalid="ignore"):  # a jerk past the float range is refused, not warned about
+        return _position_jerk(traj.times, traj.positions)
 
 
 def _position_jerk(times: np.ndarray, positions: np.ndarray) -> dict:
@@ -75,8 +78,9 @@ def rotation_jerk_metrics(traj: Trajectory) -> dict:
     of its starting orientation (true of hand-guided demonstrations)."""
     traj = _uniform(traj)
     rvs = chart_rows(traj.orientations, traj.orientations[:1])
-    jerk = finite_difference(traj.times, rvs, 3)
-    return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "rad/s^3")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in jerk_metrics
+        jerk = finite_difference(traj.times, rvs, 3)
+        return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "rad/s^3")
 
 
 def timing_stats(durations) -> dict:

@@ -7,11 +7,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .assembly import AssemblyScenario, TrialSection
+from .assembly import AssemblyScenario, TrialSection, parse_events
 from .config import RunConfig
 from .dmp import fit_pose_dmp, grid_steps
 from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
-from .trajectory import Trajectory, _positive
+from .trajectory import Trajectory, _positive, read_text
 from .vision import BarScene, CameraModel, HoleSpec
 
 __all__ = [
@@ -151,7 +151,9 @@ def default_teach_setup(controller: str, seed: int = 0) -> tuple[tuple[Pose, ...
 def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
     """Runnable trial setup: the primitive is fit from the smooth preset
     demonstration with the config's dmp section, and the arm starts beside
-    the bar.
+    the bar. A trial walks the scenario's ``events``, parsed here from the
+    script that ``trial.events`` names; that field is only the document's
+    path to it.
 
     The default yaw range stays inside +-60 deg, where every hole of the
     default scene is fully visible with margin (the outer ones leave the
@@ -159,8 +161,10 @@ def scenario_from_config(cfg: RunConfig) -> AssemblyScenario:
     """
     wp, quats = demo_pose_waypoints(seed=0)
     demo = make_smooth_demo(wp, duration=cfg.trial.demo_duration, orientations=quats)
-    return AssemblyScenario(*cfg.scene_and_camera, fit_pose_dmp(demo, **asdict(cfg.dmp)),
-                            Pose([-0.06, -0.10, 0.25]), cfg.trial, cfg.seed)
+    dmp = fit_pose_dmp(demo, **asdict(cfg.dmp))
+    path = cfg.trial.events
+    events = None if path is None else parse_events(read_text(path), path)
+    return AssemblyScenario(*cfg.scene_and_camera, dmp, Pose([-0.06, -0.10, 0.25]), cfg.trial, cfg.seed, events)
 
 
 def default_scenario(noise_sigma: float = 5e-4, seed: int = 0) -> AssemblyScenario:

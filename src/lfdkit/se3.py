@@ -55,25 +55,24 @@ class BadOrientationRow(ValueError):
         super().__init__("orientation rows must be finite and nonzero")
 
 
-def _needs_flip(w: float, x: float, y: float, z: float) -> bool:
-    if w != 0.0:
-        return w < 0.0
-    for c in (x, y, z):
-        if c != 0.0:
-            return c < 0.0
-    return False
-
-
 def quat_normalize(
     w: float, x: float, y: float, z: float, raw: bool = False
 ) -> tuple[float, float, float, float]:
     """Divide by the norm and, unless ``raw``, flip onto the canonical
-    hemisphere."""
+    hemisphere: w >= 0, and on a tie the first nonzero of x, y, z positive.
+    The rule of :func:`quat_canonicalize_rows`: finite entries whose squares
+    overflow are first divided by the power of two of the largest, so every
+    finite quaternion of norm 1e-12 or more normalizes."""
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if not _ZERO_NORM_TOL <= n < math.inf:  # squares of entries past 1e154 overflow
-        raise ValueError(f"quaternion norm {n:.6g} is zero or not finite")
+    if not _ZERO_NORM_TOL <= n < math.inf:
+        big = max(abs(w), abs(x), abs(y), abs(z))
+        if not (n == math.inf and big < math.inf):  # n is nan when an entry is
+            raise ValueError(f"quaternion norm {n:.6g} is zero or not finite")
+        e = -math.frexp(big)[1]  # exact, and it leaves every entry below 1 in magnitude
+        w, x, y, z = math.ldexp(w, e), math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
     w, x, y, z = w / n, x / n, y / n, z / n
-    if not raw and (w < 0.0 or (w == 0.0 and _needs_flip(w, x, y, z))):
+    if not raw and (w < 0.0 or (w == 0.0 and (x < 0.0 or (x == 0.0 and (y < 0.0 or (y == 0.0 and z < 0.0)))))):
         return -w, -x, -y, -z
     return w, x, y, z
 

@@ -402,13 +402,13 @@ class TestExecuteTrial:
     def test_premature_pedal_fails_trial(self, scenario):
         evs = list(nominal_events())
         evs.insert(4, StepEvent(EventKind.PEDAL_PRESS, evs[3].t))
-        r = execute_trial(scenario, evs)
+        r = execute_trial(replace(scenario, events=evs))
         assert r.state.phase is Phase.FAILED
         assert "unexpected event" in r.state.reason
         assert not r.success and math.isnan(r.lateral_err_m)
 
     def test_abort_stream_fails(self, scenario):
-        r = execute_trial(scenario, [StepEvent(EventKind.ABORT, 0.0)])
+        r = execute_trial(replace(scenario, events=[StepEvent(EventKind.ABORT, 0.0)]))
         assert r.state == TaskState(Phase.FAILED, "aborted")
 
     def test_abort_after_the_insertion_executes_nothing(self, scenario, monkeypatch):
@@ -417,7 +417,7 @@ class TestExecuteTrial:
         assert execute_trial(scenario).state.phase is Phase.DONE and executed
         executed.clear()
         evs = (*nominal_events()[:5], StepEvent(EventKind.ABORT, 5.0))
-        r = execute_trial(scenario, evs)
+        r = execute_trial(replace(scenario, events=evs))
         assert r.state == TaskState(Phase.FAILED, "aborted")
         assert all(math.isnan(v) for v in (r.lateral_err_m, r.tilt_rad, r.depth_m))
         assert r.jerk is None and r.duration_s == 0.0
@@ -444,7 +444,7 @@ class TestExecuteTrial:
     def test_planning_failure_wins_over_a_later_abort(self):
         # gains this soft leave the approach short of the standoff pose
         sc = scenario_from_config(config_from_dict({"seed": 3, "dmp": {"alpha_z": 4.0}}))
-        r = execute_trial(sc, (*nominal_events()[:3], StepEvent(EventKind.ABORT, 3.0)))
+        r = execute_trial(replace(sc, events=(*nominal_events()[:3], StepEvent(EventKind.ABORT, 3.0))))
         assert r.state.phase is Phase.FAILED
         assert r.state.reason.startswith("approach endpoint missed the standoff pose")
 
@@ -458,7 +458,7 @@ class TestExecuteTrial:
     def test_event_times_must_be_monotone(self, scenario):
         evs = [StepEvent(EventKind.PEDAL_PRESS, 1.0), StepEvent(EventKind.MOTION_DONE, 0.5)]
         with pytest.raises(ValueError, match="non-decreasing"):
-            execute_trial(scenario, evs)
+            replace(scenario, events=evs)
 
     def test_seeded_hole_choice_is_deterministic(self, scenario):
         a = execute_trial(replace(scenario, seed=5))
@@ -477,7 +477,7 @@ class TestExecuteTrial:
 
 class TestRunBatch:
     def test_twenty_noisy_trials_all_succeed(self, noisy_scenario):
-        b = run_batch(noisy_scenario, n=20, seed=7)
+        b = run_batch(with_trial(replace(noisy_scenario, seed=7), n=20))
         d = batch_to_dict(b)
         assert d["success_rate"] == 1.0
         assert d["failure_reasons"] == {}
@@ -487,29 +487,29 @@ class TestRunBatch:
         assert len({round(r.yaw, 6) for r in b}) == 20
 
     def test_same_seed_is_bit_identical(self, noisy_scenario):
-        a = run_batch(noisy_scenario, n=6, seed=3)
-        b = run_batch(noisy_scenario, n=6, seed=3)
+        a = run_batch(with_trial(replace(noisy_scenario, seed=3), n=6))
+        b = run_batch(with_trial(replace(noisy_scenario, seed=3), n=6))
         assert a == b
         assert batch_csv_text(a) == batch_csv_text(b)
 
     def test_prefix_of_a_batch_reproduces(self, noisy_scenario):
-        big = run_batch(noisy_scenario, n=6, seed=3)
-        small = run_batch(noisy_scenario, n=3, seed=3)
+        big = run_batch(with_trial(replace(noisy_scenario, seed=3), n=6))
+        small = run_batch(with_trial(replace(noisy_scenario, seed=3), n=3))
         assert small == big[:3]
 
     def test_trial_seeds_are_derived_from_batch_seed(self, noisy_scenario):
-        b = run_batch(noisy_scenario, n=3, seed=9)
+        b = run_batch(with_trial(replace(noisy_scenario, seed=9), n=3))
         assert [r.seed for r in b] == [9 * 1000003 + i for i in range(3)]
 
     def test_single_trial_batch_equals_that_trial(self, scenario):
-        b = run_batch(scenario, n=1, seed=2)
+        b = run_batch(with_trial(replace(scenario, seed=2), n=1))
         assert b == (execute_trial(replace(scenario, seed=2 * 1000003)),)
         assert batch_to_dict(b)["success_rate"] == float(b[0].success)
 
     def test_yaw_limit_of_minus_zero_runs_as_zero(self, scenario):
         # -0.0 meets the limit's rule; drawn as uniform(0.0, -0.0), it raised
         # numpy's "high - low < 0" in every trial
-        zero, minus_zero = (run_batch(with_trial(scenario, yaw_limit_deg=limit), n=3, seed=0)
+        zero, minus_zero = (run_batch(with_trial(scenario, yaw_limit_deg=limit, n=3))
                             for limit in (0.0, -0.0))
         assert batch_to_dict(minus_zero) == batch_to_dict(zero)
         assert batch_csv_text(minus_zero) == batch_csv_text(zero)
@@ -517,15 +517,15 @@ class TestRunBatch:
 
     def test_n_must_be_positive(self, scenario):
         with pytest.raises(ValueError, match="n must be at least 1, got 0"):
-            run_batch(scenario, n=0, seed=0)
+            with_trial(scenario, n=0)
 
     def test_n_past_the_cap_runs_nothing(self, scenario):
         with pytest.raises(ValueError, match="n must be at most 10000, got 10001"):
-            run_batch(scenario, n=MAX_TRIALS + 1, seed=0)
+            with_trial(scenario, n=MAX_TRIALS + 1)
 
     def test_failures_are_counted_by_reason(self, scenario):
         sc = with_trial(scenario, hole_id=2, yaw_deg=80.0)
-        d = batch_to_dict(run_batch(sc, n=3, seed=0))
+        d = batch_to_dict(run_batch(with_trial(sc, n=3)))
         assert d["success_rate"] == 0.0
         assert len(d["failure_reasons"]) == 1
         [(reason, count)] = d["failure_reasons"].items()
@@ -534,15 +534,27 @@ class TestRunBatch:
 
     def test_planning_failures_keep_every_record(self):
         template = scenario_from_config(config_from_dict({"dmp": {"alpha_z": 4.0}}))
-        b = run_batch(template, n=3, seed=0)
+        b = run_batch(with_trial(template, n=3))
         assert len(b) == 3
         for r in b:
             assert r.state.phase is Phase.FAILED
             assert r.state.reason.startswith("approach endpoint missed the standoff pose")
             assert math.isnan(r.lateral_err_m) and r.jerk is None
 
+    def test_config_sets_the_batch_size_seed_and_events(self, tmp_path, monkeypatch):
+        # the batch size, the seed and the event script all come from the
+        # config through the scenario; run_batch once ran 20 nominal trials
+        # seeded 0-19 here and never read the script
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "abort.events").write_text("0 pedal_press\n1 motion_done\n2 vision_ready\n3 pedal_press\n"
+                                               "4 motion_done\n5 abort\n")
+        cfg = config_from_dict({"seed": 5, "trial": {"n": 3, "events": "abort.events"}})
+        b = run_batch(scenario_from_config(cfg))
+        assert [r.seed for r in b] == [5000015, 5000016, 5000017]
+        assert all(r.state == TaskState(Phase.FAILED, "aborted") for r in b)
+
     def test_csv_shape(self, scenario):
-        b = run_batch(scenario, n=2, seed=1)
+        b = run_batch(with_trial(replace(scenario, seed=1), n=2))
         text = batch_csv_text(b)
         lines = text.splitlines()
         assert lines[0] == "trial,seed,hole_id,success,lat_err_m,tilt_rad,depth_m"

@@ -550,6 +550,8 @@ def test_negative_seed_is_rejected_before_any_output(capsys, tmp_path, command, 
 
 HEADER = "t,px,py,pz,qw,qx,qy,qz\n"
 NON_UNIFORM_CSV = HEADER + "".join(f"{t},0,0,0,1,0,0,0\n" for t in ("0", "1e-9", "2e-9", "3e-9", "1e6"))
+# 400 samples of a still pose, px 1e300 on line 301
+HUGE_POSITION_CSV = HEADER + "".join(f"{k / 100},{'1e300' if k == 299 else 0},0,0,1,0,0,0\n" for k in range(400))
 # one malformed input each: the command line, with {} for the file holding
 # the text (None: no file), the exit status and the one stderr line
 MALFORMED = {
@@ -562,6 +564,14 @@ MALFORMED = {
         ["metrics", "--traj", "{}"],
         HEADER + "".join(f"{k / 100},0,0,0,{0 if k == 299 else 1},0,0,0\n" for k in range(400)), 2,
         "error: {}:301: field 'qw': orientation rows must be finite and nonzero\n"),
+    # metrics once printed two numpy warnings, then broke an internal
+    # invariant; fit exited 0 and wrote a primitive that rollout refused
+    **{f"huge-position-on-line-301-csv-{command}": (
+        [command, flag, "{}"], HUGE_POSITION_CSV, 1, line) for command, flag, line in (
+        ("metrics", "--traj", "error: jerk is not finite (m/s^3): a sample is too large for its time step to difference"
+                              " thrice\n"),
+        ("fit", "--demo", "error: the fitted primitive does not replay its demonstration: non-finite rollout state at"
+                          " step 1 (t = 0.001 s)\n"))},
 }
 
 
@@ -587,6 +597,28 @@ def test_huge_quaternion_cell_reads_without_a_warning(capsys, tmp_path, demo_csv
     path.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, *command, path, "--out", tmp_path / "out")
     assert (code, err) == (0, "")
+
+
+def test_goal_with_a_huge_quaternion_normalizes(capsys, tmp_path, smooth_prim):
+    # the goal's squares overflow; it once exited 1 as a zero quaternion,
+    # while a trajectory row of the same scale normalized
+    _, prim = smooth_prim
+    outs = [tmp_path / "huge.csv", tmp_path / "unit.csv"]
+    for out, qw in zip(outs, ("1e300", "1")):
+        code, _, err = run(capsys, "rollout", "--dmp", prim, "--goal", f"0.1,0,0,{qw},0,0,0", "--out", out)
+        assert (code, err) == (0, "")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_scene_with_a_huge_bar_orientation_normalizes(capsys, tmp_path):
+    # it once exited 2 with "quaternion norm inf is zero or not finite"
+    scene = _scene_doc()
+    scene["bar"]["orientation"] = [1e300, 0, 0, 0]
+    (tmp_path / "huge.json").write_text(json.dumps(scene))
+    code, _, err = run(capsys, "localize", "--scene", tmp_path / "huge.json", "--out", tmp_path / "huge.csv")
+    assert (code, err) == (0, "")
+    assert run(capsys, "localize", "--out", tmp_path / "unit.csv")[0] == 0
+    assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "unit.csv").read_bytes()
 
 
 def _scene_doc():
@@ -673,7 +705,7 @@ class TestInputFiles:
             (("demo_start",), [], "primitive.demo_start"),
             (("demo_start",), 5, "primitive.demo_start"),
             (("demo_goal", "orientation"), [1, 0, 0], "primitive.demo_goal.orientation"),
-            (("demo_goal", "orientation"), [1e200, 0, 0, 0], "not finite"),
+            (("demo_goal", "orientation"), [0, 0, 0, 0], "not finite"),
             (("N",), "50", "does not match"),
             (("tau",), None, "primitive.tau"),
             (("weights", 4), {}, "primitive.weights"),

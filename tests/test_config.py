@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfdkit.assembly import _PLAN_DT, MAX_TRIALS, run_batch
+from lfdkit.assembly import _PLAN_DT, MAX_TRIALS
 from lfdkit.cli import main
 from lfdkit.config import RunConfig, TeachSection, config_from_dict, config_to_dict, load_config, save_config
 from lfdkit.dmp import MAX_BASIS, MAX_ROWS, basis_layout, rollout_steps
 from lfdkit.ktc import MAX_FORCE_NOISE_STD, MAX_TEACH_STEPS, MAX_TORQUE_NOISE_STD, TEACH_RATE, simulate_demonstration
 from lfdkit.presets import default_scenario, default_teach_setup
+from lfdkit.se3 import quat_normalize
 from lfdkit.trajectory import ParseError
 from lfdkit.vision import MAX_MASK_POINTS, MAX_NOISE_SIGMA, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count
 from lfdkit.vision import synthesize_mask
@@ -221,10 +222,13 @@ class TestRanges:
         assert err.value.field == section
         assert f"{key} {rule}" in str(err.value)
 
-    def test_overflowing_quaternion_is_out_of_range(self):
-        # its squares overflow, so se3 cannot normalize it
+    def test_overflowing_quaternion_normalizes(self):
+        # its squares overflow; se3 once refused it, while a trajectory row of
+        # the same scale normalized
+        cfg = config_from_dict({"rollout": {"start": [0, 0, 0, 1e200, 0, 0, 0]}})
+        assert quat_normalize(*cfg.rollout.start[3:]) == (1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParseError, match="start must have 7 values"):
-            config_from_dict({"rollout": {"start": [0, 0, 0, 1e200, 0, 0, 0]}})
+            config_from_dict({"rollout": {"start": [0, 0, 0, 0, 0, 0, 0]}})
 
     def test_nan_is_out_of_range(self):
         with pytest.raises(ParseError, match="max_duration must be positive"):
@@ -520,8 +524,8 @@ ONE_RULE = [
     pytest.param({"seed": -1}, lambda sc: replace(sc, seed=-1), "seed must be at least 0, got -1", id="seed-scenario"),
     pytest.param({"seed": -1}, lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, seed=-1),
                  "seed must be at least 0, got -1", id="seed-detection_range_sweep"),
-    pytest.param({"trial": {"n": 0}}, lambda sc: run_batch(sc, n=0), "n must be at least 1, got 0", id="n-run_batch"),
-    pytest.param({"trial": {"n": MAX_TRIALS + 1}}, lambda sc: run_batch(sc, n=MAX_TRIALS + 1),
+    pytest.param({"trial": {"n": 0}}, lambda sc: _trial(sc, n=0), "n must be at least 1, got 0", id="n-scenario"),
+    pytest.param({"trial": {"n": MAX_TRIALS + 1}}, lambda sc: _trial(sc, n=MAX_TRIALS + 1),
                  f"n must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}", id="n-cap"),
     pytest.param({"trial": {"clearance": 0}}, lambda sc: _trial(sc, clearance=0.0),
                  "clearance must be positive, got 0.0", id="clearance"),

@@ -96,21 +96,27 @@ def document(path, value, inputs):
     return command, doc
 
 
+def run(argv, capsys, monkeypatch):
+    """Run ``cli.main`` on ``argv``: its exit status, and how it broke the
+    error contract, as a list of lines."""
+    seen = []
+    monkeypatch.setattr(cli, "_warn_line", lambda message, category, *args, **kwargs: seen.append((category, message)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code = cli.main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    out = [] if code in (0, 1, 2) else [f"exit {code}"]
+    if sum(line.startswith("error:") for line in err.splitlines()) > 1:
+        out.append(f"stderr {err!r}")
+    return code, out + [f"{c.__name__}: {m}" for c, m in seen if c is not ForcingUnderflow]
+
+
 def breaches(path, value, inputs, capsys, monkeypatch):
     """How one case breaks the error contract, as a list of lines."""
     command, doc = document(path, value, inputs)
     cfg = inputs["root"] / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    seen = []
-    monkeypatch.setattr(cli, "_warn_line", lambda message, category, *args, **kwargs: seen.append((category, message)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        code = cli.main([command, "--config", str(cfg), "--out", str(inputs["root"] / "out.json")])
-    err = capsys.readouterr().err
-    out = [] if code in (0, 1, 2) else [f"exit {code}"]
-    if sum(line.startswith("error:") for line in err.splitlines()) > 1:
-        out.append(f"stderr {err!r}")
-    out += [f"{c.__name__}: {m}" for c, m in seen if c is not ForcingUnderflow]
+    _, out = run([command, "--config", cfg, "--out", inputs["root"] / "out.json"], capsys, monkeypatch)
     return [f"{command} with {'.'.join(map(str, path))} = {value!r}: {line}" for line in out]
 
 

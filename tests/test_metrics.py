@@ -5,6 +5,7 @@ whose |.| integrates to 4*F(u1), F(u) = u - 3u^2 + 2u^3, u1 = (3 - sqrt(3))/6.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,11 +118,23 @@ class TestJerkMetrics:
         with pytest.raises(ValueError, match="at least 4"):
             jerk_metrics(Trajectory(t, np.zeros((3, 3)), identity_quats(3)))
 
+    @pytest.mark.parametrize("x", [1e300, 1.7e308])
+    def test_jerk_past_the_float_range_is_refused_without_a_warning(self, x):
+        # one huge sample once leaked numpy's overflow and invalid-value
+        # warnings, then broke the report's internal invariant
+        pos = np.zeros((400, 3))
+        pos[299, 0] = x
+        traj = Trajectory(np.arange(400) / 100, pos, identity_quats(400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^jerk is not finite \(m/s\^3\): a sample is too large"):
+                jerk_metrics(traj)
+
     def test_report_invariant_enforced(self):
         # a negative norm is the one input that breaks max >= mean >= 0
         with pytest.raises(ValueError, match="max >= mean >= 0"):
             _interior_stats(np.array([-2.0, -1.0]), _EDGE_TRIM, "m/s^3")
-        with pytest.raises(ValueError, match="max >= mean >= 0"):
+        with pytest.raises(ValueError, match="jerk is not finite"):
             _interior_stats(np.array([1.0, np.nan]), _EDGE_TRIM, "m/s^3")
 
     def test_report_is_plain_data(self):

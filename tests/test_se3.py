@@ -65,11 +65,23 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             quat_normalize(0.0, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("w", [1e200, float("inf"), float("nan")])
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
     def test_non_finite_norm_rejected(self, w):
-        # 1e200 squared overflows; normalizing by that norm gave (0, 0, 0, 0)
         with pytest.raises(ValueError, match="not finite"):
             quat_normalize(w, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            quat_normalize(w, 1e300, 0.0, 0.0)
+
+    @pytest.mark.parametrize("q", [(1e200, 0.0, 0.0, 0.0), (1.7e308, 1.7e308, 1.7e308, 1.7e308),
+                                   (1.0, 0.0, 0.0, -1e300), (0.0, -1e300, 0.0, 1e300), (-0.0, 0.0, 0.0, -1e155)])
+    def test_overflowing_squares_normalize_as_rows_do(self, q):
+        # 1e200 squared overflows; the norm once read inf and the quaternion
+        # was refused, while quat_canonicalize_rows normalized the same row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quat_normalize(*q)
+            assert got == tuple(quat_canonicalize_rows(np.array([q]))[0].tolist())
+        assert abs(math.hypot(*got) - 1.0) < 1e-15
 
     @given(quat_st)
     def test_unit_norm_invariant(self, q):
