@@ -8,11 +8,9 @@ only; this simulation makes ordering claims, not magnitude claims).
 """
 
 import argparse
-import errno
-import os
 
 from lfdkit.assembly import MAX_TRIALS
-from lfdkit.cli import report_errors
+from lfdkit.cli import check_out_dir, report_errors
 from lfdkit.ktc import simulate_demonstration
 from lfdkit.metrics import compare_demonstrations, jerk_metrics, render_comparison_table, timing_stats
 from lfdkit.presets import default_teach_setup
@@ -33,8 +31,8 @@ def compare(runs: int, first_seed: int, out: str | None) -> int:
     and write it to ``out`` if given."""
     _check_seed(first_seed)
     _at_least("runs", runs, 1, MAX_TRIALS)  # a run is a seeded pair, as a batch trial is
-    if out and not os.path.isdir(os.path.dirname(out) or "."):  # fail before the pairs run, as open() would after
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if out:
+        check_out_dir(out)
     proposed_durations, native_durations = [], []
     wins = 0
     first_pair = None

@@ -1,15 +1,19 @@
 """Command-line front end: each pipeline stage as a subcommand.
 
-Every run folds its flags into one config document, executes from that
-document alone, and writes it fully resolved to ``<out>.config.json``;
-re-running with ``--config <out>.config.json`` and no other flags
+``main`` runs every command alike: it folds the flags into one config
+document, checks the output directory, runs the command's handler, which
+writes its outputs from that document alone and returns its summary, writes
+the document fully resolved to ``<out>.config.json``, then prints the
+summary. Re-running with ``--config <out>.config.json`` and no other flags
 reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -25,7 +29,7 @@ from .se3 import Pose, quat_normalize
 from .trajectory import ParseError, fmt_float, load_trajectory_csv, read_json, write_json, write_text
 from .vision import NotDetectable, detection_range_sweep, hole_errors, locate_hole
 
-__all__ = ["main", "report_errors"]
+__all__ = ["check_out_dir", "main", "report_errors"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,6 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", required=True, help="output path; the resolved config lands at OUT.config.json"
     )
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
 
     p = argparse.ArgumentParser(prog="lfdkit", description="kinesthetic-teaching pipeline tools")
     sub = p.add_subparsers(dest="command", required=True)
@@ -51,24 +57,20 @@ def _build_parser() -> argparse.ArgumentParser:
     teach = sub.add_parser("teach-sim", parents=[common], help="simulate a guided demonstration")
     teach.add_argument("--controller", choices=list(CONTROLLERS), help="which drive to teach against")
 
-    loc = sub.add_parser("localize", parents=[common], help="fit hole estimates from a scene")
-    loc.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
+    loc = sub.add_parser("localize", parents=[common, scene], help="fit hole estimates from a scene")
     loc.add_argument("--hole", type=int, dest="hole_id", help="single hole id (all holes if omitted)")
 
-    sw = sub.add_parser("sweep", parents=[common], help="yaw detection-range sweep over a scene")
-    sw.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
+    sw = sub.add_parser("sweep", parents=[common, scene], help="yaw detection-range sweep over a scene")
     sw.add_argument("--start-deg", type=float, help="sweep start, degrees")
     sw.add_argument("--stop-deg", type=float, help="sweep stop, degrees")
     sw.add_argument("--step-deg", type=float, help="sweep step, degrees")
 
-    tr = sub.add_parser("trial", parents=[common], help="run one scripted assembly trial")
-    tr.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
+    tr = sub.add_parser("trial", parents=[common, scene], help="run one scripted assembly trial")
     tr.add_argument("--hole", type=int, dest="hole_id", help="fixed hole id (random detectable if omitted)")
     tr.add_argument("--yaw-deg", type=float, help="fixed bar yaw (random in range if omitted)")
     tr.add_argument("--events", help="event script: one 'time kind' per line")
 
-    ba = sub.add_parser("batch", parents=[common], help="run n independent seeded trials")
-    ba.add_argument("--scene", help="scene JSON (default desk scene if omitted)")
+    ba = sub.add_parser("batch", parents=[common, scene], help="run n independent seeded trials")
     ba.add_argument("--n", type=int, help="number of trials")
 
     me = sub.add_parser("metrics", parents=[common], help="jerk and timing reports for a trajectory CSV")
@@ -116,11 +118,7 @@ def _fold(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         raise ParseError(scene, 0, exc.field, exc.message) from None
 
 
-def _finish(cfg: RunConfig, out: str) -> None:
-    save_config(cfg, f"{out}.config.json")
-
-
-def _cmd_fit(cfg: RunConfig, out: str) -> int:
+def _cmd_fit(cfg: RunConfig, out: str) -> str:
     if cfg.fit.demo is None:
         raise ValueError("no demonstration given: pass --demo or set fit.demo in the config")
     demo = load_trajectory_csv(cfg.fit.demo)
@@ -132,12 +130,10 @@ def _cmd_fit(cfg: RunConfig, out: str) -> int:
         except RolloutDiverged as exc:
             raise RuntimeError(f"the fitted primitive does not replay its demonstration: {exc}") from None
     save_dmp(dmp, out)
-    _finish(cfg, out)
-    print(f"fit {dmp.n_basis} basis functions, tau={dmp.tau:.6g}s -> {out}")
-    return 0
+    return f"fit {dmp.n_basis} basis functions, tau={dmp.tau:.6g}s -> {out}"
 
 
-def _cmd_rollout(cfg: RunConfig, out: str) -> int:
+def _cmd_rollout(cfg: RunConfig, out: str) -> str:
     ro = cfg.rollout
     if ro.dmp is None:
         raise ValueError("no primitive given: pass --dmp or set rollout.dmp in the config")
@@ -151,12 +147,10 @@ def _cmd_rollout(cfg: RunConfig, out: str) -> int:
         horizon=ro.horizon,
     )
     traj.save_csv(out)
-    _finish(cfg, out)
-    print(f"rollout {traj.times.size} samples over {traj.duration:.6g}s -> {out}")
-    return 0
+    return f"rollout {traj.times.size} samples over {traj.duration:.6g}s -> {out}"
 
 
-def _cmd_teach_sim(cfg: RunConfig, out: str) -> int:
+def _cmd_teach_sim(cfg: RunConfig, out: str) -> str:
     t = cfg.teach
     traj = simulate_demonstration(
         *default_teach_setup(t.controller, seed=cfg.seed),
@@ -166,14 +160,10 @@ def _cmd_teach_sim(cfg: RunConfig, out: str) -> int:
         seed=cfg.seed,
     )
     traj.save_csv(out)
-    _finish(cfg, out)
-    print(
-        f"teach-sim ({t.controller}) {traj.times.size} samples over {traj.duration:.6g}s -> {out}"
-    )
-    return 0
+    return f"teach-sim ({t.controller}) {traj.times.size} samples over {traj.duration:.6g}s -> {out}"
 
 
-def _cmd_localize(cfg: RunConfig, out: str) -> int:
+def _cmd_localize(cfg: RunConfig, out: str) -> str:
     scene, cam = cfg.scene_and_camera
     lo = cfg.localize
     ids = range(len(scene.holes)) if lo.hole_id is None else [lo.hole_id]
@@ -190,12 +180,10 @@ def _cmd_localize(cfg: RunConfig, out: str) -> int:
         vals = [*est.center, *est.axis, est.radius, est.rms, *hole_errors(est, scene, i)]
         lines.append(f"{i},1," + ",".join(fmt_float(v) for v in vals))
     write_text(out, "\n".join(lines) + "\n")
-    _finish(cfg, out)
-    print(f"localize: {n_found} of {len(list(ids))} holes fitted -> {out}")
-    return 0
+    return f"localize: {n_found} of {len(list(ids))} holes fitted -> {out}"
 
 
-def _cmd_sweep(cfg: RunConfig, out: str) -> int:
+def _cmd_sweep(cfg: RunConfig, out: str) -> str:
     sw = cfg.sweep
     scene, cam = cfg.scene_and_camera
     rows, intervals = detection_range_sweep(
@@ -215,37 +203,32 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
             f"{fmt_float(yaw)},{hole_id},{int(detected)},{fmt_float(center_err)},{fmt_float(radius_err)}"
         )
     write_text(out, "\n".join(lines) + "\n")
-    _finish(cfg, out)
+    summary = []
     for hole_id in sorted(intervals):
         spans = ", ".join(
             f"[{math.degrees(lo):.1f}, {math.degrees(hi):.1f}]" for lo, hi in intervals[hole_id]
         )
-        print(f"hole {hole_id}: {spans or 'never detected'} deg")
-    return 0
+        summary.append(f"hole {hole_id}: {spans or 'never detected'} deg")
+    return "\n".join(summary)
 
 
-def _cmd_trial(cfg: RunConfig, out: str) -> int:
+def _cmd_trial(cfg: RunConfig, out: str) -> str:
     result = execute_trial(scenario_from_config(cfg))
     write_json(out, trial_to_dict(result))
-    _finish(cfg, out)
-    print(f"success={result.success!r}")
-    if result.state.reason is not None:
-        print(f"reason={result.state.reason}")
-    return 0
+    reason = "" if result.state.reason is None else f"\nreason={result.state.reason}"
+    return f"success={result.success!r}{reason}"
 
 
-def _cmd_batch(cfg: RunConfig, out: str) -> int:
+def _cmd_batch(cfg: RunConfig, out: str) -> str:
     records = run_batch(scenario_from_config(cfg))
     doc = batch_to_dict(records)
     write_json(out, doc)
     csv_path = f"{out.removesuffix('.json')}.csv" if out.endswith(".json") else f"{out}.csv"
     write_text(csv_path, batch_csv_text(records))
-    _finish(cfg, out)
-    print(f"success_rate={doc['success_rate']!r}")
-    return 0
+    return f"success_rate={doc['success_rate']!r}"
 
 
-def _cmd_metrics(cfg: RunConfig, out: str) -> int:
+def _cmd_metrics(cfg: RunConfig, out: str) -> str:
     m = cfg.metrics
     if m.trajectory is None:
         raise ValueError("no trajectory given: pass --traj or set metrics.trajectory in the config")
@@ -256,6 +239,7 @@ def _cmd_metrics(cfg: RunConfig, out: str) -> int:
         "jerk": jerk_metrics(traj),
         "rotation_jerk": rotation_jerk_metrics(traj),
     }
+    table = ""
     if m.baseline is not None:
         base = load_trajectory_csv(m.baseline)
         comp = compare_demonstrations(traj, base, label_a="trajectory", label_b="baseline")
@@ -266,15 +250,13 @@ def _cmd_metrics(cfg: RunConfig, out: str) -> int:
             "rotation_jerk": rotation_jerk_metrics(base),
         }
         report["comparison"] = comp
-        print(render_comparison_table(comp))
+        table = render_comparison_table(comp) + "\n"
     write_json(out, report)
-    _finish(cfg, out)
-    print(f"metrics -> {out}")
-    return 0
+    return f"{table}metrics -> {out}"
 
 
 # command -> the config section its flags set, and its handler
-_COMMANDS: dict[str, tuple[str, Callable[[RunConfig, str], int]]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig, str], str]]] = {
     "fit": ("fit", _cmd_fit),
     "rollout": ("rollout", _cmd_rollout),
     "teach-sim": ("teach", _cmd_teach_sim),
@@ -307,12 +289,23 @@ def report_errors(command: Callable[[], int]) -> int:
             return 1
 
 
+def check_out_dir(out: str) -> None:
+    """Refuse ``out`` if its directory does not exist, with the error that
+    writing it would raise, so a run fails before its work, not after."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     def command() -> int:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        return _COMMANDS[args.command][1](_fold(cfg, args), args.out)
+        cfg = _fold(load_config(args.config) if args.config else RunConfig(), args)
+        check_out_dir(args.out)
+        summary = _COMMANDS[args.command][1](cfg, args.out)
+        save_config(cfg, f"{args.out}.config.json")
+        print(summary)
+        return 0
 
     return report_errors(command)
 

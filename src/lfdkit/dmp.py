@@ -236,7 +236,7 @@ def fit_pose_dmp(
        nature.
     4. Invert the transformation system along the demonstration, one
        formula for all six coordinates, whose goal is their last sample;
-       gains so large that a target overflows are refused.
+       an overflowing target is refused on its derivative, else its gains.
     5. Per-basis weighted least squares of the targets against the gate s:
        w_i = sum_k psi_i(s_k) s_k f_k / sum_k psi_i(s_k) s_k^2. Bases whose
        denominator underflows the 1e-12 guard get weight 0, and their count
@@ -270,6 +270,11 @@ def fit_pose_dmp(
             acc = _moving_average(finite_difference(t, x, 2))
             targets = tau**2 * acc - alpha_z * (beta_z * (x[-1] - x) - tau * vel)
         if not np.isfinite(targets).all():
+            for name, d in (("velocity", vel), ("acceleration", acc)):
+                bad = np.flatnonzero(~np.isfinite(d).all(axis=1))
+                if len(bad):
+                    raise ValueError(f"demonstration {name} is not finite at t = {t[bad[0]]:.6g} s:"
+                                     " a sample is too large for its time step to difference")
             raise ValueError(f"forcing targets overflow at alpha_z = {alpha_z:.6g}, beta_z = {beta_z:.6g}")
         s = np.exp(-alpha_s * t / tau)
         psi = _activations(s, centers, widths)

@@ -377,13 +377,15 @@ class TestTrialBatch:
             steps.write_text(script)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trial": {"n": 2, "events": str(steps)}}))
+        out = tmp_path / "out"
+        out.mkdir()
         errs = []
         for command in ("trial", "batch"):
-            code, text, err = run(capsys, command, "--config", cfg, "--out", tmp_path / "out" / f"{command}.json")
+            code, text, err = run(capsys, command, "--config", cfg, "--out", out / "run.json")
             assert (code, text) == (status, "")
             errs.append(err)
         assert errs[0] == errs[1] and errs[0].count("\n") == 1 and str(steps) in errs[0]
-        assert not (tmp_path / "out").exists()
+        assert list(out.iterdir()) == []
 
     def test_batch_rejects_n_zero(self, capsys, tmp_path):
         code, _, err = run(capsys, "batch", "--n", 0, "--out", tmp_path / "x.json")
@@ -546,6 +548,24 @@ def test_negative_seed_is_rejected_before_any_output(capsys, tmp_path, command, 
     assert code == want and out == ""
     assert err.count("\n") == 1 and "seed must be at least 0, got -1" in err
     assert [p.name for p in tmp_path.iterdir()] == ([] if via == "flag" else ["cfg.json"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_output_directory_fails_before_the_command_runs(capsys, tmp_path, monkeypatch, demo_csv, smooth_prim,
+                                                                 command):
+    # a batch once ran every trial and metrics printed its table before the
+    # write found the directory missing
+    def no_trial(scenario):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_batch", no_trial)
+    demo, prim = smooth_prim
+    inputs = {"fit": ["--demo", demo], "rollout": ["--dmp", prim], "metrics": ["--traj", demo_csv, "--baseline", demo]}
+    out = tmp_path / "missing" / "x"
+    code, stdout, err = run(capsys, command, *inputs.get(command, []), "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 HEADER = "t,px,py,pz,qw,qx,qy,qz\n"

@@ -16,6 +16,7 @@ import math
 
 import pytest
 
+from lfdkit.cli import main
 from lfdkit.dmp import dmp_to_dict, fit_pose_dmp
 from lfdkit.presets import demo_pose_waypoints, make_smooth_demo
 from test_config_fuzz import VALUES, run
@@ -76,6 +77,22 @@ def test_demo_cells_keep_the_error_contract(column, demo_text, tmp_path, capsys,
             _, out = run(["metrics", "--traj", demo, "--out", tmp_path / "m.json"], capsys, monkeypatch)
             found += [f"metrics with {case}: {line}" for line in out]
     assert found == []
+
+
+def test_a_demo_value_past_the_float_range_names_the_demonstration(demo_text, tmp_path, capsys):
+    # px 1.7e308 at t = 0 differences to an infinite velocity; fit once
+    # blamed the default gains for the overflowing targets
+    lines = demo_text.splitlines()
+    cells = lines[1].split(",")
+    cells[COLUMNS.index("px")] = "1.7e308"
+    lines[1] = ",".join(cells)
+    demo = tmp_path / "demo.csv"
+    demo.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--demo", str(demo), "--out", str(tmp_path / "prim.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: demonstration velocity is not finite at t = 0 s: a sample is too large for its time step to difference\n"
+    )
+    assert not (tmp_path / "prim.json").exists()
 
 
 @pytest.mark.parametrize("path", list(primitive_paths(PRIMITIVE)), ids=lambda path: ".".join(map(str, path)))
