@@ -39,7 +39,7 @@ of range or a key the config no longer has, a teach config whose
 cap, one with a zero quaternion on its line 301, one whose px of 1e300
 on line 301 overflows its jerk and its fit's replay, through ``metrics``
 and ``fit``, or a batch of 200 trials whose ``--out`` lies in a missing
-directory) runs once per checkout, untimed; it must exit non-zero, and its exit status
+directory or names an existing one) runs once per checkout, untimed; it must exit non-zero, and its exit status
 and stderr must match across the two checkouts byte for byte. ``invalid`` in the JSON records both, and any
 difference or zero exit is printed and exits 1. The JSON also holds min and median wall time per command and
 checkout, every sample, both git shas, the Python and numpy versions and
@@ -209,6 +209,7 @@ INVALID = {
     "localize --hole 7": cli("localize", "--hole", "7", out="bad.csv")[0],
     "batch --n 0": cli("batch", "--n", "0", out="bad.json")[0],
     "batch --n 200 --out nodir/bad.json": cli("batch", "--n", "200", out="nodir/bad.json")[0],
+    "batch --n 200 --out isdir": cli("batch", "--n", "200", out="isdir")[0],
     "trial --seed -1": cli("trial", "--seed", "-1", out="bad.json")[0],
     "sweep --start-deg 10 --stop-deg -10": cli("sweep", "--start-deg", "10", "--stop-deg", "-10", out="bad.csv")[0],
     "sweep --start-deg nan": cli("sweep", "--start-deg", "nan", out="bad.csv")[0],
@@ -282,6 +283,7 @@ def main(argv=None) -> int:
         outs = {side: Path(tmp) / side for side in sides}
         for out in outs.values():
             out.mkdir()
+            (out / "isdir").mkdir()
             (out / "abort.events").write_text(ABORT_EVENTS)
             (out / "teach_noise.json").write_text(TEACH_NOISE)
             (out / "contact_batch.json").write_text(CONTACT_BATCH)

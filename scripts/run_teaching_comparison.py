@@ -42,7 +42,7 @@ def compare(runs: int, first_seed: int, out: str | None) -> int:
         native = simulate_demonstration(*default_teach_setup("native", seed=seed), seed=seed)
         jp, jn = jerk_metrics(proposed), jerk_metrics(native)
         if first_pair is None:
-            first_pair = (proposed, native)
+            first_pair = ({"duration_s": proposed.duration, "jerk": jp}, {"duration_s": native.duration, "jerk": jn})
         proposed_durations.append(proposed.duration)
         native_durations.append(native.duration)
         wins += proposed.duration < native.duration and jp["mean"] < jn["mean"] and jp["max"] < jn["max"]

@@ -22,11 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmp import MAX_ROWS, PoseDmp, RolloutDiverged, _replay, linear_scan, rollout_steps
+from .dmp import PoseDmp, RolloutDiverged, _replay, linear_scan, rollout_steps
 from .ktc import plant_lag
 from .metrics import _position_jerk
 from .se3 import Pose, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz, rotation_between, unchart_rows
-from .trajectory import ParseError, Trajectory, _at_least, _check_seed, _finite_fields, _positive, fmt_float
+from .trajectory import MAX_ROWS, ParseError, Trajectory, _at_least, _check_seed, _finite_fields, _positive, fmt_float
 from .vision import BarScene, CameraModel, HoleEstimate, NotDetectable, _check_corruption, _check_hole_id
 from .vision import _check_mask_points, check_visible, locate_hole
 # not called here, but perfbench/spans.py wraps these by their names in this module
@@ -138,17 +138,9 @@ def advance(state: TaskState, event: StepEvent) -> TaskState:
 
 
 def nominal_events() -> tuple[StepEvent, ...]:
-    """The six-signal happy path that drives a fresh task to DONE, one
-    second apart."""
-    kinds = (
-        EventKind.PEDAL_PRESS,
-        EventKind.MOTION_DONE,
-        EventKind.VISION_READY,
-        EventKind.PEDAL_PRESS,
-        EventKind.MOTION_DONE,
-        EventKind.PEDAL_PRESS,
-    )
-    return tuple(StepEvent(k, float(i)) for i, k in enumerate(kinds))
+    """The happy path that drives a fresh task to DONE: the events of
+    ``_TABLE`` in its order, one second apart."""
+    return tuple(StepEvent(kind, float(i)) for i, (_, kind) in enumerate(_TABLE))
 
 
 _KINDS = {k.value: k for k in EventKind}
@@ -466,14 +458,12 @@ def _run_plan(
     enters within the clearance never binds, and its positions are the
     scan's.
 
-    One lag factor serves every tick, so the plan's intervals must agree to
-    1e-9 relative.
+    The plan is :func:`_plan`'s, whose rows are ``_PLAN_DT`` apart to
+    1e-9 relative, so one lag factor serves every tick; the tick is the
+    plan's last interval.
     """
     cmd_times, cmd_positions, cmd_e, _ = plan
-    dts = np.diff(cmd_times)
-    dt = float(dts[-1])
-    if np.ptp(dts) > 1e-9 * dt:
-        raise ValueError(f"plan intervals must be uniform, got {dts.min():.9g} to {dts.max():.9g} s")
+    dt = float(cmd_times[-1] - cmd_times[-2])
     n_cmd = len(cmd_times)
     n = n_cmd + int(round(_SETTLE_TIME / dt))
     times = np.concatenate([cmd_times, cmd_times[-1] + np.arange(1, n - n_cmd + 1) * dt])

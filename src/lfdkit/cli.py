@@ -1,7 +1,7 @@
 """Command-line front end: each pipeline stage as a subcommand.
 
 ``main`` runs every command alike: it folds the flags into one config
-document, checks the output directory, runs the command's handler, which
+document, checks the output path, runs the command's handler, which
 writes its outputs from that document alone and returns its summary, writes
 the document fully resolved to ``<out>.config.json``, then prints the
 summary. Re-running with ``--config <out>.config.json`` and no other flags
@@ -228,29 +228,27 @@ def _cmd_batch(cfg: RunConfig, out: str) -> str:
     return f"success_rate={doc['success_rate']!r}"
 
 
+def _report(path: str) -> dict:
+    """The scores of the trajectory CSV at ``path``."""
+    traj = load_trajectory_csv(path)
+    return {
+        "trajectory": path,
+        "duration_s": traj.duration,
+        "jerk": jerk_metrics(traj),
+        "rotation_jerk": rotation_jerk_metrics(traj),
+    }
+
+
 def _cmd_metrics(cfg: RunConfig, out: str) -> str:
     m = cfg.metrics
     if m.trajectory is None:
         raise ValueError("no trajectory given: pass --traj or set metrics.trajectory in the config")
-    traj = load_trajectory_csv(m.trajectory)
-    report = {
-        "trajectory": m.trajectory,
-        "duration_s": float(traj.duration),
-        "jerk": jerk_metrics(traj),
-        "rotation_jerk": rotation_jerk_metrics(traj),
-    }
+    report = _report(m.trajectory)
     table = ""
     if m.baseline is not None:
-        base = load_trajectory_csv(m.baseline)
-        comp = compare_demonstrations(traj, base, label_a="trajectory", label_b="baseline")
-        report["baseline"] = {
-            "trajectory": m.baseline,
-            "duration_s": float(base.duration),
-            "jerk": jerk_metrics(base),
-            "rotation_jerk": rotation_jerk_metrics(base),
-        }
-        report["comparison"] = comp
-        table = render_comparison_table(comp) + "\n"
+        report["baseline"] = _report(m.baseline)
+        report["comparison"] = compare_demonstrations(report, report["baseline"], "trajectory", "baseline")
+        table = render_comparison_table(report["comparison"]) + "\n"
     write_json(out, report)
     return f"{table}metrics -> {out}"
 
@@ -290,9 +288,12 @@ def report_errors(command: Callable[[], int]) -> int:
 
 
 def check_out_dir(out: str) -> None:
-    """Refuse ``out`` if its directory does not exist, with the error that
-    writing it would raise, so a run fails before its work, not after."""
-    if not os.path.isdir(os.path.dirname(out) or "."):
+    """Refuse an ``out`` that names a directory, nothing, or a file in a
+    missing directory, with the error that writing it would raise, so a run
+    fails before its work, not after."""
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not out or not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 

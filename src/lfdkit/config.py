@@ -206,19 +206,10 @@ def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
     number tuples and sections; ints are accepted for floats, bools never
     stand for numbers.
     """
-    if isinstance(hint, types.UnionType):
-        arms = typing.get_args(hint)
-        if value is None and type(None) in arms:
+    if isinstance(hint, types.UnionType):  # every union of the document is T | None
+        if value is None:
             return None
-        for arm in arms:
-            if arm is type(None):
-                continue
-            try:
-                return _check_value(value, arm, where, path)
-            except ParseError:
-                if _shaped(value, arm):  # the arm's own error says more than the union's
-                    raise
-        raise ParseError(path, 0, where, f"expected {hint}, got {type(value).__name__}")
+        (hint,) = [arm for arm in typing.get_args(hint) if arm is not type(None)]
     if is_dataclass(hint):
         return _build_section(hint, value, where, path)
     if typing.get_origin(hint) is tuple:
@@ -242,14 +233,6 @@ def _check_value(value: Any, hint: Any, where: str, path: str) -> Any:
             raise ParseError(path, 0, where, f"expected a string, got {type(value).__name__}")
         return value
     return value
-
-
-def _shaped(value: Any, hint: Any) -> bool:
-    """Whether a JSON value is of the kind ``hint`` reads: a list for a
-    tuple, a number for a float."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple))
-    return hint is float and isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _build_section(cls: type, data: Any, where: str, path: str) -> Any:

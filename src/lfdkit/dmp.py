@@ -48,17 +48,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .se3 import Pose, chart_rows, quat_normalize, unchart_rows
-from .trajectory import MAX_ROWS, ParseError, Trajectory, finite_difference, grid_steps, json_floats, json_pose
+from .trajectory import ParseError, Trajectory, finite_difference, grid_steps, json_floats, json_pose
 from .trajectory import _at_least, _positive, pose_json, read_json, require_keys, resample_trajectory, write_json
 
 __all__ = [
     "PoseDmp",
     "RolloutDiverged",
     "ForcingUnderflow",
-    "MAX_ROWS",
     "MAX_BASIS",
     "basis_layout",
-    "grid_steps",
     "demo_steps",
     "rollout_steps",
     "fit_pose_dmp",

@@ -97,7 +97,7 @@ def timing_stats(durations) -> dict:
 
 
 def _comparison_row(metric: str, a: float, b: float) -> dict:
-    """One metric of two trajectories; lower is better for every metric
+    """One metric of two reports; lower is better for every metric
     reported here. The ratio a / b is null, not Infinity, when b is 0:
     strict JSON has no infinity."""
     if a == b:
@@ -109,19 +109,21 @@ def _comparison_row(metric: str, a: float, b: float) -> dict:
             "ratio_a_over_b": ratio if math.isfinite(ratio) else None}
 
 
-def compare_demonstrations(a: Trajectory, b: Trajectory, label_a: str = "a", label_b: str = "b") -> dict:
-    """Per-metric winners and ratios for duration and jerk:
-    ``{"label_a", "label_b", "rows"}``, one row per metric.
+def compare_demonstrations(a: dict, b: dict, label_a: str = "a", label_b: str = "b") -> dict:
+    """Per-metric winners and ratios for duration and jerk of two
+    trajectories' reports, each a dict with ``"duration_s"`` and the
+    :func:`jerk_metrics` dict as ``"jerk"``: ``{"label_a", "label_b",
+    "rows"}``, one row per metric.
 
     Two single trajectories support an ordering claim only; no statistical
     test is implied at n = 1.
     """
-    ja, jb = jerk_metrics(a), jerk_metrics(b)
+    ja, jb = a["jerk"], b["jerk"]
     return {
         "label_a": label_a,
         "label_b": label_b,
         "rows": [
-            _comparison_row("duration_s", a.duration, b.duration),
+            _comparison_row("duration_s", a["duration_s"], b["duration_s"]),
             _comparison_row("mean_jerk_m_s3", ja["mean"], jb["mean"]),
             _comparison_row("max_jerk_m_s3", ja["max"], jb["max"]),
         ],

@@ -9,9 +9,9 @@ import numpy as np
 
 from .assembly import AssemblyScenario, TrialSection, parse_events
 from .config import RunConfig
-from .dmp import fit_pose_dmp, grid_steps
+from .dmp import fit_pose_dmp
 from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
-from .trajectory import Trajectory, _positive, read_text
+from .trajectory import Trajectory, _positive, grid_steps, read_text
 from .vision import BarScene, CameraModel, HoleSpec
 
 __all__ = [

@@ -18,6 +18,7 @@ from lfdkit.assembly import (
     _DESCENT_SPEED,
     _PLAN_DT,
     _SNAP_BAND,
+    _TABLE,
     _contact_model,
     _contact_project,
     _first_binding_tick,
@@ -42,12 +43,11 @@ from lfdkit.assembly import (
     trial_to_dict,
 )
 from lfdkit.config import config_from_dict
-from lfdkit.dmp import MAX_ROWS
 from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.ktc import PLANT_TIME_CONSTANT
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
 from lfdkit.se3 import chart_rows, rotation_vector_wxyz, unchart_rows
-from lfdkit.trajectory import ParseError, Trajectory
+from lfdkit.trajectory import MAX_ROWS, ParseError, Trajectory
 from lfdkit.vision import MAX_MASK_POINTS, CameraModel, HoleEstimate, locate_hole
 
 TOOL_AXIS = np.array([0.0, 0.0, -1.0])
@@ -184,6 +184,7 @@ class TestEvents:
         assert [e.t for e in evs] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert evs[0].kind is EventKind.PEDAL_PRESS
         assert evs[-1].kind is EventKind.PEDAL_PRESS
+        assert [e.kind for e in evs] == [kind for _, kind in _TABLE]
 
     def test_parse_skips_comments_and_blanks(self):
         text = "0 pedal_press\n# a comment\n\n1.5 motion_done\n2 vision_ready\n"
@@ -333,6 +334,17 @@ class TestPlanInsertion:
             plan_insertion(
                 scenario.initial_pose, self.true_estimate(scenario), scenario.dmp, standoff=0.0
             )
+
+    # the default depth, and a descent a few rows short of the row cap
+    @pytest.mark.parametrize("depth", [0.012, MAX_ROWS * _DESCENT_SPEED * _PLAN_DT - 0.031])
+    @pytest.mark.parametrize("yaw_deg", [-60.0, 60.0])
+    @pytest.mark.parametrize("hole_id", [0, 1, 2])
+    def test_plan_rows_are_evenly_spaced(self, scenario, hole_id, yaw_deg, depth):
+        # _run_plan steps every tick by the plan's last interval, so one lag
+        # factor serves the whole plan only if the rows are evenly spaced
+        yawed = replace(scenario, scene=scenario.scene.yawed(math.radians(yaw_deg)))
+        times, _, _, _ = _plan(scenario.initial_pose, self.true_estimate(yawed, hole_id), scenario.dmp, 0.030, depth)
+        assert np.ptp(np.diff(times)) <= 1e-9 * _PLAN_DT
 
 
 class TestExecuteTrial:
@@ -812,13 +824,6 @@ class TestRunPlan:
         times, _, _ = _run_plan(rows, scenario, scene, self.HOLE)
         # one projection per tick from the first one stepped to the end
         assert len(times) - len(calls) == moved[0]
-
-    def test_non_uniform_intervals_rejected(self, scenario):
-        _, (times, positions, e, g), scene = self.plan(scenario)
-        times = times.copy()
-        times[-1] += 0.5 * (times[-1] - times[-2])
-        with pytest.raises(ValueError, match="plan intervals must be uniform"):
-            _run_plan((times, positions, e, g), scenario, scene, self.HOLE)
 
 
 class TestContactGate:

@@ -550,22 +550,47 @@ def test_negative_seed_is_rejected_before_any_output(capsys, tmp_path, command, 
     assert [p.name for p in tmp_path.iterdir()] == ([] if via == "flag" else ["cfg.json"])
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_missing_output_directory_fails_before_the_command_runs(capsys, tmp_path, monkeypatch, demo_csv, smooth_prim,
-                                                                 command):
-    # a batch once ran every trial and metrics printed its table before the
-    # write found the directory missing
+def run_to_bad_out(capsys, monkeypatch, demo_csv, smooth_prim, command, out):
+    """``command`` with its inputs, writing ``out``; a batch fails if it
+    runs its trials."""
     def no_trial(scenario):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(cli, "run_batch", no_trial)
     demo, prim = smooth_prim
     inputs = {"fit": ["--demo", demo], "rollout": ["--dmp", prim], "metrics": ["--traj", demo_csv, "--baseline", demo]}
+    return run(capsys, command, *inputs.get(command, []), "--out", out)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_output_directory_fails_before_the_command_runs(capsys, tmp_path, monkeypatch, demo_csv, smooth_prim,
+                                                                 command):
+    # a batch once ran every trial and metrics printed its table before the
+    # write found the directory missing
     out = tmp_path / "missing" / "x"
-    code, stdout, err = run(capsys, command, *inputs.get(command, []), "--out", out)
+    code, stdout, err = run_to_bad_out(capsys, monkeypatch, demo_csv, smooth_prim, command, out)
     assert (code, stdout) == (1, "")
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["directory", "directory/", "nothing"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_output_naming_a_directory_or_nothing_fails_before_the_command_runs(
+        capsys, tmp_path, monkeypatch, demo_csv, smooth_prim, command, kind):
+    # a batch once ran every trial before the write found that --out named
+    # an existing directory, or no file at all
+    directory = tmp_path / "isdir"
+    directory.mkdir()
+    out, error = {
+        "directory": (str(directory), "[Errno 21] Is a directory"),
+        "directory/": (f"{directory}/", "[Errno 21] Is a directory"),
+        "nothing": ("", "[Errno 2] No such file or directory"),
+    }[kind]
+    code, stdout, err = run_to_bad_out(capsys, monkeypatch, demo_csv, smooth_prim, command, out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {error}: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [directory] and list(directory.iterdir()) == []
 
 
 HEADER = "t,px,py,pz,qw,qx,qy,qz\n"

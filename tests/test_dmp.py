@@ -35,7 +35,6 @@ from lfdkit import dmp as dmp_module
 from lfdkit.cli import main
 from lfdkit.dmp import (
     MAX_BASIS,
-    MAX_ROWS,
     ForcingUnderflow,
     PoseDmp,
     RolloutDiverged,
@@ -61,7 +60,7 @@ from lfdkit.se3 import (
     quat_mul_wxyz,
     rotation_vector_wxyz,
 )
-from lfdkit.trajectory import ParseError, Trajectory, finite_difference
+from lfdkit.trajectory import MAX_ROWS, ParseError, Trajectory, finite_difference
 
 ALPHA_S = 25.0 / 3.0
 ORIGIN = Pose(np.zeros(3))  # identity orientation

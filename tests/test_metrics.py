@@ -225,10 +225,15 @@ class TestMeanInRange:
         assert norms[trim:n - trim].min() <= r["mean"] <= r["max"]
 
 
+def report(traj):
+    """The part of a trajectory's ``metrics`` report that the comparison reads."""
+    return {"duration_s": traj.duration, "jerk": jerk_metrics(traj)}
+
+
 class TestComparison:
     def test_identical_inputs_all_tie(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
-        rep = compare_demonstrations(traj, traj)
+        rep = compare_demonstrations(report(traj), report(traj))
         for row in rep["rows"]:
             assert row["winner"] == "tie"
             assert row["ratio_a_over_b"] == 1.0
@@ -241,7 +246,7 @@ class TestComparison:
             clean.positions + rng.normal(scale=1e-4, size=clean.positions.shape),
             identity_quats(len(clean)),
         )
-        rep = compare_demonstrations(clean, noisy, "clean", "noisy")
+        rep = compare_demonstrations(report(clean), report(noisy), "clean", "noisy")
         rows = {r["metric"]: r for r in rep["rows"]}
         assert rows["mean_jerk_m_s3"]["winner"] == "a"
         assert rows["max_jerk_m_s3"]["winner"] == "a"
@@ -251,7 +256,7 @@ class TestComparison:
         # b never moves, so its jerk is exactly 0 and a's is not
         a = quintic_profile(T=1.0, dt=2e-3)
         b = Trajectory(a.times, np.zeros_like(a.positions), identity_quats(len(a)))
-        rows = {r["metric"]: r for r in compare_demonstrations(a, b)["rows"]}
+        rows = {r["metric"]: r for r in compare_demonstrations(report(a), report(b))["rows"]}
         for metric in ("mean_jerk_m_s3", "max_jerk_m_s3"):
             assert rows[metric]["b"] == 0.0 and rows[metric]["a"] > 0.0
             assert rows[metric]["ratio_a_over_b"] is None  # a / 0 is infinite
@@ -261,7 +266,7 @@ class TestComparison:
         # strict JSON has no Infinity; the file must load with a strict parser
         a = quintic_profile(T=1.0, dt=2e-3)
         b = Trajectory(a.times * 2.0, np.zeros_like(a.positions), identity_quats(len(a)))
-        d = compare_demonstrations(a, b)
+        d = compare_demonstrations(report(a), report(b))
         assert [r["ratio_a_over_b"] for r in d["rows"]] == [0.5, None, None]
         path = tmp_path / "report.json"
         write_json(path, d)
@@ -274,7 +279,7 @@ class TestComparison:
 
     def test_render_includes_reference_rows_verbatim(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
-        rep = compare_demonstrations(traj, traj, "proposed", "native")
+        rep = compare_demonstrations(report(traj), report(traj), "proposed", "native")
         text = render_comparison_table(
             rep,
             reference_rows=[
@@ -288,6 +293,6 @@ class TestComparison:
 
     def test_dict_emission(self):
         traj = quintic_profile(T=1.0, dt=2e-3)
-        d = compare_demonstrations(traj, traj)
+        d = compare_demonstrations(report(traj), report(traj))
         assert [r["metric"] for r in d["rows"]] == ["duration_s", "mean_jerk_m_s3", "max_jerk_m_s3"]
         assert all(r["winner"] == "tie" for r in d["rows"])
