@@ -64,7 +64,7 @@ _DESCENT_SPEED = 0.02  # m/s along the hole axis, standoff to goal
 _PLAN_DT = 1e-3  # s between plan samples
 _SNAP_BAND = 1e-3  # m of chamfer beyond the clearance that funnels the peg in
 _SETTLE_TIME = 0.5  # s the last command is held after the plan ends
-MAX_TRIALS = 10_000  # trials one batch may run: about a minute at ~5 ms a trial
+MAX_TRIALS = 10_000  # trials one batch may run: 20-45 s at 2-4.5 ms a trial (0.5-6 mm vision noise, 2-vCPU host)
 
 
 class Phase(Enum):
@@ -199,10 +199,11 @@ class PlanningFailed(RuntimeError):
     """The insertion move cannot be planned for the fitted hole."""
 
 
-# a trial passes its plan and executed motion along as these rows: the
-# times, the positions, the attitude in the goal's log chart
-# e = log(q * conj(g)), and the chart's reference g as one (1, 4) row
-ChartRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# a trial passes its plan along as the times, the motion as one row per
+# component, shape (6, n): the positions x, y, z, then the attitude in the
+# goal's log chart e = log(q * conj(g)); and the chart's reference g as one
+# (1, 4) row
+PlanRows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def plan_insertion(
@@ -222,34 +223,34 @@ def plan_insertion(
     are measured along the axis from the hole center, above and below; the
     goal is :func:`insertion_goal` at ``depth``.
     """
-    times, positions, e, g = _plan(current, hole, dmp, standoff, depth)
-    return Trajectory(times, positions, unchart_rows(e, g))
+    times, rows, g = _plan(current, hole, dmp, standoff, depth)
+    return Trajectory(times, rows[:3].T, unchart_rows(rows[3:].T, g))
 
 
-def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, depth: float) -> ChartRows:
+def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, depth: float) -> PlanRows:
     """The rows of :func:`plan_insertion` before the map back, with its
     checks. The standoff and the goal share one attitude, so the replay's
-    chart is the goal's, and the descent rows are 0 in it."""
+    chart is the goal's, and the descent's attitude is 0 in it."""
     _positive("standoff", standoff)
     goal = insertion_goal(hole, depth, dmp.demo_goal.orientation)
     n = max(2, int(math.ceil(_descent_rows(standoff, depth))))
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
 
-    times, positions, e, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
-    miss = float(np.linalg.norm(positions[-1] - standoff_pose.position))
+    times, replay, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
+    miss = float(np.linalg.norm(replay[:3, -1] - standoff_pose.position))
     if miss > _CONVERGENCE_TOL:
         raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
 
-    u = (np.arange(1, n + 1) / n)[:, None]
-    descent = standoff_pose.position + u * (goal.position - standoff_pose.position)
-    descent[-1] = goal.position
-    return (
-        np.concatenate([times, times[-1] + np.arange(1, n + 1) * _PLAN_DT]),
-        np.vstack([positions, descent]),
-        np.vstack([e, np.zeros((n, 3))]),
-        g,
-    )
+    m = len(times)
+    rows = np.empty((6, m + n))
+    rows[:, :m] = replay
+    descent = rows[:3, m:]
+    np.multiply(np.arange(1, n + 1) / n, (goal.position - standoff_pose.position)[:, None], out=descent)
+    descent += standoff_pose.position[:, None]
+    descent[:, -1] = goal.position
+    rows[3:, m:] = 0.0
+    return np.concatenate([times, times[-1] + np.arange(1, n + 1) * _PLAN_DT]), rows, g
 
 
 def _descent_rows(standoff: float, depth: float) -> float:
@@ -438,12 +439,12 @@ def _first_binding_tick(lag: np.ndarray, model: tuple[float, ...]) -> int | None
 
 
 def _run_plan(
-    plan: ChartRows, scenario: AssemblyScenario, scene: BarScene, hole_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    plan: PlanRows, scenario: AssemblyScenario, scene: BarScene, hole_id: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Track the plan on the lagged plant, contact-projected against the
     true hole each tick, then hold the last command until the lag dies.
-    Returns the executed times, positions and attitudes, the attitudes in
-    the plan's chart.
+    Returns the executed times and motion in the plan's layout: one row per
+    component, the positions, then the attitudes in the plan's chart.
 
     The plant is the robot's first-order lag. Each tick of interval dt, the
     position closes the gap to the command by a = 1 - exp(lam), both from
@@ -462,7 +463,7 @@ def _run_plan(
     1e-9 relative, so one lag factor serves every tick; the tick is the
     plan's last interval.
     """
-    cmd_times, cmd_positions, cmd_e, _ = plan
+    cmd_times, cmd, _ = plan
     dt = float(cmd_times[-1] - cmd_times[-2])
     n_cmd = len(cmd_times)
     n = n_cmd + int(round(_SETTLE_TIME / dt))
@@ -471,25 +472,23 @@ def _run_plan(
     # column k holds tick k's command (position, attitude error), the last one
     # held through the settle; the scan overwrites it with the reached state
     lag = np.empty((6, n))
-    lag[:3, :n_cmd] = cmd_positions.T
-    lag[3:, :n_cmd] = cmd_e.T
-    lag[:, n_cmd:] = lag[:, n_cmd - 1 : n_cmd]
+    lag[:, :n_cmd] = cmd
+    lag[:, n_cmd:] = cmd[:, -1:]
     lam, a = plant_lag(dt)
     lag[:, 1:] *= a
     linear_scan(lag[:, 1:], lam, lag[:, 0])
 
     model = _contact_model(scene, hole_id, scenario.trial.clearance)
-    positions = lag[:3].T
     k0 = _first_binding_tick(lag, model)
     if k0 is not None:
-        commands = cmd_positions[k0:].tolist() + [cmd_positions[-1].tolist()] * (n - max(k0, n_cmd))
-        px, py, pz = positions[k0 - 1].tolist()
+        commands = [*zip(*cmd[:3, k0:].tolist())] + [tuple(cmd[:3, -1].tolist())] * (n - max(k0, n_cmd))
+        px, py, pz = lag[:3, k0 - 1].tolist()
         reached = []
         for cx, cy, cz in commands:
             px, py, pz = _contact_project((px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz)), model)
             reached.append((px, py, pz))
-        positions[k0:] = reached
-    return times, positions, lag[3:].T
+        lag[:3, k0:].T[:] = reached
+    return times, lag
 
 
 def _score(p: np.ndarray, q: np.ndarray, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
@@ -571,11 +570,11 @@ def execute_trial(scenario: AssemblyScenario) -> TrialResult:
     # INSERTING is entered only through INSERTION_PLANNED, so a walk that
     # got there with no stage failure holds a plan
     if Phase.INSERTING in entered and state.phase is not Phase.FAILED:
-        # the motion stays in the plan's chart; only its final attitude maps back
-        times, positions, e = _run_plan(plan, scenario, scene, hole_id)
-        lateral, tilt, depth = _score(positions[-1], unchart_rows(e[-1:], plan[3])[0], scene, hole_id)
+        # the motion stays in the plan's rows and chart; only its final attitude maps back
+        times, lag = _run_plan(plan, scenario, scene, hole_id)
+        lateral, tilt, depth = _score(lag[:3, -1], unchart_rows(lag[3:, -1][None], plan[2])[0], scene, hole_id)
         duration = float(times[-1] - times[0])
-        jerk = _position_jerk(times, positions)
+        jerk = _position_jerk(times, lag[:3], keep_weights=True)  # every trial of a batch executes on one grid
 
     return TrialResult(
         success=meets_tolerances(lateral, tilt, depth, scenario),

@@ -1,7 +1,7 @@
 """Command-line front end: each pipeline stage as a subcommand.
 
 ``main`` runs every command alike: it folds the flags into one config
-document, checks the output path, runs the command's handler, which
+document, checks every output path, runs the command's handler, which
 writes its outputs from that document alone and returns its summary, writes
 the document fully resolved to ``<out>.config.json``, then prints the
 summary. Re-running with ``--config <out>.config.json`` and no other flags
@@ -219,12 +219,17 @@ def _cmd_trial(cfg: RunConfig, out: str) -> str:
     return f"success={result.success!r}{reason}"
 
 
+def _batch_csv_path(out: str) -> str:
+    """Where a batch writing ``out`` puts its CSV: ``out`` with a ``.json``
+    suffix swapped for ``.csv``, or with ``.csv`` appended."""
+    return f"{out.removesuffix('.json')}.csv"
+
+
 def _cmd_batch(cfg: RunConfig, out: str) -> str:
     records = run_batch(scenario_from_config(cfg))
     doc = batch_to_dict(records)
     write_json(out, doc)
-    csv_path = f"{out.removesuffix('.json')}.csv" if out.endswith(".json") else f"{out}.csv"
-    write_text(csv_path, batch_csv_text(records))
+    write_text(_batch_csv_path(out), batch_csv_text(records))
     return f"success_rate={doc['success_rate']!r}"
 
 
@@ -297,12 +302,19 @@ def check_out_dir(out: str) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
+def _out_paths(command: str, out: str) -> tuple[str, ...]:
+    """Every path ``command`` writes: ``out``, the resolved config beside
+    it, and a batch's CSV."""
+    return (out, f"{out}.config.json", *([_batch_csv_path(out)] if command == "batch" else []))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     def command() -> int:
         cfg = _fold(load_config(args.config) if args.config else RunConfig(), args)
-        check_out_dir(args.out)
+        for path in _out_paths(args.command, args.out):
+            check_out_dir(path)
         summary = _COMMANDS[args.command][1](cfg, args.out)
         save_config(cfg, f"{args.out}.config.json")
         print(summary)

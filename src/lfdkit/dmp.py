@@ -337,8 +337,9 @@ def _log_one_minus(mu: float) -> float | complex:
 
 
 def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> np.ndarray:
-    """Rows e[0..n+1] of e[k+2] = c1 e[k+1] - c0 e[k] + u[k], e[1] = e[0],
-    for u of shape (n, len(e0)) and c1 < 2.
+    """Samples e[0..n+1] of e[k+2] = c1 e[k+1] - c0 e[k] + u[k], e[1] = e[0],
+    for u of shape (n, len(e0)) and c1 < 2, as one contiguous row per
+    component: shape (len(e0), n + 2).
 
     With r1, r2 the roots of z^2 - c1 z + c0, w[k] = e[k] - r2 e[k-1] obeys
     w[k+1] = r1 w[k] + u[k-1] from w[1] = (1 - r2) e[0], and then
@@ -355,7 +356,7 @@ def _second_order_scan(e0: np.ndarray, u: np.ndarray, c1: float, c0: float) -> n
     buf[:, 2:] = u.T
     linear_scan(buf[:, 2:], lam1, mu2 * e0)
     linear_scan(buf[:, 2:], lam2, e0)
-    return buf.real.T.copy()
+    return np.ascontiguousarray(buf.real)
 
 
 def _scan_rates(c1: float, c0: float) -> tuple[float | complex, float | complex, float | complex]:
@@ -403,8 +404,9 @@ _last_responses: tuple | None = None
 
 def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The Euler filter's unit response h, shape (n + 2,), its forced
-    response F, shape (n + 2, 6), for the n = len(times) - 1 steps of a
-    rollout, and the phase samples at which the forcing underflowed.
+    response F, one row per axis, shape (6, n + 2), for the
+    n = len(times) - 1 steps of a rollout, and the phase samples at which
+    the forcing underflowed.
 
     h starts at 1 without forcing and serves all six axes, which share one
     filter; F starts at 0 under the primitive's forcing. Both are read-only
@@ -429,7 +431,7 @@ def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[
     with np.errstate(over="ignore", invalid="ignore"):  # a huge forcing overflows; _replay's row check refuses it
         both = _second_order_scan(np.eye(7)[6], u, c1, c0)
     both.flags.writeable = False
-    unit, forced = both[:, 6], both[:, :6]
+    unit, forced = both[6], both[:6]
     _last_responses = (dmp, tau, dt, n_steps, unit, forced, underflows)
     return unit, forced, underflows
 
@@ -461,20 +463,20 @@ def rollout(
     response to the forcing from e = 0 (Ijspeert et al. 2013). Both are
     scanned once and kept for the last primitive, tau, dt and step count
     rolled out; a rollout toward a new goal only forms h e[0] + F, and an
-    axis that starts on its goal gets F alone. Superposed rows match one
+    axis that starts on its goal gets F alone. Superposed samples match one
     scan from e[0] to within a few units in the last place.
 
     An Euler step that breaks the stability rule (both roots of the filter
     strictly inside the unit circle) raises ValueError before step 1.
-    Divergence is found row-wise: the first step whose |z| over six axes
+    Divergence is found step by step: the first step whose |z| over six axes
     plus |p| and |e| sum to 1e15 or more, or to NaN, raises RolloutDiverged.
     Every call whose forcing underflowed warns ForcingUnderflow, a call
     served from the kept responses included. The orientation comes back
-    through ``se3.unchart_rows`` as q = exp(e) * g row by row, which is
+    through ``se3.unchart_rows`` as q = exp(e) * g sample by sample, which is
     defined for every e.
     """
-    times, positions, e, g = _replay(dmp, start, goal, tau, dt, horizon)
-    return Trajectory(times, positions, unchart_rows(e, g))
+    times, rows, g = _replay(dmp, start, goal, tau, dt, horizon)
+    return Trajectory(times, rows[:3].T, unchart_rows(rows[3:].T, g))
 
 
 def _replay(
@@ -484,11 +486,12 @@ def _replay(
     tau: float | None = None,
     dt: float = 1e-3,
     horizon: float = 1.5,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of :func:`rollout` before the map back, with its checks and
-    warning: the times, the positions, the orientation in the goal's log
-    chart e = log(q * conj(g)), and the chart's reference g, the goal
-    orientation as one (1, 4) row."""
+    warning: the times; the motion as one row per component, shape (6, n),
+    the positions x, y, z, then the orientation in the goal's log chart
+    e = log(q * conj(g)); and the chart's reference g, the goal orientation
+    as one (1, 4) row."""
     start = dmp.demo_start if start is None else start
     goal = dmp.demo_goal if goal is None else goal
     tau = dmp.tau if tau is None else float(tau)
@@ -505,20 +508,23 @@ def _replay(
     e0 = np.concatenate([start.position - goal.position, chart_rows(np.array([start.orientation]), gq)[0]])
     err = forced.copy()
     for axis in np.flatnonzero(e0):
-        err[:, axis] += unit * e0[axis]
-    positions = err[:-1, :3] + goal.position
-    rot = err[:-1, 3:]
-    # the largest |e| bounds every row's sum and angle; the row-wise checks
-    # run only when that bound does not clear them (NaN never does)
+        err[axis] += unit * e0[axis]
+    # the largest |e| bounds every sample's sum and angle; the sample-wise
+    # checks run only when that bound does not clear them (NaN never does)
+    # checks run only when that bound does not clear them (NaN never does);
+    # |z| is differenced before the goal is added, which would round it
     bound = float(np.abs(err).max())
     if not bound * (12.0 / adt + 6.0) + 3.0 * float(np.abs(goal.position).max()) < 1e14:
         with np.errstate(over="ignore", invalid="ignore"):
-            size = (np.abs(np.diff(err, axis=0)) / adt).sum(axis=1) + np.abs(positions).sum(axis=1)
-            size += np.abs(rot).sum(axis=1)
+            size = (np.abs(np.diff(err, axis=1)) / adt).sum(axis=0)
+            size += np.abs(err[:3, :-1] + goal.position[:, None]).sum(axis=0)
+            size += np.abs(err[3:, :-1]).sum(axis=0)
         bad = np.flatnonzero(~(size[1:] < 1e15))
         if len(bad):
             raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
-    return times, positions, rot, gq
+    rows = err[:, :-1]
+    rows[:3] += goal.position[:, None]
+    return times, rows, gq
 
 
 # ---------------------------------------------------------------------------

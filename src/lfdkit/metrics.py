@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .se3 import chart_rows
-from .trajectory import Trajectory, finite_difference, resample_trajectory
+from .trajectory import Trajectory, _difference_rows, resample_trajectory
 
 __all__ = [
     "jerk_metrics",
@@ -63,13 +63,24 @@ def jerk_metrics(traj: Trajectory) -> dict:
     """
     traj = _uniform(traj)
     with np.errstate(over="ignore", invalid="ignore"):  # a jerk past the float range is refused, not warned about
-        return _position_jerk(traj.times, traj.positions)
+        return _position_jerk(traj.times, traj.positions.T)
 
 
-def _position_jerk(times: np.ndarray, positions: np.ndarray) -> dict:
-    """:func:`jerk_metrics` of positions on uniform times, at least 4 of them."""
-    jerk = finite_difference(times, positions, 3)
-    return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "m/s^3")
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each sample of three component rows, in place
+    and summed in numpy's order, sqrt((x^2 + y^2) + z^2)."""
+    np.multiply(rows, rows, out=rows)
+    total = rows[0] + rows[1]
+    total += rows[2]
+    return np.sqrt(total, out=total)
+
+
+def _position_jerk(times: np.ndarray, rows: np.ndarray, keep_weights: bool = False) -> dict:
+    """:func:`jerk_metrics` of the position rows x, y, z, shape (3, n), on
+    uniform times, at least 4 of them. ``keep_weights`` keeps the stencil
+    weights of the grid for the next call, for a caller that scores many
+    motions on one grid."""
+    return _interior_stats(_norms(_difference_rows(times, rows, 3, keep_weights)), _EDGE_TRIM, "m/s^3")
 
 
 def rotation_jerk_metrics(traj: Trajectory) -> dict:
@@ -79,8 +90,7 @@ def rotation_jerk_metrics(traj: Trajectory) -> dict:
     traj = _uniform(traj)
     rvs = chart_rows(traj.orientations, traj.orientations[:1])
     with np.errstate(over="ignore", invalid="ignore"):  # as in jerk_metrics
-        jerk = finite_difference(traj.times, rvs, 3)
-        return _interior_stats(np.linalg.norm(jerk, axis=1), _EDGE_TRIM, "rad/s^3")
+        return _interior_stats(_norms(_difference_rows(traj.times, rvs.T, 3)), _EDGE_TRIM, "rad/s^3")
 
 
 def timing_stats(durations) -> dict:

@@ -200,8 +200,8 @@ class Trajectory:
         wrenches: np.ndarray | None = None,
     ) -> None:
         t = np.array(times, dtype=float).reshape(-1)
-        p = np.array(positions, dtype=float).reshape(len(t), 3)
-        q = np.array(orientations, dtype=float).reshape(len(t), 4)
+        p = np.array(positions, dtype=float, order="C").reshape(len(t), 3)
+        q = np.array(orientations, dtype=float, order="C").reshape(len(t), 4)
         if not np.all(np.isfinite(t)):
             raise ValueError("timestamps must be finite")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
@@ -211,7 +211,7 @@ class Trajectory:
         q = quat_canonicalize_rows(q)
         w = None
         if wrenches is not None:
-            w = np.array(wrenches, dtype=float).reshape(len(t), 6)
+            w = np.array(wrenches, dtype=float, order="C").reshape(len(t), 6)
             if not np.all(np.isfinite(w)):
                 raise ValueError("wrenches must be finite")
             w.flags.writeable = False
@@ -339,7 +339,8 @@ def finite_difference(times: np.ndarray, values: np.ndarray, order: int = 1) -> 
 
     Central differences in the interior, one-sided second-order stencils at
     the ends. ``order=k`` is defined as k repeated first-order passes, so the
-    composition property holds by construction.
+    composition property holds by construction. ``values`` holds one sample
+    per row; the result has its shape, C-ordered.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -349,25 +350,60 @@ def finite_difference(times: np.ndarray, values: np.ndarray, order: int = 1) -> 
         raise ValueError("times and values disagree on sample count")
     if len(t) < order + 1:
         raise ValueError(f"order-{order} difference needs at least {order + 1} samples, got {len(t)}")
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v[:, None]
+    return np.ascontiguousarray(_difference_rows(t, v.T, order).T)
+
+
+def _stencil_weights(t: np.ndarray) -> tuple:
+    """The three-point weights of grid ``t`` (3 or more samples) for the
+    interior samples, each an array over them, and for the two ends."""
+    a, b, c = t[:-2], t[1:-1], t[2:]
+    return (
+        _three_point_weights(a, b, c, b),
+        _three_point_weights(t[0], t[1], t[2], t[0]),
+        _three_point_weights(t[-3], t[-2], t[-1], t[-1]),
+    )
+
+
+# the stencil weights of the last grid differenced with keep=True, keyed on
+# its bytes: (key, weights); every trial of a batch executes on one grid
+_last_weights: tuple | None = None
+
+
+def _kept_stencil_weights(t: np.ndarray) -> tuple:
+    """:func:`_stencil_weights` of ``t``, kept for the next call on the same grid."""
+    global _last_weights
+    key = t.tobytes()
+    if _last_weights is None or _last_weights[0] != key:
+        weights = _stencil_weights(t)
+        for w in weights[0]:
+            w.flags.writeable = False
+        _last_weights = (key, weights)
+    return _last_weights[1]
+
+
+def _difference_rows(t: np.ndarray, rows: np.ndarray, order: int, keep: bool = False) -> np.ndarray:
+    """:func:`finite_difference` of samples laid out along the last axis,
+    one row per component, for ``order + 1`` or more uniform or non-uniform
+    times ``t``, unchecked. Each pass writes its buffer in place, summing
+    (wa v[k-1] + wb v[k]) + wc v[k+1]; two buffers serve every pass.
+    ``keep`` keeps the stencil weights for the next call on the same grid."""
     if len(t) == 2:  # order 1: one slope serves both samples
-        slope = (v[1] - v[0]) / (t[1] - t[0])
-        v = np.stack([slope, slope])
-    else:
-        # the weights depend on the times only, so every pass shares them
-        a, b, c = t[:-2], t[1:-1], t[2:]
-        wa, wb, wc = (w[:, None] for w in _three_point_weights(a, b, c, b))
-        first = _three_point_weights(t[0], t[1], t[2], t[0])
-        last = _three_point_weights(t[-3], t[-2], t[-1], t[-1])
-        for _ in range(order):
-            out = np.empty_like(v)
-            out[1:-1] = wa * v[:-2] + wb * v[1:-1] + wc * v[2:]
-            out[0] = first[0] * v[0] + first[1] * v[1] + first[2] * v[2]
-            out[-1] = last[0] * v[-3] + last[1] * v[-2] + last[2] * v[-1]
-            v = out
-    return v[:, 0] if squeeze else v
+        slope = (rows[..., 1] - rows[..., 0]) / (t[1] - t[0])
+        return np.stack([slope, slope], axis=-1)
+    (wa, wb, wc), first, last = (_kept_stencil_weights if keep else _stencil_weights)(t)
+    buffers = [np.empty(rows.shape) for _ in range(min(order, 2))]
+    scratch = np.empty(rows[..., 1:-1].shape)
+    v = rows
+    for k in range(order):
+        out = buffers[k % 2]
+        mid = out[..., 1:-1]
+        np.multiply(wa, v[..., :-2], out=mid)
+        mid += np.multiply(wb, v[..., 1:-1], out=scratch)
+        mid += np.multiply(wc, v[..., 2:], out=scratch)
+        out[..., 0] = first[0] * v[..., 0] + first[1] * v[..., 1] + first[2] * v[..., 2]
+        out[..., -1] = last[0] * v[..., -3] + last[1] * v[..., -2] + last[2] * v[..., -1]
+        v = out
+    return v
 
 
 def grid_steps(span: float, dt: float, what: str) -> int:

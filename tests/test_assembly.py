@@ -45,6 +45,7 @@ from lfdkit.assembly import (
 from lfdkit.config import config_from_dict
 from lfdkit.presets import default_scenario, scenario_from_config
 from lfdkit.ktc import PLANT_TIME_CONSTANT
+from lfdkit.metrics import jerk_metrics
 from lfdkit.se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
 from lfdkit.se3 import chart_rows, rotation_vector_wxyz, unchart_rows
 from lfdkit.trajectory import MAX_ROWS, ParseError, Trajectory
@@ -343,7 +344,7 @@ class TestPlanInsertion:
         # _run_plan steps every tick by the plan's last interval, so one lag
         # factor serves the whole plan only if the rows are evenly spaced
         yawed = replace(scenario, scene=scenario.scene.yawed(math.radians(yaw_deg)))
-        times, _, _, _ = _plan(scenario.initial_pose, self.true_estimate(yawed, hole_id), scenario.dmp, 0.030, depth)
+        times, _, _ = _plan(scenario.initial_pose, self.true_estimate(yawed, hole_id), scenario.dmp, 0.030, depth)
         assert np.ptp(np.diff(times)) <= 1e-9 * _PLAN_DT
 
 
@@ -733,7 +734,7 @@ class TestRunPlan:
     def plan(self, scenario, offset=0.0):
         """Plan for hole 1 of the yawed bar: the true hole when noiseless,
         the seeded vision fit otherwise, moved ``offset`` m off the axis. The
-        command trajectory for the reference, the chart rows for
+        command trajectory for the reference, the plan rows for
         ``_run_plan``, and the scene."""
         scene = scenario.scene.yawed(self.YAW)
         if scenario.trial.noise_sigma == 0.0:
@@ -756,16 +757,17 @@ class TestRunPlan:
 
     def assert_same_as_reference(self, scenario, offset=0.0):
         plan, rows, scene = self.plan(scenario, offset)
-        times, positions, e = _run_plan(rows, scenario, scene, self.HOLE)
+        times, lag = _run_plan(rows, scenario, scene, self.HOLE)
+        positions, e = lag[:3].T, lag[3:].T
         want, want_e, slerp = _reference_run_plan(plan, scenario, scene, self.HOLE)
         # the scan and the tick loop round differently
         assert np.array_equal(times, want.times)
         np.testing.assert_allclose(positions, want.positions, rtol=0, atol=1e-12)
         np.testing.assert_allclose(e, want_e, rtol=0, atol=1e-12)
         # the chart lag stays within 1e-5 rad of the slerp lag, tick by tick
-        apart = np.linalg.norm(chart_rows(unchart_rows(e, rows[3]), slerp), axis=1)
+        apart = np.linalg.norm(chart_rows(unchart_rows(e, rows[2]), slerp), axis=1)
         assert apart.max() <= 1e-5
-        return self.score(positions, e, rows[3], scene)
+        return self.score(positions, e, rows[2], scene)
 
     def test_noiseless_plan_matches_reference(self, scenario):
         lateral, _, depth = self.assert_same_as_reference(scenario)
@@ -796,13 +798,14 @@ class TestRunPlan:
         # scan lands a hair inside the edge and the tick loop a hair outside,
         # so each rounding takes its own branch of the same law.
         plan, rows, scene = self.plan(scenario, offset=1.5e-3)
-        times, positions, e = _run_plan(rows, scenario, scene, self.HOLE)
+        times, lag = _run_plan(rows, scenario, scene, self.HOLE)
+        positions, e = lag[:3].T, lag[3:].T
         want, _, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
         model = _contact_model(scene, self.HOLE, scenario.trial.clearance)
         k = _first_binding_tick(want.positions.T, model)
         np.testing.assert_allclose(positions[:k], want.positions[:k], rtol=0, atol=1e-12)
         scores = (
-            self.score(positions, e, rows[3], scene),
+            self.score(positions, e, rows[2], scene),
             _score(want.positions[-1], want.orientations[-1], scene, self.HOLE),
         )
         for lateral, _, depth in scores:
@@ -821,9 +824,34 @@ class TestRunPlan:
         moved = [k + 1 for k, p in enumerate(free.tolist()) if _contact_project(tuple(p), model) != tuple(p)]
         assert moved
         calls = count_calls(monkeypatch, "_contact_project")
-        times, _, _ = _run_plan(rows, scenario, scene, self.HOLE)
+        times, _ = _run_plan(rows, scenario, scene, self.HOLE)
         # one projection per tick from the first one stepped to the end
         assert len(times) - len(calls) == moved[0]
+
+
+def test_trial_jerk_is_the_public_jerk_of_the_executed_motion(monkeypatch):
+    # the trial scores its executed rows in place; the public path builds a
+    # Trajectory of them first, and both must agree to the bit
+    captured = {}
+
+    def keep(name):
+        real = getattr(lfdkit.assembly, name)
+
+        def kept(*args):
+            captured[name] = real(*args)
+            return captured[name]
+
+        monkeypatch.setattr(lfdkit.assembly, name, kept)
+
+    keep("_plan")
+    keep("_run_plan")
+    projected = count_calls(monkeypatch, "_contact_project")
+    r = execute_trial(default_scenario(noise_sigma=2e-3, seed=2))
+    assert projected  # a 2 mm trial whose peg meets the chamfer steps the contact loop
+    times, lag = captured["_run_plan"]
+    g = captured["_plan"][2]
+    executed = Trajectory(times, lag[:3].T, unchart_rows(lag[3:].T, g))
+    assert r.jerk == jerk_metrics(executed)
 
 
 class TestContactGate:

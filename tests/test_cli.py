@@ -593,6 +593,17 @@ def test_an_output_naming_a_directory_or_nothing_fails_before_the_command_runs(
     assert list(tmp_path.iterdir()) == [directory] and list(directory.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, out, taken", [("batch", "b.json", "b.csv"), ("trial", "t.json", "t.json.config.json")])
+def test_a_directory_at_another_output_path_fails_before_the_command_runs(
+        capsys, tmp_path, monkeypatch, demo_csv, smooth_prim, command, out, taken):
+    # a batch once wrote its JSON, then found its CSV path taken by a directory
+    (tmp_path / taken).mkdir()
+    code, stdout, err = run_to_bad_out(capsys, monkeypatch, demo_csv, smooth_prim, command, tmp_path / out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path / taken}'\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / taken] and list((tmp_path / taken).iterdir()) == []
+
+
 HEADER = "t,px,py,pz,qw,qx,qy,qz\n"
 NON_UNIFORM_CSV = HEADER + "".join(f"{t},0,0,0,1,0,0,0\n" for t in ("0", "1e-9", "2e-9", "3e-9", "1e6"))
 # 400 samples of a still pose, px 1e300 on line 301

@@ -845,7 +845,7 @@ class TestEulerTranslationScan:
         c1, c0 = euler_coefficients(alpha_z, beta_z, adt)
         u = self.forcing(n, adt)
         want = banded_reference(self.E0, u, c1, c0)
-        got = _second_order_scan(self.E0, u, c1, c0)
+        got = _second_order_scan(self.E0, u, c1, c0).T
         assert got.shape == want.shape
         assert np.array_equal(got[:2], want[:2])  # e[1] = e[0] exactly
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
@@ -856,7 +856,7 @@ class TestEulerTranslationScan:
         u = self.forcing(3000, 1e-2)
         with np.errstate(over="ignore", invalid="ignore"):
             want = banded_reference(self.E0, u, c1, c0)
-            got = _second_order_scan(self.E0, u, c1, c0)
+            got = _second_order_scan(self.E0, u, c1, c0).T
         first = int(np.argmin(np.all(np.isfinite(want), axis=1)))
         assert 0 < first < len(want) - 1
         assert np.all(np.isfinite(got[:first]))
@@ -888,20 +888,20 @@ class TestEulerTranslationScan:
         u = self.forcing(15000, 1e-3, scale=1e256)
         want = banded_reference(self.E0, u, c1, c0)
         assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 1e240
-        got = _second_order_scan(self.E0, u, c1, c0)
+        got = _second_order_scan(self.E0, u, c1, c0).T
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_zero_root_passes_forcing_through(self):
         # alpha_z dt/tau = 2 at critical damping: both roots 0, e[k+2] = u[k]
         c1, c0 = euler_coefficients(200.0, 50.0, 1e-2)
         u = self.forcing(150, 1e-2)
-        got = _second_order_scan(self.E0, u, c1, c0)
+        got = _second_order_scan(self.E0, u, c1, c0).T
         np.testing.assert_array_equal(got[2:], u)
         np.testing.assert_array_equal(got[:2], [self.E0, self.E0])
 
     def test_zero_steps(self):
         c1, c0 = euler_coefficients(25.0, 6.25, 1e-3)
-        got = _second_order_scan(self.E0, np.empty((0, 3)), c1, c0)
+        got = _second_order_scan(self.E0, np.empty((0, 3)), c1, c0).T
         np.testing.assert_array_equal(got, [self.E0, self.E0])
 
 
@@ -976,7 +976,7 @@ class TestResponseMemo:
         u = adt * (adt * _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s)[0][:n])
         rel = quat_mul_wxyz(dmp.demo_start.orientation, quat_conj_wxyz(goal.orientation))
         e0 = np.concatenate([dmp.demo_start.position - goal.position, rotation_vector_wxyz(rel)])
-        want = _second_order_scan(e0, u, *euler_coefficients(dmp.alpha_z, dmp.beta_z, adt))
+        want = _second_order_scan(e0, u, *euler_coefficients(dmp.alpha_z, dmp.beta_z, adt)).T
         got = rollout(dmp, goal=goal)
         assert np.max(np.abs(got.positions - (want[:-1, :3] + goal.position))) <= 1e-15
 

@@ -11,6 +11,7 @@ from lfdkit.trajectory import (
     MAX_ROWS,
     ParseError,
     Trajectory,
+    _difference_rows,
     finite_difference,
     fmt_float,
     load_trajectory_csv,
@@ -124,6 +125,67 @@ class TestFiniteDifference:
             finite_difference(np.array([0.0, 1.0]), np.array([0.0, 1.0]), order=2)
         with pytest.raises(ValueError):
             finite_difference(np.array([0.0]), np.array([0.0]), order=1)
+
+
+def reference_difference(t, v, order):
+    """Three first-order passes as plain arrays, each pass
+    (wa v[k-1] + wb v[k]) + wc v[k+1] inside and the one-sided three-point
+    stencils at the ends, over samples along the first axis."""
+    def weights(a, b, c, te):
+        return ((2 * te - b - c) / ((a - b) * (a - c)), (2 * te - a - c) / ((b - a) * (b - c)),
+                (2 * te - a - b) / ((c - a) * (c - b)))
+
+    v = np.array(v, dtype=float)
+    squeeze = v.ndim == 1
+    if squeeze:
+        v = v[:, None]
+    if len(t) == 2:
+        slope = (v[1] - v[0]) / (t[1] - t[0])
+        v = np.stack([slope, slope])
+    else:
+        wa, wb, wc = (w[:, None] for w in weights(t[:-2], t[1:-1], t[2:], t[1:-1]))
+        first = weights(t[0], t[1], t[2], t[0])
+        last = weights(t[-3], t[-2], t[-1], t[-1])
+        for _ in range(order):
+            out = np.empty_like(v)
+            out[1:-1] = wa * v[:-2] + wb * v[1:-1] + wc * v[2:]
+            out[0] = first[0] * v[0] + first[1] * v[1] + first[2] * v[2]
+            out[-1] = last[0] * v[-3] + last[1] * v[-2] + last[2] * v[-1]
+            v = out
+    return v[:, 0] if squeeze else v
+
+
+class TestDifferenceBits:
+    """finite_difference keeps every bit of the three-pass formula, whatever
+    the layout of its input, and returns a C-ordered array (fit_pose_dmp's
+    einsum reads it)."""
+
+    @staticmethod
+    def grids(n, rng):
+        uniform = np.arange(n) * 1e-3
+        return uniform, np.cumsum(rng.uniform(0.5e-3, 1.5e-3, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 300])
+    def test_matches_the_three_pass_formula(self, n):
+        rng = np.random.default_rng(n)
+        for t in self.grids(n, rng):
+            for values in (rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(6, n)).T):
+                for order in range(1, min(3, n - 1) + 1):
+                    got = finite_difference(t, values, order)
+                    want = reference_difference(t, values, order)
+                    assert got.shape == want.shape and got.flags.c_contiguous
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (t[1], values.shape, order)
+
+    def test_kept_weights_serve_only_their_own_grid(self):
+        # with keep=True the weights of the last grid are kept, keyed on its
+        # bytes, so grids of one length that differ get their own
+        rng = np.random.default_rng(3)
+        grids = self.grids(50, rng)
+        values = rng.normal(size=(50, 3))
+        for t in (*grids, *grids, grids[0] * 2.0, grids[0] * 2.0):
+            want = reference_difference(t, values, 3)
+            got = _difference_rows(t, values.T, 3, keep=True).T
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestResample:
