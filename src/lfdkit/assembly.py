@@ -61,9 +61,10 @@ __all__ = [
 _TOOL_AXIS = np.array([0.0, 0.0, -1.0])
 _CONVERGENCE_TOL = 1e-3
 _DESCENT_SPEED = 0.02  # m/s along the hole axis, standoff to goal
-_PLAN_DT = 1e-3  # s between plan samples
+_PLAN_DT = 1e-3  # s between plan samples: row k of a plan and of its execution is at k * _PLAN_DT
+_PLAN_LAG = plant_lag(_PLAN_DT)  # the plant's lag over one plan tick
 _SNAP_BAND = 1e-3  # m of chamfer beyond the clearance that funnels the peg in
-_SETTLE_TIME = 0.5  # s the last command is held after the plan ends
+_SETTLE_TICKS = 500  # plan ticks (0.5 s) the last command is held after the plan ends
 MAX_TRIALS = 10_000  # trials one batch may run: 20-45 s at 2-4.5 ms a trial (0.5-6 mm vision noise, 2-vCPU host)
 
 
@@ -146,13 +147,10 @@ def nominal_events() -> tuple[StepEvent, ...]:
 _KINDS = {k.value: k for k in EventKind}
 
 
-def _check_monotone(events: Sequence[StepEvent], where: str) -> None:
+def _check_monotone(events: Sequence[StepEvent]) -> None:
     for prev, cur in zip(events, events[1:]):
         if cur.t < prev.t:
-            raise ValueError(
-                f"{where}: event times must be non-decreasing; "
-                f"got {cur.t:.6g} after {prev.t:.6g}"
-            )
+            raise ValueError(f"event times must be non-decreasing; got {cur.t:.6g} after {prev.t:.6g}")
 
 
 def parse_events(text: str, path: str = "<events>") -> tuple[StepEvent, ...]:
@@ -177,9 +175,9 @@ def parse_events(text: str, path: str = "<events>") -> tuple[StepEvent, ...]:
             )
         try:
             events.append(StepEvent(kind, t))
+            _check_monotone(events[-2:])
         except ValueError as exc:
             raise ParseError(path, lineno, "time", str(exc)) from None
-    _check_monotone(events, path)
     return tuple(events)
 
 
@@ -199,11 +197,11 @@ class PlanningFailed(RuntimeError):
     """The insertion move cannot be planned for the fitted hole."""
 
 
-# a trial passes its plan along as the times, the motion as one row per
-# component, shape (6, n): the positions x, y, z, then the attitude in the
-# goal's log chart e = log(q * conj(g)); and the chart's reference g as one
-# (1, 4) row
-PlanRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+# a trial passes its plan along as the motion, one row per component, shape
+# (6, n), row k at k * _PLAN_DT: the positions x, y, z, then the attitude in
+# the goal's log chart e = log(q * conj(g)); and the chart's reference g as
+# one (1, 4) row
+PlanRows = tuple[np.ndarray, np.ndarray]
 
 
 def plan_insertion(
@@ -223,8 +221,8 @@ def plan_insertion(
     are measured along the axis from the hole center, above and below; the
     goal is :func:`insertion_goal` at ``depth``.
     """
-    times, rows, g = _plan(current, hole, dmp, standoff, depth)
-    return Trajectory(times, rows[:3].T, unchart_rows(rows[3:].T, g))
+    rows, g = _plan(current, hole, dmp, standoff, depth)
+    return Trajectory(np.arange(rows.shape[1]) * _PLAN_DT, rows[:3].T, unchart_rows(rows[3:].T, g))
 
 
 def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, depth: float) -> PlanRows:
@@ -237,12 +235,12 @@ def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, dept
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
 
-    times, replay, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
+    _, replay, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
     miss = float(np.linalg.norm(replay[:3, -1] - standoff_pose.position))
     if miss > _CONVERGENCE_TOL:
         raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
 
-    m = len(times)
+    m = replay.shape[1]
     rows = np.empty((6, m + n))
     rows[:, :m] = replay
     descent = rows[:3, m:]
@@ -250,7 +248,7 @@ def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, dept
     descent += standoff_pose.position[:, None]
     descent[:, -1] = goal.position
     rows[3:, m:] = 0.0
-    return np.concatenate([times, times[-1] + np.arange(1, n + 1) * _PLAN_DT]), rows, g
+    return rows, g
 
 
 def _descent_rows(standoff: float, depth: float) -> float:
@@ -327,7 +325,7 @@ class AssemblyScenario:
             _check_hole_id(self.scene, self.trial.hole_id)
         if self.events is not None:
             object.__setattr__(self, "events", tuple(self.events))
-            _check_monotone(self.events, "events")
+            _check_monotone(self.events)
 
 
 def meets_tolerances(lateral: float, tilt: float, depth: float, scenario: AssemblyScenario) -> bool:
@@ -438,17 +436,16 @@ def _first_binding_tick(lag: np.ndarray, model: tuple[float, ...]) -> int | None
     return k0 + int(hits[0]) if len(hits) else None
 
 
-def _run_plan(
-    plan: PlanRows, scenario: AssemblyScenario, scene: BarScene, hole_id: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_plan(plan: PlanRows, scenario: AssemblyScenario, scene: BarScene, hole_id: int) -> np.ndarray:
     """Track the plan on the lagged plant, contact-projected against the
-    true hole each tick, then hold the last command until the lag dies.
-    Returns the executed times and motion in the plan's layout: one row per
-    component, the positions, then the attitudes in the plan's chart.
+    true hole each tick, then hold the last command for ``_SETTLE_TICKS``
+    ticks while the lag dies. Returns the executed motion in the plan's
+    layout and clock: one row per component, the positions, then the
+    attitudes in the plan's chart, row k at k * _PLAN_DT.
 
-    The plant is the robot's first-order lag. Each tick of interval dt, the
-    position closes the gap to the command by a = 1 - exp(lam), both from
-    ``ktc.plant_lag(dt)``, and so does the attitude in the plan's log chart
+    The plant is the robot's first-order lag. Each tick, the position
+    closes the gap to the command by a = 1 - exp(lam), both from
+    ``ktc.plant_lag(_PLAN_DT)``, and so does the attitude in the plan's log chart
     e = log(q * conj(g)), the chart ``dmp.rollout`` replays in:
     e_r[k] = (1 - a) e_r[k-1] + a e_c[k]. Free motion of all six axes is
     then one linear scan over every tick. Contact never moves the attitude,
@@ -458,23 +455,17 @@ def _run_plan(
     position by the same a and applies :func:`_contact_project`. A peg that
     enters within the clearance never binds, and its positions are the
     scan's.
-
-    The plan is :func:`_plan`'s, whose rows are ``_PLAN_DT`` apart to
-    1e-9 relative, so one lag factor serves every tick; the tick is the
-    plan's last interval.
     """
-    cmd_times, cmd, _ = plan
-    dt = float(cmd_times[-1] - cmd_times[-2])
-    n_cmd = len(cmd_times)
-    n = n_cmd + int(round(_SETTLE_TIME / dt))
-    times = np.concatenate([cmd_times, cmd_times[-1] + np.arange(1, n - n_cmd + 1) * dt])
+    cmd, _ = plan
+    n_cmd = cmd.shape[1]
+    n = n_cmd + _SETTLE_TICKS
 
     # column k holds tick k's command (position, attitude error), the last one
     # held through the settle; the scan overwrites it with the reached state
     lag = np.empty((6, n))
     lag[:, :n_cmd] = cmd
     lag[:, n_cmd:] = cmd[:, -1:]
-    lam, a = plant_lag(dt)
+    lam, a = _PLAN_LAG
     lag[:, 1:] *= a
     linear_scan(lag[:, 1:], lam, lag[:, 0])
 
@@ -488,7 +479,7 @@ def _run_plan(
             px, py, pz = _contact_project((px + a * (cx - px), py + a * (cy - py), pz + a * (cz - pz)), model)
             reached.append((px, py, pz))
         lag[:3, k0:].T[:] = reached
-    return times, lag
+    return lag
 
 
 def _score(p: np.ndarray, q: np.ndarray, scene: BarScene, hole_id: int) -> tuple[float, float, float]:
@@ -571,9 +562,10 @@ def execute_trial(scenario: AssemblyScenario) -> TrialResult:
     # got there with no stage failure holds a plan
     if Phase.INSERTING in entered and state.phase is not Phase.FAILED:
         # the motion stays in the plan's rows and chart; only its final attitude maps back
-        times, lag = _run_plan(plan, scenario, scene, hole_id)
-        lateral, tilt, depth = _score(lag[:3, -1], unchart_rows(lag[3:, -1][None], plan[2])[0], scene, hole_id)
-        duration = float(times[-1] - times[0])
+        lag = _run_plan(plan, scenario, scene, hole_id)
+        lateral, tilt, depth = _score(lag[:3, -1], unchart_rows(lag[3:, -1][None], plan[1])[0], scene, hole_id)
+        times = np.arange(lag.shape[1]) * _PLAN_DT
+        duration = float(times[-1])
         jerk = _position_jerk(times, lag[:3], keep_weights=True)  # every trial of a batch executes on one grid
 
     return TrialResult(

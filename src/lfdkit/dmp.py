@@ -510,7 +510,6 @@ def _replay(
     for axis in np.flatnonzero(e0):
         err[axis] += unit * e0[axis]
     # the largest |e| bounds every sample's sum and angle; the sample-wise
-    # checks run only when that bound does not clear them (NaN never does)
     # checks run only when that bound does not clear them (NaN never does);
     # |z| is differenced before the goal is added, which would round it
     bound = float(np.abs(err).max())

@@ -214,8 +214,9 @@ class TestEvents:
             parse_events("0 pedal_press extra\n")
 
     def test_parse_rejects_decreasing_times(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
+        with pytest.raises(ParseError, match="non-decreasing; got 0.5 after 1$") as err:
             parse_events("1 pedal_press\n0.5 motion_done\n")
+        assert (err.value.line, err.value.field) == (2, "time")
 
     def test_event_time_must_be_finite_nonnegative(self):
         for t, message in [(-1.0, "at least 0, got -1.0"), (math.nan, "at least 0, got nan"),
@@ -341,11 +342,11 @@ class TestPlanInsertion:
     @pytest.mark.parametrize("yaw_deg", [-60.0, 60.0])
     @pytest.mark.parametrize("hole_id", [0, 1, 2])
     def test_plan_rows_are_evenly_spaced(self, scenario, hole_id, yaw_deg, depth):
-        # _run_plan steps every tick by the plan's last interval, so one lag
-        # factor serves the whole plan only if the rows are evenly spaced
+        # row k of a plan is at k * _PLAN_DT, the one clock its execution and
+        # the trial's score run on, to the bit
         yawed = replace(scenario, scene=scenario.scene.yawed(math.radians(yaw_deg)))
-        times, _, _ = _plan(scenario.initial_pose, self.true_estimate(yawed, hole_id), scenario.dmp, 0.030, depth)
-        assert np.ptp(np.diff(times)) <= 1e-9 * _PLAN_DT
+        times = plan_insertion(scenario.initial_pose, self.true_estimate(yawed, hole_id), scenario.dmp, 0.030, depth).times
+        assert np.array_equal(times.view(np.int64), (np.arange(len(times)) * _PLAN_DT).view(np.int64))
 
 
 class TestExecuteTrial:
@@ -419,6 +420,10 @@ class TestExecuteTrial:
         assert r.state.phase is Phase.FAILED
         assert "unexpected event" in r.state.reason
         assert not r.success and math.isnan(r.lateral_err_m)
+
+    def test_default_trial_lasts_its_plan_and_settle_exactly(self):
+        # 8,101 plan rows and 500 settle ticks, the last one at 8600 * _PLAN_DT
+        assert execute_trial(default_scenario(seed=3)).duration_s == 8.6
 
     def test_abort_stream_fails(self, scenario):
         r = execute_trial(replace(scenario, events=[StepEvent(EventKind.ABORT, 0.0)]))
@@ -757,17 +762,18 @@ class TestRunPlan:
 
     def assert_same_as_reference(self, scenario, offset=0.0):
         plan, rows, scene = self.plan(scenario, offset)
-        times, lag = _run_plan(rows, scenario, scene, self.HOLE)
+        lag = _run_plan(rows, scenario, scene, self.HOLE)
         positions, e = lag[:3].T, lag[3:].T
         want, want_e, slerp = _reference_run_plan(plan, scenario, scene, self.HOLE)
+        # the execution's row k is at k * _PLAN_DT, the reference's tick k
+        np.testing.assert_allclose(np.arange(len(lag[0])) * _PLAN_DT, want.times, rtol=0, atol=1e-12)
         # the scan and the tick loop round differently
-        assert np.array_equal(times, want.times)
         np.testing.assert_allclose(positions, want.positions, rtol=0, atol=1e-12)
         np.testing.assert_allclose(e, want_e, rtol=0, atol=1e-12)
         # the chart lag stays within 1e-5 rad of the slerp lag, tick by tick
-        apart = np.linalg.norm(chart_rows(unchart_rows(e, rows[2]), slerp), axis=1)
+        apart = np.linalg.norm(chart_rows(unchart_rows(e, rows[1]), slerp), axis=1)
         assert apart.max() <= 1e-5
-        return self.score(positions, e, rows[2], scene)
+        return self.score(positions, e, rows[1], scene)
 
     def test_noiseless_plan_matches_reference(self, scenario):
         lateral, _, depth = self.assert_same_as_reference(scenario)
@@ -798,14 +804,14 @@ class TestRunPlan:
         # scan lands a hair inside the edge and the tick loop a hair outside,
         # so each rounding takes its own branch of the same law.
         plan, rows, scene = self.plan(scenario, offset=1.5e-3)
-        times, lag = _run_plan(rows, scenario, scene, self.HOLE)
+        lag = _run_plan(rows, scenario, scene, self.HOLE)
         positions, e = lag[:3].T, lag[3:].T
         want, _, _ = _reference_run_plan(plan, scenario, scene, self.HOLE)
         model = _contact_model(scene, self.HOLE, scenario.trial.clearance)
         k = _first_binding_tick(want.positions.T, model)
         np.testing.assert_allclose(positions[:k], want.positions[:k], rtol=0, atol=1e-12)
         scores = (
-            self.score(positions, e, rows[2], scene),
+            self.score(positions, e, rows[1], scene),
             _score(want.positions[-1], want.orientations[-1], scene, self.HOLE),
         )
         for lateral, _, depth in scores:
@@ -824,9 +830,9 @@ class TestRunPlan:
         moved = [k + 1 for k, p in enumerate(free.tolist()) if _contact_project(tuple(p), model) != tuple(p)]
         assert moved
         calls = count_calls(monkeypatch, "_contact_project")
-        times, _ = _run_plan(rows, scenario, scene, self.HOLE)
+        lag = _run_plan(rows, scenario, scene, self.HOLE)
         # one projection per tick from the first one stepped to the end
-        assert len(times) - len(calls) == moved[0]
+        assert len(lag[0]) - len(calls) == moved[0]
 
 
 def test_trial_jerk_is_the_public_jerk_of_the_executed_motion(monkeypatch):
@@ -848,9 +854,8 @@ def test_trial_jerk_is_the_public_jerk_of_the_executed_motion(monkeypatch):
     projected = count_calls(monkeypatch, "_contact_project")
     r = execute_trial(default_scenario(noise_sigma=2e-3, seed=2))
     assert projected  # a 2 mm trial whose peg meets the chamfer steps the contact loop
-    times, lag = captured["_run_plan"]
-    g = captured["_plan"][2]
-    executed = Trajectory(times, lag[:3].T, unchart_rows(lag[3:].T, g))
+    lag, (_, g) = captured["_run_plan"], captured["_plan"]
+    executed = Trajectory(np.arange(len(lag[0])) * _PLAN_DT, lag[:3].T, unchart_rows(lag[3:].T, g))
     assert r.jerk == jerk_metrics(executed)
 
 

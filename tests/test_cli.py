@@ -288,6 +288,14 @@ class TestTrialBatch:
         assert "\n" not in line
         assert f"{steps}:2" in line and "kind" in line
 
+    def test_trial_decreasing_event_time_names_file_line_field(self, capsys, tmp_path):
+        steps = tmp_path / "steps.txt"
+        steps.write_text("0 pedal_press\n2 motion_done\n1 vision_ready\n")
+        code, _, err = run(capsys, "trial", "--events", steps, "--out", tmp_path / "x.json")
+        assert code == 2
+        assert err == f"error: {steps}:3: field 'time': event times must be non-decreasing; got 1 after 2\n"
+        assert list(tmp_path.iterdir()) == [steps]
+
     def test_small_batch_artifacts_and_rerun(self, capsys, tmp_path):
         out = tmp_path / "results.json"
         code, text, err = run(capsys, "batch", "--n", 2, "--seed", 7, "--out", out)

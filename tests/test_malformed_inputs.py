@@ -148,10 +148,12 @@ COMMANDS = {
 
 
 def check(valid, kind, data):
+    """Run the command on ``data`` and return its exit code."""
     name, *argv = COMMANDS[kind]
     code, err = run(valid["root"], name, data, *argv)
     assert code in (1, 2) and err.count("\n") == 1 and "Traceback" not in err, (code, err)
     assert not (valid["root"] / "out.config.json").exists()
+    return code
 
 
 class TestValidFilesRun:
@@ -223,6 +225,9 @@ class TestMalformedFiles:
         lines = EVENTS.splitlines()
         row = data.draw(st.integers(0, len(lines) - 1))
         time, kind = lines[row].split()
-        field = data.draw(st.sampled_from([f"x {kind}", f"nan {kind}", f"-1 {kind}", f"{time} jump", time]))
+        # the last replacement comes before the line above it, or before 0
+        field = data.draw(st.sampled_from([f"x {kind}", f"nan {kind}", f"-1 {kind}", f"{time} jump", time,
+                                           f"{row - 1.5} {kind}"]))
         replaced = "\n".join(lines[:row] + [field] + lines[row + 1:]) + "\n"
-        check(valid, "events", data.draw(st.one_of(st.just(replaced), byte_edits(EVENTS, inside_lines(EVENTS)))))
+        # every edit leaves a malformed script, never a trial that fails
+        assert check(valid, "events", data.draw(st.one_of(st.just(replaced), byte_edits(EVENTS, inside_lines(EVENTS))))) == 2
