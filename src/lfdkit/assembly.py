@@ -65,7 +65,7 @@ _PLAN_DT = 1e-3  # s between plan samples: row k of a plan and of its execution 
 _PLAN_LAG = plant_lag(_PLAN_DT)  # the plant's lag over one plan tick
 _SNAP_BAND = 1e-3  # m of chamfer beyond the clearance that funnels the peg in
 _SETTLE_TICKS = 500  # plan ticks (0.5 s) the last command is held after the plan ends
-MAX_TRIALS = 10_000  # trials one batch may run: 20-45 s at 2-4.5 ms a trial (0.5-6 mm vision noise, 2-vCPU host)
+MAX_TRIALS = 10_000  # trials one batch may run: 20-55 s at 2-5.5 ms a trial (0.5-6 mm vision noise, shared 2-vCPU host)
 
 
 class Phase(Enum):
@@ -143,6 +143,8 @@ def nominal_events() -> tuple[StepEvent, ...]:
     ``_TABLE`` in its order, one second apart."""
     return tuple(StepEvent(kind, float(i)) for i, (_, kind) in enumerate(_TABLE))
 
+
+_NOMINAL = nominal_events()  # the stream of a scenario whose events are None
 
 _KINDS = {k.value: k for k in EventKind}
 
@@ -235,7 +237,7 @@ def _plan(current: Pose, hole: HoleEstimate, dmp: PoseDmp, standoff: float, dept
     axis = np.asarray(hole.axis, dtype=float)
     standoff_pose = Pose(np.asarray(hole.center, dtype=float) + standoff * axis, goal.orientation)
 
-    _, replay, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
+    replay, g = _replay(dmp, start=current, goal=standoff_pose, dt=_PLAN_DT)
     miss = float(np.linalg.norm(replay[:3, -1] - standoff_pose.position))
     if miss > _CONVERGENCE_TOL:
         raise PlanningFailed(f"approach endpoint missed the standoff pose by {miss:.3g} m")
@@ -534,7 +536,7 @@ def execute_trial(scenario: AssemblyScenario) -> TrialResult:
     any later event. The plan executes only when no stage failed, the walk
     entered INSERTING and did not end FAILED; otherwise the errors stay nan.
     """
-    evs = nominal_events() if scenario.events is None else scenario.events
+    evs = _NOMINAL if scenario.events is None else scenario.events
     state = TaskState()
     entered: set[Phase] = set()
     for ev in evs:
@@ -564,6 +566,7 @@ def execute_trial(scenario: AssemblyScenario) -> TrialResult:
         # the motion stays in the plan's rows and chart; only its final attitude maps back
         lag = _run_plan(plan, scenario, scene, hole_id)
         lateral, tilt, depth = _score(lag[:3, -1], unchart_rows(lag[3:, -1][None], plan[1])[0], scene, hole_id)
+        del plan  # not read again; freed here, its rows stay out of the jerk's memory peak
         times = np.arange(lag.shape[1]) * _PLAN_DT
         duration = float(times[-1])
         jerk = _position_jerk(times, lag[:3], keep_weights=True)  # every trial of a batch executes on one grid

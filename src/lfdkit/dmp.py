@@ -402,11 +402,11 @@ def _check_stable(alpha_z: float, beta_z: float | None, tau: float, dt: float) -
 _last_responses: tuple | None = None
 
 
-def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _responses(dmp: PoseDmp, tau: float, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The Euler filter's unit response h, shape (n + 2,), its forced
-    response F, one row per axis, shape (6, n + 2), for the
-    n = len(times) - 1 steps of a rollout, and the phase samples at which
-    the forcing underflowed.
+    response F, one row per axis, shape (6, n + 2), for the n = ``n_steps``
+    steps of a rollout, and the phase samples at which the forcing
+    underflowed.
 
     h starts at 1 without forcing and serves all six axes, which share one
     filter; F starts at 0 under the primitive's forcing. Both are read-only
@@ -415,12 +415,12 @@ def _responses(dmp: PoseDmp, tau: float, dt: float, times: np.ndarray) -> tuple[
     that breaks :func:`_check_stable` is refused before step 1.
     """
     global _last_responses
-    n_steps = len(times) - 1
     last = _last_responses
     if last is not None and last[0] is dmp and last[1:4] == (tau, dt, n_steps):
         return last[4:]
     az, bz = dmp.alpha_z, dmp.beta_z
     _check_stable(az, bz, tau, dt)
+    times = np.arange(n_steps + 1) * dt
     s_profile = np.exp(-dmp.alpha_s * times / tau)
     adt = dt / tau
     forcing, underflows = _forcing_profile(dmp.weights, dmp.centers, dmp.widths, s_profile)
@@ -475,8 +475,8 @@ def rollout(
     through ``se3.unchart_rows`` as q = exp(e) * g sample by sample, which is
     defined for every e.
     """
-    times, rows, g = _replay(dmp, start, goal, tau, dt, horizon)
-    return Trajectory(times, rows[:3].T, unchart_rows(rows[3:].T, g))
+    rows, g = _replay(dmp, start, goal, tau, dt, horizon)
+    return Trajectory(np.arange(rows.shape[1]) * dt, rows[:3].T, unchart_rows(rows[3:].T, g))
 
 
 def _replay(
@@ -486,18 +486,17 @@ def _replay(
     tau: float | None = None,
     dt: float = 1e-3,
     horizon: float = 1.5,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The rows of :func:`rollout` before the map back, with its checks and
-    warning: the times; the motion as one row per component, shape (6, n),
-    the positions x, y, z, then the orientation in the goal's log chart
+    warning: the motion as one row per component, shape (6, n), row k at
+    k * dt, the positions x, y, z, then the orientation in the goal's log chart
     e = log(q * conj(g)); and the chart's reference g, the goal orientation
     as one (1, 4) row."""
     start = dmp.demo_start if start is None else start
     goal = dmp.demo_goal if goal is None else goal
     tau = dmp.tau if tau is None else float(tau)
     n_steps = rollout_steps(tau, dt, horizon)
-    times = np.arange(n_steps + 1) * dt
-    unit, forced, underflows = _responses(dmp, tau, dt, times)
+    unit, forced, underflows = _responses(dmp, tau, dt, n_steps)
     if underflows:
         warnings.warn(
             f"all bases underflowed at {underflows} of {n_steps + 1} phase samples", ForcingUnderflow, stacklevel=3
@@ -523,7 +522,7 @@ def _replay(
             raise RolloutDiverged(int(bad[0]) + 1, (int(bad[0]) + 1) * dt)
     rows = err[:, :-1]
     rows[:3] += goal.position[:, None]
-    return times, rows, gq
+    return rows, gq
 
 
 # ---------------------------------------------------------------------------

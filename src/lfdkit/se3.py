@@ -106,25 +106,34 @@ def rotation_between(u, v) -> tuple[float, float, float, float]:
         raise ValueError("cannot align a zero-length vector")
     u = u / un
     v = v / vn
-    c = float(np.cross(u, v) @ np.cross(u, v)) ** 0.5
+    ut = u.tolist()
+    cross = np.array(_cross(ut, v.tolist()))
+    c = float(cross @ cross) ** 0.5
     d = float(u @ v)
     if c < 1e-12:
         if d > 0.0:
             return 1.0, 0.0, 0.0, 0.0
         # antiparallel: rotate pi about any axis orthogonal to u
-        axis = np.cross(u, [1.0, 0.0, 0.0])
+        axis = np.array(_cross(ut, (1.0, 0.0, 0.0)))
         if np.linalg.norm(axis) < 1e-6:
-            axis = np.cross(u, [0.0, 1.0, 0.0])
+            axis = np.array(_cross(ut, (0.0, 1.0, 0.0)))
         axis = axis / np.linalg.norm(axis)
         return quat_normalize(0.0, *axis.tolist())
-    axis = np.cross(u, v) / c
     angle = math.atan2(c, d)
-    return from_rotation_vector(angle * axis)
+    return from_rotation_vector(tuple(angle * (k / c) for k in cross.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # float-tuple kernels: the scalar quaternion maps on (w, x, y, z) tuples of
-# floats
+# floats, and the cross product of 3-vectors
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b for two sequences of three floats, in the order of operations
+    of numpy's cross product, so with its bits."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def quat_mul_wxyz(
@@ -149,7 +158,10 @@ def quat_conj_wxyz(q: tuple[float, float, float, float]) -> tuple[float, float, 
 
 def quat_rotate_wxyz(q: tuple[float, float, float, float], v) -> np.ndarray:
     """Rotate a 3-vector: q * (0, v) * conj(q)."""
-    vx, vy, vz = (float(c) for c in v)
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1:
+        vx, vy, vz = v.tolist()
+    else:
+        vx, vy, vz = (float(c) for c in v)
     w, x, y, z = q
     # t = 2 * (q_vec x v); v' = v + w*t + q_vec x t
     tx = 2.0 * (y * vz - z * vy)

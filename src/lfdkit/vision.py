@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz
+from .se3 import Pose, _cross, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz
 from .trajectory import ParseError, _at_least, _brief_repr, _check_seed, _finite, _positive, json_floats, json_pose
 from .trajectory import pose_json, require_keys
 
@@ -132,7 +132,8 @@ class BarScene:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Ideal pinhole camera, +z forward, pixels (u, v) with u along +x."""
+    """Ideal pinhole camera, +z forward, pixels (u, v) with u along +x. Its
+    world-to-camera transform is built once, from the pose it is made with."""
 
     pose: Pose
     fx: float = 615.0
@@ -149,11 +150,22 @@ class CameraModel:
         _finite("cy", self.cy)
         _positive("width", self.width)
         _positive("height", self.height)
+        # the transposed rotation and the offset of the inverse pose; a pose
+        # so far out that its inverse overflows keeps None, and
+        # world_to_camera raises the inverse's error
+        try:
+            inv = self.pose.inverse()
+        except ValueError:
+            object.__setattr__(self, "_to_camera", None)
+        else:
+            object.__setattr__(self, "_to_camera", (quat_matrix_wxyz(inv.orientation).T, inv.position))
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        inv = self.pose.inverse()
-        return pts @ quat_matrix_wxyz(inv.orientation).T + inv.position
+        if self._to_camera is None:
+            self.pose.inverse()  # raises, as it did in __post_init__
+        rot_t, offset = self._to_camera
+        return pts @ rot_t + offset
 
     def visible(self, points_cam: np.ndarray) -> np.ndarray:
         """Boolean mask: in front of the camera and inside the image."""
@@ -166,13 +178,26 @@ class CameraModel:
         ok &= (u >= 0) & (u < self.width) & (v >= 0) & (v < self.height)
         return ok
 
+    def _sees(self, x: float, y: float, z: float) -> bool:
+        """:meth:`visible` of one camera-frame point, on Python floats. The
+        lens values become floats as numpy converts them, and the float
+        operations are the same, so the answer is the same."""
+        lens = (self.fx, self.fy, self.cx, self.cy, self.width, self.height)
+        fx, fy, cx, cy, width, height = (float(c) for c in lens)
+        if not z > 0:
+            return False
+        u = fx * x / z + cx
+        v = fy * y / z + cy
+        return 0 <= u < width and 0 <= v < height
+
 
 def _orthobasis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = np.zeros(3)
+    nt = n.tolist()
+    e = [0.0, 0.0, 0.0]
     e[int(np.argmin(np.abs(n)))] = 1.0
-    u = np.cross(n, e)
+    u = np.array(_cross(nt, e))
     u = u / np.linalg.norm(u)
-    return u, np.cross(n, u)
+    return u, np.array(_cross(nt, u.tolist()))
 
 
 @dataclass(frozen=True)
@@ -216,8 +241,7 @@ def check_visible(scene: BarScene, cam: CameraModel, hole_id: int) -> None:
     """Raise NotDetectable unless the hole's center lies in the camera
     frustum and its rim faces the camera."""
     center_w = scene.hole_center_world(hole_id)
-    center_cam = cam.world_to_camera(center_w)[0]
-    if not bool(cam.visible(center_cam[None, :])[0]):
+    if not cam._sees(*cam.world_to_camera(center_w)[0].tolist()):
         raise NotDetectable(f"hole {hole_id} not detectable: center outside frustum")
     if float(np.dot(scene.hole_axis_world(hole_id), cam.pose.position - center_w)) <= 0:
         raise NotDetectable(f"hole {hole_id} not detectable: back-facing")
@@ -270,9 +294,11 @@ def synthesize_mask(
     u, v = _orthobasis(axis_w)
     ang = 2.0 * math.pi * np.arange(n_points) / n_points
     radius = scene.holes[hole_id].radius
-    rim_w = center_w + radius * (np.outer(np.cos(ang), u) + np.outer(np.sin(ang), v))
+    rim_w = center_w + radius * (np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v)
     pts = cam.world_to_camera(rim_w)
-    pts = pts[cam.visible(pts)]
+    seen = cam.visible(pts)
+    if not seen.all():
+        pts = pts[seen]
 
     rng = np.random.default_rng(seed)
     if noise_sigma > 0 and len(pts):

@@ -571,6 +571,15 @@ class TestRollout:
         traj = rollout(dmp)
         assert np.linalg.norm(traj.positions[-1] - goal.position) < 1e-3
 
+    def test_times_are_the_step_grid_bit_for_bit(self):
+        dmp = fit_pose_dmp(smooth_demo(duration=3.0))
+        for tau, dt, horizon in ((None, 1e-3, 1.5), (2.0, 7e-3, 1.0), (3.3, 1e-4, 1.25)):
+            for _ in range(2):  # a scan, then the kept responses
+                times = rollout(dmp, tau=tau, dt=dt, horizon=horizon).times
+                want = np.arange(len(times)) * dt
+                assert len(times) == rollout_steps(dmp.tau if tau is None else tau, dt, horizon) + 1
+                assert np.array_equal(times.view(np.int64), want.view(np.int64))
+
     def test_time_scaling_halves_indices(self):
         traj_demo = smooth_demo(duration=3.0)
         dmp = fit_pose_dmp(traj_demo)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lfdkit.se3 import (
     BadOrientationRow,
     Pose,
+    _cross,
     chart_rows,
     from_rotation_vector,
     quat_canonicalize_rows,
@@ -263,6 +264,98 @@ class TestRotationBetween:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             rotation_between([0, 0, 0], [1, 0, 0])
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+def reference_rotation_between(u, v):
+    """rotation_between spelled out on np.cross, its cross product taken
+    three times on the common path."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    un = np.linalg.norm(u)
+    vn = np.linalg.norm(v)
+    if un < 1e-12 or vn < 1e-12:
+        raise ValueError("cannot align a zero-length vector")
+    u = u / un
+    v = v / vn
+    c = float(np.cross(u, v) @ np.cross(u, v)) ** 0.5
+    d = float(u @ v)
+    if c < 1e-12:
+        if d > 0.0:
+            return 1.0, 0.0, 0.0, 0.0
+        axis = np.cross(u, [1.0, 0.0, 0.0])
+        if np.linalg.norm(axis) < 1e-6:
+            axis = np.cross(u, [0.0, 1.0, 0.0])
+        axis = axis / np.linalg.norm(axis)
+        return quat_normalize(0.0, *axis.tolist())
+    axis = np.cross(u, v) / c
+    angle = math.atan2(c, d)
+    return from_rotation_vector(angle * axis)
+
+
+# components of either sign: exact zeros, ordinary values, and magnitudes
+# near 1e-150 and 1e150, whose products stay inside the float range
+_magnitude = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 1.0),
+    st.floats(1e-151, 1e-149),
+    st.floats(1e149, 1e151),
+)
+cross_component = st.tuples(_magnitude, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+cross_vec = st.tuples(cross_component, cross_component, cross_component)
+
+
+def _near(u, scale, sign):
+    """A vector that a perturbation of relative size ``scale`` takes off
+    ``sign * u``, at another length."""
+    return st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0.5, 2.0)).map(
+        lambda p: tuple(sign * p[3] * c + scale * e for c, e in zip(u, p[:3]))
+    )
+
+
+# pairs (u, v): generic, near-parallel and near-antiparallel, where the
+# cross product is below the 1e-12 cutoff, and exactly antiparallel
+rotation_pair = unit_vec.flatmap(
+    lambda u: st.tuples(
+        st.just(u),
+        st.one_of(unit_vec, _near(u, 1e-14, 1.0), _near(u, 1e-14, -1.0), _near(u, 0.0, -1.0)),
+    )
+)
+
+
+class TestCrossKernel:
+    """The float-tuple cross product and its callers in se3, against
+    np.cross bit for bit (``.view(np.int64)`` also tells -0.0 from 0.0)."""
+
+    @settings(deadline=None)
+    @given(cross_vec, cross_vec)
+    def test_cross_is_numpys(self, a, b):
+        assert same_bits(_cross(a, b), np.cross(np.array(a), np.array(b)))
+
+    def test_cross_signed_zeros(self):
+        for a, b in (((0.0, -0.0, 1.0), (1.0, 0.0, 0.0)), ((-0.0, 0.0, -0.0), (1e150, -1e-150, 0.0))):
+            assert same_bits(_cross(a, b), np.cross(np.array(a), np.array(b)))
+
+    @settings(deadline=None)
+    @given(rotation_pair)
+    def test_rotation_between_is_the_np_cross_version(self, pair):
+        u, v = pair
+        assert same_bits(rotation_between(u, v), reference_rotation_between(u, v))
+
+    def test_rotation_between_covers_each_branch(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            u = rng.normal(size=3)
+            wobble = 1e-15 * rng.normal(size=3)
+            for v in (rng.normal(size=3), 2.0 * u + wobble, -u, -3.0 * u + wobble):
+                assert same_bits(rotation_between(u, v), reference_rotation_between(u, v))
+        # the antiparallel branch's fallback axis: u along x
+        for u in ((1.0, 0.0, 0.0), (-2.0, 1e-9, 0.0)):
+            v = tuple(-c for c in u)
+            assert same_bits(rotation_between(u, v), reference_rotation_between(u, v))
 
 
 class TestPose:

@@ -5,13 +5,15 @@ error distributions come from the generating scene, and the sweep is
 cross-checked against an independent re-run with reversed iteration order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfdkit.presets import default_bar_scene, default_camera
-from lfdkit.se3 import Pose, from_rotation_vector, quat_mul_wxyz, quat_rotate_wxyz
+from lfdkit.se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
 from lfdkit.trajectory import read_json, write_json
 from lfdkit.vision import (
     MAX_MASK_POINTS,
@@ -32,6 +34,7 @@ from lfdkit.vision import (
     sweep_yaw_count,
     synthesize_mask,
 )
+from lfdkit.vision import _orthobasis
 
 RIM_CENTER = np.array([0.02, -0.01, 0.24])
 RIM_U = np.array([1.0, 0.0, 0.0])
@@ -112,6 +115,126 @@ class TestSceneTypes:
         assert np.allclose(scene.hole_axis_world(0), [0.0, 0.0, 1.0])
 
 
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+def reference_orthobasis(n):
+    """_orthobasis spelled out on np.cross."""
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(n)))] = 1.0
+    u = np.cross(n, e)
+    u = u / np.linalg.norm(u)
+    return u, np.cross(n, u)
+
+
+def rim_in_camera(scene, cam, hole_id, n_points):
+    """The noiseless rim synthesize_mask samples, every point kept, in the
+    camera frame."""
+    u, v = _orthobasis(scene.hole_axis_world(hole_id))
+    ang = 2.0 * math.pi * np.arange(n_points) / n_points
+    rim = scene.hole_center_world(hole_id) + scene.holes[hole_id].radius * (
+        np.outer(np.cos(ang), u) + np.outer(np.sin(ang), v)
+    )
+    return cam.world_to_camera(rim)
+
+
+_component = st.floats(-1, 1, allow_nan=False)
+_unit = st.tuples(_component, _component, _component).filter(lambda v: math.hypot(*v) > 1e-3).map(
+    lambda v: np.array(v) / math.hypot(*v)
+)
+# unit normals: generic, on an axis (signed zeros included), and on a
+# diagonal, where |n| ties and argmin takes the first
+normal_st = st.one_of(
+    _unit,
+    st.sampled_from([(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (1.0, -0.0, 0.0), (0.0, 1.0, 0.0)]).map(np.array),
+    st.sampled_from([(1, 1, 1), (-1, 1, -1), (1, -1, 0), (0, 1, -1)]).map(lambda v: np.array(v) / math.hypot(*v)),
+)
+pose_st = st.tuples(
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)),
+    st.tuples(_component, _component, _component, _component).filter(lambda q: math.hypot(*q) > 1e-3),
+).map(lambda pq: Pose(pq[0], quat_normalize(*pq[1])))
+
+
+# camera-frame coordinates: ordinary, on the image edges of the default
+# lens (u = 0 at x = -cx z / fx), zero of either sign, tiny, huge, infinite
+# and NaN
+_coordinate = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.sampled_from([-320.0 / 615.0, 320.0 / 615.0, -240.0 / 615.0, 240.0 / 615.0, 1.0]),
+)
+# lens values (fx, fy, cx, cy, width, height) as floats, as ints and as
+# numpy scalars, which numpy converts to float64 before it compares them
+_LENSES = [
+    (615.0, 615.0, 320.0, 240.0, 640, 480),
+    (615, 600, 320, 240, 640, 480),
+    (np.float32(615.1), np.float64(615.0), np.float32(320.3), 240.0, np.int64(640), 480),
+    (1e-300, 1e300, 0.0, -5.0, 1, 2**53 + 1),
+]
+
+
+class TestCameraTransform:
+    """The camera's transform, built once, against the inverse pose's
+    matrix bit for bit; its one-point visibility check against
+    ``visible``; and the rim basis against np.cross."""
+
+    @settings(deadline=None)
+    @given(normal_st)
+    def test_orthobasis_is_the_np_cross_version(self, n):
+        for got, want in zip(_orthobasis(n), reference_orthobasis(n)):
+            assert same_bits(got, want)
+
+    @settings(deadline=None, max_examples=50)
+    @given(pose_st, st.integers(0, 2**32 - 1))
+    def test_world_to_camera_is_the_inverse_pose_map(self, pose, seed):
+        cam = CameraModel(pose)
+        inv = pose.inverse()
+        pts = np.random.default_rng(seed).normal(size=(600, 3))
+        for x in (pts[:1], pts, pts[0]):
+            want = np.asarray(x).reshape(-1, 3) @ quat_matrix_wxyz(inv.orientation).T + inv.position
+            assert same_bits(cam.world_to_camera(x), want)
+
+    def test_replaced_pose_moves_the_transform(self):
+        cam = default_camera()
+        other = Pose([0.05, -0.02, 0.4], from_rotation_vector([math.pi - 0.3, 0.2, 0.1]))
+        moved = dataclasses.replace(cam, pose=other)
+        pts = np.random.default_rng(4).normal(size=(20, 3))
+        assert same_bits(moved.world_to_camera(pts), CameraModel(other).world_to_camera(pts))
+        assert not np.allclose(moved.world_to_camera(pts), cam.world_to_camera(pts))
+        assert same_bits(cam.world_to_camera(pts), CameraModel(cam.pose).world_to_camera(pts))
+
+    def test_equal_cameras_compare_equal(self):
+        cam = default_camera()
+        assert cam == CameraModel(cam.pose)
+        assert cam == dataclasses.replace(cam)
+        assert cam != dataclasses.replace(cam, fx=600.0)
+        assert "_to_camera" not in repr(cam)
+
+    def test_pose_whose_inverse_overflows_fails_at_use(self):
+        # built as before; world_to_camera raises the inverse pose's error
+        cam = CameraModel(Pose([1.5e308, 0.0, 0.3], (0.0, 0.6, 0.8, 0.0)))
+        with pytest.raises(ValueError, match="^pose position must be finite$"):
+            cam.world_to_camera(np.zeros(3))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.tuples(_coordinate, _coordinate, _coordinate), st.sampled_from(_LENSES))
+    def test_one_point_check_is_visible(self, point, lens):
+        cam = CameraModel(default_camera().pose, *lens)
+        assert cam._sees(*point) is bool(cam.visible(np.array([point]))[0])
+
+    def test_one_point_check_on_the_image_edges(self):
+        # fx = width and fy = height put x = +-0.5 and y = +-0.5 at z = 1
+        # exactly on the edges: u, v = 0 are in the image, u = 640 and
+        # v = 480 are not
+        cam = CameraModel(default_camera().pose, 640.0, 480.0, 320.0, 240.0, 640, 480)
+        for x in (-0.5, 0.0, 0.5):
+            for y in (-0.5, 0.0, 0.5):
+                for z in (1.0, 0.0, -0.0, -1.0):
+                    want = z > 0 and x < 0.5 and y < 0.5
+                    assert cam._sees(x, y, z) is want is bool(cam.visible(np.array([[x, y, z]]))[0])
+
+
 class TestSynthesizeMask:
     def test_noiseless_points_lie_on_rim(self):
         scene, cam = default_bar_scene(), default_camera()
@@ -124,6 +247,21 @@ class TestSynthesizeMask:
         radial = np.linalg.norm(rel - np.outer(out_of_plane, axis), axis=1)
         assert np.max(np.abs(out_of_plane)) < 1e-12
         assert np.max(np.abs(radial - 0.004)) < 1e-12
+
+    def test_partly_hidden_rim_keeps_exactly_the_visible_points(self):
+        # at this yaw hole 0's center is in view, near the image edge, and
+        # part of its rim is not
+        scene, cam = default_bar_scene().yawed(math.radians(-116.0)), default_camera()
+        pts = rim_in_camera(scene, cam, 0, 600)
+        seen = cam.visible(pts)
+        assert 0 < seen.sum() < 600
+        assert same_bits(synthesize_mask(scene, cam, 0, n_points=600).points, pts[seen])
+
+    def test_fully_visible_rim_keeps_every_point(self):
+        scene, cam = default_bar_scene(), default_camera()
+        pts = rim_in_camera(scene, cam, 1, 600)
+        assert cam.visible(pts).all()
+        assert same_bits(synthesize_mask(scene, cam, 1, n_points=600).points, pts)
 
     def test_dropout_point_count(self):
         scene, cam = default_bar_scene(), default_camera()
