@@ -35,7 +35,8 @@ and file, any difference is printed, and the script exits 1 if there is
 one. Then each command of ``INVALID`` (a bad flag value of the CLI or of
 the teaching comparison, a config or primitive file with one value out
 of range or a key the config no longer has, a teach config whose
-``teach-sim`` fails, a trajectory whose resampling grid is past the row
+``teach-sim`` fails, a scene whose camera pose has no finite inverse, a
+trajectory whose resampling grid is past the row
 cap, one with a zero quaternion on its line 301, one whose px of 1e300
 on line 301 overflows its jerk and its fit's replay, through ``metrics``
 and ``fit``, or a batch of 200 trials whose ``--out`` lies in a missing
@@ -151,6 +152,15 @@ ZERO_QUATERNION_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
 # the same still pose with px 1e300 on line 301, written into each output directory
 HUGE_POSITION_CSV = "t,px,py,pz,qw,qx,qy,qz\n" + "".join(
     f"{k / 100},{'1e300' if k == 299 else 0},0,0,1,0,0,0\n" for k in range(400))
+# the default desk scene with its camera moved to x = 1.5e308 and tilted,
+# so that its pose has no finite inverse, written into each output directory
+_HOLE = {"radius": 0.004, "axis": [0.0, 0.0, 1.0]}
+FAR_CAMERA = {
+    "bar": {"position": [0.0, 0.0, 0.05], "orientation": [1.0, 0.0, 0.0, 0.0], "dims": [0.3, 0.05, 0.02],
+            "holes": [{"offset": [x, 0.0, 0.01], **_HOLE} for x in (-0.1, 0.0, 0.1)]},
+    "camera": {"position": [1.5e308, 0.0, 0.3], "orientation": [0.0, 0.6, 0.8, 0.0], "fx": 615.0, "fy": 615.0,
+               "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
+}
 # two-basis primitive files with one gain out of range, written into each output directory
 _REST = {"position": [0.0, 0.0, 0.0], "orientation": [1.0, 0.0, 0.0, 0.0]}
 _PRIMITIVE = {"alpha_s": 8.0, "alpha_z": 25.0, "beta_z": 6.25, "tau": 1.0, "N": 2, "centers": [1.0, 0.5],
@@ -207,6 +217,7 @@ COMMANDS = {
 INVALID = {
     "trial --hole 7": cli("trial", "--hole", "7", out="bad.json")[0],
     "localize --hole 7": cli("localize", "--hole", "7", out="bad.csv")[0],
+    "localize --scene far_camera.json": cli("localize", "--scene", "far_camera.json", out="bad.csv")[0],
     "batch --n 0": cli("batch", "--n", "0", out="bad.json")[0],
     "batch --n 200 --out nodir/bad.json": cli("batch", "--n", "200", out="nodir/bad.json")[0],
     "batch --n 200 --out isdir": cli("batch", "--n", "200", out="isdir")[0],
@@ -297,6 +308,7 @@ def main(argv=None) -> int:
             (out / "non_uniform.csv").write_text(NON_UNIFORM_CSV)
             (out / "zero_quaternion.csv").write_text(ZERO_QUATERNION_CSV)
             (out / "huge_position.csv").write_text(HUGE_POSITION_CSV)
+            (out / "far_camera.json").write_text(json.dumps(FAR_CAMERA) + "\n")
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name, (command, _) in COMMANDS.items():

@@ -21,8 +21,8 @@ from .dmp import _check_stable, basis_layout, demo_steps, rollout_steps
 from .ktc import _check_controller, _check_teach_noise, _check_teach_timing
 from .se3 import quat_normalize
 from .trajectory import ParseError, _at_least, _check_seed, _finite_fields, _positive, read_json, write_json
-from .vision import BarScene, CameraModel, _check_corruption, _check_hole_id, _check_mask_points, scene_from_dict
-from .vision import scene_to_dict, sweep_yaw_count
+from .vision import BarScene, CameraModel, _check_corruption, _check_hole_id, _check_mask_points, default_bar_scene
+from .vision import default_camera, scene_from_dict, scene_to_dict, sweep_yaw_count
 
 __all__ = [
     "DmpSection",
@@ -151,15 +151,16 @@ class MetricsSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The whole run in one document; ``scene`` is the inline scene/camera
-    description (None means the default desk scene).
+    """The whole run in one document; ``scene`` is the scene/camera
+    document, by default :func:`vision.default_bar_scene` seen by
+    :func:`vision.default_camera`.
 
     Its rules are the ones that span sections, so every config meets them,
     loaded, built in code or folded from flags alike. A broken one raises a
     ValueError whose ``field`` names the value a file is refused on."""
 
     seed: int = 0
-    scene: dict | None = None
+    scene: dict = field(default_factory=lambda: scene_to_dict(default_bar_scene(), default_camera()))
     fit: FitSection = field(default_factory=FitSection)
     dmp: DmpSection = field(default_factory=DmpSection)
     rollout: RolloutSection = field(default_factory=RolloutSection)
@@ -182,11 +183,7 @@ class RunConfig:
 
     @cached_property
     def scene_and_camera(self) -> tuple[BarScene, CameraModel]:
-        """The inline scene parsed, or the default desk scene."""
-        if self.scene is None:
-            from .presets import default_bar_scene, default_camera  # presets builds on this module
-
-            return default_bar_scene(), default_camera()
+        """The scene document parsed."""
         return scene_from_dict(self.scene)
 
 
@@ -260,12 +257,9 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully resolved document: the scene is materialized and sections keep
-    their field order, so emitted files diff cleanly."""
-    doc = asdict(cfg)
-    if cfg.scene is None:
-        doc["scene"] = scene_to_dict(*cfg.scene_and_camera)
-    return doc
+    """Fully resolved document: sections keep their field order, so emitted
+    files diff cleanly."""
+    return asdict(cfg)
 
 
 def load_config(path: str) -> RunConfig:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .se3 import Pose, from_rotation_vector, quat_conj_wxyz, quat_mul_wxyz, rotation_vector_wxyz
-from .trajectory import Trajectory, _at_least, _positive
+from .trajectory import Trajectory, _at_least, _check_seed, _positive
 
 __all__ = [
     "CONTROLLERS",
@@ -253,6 +253,7 @@ def simulate_demonstration(
     _check_controller(controller)
     _check_teach_timing(max_duration)
     _check_teach_noise(force_noise_std, torque_noise_std)
+    _check_seed(seed)
     # each waypoint's position and attitude, split once
     goals = [(p.position.tolist(), p.orientation) for p in waypoints]
     if not goals:

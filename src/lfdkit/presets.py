@@ -1,5 +1,6 @@
-"""Factories for synthetic worlds and demonstrations used by tests, scripts,
-and the CLI, which builds its trial scenario from a config here."""
+"""Factories for synthetic demonstrations and trial scenarios used by tests,
+scripts, and the CLI, which builds its trial scenario from a config here.
+The default desk scene and camera are :mod:`vision`'s, named here too."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .config import RunConfig
 from .dmp import fit_pose_dmp
 from .se3 import Pose, chart_rows, from_rotation_vector, unchart_rows
 from .trajectory import Trajectory, _positive, grid_steps, read_text
-from .vision import BarScene, CameraModel, HoleSpec
+from .vision import default_bar_scene, default_camera
 
 __all__ = [
     "make_smooth_demo",
@@ -114,26 +115,6 @@ def demo_pose_waypoints(seed: int = 0):
     tilts[0] = 0.0
     quats = [from_rotation_vector(t) for t in tilts]
     return wp, quats
-
-
-def default_bar_scene() -> BarScene:
-    """Desk scene: a 0.30 x 0.05 x 0.02 m bar lying flat with three 4 mm
-    holes along its top face, outer ones 0.10 m off center."""
-    holes = tuple(
-        HoleSpec(offset=[x, 0.0, 0.01], radius=0.004, axis=[0.0, 0.0, 1.0])
-        for x in (-0.10, 0.0, 0.10)
-    )
-    return BarScene(
-        bar=Pose([0.0, 0.0, 0.05]),
-        dims=[0.30, 0.05, 0.02],
-        holes=holes,
-    )
-
-
-def default_camera() -> CameraModel:
-    """Overhead camera 0.30 m up, looking straight down (180 deg about x),
-    VGA with the usual RGB-D intrinsics."""
-    return CameraModel(pose=Pose([0.0, 0.0, 0.30], (0.0, 1.0, 0.0, 0.0)))
 
 
 def default_teach_setup(controller: str, seed: int = 0) -> tuple[tuple[Pose, ...], str]:

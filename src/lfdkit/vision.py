@@ -27,6 +27,8 @@ __all__ = [
     "HoleSpec",
     "BarScene",
     "CameraModel",
+    "default_bar_scene",
+    "default_camera",
     "MaskSample",
     "HoleEstimate",
     "NotDetectable",
@@ -133,7 +135,9 @@ class BarScene:
 @dataclass(frozen=True)
 class CameraModel:
     """Ideal pinhole camera, +z forward, pixels (u, v) with u along +x. Its
-    world-to-camera transform is built once, from the pose it is made with."""
+    world-to-camera transform is built once, from the pose it is made with,
+    so a pose whose inverse is not finite (a position near the float range)
+    is refused when the camera is made."""
 
     pose: Pose
     fx: float = 615.0
@@ -150,20 +154,15 @@ class CameraModel:
         _finite("cy", self.cy)
         _positive("width", self.width)
         _positive("height", self.height)
-        # the transposed rotation and the offset of the inverse pose; a pose
-        # so far out that its inverse overflows keeps None, and
-        # world_to_camera raises the inverse's error
+        # the transposed rotation and the offset of the inverse pose
         try:
             inv = self.pose.inverse()
-        except ValueError:
-            object.__setattr__(self, "_to_camera", None)
-        else:
-            object.__setattr__(self, "_to_camera", (quat_matrix_wxyz(inv.orientation).T, inv.position))
+        except ValueError as exc:
+            raise ValueError(f"camera pose has no finite inverse: {exc}") from None
+        object.__setattr__(self, "_to_camera", (quat_matrix_wxyz(inv.orientation).T, inv.position))
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        if self._to_camera is None:
-            self.pose.inverse()  # raises, as it did in __post_init__
         rot_t, offset = self._to_camera
         return pts @ rot_t + offset
 
@@ -189,6 +188,26 @@ class CameraModel:
         u = fx * x / z + cx
         v = fy * y / z + cy
         return 0 <= u < width and 0 <= v < height
+
+
+def default_bar_scene() -> BarScene:
+    """Desk scene: a 0.30 x 0.05 x 0.02 m bar lying flat with three 4 mm
+    holes along its top face, outer ones 0.10 m off center."""
+    holes = tuple(
+        HoleSpec(offset=[x, 0.0, 0.01], radius=0.004, axis=[0.0, 0.0, 1.0])
+        for x in (-0.10, 0.0, 0.10)
+    )
+    return BarScene(
+        bar=Pose([0.0, 0.0, 0.05]),
+        dims=[0.30, 0.05, 0.02],
+        holes=holes,
+    )
+
+
+def default_camera() -> CameraModel:
+    """Overhead camera 0.30 m up, looking straight down (180 deg about x),
+    VGA with the usual RGB-D intrinsics."""
+    return CameraModel(pose=Pose([0.0, 0.0, 0.30], (0.0, 1.0, 0.0, 0.0)))
 
 
 def _orthobasis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,6 +305,7 @@ def synthesize_mask(
     """
     _check_hole_id(scene, hole_id)
     _check_corruption(noise_sigma, dropout)
+    _check_seed(seed)
     _check_mask_points(n_points)
 
     check_visible(scene, cam, hole_id)
@@ -453,19 +473,13 @@ def detection_range_sweep(
             detected_grid[i, j] = detected
             rows.append((float(yaw), j, detected, center_err, radius_err))
 
-    intervals: dict[int, tuple[tuple[float, float], ...]] = {}
-    for j in range(len(scene.holes)):
-        spans: list[tuple[float, float]] = []
-        run_start = None
-        for i in range(count):
-            if detected_grid[i, j] and run_start is None:
-                run_start = yaws[i]
-            elif not detected_grid[i, j] and run_start is not None:
-                spans.append((float(run_start), float(yaws[i - 1])))
-                run_start = None
-        if run_start is not None:
-            spans.append((float(run_start), float(yaws[-1])))
-        intervals[j] = tuple(spans)
+    # +1 where a hole's run of detected yaws starts, -1 one past where it ends
+    edges = np.diff(detected_grid.astype(np.int8), axis=0, prepend=0, append=0)
+    intervals = {
+        j: tuple((float(yaws[a]), float(yaws[b - 1]))
+                 for a, b in zip(np.flatnonzero(edges[:, j] > 0), np.flatnonzero(edges[:, j] < 0)))
+        for j in range(len(scene.holes))
+    }
     return tuple(rows), intervals
 
 

@@ -763,6 +763,20 @@ class TestInputFiles:
         assert str(path) in err and "field 'scene'" in err
         assert not (tmp_path / "h.csv.config.json").exists()
 
+    @pytest.mark.parametrize("command", ["localize", "sweep", "trial", "batch"])
+    @pytest.mark.parametrize("via", ["scene-file", "inline"])
+    def test_camera_pose_without_a_finite_inverse_refused_on_load(self, capsys, tmp_path, command, via):
+        # once loaded, and every run then exited 1 with the inverse pose's error, naming no file
+        doc = _scene_doc()
+        doc["camera"].update(position=[1.5e308, 0, 0.3], orientation=[0, 0.6, 0.8, 0])
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"scene": doc} if via == "inline" else doc))
+        flag = "--config" if via == "inline" else "--scene"
+        code, out, err = run(capsys, command, flag, path, "--out", tmp_path / "out")
+        message = "camera pose has no finite inverse: pose position must be finite"
+        assert (code, out, err) == (2, "", f"error: {path}:0: field 'scene': {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["far.json"]
+
     @pytest.mark.parametrize(
         "path, value, named",
         [

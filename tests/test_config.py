@@ -21,14 +21,14 @@ from lfdkit.presets import default_scenario, default_teach_setup
 from lfdkit.se3 import quat_normalize
 from lfdkit.trajectory import MAX_ROWS, ParseError
 from lfdkit.vision import MAX_MASK_POINTS, MAX_NOISE_SIGMA, MAX_SWEEP_YAWS, detection_range_sweep, sweep_yaw_count
-from lfdkit.vision import synthesize_mask
+from lfdkit.vision import default_bar_scene, default_camera, locate_hole, scene_to_dict, synthesize_mask
 
 
 class TestDefaults:
     def test_empty_document_is_runnable(self):
         cfg = config_from_dict({})
         assert cfg.seed == 0
-        assert cfg.scene is None
+        assert cfg.scene == scene_to_dict(default_bar_scene(), default_camera())
         assert cfg.dmp.n_basis == 50
         assert cfg.dmp.alpha_z == 25.0
         assert cfg.trial.n == 20
@@ -105,6 +105,12 @@ class TestRejection:
         with pytest.raises(ParseError) as err:
             config_from_dict({"scene": {"bar": {}}})
         assert err.value.field == "scene"
+
+    def test_null_scene_refused(self):
+        # omitting the key is the one way to ask for the default scene
+        with pytest.raises(ParseError) as err:
+            config_from_dict({"scene": None})
+        assert (err.value.field, err.value.message) == ("scene", "scene must be an object, got NoneType")
 
     def test_document_must_be_an_object(self):
         with pytest.raises(ParseError):
@@ -524,6 +530,13 @@ ONE_RULE = [
     pytest.param({"seed": -1}, lambda sc: replace(sc, seed=-1), "seed must be at least 0, got -1", id="seed-scenario"),
     pytest.param({"seed": -1}, lambda sc: detection_range_sweep(sc.scene, sc.cam, 0.0, 0.1, 0.1, seed=-1),
                  "seed must be at least 0, got -1", id="seed-detection_range_sweep"),
+    # numpy's own text ("expected non-negative integer") once came from these draws
+    pytest.param({"seed": -1}, lambda sc: synthesize_mask(sc.scene, sc.cam, 1, seed=-1),
+                 "seed must be at least 0, got -1", id="seed-synthesize_mask"),
+    pytest.param({"seed": -1}, lambda sc: locate_hole(sc.scene, sc.cam, 1, seed=-1),
+                 "seed must be at least 0, got -1", id="seed-locate_hole"),
+    pytest.param({"seed": -1}, lambda sc: _teach(seed=-1), "seed must be at least 0, got -1",
+                 id="seed-simulate_demonstration"),
     pytest.param({"trial": {"n": 0}}, lambda sc: _trial(sc, n=0), "n must be at least 1, got 0", id="n-scenario"),
     pytest.param({"trial": {"n": MAX_TRIALS + 1}}, lambda sc: _trial(sc, n=MAX_TRIALS + 1),
                  f"n must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}", id="n-cap"),

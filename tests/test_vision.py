@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfdkit.presets import default_bar_scene, default_camera
+from lfdkit import vision
 from lfdkit.se3 import Pose, from_rotation_vector, quat_matrix_wxyz, quat_mul_wxyz, quat_normalize, quat_rotate_wxyz
 from lfdkit.trajectory import read_json, write_json
 from lfdkit.vision import (
@@ -25,6 +25,8 @@ from lfdkit.vision import (
     MaskSample,
     NotDetectable,
     check_visible,
+    default_bar_scene,
+    default_camera,
     detection_range_sweep,
     fit_circle3d,
     hole_errors,
@@ -211,11 +213,11 @@ class TestCameraTransform:
         assert cam != dataclasses.replace(cam, fx=600.0)
         assert "_to_camera" not in repr(cam)
 
-    def test_pose_whose_inverse_overflows_fails_at_use(self):
-        # built as before; world_to_camera raises the inverse pose's error
-        cam = CameraModel(Pose([1.5e308, 0.0, 0.3], (0.0, 0.6, 0.8, 0.0)))
-        with pytest.raises(ValueError, match="^pose position must be finite$"):
-            cam.world_to_camera(np.zeros(3))
+    def test_pose_whose_inverse_overflows_is_refused_when_made(self):
+        # once made without a transform, each world_to_camera then raising
+        # the inverse pose's error
+        with pytest.raises(ValueError, match="^camera pose has no finite inverse: pose position must be finite$"):
+            CameraModel(Pose([1.5e308, 0.0, 0.3], (0.0, 0.6, 0.8, 0.0)))
 
     @settings(deadline=None, max_examples=300)
     @given(st.tuples(_coordinate, _coordinate, _coordinate), st.sampled_from(_LENSES))
@@ -548,6 +550,57 @@ class TestDetectionRangeSweep:
                     err = world_center_error(cam, turned, j, est)
                     assert center_err == err
                     assert detected == (err <= 1e-3)
+
+    @staticmethod
+    def patterned_sweep(pattern, start=-1.0, step=0.1):
+        """The intervals of a sweep over len(pattern) yaws in which hole j is
+        detected at yaw i exactly where pattern[i][j], and those of the
+        per-yaw run-tracking scan on the same grid."""
+        hits = iter([hit for row in pattern for hit in row])
+
+        def locate(turned, cam, j, *args):
+            if not next(hits):
+                raise NotDetectable("hidden")
+            return HoleEstimate(turned.hole_center_world(j), turned.hole_axis_world(j), turned.holes[j].radius, 0.0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vision, "locate_hole", locate)
+            stop = start + step * (len(pattern) - 0.5)  # half a step past the last yaw, whatever the rounding
+            _, intervals = detection_range_sweep(default_bar_scene(), default_camera(), start, stop, step)
+        yaws = start + step * np.arange(len(pattern))
+        scanned = {}
+        for j in range(3):
+            spans, run_start = [], None
+            for i, row in enumerate(pattern):
+                if row[j] and run_start is None:
+                    run_start = yaws[i]
+                elif not row[j] and run_start is not None:
+                    spans.append((float(run_start), float(yaws[i - 1])))
+                    run_start = None
+            if run_start is not None:
+                spans.append((float(run_start), float(yaws[-1])))
+            scanned[j] = tuple(spans)
+        return intervals, scanned
+
+    @pytest.mark.parametrize("pattern", [
+        pytest.param([(True,) * 3] * 5, id="all-detected"),
+        pytest.param([(False,) * 3] * 5, id="none-detected"),
+        pytest.param([(True, False, True)], id="one-yaw"),
+        pytest.param([(True, False, False), (True, True, False), (False, True, True), (False, False, True)],
+                     id="runs-at-either-end"),
+        pytest.param([(True, True, False), (False, True, True), (True, False, True), (False, True, False),
+                      (True, True, True)], id="alternating"),
+    ])
+    def test_intervals_are_the_runs_of_detected_yaws(self, pattern):
+        intervals, scanned = self.patterned_sweep(pattern)
+        assert repr(intervals) == repr(scanned)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=12),
+           st.floats(-2.0, 2.0), st.floats(1e-3, 0.3))
+    def test_random_patterns_keep_the_run_scan(self, pattern, start, step):
+        intervals, scanned = self.patterned_sweep(pattern, start, step)
+        assert repr(intervals) == repr(scanned)
 
     def test_validation(self):
         scene, cam = default_bar_scene(), default_camera()
